@@ -400,11 +400,7 @@ module Admctl_churn = struct
          (counter "admctl.cold_resets")
          (counter "admctl.rounds_saved"));
     Buffer.add_string buf "}\n";
-    let path = "BENCH_admctl.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -723,11 +719,7 @@ module Survive_bench = struct
          (List.length d3.Gmf_faults.Survive.cases)
          d3_s);
     Buffer.add_string buf "}\n";
-    let path = "BENCH_survive.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -800,11 +792,7 @@ module Exec_bench = struct
          "  \"memo\": {\"cases\": %d, \"hits\": %d}\n"
          (counter "exec.cases") (counter "exec.memo_hits"));
     Buffer.add_string buf "}\n";
-    let path = "BENCH_exec.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -895,11 +883,7 @@ module Precheck_bench = struct
     Buffer.add_string buf "{\n  \"benchmark\": \"precheck\",\n  \"scenarios\": [\n";
     Buffer.add_string buf (String.concat ",\n" rows);
     Buffer.add_string buf "\n  ]\n}\n";
-    let path = "BENCH_precheck.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -976,11 +960,7 @@ module Scale_bench = struct
       (Analysis.Holistic.is_schedulable report)
       gen_s lint_s analyze_s total_s
       (float_of_int placed /. total_s);
-    let path = "BENCH_scale.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1117,11 +1097,7 @@ module Daemon_bench = struct
       events inproc_s (rate events inproc_s) daemon_s (rate events daemon_s)
       (if daemon_r.Gmf_daemon.Client.output = inproc_text then 1 else 0)
       (List.length daemon_r.Gmf_daemon.Client.rejected);
-    let path = "BENCH_daemon.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    print_string (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path
+    Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1138,8 +1114,6 @@ end
    run.  The generous default tolerates the noise of shared CI runners;
    what the gate actually catches is an accidental O(n)->O(n^2) slip. *)
 module Baseline = struct
-  module Json = Gmf_obs.Export.Json
-
   let contains ~needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -1155,7 +1129,7 @@ module Baseline = struct
     match In_channel.with_open_text path In_channel.input_all with
     | exception Sys_error msg -> Error msg
     | text -> (
-        match Json.parse text with
+        match Json.of_string text with
         | Error e -> Error (Printf.sprintf "%s: %s" path e)
         | Ok v -> Ok (Json.number_leaves v))
 
@@ -1259,7 +1233,11 @@ let flag_value name =
   go 2
 
 let run_report json_report current =
-  json_report ();
+  let report = json_report () in
+  Out_channel.with_open_text current (fun oc ->
+      Out_channel.output_string oc report);
+  print_string report;
+  Printf.printf "wrote %s\n" current;
   match flag_value "--baseline" with
   | None -> exit 0
   | Some baseline ->

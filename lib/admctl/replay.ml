@@ -141,79 +141,54 @@ let pp_summary fmt (s : Session.summary) =
 (* JSON rendering                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_object fields =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           match v with
-           | `S s -> Printf.sprintf "\"%s\":\"%s\"" k (json_escape s)
-           | `I i -> Printf.sprintf "\"%s\":%d" k i
-           | `B b -> Printf.sprintf "\"%s\":%b" k b)
-         fields)
-  ^ "}"
-
 let outcome_jsonl (o : Session.outcome) =
+  let open Gmf_util.Json in
   let fields =
     [
-      ("seq", `I o.Session.seq);
-      ("event", `S o.Session.label);
-      ("accepted", `B o.Session.accepted);
+      ("seq", Int o.Session.seq);
+      ("event", Str o.Session.label);
+      ("accepted", Bool o.Session.accepted);
       ( "verdict",
-        `S
+        Str
           (Format.asprintf "%a" Analysis.Holistic.pp_verdict
              o.Session.verdict) );
-      ("rounds", `I o.Session.rounds);
-      ("start", `S (Format.asprintf "%a" Session.pp_start o.Session.start));
-      ("flows", `I o.Session.flow_count);
-      ("diagnostics", `I (List.length o.Session.diagnostics));
+      ("rounds", Int o.Session.rounds);
+      ("start", Str (Format.asprintf "%a" Session.pp_start o.Session.start));
+      ("flows", Int o.Session.flow_count);
+      ("diagnostics", Int (List.length o.Session.diagnostics));
     ]
     @ (match o.Session.shadow with
       | None -> []
       | Some { Session.cold_rounds; equivalent } ->
-          [ ("cold_rounds", `I cold_rounds); ("equivalent", `B equivalent) ])
+          [
+            ("cold_rounds", Int cold_rounds); ("equivalent", Bool equivalent);
+          ])
     @ (match o.Session.degradation with
       | None -> []
       | Some { Session.rerouted; shed } ->
           [
-            ("rerouted", `I (List.length rerouted));
-            ("shed", `I (List.length shed));
+            ("rerouted", Int (List.length rerouted));
+            ("shed", Int (List.length shed));
           ])
     @
     match o.Session.explain with
     | None -> []
     | Some s ->
         [
-          ("worst_flow", `S s.Gmf_explain.Attribution.s_flow);
-          ("worst_frame", `I s.Gmf_explain.Attribution.s_frame);
-          ("worst_total_ns", `I s.Gmf_explain.Attribution.s_total);
-          ("worst_deadline_ns", `I s.Gmf_explain.Attribution.s_deadline);
-          ("worst_slack_ns", `I s.Gmf_explain.Attribution.s_slack);
-          ("binding_hop", `S s.Gmf_explain.Attribution.s_hop);
+          ("worst_flow", Str s.Gmf_explain.Attribution.s_flow);
+          ("worst_frame", Int s.Gmf_explain.Attribution.s_frame);
+          ("worst_total_ns", Int s.Gmf_explain.Attribution.s_total);
+          ("worst_deadline_ns", Int s.Gmf_explain.Attribution.s_deadline);
+          ("worst_slack_ns", Int s.Gmf_explain.Attribution.s_slack);
+          ("binding_hop", Str s.Gmf_explain.Attribution.s_hop);
         ]
         @ (match s.Gmf_explain.Attribution.s_interferer with
           | None -> []
           | Some (id, name, charge) ->
               [
-                ("binding_interferer", `S name);
-                ("binding_interferer_id", `I id);
-                ("binding_interferer_ns", `I charge);
+                ("binding_interferer", Str name);
+                ("binding_interferer_id", Int id);
+                ("binding_interferer_ns", Int charge);
               ])
   in
-  json_object fields
+  to_string (Obj fields)

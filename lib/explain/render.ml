@@ -195,23 +195,22 @@ let rejection ?(hints = []) (attr : Attribution.t) =
 
 (* ---------------- JSON ---------------- *)
 
-let esc = Gmf_obs.Export.json_escape
-
 let json_interferer buf (i : Attribution.interferer) =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"flow\":%d,\"name\":\"%s\",\"pattern\":\"%s\",\"frames\":%d,\"link_ns\":%d,\"cpu_ns\":%d,\"total_ns\":%d}"
+       "{\"flow\":%d,\"name\":%s,\"pattern\":%s,\"frames\":%d,\"link_ns\":%d,\"cpu_ns\":%d,\"total_ns\":%d}"
        i.Attribution.if_id
-       (esc i.Attribution.if_name)
-       (esc i.Attribution.if_pattern)
+       (Json.quote i.Attribution.if_name)
+       (Json.quote i.Attribution.if_pattern)
        i.Attribution.if_frames i.Attribution.if_link i.Attribution.if_cpu
        (Attribution.if_total i))
 
 let json_hop buf (h : Attribution.hop) =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"stage\":\"%s\",\"response_ns\":%d,\"min_response_ns\":%d,\"transmission_ns\":%d,\"software_ns\":%d,\"blocking_ns\":%d,\"own_carry_ns\":%d,\"q\":%d,\"l\":%d,\"window_ns\":%d,\"residual_ns\":%d,\"interference\":["
-       (esc (Format.asprintf "%a" Analysis.Stage.pp h.Attribution.hop_stage))
+       "{\"stage\":%s,\"response_ns\":%d,\"min_response_ns\":%d,\"transmission_ns\":%d,\"software_ns\":%d,\"blocking_ns\":%d,\"own_carry_ns\":%d,\"q\":%d,\"l\":%d,\"window_ns\":%d,\"residual_ns\":%d,\"interference\":["
+       (Json.quote
+          (Format.asprintf "%a" Analysis.Stage.pp h.Attribution.hop_stage))
        h.Attribution.hop_response h.Attribution.hop_min_response
        h.Attribution.hop_transmission h.Attribution.hop_software
        h.Attribution.hop_blocking h.Attribution.hop_own_carry
@@ -241,16 +240,16 @@ let json_frame buf (fa : Attribution.frame_attr) =
   (match Attribution.binding_hop fa with
   | Some h ->
       Buffer.add_string buf
-        (Printf.sprintf "\"binding_hop\":\"%s\","
-           (esc
+        (Printf.sprintf "\"binding_hop\":%s,"
+           (Json.quote
               (Format.asprintf "%a" Analysis.Stage.pp h.Attribution.hop_stage)))
   | None -> Buffer.add_string buf "\"binding_hop\":null,");
   (match Attribution.binding_interferer fa with
   | Some (id, name, total) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "\"binding_interferer\":{\"flow\":%d,\"name\":\"%s\",\"total_ns\":%d}}"
-           id (esc name) total)
+           "\"binding_interferer\":{\"flow\":%d,\"name\":%s,\"total_ns\":%d}}"
+           id (Json.quote name) total)
   | None -> Buffer.add_string buf "\"binding_interferer\":null}")
 
 let json_hint buf = function
@@ -280,9 +279,9 @@ let to_json ?flow ?(hints = []) (attr : Attribution.t) =
     (fun i (af : Attribution.flow_attr) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"flow\":%d,\"name\":\"%s\",\"priority\":%d,\"frames\":["
+        (Printf.sprintf "{\"flow\":%d,\"name\":%s,\"priority\":%d,\"frames\":["
            af.Attribution.af_flow.Traffic.Flow.id
-           (esc af.Attribution.af_flow.Traffic.Flow.name)
+           (Json.quote af.Attribution.af_flow.Traffic.Flow.name)
            af.Attribution.af_flow.Traffic.Flow.priority);
       List.iteri
         (fun k fa ->
@@ -296,11 +295,11 @@ let to_json ?flow ?(hints = []) (attr : Attribution.t) =
   | Some s ->
       Buffer.add_string buf
         (Printf.sprintf
-           "\"worst\":{\"flow\":%d,\"name\":\"%s\",\"frame\":%d,\"slack_ns\":%d,\"hop\":\"%s\"},"
+           "\"worst\":{\"flow\":%d,\"name\":%s,\"frame\":%d,\"slack_ns\":%d,\"hop\":%s},"
            s.Attribution.s_flow_id
-           (esc s.Attribution.s_flow)
+           (Json.quote s.Attribution.s_flow)
            s.Attribution.s_frame s.Attribution.s_slack
-           (esc s.Attribution.s_hop))
+           (Json.quote s.Attribution.s_hop))
   | None -> Buffer.add_string buf "\"worst\":null,");
   Buffer.add_string buf "\"hints\":[";
   List.iteri

@@ -25,4 +25,6 @@ val to_json :
     verdict, rounds, per-flow/per-frame/per-hop terms (all in ns, summing
     to the holistic bound exactly — the ["exact"] flag asserts it), the
     worst-frame summary, and any hints.  [?flow] restricts the flows
-    array; parseable by {!Gmf_obs.Export.Json.parse}. *)
+    array.  Strings are escaped with {!Gmf_util.Json.quote} and the
+    document parses with {!Gmf_util.Json.of_string} (see [docs/OBS.md],
+    "JSON"). *)

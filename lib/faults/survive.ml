@@ -585,23 +585,9 @@ let pp_report scenario fmt r =
                   f.Traffic.Flow.priority)
               shed))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json scenario r =
   let buf = Buffer.create 1024 in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let str = Gmf_util.Json.quote in
   let add = Buffer.add_string buf in
   add "{\n";
   add (Printf.sprintf "  \"k\": %d,\n" r.k);

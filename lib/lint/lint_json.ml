@@ -1,214 +1,90 @@
-(* Hand-rolled flat JSON, mirroring [Gmf_obs.Export] (which keeps its
-   parser private): string and integer values only, one object per line. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+open Gmf_util
 
 let subject_fields = function
-  | Gmf_diag.Scenario -> [ ("subject_kind", `S "scenario") ]
-  | Gmf_diag.Config -> [ ("subject_kind", `S "config") ]
+  | Gmf_diag.Scenario -> [ ("subject_kind", Json.Str "scenario") ]
+  | Gmf_diag.Config -> [ ("subject_kind", Json.Str "config") ]
   | Gmf_diag.Flow { id; name } ->
-      [ ("subject_kind", `S "flow"); ("id", `I id); ("name", `S name) ]
+      [
+        ("subject_kind", Json.Str "flow"); ("id", Json.Int id);
+        ("name", Json.Str name);
+      ]
   | Gmf_diag.Frame { id; name; frame } ->
       [
-        ("subject_kind", `S "frame"); ("id", `I id); ("name", `S name);
-        ("frame", `I frame);
+        ("subject_kind", Json.Str "frame"); ("id", Json.Int id);
+        ("name", Json.Str name); ("frame", Json.Int frame);
       ]
   | Gmf_diag.Node { id; name } ->
-      [ ("subject_kind", `S "node"); ("id", `I id); ("name", `S name) ]
+      [
+        ("subject_kind", Json.Str "node"); ("id", Json.Int id);
+        ("name", Json.Str name);
+      ]
   | Gmf_diag.Link { src; dst } ->
-      [ ("subject_kind", `S "link"); ("src", `I src); ("dst", `I dst) ]
+      [
+        ("subject_kind", Json.Str "link"); ("src", Json.Int src);
+        ("dst", Json.Int dst);
+      ]
 
 let to_jsonl_line (d : Gmf_diag.t) =
   let fields =
     [
-      ("code", `S d.Gmf_diag.code);
-      ("severity", `S (Gmf_diag.severity_to_string d.Gmf_diag.severity));
+      ("code", Json.Str d.Gmf_diag.code);
+      ( "severity",
+        Json.Str (Gmf_diag.severity_to_string d.Gmf_diag.severity) );
     ]
     @ subject_fields d.Gmf_diag.subject
-    @ [ ("message", `S d.Gmf_diag.message) ]
+    @ [ ("message", Json.Str d.Gmf_diag.message) ]
     @
     match d.Gmf_diag.suggestion with
     | None -> []
-    | Some s -> [ ("suggestion", `S s) ]
+    | Some s -> [ ("suggestion", Json.Str s) ]
   in
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           match v with
-           | `S s -> Printf.sprintf "\"%s\":\"%s\"" k (json_escape s)
-           | `I i -> Printf.sprintf "\"%s\":%d" k i)
-         fields)
-  ^ "}"
+  Json.to_string (Json.Obj fields)
 
 let to_jsonl ds =
   String.concat "" (List.map (fun d -> to_jsonl_line d ^ "\n") ds)
 
-type json_field = Fstr of string | Fint of int
-
-exception Parse_error of string
-
-let parse_flat_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      Stdlib.incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then Stdlib.incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> Stdlib.incr pos
-        | '\\' ->
-            if !pos + 1 >= n then fail "dangling escape";
-            (match line.[!pos + 1] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'u' ->
-                if !pos + 5 >= n then fail "truncated \\u escape";
-                let code =
-                  try int_of_string ("0x" ^ String.sub line (!pos + 2) 4)
-                  with _ -> fail "bad \\u escape"
-                in
-                if code > 0xff then fail "non-latin \\u escape"
-                else Buffer.add_char buf (Char.chr code);
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "unknown escape '\\%c'" c));
-            pos := !pos + 2;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            Stdlib.incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then Stdlib.incr pos;
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      Stdlib.incr pos
-    done;
-    if !pos = start then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then Stdlib.incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let value =
-        if peek () = Some '"' then Fstr (parse_string ())
-        else Fint (parse_int ())
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          Stdlib.incr pos;
-          members ()
-      | Some '}' -> Stdlib.incr pos
-      | _ -> fail "expected ',' or '}'"
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !fields
-
 let of_jsonl_line line =
-  match parse_flat_object line with
-  | exception Parse_error msg -> Error msg
-  | fields -> (
-      let str key =
-        match List.assoc_opt key fields with
-        | Some (Fstr s) -> Ok s
-        | Some (Fint _) ->
-            Error (Printf.sprintf "field %S: expected string" key)
-        | None -> Error (Printf.sprintf "missing field %S" key)
-      in
-      let int key =
-        match List.assoc_opt key fields with
-        | Some (Fint i) -> Ok i
-        | Some (Fstr _) ->
-            Error (Printf.sprintf "field %S: expected integer" key)
-        | None -> Error (Printf.sprintf "missing field %S" key)
-      in
-      let ( let* ) = Result.bind in
-      let* code = str "code" in
-      let* sev_name = str "severity" in
-      let* severity =
-        match Gmf_diag.severity_of_string sev_name with
-        | Some s -> Ok s
-        | None -> Error (Printf.sprintf "unknown severity %S" sev_name)
-      in
-      let* kind = str "subject_kind" in
-      let* subject =
-        match kind with
-        | "scenario" -> Ok Gmf_diag.Scenario
-        | "config" -> Ok Gmf_diag.Config
-        | "flow" ->
-            let* id = int "id" in
-            let* name = str "name" in
-            Ok (Gmf_diag.Flow { id; name })
-        | "frame" ->
-            let* id = int "id" in
-            let* name = str "name" in
-            let* frame = int "frame" in
-            Ok (Gmf_diag.Frame { id; name; frame })
-        | "node" ->
-            let* id = int "id" in
-            let* name = str "name" in
-            Ok (Gmf_diag.Node { id; name })
-        | "link" ->
-            let* src = int "src" in
-            let* dst = int "dst" in
-            Ok (Gmf_diag.Link { src; dst })
-        | k -> Error (Printf.sprintf "unknown subject_kind %S" k)
-      in
-      let* message = str "message" in
-      let suggestion =
-        match List.assoc_opt "suggestion" fields with
-        | Some (Fstr s) -> Some s
-        | _ -> None
-      in
-      Ok { Gmf_diag.code; severity; subject; message; suggestion })
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string line in
+  let str = Json.str_field j and int = Json.int_field j in
+  let* code = str "code" in
+  let* sev_name = str "severity" in
+  let* severity =
+    match Gmf_diag.severity_of_string sev_name with
+    | Some s -> Ok s
+    | None -> Error (Printf.sprintf "unknown severity %S" sev_name)
+  in
+  let* kind = str "subject_kind" in
+  let* subject =
+    match kind with
+    | "scenario" -> Ok Gmf_diag.Scenario
+    | "config" -> Ok Gmf_diag.Config
+    | "flow" ->
+        let* id = int "id" in
+        let* name = str "name" in
+        Ok (Gmf_diag.Flow { id; name })
+    | "frame" ->
+        let* id = int "id" in
+        let* name = str "name" in
+        let* frame = int "frame" in
+        Ok (Gmf_diag.Frame { id; name; frame })
+    | "node" ->
+        let* id = int "id" in
+        let* name = str "name" in
+        Ok (Gmf_diag.Node { id; name })
+    | "link" ->
+        let* src = int "src" in
+        let* dst = int "dst" in
+        Ok (Gmf_diag.Link { src; dst })
+    | k -> Error (Printf.sprintf "unknown subject_kind %S" k)
+  in
+  let* message = str "message" in
+  let suggestion =
+    match Json.member "suggestion" j with
+    | Some (Json.Str s) -> Some s
+    | _ -> None
+  in
+  Ok { Gmf_diag.code; severity; subject; message; suggestion }
 
 let of_jsonl text =
   let lines =

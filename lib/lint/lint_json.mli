@@ -5,9 +5,8 @@
       "message":"...","suggestion":"..."}]
     plus structured subject fields ([subject_kind], and the ids the kind
     carries) so downstream tooling does not have to re-parse the display
-    string.  The parser is the round-trip inverse, in the same
-    hand-rolled style as [Gmf_obs.Export] — no JSON library in the
-    dependency cone. *)
+    string.  Lines are printed and parsed with {!Gmf_util.Json}; the
+    parser is the round-trip inverse. *)
 
 val to_jsonl : Gmf_diag.t list -> string
 (** One diagnostic per line, trailing newline included (empty string for

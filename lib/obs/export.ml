@@ -1,157 +1,33 @@
 open Gmf_util
 
-(* ---------------- JSON encoding ---------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---------------- span JSON-lines ---------------- *)
 
 let span_to_jsonl (s : Tracer.span) =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"tid\":%d,\"begin_ns\":%d,\"dur_ns\":%d,\"depth\":%d}"
-    (json_escape s.Tracer.name) (json_escape s.Tracer.cat) s.Tracer.tid
-    s.Tracer.begin_ns s.Tracer.dur_ns s.Tracer.depth
+  Json.to_string
+    (Json.Obj
+       [
+         ("name", Json.Str s.Tracer.name);
+         ("cat", Json.Str s.Tracer.cat);
+         ("tid", Json.Int s.Tracer.tid);
+         ("begin_ns", Json.Int s.Tracer.begin_ns);
+         ("dur_ns", Json.Int s.Tracer.dur_ns);
+         ("depth", Json.Int s.Tracer.depth);
+       ])
 
 let spans_to_jsonl spans =
   String.concat "" (List.map (fun s -> span_to_jsonl s ^ "\n") spans)
 
-(* ---------------- JSON-lines parsing (spans) ---------------- *)
-
-(* Minimal recursive-descent parser for the flat objects produced above:
-   string and integer values only.  Written in the same hand-rolled style
-   as [Scenario_io.Parse] — no JSON library in the dependency cone. *)
-
-type json_field = Fstr of string | Fint of int
-
-exception Parse_error of string
-
-let parse_flat_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      Stdlib.incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then Stdlib.incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> Stdlib.incr pos
-        | '\\' ->
-            if !pos + 1 >= n then fail "dangling escape";
-            (match line.[!pos + 1] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'u' ->
-                if !pos + 5 >= n then fail "truncated \\u escape";
-                let code =
-                  try int_of_string ("0x" ^ String.sub line (!pos + 2) 4)
-                  with _ -> fail "bad \\u escape"
-                in
-                if code > 0xff then fail "non-latin \\u escape"
-                else Buffer.add_char buf (Char.chr code);
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "unknown escape '\\%c'" c));
-            pos := !pos + 2;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            Stdlib.incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then Stdlib.incr pos;
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      Stdlib.incr pos
-    done;
-    if !pos = start then fail "expected integer";
-    int_of_string (String.sub line start (!pos - start))
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then Stdlib.incr pos
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let value =
-        if peek () = Some '"' then Fstr (parse_string ())
-        else Fint (parse_int ())
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          Stdlib.incr pos;
-          members ()
-      | Some '}' -> Stdlib.incr pos
-      | _ -> fail "expected ',' or '}'"
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !fields
-
 let span_of_jsonl line =
-  match parse_flat_object line with
-  | exception Parse_error msg -> Error msg
-  | fields ->
-      let str key =
-        match List.assoc_opt key fields with
-        | Some (Fstr s) -> Ok s
-        | Some (Fint _) -> Error (Printf.sprintf "field %S: expected string" key)
-        | None -> Error (Printf.sprintf "missing field %S" key)
-      in
-      let int key =
-        match List.assoc_opt key fields with
-        | Some (Fint i) -> Ok i
-        | Some (Fstr _) ->
-            Error (Printf.sprintf "field %S: expected integer" key)
-        | None -> Error (Printf.sprintf "missing field %S" key)
-      in
-      let ( let* ) = Result.bind in
-      let* name = str "name" in
-      let* cat = str "cat" in
-      let* tid = int "tid" in
-      let* begin_ns = int "begin_ns" in
-      let* dur_ns = int "dur_ns" in
-      let* depth = int "depth" in
-      Ok { Tracer.name; cat; tid; begin_ns; dur_ns; depth }
+  let ( let* ) = Result.bind in
+  let* j = Json.of_string line in
+  let str = Json.str_field j and int = Json.int_field j in
+  let* name = str "name" in
+  let* cat = str "cat" in
+  let* tid = int "tid" in
+  let* begin_ns = int "begin_ns" in
+  let* dur_ns = int "dur_ns" in
+  let* depth = int "depth" in
+  Ok { Tracer.name; cat; tid; begin_ns; dur_ns; depth }
 
 (* ---------------- metrics JSON-lines ---------------- *)
 
@@ -160,15 +36,15 @@ let metrics_to_jsonl (snap : Metrics.snapshot) =
   List.iter
     (fun (name, value) ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"metric\":\"%s\",\"kind\":\"counter\",\"value\":%d}\n"
-           (json_escape name) value))
+        (Printf.sprintf "{\"metric\":%s,\"kind\":\"counter\",\"value\":%d}\n"
+           (Json.quote name) value))
     snap.Metrics.counters;
   List.iter
     (fun (name, last, max_v) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"metric\":\"%s\",\"kind\":\"gauge\",\"value\":%g,\"max\":%g}\n"
-           (json_escape name) last
+           "{\"metric\":%s,\"kind\":\"gauge\",\"value\":%g,\"max\":%g}\n"
+           (Json.quote name) last
            (if max_v = neg_infinity then last else max_v)))
     snap.Metrics.gauges;
   List.iter
@@ -187,8 +63,8 @@ let metrics_to_jsonl (snap : Metrics.snapshot) =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"metric\":\"%s\",\"kind\":\"histogram\",\"count\":%d,\"sum\":%d,\"p50\":%s,\"p95\":%s,\"buckets\":[%s]}\n"
-           (json_escape name) h.Metrics.h_count h.Metrics.h_sum
+           "{\"metric\":%s,\"kind\":\"histogram\",\"count\":%d,\"sum\":%d,\"p50\":%s,\"p95\":%s,\"buckets\":[%s]}\n"
+           (Json.quote name) h.Metrics.h_count h.Metrics.h_sum
            (opt_int h.Metrics.h_p50) (opt_int h.Metrics.h_p95) buckets))
     snap.Metrics.histograms;
   Buffer.contents buf
@@ -203,8 +79,8 @@ let chrome_trace spans =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-           (json_escape s.Tracer.name) (json_escape s.Tracer.cat) s.Tracer.tid
+           "\n{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
+           (Json.quote s.Tracer.name) (Json.quote s.Tracer.cat) s.Tracer.tid
            (float_of_int s.Tracer.begin_ns /. 1e3)
            (float_of_int s.Tracer.dur_ns /. 1e3)))
     spans;
@@ -315,225 +191,3 @@ let write_file ~path contents =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
-
-(* ---------------- generic JSON values ---------------- *)
-
-module Json = struct
-  type value =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of value list
-    | Obj of (string * value) list
-
-  exception Fail of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Fail (Printf.sprintf "%s at %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n
-        && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n'
-          || s.[!pos] = '\r')
-      do
-        Stdlib.incr pos
-      done
-    in
-    let literal word v =
-      let k = String.length word in
-      if !pos + k <= n && String.sub s !pos k = word then begin
-        pos := !pos + k;
-        v
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let add_utf8 buf code =
-      (* Standard UTF-8 encoding of one scalar value. *)
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-      end
-      else if code < 0x10000 then begin
-        Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xf0 lor (code lsr 18)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3f)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-      end
-    in
-    let hex4 () =
-      if !pos + 4 > n then fail "truncated \\u escape";
-      let code =
-        try int_of_string ("0x" ^ String.sub s !pos 4)
-        with _ -> fail "bad \\u escape"
-      in
-      pos := !pos + 4;
-      code
-    in
-    let parse_string () =
-      if peek () <> Some '"' then fail "expected string";
-      Stdlib.incr pos;
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> Stdlib.incr pos
-          | '\\' ->
-              Stdlib.incr pos;
-              if !pos >= n then fail "dangling escape";
-              let c = s.[!pos] in
-              Stdlib.incr pos;
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'u' ->
-                  let code = hex4 () in
-                  if code >= 0xd800 && code <= 0xdbff then begin
-                    (* High surrogate: must pair with a following \uDC00-. *)
-                    if
-                      !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                    then begin
-                      pos := !pos + 2;
-                      let low = hex4 () in
-                      if low < 0xdc00 || low > 0xdfff then
-                        fail "unpaired surrogate"
-                      else
-                        add_utf8 buf
-                          (0x10000
-                          + ((code - 0xd800) lsl 10)
-                          + (low - 0xdc00))
-                    end
-                    else fail "unpaired surrogate"
-                  end
-                  else if code >= 0xdc00 && code <= 0xdfff then
-                    fail "unpaired surrogate"
-                  else add_utf8 buf code
-              | c -> fail (Printf.sprintf "unknown escape '\\%c'" c));
-              go ()
-          | c ->
-              Buffer.add_char buf c;
-              Stdlib.incr pos;
-              go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < n && numchar s.[!pos] do
-        Stdlib.incr pos
-      done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-          Stdlib.incr pos;
-          skip_ws ();
-          if peek () = Some '}' then begin
-            Stdlib.incr pos;
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              if peek () <> Some ':' then fail "expected ':'";
-              Stdlib.incr pos;
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  Stdlib.incr pos;
-                  members ((key, v) :: acc)
-              | Some '}' ->
-                  Stdlib.incr pos;
-                  Obj (List.rev ((key, v) :: acc))
-              | _ -> fail "expected ',' or '}'"
-            in
-            members []
-          end
-      | Some '[' ->
-          Stdlib.incr pos;
-          skip_ws ();
-          if peek () = Some ']' then begin
-            Stdlib.incr pos;
-            Arr []
-          end
-          else begin
-            let rec elements acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  Stdlib.incr pos;
-                  elements (v :: acc)
-              | Some ']' ->
-                  Stdlib.incr pos;
-                  Arr (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']'"
-            in
-            elements []
-          end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Fail msg -> Error msg
-
-  let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
-
-  let number_leaves v =
-    (* Flattens nested objects/arrays into dotted paths; arrays index by
-       position.  Only numeric leaves are kept — the shape bench baselines
-       need for field-by-field regression diffing. *)
-    let acc = ref [] in
-    let rec go path = function
-      | Num f -> acc := (path, f) :: !acc
-      | Obj kvs ->
-          List.iter
-            (fun (k, v) ->
-              go (if path = "" then k else path ^ "." ^ k) v)
-            kvs
-      | Arr vs ->
-          List.iteri (fun i v -> go (Printf.sprintf "%s.%d" path i) v) vs
-      | Null | Bool _ | Str _ -> ()
-    in
-    go "" v;
-    List.rev !acc
-end

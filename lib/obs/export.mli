@@ -6,13 +6,9 @@
       spans round-trip through {!span_of_jsonl};
     + {e Chrome trace_event} — a single JSON document with complete
       ("ph":"X") events that [chrome://tracing] and Perfetto open directly;
-    + plain-text tables via {!Gmf_util.Tablefmt}, for terminal output. *)
+    + plain-text tables via {!Gmf_util.Tablefmt}, for terminal output.
 
-val json_escape : string -> string
-(** JSON string-body escaping as used by every emitter here: quotes,
-    backslashes and control characters escaped; raw UTF-8 bytes pass
-    through.  Shared so other layers' hand-rolled JSON (explain reports,
-    session JSONL) escapes identically. *)
+    Strings are escaped and lines parsed with {!Gmf_util.Json}. *)
 
 val span_to_jsonl : Tracer.span -> string
 (** One span as a single-line JSON object (no trailing newline). *)
@@ -44,28 +40,3 @@ val phase_table : (string * int * int) list -> string
 
 val write_file : path:string -> string -> unit
 (** Writes (truncating) the string to [path]. *)
-
-(** Minimal generic JSON reader — enough to validate this module's own
-    output and to diff [BENCH_*.json] reports, with no JSON library in the
-    dependency cone.  Accepts any RFC 8259 document (objects, arrays,
-    numbers as floats, [\u] escapes including surrogate pairs, decoded to
-    UTF-8 bytes). *)
-module Json : sig
-  type value =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of value list
-    | Obj of (string * value) list
-
-  val parse : string -> (value, string) result
-  (** Parses one complete document; [Error] locates the first offense. *)
-
-  val member : string -> value -> value option
-  (** Object field lookup; [None] on missing key or non-object. *)
-
-  val number_leaves : value -> (string * float) list
-  (** Every numeric leaf as [(dotted.path, value)], document order; array
-      elements are indexed by position. *)
-end

@@ -388,17 +388,6 @@ let pp fmt report =
     (List.length (infeasible report))
     (List.length (certified report))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json report =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -421,12 +410,12 @@ let to_json report =
   List.iteri
     (fun i v ->
       if i > 0 then add ",\n";
-      add "    {\"flow\": %d, \"name\": \"%s\", \"component\": %d, " v.flow_id
-        (json_escape v.flow_name) v.component;
+      add "    {\"flow\": %d, \"name\": %s, \"component\": %d, " v.flow_id
+        (Gmf_util.Json.quote v.flow_name) v.component;
       (match v.verdict with
       | Needs_fixpoint { reason } ->
-          add "\"verdict\": \"needs-fixpoint\", \"reason\": \"%s\"}"
-            (json_escape reason)
+          add "\"verdict\": \"needs-fixpoint\", \"reason\": %s}"
+            (Gmf_util.Json.quote reason)
       | (Infeasible cert | Schedulable cert) as verdict ->
           add "\"verdict\": \"%s\", "
             (match verdict with
@@ -434,10 +423,10 @@ let to_json report =
             | _ -> "schedulable");
           add
             "\"certificate\": {\"inequality\": \"%s\", \"value\": %.3f, \
-             \"limit\": %.3f, \"slack\": %.3f, \"detail\": \"%s\"}"
+             \"limit\": %.3f, \"slack\": %.3f, \"detail\": %s}"
             (inequality_name cert.inequality)
             cert.value cert.limit cert.slack
-            (json_escape (Format.asprintf "%a" pp_certificate cert));
+            (Gmf_util.Json.quote (Format.asprintf "%a" pp_certificate cert));
           (match v.ceilings with
           | Some bounds ->
               add ", \"ceilings\": [%s]}"

@@ -8,248 +8,7 @@
    parser.  Everything here is deterministic: encoding the decode of a
    line reproduces the canonical form the journal stores. *)
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let add_escaped buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-
-  let rec to_buf buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        (* %.12g round-trips every value the protocol carries (seconds
-           with sub-millisecond resolution) without trailing noise. *)
-        Buffer.add_string buf (Printf.sprintf "%.12g" f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        add_escaped buf s;
-        Buffer.add_char buf '"'
-    | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            to_buf buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            add_escaped buf k;
-            Buffer.add_string buf "\":";
-            to_buf buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string v =
-    let buf = Buffer.create 128 in
-    to_buf buf v;
-    Buffer.contents buf
-
-  exception Bad of string
-
-  let of_string text =
-    let n = String.length text in
-    let pos = ref 0 in
-    let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-    let skip_ws () =
-      while
-        !pos < n
-        && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && text.[!pos] = c then incr pos
-      else bad "expected %c at offset %d" c !pos
-    in
-    let add_utf8 buf code =
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let string_body () =
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then bad "unterminated string";
-        let c = text.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          if !pos >= n then bad "unterminated escape";
-          let e = text.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              if !pos + 4 > n then bad "truncated \\u escape";
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> bad "bad \\u escape %S" hex
-              in
-              add_utf8 buf code
-          | c -> bad "unknown escape \\%c" c);
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let number_start = function
-      | '-' | '0' .. '9' -> true
-      | _ -> false
-    in
-    let number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char text.[!pos] do incr pos done;
-      let lit = String.sub text start (!pos - start) in
-      let has_frac =
-        String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lit
-      in
-      if has_frac then
-        match float_of_string_opt lit with
-        | Some f -> Float f
-        | None -> bad "bad number %S" lit
-      else
-        match int_of_string_opt lit with
-        | Some i -> Int i
-        | None -> (
-            match float_of_string_opt lit with
-            | Some f -> Float f
-            | None -> bad "bad number %S" lit)
-    in
-    let literal word v =
-      if !pos + String.length word <= n
-         && String.sub text !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else bad "bad literal at offset %d" !pos
-    in
-    let rec value () =
-      skip_ws ();
-      if !pos >= n then bad "unexpected end of input";
-      match text.[!pos] with
-      | '"' ->
-          incr pos;
-          Str (string_body ())
-      | '{' ->
-          incr pos;
-          skip_ws ();
-          if !pos < n && text.[!pos] = '}' then begin
-            incr pos;
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              expect '"';
-              let k = string_body () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              if !pos < n && text.[!pos] = ',' then begin
-                incr pos;
-                members ((k, v) :: acc)
-              end
-              else begin
-                expect '}';
-                Obj (List.rev ((k, v) :: acc))
-              end
-            in
-            members []
-          end
-      | '[' ->
-          incr pos;
-          skip_ws ();
-          if !pos < n && text.[!pos] = ']' then begin
-            incr pos;
-            Arr []
-          end
-          else begin
-            let rec elements acc =
-              let v = value () in
-              skip_ws ();
-              if !pos < n && text.[!pos] = ',' then begin
-                incr pos;
-                elements (v :: acc)
-              end
-              else begin
-                expect ']';
-                Arr (List.rev (v :: acc))
-              end
-            in
-            elements []
-          end
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | c when number_start c -> number ()
-      | c -> bad "unexpected character %C at offset %d" c !pos
-    in
-    match
-      let v = value () in
-      skip_ws ();
-      if !pos <> n then bad "trailing garbage at offset %d" !pos;
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member key = function
-    | Obj kvs -> List.assoc_opt key kvs
-    | _ -> None
-end
+open Gmf_util
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
@@ -315,29 +74,11 @@ let encode_request req =
   in
   Json.to_string (Obj obj)
 
-let str_field ?default j key =
-  match Json.member key j with
-  | Some (Json.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" key)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing field %S" key))
-
 let bool_field j key =
   match Json.member key j with
   | Some (Json.Bool b) -> Ok b
   | None -> Ok false
   | Some _ -> Error (Printf.sprintf "field %S must be a boolean" key)
-
-let int_field ?default j key =
-  match Json.member key j with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" key)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing field %S" key))
 
 let float_field j key ~default =
   match Json.member key j with
@@ -350,11 +91,11 @@ let ( let* ) = Result.bind
 
 let decode_request line =
   let* j = Json.of_string line in
-  let* op = str_field j "op" in
+  let* op = Json.str_field j "op" in
   match op with
   | "open" ->
-      let* session = str_field j "session" in
-      let* topology = str_field j "topology" in
+      let* session = Json.str_field j "session" in
+      let* topology = Json.str_field j "topology" in
       let* verify = bool_field j "verify" in
       let* explain = bool_field j "explain" in
       let* cold = bool_field j "cold" in
@@ -368,7 +109,7 @@ let decode_request line =
       Ok (Open { session; topology; verify; explain; cold; survivable;
                  throttle_s })
   | "event" ->
-      let* text = str_field j "text" in
+      let* text = Json.str_field j "text" in
       Ok (Event { text })
   | "summary" -> Ok Summary
   | "fingerprint" -> Ok Fingerprint
@@ -401,28 +142,28 @@ let decode_response line =
   let* j = Json.of_string line in
   match Json.member "error" j with
   | Some (Json.Str code) ->
-      let* message = str_field ~default:"" j "message" in
+      let* message = Json.str_field ~default:"" j "message" in
       Ok (Rejected { code; message })
   | Some _ -> Error "field \"error\" must be a string"
   | None -> (
-      let* ok = str_field j "ok" in
+      let* ok = Json.str_field j "ok" in
       match ok with
       | "opened" ->
-          let* session = str_field j "session" in
-          let* replayed = int_field ~default:0 j "replayed" in
+          let* session = Json.str_field j "session" in
+          let* replayed = Json.int_field ~default:0 j "replayed" in
           Ok (Opened { session; replayed })
       | "outcome" ->
-          let* seq = int_field j "seq" in
-          let* label = str_field j "label" in
+          let* seq = Json.int_field j "seq" in
+          let* label = Json.str_field j "label" in
           let* accepted = bool_field j "accepted" in
-          let* text = str_field j "text" in
+          let* text = Json.str_field j "text" in
           Ok (Outcome { seq; label; accepted; text })
       | "summary" ->
-          let* text = str_field j "text" in
+          let* text = Json.str_field j "text" in
           Ok (Summary_is { text })
       | "fingerprint" ->
-          let* digest = str_field j "digest" in
-          let* events = int_field ~default:0 j "events" in
+          let* digest = Json.str_field j "digest" in
+          let* events = Json.int_field ~default:0 j "events" in
           Ok (Fingerprint_is { digest; events })
       | "pong" -> Ok Pong
       | "closed" -> Ok Closed

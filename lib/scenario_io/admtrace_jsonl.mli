@@ -9,32 +9,10 @@
     them; rendered transcripts come back byte-identical to
     [gmfnet session] output.
 
-    Encoding is canonical and deterministic: [encode_request] of a
-    decoded line is the normal form the daemon's write-ahead journal
-    stores and replays. *)
-
-(** Minimal JSON values, parser and printer — enough for the protocol
-    (and for tests to poke at raw lines).  No external dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  (** Compact rendering, keys in listed order, strings escaped. *)
-
-  val of_string : string -> (t, string) result
-  (** Strict parse of one complete JSON value (trailing garbage is an
-      error).  [\uXXXX] escapes decode to UTF-8. *)
-
-  val member : string -> t -> t option
-  (** Field of an [Obj]; [None] on a missing key or a non-object. *)
-end
+    Lines are read and printed with {!Gmf_util.Json}.  Encoding is
+    canonical and deterministic: [encode_request] of a decoded line is
+    the normal form the daemon's write-ahead journal stores and
+    replays. *)
 
 type request =
   | Open of {

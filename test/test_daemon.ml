@@ -265,10 +265,25 @@ let test_codec_canonical_and_errors () =
         (Printf.sprintf "rejects %S" line)
         true
         (Result.is_error (Jsonl.decode_request line)))
-    [ ""; "{"; "[1,2]"; "42"; {|{"op":"nope"}|}; {|{"op":"open"}|} ]
+    [ ""; "{"; "[1,2]"; "42"; {|{"op":"nope"}|}; {|{"op":"open"}|} ];
+  (* Event text escapes decode to UTF-8: a surrogate pair to one 4-byte
+     scalar (not two 3-byte CESU-8 halves), U+00E9 to two bytes; a lone
+     low surrogate is malformed. *)
+  List.iter
+    (fun (escaped, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "event text %s" escaped)
+        true
+        (Jsonl.decode_request
+           (Printf.sprintf {|{"op":"event","text":"%s"}|} escaped)
+        = Ok (Jsonl.Event { text = want })))
+    [ ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80"); ({|\u00e9|}, "\xc3\xa9") ];
+  Alcotest.(check bool) "lone low surrogate rejected" true
+    (Result.is_error
+       (Jsonl.decode_request {|{"op":"event","text":"\udc00"}|}))
 
 let test_json_parser () =
-  let open Jsonl.Json in
+  let open Gmf_util.Json in
   (match of_string {| {"a":[1,2.5,true,null],"b":"xé\n"} |} with
   | Ok (Obj [ ("a", Arr [ Int 1; Float 2.5; Bool true; Null ]); ("b", Str s) ])
     ->

@@ -8,7 +8,7 @@ module Attribution = Gmf_explain.Attribution
 module Convergence = Gmf_explain.Convergence
 module Hints = Gmf_explain.Hints
 module Render = Gmf_explain.Render
-module Json = Gmf_obs.Export.Json
+module Json = Gmf_util.Json
 
 let named_scenarios () =
   [
@@ -201,7 +201,7 @@ let test_convergence_record () =
   String.split_on_char '\n' (Convergence.to_jsonl conv)
   |> List.filter (fun l -> l <> "")
   |> List.iter (fun line ->
-         match Json.parse line with
+         match Json.of_string line with
          | Ok (Json.Obj fields) ->
              Alcotest.(check bool) "round field present" true
                (List.mem_assoc "round" fields)
@@ -223,7 +223,7 @@ let test_convergence_lane_in_trace () =
   Gmf_obs.Tracer.set_enabled tracer was;
   Alcotest.(check bool) "lane emitted one span per round" true
     (List.length spans >= List.length conv.Convergence.cv_rounds);
-  match Json.parse trace with
+  match Json.of_string trace with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "chrome trace unparseable: %s" e
 
@@ -233,7 +233,7 @@ let test_to_json_reproduces_bounds () =
   let scenario = Workload.Scenarios.fig1_videoconf () in
   let attr, report = Attribution.analyze scenario in
   let doc =
-    match Json.parse (Render.to_json attr) with
+    match Json.of_string (Render.to_json attr) with
     | Ok v -> v
     | Error e -> Alcotest.failf "to_json unparseable: %s" e
   in
@@ -241,9 +241,8 @@ let test_to_json_reproduces_bounds () =
   | Some (Json.Str "schedulable") -> ()
   | _ -> Alcotest.fail "verdict field");
   (match Json.member "rounds" doc with
-  | Some (Json.Num r) ->
-      Alcotest.(check int) "rounds" report.Analysis.Holistic.rounds
-        (int_of_float r)
+  | Some (Json.Int r) ->
+      Alcotest.(check int) "rounds" report.Analysis.Holistic.rounds r
   | _ -> Alcotest.fail "rounds field");
   let flows =
     match Json.member "flows" doc with

@@ -291,9 +291,13 @@ let test_json_roundtrip () =
   | Ok ds' -> Alcotest.(check (list diag)) "round-trip" ds ds'
 
 let test_json_rejects_garbage () =
-  (match Gmf_lint.Lint_json.of_jsonl_line "{\"code\":}" with
-  | Ok _ -> Alcotest.fail "accepted malformed JSON"
-  | Error _ -> ());
+  (* Malformed lines are an [Error], never an exception. *)
+  List.iter
+    (fun line ->
+      match Gmf_lint.Lint_json.of_jsonl_line line with
+      | Ok _ -> Alcotest.failf "accepted malformed JSON %S" line
+      | Error _ -> ())
+    [ "{\"code\":}"; "{\"id\":-}"; "{\"tid\":99999999999999999999}" ];
   match Gmf_lint.Lint_json.of_jsonl_line "{\"code\":\"GMF001\"}" with
   | Ok _ -> Alcotest.fail "accepted incomplete diagnostic"
   | Error _ -> ()

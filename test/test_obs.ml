@@ -1,6 +1,7 @@
 (* Tests of the observability library: metrics registry, span tracer,
    exporters. *)
 open Gmf_obs
+module Json = Gmf_util.Json
 
 (* ---------------- metrics registry ---------------- *)
 
@@ -171,12 +172,24 @@ let test_export_jsonl_roundtrip () =
         parsed.Tracer.name;
       Alcotest.(check bool) "full round-trip" true (parsed = span)
   | Error e -> Alcotest.failf "round-trip failed: %s" e);
-  (match Export.span_of_jsonl "{\"name\":\"x\"" with
-  | Ok _ -> Alcotest.fail "truncated line must not parse"
-  | Error _ -> ());
-  match Export.span_of_jsonl "not json" with
-  | Ok _ -> Alcotest.fail "garbage must not parse"
-  | Error _ -> ()
+  (* A \u escape decodes to UTF-8, not to the raw Latin-1 byte. *)
+  (match
+     Export.span_of_jsonl
+       {|{"name":"\u00e9","cat":"c","tid":0,"begin_ns":0,"dur_ns":0,"depth":0}|}
+   with
+  | Ok parsed ->
+      Alcotest.(check string) "u00e9 is UTF-8" "\xc3\xa9" parsed.Tracer.name
+  | Error e -> Alcotest.failf "escaped name: %s" e);
+  (* Malformed lines are an [Error], never an exception. *)
+  List.iter
+    (fun line ->
+      match Export.span_of_jsonl line with
+      | Ok _ -> Alcotest.failf "%S must not parse" line
+      | Error _ -> ())
+    [
+      "{\"name\":\"x\""; "not json"; "{\"id\":-}";
+      "{\"tid\":99999999999999999999}";
+    ]
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -268,22 +281,22 @@ let test_json_parse () =
     "{\"a\": {\"b\": [1, 2.5, -3e2]}, \"s\": \"q\\\"\\u0041\\ud83d\\ude00\", \
      \"t\": true, \"n\": null}"
   in
-  (match Export.Json.parse doc with
+  (match Json.of_string doc with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok v ->
-      (match Export.Json.member "s" v with
-      | Some (Export.Json.Str s) ->
+      (match Json.member "s" v with
+      | Some (Json.Str s) ->
           (* A = A; the surrogate pair decodes to 4 UTF-8 bytes. *)
           Alcotest.(check string) "string escapes" "q\"A\xf0\x9f\x98\x80" s
       | _ -> Alcotest.fail "member s");
       Alcotest.(check (list (pair string (float 0.))))
         "number leaves with dotted paths"
         [ ("a.b.0", 1.); ("a.b.1", 2.5); ("a.b.2", -300.) ]
-        (Export.Json.number_leaves v));
-  (match Export.Json.parse "{\"a\":1} trailing" with
+        (Json.number_leaves v));
+  (match Json.of_string "{\"a\":1} trailing" with
   | Ok _ -> Alcotest.fail "trailing garbage must not parse"
   | Error _ -> ());
-  match Export.Json.parse "{\"a\":}" with
+  match Json.of_string "{\"a\":}" with
   | Ok _ -> Alcotest.fail "missing value must not parse"
   | Error _ -> ()
 
@@ -305,19 +318,140 @@ let prop_span_jsonl_roundtrip =
       | Error e ->
           QCheck.Test.fail_reportf "no parse for %S: %s" name e)
 
+(* Every JSON document or line gmfnet emits must parse, whatever the
+   flow and node names hold: quote, backslash, tab, CR, newline, \x01
+   and multi-byte UTF-8.  The scenario is built through the programmatic
+   API, so no grammar sanitizes the names first. *)
+let hostile_name =
+  let pieces =
+    [
+      "a"; "\""; "\\"; "\t"; "\r"; "\n"; "\x01"; "\xc3\xa9";
+      "\xf0\x9f\x98\x80"; " ";
+    ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map (String.concat "") (list_size (int_range 1 4) (oneofl pieces)))
+
+(* Two endhosts joined by two parallel switches, so a k=1 sweep fails a
+   switch and reroutes across the other; two flows share a route, so
+   explain charges one as the other's interferer. *)
+let hostile_scenario names =
+  let name i =
+    Printf.sprintf "%s%d" (List.nth names (i mod List.length names)) i
+  in
+  let topo = Network.Topology.create () in
+  let node i kind = Network.Topology.add_node topo ~name:(name i) ~kind in
+  let h0 = node 0 Network.Node.Endhost and h1 = node 1 Network.Node.Endhost in
+  let sa = node 2 Network.Node.Switch and sb = node 3 Network.Node.Switch in
+  List.iter
+    (fun (a, b) ->
+      Network.Topology.add_duplex_link topo ~a ~b ~rate_bps:100_000_000 ~prop:0)
+    [ (h0, sa); (sa, h1); (h0, sb); (sb, h1) ];
+  let flow id priority =
+    Traffic.Flow.make ~id ~name:(name (4 + id))
+      ~spec:(Workload.Voip.g711_spec ()) ~encap:Ethernet.Encap.Rtp_udp
+      ~route:(Network.Route.make topo [ h0; sa; h1 ]) ~priority
+  in
+  (topo, [ flow 0 6; flow 1 5 ])
+
+(* [pairs] are arbitrary (name, cat) byte strings — 0x00-0xff, invalid
+   UTF-8 included — for the emitters that take any string; [names] are
+   the hostile names above, also used to name a scenario's nodes and
+   flows for the analysis reports. *)
 let prop_chrome_trace_valid_json =
   QCheck.Test.make ~name:"chrome_trace escapes into valid JSON" ~count:200
-    QCheck.(small_list (pair string string))
-    (fun names ->
+    QCheck.(pair (small_list (pair string string)) (small_list hostile_name))
+    (fun (pairs, names) ->
+      let names = if names = [] then [ "" ] else names in
+      let strings =
+        names @ List.concat_map (fun (name, cat) -> [ name; cat ]) pairs
+      in
+      let parses what doc =
+        match Json.of_string doc with
+        | Ok _ -> ()
+        | Error e ->
+            QCheck.Test.fail_reportf "%s does not parse: %s\n%s" what e doc
+      in
+      let lines_parse what text =
+        String.split_on_char '\n' text
+        |> List.iter (fun l -> if l <> "" then parses what l)
+      in
+      (* Tracer and metrics exports. *)
       let tr = Tracer.create ~enabled:true () in
+      let reg = Metrics.create ~enabled:true () in
       List.iteri
         (fun i (name, cat) ->
           Tracer.emit tr ~cat ~tid:(i mod 3) ~name ~begin_ns:(i * 10)
             ~end_ns:((i * 10) + 5))
-        names;
-      match Export.Json.parse (Export.chrome_trace (Tracer.spans tr)) with
-      | Ok _ -> true
-      | Error e -> QCheck.Test.fail_reportf "invalid trace JSON: %s" e)
+        (pairs @ List.map (fun name -> (name, name)) names);
+      List.iteri
+        (fun i name ->
+          Metrics.incr (Metrics.counter reg ("c" ^ name));
+          Metrics.set_gauge (Metrics.gauge reg ("g" ^ name)) 1.5;
+          Metrics.observe (Metrics.histogram reg ("h" ^ name)) i)
+        strings;
+      parses "chrome_trace" (Export.chrome_trace (Tracer.spans tr));
+      lines_parse "metrics_to_jsonl"
+        (Export.metrics_to_jsonl (Metrics.snapshot reg));
+      List.iter
+        (fun span ->
+          if Export.span_of_jsonl (Export.span_to_jsonl span) <> Ok span then
+            QCheck.Test.fail_reportf "span %S does not round-trip"
+              span.Tracer.name)
+        (Tracer.spans tr);
+      (* Analysis reports over a scenario named by the generator. *)
+      let topo, flows = hostile_scenario names in
+      let scenario = Traffic.Scenario.make ~topo ~flows () in
+      parses "precheck"
+        Gmf_precheck.Precheck.(to_json (run scenario));
+      parses "survive"
+        Gmf_faults.Survive.(to_json scenario (run ~k:1 scenario));
+      parses "explain"
+        Gmf_explain.(Render.to_json (fst (Attribution.analyze scenario)));
+      let diags =
+        (Gmf_lint.Lint.run scenario).Gmf_lint.Lint.diagnostics
+        @ List.map
+            (fun name ->
+              Gmf_diag.warning ~code:"GMF999" ~suggestion:name
+                ~subject:(Gmf_diag.Node { id = 0; name }) "%s" name)
+            strings
+      in
+      if Gmf_lint.Lint_json.(of_jsonl (to_jsonl diags)) <> Ok diags then
+        QCheck.Test.fail_report "lint JSONL does not round-trip";
+      let session = Gmf_admctl.Session.create ~explain:true ~topo () in
+      List.iter
+        (fun f ->
+          parses "session outcome"
+            Gmf_admctl.(Replay.outcome_jsonl (Session.apply session (Admit f))))
+        flows;
+      (* Daemon wire codec. *)
+      let module Codec = Scenario_io.Admtrace_jsonl in
+      List.iter
+        (fun name ->
+          let req =
+            Codec.Open
+              { session = name; topology = name; verify = false;
+                explain = false; cold = false; survivable = None;
+                throttle_s = 0. }
+          in
+          List.iter
+            (fun req ->
+              if Codec.decode_request (Codec.encode_request req) <> Ok req then
+                QCheck.Test.fail_reportf "request %S does not round-trip" name)
+            [ req; Codec.Event { text = name } ];
+          List.iter
+            (fun resp ->
+              if Codec.decode_response (Codec.encode_response resp) <> Ok resp
+              then
+                QCheck.Test.fail_reportf "response %S does not round-trip" name)
+            [
+              Codec.Outcome
+                { seq = 1; label = name; accepted = true; text = name };
+              Codec.Rejected { code = name; message = name };
+            ])
+        strings;
+      true)
 
 let tests =
   [
