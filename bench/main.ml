@@ -137,8 +137,8 @@ let bench_e10 =
 
 let demand =
   let flow = Traffic.Scenario.flow fig1 Workload.Scenarios.video_flow_id in
-  Traffic.Link_params.time_demand
-    (Traffic.Scenario.params fig1 flow ~src:0 ~dst:4)
+  (Traffic.Scenario.params fig1 flow ~src:0 ~dst:4)
+    .Traffic.Link_params.time_demand
 
 let bench_mx =
   Test.make ~name:"micro:MX-request-bound"

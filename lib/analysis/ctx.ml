@@ -1,13 +1,17 @@
-type demand_kind = Time | Count
-
 type t = {
   scenario : Traffic.Scenario.t;
   config : Config.t;
   mutable jitters : Jitter_state.t;
-  demands :
-    (Traffic.Flow.id * Network.Node.id * Network.Node.id * demand_kind,
-     Gmf.Demand.t)
-    Hashtbl.t;
+  (* MX clamps each window to the interval under the paper's eq (10) only. *)
+  capped : bool;
+  (* Lint gates are scenario-static: one evaluation per flow and context. *)
+  gates : (Traffic.Flow.id, Traffic.Flow.t * Gmf_diag.t list) Hashtbl.t;
+}
+
+type interferer = {
+  time : Gmf.Demand.t;
+  count : Gmf.Demand.t;
+  extra : Gmf_util.Timeunit.ns;
 }
 
 let install_source_jitters scenario state =
@@ -29,7 +33,19 @@ let install_source_jitters scenario state =
 let create ?(config = Config.default) scenario =
   let jitters = Jitter_state.create () in
   install_source_jitters scenario jitters;
-  { scenario; config; jitters; demands = Hashtbl.create 64 }
+  (* The paper's MXS (eq 10) clamps each window's demand to the interval
+     length, which makes MX(0) = 0: with all jitters zero, the queuing-time
+     recurrences then accept w = 0 as a fixed point and report no
+     interference at all.  The Repaired variant therefore uses the uncapped
+     window maximum — the classical request-bound reading, where a competing
+     frame arriving at the critical instant contributes its full
+     transmission time (repair R7 in DESIGN.md). *)
+  let capped =
+    match config.Config.variant with
+    | Config.Faithful -> true
+    | Config.Repaired -> false
+  in
+  { scenario; config; jitters; capped; gates = Hashtbl.create 64 }
 
 let scenario t = t.scenario
 let config t = t.config
@@ -49,41 +65,43 @@ let restore t state =
 
 let params t flow ~src ~dst = Traffic.Scenario.params t.scenario flow ~src ~dst
 
-let demand t flow ~src ~dst kind =
-  let key = (flow.Traffic.Flow.id, src, dst, kind) in
-  match Hashtbl.find_opt t.demands key with
-  | Some d -> d
-  | None ->
-      let p = params t flow ~src ~dst in
-      let d =
-        match kind with
-        | Time -> Traffic.Link_params.time_demand p
-        | Count -> Traffic.Link_params.count_demand p
-      in
-      Hashtbl.replace t.demands key d;
-      d
-
-(* The paper's MXS (eq 10) clamps each window's demand to the interval
-   length, which makes MX(0) = 0: with all jitters zero, the queuing-time
-   recurrences then accept w = 0 as a fixed point and report no interference
-   at all.  The Repaired variant therefore uses the uncapped window maximum —
-   the classical request-bound reading, where a competing frame arriving at
-   the critical instant contributes its full transmission time (repair R7 in
-   DESIGN.md). *)
-let mx t flow ~src ~dst ~dt =
-  let capped =
-    match t.config.Config.variant with
-    | Config.Faithful -> true
-    | Config.Repaired -> false
-  in
-  Gmf.Demand.bound (demand t flow ~src ~dst Time) ~capped dt
-
-let nx t flow ~src ~dst ~dt =
-  Gmf.Demand.bound (demand t flow ~src ~dst Count) ~capped:false dt
-
 let extra t flow ~stage =
   Jitter_state.extra t.jitters ~flow:flow.Traffic.Flow.id
     ~n_frames:(Traffic.Flow.n flow) ~stage
+
+let time_bound t demand dt = Gmf.Demand.bound demand ~capped:t.capped dt
+let count_bound demand dt = Gmf.Demand.bound demand ~capped:false dt
+
+let mx t flow ~src ~dst ~dt =
+  time_bound t (params t flow ~src ~dst).Traffic.Link_params.time_demand dt
+
+let nx t flow ~src ~dst ~dt =
+  count_bound (params t flow ~src ~dst).Traffic.Link_params.count_demand dt
+
+let interferers t flows ~src ~dst ~stage =
+  Array.of_list
+    (List.map
+       (fun j ->
+         let p = params t j ~src ~dst in
+         {
+           time = p.Traffic.Link_params.time_demand;
+           count = p.Traffic.Link_params.count_demand;
+           extra = extra t j ~stage;
+         })
+       flows)
+
+let mx_of t i ~dt = time_bound t i.time (Gmf_util.Timeunit.sat_add dt i.extra)
+let nx_of i ~dt = count_bound i.count (Gmf_util.Timeunit.sat_add dt i.extra)
+
+let flow_gate t flow =
+  match Hashtbl.find_opt t.gates flow.Traffic.Flow.id with
+  (* Physical equality: a caller may pass a same-id flow of another
+     scenario, whose gate must be computed afresh. *)
+  | Some (f, gate) when f == flow -> gate
+  | _ ->
+      let gate = Gmf_lint.Rules.flow_gate t.scenario flow in
+      Hashtbl.replace t.gates flow.Traffic.Flow.id (flow, gate);
+      gate
 
 let set_jitter t flow ~frame ~stage value =
   Jitter_state.set t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame value

@@ -1,5 +1,7 @@
 (** Shared state of one analysis run: the scenario, the configuration, the
-    holistic jitter state and memoized demand tables. *)
+    holistic jitter state and the per-flow lint gates.  The demand tables
+    behind MX/NX live in the scenario's {!Traffic.Link_params}, built once
+    per (flow, link). *)
 
 type t
 
@@ -45,6 +47,36 @@ val nx :
 
 val extra : t -> Traffic.Flow.t -> stage:Stage.t -> Gmf_util.Timeunit.ns
 (** extra_j at a stage: the flow's maximum per-frame jitter there. *)
+
+type interferer = private {
+  time : Gmf.Demand.t;  (** The flow's MX tables on the stage's link. *)
+  count : Gmf.Demand.t;  (** Its NX tables on the same link. *)
+  extra : Gmf_util.Timeunit.ns;  (** Its {!extra} at the stage. *)
+}
+(** One interfering flow of a stage, resolved for the length of one stage
+    analysis: the flow's jitters at the stage cannot change while another
+    flow's busy periods are iterated, so the tables and extra_j are looked
+    up once instead of on every iteration. *)
+
+val interferers :
+  t -> Traffic.Flow.t list -> src:Network.Node.id -> dst:Network.Node.id ->
+  stage:Stage.t -> interferer array
+(** [interferers t flows ~src ~dst ~stage] resolves [flows] on the link
+    [src -> dst] at [stage], in list order. *)
+
+val mx_of : t -> interferer -> dt:Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns
+(** [mx_of t i ~dt] is [mx] of the interferer over [dt + extra_j]: its
+    link-time demand in a window of length [dt] (eqs 15, 17, 29, 31).  The
+    sum saturates instead of wrapping. *)
+
+val nx_of : interferer -> dt:Gmf_util.Timeunit.ns -> int
+(** [nx_of i ~dt] is [nx] of the interferer over [dt + extra_j]
+    (eqs 22, 24, 29, 31). *)
+
+val flow_gate : t -> Traffic.Flow.t -> Gmf_diag.t list
+(** {!Gmf_lint.Rules.flow_gate} of the flow in this context's scenario,
+    evaluated once per flow: it depends on the scenario only, so every
+    holistic round after the first reuses it. *)
 
 val set_jitter :
   t -> Traffic.Flow.t -> frame:int -> stage:Stage.t ->

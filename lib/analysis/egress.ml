@@ -1,3 +1,5 @@
+open Gmf_util
+
 let outgoing_link flow node =
   let route = flow.Traffic.Flow.route in
   if not (Network.Route.mem route node) then
@@ -19,19 +21,21 @@ let analyze ctx ~flow ~node ~frame =
   let tsum_i = Traffic.Flow.tsum flow in
   let mft = Traffic.Link_params.mft own in
   let prop = own.Traffic.Link_params.link.Network.Link.prop in
-  let hep = Traffic.Scenario.hep scenario flow ~node:n in
-  let hep_and_self = flow :: hep in
-  let extra j = Ctx.extra ctx j ~stage in
+  (* The analyzed flow heads the busy-period set; the window set is the
+     rest. *)
+  let hep_and_self =
+    Ctx.interferers ctx
+      (flow :: Traffic.Scenario.hep scenario flow ~node:n)
+      ~src:n ~dst:d ~stage
+  in
+  let hep = Array.sub hep_and_self 1 (Array.length hep_and_self - 1) in
   (* Combined link-time + task-rotation interference of a flow set over an
      interval: the MX and NX * CIRC terms of eqs (29)/(31). *)
-  let interference flows dt =
-    List.fold_left
-      (fun acc j ->
-        let dt_j = dt + extra j in
-        acc
-        + Ctx.mx ctx j ~src:n ~dst:d ~dt:dt_j
-        + (Ctx.nx ctx j ~src:n ~dst:d ~dt:dt_j * circ))
-      0 flows
+  let interference set dt =
+    Array.fold_left
+      (fun acc i ->
+        Timeunit.sat_add acc (Ctx.mx_of ctx i ~dt + (Ctx.nx_of i ~dt * circ)))
+      0 set
   in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
   let pre_c l = Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l in

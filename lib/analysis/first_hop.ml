@@ -1,3 +1,5 @@
+open Gmf_util
+
 let check_frame flow frame =
   if frame < 0 || frame >= Traffic.Flow.n flow then
     invalid_arg "First_hop.analyze: frame index out of range"
@@ -22,11 +24,12 @@ let analyze ctx ~flow ~frame =
   let others = List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all in
   (* Every interfering flow's jitter on this link; the first link of flow i
      is the first link of every flow sharing it (endhosts do not relay). *)
-  let extra j = Ctx.extra ctx j ~stage in
-  let interference flows dt =
-    List.fold_left
-      (fun acc j -> acc + Ctx.mx ctx j ~src:s ~dst:d ~dt:(dt + extra j))
-      0 flows
+  let resolve flows = Ctx.interferers ctx flows ~src:s ~dst:d ~stage in
+  let all = resolve all and others = resolve others in
+  let interference set dt =
+    Array.fold_left
+      (fun acc i -> Timeunit.sat_add acc (Ctx.mx_of ctx i ~dt))
+      0 set
   in
   (* Own demand (in link time) of the l predecessors of frame k, and the
      minimum time by which they precede it (repair R8). *)

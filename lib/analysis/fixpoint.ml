@@ -26,7 +26,8 @@ let iterate ~f ~seed ~max_iters ~horizon =
   if seed < 0 then invalid_arg "Fixpoint.iterate: negative seed";
   Gmf_obs.Metrics.incr m_calls;
   let rec go t iters =
-    if t > horizon then begin
+    (* A negative value can only be an overflowed step: past any horizon. *)
+    if t > horizon || t < 0 then begin
       Gmf_obs.Metrics.incr m_div_horizon;
       Diverged
         (Printf.sprintf "exceeded horizon (%s)" (Timeunit.to_string horizon))

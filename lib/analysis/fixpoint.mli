@@ -25,7 +25,8 @@ val iterate :
   horizon:Gmf_util.Timeunit.ns ->
   outcome
 (** [iterate ~f ~seed ~max_iters ~horizon] runs the recurrence from [seed].
-    Raises [Invalid_argument] if [max_iters <= 0] or [seed < 0]. *)
+    A negative step value (an overflowed sum) counts as crossing the
+    horizon.  Raises [Invalid_argument] if [max_iters <= 0] or [seed < 0]. *)
 
 val map : outcome -> (Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) -> outcome
 (** [map o g] applies [g] to a converged value (keeping its [iters]). *)

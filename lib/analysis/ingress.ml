@@ -1,3 +1,5 @@
+open Gmf_util
+
 let incoming_link flow node =
   let route = flow.Traffic.Flow.route in
   if not (Network.Route.mem route node) then
@@ -19,11 +21,10 @@ let analyze ctx ~flow ~node ~frame =
   let others =
     List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all
   in
-  let extra j = Ctx.extra ctx j ~stage in
-  let interference flows dt =
-    List.fold_left
-      (fun acc j -> acc + Ctx.nx ctx j ~src:p ~dst:n ~dt:(dt + extra j))
-      0 flows
+  let resolve flows = Ctx.interferers ctx flows ~src:p ~dst:n ~stage in
+  let all = resolve all and others = resolve others in
+  let interference set dt =
+    Array.fold_left (fun acc i -> Timeunit.sat_add acc (Ctx.nx_of i ~dt)) 0 set
   in
   let variant = (Ctx.config ctx).Config.variant in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in

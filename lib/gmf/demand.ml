@@ -2,13 +2,53 @@ open Gmf_util
 
 type t = {
   n : int;
-  costs : int array;
-  periods : Timeunit.ns array;
   cost_prefix : int array; (* cost_prefix.(i) = sum of costs.(0..i-1), i <= 2n *)
   span_prefix : int array; (* span_prefix.(i) = sum of periods.(0..i-1), i <= 2n *)
   cost_total : int;
   tsum : Timeunit.ns;
+  max_cycles : int; (* largest cycle count whose cost does not overflow *)
+  (* Prefix-max staircase of the window maximum: every window of 1..n
+     frames whose span is at most [stair_span.(i)] costs at most
+     [stair_cost.(i)], and some such window costs exactly that.  Both arrays
+     strictly increase, so MXS/NXS is a binary search. *)
+  stair_span : Timeunit.ns array;
+  stair_cost : int array;
 }
+
+(* The (span, cost) Pareto frontier of all n * n windows: sort the window
+   indices by span, then keep only the windows where the running cost
+   maximum rises.  Windows of equal span collapse onto their last, largest
+   step. *)
+let staircase ~n ~cost_prefix ~span_prefix =
+  let nw = n * n in
+  let spans = Array.make nw 0 and costs = Array.make nw 0 in
+  for k1 = 0 to n - 1 do
+    for len = 1 to n do
+      let w = (k1 * n) + len - 1 in
+      spans.(w) <- span_prefix.(k1 + len - 1) - span_prefix.(k1);
+      costs.(w) <- cost_prefix.(k1 + len) - cost_prefix.(k1)
+    done
+  done;
+  let order = Array.init nw Fun.id in
+  Array.sort (fun a b -> Int.compare spans.(a) spans.(b)) order;
+  let step_span = Array.make nw 0 and step_cost = Array.make nw 0 in
+  let steps = ref 0 and best = ref 0 in
+  Array.iter
+    (fun w ->
+      let c = costs.(w) in
+      if c > !best then begin
+        best := c;
+        let s = spans.(w) in
+        if !steps > 0 && step_span.(!steps - 1) = s then
+          step_cost.(!steps - 1) <- c
+        else begin
+          step_span.(!steps) <- s;
+          step_cost.(!steps) <- c;
+          incr steps
+        end
+      end)
+    order;
+  (Array.sub step_span 0 !steps, Array.sub step_cost 0 !steps)
 
 let make ~costs ~periods =
   let n = Array.length costs in
@@ -35,8 +75,10 @@ let make ~costs ~periods =
   let cost_total = cost_prefix.(n) in
   let tsum = span_prefix.(n) in
   if tsum <= 0 then invalid_arg "Demand.make: zero cycle length";
-  { n; costs = Array.copy costs; periods = Array.copy periods;
-    cost_prefix; span_prefix; cost_total; tsum }
+  let stair_span, stair_cost = staircase ~n ~cost_prefix ~span_prefix in
+  let max_cycles = if cost_total = 0 then max_int else max_int / cost_total in
+  { n; cost_prefix; span_prefix; cost_total; tsum; max_cycles; stair_span;
+    stair_cost }
 
 let n t = t.n
 let cost_total t = t.cost_total
@@ -62,20 +104,22 @@ let window_span t ~k1 ~len =
     (cycles * t.tsum) + t.span_prefix.(k1 + rest) - t.span_prefix.(k1)
   end
 
+(* Clamping every window to [min dt cost] and then maximizing equals
+   clamping the maximum, because [min dt] is monotone. *)
 let small t ~capped dt =
   if dt < 0 then 0
   else begin
-    let best = ref 0 in
-    for k1 = 0 to t.n - 1 do
-      for len = 1 to t.n do
-        if window_span t ~k1 ~len <= dt then begin
-          let cost = window_cost t ~k1 ~len in
-          let cost = if capped then min dt cost else cost in
-          if cost > !best then best := cost
-        end
-      done
+    let spans = t.stair_span in
+    (* Binary search for the number of steps whose span is at most dt. *)
+    let lo = ref 0 and hi = ref (Array.length spans) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if spans.(mid) <= dt then lo := mid + 1 else hi := mid
     done;
-    !best
+    if !lo = 0 then 0
+    else
+      let cost = t.stair_cost.(!lo - 1) in
+      if capped && dt < cost then dt else cost
   end
 
 let bound t ~capped dt =
@@ -83,7 +127,12 @@ let bound t ~capped dt =
   else begin
     let cycles = dt / t.tsum in
     let rest = dt - (cycles * t.tsum) in
-    (cycles * t.cost_total) + small t ~capped rest
+    (* Saturate instead of wrapping: near max_int the whole-cycle term
+       would otherwise overflow to a negative demand. *)
+    let whole =
+      if cycles > t.max_cycles then max_int else cycles * t.cost_total
+    in
+    Timeunit.sat_add whole (small t ~capped rest)
   end
 
 let utilization t = float_of_int t.cost_total /. float_of_int t.tsum

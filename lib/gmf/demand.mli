@@ -13,10 +13,15 @@
     (arrival of first to arrival of last). *)
 
 type t
-(** Precomputed demand tables for one (flow, resource) pair. *)
+(** Precomputed demand tables for one (flow, resource) pair: window prefix
+    sums and the MXS/NXS staircase — the [(span, cost)] points where the
+    maximum window cost over spans [<= dt] rises (the request-bound
+    function of a non-cyclic GMF task, or a step arrival curve). *)
 
 val make : costs:int array -> periods:Gmf_util.Timeunit.ns array -> t
-(** [make ~costs ~periods] precomputes the window tables.  The arrays must
+(** [make ~costs ~periods] precomputes the window tables and the staircase
+    (O(n{^ 2} log n) once; every later {!small} is a binary search over at
+    most n{^ 2} steps, usually far fewer).  The arrays must
     have equal positive length, the costs must be non-negative, the periods
     non-negative with a positive sum.  Raises [Invalid_argument]
     otherwise. *)
@@ -53,7 +58,8 @@ val bound : t -> capped:bool -> Gmf_util.Timeunit.ns -> int
     [capped = false]):
     [floor(dt/TSUM) * cost_total + small (dt mod TSUM)].
     Total demand bound for any interval of length [dt >= 0];
-    negative [dt] yields 0. *)
+    negative [dt] yields 0.  The result saturates at [max_int] instead of
+    wrapping, so it stays monotone in [dt] over the whole integer range. *)
 
 val utilization : t -> float
 (** [cost_total / tsum] as a float — the left side of the convergence

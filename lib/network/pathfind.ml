@@ -6,11 +6,6 @@
 let dist_to_dst topo ~dst =
   let n = Topology.node_count topo in
   let dist = Array.make n max_int in
-  let in_neighbors = Array.make n [] in
-  List.iter
-    (fun (l : Link.t) ->
-      in_neighbors.(l.dst) <- l.src :: in_neighbors.(l.dst))
-    (Topology.links topo);
   let q = Queue.create () in
   dist.(dst) <- 0;
   Queue.add dst q;
@@ -23,7 +18,7 @@ let dist_to_dst topo ~dst =
           dist.(u) <- d + 1;
           if Node.is_switch (Topology.node topo u) then Queue.add u q
         end)
-      in_neighbors.(v)
+      (Topology.in_neighbors topo v)
   done;
   dist
 

@@ -4,6 +4,7 @@ type t = {
   links : (Node.id * Node.id, Link.t) Hashtbl.t;
   mutable link_order : Link.t list; (* reversed insertion order *)
   out_edges : (Node.id, Node.id list) Hashtbl.t; (* reversed insertion order *)
+  in_edges : (Node.id, Node.id list) Hashtbl.t; (* reversed insertion order *)
 }
 
 let create () =
@@ -13,6 +14,7 @@ let create () =
     links = Hashtbl.create 64;
     link_order = [];
     out_edges = Hashtbl.create 64;
+    in_edges = Hashtbl.create 64;
   }
 
 let add_node t ~name ~kind =
@@ -49,8 +51,12 @@ let add_link t ~src ~dst ~rate_bps ~prop =
   let link = Link.make ~src ~dst ~rate_bps ~prop in
   Hashtbl.replace t.links (src, dst) link;
   t.link_order <- link :: t.link_order;
-  let outs = Option.value ~default:[] (Hashtbl.find_opt t.out_edges src) in
-  Hashtbl.replace t.out_edges src (dst :: outs)
+  let push edges a b =
+    Hashtbl.replace edges a
+      (b :: Option.value ~default:[] (Hashtbl.find_opt edges a))
+  in
+  push t.out_edges src dst;
+  push t.in_edges dst src
 
 let add_duplex_link t ~a ~b ~rate_bps ~prop =
   add_link t ~src:a ~dst:b ~rate_bps ~prop;
@@ -69,6 +75,10 @@ let links t = List.rev t.link_order
 let out_neighbors t id =
   check_node t id "Topology.out_neighbors";
   List.rev (Option.value ~default:[] (Hashtbl.find_opt t.out_edges id))
+
+let in_neighbors t id =
+  check_node t id "Topology.in_neighbors";
+  Option.value ~default:[] (Hashtbl.find_opt t.in_edges id)
 
 let degree t id = List.length (out_neighbors t id)
 

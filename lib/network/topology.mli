@@ -48,6 +48,11 @@ val links : t -> Link.t list
 val out_neighbors : t -> Node.id -> Node.id list
 (** Destinations of the links leaving the node, in insertion order. *)
 
+val in_neighbors : t -> Node.id -> Node.id list
+(** Sources of the links into a node, most recently added first.  Kept up
+    to date by {!add_link}, so a reverse search reads it without rebuilding
+    the reverse adjacency.  Raises [Invalid_argument] on an unknown id. *)
+
 val degree : t -> Node.id -> int
 (** Number of distinct neighbors (counting a duplex link once) — the
     NINTERFACES(N) of the paper for a switch node. *)

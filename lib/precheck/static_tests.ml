@@ -73,15 +73,13 @@ let min_response scenario (f : Traffic.Flow.t) ~frame =
 
 let mx ~capped scenario j ~src ~dst ~dt =
   Gmf.Demand.bound
-    (Traffic.Link_params.time_demand
-       (Traffic.Scenario.params scenario j ~src ~dst))
-    ~capped dt
+    (Traffic.Scenario.params scenario j ~src ~dst).Traffic.Link_params
+      .time_demand ~capped dt
 
 let nx scenario j ~src ~dst ~dt =
   Gmf.Demand.bound
-    (Traffic.Link_params.count_demand
-       (Traffic.Scenario.params scenario j ~src ~dst))
-    ~capped:false dt
+    (Traffic.Scenario.params scenario j ~src ~dst).Traffic.Link_params
+      .count_demand ~capped:false dt
 
 let others_on scenario (flow : Traffic.Flow.t) ~src ~dst =
   Traffic.Scenario.flows_on scenario ~src ~dst

@@ -5,6 +5,8 @@ type t = {
   link : Network.Link.t;
   c : Timeunit.ns array;
   eth_frames : int array;
+  time_demand : Gmf.Demand.t;
+  count_demand : Gmf.Demand.t;
 }
 
 let make ~flow ~link =
@@ -13,18 +15,19 @@ let make ~flow ~link =
   let mft_ns = Network.Link.mft link in
   (* Eq (5): number of Ethernet frames of GMF frame k as ceil(C / MFT). *)
   let eth_frames = Array.map (fun ci -> Timeunit.cdiv ci mft_ns) c in
-  { flow; link; c; eth_frames }
+  let periods = Gmf.Spec.periods flow.Flow.spec in
+  {
+    flow;
+    link;
+    c;
+    eth_frames;
+    time_demand = Gmf.Demand.make ~costs:c ~periods;
+    count_demand = Gmf.Demand.make ~costs:eth_frames ~periods;
+  }
 
-let csum t = Array.fold_left ( + ) 0 t.c
-let nsum t = Array.fold_left ( + ) 0 t.eth_frames
+let csum t = Gmf.Demand.cost_total t.time_demand
+let nsum t = Gmf.Demand.cost_total t.count_demand
 let mft t = Network.Link.mft t.link
-
-let time_demand t =
-  Gmf.Demand.make ~costs:t.c ~periods:(Gmf.Spec.periods t.flow.Flow.spec)
-
-let count_demand t =
-  Gmf.Demand.make ~costs:t.eth_frames
-    ~periods:(Gmf.Spec.periods t.flow.Flow.spec)
 
 let utilization t = float_of_int (csum t) /. float_of_int (Flow.tsum t.flow)
 

@@ -11,12 +11,21 @@ type t = private {
   link : Network.Link.t;
   c : Gmf_util.Timeunit.ns array;  (** C_i^k, per GMF frame. *)
   eth_frames : int array;  (** Ethernet frames per GMF frame. *)
+  time_demand : Gmf.Demand.t;
+      (** Demand tables with per-frame cost C_i^k — evaluate with
+          [Gmf.Demand.bound ~capped:true] to get MX (eq 11). *)
+  count_demand : Gmf.Demand.t;
+      (** Demand tables with per-frame cost = Ethernet-frame count —
+          evaluate with [Gmf.Demand.bound ~capped:false] to get NX
+          (eq 13). *)
 }
 
 val make : flow:Flow.t -> link:Network.Link.t -> t
-(** Derives all per-frame values.  The link need not be on the flow's route
-    (the first-hop analysis of an IP-router source uses the incoming link of
-    the router, which the operator models explicitly). *)
+(** Derives all per-frame values and builds both demand tables once; a
+    {!Scenario} caches the result per (flow, link).  The link need not be
+    on the flow's route (the first-hop analysis of an IP-router source uses
+    the incoming link of the router, which the operator models
+    explicitly). *)
 
 val csum : t -> Gmf_util.Timeunit.ns
 (** CSUM (eq 4): total link time of one cycle. *)
@@ -28,14 +37,6 @@ val nsum : t -> int
 
 val mft : t -> Gmf_util.Timeunit.ns
 (** The link's Maximum-Frame-Transmission-Time (eq 1). *)
-
-val time_demand : t -> Gmf.Demand.t
-(** Demand tables with per-frame cost C_i^k — evaluate with
-    [Gmf.Demand.bound ~capped:true] to get MX (eq 11). *)
-
-val count_demand : t -> Gmf.Demand.t
-(** Demand tables with per-frame cost = Ethernet-frame count — evaluate with
-    [Gmf.Demand.bound ~capped:false] to get NX (eq 13). *)
 
 val utilization : t -> float
 (** CSUM / TSUM of this flow on this link (a term of eq 20). *)

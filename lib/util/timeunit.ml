@@ -49,3 +49,7 @@ let tx_time_ns ~bits ~rate_bps =
   if rate_bps <= 0 then invalid_arg "Timeunit.tx_time_ns: non-positive rate";
   if bits < 0 then invalid_arg "Timeunit.tx_time_ns: negative size";
   cdiv (bits * 1_000_000_000) rate_bps
+
+let sat_add a b =
+  let s = a + b in
+  if a >= 0 && b >= 0 && s < 0 then max_int else s

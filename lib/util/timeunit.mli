@@ -56,3 +56,8 @@ val tx_time_ns : bits:int -> rate_bps:int -> ns
     on a link of [rate_bps] bits per second, rounded up to a whole
     nanosecond (rounding up keeps response-time bounds sound).
     Raises [Invalid_argument] on non-positive rate or negative size. *)
+
+val sat_add : ns -> ns -> ns
+(** [sat_add a b] is [a + b], except that a sum of two non-negative values
+    that would wrap past [max_int] is [max_int].  Keeps demand bounds and
+    busy-window sums monotone near the top of the integer range. *)

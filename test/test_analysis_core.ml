@@ -40,6 +40,25 @@ let test_fixpoint_iteration_cap () =
       Alcotest.(check bool) "mentions iterations" true
         (String.length msg > 0 && msg.[0] = 'n')
 
+(* A step that overflows must read as crossing the horizon, whether it
+   wraps in the step function itself or in a saturating demand bound. *)
+let test_fixpoint_overflow () =
+  let diverges_at_horizon name ~f ~seed ~horizon =
+    match Fixpoint.iterate ~f ~seed ~max_iters:1_000 ~horizon with
+    | Fixpoint.Converged { value; _ } ->
+        Alcotest.failf "%s: converged at %d" name value
+    | Fixpoint.Diverged msg ->
+        Alcotest.(check bool) (name ^ ": horizon") true
+          (String.sub msg 0 8 = "exceeded")
+  in
+  diverges_at_horizon "wrapping step"
+    ~f:(fun t -> t + (max_int / 2) + 1)
+    ~seed:0 ~horizon:max_int;
+  let d = Gmf.Demand.make ~costs:[| max_int / 4 |] ~periods:[| 1 |] in
+  diverges_at_horizon "demand step"
+    ~f:(fun t -> Gmf.Demand.bound d ~capped:false (Timeunit.sat_add t 1))
+    ~seed:1 ~horizon:(max_int - 1)
+
 let test_fixpoint_validation () =
   Alcotest.check_raises "bad cap"
     (Invalid_argument "Fixpoint.iterate: non-positive cap") (fun () ->
@@ -156,6 +175,7 @@ let tests =
     Alcotest.test_case "fixpoint horizon" `Quick test_fixpoint_horizon;
     Alcotest.test_case "fixpoint cap" `Quick test_fixpoint_iteration_cap;
     Alcotest.test_case "fixpoint validation" `Quick test_fixpoint_validation;
+    Alcotest.test_case "fixpoint overflow" `Quick test_fixpoint_overflow;
     Alcotest.test_case "stages of route" `Quick test_stage_list;
     Alcotest.test_case "stages of direct route" `Quick test_stage_direct_route;
     Alcotest.test_case "jitter state" `Quick test_jitter_state;

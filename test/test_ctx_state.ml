@@ -149,6 +149,135 @@ let test_filter_flows_partial () =
   let again = Jitter_state.filter_flows kept ~keep:(fun id -> id <> 0) in
   Alcotest.(check bool) "idempotent" true (Jitter_state.equal kept again)
 
+(* ------------------------------------------------------------------ *)
+(* Jitter_state against a reference model                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference keeps only non-zero entries, keyed by (flow, stage,
+   frame): setting an entry to 0 removes it, so a flow whose entries are
+   all 0 has no entry at all.  Two states live in slots 0 and 1. *)
+type op =
+  | Set of int * int * Stage.t * int * int  (* slot, flow, stage, frame, v *)
+  | Copy of int  (* slot <- copy of the other slot *)
+  | Filter of int * int  (* slot <- its flows other than the given one *)
+  | Union of int  (* slot <- union (other slot) slot *)
+
+let model_stages = [| Stage.Ingress 4; Stage.Egress (4, 6); Stage.Ingress 6 |]
+
+let pp_op = function
+  | Set (s, f, st, k, v) ->
+      Format.asprintf "set s%d f%d %a k%d=%d" s f Stage.pp st k v
+  | Copy s -> Printf.sprintf "copy ->s%d" s
+  | Filter (s, f) -> Printf.sprintf "filter s%d drop f%d" s f
+  | Union s -> Printf.sprintf "union ->s%d" s
+
+let gen_op =
+  QCheck.Gen.(
+    let slot = int_range 0 1 and flow = int_range 0 2 in
+    frequency
+      [
+        ( 8,
+          let* s = slot and* f = flow
+          and* st = oneofa model_stages
+          and* k = int_range 0 3
+          and* v = frequency [ (2, return 0); (3, int_range 1 50) ] in
+          return (Set (s, f, st, k, v)) );
+        (1, map (fun s -> Copy s) slot);
+        (1, map2 (fun s f -> Filter (s, f)) slot flow);
+        (1, map (fun s -> Union s) slot);
+      ])
+
+let arb_script =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    QCheck.Gen.(list_size (int_range 1 25) gen_op)
+
+let model_get m key = Option.value ~default:0 (List.assoc_opt key m)
+
+let model_set m key v =
+  let rest = List.remove_assoc key m in
+  if v = 0 then rest else (key, v) :: rest
+
+let model_union a b =
+  List.filter (fun (key, _) -> not (List.mem_assoc key b)) a @ b
+
+let model_keys a b = List.sort_uniq compare (List.map fst a @ List.map fst b)
+
+let model_max_delta a b =
+  List.fold_left
+    (fun acc key -> max acc (abs (model_get a key - model_get b key)))
+    0 (model_keys a b)
+
+let model_flow_deltas a b =
+  let flows =
+    List.sort_uniq compare (List.map (fun (f, _, _) -> f) (model_keys a b))
+  in
+  List.map
+    (fun flow ->
+      ( flow,
+        List.fold_left
+          (fun acc ((f, _, _) as key) ->
+            if f = flow then max acc (abs (model_get a key - model_get b key))
+            else acc)
+          0 (model_keys a b) ))
+    flows
+
+let run_script ops =
+  let real = [| Jitter_state.create (); Jitter_state.create () |] in
+  let model = [| []; [] |] in
+  List.iter
+    (function
+      | Set (s, flow, stage, frame, v) ->
+          Jitter_state.set real.(s) ~flow ~stage ~frame v;
+          model.(s) <- model_set model.(s) (flow, stage, frame) v
+      | Copy s ->
+          real.(s) <- Jitter_state.copy real.(1 - s);
+          model.(s) <- model.(1 - s)
+      | Filter (s, drop) ->
+          real.(s) <- Jitter_state.filter_flows real.(s) ~keep:(( <> ) drop);
+          model.(s) <- List.filter (fun ((f, _, _), _) -> f <> drop) model.(s)
+      | Union s ->
+          real.(s) <- Jitter_state.union real.(1 - s) real.(s);
+          model.(s) <- model_union model.(1 - s) model.(s))
+    ops;
+  (real, model)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"Jitter_state matches an entry model" ~count:500
+    arb_script (fun ops ->
+      let real, model = run_script ops in
+      let a = real.(0) and b = real.(1) in
+      let ma = model.(0) and mb = model.(1) in
+      let entries_agree s =
+        List.for_all
+          (fun flow ->
+            Array.for_all
+              (fun stage ->
+                List.for_all
+                  (fun frame ->
+                    Jitter_state.get real.(s) ~flow ~stage ~frame
+                    = model_get model.(s) (flow, stage, frame))
+                  [ 0; 1; 2; 3; 4 ]
+                && List.for_all
+                     (fun n_frames ->
+                       Jitter_state.extra real.(s) ~flow ~n_frames ~stage
+                       = List.fold_left
+                           (fun acc frame ->
+                             max acc (model_get model.(s) (flow, stage, frame)))
+                           0
+                           (List.init n_frames Fun.id))
+                     [ 1; 2; 4 ])
+              model_stages)
+          [ 0; 1; 2 ]
+        && Jitter_state.max_value real.(s)
+           = List.fold_left (fun acc (_, v) -> max acc v) 0 model.(s)
+      in
+      entries_agree 0 && entries_agree 1
+      && Jitter_state.equal a b = (List.sort compare ma = List.sort compare mb)
+      && Jitter_state.max_delta a b = model_max_delta ma mb
+      && Jitter_state.flow_deltas a b = model_flow_deltas ma mb
+      && Jitter_state.flow_deltas b a = model_flow_deltas mb ma)
+
 let tests =
   [
     Alcotest.test_case "snapshot is isolated" `Quick test_snapshot_is_isolated;
@@ -162,4 +291,5 @@ let tests =
       test_filter_flows_edges;
     Alcotest.test_case "filter_flows: partial" `Quick
       test_filter_flows_partial;
+    QCheck_alcotest.to_alcotest prop_matches_model;
   ]

@@ -111,15 +111,90 @@ let arb_cycle =
       in
       return (costs, periods))
 
+(* Wider cycles for the oracle comparison: up to 12 frames (the MPEG GOP)
+   and mostly zero periods, so that many windows share a span and the
+   staircase must break ties by cost. *)
+let gen_wide_cycle =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    let* costs = array_size (return n) (int_range 0 50) in
+    let* periods =
+      array_size (return n) (frequency [ (3, return 0); (2, int_range 1 40) ])
+    in
+    if Array.fold_left ( + ) 0 periods = 0 then periods.(n - 1) <- 1;
+    return (costs, periods))
+
+(* dt from -1 to 3 * TSUM, i.e. across whole cycles. *)
+let arb_wide_cycle_dt =
+  QCheck.make
+    ~print:(fun ((c, p), dt) ->
+      Printf.sprintf "costs=%s periods=%s dt=%d"
+        (QCheck.Print.(list int) (Array.to_list c))
+        (QCheck.Print.(list int) (Array.to_list p))
+        dt)
+    QCheck.Gen.(
+      let* ((_, periods) as cycle) = gen_wide_cycle in
+      let tsum = Array.fold_left ( + ) 0 periods in
+      let* dt = int_range (-1) (3 * tsum) in
+      return (cycle, dt))
+
 let prop_small_matches_bruteforce =
-  QCheck.Test.make ~name:"small matches brute force" ~count:500
-    QCheck.(pair arb_cycle (int_range 0 200))
+  QCheck.Test.make ~name:"small matches brute force" ~count:1000
+    arb_wide_cycle_dt
     (fun ((costs, periods), dt) ->
       let d = Gmf.Demand.make ~costs ~periods in
-      Gmf.Demand.small d ~capped:false dt
-      = brute_small ~costs ~periods ~capped:false dt
-      && Gmf.Demand.small d ~capped:true dt
-         = brute_small ~costs ~periods ~capped:true dt)
+      let tsum = Gmf.Demand.tsum d and csum = Gmf.Demand.cost_total d in
+      (* Eqs (11)/(13) spelled out with the brute-force window maximum. *)
+      let expected ~capped =
+        if dt < 0 then 0
+        else
+          (dt / tsum * csum)
+          + brute_small ~costs ~periods ~capped (dt mod tsum)
+      in
+      List.for_all
+        (fun capped ->
+          Gmf.Demand.small d ~capped dt
+          = brute_small ~costs ~periods ~capped dt
+          && Gmf.Demand.bound d ~capped dt = expected ~capped)
+        [ false; true ])
+
+(* Near max_int the whole-cycle term of eq (11)/(13) would wrap negative;
+   the bound must saturate and stay monotone instead. *)
+let test_bound_saturates () =
+  (* 3 units per 2 ns: the bound at dt/2 fits an int, the one at dt not. *)
+  let d = Gmf.Demand.make ~costs:[| 2; 1 |] ~periods:[| 1; 1 |] in
+  let dt = max_int - 5 in
+  List.iter
+    (fun capped ->
+      let far = Gmf.Demand.bound d ~capped dt
+      and half = Gmf.Demand.bound d ~capped (dt / 2) in
+      Alcotest.(check bool) "half-range bound is positive" true (half > 0);
+      Alcotest.(check bool) "bound near max_int >= bound at dt/2" true
+        (far >= half))
+    [ false; true ]
+
+(* The tables a scenario caches per (flow, link) are exactly the ones a
+   fresh build from the same costs and periods yields. *)
+let test_link_params_tables () =
+  let scenario = Workload.Scenarios.fig1_videoconf () in
+  let checked = ref 0 in
+  List.iter
+    (fun (flow : Traffic.Flow.t) ->
+      let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
+      List.iter
+        (fun (src, dst) ->
+          let p = Traffic.Scenario.params scenario flow ~src ~dst in
+          incr checked;
+          Alcotest.(check bool) "time table" true
+            (p.Traffic.Link_params.time_demand
+            = Gmf.Demand.make ~costs:p.Traffic.Link_params.c ~periods);
+          Alcotest.(check bool) "count table" true
+            (p.Traffic.Link_params.count_demand
+            = Gmf.Demand.make ~costs:p.Traffic.Link_params.eth_frames
+                ~periods))
+        (Network.Route.hops flow.Traffic.Flow.route))
+    (Traffic.Scenario.flows scenario);
+  Alcotest.(check bool) "some links checked" true (!checked > 0)
 
 let prop_bound_monotone =
   QCheck.Test.make ~name:"bound monotone in dt" ~count:500
@@ -222,6 +297,10 @@ let tests =
     Alcotest.test_case "MXS (eq 10)" `Quick test_small_capped;
     Alcotest.test_case "MX/NX (eqs 11/13)" `Quick test_bound;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "bound saturates near max_int" `Quick
+      test_bound_saturates;
+    Alcotest.test_case "Link_params tables = fresh make" `Quick
+      test_link_params_tables;
     QCheck_alcotest.to_alcotest prop_small_matches_bruteforce;
     QCheck_alcotest.to_alcotest prop_bound_monotone;
     QCheck_alcotest.to_alcotest prop_bound_floor;
