@@ -1075,41 +1075,6 @@ let profile_cmd =
                 (List.length (Gmf_lint.Lint.errors lint))
                 (List.length (Gmf_lint.Lint.warnings lint))
                 (List.length (Gmf_lint.Lint.hints lint)));
-           (* Delta probe: re-analyze the scenario minus its last flow
-              against the full fixpoint, so the delta.* counters (closure
-              size, flows skipped, rounds saved) appear in the tables and
-              the probe's own numbers print as kv lines. *)
-           (match List.rev (Traffic.Scenario.flows scenario) with
-           | [] -> ()
-           | last :: _ ->
-               let dbase = Analysis.Delta.compute_base ~config scenario in
-               let switches =
-                 List.map
-                   (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-                   (Traffic.Scenario.switch_nodes scenario)
-               in
-               let edited =
-                 Traffic.Scenario.make ~switches
-                   ~topo:(Traffic.Scenario.topo scenario)
-                   ~flows:
-                     (List.filter
-                        (fun (f : Traffic.Flow.t) ->
-                          f.Traffic.Flow.id <> last.Traffic.Flow.id)
-                        (Traffic.Scenario.flows scenario))
-                   ()
-               in
-               let d = Analysis.Delta.analyze dbase edited in
-               let s = d.Analysis.Delta.d_stats in
-               kv "delta probe"
-                 (Printf.sprintf "remove %s" last.Traffic.Flow.name);
-               kv "delta closure"
-                 (Printf.sprintf "%d/%d flow(s)"
-                    s.Analysis.Delta.closure_flows
-                    s.Analysis.Delta.total_flows);
-               kv "delta skipped"
-                 (string_of_int s.Analysis.Delta.skipped_flows);
-               kv "delta rounds saved"
-                 (string_of_int s.Analysis.Delta.rounds_saved));
            let snap = Gmf_obs.Metrics.snapshot reg in
            let tables = Gmf_obs.Export.metrics_tables snap in
            if tables <> "" then Printf.printf "\n%s\n" tables;

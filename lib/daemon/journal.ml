@@ -33,11 +33,21 @@ let valid_name name =
 
 let file ~dir ~session = Filename.concat dir (session ^ ".journal")
 
+(* A new file or directory survives a crash only once the directory
+   holding its entry has been fsync'd as well. *)
+let fsync_dir =
+  ref (fun dir ->
+      let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () -> Unix.fsync fd))
+
 let rec mkdirs dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
     mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    match Unix.mkdir dir 0o755 with
+    | () -> !fsync_dir (Filename.dirname dir)
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
 (* Complete lines of [text] and the byte length of the prefix they
@@ -72,6 +82,7 @@ let open_ ~dir ~session =
   in
   let lines, valid_len = complete_lines existing in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  !fsync_dir dir;
   (* Drop a torn tail before appending anything after it. *)
   if valid_len < String.length existing then Unix.ftruncate fd valid_len;
   ignore (Unix.lseek fd valid_len Unix.SEEK_SET);

@@ -26,9 +26,16 @@ val open_ : dir:string -> session:string -> t * string list
 (** Open (creating [dir] and the file as needed) the journal for
     [session] in append mode and return it together with the recovered
     complete lines, oldest first — empty for a brand-new session.  A
-    torn trailing fragment is dropped and truncated away.  Raises
-    [Invalid_argument] when {!valid_name} rejects [session]; [Unix]
-    errors escape. *)
+    torn trailing fragment is dropped and truncated away.  [dir] is
+    fsync'd once the file exists, and so is the parent of every
+    directory created on the way, so the journal's directory entry is
+    as durable as its first append.  Raises [Invalid_argument] when
+    {!valid_name} rejects [session]; [Unix] errors escape. *)
+
+val fsync_dir : (string -> unit) ref
+(** How {!open_} makes a directory's entries durable: open the
+    directory read-only, [fsync] it, close it.  Replaceable so tests can
+    observe which directories get synced. *)
 
 val load : dir:string -> session:string -> string list
 (** The journal's complete lines without opening it for append (a torn

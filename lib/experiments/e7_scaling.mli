@@ -3,8 +3,7 @@
     An admission controller must answer quickly, so this experiment measures
     the holistic analysis' CPU time as the workload grows along three axes:
     number of flows sharing one switch, route length (switch count), and GMF
-    cycle length n_i.  Wall-clock-free: uses processor time via [Sys.time].
-    Bechamel benches of the same closures live in [bench/main.ml]. *)
+    cycle length n_i.  Wall-clock-free: uses processor time via [Sys.time]. *)
 
 type row = { label : string; parameter : int; seconds : float }
 

@@ -890,6 +890,25 @@ let test_replay_exempt_from_deadline () =
           Alcotest.(check int) "journal replayed in full" 2 events
       | Error msg -> Alcotest.fail msg)
 
+(* A fresh journal under not-yet-existing directories: each created
+   directory's parent is synced as it is made, and the journal
+   directory itself once the file exists in it. *)
+let test_journal_dir_fsync () =
+  let root = fresh_dir () in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let synced = ref [] in
+  let real = !Journal.fsync_dir in
+  Journal.fsync_dir := (fun d -> synced := d :: !synced; real d);
+  let j, _ =
+    Fun.protect
+      ~finally:(fun () -> Journal.fsync_dir := real)
+      (fun () -> Journal.open_ ~dir ~session:"s")
+  in
+  Journal.close j;
+  Alcotest.(check (list string)) "directories synced, in order"
+    [ root; Filename.dirname dir; dir ]
+    (List.rev !synced)
+
 let tests =
   [
     Alcotest.test_case "codec: round-trip" `Quick test_codec_roundtrip;
@@ -899,6 +918,8 @@ let tests =
     Alcotest.test_case "journal: session names" `Quick test_journal_names;
     Alcotest.test_case "journal: torn tail recovery" `Quick
       test_journal_torn_tail;
+    Alcotest.test_case "journal: new entries fsync their directory" `Quick
+      test_journal_dir_fsync;
     Alcotest.test_case "persistent: lifecycle" `Quick test_persistent_worker;
     Alcotest.test_case "persistent: deadline kill" `Quick
       test_persistent_deadline;
