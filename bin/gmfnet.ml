@@ -1067,6 +1067,10 @@ let profile_cmd =
              (string_of_int
                 (Gmf_obs.Metrics.counter_value
                    (Gmf_obs.Metrics.counter reg "fixpoint.iters.total")));
+           kv "stage evaluations reused"
+             (string_of_int
+                (Gmf_obs.Metrics.counter_value
+                   (Gmf_obs.Metrics.counter reg "stage.reused")));
            (* Run the lint pass under the enabled registry so the
               per-rule lint.hits.* counters appear in the tables. *)
            let lint = Gmf_lint.Lint.run ~config scenario in

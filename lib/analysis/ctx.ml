@@ -1,3 +1,27 @@
+module Nodes = Hashtbl.Make (struct
+  type t = Traffic.Flow.id * Stage.t
+
+  let equal ((f1 : Traffic.Flow.id), s1) (f2, s2) =
+    f1 = f2 && Stage.equal s1 s2
+
+  let hash = Hashtbl.hash
+end)
+
+type node = {
+  flow : Traffic.Flow.t;
+  stage : Stage.t;
+  time : Gmf.Demand.t;
+  count : Gmf.Demand.t;
+  mutable extra : Gmf_util.Timeunit.ns;
+  mutable stamp : int;
+  (* Empty until first resolved: a stage charges at least its own flow. *)
+  mutable reads : node array;
+  (* Per frame: the last evaluation and the clock when it ran, -1 before
+     the first one. *)
+  last : (Result_types.stage_response, Result_types.failure) result array;
+  ran_at : int array;
+}
+
 type t = {
   scenario : Traffic.Scenario.t;
   config : Config.t;
@@ -6,12 +30,10 @@ type t = {
   capped : bool;
   (* Lint gates are scenario-static: one evaluation per flow and context. *)
   gates : (Traffic.Flow.id, Traffic.Flow.t * Gmf_diag.t list) Hashtbl.t;
-}
-
-type interferer = {
-  time : Gmf.Demand.t;
-  count : Gmf.Demand.t;
-  extra : Gmf_util.Timeunit.ns;
+  (* Stage-graph nodes of the current jitter state, created on first use. *)
+  mutable nodes : node Nodes.t;
+  (* Advanced on every change of some node's extra. *)
+  mutable clock : int;
 }
 
 let install_source_jitters scenario state =
@@ -45,23 +67,29 @@ let create ?(config = Config.default) scenario =
     | Config.Faithful -> true
     | Config.Repaired -> false
   in
-  { scenario; config; jitters; capped; gates = Hashtbl.create 64 }
+  {
+    scenario;
+    config;
+    jitters;
+    capped;
+    gates = Hashtbl.create 64;
+    nodes = Nodes.create 64;
+    clock = 0;
+  }
 
 let scenario t = t.scenario
 let config t = t.config
 let jitters t = t.jitters
 
-let reset_jitters t =
-  let fresh = Jitter_state.create () in
-  install_source_jitters t.scenario fresh;
-  t.jitters <- fresh
+(* Nodes cache extras and evaluations of the state they were built on. *)
+let replace_jitters t state =
+  install_source_jitters t.scenario state;
+  t.jitters <- state;
+  t.nodes <- Nodes.create 64
 
+let reset_jitters t = replace_jitters t (Jitter_state.create ())
 let snapshot t = Jitter_state.copy t.jitters
-
-let restore t state =
-  let fresh = Jitter_state.copy state in
-  install_source_jitters t.scenario fresh;
-  t.jitters <- fresh
+let restore t state = replace_jitters t (Jitter_state.copy state)
 
 let params t flow ~src ~dst = Traffic.Scenario.params t.scenario flow ~src ~dst
 
@@ -78,20 +106,85 @@ let mx t flow ~src ~dst ~dt =
 let nx t flow ~src ~dst ~dt =
   count_bound (params t flow ~src ~dst).Traffic.Link_params.count_demand dt
 
-let interferers t flows ~src ~dst ~stage =
-  Array.of_list
-    (List.map
-       (fun j ->
-         let p = params t j ~src ~dst in
-         {
-           time = p.Traffic.Link_params.time_demand;
-           count = p.Traffic.Link_params.count_demand;
-           extra = extra t j ~stage;
-         })
-       flows)
+(* The link a stage occupies: ingress stages charge the incoming link. *)
+let link_of flow = function
+  | Stage.First_link (s, d) | Stage.Egress (s, d) -> (s, d)
+  | Stage.Ingress n -> (Network.Route.prec flow.Traffic.Flow.route n, n)
 
-let mx_of t i ~dt = time_bound t i.time (Gmf_util.Timeunit.sat_add dt i.extra)
-let nx_of i ~dt = count_bound i.count (Gmf_util.Timeunit.sat_add dt i.extra)
+(* Fills the [last] slots of frames not evaluated yet; never returned. *)
+let unevaluated =
+  Error
+    {
+      Result_types.flow_id = -1;
+      frame = -1;
+      failed_stage = None;
+      reason = "not evaluated";
+    }
+
+let node t flow ~stage =
+  let key = (flow.Traffic.Flow.id, stage) in
+  match Nodes.find_opt t.nodes key with
+  | Some node -> node
+  | None ->
+      let src, dst = link_of flow stage in
+      let p = params t flow ~src ~dst in
+      let node =
+        {
+          flow;
+          stage;
+          time = p.Traffic.Link_params.time_demand;
+          count = p.Traffic.Link_params.count_demand;
+          extra = extra t flow ~stage;
+          stamp = 0;
+          reads = [||];
+          last = Array.make (Traffic.Flow.n flow) unevaluated;
+          ran_at = Array.make (Traffic.Flow.n flow) (-1);
+        }
+      in
+      Nodes.add t.nodes key node;
+      node
+
+(* Every flow on the link for first-link and ingress stages (the first link
+   of a flow is the first link of every flow sharing it: endhosts do not
+   relay); the flow itself ahead of its higher-or-equal-priority flows for
+   egress. *)
+let reads t self =
+  if Array.length self.reads = 0 then begin
+    let flows =
+      match self.stage with
+      | Stage.Egress (n, _) ->
+          self.flow :: Traffic.Scenario.hep t.scenario self.flow ~node:n
+      | stage ->
+          let src, dst = link_of self.flow stage in
+          Traffic.Scenario.flows_on t.scenario ~src ~dst
+    in
+    self.reads <-
+      Array.of_list (List.map (fun j -> node t j ~stage:self.stage) flows)
+  end;
+  self.reads
+
+let charge t self ~others f =
+  let reads = reads t self in
+  let acc = ref 0 in
+  for k = 0 to Array.length reads - 1 do
+    let j = reads.(k) in
+    if not (others && j == self) then
+      acc := Gmf_util.Timeunit.sat_add !acc (f j)
+  done;
+  !acc
+
+let mx_of t j ~dt = time_bound t j.time (Gmf_util.Timeunit.sat_add dt j.extra)
+let nx_of j ~dt = count_bound j.count (Gmf_util.Timeunit.sat_add dt j.extra)
+
+let recall t self ~frame =
+  let at = self.ran_at.(frame) in
+  if at >= 0 && Array.for_all (fun j -> j.stamp <= at) (reads t self) then
+    Some self.last.(frame)
+  else None
+
+let remember t self ~frame result =
+  self.last.(frame) <- result;
+  self.ran_at.(frame) <- t.clock
 
 let flow_gate t flow =
   match Hashtbl.find_opt t.gates flow.Traffic.Flow.id with
@@ -104,7 +197,16 @@ let flow_gate t flow =
       gate
 
 let set_jitter t flow ~frame ~stage value =
-  Jitter_state.set t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame value
+  Jitter_state.set t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame value;
+  match Nodes.find_opt t.nodes (flow.Traffic.Flow.id, stage) with
+  | None -> ()
+  | Some node ->
+      let extra = extra t flow ~stage in
+      if extra <> node.extra then begin
+        t.clock <- t.clock + 1;
+        node.extra <- extra;
+        node.stamp <- t.clock
+      end
 
 let get_jitter t flow ~frame ~stage =
   Jitter_state.get t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame

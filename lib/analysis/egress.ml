@@ -1,5 +1,3 @@
-open Gmf_util
-
 let outgoing_link flow node =
   let route = flow.Traffic.Flow.route in
   if not (Network.Route.mem route node) then
@@ -22,20 +20,12 @@ let analyze ctx ~flow ~node ~frame =
   let mft = Traffic.Link_params.mft own in
   let prop = own.Traffic.Link_params.link.Network.Link.prop in
   (* The analyzed flow heads the busy-period set; the window set is the
-     rest. *)
-  let hep_and_self =
-    Ctx.interferers ctx
-      (flow :: Traffic.Scenario.hep scenario flow ~node:n)
-      ~src:n ~dst:d ~stage
-  in
-  let hep = Array.sub hep_and_self 1 (Array.length hep_and_self - 1) in
-  (* Combined link-time + task-rotation interference of a flow set over an
+     rest.  Combined link-time + task-rotation interference over an
      interval: the MX and NX * CIRC terms of eqs (29)/(31). *)
-  let interference set dt =
-    Array.fold_left
-      (fun acc i ->
-        Timeunit.sat_add acc (Ctx.mx_of ctx i ~dt + (Ctx.nx_of i ~dt * circ)))
-      0 set
+  let self = Ctx.node ctx flow ~stage in
+  let interference ~others dt =
+    Ctx.charge ctx self ~others (fun j ->
+        Ctx.mx_of ctx j ~dt + (Ctx.nx_of j ~dt * circ))
   in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
   let pre_c l = Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l in
@@ -52,10 +42,10 @@ let analyze ctx ~flow ~node ~frame =
   (* Own predecessor transmissions (repair R8) join the q whole cycles. *)
   let own_work q l = (q * csum_i) + pre_c l in
   Stage_common.run ~ctx ~stage ~flow ~frame ~busy_seed:mft
-    ~busy_step:(fun t -> mft + interference hep_and_self t)
+    ~busy_step:(fun t -> mft + interference ~others:false t)
     ~w_base:(fun ~q ~l -> mft + own_work q l + own_rotations q l)
     ~w_step:(fun ~q ~l w ->
-      mft + own_work q l + own_rotations q l + interference hep w)
+      mft + own_work q l + own_rotations q l + interference ~others:true w)
     ~finish:(fun ~q ~l ~w -> w - ((q * tsum_i) + pre_t l) + c_k + prop)
 
 let utilization_condition ctx ~flow ~node =

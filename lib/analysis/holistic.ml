@@ -45,6 +45,40 @@ let m_jitter_delta =
          1_000_000_000 |]
     Gmf_obs.Metrics.default "holistic.jitter_delta_ns"
 
+(* Nanosecond-scale buckets for per-stage response-time contributions:
+   1us .. 1s in decades. *)
+let response_bounds =
+  [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;
+     1_000_000_000 |]
+
+let response_hist kind =
+  Gmf_obs.Metrics.histogram ~bounds:response_bounds Gmf_obs.Metrics.default
+    ("stage.response_ns." ^ kind)
+
+let resp_first_link = response_hist "first_link"
+let resp_ingress = response_hist "ingress"
+let resp_egress = response_hist "egress"
+
+(* One sample per stage response of the returned report, however many
+   times the rounds evaluated (or reused) that stage. *)
+let observe_responses results =
+  List.iter
+    (fun res ->
+      Array.iter
+        (fun fr ->
+          List.iter
+            (fun sr ->
+              let hist =
+                match sr.Result_types.stage with
+                | Stage.First_link _ -> resp_first_link
+                | Stage.Ingress _ -> resp_ingress
+                | Stage.Egress _ -> resp_egress
+              in
+              Gmf_obs.Metrics.observe hist sr.Result_types.response)
+            fr.Result_types.stages)
+        res.Result_types.frames)
+    results
+
 type round_observation = {
   obs_round : int;
   obs_flow_deltas : (Traffic.Flow.id * Gmf_util.Timeunit.ns) list;
@@ -86,6 +120,7 @@ let iterate ctx =
     Gmf_obs.Metrics.incr m_runs;
     Gmf_obs.Metrics.observe m_rounds n;
     Gmf_obs.Metrics.observe m_fixpoint_rounds n;
+    if metrics_on then observe_responses report.results;
     report
   in
   let rec rounds n =

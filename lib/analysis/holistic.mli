@@ -2,11 +2,21 @@
     after Tindell & Clark).
 
     Only source jitters are known a priori.  Starting from zero jitter at
-    every non-source stage, each round re-runs the pipeline analysis of
-    every flow; the per-stage jitters computed in one round are the [extra]
-    terms of the next.  Jitters grow monotonically, so the iteration either
+    every non-source stage, each round runs the pipeline analysis of every
+    flow; the per-stage jitters computed in one round are the [extra] terms
+    of the next.  Jitters grow monotonically, so the iteration either
     reaches a fixed point (the bounds are then valid) or keeps growing —
-    divergence, reported as unschedulable (repair R6). *)
+    divergence, reported as unschedulable (repair R6).
+
+    Within a run a stage is re-evaluated only when its inputs moved: the
+    context keeps one node per (flow, stage) with the last evaluation of
+    each frame, and the pipeline reuses it while no flow the stage charges
+    has changed its [extra] there since ({!Ctx.recall}).  A stage analysis
+    reads the jitter state through those extras only, so the reused
+    evaluation is the one a re-run would compute: every round's jitter
+    state, the round count, the observer's deltas, the verdict and the
+    bounds are those of re-running every stage.  Only the work counters
+    ([fixpoint.calls], [stage.reused]) see the difference. *)
 
 type verdict =
   | Schedulable

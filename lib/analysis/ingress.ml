@@ -1,5 +1,3 @@
-open Gmf_util
-
 let incoming_link flow node =
   let route = flow.Traffic.Flow.route in
   if not (Network.Route.mem route node) then
@@ -17,14 +15,9 @@ let analyze ctx ~flow ~node ~frame =
   let m_k = own.Traffic.Link_params.eth_frames.(frame) in
   let nsum_i = Traffic.Link_params.nsum own in
   let tsum_i = Traffic.Flow.tsum flow in
-  let all = Traffic.Scenario.flows_on scenario ~src:p ~dst:n in
-  let others =
-    List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id) all
-  in
-  let resolve flows = Ctx.interferers ctx flows ~src:p ~dst:n ~stage in
-  let all = resolve all and others = resolve others in
-  let interference set dt =
-    Array.fold_left (fun acc i -> Timeunit.sat_add acc (Ctx.nx_of i ~dt)) 0 set
+  let self = Ctx.node ctx flow ~stage in
+  let interference ~others dt =
+    Ctx.charge ctx self ~others (fun j -> Ctx.nx_of j ~dt)
   in
   let variant = (Ctx.config ctx).Config.variant in
   let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
@@ -48,9 +41,9 @@ let analyze ctx ~flow ~node ~frame =
     | Config.Repaired -> m_k * circ
   in
   Stage_common.run ~ctx ~stage ~flow ~frame ~busy_seed
-    ~busy_step:(fun t -> interference all t * circ)
+    ~busy_step:(fun t -> interference ~others:false t * circ)
     ~w_base:(fun ~q ~l -> own_charge q l)
-    ~w_step:(fun ~q ~l w -> own_charge q l + (interference others w * circ))
+    ~w_step:(fun ~q ~l w -> own_charge q l + (interference ~others:true w * circ))
     ~finish:(fun ~q ~l ~w -> w - ((q * tsum_i) + pre_t l) + circ)
 
 let utilization_condition ctx ~flow ~node =

@@ -16,23 +16,9 @@ let stage_min_response ctx flow ~frame stage =
       p.Traffic.Link_params.eth_frames.(frame)
       * model.Click.Switch_model.croute
 
-(* Nanosecond-scale buckets for per-stage response-time contributions:
-   1us .. 1s in decades. *)
-let response_bounds =
-  [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;
-     1_000_000_000 |]
-
-let resp_first_link =
-  Gmf_obs.Metrics.histogram ~bounds:response_bounds Gmf_obs.Metrics.default
-    "stage.response_ns.first_link"
-
-let resp_ingress =
-  Gmf_obs.Metrics.histogram ~bounds:response_bounds Gmf_obs.Metrics.default
-    "stage.response_ns.ingress"
-
-let resp_egress =
-  Gmf_obs.Metrics.histogram ~bounds:response_bounds Gmf_obs.Metrics.default
-    "stage.response_ns.egress"
+(* Stage evaluations answered from the node's last result because none of
+   its reads changed since (see {!Ctx.recall}). *)
+let m_reused = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.reused"
 
 (* Constant span names: selecting by match keeps the disabled path
    allocation-free. *)
@@ -40,11 +26,6 @@ let stage_span_name = function
   | Stage.First_link _ -> "stage.first_link"
   | Stage.Ingress _ -> "stage.ingress"
   | Stage.Egress _ -> "stage.egress"
-
-let resp_hist = function
-  | Stage.First_link _ -> resp_first_link
-  | Stage.Ingress _ -> resp_ingress
-  | Stage.Egress _ -> resp_egress
 
 let analyze_frame ctx ~flow ~frame =
   if frame < 0 || frame >= Traffic.Flow.n flow then
@@ -55,19 +36,22 @@ let analyze_frame ctx ~flow ~frame =
   let stages = Stage.stages_of_route flow.Traffic.Flow.route in
   let tight = (Ctx.config ctx).Config.tight_jitter in
   let analyze_stage stage =
-    let result =
-      Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
-        (stage_span_name stage) (fun () ->
-          match stage with
-          | Stage.First_link _ -> First_hop.analyze ctx ~flow ~frame
-          | Stage.Ingress node -> Ingress.analyze ctx ~flow ~node ~frame
-          | Stage.Egress (node, _) -> Egress.analyze ctx ~flow ~node ~frame)
-    in
-    (match result with
-    | Ok sr ->
-        Gmf_obs.Metrics.observe (resp_hist stage) sr.Result_types.response
-    | Error _ -> ());
-    result
+    let self = Ctx.node ctx flow ~stage in
+    match Ctx.recall ctx self ~frame with
+    | Some result ->
+        Gmf_obs.Metrics.incr m_reused;
+        result
+    | None ->
+        let result =
+          Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
+            (stage_span_name stage) (fun () ->
+              match stage with
+              | Stage.First_link _ -> First_hop.analyze ctx ~flow ~frame
+              | Stage.Ingress node -> Ingress.analyze ctx ~flow ~node ~frame
+              | Stage.Egress (node, _) -> Egress.analyze ctx ~flow ~node ~frame)
+        in
+        Ctx.remember ctx self ~frame result;
+        result
   in
   (* RSUM accumulates stage responses into the end-to-end bound (Figure 6
      line 24); JSUM is the generalized jitter handed to the next stage.

@@ -6,7 +6,10 @@
     jitter handed to the next stage).  Before each stage is analyzed, the
     frame's jitter at that stage is recorded in the context's jitter state
     so other flows see it in subsequent (or later-in-round) analyses — this
-    is the coupling the holistic iteration (Section 3.5) closes.
+    is the coupling the holistic iteration (Section 3.5) closes.  A stage
+    none of whose reads moved since it last analyzed the frame answers
+    with that analysis ({!Ctx.recall}); only [stage.reused] tells the
+    two apart.
 
     The paper's Figure 6 skips the first-hop analysis for a route whose
     second node is already the destination; we analyze it (repair R5).
