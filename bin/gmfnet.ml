@@ -1134,25 +1134,13 @@ let survive_cmd =
     let doc = "Emit the deterministic JSON report (golden-file format)." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let max_routes_arg =
-    let doc = "Alternate routes to consider per affected flow." in
-    Arg.(value & opt int 4 & info [ "max-routes" ] ~docv:"N" ~doc)
-  in
-  let cold_arg =
-    let doc =
-      "Force the cold per-case engine instead of the incremental delta \
-       engine (identical fates and matrix; per-case rounds differ)."
-    in
-    Arg.(value & flag & info [ "cold" ] ~doc)
-  in
-  let run name file rate config k json max_routes cold jobs metrics trace_out
-      =
+  let run name file rate config k json jobs metrics trace_out =
     exit_of_result
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out (fun () ->
                let report =
                  Gmf_faults.Survive.run ~exec:(exec_of_jobs jobs) ~config ~k
-                   ~max_routes ~delta:(not cold) scenario
+                   scenario
                in
                if json then
                  print_string (Gmf_faults.Survive.to_json scenario report)
@@ -1167,8 +1155,7 @@ let survive_cmd =
          "Enumerate every failure of at most K links or switches, reroute           the affected flows around each failure and re-run the holistic           analysis, reporting which flows survive, survive only via a           reroute, or must be shed.")
     Term.(
       const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg $ k_arg
-      $ json_arg $ max_routes_arg $ cold_arg $ jobs_arg $ metrics_arg
-      $ trace_out_arg)
+      $ json_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* assign                                                             *)

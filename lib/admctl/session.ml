@@ -303,7 +303,7 @@ let unknown_diag ~what id =
 let norm_pair a b = (min a b, max a b)
 
 (* Both directions of every failed pair, for route matching and
-   {!Network.Pathfind} avoidance. *)
+   reroute avoidance. *)
 let failed_directed failed =
   List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) failed
 
@@ -569,15 +569,17 @@ let apply_update t flow =
 let link_subject a b = Gmf_diag.Link { src = a; dst = b }
 
 (* A link failure commits like a removal: the outage happened whether or
-   not the degraded set stays schedulable.  Flows routed over the pair
-   are rerouted around every currently-failed link when an alternate
-   route exists, shed outright when none does, and then shed greedily
-   ({!Gmf_faults.Survive.shed_order}) until the degraded set is
-   schedulable again.  Every settle attempt runs through the delta
-   engine against the committed pre-failure fixpoint: flows outside the
-   interference closure of the affected set keep their converged bounds
-   outright (their routes never met the affected flows), and only the
-   closure is re-analyzed. *)
+   not the degraded set stays schedulable.  The degraded set runs through
+   {!Gmf_faults.Survive.degrade}, the same loop as a survive case, with
+   the flows the outage did not hit pinned: hit flows are rerouted around
+   every currently-failed link when an alternate route exists, shed
+   outright when none does, and then shed greedily until the degraded set
+   is schedulable again.  Every attempt is a lint check followed by a
+   delta run against the committed pre-failure fixpoint: reroutes are
+   changed flows, sheds are removals, so only their interference closure
+   re-runs while the pinned flows keep their committed bounds.  A lint
+   error (e.g. a reroute saturating a link, GMF201) sheds without
+   spending fixpoint rounds. *)
 let apply_fail t a b =
   let label = "fail link " ^ link_label t a b in
   let pair = norm_pair a b in
@@ -613,107 +615,48 @@ let apply_fail t a b =
         ~degradation:(Some { rerouted = []; shed = [] })
         ()
     else begin
-      (* Phase 1: reroute around every failed link, or pre-shed.  One
-         route cache per event: affected flows sharing endpoints resolve
-         to a single enumeration. *)
-      let pcache = Network.Pathfind.Cache.create t.topo in
-      let placed =
-        List.map
-          (fun (f : Traffic.Flow.t) ->
-            let route = f.Traffic.Flow.route in
-            match
-              Network.Pathfind.Cache.k_shortest ~avoid_links:avoid pcache
-                ~src:(Network.Route.source route)
-                ~dst:(Network.Route.destination route)
-            with
-            | [] ->
-                Gmf_obs.Metrics.incr m_shed;
-                (f, None)
-            | alt :: _ ->
-                Gmf_obs.Metrics.incr m_rerouted;
-                (f, Some (Analysis.Rerouting.with_route f alt)))
-          affected
-      in
-      let pre_shed =
-        List.filter_map
-          (fun (f, s) -> if s = None then Some f else None)
-          placed
-      in
-      (* Phase 2: greedy shedding among the rerouted survivors until the
-         degraded set is schedulable (or no survivor is left to shed).
-         Each attempt is a delta against the committed pre-failure
-         fixpoint: reroutes are changed flows, sheds are removals, so
-         only their interference closure re-runs while flows the outage
-         never touched keep their committed bounds. *)
-      let rec settle pool shed rounds_acc =
-        let flows = List.sort
-            (fun (x : Traffic.Flow.t) (y : Traffic.Flow.t) ->
-              compare x.Traffic.Flow.id y.Traffic.Flow.id)
-            (safe @ pool)
-        in
-        let scenario = scenario_of t flows in
-        let lint_errors =
+      let attempt scenario =
+        match
           Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config:t.config scenario)
-        in
-        match (lint_errors, Gmf_faults.Survive.shed_order pool) with
-        | _ :: _, victim :: _ ->
-            (* e.g. a reroute saturates a link (GMF201): shed without
-               spending fixpoint rounds. *)
-            Gmf_obs.Metrics.incr m_shed;
-            settle
-              (List.filter
-                 (fun (f : Traffic.Flow.t) ->
-                   f.Traffic.Flow.id <> victim.Traffic.Flow.id)
-                 pool)
-              (victim :: shed) rounds_acc
-        | _ :: _, [] ->
-            let report =
-              {
-                Analysis.Holistic.verdict =
-                  Analysis.Holistic.Analysis_failed
-                    (List.map failure_of_diag lint_errors);
-                rounds = 0;
-                results = [];
-              }
-            in
-            ( flows, pool, shed, report,
-              Analysis.Jitter_state.create (), Skipped, None, None,
-              rounds_acc )
-        | [], _ -> (
+        with
+        | _ :: _ as errors ->
+            ( Analysis.Admission.lint_failed errors,
+              (Analysis.Jitter_state.create (), Skipped, None, None) )
+        | [] ->
             let report, state, start, shadow, explain =
               run_fixpoint_delta t scenario
             in
-            let rounds_acc =
-              rounds_acc + report.Analysis.Holistic.rounds
-            in
-            if Analysis.Holistic.is_schedulable report then
-              ( flows, pool, shed, report, state, start, shadow, explain,
-                rounds_acc )
-            else
-              match Gmf_faults.Survive.shed_order pool with
-              | [] ->
-                  ( flows, pool, shed, report, state, start, shadow,
-                    explain, rounds_acc )
-              | victim :: _ ->
-                  Gmf_obs.Metrics.incr m_shed;
-                  settle
-                    (List.filter
-                       (fun (f : Traffic.Flow.t) ->
-                         f.Traffic.Flow.id <> victim.Traffic.Flow.id)
-                       pool)
-                    (victim :: shed) rounds_acc)
+            (report, (state, start, shadow, explain))
       in
-      let pool0 = List.filter_map snd placed in
-      let flows, survivors, shed, report, state, start, shadow, explain,
-          rounds =
-        settle pool0 [] 0
+      let {
+        Gmf_faults.Survive.placed;
+        victims;
+        survivors = flows;
+        unpinned = rerouted;
+        report;
+        last = state, start, shadow, explain;
+        rounds_spent;
+      } =
+        Gmf_faults.Survive.degrade ~pinned:safe ~avoid_links:avoid
+          ~avoid_nodes:[] ~attempt (scenario_of t t.flows)
       in
+      let pre_shed =
+        List.filter_map
+          (fun (f, fate) ->
+            if fate = Gmf_faults.Survive.Shed then Some f else None)
+          placed
+      in
+      Gmf_obs.Metrics.incr
+        ~by:(List.length affected - List.length pre_shed)
+        m_rerouted;
+      Gmf_obs.Metrics.incr
+        ~by:(List.length pre_shed + List.length victims)
+        m_shed;
       commit t ~flows ~state ~report;
       mk_outcome t ~label ~accepted:true
-        ~verdict:report.Analysis.Holistic.verdict ~rounds ~start
+        ~verdict:report.Analysis.Holistic.verdict ~rounds:rounds_spent ~start
         ~diagnostics:[] ~shadow ~explain
-        ~degradation:
-          (Some { rerouted = survivors; shed = pre_shed @ List.rev shed })
+        ~degradation:(Some { rerouted; shed = pre_shed @ victims })
         ()
     end
   end

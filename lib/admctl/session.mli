@@ -47,15 +47,18 @@ type event =
   | Query  (** Report the committed verdict; never runs a fixpoint. *)
   | Fail_link of Network.Node.id * Network.Node.id
       (** Both directions of the (undirected) pair go down.  Commits like
-          a removal — the outage happened regardless of the verdict:
-          flows routed over the pair are rerouted around {e every}
-          currently-failed link ({!Network.Pathfind.k_shortest}), shed
-          when no alternate route exists, then shed greedily in
+          a removal — the outage happened regardless of the verdict.
+          The degraded set runs through {!Gmf_faults.Survive.degrade},
+          the loop a survive case uses, with the unaffected flows
+          pinned: flows routed over the pair move to their first route
+          around {e every} currently-failed link, are shed when none
+          exists, then are shed greedily in
           {!Gmf_faults.Survive.shed_order} until the degraded set is
-          schedulable.  Each attempt is an {!Analysis.Delta} run against
-          the committed pre-failure fixpoint: flows outside the affected
-          set's interference closure keep their bounds.  Rejects ([GMF016],
-          session untouched) an unknown or already-failed pair. *)
+          schedulable.  Each attempt is a lint check, then an
+          {!Analysis.Delta} run against the committed pre-failure
+          fixpoint: flows outside the affected set's interference
+          closure keep their bounds.  Rejects ([GMF016], session
+          untouched) an unknown or already-failed pair. *)
   | Restore_link of Network.Node.id * Network.Node.id
       (** Marks the pair up again so later events may route over it.
           Flows stay on their degraded routes (the committed fixpoint

@@ -20,21 +20,21 @@ let failure_of_diag (d : Gmf_diag.t) =
     reason = Gmf_diag.to_string d;
   }
 
+let lint_failed errors =
+  {
+    Holistic.verdict =
+      Holistic.Analysis_failed (List.map failure_of_diag errors);
+    rounds = 0;
+    results = [];
+  }
+
 let check ?exec ?config scenario =
   let lint = Gmf_lint.Lint.run ?config scenario in
   let diagnostics = lint.Gmf_lint.Lint.diagnostics in
   match Gmf_lint.Lint.errors lint with
   | _ :: _ as errors ->
       (* Reject statically: the holistic fixpoint is never entered. *)
-      let report =
-        {
-          Holistic.verdict =
-            Holistic.Analysis_failed (List.map failure_of_diag errors);
-          rounds = 0;
-          results = [];
-        }
-      in
-      { admitted = false; report; diagnostics }
+      { admitted = false; report = lint_failed errors; diagnostics }
   | [] ->
       (* Lint is clean: run the precheck-guided sharded analysis.  Decided
          flows never enter the fixpoint; the undecided components run
@@ -90,14 +90,7 @@ let rebuild scenario extra_flows =
 
 let reject_with diagnostics =
   let errors = Gmf_diag.at_least Gmf_diag.Error diagnostics in
-  let report =
-    {
-      Holistic.verdict = Holistic.Analysis_failed (List.map failure_of_diag errors);
-      rounds = 0;
-      results = [];
-    }
-  in
-  { admitted = false; report; diagnostics }
+  { admitted = false; report = lint_failed errors; diagnostics }
 
 let duplicate_id_diag ~candidate ~existing =
   Gmf_diag.error ~code:"GMF014"

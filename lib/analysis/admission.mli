@@ -66,6 +66,11 @@ val failure_of_diag : Gmf_diag.t -> Result_types.failure
     rejecting decision — shared with [Gmf_admctl] so session rejections
     render like batch rejections. *)
 
+val lint_failed : Gmf_diag.t list -> Holistic.report
+(** The report of a rejection that never entered the fixpoint: an
+    [Analysis_failed] verdict with one {!failure_of_diag} per error, zero
+    rounds and no results. *)
+
 val admit_greedily :
   ?config:Config.t ->
   topo:Network.Topology.t ->

@@ -193,15 +193,7 @@ let interference_closure ~seeds flows =
 let lint_reject ~config scenario =
   match Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) with
   | [] -> None
-  | errors ->
-      Some
-        {
-          Holistic.verdict =
-            Holistic.Analysis_failed
-              (List.map Admission.failure_of_diag errors);
-          rounds = 0;
-          results = [];
-        }
+  | errors -> Some (Admission.lint_failed errors)
 
 let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
@@ -220,9 +212,23 @@ let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
     warm_seeded = warm;
   }
 
+(* A run from source jitters.  Under [~precheck] it goes through the
+   precheck-guided sharded engine: flows precheck decides statically
+   never burn fixpoint rounds, but their synthetic results carry
+   certified ceilings rather than converged bounds, so no jitter state
+   comes back. *)
+let cold_run ~precheck ~config scenario =
+  if precheck then
+    let r, _precheck, _stats = Sharded.analyze ~config scenario in
+    (r, Jitter_state.create ())
+  else
+    let ctx = Ctx.create ~config scenario in
+    let r = Holistic.run ctx in
+    (r, Ctx.snapshot ctx)
+
 (* Comparison ruled out: analyze the target cold (optionally through the
    full-scenario lint gate), certify nothing. *)
-let cold_fallback ~lint ~config target ~total =
+let cold_fallback ~lint ~precheck ~config target ~total =
   match if lint then lint_reject ~config target else None with
   | Some report ->
       {
@@ -234,11 +240,10 @@ let cold_fallback ~lint ~config target ~total =
             ~warm:false;
       }
   | None ->
-      let ctx = Ctx.create ~config target in
-      let report = Holistic.run ctx in
+      let report, state = cold_run ~precheck ~config target in
       {
         d_report = report;
-        d_state = Ctx.snapshot ctx;
+        d_state = state;
         d_untouched = [];
         d_stats =
           mk_stats ~total ~closure:total ~rounds:report.Holistic.rounds
@@ -251,12 +256,17 @@ let analyze ?(lint = false) ?(precheck = false) base target =
   let target_flows = Traffic.Scenario.flows target in
   let total = List.length target_flows in
   if not (base.b_ok && same_structure base target) then
-    cold_fallback ~lint ~config target ~total
+    cold_fallback ~lint ~precheck ~config target ~total
   else begin
     let base_flows = Traffic.Scenario.flows base.b_scenario in
     let added, removed, changed = diff_flows base_flows target_flows in
-    if added = [] && removed = [] && changed = [] then
-      (* Identity edit: the base fixpoint is the answer. *)
+    if
+      added = [] && removed = [] && changed = []
+      && not (lint && not base.b_lint_clean)
+    then
+      (* Identity edit: the base fixpoint is the answer.  A base that
+         does not lint clean still goes through the lint gate below,
+         which then checks the full target. *)
       {
         d_report = base.b_report;
         d_state = Jitter_state.copy base.b_state;
@@ -332,27 +342,17 @@ let analyze ?(lint = false) ?(precheck = false) base target =
               in
               (r, Ctx.snapshot ctx)
             end
-            else if precheck then
-              (* Shrinking or mixed edit under [~precheck:true]: restart
-                 the closure cold through the precheck-guided sharded
-                 engine — the same path a cold {!Sharded.analyze} of the
-                 full target takes, restricted to the closure.  Flows
-                 precheck decides statically never burn fixpoint rounds,
-                 but their synthetic results carry certified ceilings
-                 rather than converged bounds, so no jitter state comes
-                 back: [d_state] keeps only the untouched flows' base
-                 entries (a sound — if partial — warm seed, since absent
-                 entries restart from source jitters). *)
-              let r, _precheck, _stats = Sharded.analyze ~config sub in
-              (r, Jitter_state.create ())
-            else begin
+            else
               (* Shrinking or mixed edit: iterating down from a stale
                  state may stop above the least fixed point, so the
-                 closure restarts from source jitters. *)
-              let ctx = Ctx.create ~config sub in
-              let r = Holistic.run ctx in
-              (r, Ctx.snapshot ctx)
-            end
+                 closure restarts from source jitters.  Under
+                 [~precheck:true] that is the path a cold
+                 {!Sharded.analyze} of the full target takes, restricted
+                 to the closure; its run returns no jitter state, so
+                 [d_state] keeps only the untouched flows' base entries
+                 (a sound — if partial — warm seed, since absent entries
+                 restart from source jitters). *)
+              cold_run ~precheck ~config sub
           in
           (* Merge: untouched flows keep their base result records
              (physically — the certificate the tests check), closure

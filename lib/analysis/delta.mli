@@ -130,10 +130,10 @@ val analyze :
     mirroring the shed-without-fixpoint fast path of the survive loop.
 
     [precheck] (default [false]) routes a shrinking or mixed edit's cold
-    closure restart through the precheck-guided {!Sharded.analyze}
-    instead of a monolithic {!Holistic.run}: flows decided statically
-    skip the fixpoint, matching the cold survive engine's own path.
-    The schedulability class, fates and matrices are unchanged
+    closure restart — and a cold fallback's run over the full target —
+    through the precheck-guided {!Sharded.analyze} instead of a
+    monolithic {!Holistic.run}: flows decided statically skip the
+    fixpoint.  The schedulability class, fates and matrices are unchanged
     (precheck is schedulability-exact), but closure flows decided
     statically carry certified ceilings instead of converged bounds and
     contribute no jitter state — callers that reuse [d_state] as the

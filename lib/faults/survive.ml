@@ -139,191 +139,143 @@ let shed_order flows =
       | c -> c)
     flows
 
+let delta_zero =
+  { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0; d_warm = 0 }
+
+let delta_add a b =
+  {
+    d_closure = a.d_closure + b.d_closure;
+    d_skipped = a.d_skipped + b.d_skipped;
+    d_saved = a.d_saved + b.d_saved;
+    d_fallbacks = a.d_fallbacks + b.d_fallbacks;
+    d_warm = a.d_warm + b.d_warm;
+  }
+
 let switch_models scenario =
   Traffic.Scenario.switch_nodes scenario
   |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
 
-(* Pure per-case evaluation: no counter bumps here — under a [Pool]
-   executor this runs in a worker process whose registry increments are
-   lost, so [run] derives the counters from the collected results. *)
-let analyze_case ~config ~max_routes scenario case =
-  Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
-    (fun () ->
-      let topo = Traffic.Scenario.topo scenario in
-      let switches = switch_models scenario in
-      let avoid_links, avoid_nodes = failed_parts topo case in
-      let flows = Traffic.Scenario.flows scenario in
-      (* One route cache per case: flows sharing endpoints under the same
-         failure resolve to one enumeration. *)
-      let pcache = Network.Pathfind.Cache.create topo in
-      (* Phase 1: reroute every flow the failure touches, or shed it when
-         no alternate route survives the failure. *)
-      let placed =
-        List.map
-          (fun (f : Traffic.Flow.t) ->
-            let route = f.Traffic.Flow.route in
-            if not (route_hit route ~avoid_links ~avoid_nodes) then
-              (f, Unaffected, Some f)
-            else
-              let candidates =
-                Network.Pathfind.Cache.k_shortest ~k:max_routes ~avoid_links
-                  ~avoid_nodes pcache
-                  ~src:(Network.Route.source route)
-                  ~dst:(Network.Route.destination route)
-              in
-              match candidates with
-              | [] -> (f, Shed, None)
-              | alt :: _ ->
-                  let moved = Analysis.Rerouting.with_route f alt in
-                  (f, Rerouted alt, Some moved))
-          flows
-      in
-      (* Phase 2: greedy shedding until the degraded set is schedulable.
-         A lint error (e.g. a rerouted flow saturating a link, GMF201)
-         sheds without spending fixpoint rounds. *)
-      let rec settle survivors shed rounds =
-        let scenario' =
-          Traffic.Scenario.make ~switches ~topo ~flows:survivors ()
-        in
-        let lint_errors =
-          Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario')
-        in
-        let report, rounds =
-          if lint_errors <> [] then
-            ( {
-                Analysis.Holistic.verdict =
-                  Analysis.Holistic.Analysis_failed
-                    (List.map Analysis.Admission.failure_of_diag lint_errors);
-                rounds = 0;
-                results = [];
-              },
-              rounds )
-          else
-            (* Precheck-guided and per-component, through the shared case
-               memo: two failure cases that shed down to the same remainder
-               set — or merely share an untouched interference component —
-               reuse the earlier fixpoints, and statically decided flows
-               never enter one. *)
-            let r, _pre, _stats = Analysis.Sharded.analyze ~config scenario' in
-            (r, rounds + r.Analysis.Holistic.rounds)
-        in
-        if Analysis.Holistic.is_schedulable report then (report, shed, rounds)
-        else
-          match shed_order survivors with
-          | [] -> (report, shed, rounds)
-          | victim :: _ ->
-              settle
-                (List.filter
-                   (fun (f : Traffic.Flow.t) ->
-                     f.Traffic.Flow.id <> victim.Traffic.Flow.id)
-                   survivors)
-                (victim.Traffic.Flow.id :: shed)
-                rounds
-      in
-      let survivors = List.filter_map (fun (_, _, s) -> s) placed in
-      let report, shed_ids, rounds = settle survivors [] 0 in
-      let fates =
-        List.map
-          (fun ((f : Traffic.Flow.t), fate, _) ->
-            if List.mem f.Traffic.Flow.id shed_ids then (f, Shed)
-            else (f, fate))
-          placed
-      in
-      {
-        case;
-        fates;
-        verdict = report.Analysis.Holistic.verdict;
-        rounds;
-        delta = None;
-      })
+type 'a degraded = {
+  placed : (Traffic.Flow.t * fate) list;
+  victims : Traffic.Flow.t list;
+  survivors : Traffic.Flow.t list;
+  unpinned : Traffic.Flow.t list;
+  report : Analysis.Holistic.report;
+  last : 'a;
+  rounds_spent : int;
+}
 
-(* Delta twin of [analyze_case]: same reroute phase and greedy shed
-   loop, but every settle attempt re-analyzes only the interference
-   closure of the case's edit against the shared fault-free base
-   ({!Analysis.Delta.analyze}, lint gate included).  Per-attempt delta
-   stats are summed into the case result — under a [Pool] executor the
-   worker's registry increments are lost, so the embedded copy is the
-   one the report (and its JSON) aggregates deterministically. *)
-let analyze_case_delta ~config:_ ~max_routes dbase scenario case =
+(* Pure: no counter bumps here — a survive case runs in a [Pool] worker
+   whose registry increments are lost, so each caller derives its
+   counters from the result. *)
+let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
+  let topo = Traffic.Scenario.topo scenario in
+  let switches = switch_models scenario in
+  (* One route cache per call: flows sharing endpoints under the same
+     failure resolve to one enumeration. *)
+  let pcache = Network.Pathfind.Cache.create topo in
+  (* Phase 1: reroute every flow the failure touches onto its first
+     surviving route, or shed it when none survives. *)
+  let placed =
+    List.map
+      (fun (f : Traffic.Flow.t) ->
+        let route = f.Traffic.Flow.route in
+        if not (route_hit route ~avoid_links ~avoid_nodes) then
+          ((f, Unaffected), Some f)
+        else
+          match
+            Network.Pathfind.Cache.k_shortest ~k:1 ~avoid_links ~avoid_nodes
+              pcache
+              ~src:(Network.Route.source route)
+              ~dst:(Network.Route.destination route)
+          with
+          | [] -> ((f, Shed), None)
+          | alt :: _ ->
+              ((f, Rerouted alt), Some (Analysis.Rerouting.with_route f alt)))
+      (Traffic.Scenario.flows scenario)
+  in
+  let is_pinned (f : Traffic.Flow.t) =
+    List.exists
+      (fun (p : Traffic.Flow.t) -> p.Traffic.Flow.id = f.Traffic.Flow.id)
+      pinned
+  in
+  (* Phase 2: greedy shedding among the unpinned survivors until the
+     degraded set is schedulable or nothing sheddable is left. *)
+  let rec settle survivors victims rounds =
+    let report, last =
+      attempt (Traffic.Scenario.make ~switches ~topo ~flows:survivors ())
+    in
+    let rounds = rounds + report.Analysis.Holistic.rounds in
+    let unpinned = List.filter (fun f -> not (is_pinned f)) survivors in
+    match
+      if Analysis.Holistic.is_schedulable report then []
+      else shed_order unpinned
+    with
+    | [] ->
+        {
+          placed = List.map fst placed;
+          victims = List.rev victims;
+          survivors;
+          unpinned;
+          report;
+          last;
+          rounds_spent = rounds;
+        }
+    | victim :: _ ->
+        settle
+          (List.filter
+             (fun (f : Traffic.Flow.t) ->
+               f.Traffic.Flow.id <> victim.Traffic.Flow.id)
+             survivors)
+          (victim :: victims) rounds
+  in
+  settle (List.filter_map snd placed) [] 0
+
+(* One failure case: {!degrade} with every survivor sheddable, each
+   attempt a delta against the shared fault-free base.  Per-attempt
+   delta stats are summed into the case result — under a [Pool]
+   executor the worker's registry increments are lost, so the embedded
+   copy is the one the report (and its JSON) aggregates
+   deterministically. *)
+let analyze_case dbase scenario case =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
-      let topo = Traffic.Scenario.topo scenario in
-      let switches = switch_models scenario in
-      let avoid_links, avoid_nodes = failed_parts topo case in
-      let flows = Traffic.Scenario.flows scenario in
-      let pcache = Network.Pathfind.Cache.create topo in
-      let placed =
-        List.map
-          (fun (f : Traffic.Flow.t) ->
-            let route = f.Traffic.Flow.route in
-            if not (route_hit route ~avoid_links ~avoid_nodes) then
-              (f, Unaffected, Some f)
-            else
-              let candidates =
-                Network.Pathfind.Cache.k_shortest ~k:max_routes ~avoid_links
-                  ~avoid_nodes pcache
-                  ~src:(Network.Route.source route)
-                  ~dst:(Network.Route.destination route)
-              in
-              match candidates with
-              | [] -> (f, Shed, None)
-              | alt :: _ ->
-                  let moved = Analysis.Rerouting.with_route f alt in
-                  (f, Rerouted alt, Some moved))
-          flows
+      let avoid_links, avoid_nodes =
+        failed_parts (Traffic.Scenario.topo scenario) case
       in
-      let acc =
-        ref { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0;
-              d_warm = 0 }
-      in
-      let rec settle survivors shed rounds =
-        let scenario' =
-          Traffic.Scenario.make ~switches ~topo ~flows:survivors ()
-        in
+      let acc = ref delta_zero in
+      let attempt scenario' =
         let d =
           Analysis.Delta.analyze ~lint:true ~precheck:true dbase scenario'
         in
         let s = d.Analysis.Delta.d_stats in
         acc :=
-          {
-            d_closure = !acc.d_closure + s.Analysis.Delta.closure_flows;
-            d_skipped = !acc.d_skipped + s.Analysis.Delta.skipped_flows;
-            d_saved = !acc.d_saved + s.Analysis.Delta.rounds_saved;
-            d_fallbacks =
-              (!acc.d_fallbacks
-              + if s.Analysis.Delta.cold_fallback then 1 else 0);
-            d_warm =
-              (!acc.d_warm + if s.Analysis.Delta.warm_seeded then 1 else 0);
-          };
-        let report = d.Analysis.Delta.d_report in
-        let rounds = rounds + report.Analysis.Holistic.rounds in
-        if Analysis.Holistic.is_schedulable report then (report, shed, rounds)
-        else
-          match shed_order survivors with
-          | [] -> (report, shed, rounds)
-          | victim :: _ ->
-              settle
-                (List.filter
-                   (fun (f : Traffic.Flow.t) ->
-                     f.Traffic.Flow.id <> victim.Traffic.Flow.id)
-                   survivors)
-                (victim.Traffic.Flow.id :: shed)
-                rounds
+          delta_add !acc
+            {
+              d_closure = s.Analysis.Delta.closure_flows;
+              d_skipped = s.Analysis.Delta.skipped_flows;
+              d_saved = s.Analysis.Delta.rounds_saved;
+              d_fallbacks = Bool.to_int s.Analysis.Delta.cold_fallback;
+              d_warm = Bool.to_int s.Analysis.Delta.warm_seeded;
+            };
+        (d.Analysis.Delta.d_report, ())
       in
-      let survivors = List.filter_map (fun (_, _, s) -> s) placed in
-      let report, shed_ids, rounds = settle survivors [] 0 in
+      let d = degrade ~pinned:[] ~avoid_links ~avoid_nodes ~attempt scenario in
+      let shed_ids =
+        List.map (fun (v : Traffic.Flow.t) -> v.Traffic.Flow.id) d.victims
+      in
       let fates =
         List.map
-          (fun ((f : Traffic.Flow.t), fate, _) ->
+          (fun ((f : Traffic.Flow.t), fate) ->
             if List.mem f.Traffic.Flow.id shed_ids then (f, Shed)
             else (f, fate))
-          placed
+          d.placed
       in
       {
         case;
         fates;
-        verdict = report.Analysis.Holistic.verdict;
-        rounds;
+        verdict = d.report.Analysis.Holistic.verdict;
+        rounds = d.rounds_spent;
         delta = Some !acc;
       })
 
@@ -353,60 +305,30 @@ let failed_case_result scenario err case =
 (* Case results memoized across runs: repeated sweeps over the same
    scenario (bench comparisons, per-candidate admission gates that share
    failure cases) reuse whole case evaluations.  The key pins everything
-   a result depends on: the engine (delta and cold report different
-   rounds), the base scenario + config ({!Analysis.Case.digest}), the
-   route budget, and the failed components. *)
+   a result depends on: the base scenario + config
+   ({!Analysis.Case.digest}) and the failed components. *)
 let case_memo : case_result Gmf_exec.Memo.t = Gmf_exec.Memo.create ()
 
 let clear_memo () = Gmf_exec.Memo.clear case_memo
 
-let case_key ~engine ~base_digest ~max_routes case =
+let case_key ~base_digest case =
   let comp = function
     | Link (a, b) -> Printf.sprintf "L%d-%d" a b
     | Switch n -> Printf.sprintf "S%d" n
   in
-  Printf.sprintf "survive|%s|%s|%d|%s" engine base_digest max_routes
+  Printf.sprintf "survive|%s|%s" base_digest
     (String.concat "+" (List.map comp case))
 
-let delta_zero =
-  { d_closure = 0; d_skipped = 0; d_saved = 0; d_fallbacks = 0; d_warm = 0 }
-
-let delta_add a b =
-  {
-    d_closure = a.d_closure + b.d_closure;
-    d_skipped = a.d_skipped + b.d_skipped;
-    d_saved = a.d_saved + b.d_saved;
-    d_fallbacks = a.d_fallbacks + b.d_fallbacks;
-    d_warm = a.d_warm + b.d_warm;
-  }
-
-let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
-    ?(delta = true) ?domain scenario =
+let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   if k < 0 then invalid_arg "Survive.run: k < 0";
-  (* One base fixpoint shared by every case of the sweep.  A base the
-     delta engine cannot certify against (non-converged) demotes the
-     whole sweep to the cold engine rather than falling back per case. *)
-  let dbase =
-    if delta then
-      let b = Analysis.Delta.compute_base ~config scenario in
-      if Analysis.Delta.base_ok b then Some b else None
-    else None
-  in
-  let base =
-    match dbase with
-    | Some b -> Analysis.Delta.base_report b
-    | None -> Analysis.Case.analyze ~config scenario
-  in
+  (* One base fixpoint shared by every case of the sweep.  A base that
+     does not converge leaves every attempt on the delta engine's cold
+     fallback, and the sweep reports no delta totals. *)
+  let dbase = Analysis.Delta.compute_base ~config scenario in
   let comps = match domain with Some d -> d | None -> components scenario in
   let case_list = failure_cases ~k comps in
   Gmf_obs.Metrics.incr ~by:(List.length case_list) m_cases;
-  let engine = match dbase with Some _ -> "delta" | None -> "cold" in
   let base_digest = Analysis.Case.digest ~config scenario in
-  let f =
-    match dbase with
-    | Some b -> analyze_case_delta ~config ~max_routes b scenario
-    | None -> analyze_case ~config ~max_routes scenario
-  in
   (* A memo hit may come from an earlier run on a byte-identical but
      physically distinct scenario value; rebind its fates to this run's
      flow records so [fates] stays keyed by the scenario's own flows
@@ -428,43 +350,48 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
     }
   in
   let cases =
-    Gmf_exec.map_cases ?exec ~memo:case_memo
-      ~key:(case_key ~engine ~base_digest ~max_routes)
-      ~f case_list
+    Gmf_exec.map_cases ?exec ~memo:case_memo ~key:(case_key ~base_digest)
+      ~f:(analyze_case dbase scenario)
+      case_list
     |> List.map2
          (fun case -> function
            | Ok r -> rebind r
            | Error e -> failed_case_result scenario e case)
          case_list
   in
-  (* Counters derived from the collected fates: correct under both
-     backends (worker-side increments never reach this process). *)
+  (* One pass over every fate: the counters (derived here, correct under
+     both backends — worker-side increments never reach this process)
+     and each flow's worst fate across cases.  [flow_verdict]'s
+     constructors are declared in increasing severity, so [max] keeps
+     the worst. *)
+  let worst = Hashtbl.create 64 in
   List.iter
     (fun c ->
       List.iter
-        (fun (_, fate) ->
-          match fate with
-          | Rerouted _ -> Gmf_obs.Metrics.incr m_rerouted
-          | Shed -> Gmf_obs.Metrics.incr m_shed
-          | Unaffected -> ())
+        (fun ((f : Traffic.Flow.t), fate) ->
+          let v =
+            match fate with
+            | Rerouted _ ->
+                Gmf_obs.Metrics.incr m_rerouted;
+                Survives_with_reroute
+            | Shed ->
+                Gmf_obs.Metrics.incr m_shed;
+                Must_shed
+            | Unaffected -> Survives
+          in
+          let id = f.Traffic.Flow.id in
+          match Hashtbl.find_opt worst id with
+          | Some w when w >= v -> ()
+          | _ -> Hashtbl.replace worst id v)
         c.fates)
     cases;
-  let verdict_of (f : Traffic.Flow.t) =
-    let fate_in case_result =
-      List.assoc_opt f.Traffic.Flow.id
-        (List.map
-           (fun ((g : Traffic.Flow.t), fate) -> (g.Traffic.Flow.id, fate))
-           case_result.fates)
-    in
-    let fates = List.filter_map fate_in cases in
-    if List.exists (fun fate -> fate = Shed) fates then Must_shed
-    else if
-      List.exists (function Rerouted _ -> true | _ -> false) fates
-    then Survives_with_reroute
-    else Survives
-  in
   let matrix =
-    List.map (fun f -> (f, verdict_of f)) (Traffic.Scenario.flows scenario)
+    List.map
+      (fun (f : Traffic.Flow.t) ->
+        ( f,
+          Option.value ~default:Survives
+            (Hashtbl.find_opt worst f.Traffic.Flow.id) ))
+      (Traffic.Scenario.flows scenario)
   in
   let shed_set =
     List.filter_map
@@ -472,24 +399,30 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?(max_routes = 4)
       matrix
   in
   let delta_totals =
-    match dbase with
-    | None -> None
-    | Some _ ->
-        Some
-          (List.fold_left
-             (fun acc c ->
-               match c.delta with Some d -> delta_add acc d | None -> acc)
-             delta_zero cases)
+    if Analysis.Delta.base_ok dbase then
+      Some
+        (List.fold_left
+           (fun acc c ->
+             match c.delta with Some d -> delta_add acc d | None -> acc)
+           delta_zero cases)
+    else None
   in
-  { k; base; cases; matrix; shed_set; delta_totals }
+  {
+    k;
+    base = Analysis.Delta.base_report dbase;
+    cases;
+    matrix;
+    shed_set;
+    delta_totals;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Survivable-admission gate                                           *)
 (* ------------------------------------------------------------------ *)
 
-let admission_gate ?exec ?config ?(k = 1) ?max_routes
-    ~(candidate : Traffic.Flow.t) scenario =
-  let report = run ?exec ?config ~k ?max_routes scenario in
+let admission_gate ?exec ?config ?(k = 1) ~(candidate : Traffic.Flow.t)
+    scenario =
+  let report = run ?exec ?config ~k scenario in
   let verdict =
     List.find_map
       (fun ((f : Traffic.Flow.t), v) ->

@@ -3,28 +3,22 @@
     Enumerates every combination of at most [k] failed components — an
     undirected link (both directions die together) or a whole switch —
     and asks, per failure case: which admitted flows keep their route,
-    which must be rerouted around the failure
-    ({!Network.Pathfind.k_shortest} avoiding the failed component), and
-    which must be shed for the rest to stay schedulable.
+    which must be rerouted around the failure, and which must be shed
+    for the rest to stay schedulable.
 
-    By default each case is evaluated {e incrementally} against one
-    shared fault-free base fixpoint ({!Analysis.Delta}): only the
-    interference closure of the case's edit (rerouted and shed flows) is
-    re-analyzed, every other flow carries its base bounds over, and the
-    enumeration walks same-size failure sets in revolving-door Gray
-    order so consecutive cases share most of their degraded sets.  With
-    [~delta:false] — or when the fault-free base does not converge —
-    each case re-runs the sharded analysis cold on the degraded flow
-    set.  Both engines produce identical fates, matrices and shed sets
-    (the delta report certifies untouched flows exactly); per-case
-    [rounds] naturally differ.
-
-    When the verdict is not schedulable, flows are shed greedily in
-    priority order (lowest 802.1p priority first, ties broken by higher
-    flow id — the most recently admitted flow goes first) until the
-    remainder is schedulable.  A case whose degraded scenario fails the
-    {!Gmf_lint} error gate (e.g. a rerouted flow saturates a link,
-    GMF201) sheds without burning fixpoint rounds.
+    Every case runs {!degrade} — the one reroute-and-shed loop, shared
+    with the link-failure events of [Gmf_admctl.Session] — and evaluates
+    each attempt incrementally against one fault-free base fixpoint
+    ({!Analysis.Delta.analyze}, lint gate and precheck on): only the
+    interference closure of the case's reroutes and sheds is
+    re-analyzed, and a degraded set that fails the {!Gmf_lint} error
+    gate (e.g. a reroute saturates a link, GMF201) sheds without burning
+    fixpoint rounds.  Same-size failure sets walk in revolving-door Gray
+    order, so consecutive cases share most of their degraded sets.  A
+    base that does not converge certifies nothing: every attempt takes
+    the delta engine's cold fallback (lint gate, then the
+    precheck-guided {!Analysis.Sharded.analyze} of the whole degraded
+    set), and only then is the report's [delta_totals] [None].
 
     Telemetry: each case bumps [survive.cases] and runs under a
     [survive.case] span; reroutes and sheds bump [faults.flows_rerouted]
@@ -68,7 +62,8 @@ type case_result = {
       (** Of the surviving set, after any shedding. *)
   rounds : int;  (** Holistic rounds spent on this case, all attempts. *)
   delta : delta option;
-      (** Per-case delta statistics; [None] under the cold engine. *)
+      (** Per-case delta statistics; [None] only for a case the executor
+          failed to evaluate. *)
 }
 
 type flow_verdict =
@@ -87,8 +82,8 @@ type report = {
       (** Flows shed in at least one case — what the operator stands to
           lose under any [<= k]-failure, with the greedy shed policy. *)
   delta_totals : delta option;
-      (** Sum of every case's delta statistics; [None] when the sweep
-          ran the cold engine. *)
+      (** Sum of every case's delta statistics; [None] when the
+          fault-free base did not converge. *)
 }
 
 val shed_order : Traffic.Flow.t list -> Traffic.Flow.t list
@@ -107,35 +102,55 @@ val failure_cases : k:int -> component list -> component list list
     components in input order.  The size-1 class is the input list
     itself.  This is the exact case order {!run} evaluates. *)
 
+type 'a degraded = {
+  placed : (Traffic.Flow.t * fate) list;
+      (** Every flow, in scenario order, before any greedy shed. *)
+  victims : Traffic.Flow.t list;  (** Greedily shed, in shed order. *)
+  survivors : Traffic.Flow.t list;  (** The last attempt's flow set. *)
+  unpinned : Traffic.Flow.t list;  (** [survivors] not in [pinned]. *)
+  report : Analysis.Holistic.report;  (** The last attempt's report. *)
+  last : 'a;  (** The last attempt's payload. *)
+  rounds_spent : int;  (** Holistic rounds summed over every attempt. *)
+}
+
+val degrade :
+  pinned:Traffic.Flow.t list ->
+  avoid_links:(Network.Node.id * Network.Node.id) list ->
+  avoid_nodes:Network.Node.id list ->
+  attempt:(Traffic.Scenario.t -> Analysis.Holistic.report * 'a) ->
+  Traffic.Scenario.t ->
+  'a degraded
+(** [degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario]: every
+    flow of [scenario] whose route crosses the failed directed links or
+    nodes moves to its first surviving route, by hop count and then by
+    node sequence, or is shed when none survives.  Then, while
+    [attempt]'s report on the survivors is not schedulable, the head of
+    {!shed_order} among the survivors not in [pinned] (compared by id)
+    is shed.  Bumps no counter.  A survive case pins nothing; a session
+    link failure pins the flows the outage did not hit. *)
+
 val run :
   ?exec:Gmf_exec.t ->
   ?config:Analysis.Config.t ->
   ?k:int ->
-  ?max_routes:int ->
-  ?delta:bool ->
   ?domain:component list ->
   Traffic.Scenario.t ->
   report
 (** [run scenario] analyzes every failure case of at most [k] (default 1)
-    components, trying up to [max_routes] (default 4) alternate routes
-    per affected flow.  Cases are independent and evaluated through
-    [exec] (default {!Gmf_exec.seq}); results are identical for every
-    backend.  A case the executor fails to evaluate (per-case timeout,
-    worker crash) is reported conservatively: analysis-failed verdict
-    with an ["exec: ..."] reason and every flow shed.  Raises
+    components with {!degrade}.  Cases are independent and evaluated
+    through [exec] (default {!Gmf_exec.seq}); results are identical for
+    every backend.  A case the executor fails to evaluate (per-case
+    timeout, worker crash) is reported conservatively: analysis-failed
+    verdict with an ["exec: ..."] reason and every flow shed.  Raises
     [Invalid_argument] when [k < 0].
 
-    [delta] (default [true]) selects the incremental engine: one
-    fault-free base fixpoint is computed up front and every case
-    re-analyzes only its edit's interference closure against it.  Pass
-    [~delta:false] to force the cold per-case engine (the soundness
-    oracle the tests compare against).  [domain] restricts the failure
-    enumeration to the given components (default: every component of
-    {!components}) — bench sweeps use it to bound k>=2 case counts.
+    [domain] restricts the failure enumeration to the given components
+    (default: every component of {!components}) — bench sweeps use it
+    to bound k>=2 case counts.
 
-    Case evaluations are memoized process-wide, keyed by engine, base
-    scenario digest, route budget and failed component set; {!clear_memo}
-    resets the table (timing loops must call it between runs). *)
+    Case evaluations are memoized process-wide, keyed by base scenario
+    digest and failed component set; {!clear_memo} resets the table
+    (timing loops must call it between runs). *)
 
 val clear_memo : unit -> unit
 (** Drop every memoized case evaluation. *)
@@ -144,7 +159,6 @@ val admission_gate :
   ?exec:Gmf_exec.t ->
   ?config:Analysis.Config.t ->
   ?k:int ->
-  ?max_routes:int ->
   candidate:Traffic.Flow.t ->
   Traffic.Scenario.t ->
   Gmf_diag.t list

@@ -1,7 +1,7 @@
-(* Exact counter gates on fixed inputs: executor equivalence, delta ==
-   cold survive sweeps, precheck coverage of the example workloads, the
-   end-to-end m250 admission path and the failover session's recovery
-   cost.  Every expected number below is an exact count, not a timing:
+(* Exact counter gates on fixed inputs: executor equivalence, survive
+   sweeps == the cold test oracle, precheck coverage of the example
+   workloads, the end-to-end m250 admission path and the failover
+   session's recovery cost.  Every expected number below is an exact count, not a timing:
    a change that moves one is either a bug or a deliberate change to
    the analysis, and must update the number here with a reason.
 
@@ -58,7 +58,7 @@ let test_seq_equals_pool () =
     (Survive.to_json scenario pool)
 
 (* ------------------------------------------------------------------ *)
-(* Delta and cold survive sweeps agree on a tiled mesh                *)
+(* Survive sweeps agree with the cold test oracle on a tiled mesh     *)
 (* ------------------------------------------------------------------ *)
 
 (* A software-switch mesh where every flow stays inside a 2-cell tile
@@ -158,11 +158,10 @@ let test_delta_equals_cold_tiles () =
   (* The first 8 tile links (rows 0-2) keep the sweep at 36 cases. *)
   let domain = List.filteri (fun i _ -> i < 8) domain in
   clear_memos ();
-  let d = Survive.run ~k:2 ~domain ~delta:true scenario in
-  clear_memos ();
-  let c = Survive.run ~k:2 ~domain ~delta:false scenario in
+  let d = Survive.run ~k:2 ~domain scenario in
+  let c = Survive_oracle.run ~k:2 ~domain scenario in
   Alcotest.(check int) "cases" 36 (List.length d.Survive.cases);
-  Alcotest.(check string) "delta signature == cold signature"
+  Alcotest.(check string) "delta signature == oracle signature"
     (sweep_signature scenario c)
     (sweep_signature scenario d);
   match d.Survive.delta_totals with
