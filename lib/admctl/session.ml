@@ -49,12 +49,11 @@ type t = {
   explain : bool;
   survivable : int option;
   exec : Gmf_exec.t option;
-  mutable flows : Traffic.Flow.t list; (* id-ascending *)
   mutable failed : (Network.Node.id * Network.Node.id) list;
       (* undirected failed link pairs, smaller id first, newest first *)
-  mutable state : Analysis.Jitter_state.t;
-  mutable converged : bool;
-  mutable report : Analysis.Holistic.report;
+  mutable base : Analysis.Delta.base;
+      (* the committed flow set (id-ascending), its fixpoint and report:
+         the base every fixpoint event is a delta against *)
   mutable seq : int;
   mutable s_admitted : int;
   mutable s_rejected : int;
@@ -126,11 +125,12 @@ let create ?(config = Analysis.Config.default) ?(warm = true)
     explain;
     survivable;
     exec;
-    flows = [];
     failed = [];
-    state = Analysis.Jitter_state.create ();
-    converged = true;
-    report = empty_report;
+    base =
+      Analysis.Delta.make_base ~config
+        ~scenario:(Traffic.Scenario.make ~switches ~topo ~flows:[] ())
+        ~state:(Analysis.Jitter_state.create ())
+        ~report:empty_report ();
     seq = 0;
     s_admitted = 0;
     s_rejected = 0;
@@ -140,9 +140,12 @@ let create ?(config = Analysis.Config.default) ?(warm = true)
     s_saved = 0;
   }
 
-let flows t = t.flows
-let flow_count t = List.length t.flows
-let report t = t.report
+let flows t = Traffic.Scenario.flows (Analysis.Delta.base_scenario t.base)
+
+let flow_count t =
+  Traffic.Scenario.flow_count (Analysis.Delta.base_scenario t.base)
+
+let report t = Analysis.Delta.base_report t.base
 let failed_links t = List.rev t.failed
 
 let summary t =
@@ -190,14 +193,14 @@ let fingerprint t =
             fr.payload_bits)
         (Gmf.Spec.frames f.spec);
       Buffer.add_char buf '\n')
-    t.flows;
+    (flows t);
   List.iter
     (fun (a, b) -> addf "failed %d-%d\n" a b)
     (List.rev t.failed);
   addf "verdict %s converged=%b\n"
     (Format.asprintf "%a" Analysis.Holistic.pp_verdict
-       t.report.Analysis.Holistic.verdict)
-    t.converged;
+       (report t).Analysis.Holistic.verdict)
+    (Analysis.Delta.base_ok t.base);
   addf "counters %d %d %d %d %d %d %d\n" t.seq t.s_admitted t.s_rejected
     t.s_warm t.s_cold t.s_rounds t.s_saved;
   Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -205,28 +208,12 @@ let fingerprint t =
 let scenario_of t flows =
   Traffic.Scenario.make ~switches:t.switches ~topo:t.topo ~flows ()
 
-let insert_sorted flows flow =
-  List.sort
-    (fun a b -> compare a.Traffic.Flow.id b.Traffic.Flow.id)
-    (flow :: flows)
-
-let find_flow t id = List.find_opt (fun f -> f.Traffic.Flow.id = id) t.flows
-
-(* The interference-closure BFS that used to live here moved to
-   {!Analysis.Delta.interference_closure}: remove/update/fail events now
-   hand the whole edit to the delta engine, which diffs the flow sets,
-   closes the edit under node sharing and re-runs the fixpoint only over
-   the closure (see [run_fixpoint_delta] below). *)
+let find_flow t id =
+  List.find_opt (fun f -> f.Traffic.Flow.id = id) (flows t)
 
 (* ------------------------------------------------------------------ *)
 (* Report comparison (shadow mode)                                    *)
 (* ------------------------------------------------------------------ *)
-
-let converged_verdict = function
-  | Analysis.Holistic.Schedulable | Analysis.Holistic.Deadline_miss _ -> true
-  | Analysis.Holistic.Analysis_failed _ | Analysis.Holistic.No_fixed_point _
-    ->
-      false
 
 let same_verdict_kind a b =
   match (a, b) with
@@ -249,8 +236,8 @@ let bounds_of report =
 let reports_equivalent a b =
   same_verdict_kind a.Analysis.Holistic.verdict b.Analysis.Holistic.verdict
   && (not
-        (converged_verdict a.Analysis.Holistic.verdict
-        && converged_verdict b.Analysis.Holistic.verdict)
+        (Analysis.Holistic.converged a.Analysis.Holistic.verdict
+        && Analysis.Holistic.converged b.Analysis.Holistic.verdict)
      || bounds_of a = bounds_of b)
 
 (* ------------------------------------------------------------------ *)
@@ -281,15 +268,6 @@ let reject_diag t ~label diag =
   mk_outcome t ~label ~accepted:false
     ~verdict:(Analysis.Holistic.Analysis_failed [ failure_of_diag diag ])
     ~rounds:0 ~start:Skipped ~diagnostics:[ diag ] ~shadow:None ()
-
-let duplicate_diag flow existing =
-  Gmf_diag.error ~code:"GMF014"
-    ~subject:
-      (Gmf_diag.Flow
-         { id = flow.Traffic.Flow.id; name = flow.Traffic.Flow.name })
-    ~suggestion:"allocate an unused id for the candidate"
-    "candidate id %d is already admitted (flow %S)" flow.Traffic.Flow.id
-    existing.Traffic.Flow.name
 
 let unknown_diag ~what id =
   Gmf_diag.error ~code:"GMF015" ~subject:Gmf_diag.Scenario
@@ -333,14 +311,9 @@ let routed_over_failure t (flow : Traffic.Flow.t) =
   t.failed <> []
   && route_uses (failed_directed t.failed) flow.Traffic.Flow.route
 
-(* One fixpoint run on [scenario], warm-started from [init] when the
-   session allows it.  Returns the report, the converged jitter state,
-   the bookkeeping of how it started, and (explain sessions only) the
-   worst-frame attribution summary — computed here because the live
-   context still holds the converged jitters the report was built on. *)
 (* Shadow mode: re-run the scenario cold through the monolithic analysis
-   and compare.  The oracle both the warm chain and the delta engine are
-   judged against — [--verify] asserts [equivalent] on every event. *)
+   and compare.  The oracle the delta engine is judged against —
+   [--verify] asserts [equivalent] on every event. *)
 let shadow_check t scenario report =
   if not t.shadow then None
   else
@@ -356,19 +329,45 @@ let shadow_check t scenario report =
         equivalent = reports_equivalent report cold;
       }
 
-let run_fixpoint t scenario ~init =
-  let init = if t.warm && t.converged then init else None in
-  let ctx = Analysis.Ctx.create ~config:t.config scenario in
-  let start, report =
-    match init with
-    | Some state ->
-        t.s_warm <- t.s_warm + 1;
-        Gmf_obs.Metrics.incr m_warm_hits;
-        (Warm, Analysis.Holistic.run_from ctx ~init:state)
-    | None ->
-        t.s_cold <- t.s_cold + 1;
-        Gmf_obs.Metrics.incr m_cold_resets;
-        (Cold, Analysis.Holistic.run ctx)
+(* The one fixpoint run of every event that edits the committed flow set
+   (admit, remove, update, the fail loop's degraded sets): [scenario] is
+   an {!Analysis.Delta} edit of the committed base, so only the edit's
+   interference closure is re-analyzed and every other flow carries its
+   committed bounds over.  An admit is a pure-growth edit, warm-seeded
+   from the committed jitters.  Counted as a warm start exactly when
+   committed state was reused — some flow was certified untouched, or a
+   pure-growth closure was warm-seeded; an edit whose closure swallows
+   the whole set restarts from source jitters and counts cold, as does
+   the engine's cold fallback, which a committed report that never
+   converged forces and a [warm:false] session always takes.  The
+   committed scenario lints clean whenever it converged (every converging
+   path ran the lint gate, and removals only relax link loads), so the
+   delta lint-on-closure rule would be sound here too; events do their
+   own linting, so the engine's gate stays off.  Returns the report, the
+   converged jitter state, how the run started, the shadow comparison
+   and (explain sessions only) the worst-frame attribution summary. *)
+let run_fixpoint t scenario =
+  let d =
+    if t.warm then Analysis.Delta.analyze t.base scenario
+    else Analysis.Delta.cold ~config:t.config scenario
+  in
+  let report = d.Analysis.Delta.d_report in
+  let s = d.Analysis.Delta.d_stats in
+  let reused =
+    (not s.Analysis.Delta.cold_fallback)
+    && (s.Analysis.Delta.skipped_flows > 0 || s.Analysis.Delta.warm_seeded)
+  in
+  let start =
+    if reused then begin
+      t.s_warm <- t.s_warm + 1;
+      Gmf_obs.Metrics.incr m_warm_hits;
+      Warm
+    end
+    else begin
+      t.s_cold <- t.s_cold + 1;
+      Gmf_obs.Metrics.incr m_cold_resets;
+      Cold
+    end
   in
   t.s_rounds <- t.s_rounds + report.Analysis.Holistic.rounds;
   let shadow = shadow_check t scenario report in
@@ -376,73 +375,14 @@ let run_fixpoint t scenario ~init =
     if not t.explain then None
     else
       Gmf_explain.Attribution.summarize
-        (Gmf_explain.Attribution.of_ctx ctx report)
+        (Gmf_explain.Attribution.of_state ~config:t.config scenario
+           ~state:d.Analysis.Delta.d_state report)
   in
-  (report, Analysis.Ctx.snapshot ctx, start, shadow, explain)
+  (report, d.Analysis.Delta.d_state, start, shadow, explain)
 
-(* Delta twin of [run_fixpoint], for events that edit the committed flow
-   set (remove, update, the fail loop's degraded sets): the committed
-   scenario + state + report become an {!Analysis.Delta} base and only
-   the edit's interference closure is re-analyzed; every other flow
-   carries its committed bounds over.  Counted as a warm start exactly
-   when committed state was reused — some flow was certified untouched,
-   or a pure-growth closure was warm-seeded; an edit whose closure
-   swallows the whole set restarts from source jitters and counts cold,
-   as does an engine fallback.  A session that
-   disallows warm starts, or whose committed report never converged,
-   runs the plain cold fixpoint instead.  The committed scenario always
-   lints clean when [t.converged] (every converging path ran the lint
-   gate, and removals only relax link loads), so the delta lint-on-
-   closure rule would be sound here too; events do their own linting,
-   so the engine's gate stays off. *)
-let run_fixpoint_delta t scenario =
-  if not (t.warm && t.converged) then run_fixpoint t scenario ~init:None
-  else begin
-    let base =
-      Analysis.Delta.make_base ~lint_clean:true ~config:t.config
-        ~scenario:(scenario_of t t.flows) ~state:t.state ~report:t.report ()
-    in
-    let d = Analysis.Delta.analyze base scenario in
-    let report = d.Analysis.Delta.d_report in
-    let s = d.Analysis.Delta.d_stats in
-    let reused =
-      (not s.Analysis.Delta.cold_fallback)
-      && (s.Analysis.Delta.skipped_flows > 0 || s.Analysis.Delta.warm_seeded)
-    in
-    let start =
-      if reused then begin
-        t.s_warm <- t.s_warm + 1;
-        Gmf_obs.Metrics.incr m_warm_hits;
-        Warm
-      end
-      else begin
-        t.s_cold <- t.s_cold + 1;
-        Gmf_obs.Metrics.incr m_cold_resets;
-        Cold
-      end
-    in
-    t.s_rounds <- t.s_rounds + report.Analysis.Holistic.rounds;
-    let shadow = shadow_check t scenario report in
-    let explain =
-      if not t.explain then None
-      else begin
-        (* The delta run's context only covers the closure; rebuild one
-           over the full target and restore the merged jitters so the
-           attribution sees every flow's converged state. *)
-        let ctx = Analysis.Ctx.create ~config:t.config scenario in
-        Analysis.Ctx.restore ctx d.Analysis.Delta.d_state;
-        Gmf_explain.Attribution.summarize
-          (Gmf_explain.Attribution.of_ctx ctx report)
-      end
-    in
-    (report, d.Analysis.Delta.d_state, start, shadow, explain)
-  end
-
-let commit t ~flows ~state ~report =
-  t.flows <- flows;
-  t.state <- state;
-  t.converged <- converged_verdict report.Analysis.Holistic.verdict;
-  t.report <- report
+let commit t ~scenario ~state ~report =
+  t.base <-
+    Analysis.Delta.make_base ~config:t.config ~scenario ~state ~report ()
 
 (* The survivability gate of admit/update events, when the session was
    created with [?survivable].  Evaluated on the tentative scenario only
@@ -456,14 +396,12 @@ let survive_gate t (flow : Traffic.Flow.t) =
           Gmf_faults.Survive.admission_gate ?exec:t.exec ~config:t.config ~k
             ~candidate:flow scenario)
 
-(* Admit and update share the accept-or-rollback shape; [run] is the
-   fixpoint engine appropriate to the event (monolithic warm chain for
-   admissions, delta for updates), [commit_on_reject] is true for
-   removals only (handled separately).  [gate] (survivability) runs on
-   the tentative scenario after the fixpoint accepts and before the
+(* Admit and update share the accept-or-rollback shape (removals commit
+   regardless and are handled separately).  [gate] (survivability) runs
+   on the tentative scenario after the fixpoint accepts and before the
    commit: a non-empty diagnostic list rejects, leaving the session
    untouched. *)
-let try_set ?gate t ~label ~flows ~run =
+let try_set ?gate t ~label ~flows =
   let scenario = scenario_of t flows in
   let lint = Gmf_lint.Lint.run ~config:t.config scenario in
   match Gmf_lint.Lint.errors lint with
@@ -477,9 +415,9 @@ let try_set ?gate t ~label ~flows ~run =
   | [] -> (
       (* Static pre-analysis: a certified-infeasible flow rejects before
          any fixpoint (mirroring the lint fast path), and oversized
-         interference components surface as GMF019 warnings.  Accepted
-         events still run the monolithic warm fixpoint so the session's
-         warm-start chain stays intact. *)
+         interference components surface as GMF019 warnings.  Events it
+         does not reject run the exact fixpoint, whose converged state the
+         commit keeps as the next delta base. *)
       let pre = Gmf_precheck.Precheck.run ~config:t.config scenario in
       let pre_diags = Gmf_precheck.Precheck.diagnostics pre in
       match Gmf_diag.at_least Gmf_diag.Error pre_diags with
@@ -493,7 +431,9 @@ let try_set ?gate t ~label ~flows ~run =
             ~shadow:None ()
       | [] -> (
           let diagnostics = lint.Gmf_lint.Lint.diagnostics @ pre_diags in
-          let report, state, start, shadow, explain = run scenario in
+          let report, state, start, shadow, explain =
+            run_fixpoint t scenario
+          in
           let accepted = Analysis.Holistic.is_schedulable report in
           let gate_diags =
             match gate with Some g when accepted -> g scenario | _ -> []
@@ -507,7 +447,7 @@ let try_set ?gate t ~label ~flows ~run =
                 ~rounds:report.Analysis.Holistic.rounds ~start
                 ~diagnostics:(diagnostics @ gate_diags) ~shadow ~explain ()
           | [] ->
-              if accepted then commit t ~flows ~state ~report;
+              if accepted then commit t ~scenario ~state ~report;
               mk_outcome t ~label ~accepted
                 ~verdict:report.Analysis.Holistic.verdict
                 ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics
@@ -516,14 +456,14 @@ let try_set ?gate t ~label ~flows ~run =
 let apply_admit t flow =
   let label = "admit " ^ flow.Traffic.Flow.name in
   match find_flow t flow.Traffic.Flow.id with
-  | Some existing -> reject_diag t ~label (duplicate_diag flow existing)
+  | Some existing ->
+      reject_diag t ~label
+        (Analysis.Admission.duplicate_id_diag ~candidate:flow ~existing)
   | None when routed_over_failure t flow ->
       reject_diag t ~label (failed_route_diag t flow)
   | None ->
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(insert_sorted t.flows flow)
-        ~run:(fun scenario ->
-          run_fixpoint t scenario ~init:(Some t.state))
+        ~flows:(flow :: flows t)
 
 let apply_remove t id =
   match find_flow t id with
@@ -533,15 +473,13 @@ let apply_remove t id =
         (unknown_diag ~what:"remove" id)
   | Some victim ->
       let label = "remove " ^ victim.Traffic.Flow.name in
-      let remaining =
-        List.filter (fun f -> f.Traffic.Flow.id <> id) t.flows
+      let scenario =
+        scenario_of t
+          (List.filter (fun f -> f.Traffic.Flow.id <> id) (flows t))
       in
-      let scenario = scenario_of t remaining in
-      let report, state, start, shadow, explain =
-        run_fixpoint_delta t scenario
-      in
+      let report, state, start, shadow, explain = run_fixpoint t scenario in
       (* The departure happens regardless of the refreshed verdict. *)
-      commit t ~flows:remaining ~state ~report;
+      commit t ~scenario ~state ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict
         ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics:[]
@@ -558,13 +496,13 @@ let apply_update t flow =
       let rest =
         List.filter
           (fun f -> f.Traffic.Flow.id <> flow.Traffic.Flow.id)
-          t.flows
+          (flows t)
       in
       (* The delta engine diffs old vs new parameters itself, closes the
          edit under interference and restarts only the closure from
          source jitters (a parameter change is never a pure growth). *)
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(insert_sorted rest flow) ~run:(run_fixpoint_delta t)
+        ~flows:(flow :: rest)
 
 let link_subject a b = Gmf_diag.Link { src = a; dst = b }
 
@@ -605,12 +543,13 @@ let apply_fail t a b =
       List.partition
         (fun (f : Traffic.Flow.t) ->
           route_uses avoid f.Traffic.Flow.route)
-        t.flows
+        (flows t)
     in
     t.failed <- failed;
     if affected = [] then
       mk_outcome t ~label ~accepted:true
-        ~verdict:t.report.Analysis.Holistic.verdict ~rounds:0 ~start:Skipped
+        ~verdict:(report t).Analysis.Holistic.verdict ~rounds:0
+        ~start:Skipped
         ~diagnostics:[] ~shadow:None
         ~degradation:(Some { rerouted = []; shed = [] })
         ()
@@ -621,24 +560,26 @@ let apply_fail t a b =
         with
         | _ :: _ as errors ->
             ( Analysis.Admission.lint_failed errors,
-              (Analysis.Jitter_state.create (), Skipped, None, None) )
+              (scenario, Analysis.Jitter_state.create (), Skipped, None, None)
+            )
         | [] ->
             let report, state, start, shadow, explain =
-              run_fixpoint_delta t scenario
+              run_fixpoint t scenario
             in
-            (report, (state, start, shadow, explain))
+            (report, (scenario, state, start, shadow, explain))
       in
       let {
         Gmf_faults.Survive.placed;
         victims;
-        survivors = flows;
         unpinned = rerouted;
         report;
-        last = state, start, shadow, explain;
+        last = scenario, state, start, shadow, explain;
         rounds_spent;
+        _;
       } =
         Gmf_faults.Survive.degrade ~pinned:safe ~avoid_links:avoid
-          ~avoid_nodes:[] ~attempt (scenario_of t t.flows)
+          ~avoid_nodes:[] ~attempt
+          (Analysis.Delta.base_scenario t.base)
       in
       let pre_shed =
         List.filter_map
@@ -652,7 +593,7 @@ let apply_fail t a b =
       Gmf_obs.Metrics.incr
         ~by:(List.length pre_shed + List.length victims)
         m_shed;
-      commit t ~flows ~state ~report;
+      commit t ~scenario ~state ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict ~rounds:rounds_spent ~start
         ~diagnostics:[] ~shadow ~explain
@@ -675,16 +616,17 @@ let apply_restore t a b =
   else begin
     t.failed <- List.filter (fun p -> p <> pair) t.failed;
     mk_outcome t ~label ~accepted:true
-      ~verdict:t.report.Analysis.Holistic.verdict ~rounds:0 ~start:Skipped
+      ~verdict:(report t).Analysis.Holistic.verdict ~rounds:0 ~start:Skipped
       ~diagnostics:[] ~shadow:None
       ~degradation:(Some { rerouted = []; shed = [] })
       ()
   end
 
 let apply_query t =
+  let report = report t in
   mk_outcome t ~label:"query"
-    ~accepted:(Analysis.Holistic.is_schedulable t.report)
-    ~verdict:t.report.Analysis.Holistic.verdict ~rounds:0 ~start:Skipped
+    ~accepted:(Analysis.Holistic.is_schedulable report)
+    ~verdict:report.Analysis.Holistic.verdict ~rounds:0 ~start:Skipped
     ~diagnostics:[] ~shadow:None ()
 
 let span_name = function

@@ -1,25 +1,29 @@
-(** Long-lived admission-control sessions with warm-started holistic
+(** Long-lived admission-control sessions with incremental holistic
     fixpoints (paper Section 3.5, run as a service).
 
     A session owns the currently-admitted flow set, its converged
-    {!Analysis.Jitter_state.t} and the last committed report.  Each event
-    re-runs the Tindell & Clark-style holistic iteration on the tentative
-    flow set, but instead of starting cold it warm-starts from the
-    previous fixed point whenever that is sound:
+    {!Analysis.Jitter_state.t} and the last committed report, kept
+    together as one {!Analysis.Delta.base}.  Every event that runs a
+    fixpoint — admit, remove, update, each attempt of a link failure —
+    hands its tentative flow set to {!Analysis.Delta.analyze} against
+    that base: only the edit's interference closure is re-analyzed, and
+    every flow outside it carries its committed bounds over unrecomputed.
 
-    - {e admit}: jitters grow monotonically when flows are added, so the
-      old fixed point sits below the new one and
-      {!Analysis.Holistic.run_from} converges to the {e same} verdict and
-      bounds as a cold {!Analysis.Holistic.analyze}, in at most as many
-      rounds;
-    - {e remove}/{e update}/{e fail}: the edit goes through the
-      {!Analysis.Delta} engine — the committed scenario, jitter state
-      and report form the delta base, only the edit's interference
-      closure is re-analyzed, and every flow outside it carries its
-      committed bounds over unrecomputed.  An event counts [Warm] when
-      committed state was actually reused (flows certified untouched);
-      an edit whose closure swallows the whole set restarts from source
-      jitters and counts [Cold].
+    - {e admit}: a pure-growth edit.  Jitters grow monotonically when
+      flows are added, so the committed fixed point sits below the new
+      one and the closure, warm-started from it
+      ({!Analysis.Holistic.run_from}), converges to the {e same} verdict
+      and bounds as a cold {!Analysis.Holistic.analyze}, in at most as
+      many rounds;
+    - {e remove}/{e update}/{e fail}: shrinking or mixed edits, whose
+      closure restarts from source jitters.
+
+    An event counts [Warm] when committed state was actually reused
+    (flows certified untouched, or a warm-seeded admit); an edit whose
+    closure swallows the whole set restarts from source jitters and
+    counts [Cold], as does the engine's cold fallback, which a
+    non-converged committed report forces and a [warm:false] session
+    always takes ({!Analysis.Delta.cold}).
 
     Candidate flows are lint-gated ({!Gmf_lint}) before any fixpoint runs;
     a lint error rejects with [rounds = 0] exactly like

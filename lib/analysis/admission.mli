@@ -61,6 +61,12 @@ val binding_failure : decision -> Result_types.failure option
     analysis/lint failure, the first recorded failure; a synthetic failure
     for a non-converging fixpoint.  [None] when the decision admitted. *)
 
+val duplicate_id_diag :
+  candidate:Traffic.Flow.t -> existing:Traffic.Flow.t -> Gmf_diag.t
+(** The [GMF014] error of a candidate whose id is already admitted as
+    [existing] — shared with [Gmf_admctl] so a session's duplicate
+    rejection reads like {!admit}'s. *)
+
 val failure_of_diag : Gmf_diag.t -> Result_types.failure
 (** The synthetic analysis failure a lint error turns into inside a
     rejecting decision — shared with [Gmf_admctl] so session rejections

@@ -43,17 +43,13 @@ let m_saved =
 let m_fallbacks =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "delta.cold_fallbacks"
 
-let converged_verdict = function
-  | Holistic.Schedulable | Holistic.Deadline_miss _ -> true
-  | Holistic.Analysis_failed _ | Holistic.No_fixed_point _ -> false
-
 let make_base ?(lint_clean = true) ~config ~scenario ~state ~report () =
   {
     b_config = config;
     b_scenario = scenario;
     b_state = state;
     b_report = report;
-    b_ok = converged_verdict report.Holistic.verdict;
+    b_ok = Holistic.converged report.Holistic.verdict;
     b_lint_clean = lint_clean;
   }
 
@@ -68,10 +64,11 @@ let compute_base ?(config = Config.default) scenario =
     b_scenario = scenario;
     b_state = Ctx.snapshot ctx;
     b_report = report;
-    b_ok = converged_verdict report.Holistic.verdict;
+    b_ok = Holistic.converged report.Holistic.verdict;
     b_lint_clean = lint_clean;
   }
 
+let base_scenario b = b.b_scenario
 let base_report b = b.b_report
 let base_state b = b.b_state
 let base_ok b = b.b_ok
@@ -197,6 +194,7 @@ let lint_reject ~config scenario =
 
 let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
+    Gmf_obs.Metrics.incr m_runs;
     Gmf_obs.Metrics.incr ~by:closure m_closure;
     Gmf_obs.Metrics.incr ~by:(total - closure) m_skipped;
     Gmf_obs.Metrics.incr ~by:saved m_saved;
@@ -228,7 +226,8 @@ let cold_run ~precheck ~config scenario =
 
 (* Comparison ruled out: analyze the target cold (optionally through the
    full-scenario lint gate), certify nothing. *)
-let cold_fallback ~lint ~precheck ~config target ~total =
+let cold ?(lint = false) ?(precheck = false) ~config target =
+  let total = Traffic.Scenario.flow_count target in
   match if lint then lint_reject ~config target else None with
   | Some report ->
       {
@@ -250,13 +249,58 @@ let cold_fallback ~lint ~precheck ~config target ~total =
             ~saved:0 ~fallback:true ~warm:false;
       }
 
+(* A closure run folded back into the base: untouched flows keep their
+   base result records (physically — the certificate the tests check)
+   and jitter entries, closure flows take the re-converged ones, in
+   scenario flow order; the verdict is rebuilt as {!Sharded} does.
+   Returns the merged report and state and the untouched ids; a closure
+   that covers every target flow is the answer as it stands. *)
+let merge base target_flows ~in_closure sub_report sub_state =
+  let untouched = List.filter (fun f -> not (in_closure f)) target_flows in
+  if untouched = [] then (sub_report, sub_state, [])
+  else
+    let untouched_tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (f : Traffic.Flow.t) ->
+        Hashtbl.replace untouched_tbl f.Traffic.Flow.id ())
+      untouched;
+    let by_id = Hashtbl.create 64 in
+    List.iter
+      (fun (r : Result_types.flow_result) ->
+        let id = r.Result_types.flow.Traffic.Flow.id in
+        if Hashtbl.mem untouched_tbl id then Hashtbl.replace by_id id r)
+      base.b_report.Holistic.results;
+    List.iter
+      (fun (r : Result_types.flow_result) ->
+        Hashtbl.replace by_id r.Result_types.flow.Traffic.Flow.id r)
+      sub_report.Holistic.results;
+    let results =
+      List.filter_map
+        (fun (f : Traffic.Flow.t) -> Hashtbl.find_opt by_id f.Traffic.Flow.id)
+        target_flows
+    in
+    let verdict =
+      match sub_report.Holistic.verdict with
+      | Holistic.Analysis_failed _ | Holistic.No_fixed_point _ ->
+          sub_report.Holistic.verdict
+      | Holistic.Schedulable | Holistic.Deadline_miss _ -> (
+          match Holistic.deadline_misses results with
+          | [] -> Holistic.Schedulable
+          | misses -> Holistic.Deadline_miss misses)
+    in
+    ( { Holistic.verdict; rounds = sub_report.Holistic.rounds; results },
+      Jitter_state.union
+        (Jitter_state.filter_flows base.b_state
+           ~keep:(Hashtbl.mem untouched_tbl))
+        sub_state,
+      List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) untouched )
+
 let analyze ?(lint = false) ?(precheck = false) base target =
-  Gmf_obs.Metrics.incr m_runs;
   let config = base.b_config in
   let target_flows = Traffic.Scenario.flows target in
   let total = List.length target_flows in
   if not (base.b_ok && same_structure base target) then
-    cold_fallback ~lint ~precheck ~config target ~total
+    cold ~lint ~precheck ~config target
   else begin
     let base_flows = Traffic.Scenario.flows base.b_scenario in
     let added, removed, changed = diff_flows base_flows target_flows in
@@ -296,14 +340,6 @@ let analyze ?(lint = false) ?(precheck = false) base target =
             if in_closure f then Some f.Traffic.Flow.id else None)
           target_flows
       in
-      let untouched =
-        List.filter (fun f -> not (in_closure f)) target_flows
-      in
-      let untouched_tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (f : Traffic.Flow.t) ->
-          Hashtbl.replace untouched_tbl f.Traffic.Flow.id ())
-        untouched;
       let sub = Sharded.sub_scenario target closure_ids in
       (* Sound because the closure is a union of complete target
          components: a lint error of the degraded scenario involves a
@@ -354,48 +390,14 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                  restart from source jitters). *)
               cold_run ~precheck ~config sub
           in
-          (* Merge: untouched flows keep their base result records
-             (physically — the certificate the tests check), closure
-             flows take the re-converged ones; scenario flow order. *)
-          let by_id = Hashtbl.create 64 in
-          List.iter
-            (fun (r : Result_types.flow_result) ->
-              let id = r.Result_types.flow.Traffic.Flow.id in
-              if Hashtbl.mem untouched_tbl id then Hashtbl.replace by_id id r)
-            base.b_report.Holistic.results;
-          List.iter
-            (fun (r : Result_types.flow_result) ->
-              Hashtbl.replace by_id r.Result_types.flow.Traffic.Flow.id r)
-            sub_report.Holistic.results;
-          let results =
-            List.filter_map
-              (fun (f : Traffic.Flow.t) ->
-                Hashtbl.find_opt by_id f.Traffic.Flow.id)
-              target_flows
-          in
-          let verdict =
-            match sub_report.Holistic.verdict with
-            | Holistic.Analysis_failed _ | Holistic.No_fixed_point _ ->
-                sub_report.Holistic.verdict
-            | Holistic.Schedulable | Holistic.Deadline_miss _ -> (
-                match Holistic.deadline_misses results with
-                | [] -> Holistic.Schedulable
-                | misses -> Holistic.Deadline_miss misses)
+          let d_report, d_state, d_untouched =
+            merge base target_flows ~in_closure sub_report sub_state
           in
           let rounds = sub_report.Holistic.rounds in
-          let d_state =
-            Jitter_state.union
-              (Jitter_state.filter_flows base.b_state
-                 ~keep:(Hashtbl.mem untouched_tbl))
-              sub_state
-          in
           {
-            d_report = { Holistic.verdict; rounds; results };
+            d_report;
             d_state;
-            d_untouched =
-              List.map
-                (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id)
-                untouched;
+            d_untouched;
             d_stats =
               mk_stats ~total
                 ~closure:(List.length closure_ids)

@@ -69,6 +69,7 @@ val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 (** Cold-analyze [scenario] ({!Holistic.run}) and wrap the result; also
     records whether the scenario lints clean. *)
 
+val base_scenario : base -> Traffic.Scenario.t
 val base_report : base -> Holistic.report
 val base_state : base -> Jitter_state.t
 val base_ok : base -> bool
@@ -143,4 +144,16 @@ val analyze :
     [target] — the closure is a union of complete interference
     components (sharding property), untouched components keep their
     least fixed point, and the closure either restarts from source
-    jitters or (pure growth) squeezes up from below it. *)
+    jitters or (pure growth) squeezes up from below it.  A closure that
+    covers every target flow is run on [target] itself (the restriction
+    returns it unchanged), and that run is the result as it stands. *)
+
+val cold :
+  ?lint:bool -> ?precheck:bool -> config:Config.t -> Traffic.Scenario.t ->
+  result
+(** [cold ~config target] is the fallback {!analyze} takes when the
+    comparison is ruled out: [target] analyzed from source jitters
+    (through the full-scenario lint gate under [~lint:true], through
+    {!Sharded.analyze} under [~precheck:true]), nothing certified,
+    [stats.cold_fallback] set.  Exposed for callers that must not reuse
+    a base, e.g. a session created with [warm:false]. *)

@@ -166,6 +166,10 @@ let analyze ?config scenario = run (Ctx.create ?config scenario)
 
 let is_schedulable report = report.verdict = Schedulable
 
+let converged = function
+  | Schedulable | Deadline_miss _ -> true
+  | Analysis_failed _ | No_fixed_point _ -> false
+
 let pp_verdict fmt = function
   | Schedulable -> Format.pp_print_string fmt "schedulable"
   | Deadline_miss fs ->

@@ -86,5 +86,10 @@ val deadline_misses : Result_types.flow_result list -> Result_types.failure list
 
 val is_schedulable : report -> bool
 
+val converged : verdict -> bool
+(** Whether the iteration reached a fixed point ([Schedulable] or
+    [Deadline_miss]): only then are the bounds and the jitter state
+    valid, e.g. as a warm-start or delta base. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp : Format.formatter -> report -> unit

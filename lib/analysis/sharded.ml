@@ -27,21 +27,23 @@ let sub_scenario scenario flow_ids =
       (fun f -> Hashtbl.mem keep f.Traffic.Flow.id)
       (Traffic.Scenario.flows scenario)
   in
-  let used = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Traffic.Flow.t) ->
-      List.iter
-        (fun n -> Hashtbl.replace used n ())
-        (Network.Route.intermediate_switches f.Traffic.Flow.route))
-    flows;
-  let switches =
-    Hashtbl.fold
-      (fun n () acc -> (n, Traffic.Scenario.switch_model scenario n) :: acc)
-      used []
-    |> List.sort compare
-  in
-  Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
-    ~flows ()
+  if List.length flows = Traffic.Scenario.flow_count scenario then scenario
+  else
+    let used = Hashtbl.create 16 in
+    List.iter
+      (fun (f : Traffic.Flow.t) ->
+        List.iter
+          (fun n -> Hashtbl.replace used n ())
+          (Network.Route.intermediate_switches f.Traffic.Flow.route))
+      flows;
+    let switches =
+      Hashtbl.fold
+        (fun n () acc -> (n, Traffic.Scenario.switch_model scenario n) :: acc)
+        used []
+      |> List.sort compare
+    in
+    Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
+      ~flows ()
 
 let stage_of_inequality = function
   | Gmf_precheck.Precheck.Demand_floor { stage; _ }

@@ -38,8 +38,10 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
     flows, keeping the full topology and only the switch models the member
     routes traverse.  When [flow_ids] is a union of complete interference
     components, analyzing the restriction is byte-equal to restricting the
-    analysis (the sharding property above).  Exposed for {!Delta}, which
-    fixpoints exactly the interference closure of an edit. *)
+    analysis (the sharding property above).  When [flow_ids] covers
+    every flow, [scenario] itself is returned, with its build caches.
+    Exposed for {!Delta}, which fixpoints exactly the interference
+    closure of an edit. *)
 
 val analyze :
   ?exec:Gmf_exec.t ->

@@ -227,6 +227,11 @@ let of_ctx ctx (report : Holistic.report) =
         report.Holistic.results;
   }
 
+let of_state ?config scenario ~state report =
+  let ctx = Ctx.create ?config scenario in
+  Ctx.restore ctx state;
+  of_ctx ctx report
+
 let analyze ?config scenario =
   let ctx = Ctx.create ?config scenario in
   let report = Holistic.run ctx in

@@ -79,10 +79,17 @@ type t = {
 val slack : frame_attr -> Gmf_util.Timeunit.ns
 (** [fa_deadline - fa_total]; negative on a miss. *)
 
-val of_ctx : Analysis.Ctx.t -> Analysis.Holistic.report -> t
-(** [of_ctx ctx report] decomposes every bound of [report] against [ctx]'s
-    current jitter state — call it right after the {!Analysis.Holistic} run
-    that produced [report], on the same context. *)
+val of_state :
+  ?config:Analysis.Config.t ->
+  Traffic.Scenario.t ->
+  state:Analysis.Jitter_state.t ->
+  Analysis.Holistic.report ->
+  t
+(** [of_state scenario ~state report] decomposes every bound of [report]
+    against the converged jitter [state] it was computed from, over the
+    whole of [scenario] — e.g. an incremental run's merged state
+    ({!Analysis.Delta.result}), whose own context covered only part of
+    the flows. *)
 
 val analyze : ?config:Analysis.Config.t -> Traffic.Scenario.t -> t * Analysis.Holistic.report
 (** One-shot convenience: run the holistic analysis and attribute it. *)

@@ -372,6 +372,152 @@ let gen_trace_text rng =
   done;
   Buffer.contents buf
 
+(* The whole-set warm chain admits used to run, kept as the oracle of the
+   delta run that replaced it: {!Analysis.Holistic.run_from} over the
+   full tentative set, seeded with the committed set's fixpoint when the
+   committed report converged, else a cold run.  The seed is re-run here
+   without a round cap: a converged committed report sits at the least
+   fixed point of the committed set, which is what the chain kept. *)
+let chain_oracle ~config (trace : Scenario_io.Admtrace.t) ~committed
+    ~converged candidate =
+  let scenario flows =
+    Traffic.Scenario.make ~switches:trace.Scenario_io.Admtrace.switches
+      ~topo:trace.Scenario_io.Admtrace.topo ~flows ()
+  in
+  let ctx = Analysis.Ctx.create ~config (scenario (candidate :: committed)) in
+  if converged then begin
+    let lfp = Analysis.Ctx.create (scenario committed) in
+    ignore (Analysis.Holistic.run lfp);
+    ( Session.Warm,
+      Analysis.Holistic.run_from ctx ~init:(Analysis.Ctx.snapshot lfp) )
+  end
+  else (Session.Cold, Analysis.Holistic.run ctx)
+
+(* Replays [trace] into a warm session and checks every admit that ran a
+   fixpoint against {!chain_oracle}: same start, rounds, verdict kind and
+   bounds.  Returns how many of them the oracle started cold. *)
+let check_admits_against_chain ~config trace text =
+  let session =
+    Session.create ~config ~switches:trace.Scenario_io.Admtrace.switches
+      ~topo:trace.Scenario_io.Admtrace.topo ()
+  in
+  List.fold_left
+    (fun colds (_line, ev) ->
+      let committed = Session.flows session in
+      let converged =
+        Analysis.Holistic.converged
+          (Session.report session).Analysis.Holistic.verdict
+      in
+      let event = Replay.session_event ev in
+      let o = Session.apply session event in
+      match event with
+      | Session.Admit flow when o.Session.start <> Session.Skipped ->
+          let start, chain =
+            chain_oracle ~config trace ~committed ~converged flow
+          in
+          let rounds = chain.Analysis.Holistic.rounds in
+          if
+            start <> o.Session.start
+            || rounds <> o.Session.rounds
+            || verdict_kind chain.Analysis.Holistic.verdict
+               <> verdict_kind o.Session.verdict
+          then
+            QCheck.Test.fail_reportf
+              "event #%d (%s): %a %d rounds (%s), whole-set chain %a %d \
+               rounds (%s)@\n%s"
+              o.Session.seq o.Session.label Session.pp_start o.Session.start
+              o.Session.rounds
+              (verdict_kind o.Session.verdict)
+              Session.pp_start start rounds
+              (verdict_kind chain.Analysis.Holistic.verdict)
+              text
+          else if
+            o.Session.accepted
+            && bounds_of chain <> bounds_of (Session.report session)
+          then
+            QCheck.Test.fail_reportf
+              "event #%d (%s): bounds differ from the whole-set chain@\n%s"
+              o.Session.seq o.Session.label text
+          else if start = Session.Cold then colds + 1
+          else colds
+      | _ -> colds)
+    0 trace.Scenario_io.Admtrace.events
+
+(* A [warm:false] session resets every fixpoint to source jitters: each
+   single-run event takes exactly the rounds of {!Analysis.Holistic.analyze}
+   on its scenario (the shadow's reference run); a link failure sums the
+   rounds of its settle attempts, the last of which is the shadowed one. *)
+let check_cold_replay ~config trace text =
+  let { Replay.outcomes; _ } =
+    Replay.run ~config ~warm:false ~shadow:true trace
+  in
+  List.iter
+    (fun (o : Session.outcome) ->
+      match o.Session.shadow with
+      | None -> ()
+      | Some { Session.cold_rounds; _ } ->
+          let ok =
+            o.Session.start <> Session.Warm
+            &&
+            if o.Session.degradation = None then
+              o.Session.rounds = cold_rounds
+            else o.Session.rounds >= cold_rounds
+          in
+          if not ok then
+            QCheck.Test.fail_reportf
+              "event #%d (%s): cold session %a %d rounds, analyze %d@\n%s"
+              o.Session.seq o.Session.label Session.pp_start o.Session.start
+              o.Session.rounds cold_rounds text)
+    outcomes
+
+(* A warm session agrees with the cold batch analysis: every fixpoint
+   with its cold shadow, and the final committed report with a
+   from-scratch analysis of the final admitted set. *)
+let check_warm_equals_cold trace text =
+  let { Replay.outcomes; session } = Replay.run ~shadow:true trace in
+  (* 1. every warm fixpoint agreed with its cold shadow *)
+  List.iter
+    (fun o ->
+      match o.Session.shadow with
+      | Some { Session.equivalent = false; cold_rounds } ->
+          QCheck.Test.fail_reportf
+            "event #%d (%s): warm disagrees with cold (%d rounds)@\n%s"
+            o.Session.seq o.Session.label cold_rounds text
+      | _ -> ())
+    outcomes;
+  (* 2. the committed state equals a from-scratch analysis of the
+     final admitted set *)
+  let final = Session.flows session in
+  if final = [] then true
+  else begin
+    let scenario =
+      Traffic.Scenario.make ~switches:trace.Scenario_io.Admtrace.switches
+        ~topo:trace.Scenario_io.Admtrace.topo ~flows:final ()
+    in
+    let cold = Analysis.Holistic.analyze scenario in
+    let warm = Session.report session in
+    if
+      verdict_kind cold.Analysis.Holistic.verdict
+      <> verdict_kind warm.Analysis.Holistic.verdict
+    then
+      QCheck.Test.fail_reportf "final verdicts differ: %s vs %s@\n%s"
+        (verdict_kind warm.Analysis.Holistic.verdict)
+        (verdict_kind cold.Analysis.Holistic.verdict)
+        text
+    else if bounds_of cold <> bounds_of warm then
+      QCheck.Test.fail_reportf "final bounds differ@\n%s" text
+    else true
+  end
+
+(* Every trace is held to cold equivalence under the default config.
+   Every third trace is also replayed with the holistic iteration capped
+   at two rounds and held to the chain oracle and the cold replay under
+   that cap.  These random traces never commit an unconverged report,
+   even under a cap, so the cold fallback after one is covered by
+   [test_unconverged_commit_falls_back]. *)
+let capped_config =
+  { Analysis.Config.default with Analysis.Config.max_holistic_rounds = 2 }
+
 let prop_warm_equals_cold =
   QCheck.Test.make ~name:"warm session == cold batch on random traces"
     ~count:60
@@ -380,40 +526,66 @@ let prop_warm_equals_cold =
       let rng = Gmf_util.Rng.create ~seed in
       let text = gen_trace_text rng in
       let trace = trace_of_string text in
-      let { Replay.outcomes; session } = Replay.run ~shadow:true trace in
-      (* 1. every warm fixpoint agreed with its cold shadow *)
+      let configs =
+        if seed mod 3 = 0 then [ Analysis.Config.default; capped_config ]
+        else [ Analysis.Config.default ]
+      in
       List.iter
-        (fun o ->
-          match o.Session.shadow with
-          | Some { Session.equivalent = false; cold_rounds } ->
-              QCheck.Test.fail_reportf
-                "event #%d (%s): warm disagrees with cold (%d rounds)@\n%s"
-                o.Session.seq o.Session.label cold_rounds text
-          | _ -> ())
-        outcomes;
-      (* 2. the committed state equals a from-scratch analysis of the
-         final admitted set *)
-      let final = Session.flows session in
-      if final = [] then true
-      else begin
-        let scenario =
-          Traffic.Scenario.make ~switches:trace.Scenario_io.Admtrace.switches
-            ~topo:trace.Scenario_io.Admtrace.topo ~flows:final ()
-        in
-        let cold = Analysis.Holistic.analyze scenario in
-        let warm = Session.report session in
-        if
-          verdict_kind cold.Analysis.Holistic.verdict
-          <> verdict_kind warm.Analysis.Holistic.verdict
-        then
-          QCheck.Test.fail_reportf "final verdicts differ: %s vs %s@\n%s"
-            (verdict_kind warm.Analysis.Holistic.verdict)
-            (verdict_kind cold.Analysis.Holistic.verdict)
-            text
-        else if bounds_of cold <> bounds_of warm then
-          QCheck.Test.fail_reportf "final bounds differ@\n%s" text
-        else true
-      end)
+        (fun config ->
+          ignore (check_admits_against_chain ~config trace text);
+          check_cold_replay ~config trace text)
+        configs;
+      check_warm_equals_cold trace text)
+
+(* A committed report that never converged: on a line of four switches,
+   seven long-haul flows each admit within three rounds, but removing
+   lh1 leaves a set whose cold restart needs four.  Under a three-round
+   cap the removal commits [No_fixed_point], and the events after it take
+   the delta engine's cold fallback — as the whole-set chain did. *)
+let test_unconverged_commit_falls_back () =
+  let buf = Buffer.create 2048 in
+  for s = 0 to 3 do
+    Printf.bprintf buf
+      "node l%d endhost\nnode ls%d switch\nduplex l%d ls%d rate=10M\n" s s s s;
+    if s > 0 then Printf.bprintf buf "duplex ls%d ls%d rate=10M\n" (s - 1) s
+  done;
+  for s = 0 to 3 do
+    Printf.bprintf buf "switch ls%d ports=3 cpus=1 croute=2.7us csend=1us\n" s
+  done;
+  let admit i (src, dst, prio, period, jitter, payload) =
+    Printf.bprintf buf
+      "admit flow lh%d from=l%d to=l%d prio=%d encap=udp\n\
+      \  frame period=%dms deadline=900ms jitter=%dms payload=%dB\nend\n"
+      i src dst prio period jitter payload
+  in
+  List.iteri admit
+    [
+      (3, 0, 2, 54, 0, 3000); (1, 2, 1, 33, 3, 6000); (2, 1, 7, 70, 1, 16000);
+      (1, 0, 0, 31, 3, 13000); (3, 1, 5, 60, 3, 12000);
+      (3, 1, 2, 56, 1, 20000); (1, 0, 5, 58, 1, 16000);
+    ];
+  Buffer.add_string buf "remove lh1\n";
+  admit 7 (0, 3, 4, 40, 0, 2000);
+  admit 8 (2, 3, 6, 50, 1, 1000);
+  Buffer.add_string buf "remove lh0\nquery\n";
+  let text = Buffer.contents buf in
+  let config =
+    { Analysis.Config.default with Analysis.Config.max_holistic_rounds = 3 }
+  in
+  let trace = trace_of_string text in
+  let { Replay.outcomes; _ } = Replay.run ~config trace in
+  Alcotest.(check (list string))
+    "starts" [ "warm"; "warm"; "warm"; "warm"; "warm"; "warm"; "warm";
+               "cold"; "cold"; "cold"; "cold"; "-" ]
+    (List.map
+       (fun (o : Session.outcome) ->
+         Format.asprintf "%a" Session.pp_start o.Session.start)
+       outcomes);
+  Alcotest.(check string) "remove lh1 commits" "divergent"
+    (verdict_kind (List.nth outcomes 7).Session.verdict);
+  Alcotest.(check int) "admits started cold by the chain oracle" 2
+    (check_admits_against_chain ~config trace text);
+  check_cold_replay ~config trace text
 
 let prop_trace_parser_total =
   QCheck.Test.make ~name:"admtrace parser never raises on garbage"
@@ -518,5 +690,7 @@ let tests =
     Alcotest.test_case "Admission.admit duplicate id" `Quick
       test_admission_duplicate_id;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "unconverged commit takes the cold fallback" `Quick
+      test_unconverged_commit_falls_back;
     QCheck_alcotest.to_alcotest prop_trace_parser_total;
   ]

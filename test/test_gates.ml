@@ -1,9 +1,10 @@
 (* Exact counter gates on fixed inputs: executor equivalence, survive
-   sweeps == the cold test oracle, precheck coverage of the example
-   workloads, the end-to-end m250 admission path and the failover
-   session's recovery cost.  Every expected number below is an exact count, not a timing:
-   a change that moves one is either a bug or a deliberate change to
-   the analysis, and must update the number here with a reason.
+   sweeps == the cold test oracle, session admits as delta runs,
+   precheck coverage of the example workloads, the end-to-end m250
+   admission path and the failover session's recovery cost.  Every
+   expected number below is an exact count, not a timing: a change that
+   moves one is either a bug or a deliberate change to the analysis, and
+   must update the number here with a reason.
 
    Wall time is measured only by perfbench (see perfbench/README.md). *)
 
@@ -174,6 +175,68 @@ let test_delta_equals_cold_tiles () =
           t.Survive.d_closure; t.Survive.d_skipped; t.Survive.d_saved;
           t.Survive.d_fallbacks; t.Survive.d_warm;
         ]
+
+(* ------------------------------------------------------------------ *)
+(* Session admits are delta runs                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The 6x6 tile mesh admitted into a session one flow at a time.  Every
+   admit is one warm-seeded, pure-growth delta run against the committed
+   base, whose closure is the candidate's tile rather than the whole
+   admitted set: 18 tiles of 6 flows re-analyze 18 x (1 + ... + 6) = 378
+   flows.  The committed verdict and results end equal to a cold
+   analysis of the full population.  A [warm:false] session takes the
+   delta engine's cold fallback on every admit, each counted as one delta
+   run over the whole tentative set: 1 + ... + 108 = 5886 flows. *)
+let admit_all ~warm scenario =
+  let module Session = Gmf_admctl.Session in
+  let session =
+    Session.create ~warm ~topo:(Traffic.Scenario.topo scenario) ()
+  in
+  let outcomes, counter =
+    with_counters (fun () ->
+        List.map
+          (fun f -> Session.apply session (Session.Admit f))
+          (Traffic.Scenario.flows scenario))
+  in
+  (session, outcomes, counter)
+
+let test_session_admits_tiles () =
+  let module Session = Gmf_admctl.Session in
+  let scenario, _domain = tile_mesh ~rows:6 ~cols:6 in
+  let session, outcomes, counter = admit_all ~warm:true scenario in
+  let count p = List.length (List.filter p outcomes) in
+  Alcotest.(check (list int))
+    "admits/accepted/warm" [ 108; 108; 108 ]
+    [
+      List.length outcomes;
+      count (fun (o : Session.outcome) -> o.Session.accepted);
+      count (fun (o : Session.outcome) -> o.Session.start = Session.Warm);
+    ];
+  Alcotest.(check (list int))
+    "delta.runs/cold_fallbacks/closure_flows, fixpoint.calls"
+    [ 108; 0; 378; 96_130 ]
+    [
+      counter "delta.runs"; counter "delta.cold_fallbacks";
+      counter "delta.closure_flows"; counter "fixpoint.calls";
+    ];
+  let cold = Analysis.Holistic.analyze scenario
+  and committed = Session.report session in
+  Alcotest.(check bool) "committed verdict and results == cold analysis" true
+    (committed.Analysis.Holistic.verdict = cold.Analysis.Holistic.verdict
+    && committed.Analysis.Holistic.results = cold.Analysis.Holistic.results);
+  let _, cold_outcomes, cold_counter = admit_all ~warm:false scenario in
+  Alcotest.(check (list int))
+    "cold session: admits/accepted, delta.runs/cold_fallbacks/closure_flows"
+    [ 108; 108; 108; 108; 5886 ]
+    [
+      List.length cold_outcomes;
+      List.length
+        (List.filter (fun (o : Session.outcome) -> o.Session.accepted)
+           cold_outcomes);
+      cold_counter "delta.runs"; cold_counter "delta.cold_fallbacks";
+      cold_counter "delta.closure_flows";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Precheck coverage and sharded verdicts                             *)
@@ -353,6 +416,8 @@ let tests =
       test_seq_equals_pool;
     Alcotest.test_case "delta == cold on the 6x6 tile mesh at k=2" `Quick
       test_delta_equals_cold_tiles;
+    Alcotest.test_case "session admits on the 6x6 tile mesh" `Quick
+      test_session_admits_tiles;
     Alcotest.test_case "precheck counters on five workloads" `Quick
       test_precheck_counters;
     Alcotest.test_case "m250 admission counters" `Quick test_m250;
