@@ -35,6 +35,8 @@ let scenarios =
    [fault] directives.  Only [simulate] consumes the schedule. *)
 let build_scenario_faults ?file name rate =
   match file with
+  | Some _ when rate <> None ->
+      Error "--rate applies to named scenarios (-s), not to --file"
   | Some path -> (
       match Scenario_io.Parse.scenario_faults_of_file path with
       | Ok parsed ->
@@ -360,23 +362,11 @@ let csv_arg =
     & info [ "csv" ] ~docv:"WHAT" ~doc)
 
 let analyze_cmd =
-  let run name file rate config csv jobs metrics trace_out =
+  let run name file rate config csv metrics trace_out =
     exit_of_result
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out (fun () ->
-               (* With jobs > 1 the fixpoints run per interference
-                  component on the worker pool; the merged report is
-                  structurally identical to the monolithic one (the
-                  sharded property tests enforce it). *)
-               let report =
-                 if Gmf_exec.resolve_jobs jobs > 1 then
-                   let report, _pre, _stats =
-                     Analysis.Sharded.analyze ~exec:(exec_of_jobs jobs)
-                       ~skip_decided:false ~config scenario
-                   in
-                   report
-                 else Analysis.Holistic.analyze ~config scenario
-               in
+               let report = Analysis.Holistic.analyze ~config scenario in
                match csv with
                | Some "stages" ->
                    print_string (Analysis.Report_io.stage_csv report)
@@ -387,7 +377,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Upper-bound every flow's end-to-end response time.")
     Term.(const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg
-          $ csv_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
+          $ csv_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                           *)
@@ -794,15 +784,14 @@ let validate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let plan_cmd =
-  let run name file rate config jobs =
+  let run name file rate config =
     exit_of_result
       (Result.map
          (fun scenario ->
            let kv = Experiments.Exp_common.kv in
-           let exec = exec_of_jobs jobs in
            (* Traffic headroom: scale every flow's payloads. *)
            let headroom =
-             Analysis.Sensitivity.max_payload_scale ~exec ~config
+             Analysis.Sensitivity.max_payload_scale ~config
                ~build:(fun ~scale ->
                  Traffic.Scenario.map_flows scenario ~f:(fun f ->
                      Traffic.Flow.scale_payloads f scale))
@@ -835,7 +824,7 @@ let plan_cmd =
                ()
            in
            let cpu_slack =
-             Analysis.Sensitivity.max_circ ~exec ~config
+             Analysis.Sensitivity.max_circ ~config
                ~build:(fun ~circ_scale -> with_cpu_scale circ_scale)
                ()
            in
@@ -860,8 +849,7 @@ let plan_cmd =
     (Cmd.info "plan"
        ~doc:
          "Capacity planning: traffic headroom, switch-CPU slack and           per-flow deadline slack for a scenario.")
-    Term.(
-      const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg $ jobs_arg)
+    Term.(const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg)
 
 (* ------------------------------------------------------------------ *)
 (* backlog                                                            *)

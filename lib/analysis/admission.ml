@@ -45,44 +45,6 @@ let check ?exec ?config scenario =
       in
       { admitted = Holistic.is_schedulable report; report; diagnostics }
 
-let binding_failure (d : decision) =
-  match d.report.Holistic.verdict with
-  | Holistic.Schedulable -> None
-  | Holistic.No_fixed_point n ->
-      Some
-        {
-          Result_types.flow_id = -1;
-          frame = 0;
-          failed_stage = None;
-          reason =
-            Printf.sprintf "no jitter fixed point after %d rounds" n;
-        }
-  | Holistic.Analysis_failed [] -> None
-  | Holistic.Analysis_failed (f :: _) -> Some f
-  | Holistic.Deadline_miss fs -> (
-      (* The binding constraint is the deadline violated by the most:
-         smallest (most negative) slack among the missing frames. *)
-      let slack_of (f : Result_types.failure) =
-        match
-          List.find_opt
-            (fun r ->
-              r.Result_types.flow.Traffic.Flow.id = f.Result_types.flow_id)
-            d.report.Holistic.results
-        with
-        | Some r when f.Result_types.frame < Array.length r.Result_types.frames
-          ->
-            Result_types.slack r.Result_types.frames.(f.Result_types.frame)
-        | _ -> max_int
-      in
-      match fs with
-      | [] -> None
-      | f0 :: rest ->
-          Some
-            (List.fold_left
-               (fun best f ->
-                 if slack_of f < slack_of best then f else best)
-               f0 rest))
-
 let rebuild scenario extra_flows =
   Traffic.Scenario.make ~topo:(Traffic.Scenario.topo scenario)
     ~flows:(Traffic.Scenario.flows scenario @ extra_flows)

@@ -55,12 +55,6 @@ val admit_exn :
 (** Pre-GMF014 behaviour of {!admit}: raises [Invalid_argument] on a
     duplicate candidate id (via [Traffic.Scenario.make]). *)
 
-val binding_failure : decision -> Result_types.failure option
-(** The single constraint that binds a rejection: for a deadline miss, the
-    failure of the frame with the smallest (most negative) slack; for an
-    analysis/lint failure, the first recorded failure; a synthetic failure
-    for a non-converging fixpoint.  [None] when the decision admitted. *)
-
 val duplicate_id_diag :
   candidate:Traffic.Flow.t -> existing:Traffic.Flow.t -> Gmf_diag.t
 (** The [GMF014] error of a candidate whose id is already admitted as

@@ -104,31 +104,8 @@ let analyze_all ?exec ?(config = Config.default) scenarios =
     ~f:(Holistic.analyze ~config) scenarios
   |> List.map (function Ok r -> r | Error e -> report_of_error e)
 
-let analyze ?exec ?config scenario =
-  match analyze_all ?exec ?config [ scenario ] with
-  | [ r ] -> r
-  | _ -> assert false
+let analyze ?config scenario =
+  match analyze_all ?config [ scenario ] with [ r ] -> r | _ -> assert false
 
-let schedulable ?exec ?config scenario =
-  Holistic.is_schedulable (analyze ?exec ?config scenario)
-
-type search = {
-  found : (int * Holistic.report) option;
-  last : Holistic.report option;
-  evaluated : int;
-}
-
-let search_schedulable ?exec ?(config = Config.default) scenarios =
-  let r =
-    Gmf_exec.search_first ?exec ~memo:shared_memo ~key:(digest ~config)
-      ~f:(Holistic.analyze ~config) ~accept:Holistic.is_schedulable
-      scenarios
-  in
-  {
-    found = r.Gmf_exec.found;
-    last =
-      Option.map
-        (function Ok rep -> rep | Error e -> report_of_error e)
-        r.Gmf_exec.last;
-    evaluated = r.Gmf_exec.evaluated;
-  }
+let schedulable ?config scenario =
+  Holistic.is_schedulable (analyze ?config scenario)

@@ -1,17 +1,18 @@
 (** One analysis case = (flow set, topology, config), evaluated through
     {!Gmf_exec}.
 
-    Every many-case driver (survivability enumeration, sensitivity
-    probes, priority search, rerouting candidates, bench sweeps) funnels
-    its whole-scenario analyses through this module so that
+    Sensitivity probes, rerouting candidates, rejection hints and the
+    per-component fixpoints of {!Sharded} funnel their whole-scenario
+    analyses through this module so that
 
-    + the backend is pluggable ([?exec], {!Gmf_exec.seq} by default);
+    + the backend of a batch is pluggable ({!analyze_all}'s [?exec],
+      {!Gmf_exec.seq} by default);
     + identical cases are computed once: results are memoized in a
-      process-wide table keyed by {!digest}, so e.g. two survive cases
-      that shed down to the same remainder set, or a sensitivity probe
-      revisiting a scale, reuse the earlier fixpoint.
+      process-wide table keyed by {!digest}, so e.g. a sensitivity probe
+      revisiting a scale, or a rerouting candidate tried twice, reuses
+      the earlier fixpoint.
 
-    Exec-layer failures (per-case timeout, worker crash) degrade to an
+    Exec-layer failures (a worker crash) degrade to an
     [Analysis_failed] report carrying an ["exec: ..."] reason, so
     drivers stay total and render rejections uniformly. *)
 
@@ -41,27 +42,9 @@ val analyze_all :
 (** Analyze every scenario, in order, through the executor and the
     shared memo. *)
 
-val analyze :
-  ?exec:Gmf_exec.t -> ?config:Config.t -> Traffic.Scenario.t ->
-  Holistic.report
-(** Single-case convenience: memoized {!Holistic.analyze}. *)
+val analyze : ?config:Config.t -> Traffic.Scenario.t -> Holistic.report
+(** Single-case convenience: memoized {!Holistic.analyze}, run in
+    process. *)
 
-val schedulable :
-  ?exec:Gmf_exec.t -> ?config:Config.t -> Traffic.Scenario.t -> bool
+val schedulable : ?config:Config.t -> Traffic.Scenario.t -> bool
 (** [Holistic.is_schedulable (analyze scenario)]. *)
-
-type search = {
-  found : (int * Holistic.report) option;
-      (** Smallest index whose report is schedulable, with the report. *)
-  last : Holistic.report option;
-      (** Report of the last case sequential search would evaluate. *)
-  evaluated : int;  (** Sequential-equivalent evaluation count. *)
-}
-
-val search_schedulable :
-  ?exec:Gmf_exec.t ->
-  ?config:Config.t ->
-  Traffic.Scenario.t list ->
-  search
-(** First-match search for a schedulable scenario, deterministic across
-    backends (see {!Gmf_exec.search_first}). *)

@@ -43,14 +43,14 @@ let m_saved =
 let m_fallbacks =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "delta.cold_fallbacks"
 
-let make_base ?(lint_clean = true) ~config ~scenario ~state ~report () =
+let make_base ~config ~scenario ~state ~report () =
   {
     b_config = config;
     b_scenario = scenario;
     b_state = state;
     b_report = report;
     b_ok = Holistic.converged report.Holistic.verdict;
-    b_lint_clean = lint_clean;
+    b_lint_clean = true;
   }
 
 let compute_base ?(config = Config.default) scenario =
@@ -70,9 +70,7 @@ let compute_base ?(config = Config.default) scenario =
 
 let base_scenario b = b.b_scenario
 let base_report b = b.b_report
-let base_state b = b.b_state
 let base_ok b = b.b_ok
-let base_digest b = Case.digest ~config:b.b_config b.b_scenario
 
 (* ------------------------------------------------------------------ *)
 (* Structure comparison and flow diff                                  *)

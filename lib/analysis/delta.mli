@@ -48,7 +48,6 @@ type base
 (** A converged base fixpoint: scenario, config, jitter state, report. *)
 
 val make_base :
-  ?lint_clean:bool ->
   config:Config.t ->
   scenario:Traffic.Scenario.t ->
   state:Jitter_state.t ->
@@ -60,10 +59,9 @@ val make_base :
     be the converged jitter state of [report] on [scenario] under
     [config]; a non-converged [report] ([Analysis_failed] /
     [No_fixed_point]) yields a base every {!analyze} call falls back
-    cold from.  [lint_clean] (default [true]) asserts the base scenario
-    passes the {!Gmf_lint} error gate, which lets [analyze ~lint:true]
-    lint only the closure restriction; pass [false] when unknown and the
-    full target is linted instead. *)
+    cold from.  The base scenario is taken to pass the {!Gmf_lint} error
+    gate, which lets [analyze ~lint:true] lint only the closure
+    restriction. *)
 
 val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 (** Cold-analyze [scenario] ({!Holistic.run}) and wrap the result; also
@@ -71,14 +69,9 @@ val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 
 val base_scenario : base -> Traffic.Scenario.t
 val base_report : base -> Holistic.report
-val base_state : base -> Jitter_state.t
 val base_ok : base -> bool
 (** Whether the base converged — [false] means every {!analyze} against
     it falls back cold. *)
-
-val base_digest : base -> string
-(** {!Case.digest} of the base scenario under the base config — the
-    base half of a delta-memo key (cached inside the scenario value). *)
 
 type stats = {
   total_flows : int;  (** Flows in the target scenario. *)

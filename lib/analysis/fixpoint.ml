@@ -49,11 +49,6 @@ let iterate ~f ~seed ~max_iters ~horizon =
   in
   go seed 0
 
-let map o g =
-  match o with
-  | Converged c -> Converged { c with value = g c.value }
-  | d -> d
-
 let pp fmt = function
   | Converged { value; iters } ->
       Format.fprintf fmt "converged(%a, %d iter%s)" Timeunit.pp value iters

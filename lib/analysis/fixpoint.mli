@@ -28,7 +28,4 @@ val iterate :
     A negative step value (an overflowed sum) counts as crossing the
     horizon.  Raises [Invalid_argument] if [max_iters <= 0] or [seed < 0]. *)
 
-val map : outcome -> (Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) -> outcome
-(** [map o g] applies [g] to a converged value (keeping its [iters]). *)
-
 val pp : Format.formatter -> outcome -> unit

@@ -30,34 +30,37 @@ let candidate_routes ?(max_routes = 4) ?avoid_links ?avoid_nodes topo flow =
   if route_avoids ?avoid_links ?avoid_nodes own then own :: alternatives
   else alternatives
 
-(* First-match search over candidate routes, through the case layer:
-   deterministic first (lowest-index) schedulable route under every
-   backend, with sequential-equivalent attempt counting. *)
-let try_routes ?exec ?config ~base_flows ~topo ~switches flow routes =
-  let scenario_of route =
-    Traffic.Scenario.make ~switches ~topo
-      ~flows:(base_flows @ [ with_route flow route ])
-      ()
+(* First-match search over candidate routes, in order, through the case
+   layer's memo: the first schedulable route wins and [attempts] counts
+   the routes analyzed up to and including it. *)
+let try_routes ?config ~base_flows ~topo ~switches flow routes =
+  let rec go attempts last = function
+    | [] -> (None, attempts, last)
+    | route :: rest ->
+        let report =
+          Case.analyze ?config
+            (Traffic.Scenario.make ~switches ~topo
+               ~flows:(base_flows @ [ with_route flow route ])
+               ())
+        in
+        if Holistic.is_schedulable report then
+          (Some route, attempts + 1, Some report)
+        else go (attempts + 1) (Some report) rest
   in
-  let search =
-    Case.search_schedulable ?exec ?config (List.map scenario_of routes)
-  in
-  match search.Case.found with
-  | Some (i, report) -> (Some (List.nth routes i), i + 1, Some report)
-  | None -> (None, search.Case.evaluated, search.Case.last)
+  go 0 None routes
 
 let switch_models scenario =
   Traffic.Scenario.switch_nodes scenario
   |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
 
-let admit ?exec ?config ?max_routes ?avoid_links ?avoid_nodes scenario
+let admit ?config ?max_routes ?avoid_links ?avoid_nodes scenario
     ~candidate =
   let topo = Traffic.Scenario.topo scenario in
   let routes =
     candidate_routes ?max_routes ?avoid_links ?avoid_nodes topo candidate
   in
   let accepted, attempts, report =
-    try_routes ?exec ?config
+    try_routes ?config
       ~base_flows:(Traffic.Scenario.flows scenario)
       ~topo
       ~switches:(switch_models scenario)
@@ -70,13 +73,13 @@ let admit ?exec ?config ?max_routes ?avoid_links ?avoid_nodes scenario
   in
   { admitted = accepted <> None; route = accepted; attempts; report }
 
-let admit_greedily ?exec ?config ?max_routes ~topo ~switches candidates =
+let admit_greedily ?config ?max_routes ~topo ~switches candidates =
   let rec go accepted rejected = function
     | [] -> (List.rev accepted, List.rev rejected)
     | candidate :: rest -> begin
         let routes = candidate_routes ?max_routes topo candidate in
         let found, _, _ =
-          try_routes ?exec ?config ~base_flows:(List.rev accepted) ~topo
+          try_routes ?config ~base_flows:(List.rev accepted) ~topo
             ~switches candidate routes
         in
         match found with

@@ -22,7 +22,6 @@ val with_route : Traffic.Flow.t -> Network.Route.t -> Traffic.Flow.t
     they name hops of the old route. *)
 
 val admit :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?max_routes:int ->
   ?avoid_links:(Network.Node.id * Network.Node.id) list ->
@@ -39,13 +38,11 @@ val admit :
     [Gmf_faults]): avoided routes are never tried — including the
     candidate's own route when it crosses a failed component.
 
-    Candidate routes are independent cases evaluated through [exec]
-    (default {!Gmf_exec.seq}) via {!Case.search_schedulable}: the
-    accepted route and the [attempts] count are the ones sequential
-    first-match search produces, for every backend. *)
+    Candidate routes are analyzed in order through {!Case.analyze} (and
+    its shared memo); the first schedulable one is accepted, and
+    [attempts] counts the routes analyzed up to it. *)
 
 val admit_greedily :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?max_routes:int ->
   topo:Network.Topology.t ->

@@ -8,13 +8,11 @@
     predicate is monotone in every searched parameter (more capacity never
     breaks a schedulable set), which the test suite checks.
 
-    Probes are evaluated through {!Case} (and therefore {!Gmf_exec}):
-    [?exec] supplies the per-case timeout, and revisited probes hit the
-    shared report memo.  The bisections themselves stay sequential —
-    every probe depends on the previous verdict. *)
+    Probes are evaluated through {!Case.schedulable}, so revisited
+    probes hit the shared report memo.  The bisections are sequential —
+    every probe depends on the previous verdict — and run in process. *)
 
 val min_link_rate :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?lo:int ->
   ?hi:int ->
@@ -27,7 +25,6 @@ val min_link_rate :
     Raises [Invalid_argument] if [lo <= 0] or [lo > hi]. *)
 
 val max_payload_scale :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?resolution:float ->
   ?hi:float ->
@@ -42,7 +39,6 @@ val max_payload_scale :
     when [hi < 1/64]. *)
 
 val max_circ :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   build:(circ_scale:float -> Traffic.Scenario.t) ->
   unit ->

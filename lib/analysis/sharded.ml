@@ -83,17 +83,11 @@ let certified_result flow ceilings =
   in
   { Result_types.flow; frames }
 
-let analyze ?exec ?(skip_decided = true) ?(config = Config.default) scenario =
+let analyze ?exec ?(config = Config.default) scenario =
   let pre = Gmf_precheck.Precheck.run ?exec ~config scenario in
-  let infeasible, certified =
-    if skip_decided then
-      (Gmf_precheck.Precheck.infeasible pre, Gmf_precheck.Precheck.certified pre)
-    else ([], [])
-  in
-  let to_run =
-    if skip_decided then Gmf_precheck.Precheck.undecided_components pre
-    else pre.Gmf_precheck.Precheck.components
-  in
+  let infeasible = Gmf_precheck.Precheck.infeasible pre
+  and certified = Gmf_precheck.Precheck.certified pre
+  and to_run = Gmf_precheck.Precheck.undecided_components pre in
   let scenario_flows = Traffic.Scenario.flows scenario in
   let flow_by_id id = Traffic.Scenario.flow scenario id in
   let subs =
@@ -193,11 +187,3 @@ let analyze ?exec ?(skip_decided = true) ?(config = Config.default) scenario =
     }
   in
   ({ Holistic.verdict; rounds; results }, pre, stats)
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "%d/%d component%s fixpointed (%d flows: %d infeasible, %d certified \
-     statically)"
-    s.components_run s.components
-    (if s.components = 1 then "" else "s")
-    s.flows s.flows_infeasible s.flows_certified

@@ -15,15 +15,22 @@
     Because interference never crosses component boundaries (two flows
     interfere only where their routes share a node, which is exactly an
     {!Gmf_precheck.Igraph} edge), the union of the per-component fixed
-    points {e is} the monolithic fixed point: with [~skip_decided:false]
-    (every component fixpointed, nothing synthesized) the merged report
-    equals [Holistic.analyze] structurally — results in scenario flow
-    order, [rounds] the maximum over components, the verdict rebuilt
-    with {!Holistic.deadline_misses}.  The property tests enforce this.
-    The only caveat is an [Analysis_failed] monolithic run, which stops
-    {e every} flow at the failing round, while the sharded run lets the
-    other components converge — same verdict constructor, possibly more
-    results. *)
+    points {e is} the monolithic fixed point: fixpointing every
+    component through {!sub_scenario} and merging in scenario flow order
+    equals [Holistic.analyze] structurally — same results, [rounds] the
+    maximum over components, the verdict rebuilt with
+    {!Holistic.deadline_misses}.  The property tests in
+    test/test_precheck.ml build that union and enforce it; {!Delta}'s
+    exactness rests on it.  The only caveat is an [Analysis_failed]
+    monolithic run, which stops {e every} flow at the failing round,
+    while a per-component run lets the other components converge — same
+    verdict constructor, possibly more results and rounds.
+
+    {!analyze} itself always skips the statically decided flows, so its
+    report carries certificates and certified ceilings where the
+    monolithic one carries fixpoint results: whether the set is
+    schedulable agrees (the certificates are sound), the bounds and
+    failure reasons need not. *)
 
 type stats = {
   components : int;  (** Interference components in the scenario. *)
@@ -45,16 +52,8 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
 
 val analyze :
   ?exec:Gmf_exec.t ->
-  ?skip_decided:bool ->
   ?config:Config.t ->
   Traffic.Scenario.t ->
   Holistic.report * Gmf_precheck.Precheck.report * stats
-(** [analyze ?exec ?skip_decided ?config scenario] is the merged report,
-    the precheck report it was guided by, and the sharding counters.
-
-    [skip_decided] defaults to [true].  With [false], precheck verdicts
-    are computed but ignored: every component runs the fixpoint, which
-    makes the merged report structurally equal to the monolithic one
-    (the byte-identity property above). *)
-
-val pp_stats : Format.formatter -> stats -> unit
+(** [analyze ?exec ?config scenario] is the merged report, the precheck
+    report it was guided by, and the sharding counters. *)

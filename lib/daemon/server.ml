@@ -224,9 +224,8 @@ let rec pump t sess ~now =
                    bound; journal replays ([p_conn = None]) are exempt —
                    deadline-killing a replay that runs colder than the
                    original request would restart the whole replay under
-                   backoff, potentially starving recovery forever.  The
-                   per-case SIGALRM timeout inside the worker still
-                   bounds each replayed analysis. *)
+                   backoff, potentially starving recovery forever.
+                   Replayed analyses therefore run unbounded. *)
                 sess.s_deadline <-
                   (if p.p_conn = None then None
                    else Option.map (fun d -> now +. d) t.cfg.deadline_s)

@@ -31,10 +31,9 @@
       backlog exceeds 1 MiB or makes no progress for 10 s.
 
     Journal-replay work is internal: it is exempt from
-    {!config.deadline_s} (each replayed case is still bounded by the
-    worker's own per-case timeout), so recovery of a session whose
-    events replay slower than the client-facing latency bound cannot be
-    starved into a respawn loop.
+    {!config.deadline_s} and runs unbounded, so recovery of a session
+    whose events replay slower than the client-facing latency bound
+    cannot be starved into a respawn loop.
 
     Telemetry (default registry): [daemon.requests],
     [daemon.events_committed], [daemon.events_replayed], [daemon.shed],

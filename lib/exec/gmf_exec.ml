@@ -1,23 +1,18 @@
-type backend = Seq | Pool of { jobs : int }
-type t = { backend : backend; timeout_s : float option }
+type t = Seq | Pool of { jobs : int }
 
-let seq = { backend = Seq; timeout_s = None }
-let pool ?timeout_s jobs = { backend = Pool { jobs }; timeout_s }
-
-let of_jobs ?timeout_s jobs =
-  if jobs <= 1 then { backend = Seq; timeout_s } else pool ?timeout_s jobs
-
-let jobs_from_env () =
-  match Sys.getenv_opt "GMFNET_JOBS" with
-  | None -> None
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Some n
-    | _ -> None)
+let seq = Seq
+let pool jobs = Pool { jobs }
+let of_jobs jobs = if jobs <= 1 then Seq else pool jobs
 
 let resolve_jobs cli =
   match cli with
   | Some n -> n
-  | None -> ( match jobs_from_env () with Some n -> n | None -> 1)
+  | None -> (
+      match Option.bind (Sys.getenv_opt "GMFNET_JOBS") (fun s ->
+                int_of_string_opt (String.trim s))
+      with
+      | Some n when n > 0 -> n
+      | _ -> 1)
 
 type error = Timed_out | Crashed of string | Exn of string
 
@@ -92,61 +87,11 @@ let emit_case_span dur_s =
   Gmf_obs.Tracer.emit ~cat:"exec" ~tid:1 Gmf_obs.Tracer.default
     ~name:"exec.case" ~begin_ns:0 ~end_ns:dur_ns
 
-(* ------------------------------------------------------------------ *)
-(* Per-case evaluation with timeout                                    *)
-(* ------------------------------------------------------------------ *)
-
-exception Case_timed_out
-
-(* SIGALRM-based: works identically in-process (Seq) and inside pool
-   workers.  OCaml delivers signals at allocation points, so a case
-   that never allocates can overrun; analysis cases allocate heavily.
-
-   Timeouts nest: both the previous handler and the previously pending
-   alarm are saved on entry and re-armed on exit (minus the time this
-   scope consumed), so an outer deadline — e.g. a daemon-level
-   per-request deadline wrapping a per-case timeout — keeps ticking
-   instead of being clobbered.  An outer alarm that expired while the
-   inner scope ran is re-armed with a minimal positive delay and fires
-   at the next allocation point after the restore. *)
-let with_timeout timeout_s f =
-  match timeout_s with
-  | None -> f ()
-  | Some s when s <= 0. -> f ()
-  | Some s ->
-      let old_handler =
-        Sys.signal Sys.sigalrm
-          (Sys.Signal_handle (fun _ -> raise Case_timed_out))
-      in
-      let t0 = Unix.gettimeofday () in
-      let old_timer =
-        Unix.setitimer Unix.ITIMER_REAL
-          { Unix.it_interval = 0.; it_value = s }
-      in
-      let finally () =
-        ignore
-          (Unix.setitimer Unix.ITIMER_REAL
-             { Unix.it_interval = 0.; it_value = 0. });
-        Sys.set_signal Sys.sigalrm old_handler;
-        if old_timer.Unix.it_value > 0. then begin
-          let elapsed = Unix.gettimeofday () -. t0 in
-          let remaining = old_timer.Unix.it_value -. elapsed in
-          let remaining = if remaining > 0. then remaining else 1e-6 in
-          ignore
-            (Unix.setitimer Unix.ITIMER_REAL
-               { old_timer with Unix.it_value = remaining })
-        end
-      in
-      Fun.protect ~finally f
-
 (* Outcome plus wall-clock duration in seconds. *)
-let eval_one ~timeout_s ~f x =
+let eval_one ~f x =
   let t0 = Unix.gettimeofday () in
   let outcome =
-    match with_timeout timeout_s (fun () -> f x) with
-    | v -> Ok v
-    | exception Case_timed_out -> Error Timed_out
-    | exception e -> Error (Exn (Printexc.to_string e))
+    match f x with v -> Ok v | exception e -> Error (Exn (Printexc.to_string e))
   in
   (outcome, Unix.gettimeofday () -. t0)
 
@@ -183,7 +128,7 @@ let close_worker w =
    [(idx, duration, outcome)] back — one message per task, so the
    parent's channel buffer never holds more than one response and
    select-readability stays truthful. *)
-let spawn ~timeout_s ~f (cases : 'a array) =
+let spawn ~f (cases : 'a array) =
   let task_r, task_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   flush stdout;
@@ -213,7 +158,7 @@ let spawn ~timeout_s ~f (cases : 'a array) =
                  Gmf_obs.Metrics.reset reg;
                  Gmf_obs.Tracer.reset tracer
                end;
-               let outcome, dur = eval_one ~timeout_s ~f cases.(idx) in
+               let outcome, dur = eval_one ~f cases.(idx) in
                let telemetry =
                  if obs_on then
                    Some
@@ -248,22 +193,14 @@ let spawn ~timeout_s ~f (cases : 'a array) =
 
 (* Drive a fork pool over the wanted indices of [cases].
 
-   [want idx] says whether [idx] still needs a result (search mode
-   retires indices past the best accepted one); [record idx outcome dur]
-   stores a collected result.  Results are recorded exactly once per
+   [want idx] says whether [idx] still needs a result (memo hits are
+   resolved before the pool starts); [record idx outcome dur] stores a
+   collected result.  Results are recorded exactly once per
    wanted index; a worker crash records [Crashed] for the task it was
    running and the worker is replaced while work remains.  Ordering of
    [record] calls is scheduling-dependent — determinism is the caller's
-   job (it stores by index).
-
-   [defer idx] (default never) holds a wanted index back while other
-   tasks are in flight — the speculation throttle of [search_first]'s
-   adaptive window.  Deferral is advisory only: a deferred index is
-   re-offered on every fill round (the cursor never moves past it), and
-   it is dispatched regardless when nothing is in flight, so [defer] can
-   delay work but never deadlock or starve it. *)
-let pool_run ~jobs ~timeout_s ?(defer = fun _ -> false) ~f ~want ~record
-    (cases : 'a array) =
+   job (it stores by index). *)
+let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
   let n = Array.length cases in
   let next = ref 0 in
   let next_wanted () =
@@ -307,7 +244,7 @@ let pool_run ~jobs ~timeout_s ?(defer = fun _ -> false) ~f ~want ~record
           decr respawn_budget;
           if !initial_spawns > 0 then decr initial_spawns
           else Gmf_obs.Metrics.incr m_respawns;
-          workers := spawn ~timeout_s ~f cases :: !workers
+          workers := spawn ~f cases :: !workers
         end
       in
       let collect w =
@@ -339,27 +276,16 @@ let pool_run ~jobs ~timeout_s ?(defer = fun _ -> false) ~f ~want ~record
           match next_wanted () with
           | None -> ()
           | Some idx -> (
-              let in_flight =
-                List.exists (fun w -> w.current <> None) (alive ())
-              in
-              if defer idx && in_flight then
-                (* Held back; the next collect re-runs fill and
-                   re-offers [idx] (the cursor has not moved). *)
-                ()
-              else
-                let idle =
-                  List.find_opt (fun w -> w.current = None) (alive ())
-                in
-                match idle with
-                | Some w ->
-                    dispatch w idx;
+              match List.find_opt (fun w -> w.current = None) (alive ()) with
+              | Some w ->
+                  dispatch w idx;
+                  fill ()
+              | None ->
+                  if List.length (alive ()) < jobs && !respawn_budget > 0
+                  then begin
+                    spawn_one ();
                     fill ()
-                | None ->
-                    if List.length (alive ()) < jobs && !respawn_budget > 0
-                    then begin
-                      spawn_one ();
-                      fill ()
-                    end)
+                  end)
         in
         fill ();
         let busy = List.filter (fun w -> w.current <> None) (alive ()) in
@@ -419,12 +345,12 @@ let memo_store memo key x = function
       | _ -> ())
   | Error _ -> ()
 
-let eval_seq ~timeout_s ~memo ~key ~f x =
+let eval_seq ~memo ~key ~f x =
   match memo_lookup memo key x with
   | Some v -> Ok v
   | None ->
       Gmf_obs.Metrics.incr m_cases;
-      let outcome, dur = eval_one ~timeout_s ~f x in
+      let outcome, dur = eval_one ~f x in
       emit_case_span dur;
       memo_store memo key x outcome;
       outcome
@@ -445,7 +371,7 @@ let map_cases ?(exec = seq) ?memo ?key ~f cases =
   let use_pool jobs =
     jobs > 1 && Sys.unix && count_pending ~memo ~key cases > 1
   in
-  match exec.backend with
+  match exec with
   | Pool { jobs } when use_pool jobs ->
       let arr = Array.of_list cases in
       let n = Array.length arr in
@@ -463,7 +389,7 @@ let map_cases ?(exec = seq) ?memo ?key ~f cases =
         emit_case_span dur;
         memo_store memo key arr.(i) outcome
       in
-      pool_run ~jobs ~timeout_s:exec.timeout_s ~f ~want ~record arr;
+      pool_run ~jobs ~f ~want ~record arr;
       Array.to_list
         (Array.map
            (function
@@ -471,7 +397,7 @@ let map_cases ?(exec = seq) ?memo ?key ~f cases =
              | None -> Error (Crashed "case never completed"))
            results)
   | Seq | Pool _ ->
-      List.map (eval_seq ~timeout_s:exec.timeout_s ~memo ~key ~f) cases
+      List.map (eval_seq ~memo ~key ~f) cases
 
 (* ------------------------------------------------------------------ *)
 (* Persistent supervised workers                                       *)
@@ -726,87 +652,3 @@ module Persistent = struct
     let failures b = b.failures
   end
 end
-
-type 'b search = {
-  found : (int * 'b) option;
-  last : 'b outcome option;
-  evaluated : int;
-}
-
-let search_first ?(exec = seq) ?memo ?key ~f ~accept cases =
-  let n = List.length cases in
-  let accepts = function Ok v -> accept v | Error _ -> false in
-  let finish (results : 'b outcome option array) =
-    let best = ref None in
-    Array.iteri
-      (fun i r ->
-        match (r, !best) with
-        | Some o, None when accepts o -> best := Some i
-        | _ -> ())
-      results;
-    match !best with
-    | Some i ->
-        let v = match results.(i) with Some (Ok v) -> v | _ -> assert false in
-        { found = Some (i, v); last = Some (Ok v); evaluated = i + 1 }
-    | None ->
-        let last = if n = 0 then None else results.(n - 1) in
-        { found = None; last; evaluated = n }
-  in
-  let use_pool jobs =
-    jobs > 1 && Sys.unix && count_pending ~memo ~key cases > 1
-  in
-  match exec.backend with
-  | Pool { jobs } when use_pool jobs ->
-      let arr = Array.of_list cases in
-      let results = Array.make n None in
-      let best = ref n in
-      (* Memo hits resolve before forking and can retire the tail. *)
-      Array.iteri
-        (fun i x ->
-          if i < !best then
-            match memo_lookup memo key x with
-            | Some v ->
-                results.(i) <- Some (Ok v);
-                if accept v && i < !best then best := i
-            | None -> ())
-        arr;
-      let want i = i < !best && results.(i) = None in
-      (* Adaptive speculative window.  Sequential-equivalent search only
-         needs the frontier (first unresolved index); running the whole
-         tail in parallel wastes workers when an early case accepts.
-         Start [jobs] wide and double on every recorded rejection (capped
-         at [n]): while rejections dominate — the admission-gate and
-         sensitivity-search regime — the window opens up to full
-         parallelism, and a fast-accepting prefix keeps speculation
-         cheap. *)
-      let window = ref (max jobs 1) in
-      let frontier = ref 0 in
-      let advance_frontier () =
-        while !frontier < n && results.(!frontier) <> None do
-          incr frontier
-        done
-      in
-      advance_frontier ();
-      let defer i = i >= !frontier + !window in
-      let record i outcome dur =
-        results.(i) <- Some outcome;
-        emit_case_span dur;
-        memo_store memo key arr.(i) outcome;
-        if accepts outcome && i < !best then best := i
-        else if not (accepts outcome) then window := min n (!window * 2);
-        advance_frontier ()
-      in
-      if !best > 0 then
-        pool_run ~jobs ~timeout_s:exec.timeout_s ~defer ~want ~record ~f arr;
-      finish results
-  | Seq | Pool _ ->
-      let results = Array.make n None in
-      (try
-         List.iteri
-           (fun i x ->
-             let o = eval_seq ~timeout_s:exec.timeout_s ~memo ~key ~f x in
-             results.(i) <- Some o;
-             if accepts o then raise Stdlib.Exit)
-           cases
-       with Stdlib.Exit -> ());
-      finish results

@@ -1,6 +1,6 @@
 (** Case-evaluation layer shared by every "analyze many whole cases"
-    driver (survivability enumeration, sensitivity probes, priority
-    search, rerouting candidates, bench sweeps).
+    driver (survivability enumeration, per-component precheck and
+    fixpoints, priority search, admission sessions).
 
     A driver hands the layer a list of independent cases and a pure
     evaluation function; the layer decides {e how} the cases run — the
@@ -14,9 +14,10 @@
     {!Pool} its result is shipped back through [Marshal], so it must
     not contain custom blocks that cannot be marshalled.
 
-    Failures are per-case, never whole-run: an exception in [f], a
-    worker crash, or a per-case timeout surfaces as an [Error] for that
-    case while every other case still completes.
+    Failures are per-case, never whole-run: an exception in [f] or a
+    worker crash surfaces as an [Error] for that case while every other
+    case still completes.  Cases run to completion: there is no per-case
+    time limit.
 
     Telemetry: [exec.cases] counts evaluations actually performed,
     [exec.memo_hits] counts evaluations avoided by the memo table,
@@ -34,46 +35,31 @@
     spans — so pooled totals, histogram percentiles included, equal a
     sequential run's (modulo [exec.workers], which only a pool bumps). *)
 
-type backend =
+type t =
   | Seq  (** In-process, in-order.  Always available. *)
   | Pool of { jobs : int }
       (** Unix-fork worker pool with [jobs] workers.  Falls back to
           {!Seq} when [jobs <= 1] or fewer than two cases need
           evaluating. *)
-
-type t = { backend : backend; timeout_s : float option }
-(** An executor: a backend plus an optional per-case wall-clock timeout
-    in seconds.  The timeout is delivered via [SIGALRM], so a case that
-    never allocates may outlive it; analysis cases allocate heavily.
-
-    Timeouts {e nest}: entering a timeout scope saves the previous
-    [SIGALRM] handler and any pending alarm, and leaving it restores the
-    handler and re-arms the outer alarm minus the time the inner scope
-    consumed (an outer alarm that expired meanwhile is re-armed with a
-    minimal delay and fires immediately after).  A daemon-level
-    per-request deadline therefore composes with the per-case timeout
-    instead of being clobbered by it. *)
+(** An executor: how a batch of cases runs. *)
 
 val seq : t
-(** The default executor: {!Seq}, no timeout. *)
+(** The default executor, {!Seq}. *)
 
-val pool : ?timeout_s:float -> int -> t
-(** [pool jobs] is a {!Pool} executor. *)
+val pool : int -> t
+(** [pool jobs] is [Pool { jobs }]. *)
 
-val of_jobs : ?timeout_s:float -> int -> t
+val of_jobs : int -> t
 (** [of_jobs jobs] is {!seq} when [jobs <= 1], [pool jobs] otherwise —
     the normal way to turn a [--jobs N] flag into an executor. *)
 
-val jobs_from_env : unit -> int option
-(** The [GMFNET_JOBS] environment variable, when set to a positive
-    integer. *)
-
 val resolve_jobs : int option -> int
 (** [resolve_jobs cli] picks the job count: the CLI value when given,
-    else [GMFNET_JOBS], else [1]. *)
+    else the [GMFNET_JOBS] environment variable when it is a positive
+    integer, else [1]. *)
 
 type error =
-  | Timed_out  (** The per-case timeout fired. *)
+  | Timed_out  (** A {!Persistent.call} deadline expired. *)
   | Crashed of string  (** The worker evaluating the case died. *)
   | Exn of string  (** [f] raised; the payload is [Printexc.to_string]. *)
 
@@ -111,42 +97,6 @@ val map_cases :
     in case order.  When both [memo] and [key] are given, a case whose
     key is already in the table returns the memoized value without
     evaluating, and successful evaluations are added to the table. *)
-
-type 'b search = {
-  found : (int * 'b) option;
-      (** Index and value of the accepted case with the {e smallest
-          index}, exactly as sequential first-match search would return
-          it. *)
-  last : 'b outcome option;
-      (** Outcome of the last case sequential search would have
-          evaluated: the accepted one, or the final case when none is
-          accepted.  [None] only for an empty case list. *)
-  evaluated : int;
-      (** Cases sequential search would have evaluated ([found]'s index
-          + 1, or the full length).  Under {!Pool} a few later cases may
-          speculatively run; they are not counted here. *)
-}
-
-val search_first :
-  ?exec:t ->
-  ?memo:'b Memo.t ->
-  ?key:('a -> string) ->
-  f:('a -> 'b) ->
-  accept:('b -> bool) ->
-  'a list ->
-  'b search
-(** [search_first ~f ~accept cases] finds the first case (smallest
-    index) whose successful outcome satisfies [accept].  Error outcomes
-    are never accepted.  The result is deterministic and backend
-    independent.
-
-    Under {!Pool} the speculation past the frontier (first unresolved
-    index) is throttled by an adaptive window: it starts [jobs] cases
-    wide and doubles on every rejection (capped at the case count), so a
-    search that accepts early wastes little speculative work while a
-    rejection-dominated search — the admission-gate regime — opens up to
-    full parallelism.  The window only affects scheduling, never the
-    result. *)
 
 (** Persistent supervised workers.
 

@@ -18,16 +18,16 @@ let with_priority flow priority =
   in
   Traffic.Flow.with_remarks rebuilt flow.Traffic.Flow.remarks
 
-let payload_hint ?exec ?config scenario ~flow_id =
+let payload_hint ?config scenario ~flow_id =
   let build ~scale =
     rebuild_with scenario ~flow_id ~f:(fun flow ->
         Traffic.Flow.scale_payloads flow scale)
   in
-  match Sensitivity.max_payload_scale ?exec ?config ~hi:1.0 ~build () with
+  match Sensitivity.max_payload_scale ?config ~hi:1.0 ~build () with
   | Some scale when scale < 1.0 -> Some (Payload_scale scale)
   | _ -> None
 
-let priority_hint ?exec ?config scenario ~flow_id =
+let priority_hint ?config scenario ~flow_id =
   let current = (Traffic.Scenario.flow scenario flow_id).Traffic.Flow.priority in
   (* Probe the other 802.1p classes top-down: the smallest change that
      admits is usually a raise, but a lower class can also help (it takes
@@ -41,15 +41,15 @@ let priority_hint ?exec ?config scenario ~flow_id =
         rebuild_with scenario ~flow_id ~f:(fun flow ->
             with_priority flow priority)
       in
-      if Case.schedulable ?exec ?config probe then Some (Priority priority)
+      if Case.schedulable ?config probe then Some (Priority priority)
       else None)
     candidates
 
-let for_flow ?exec ?config scenario ~flow_id () =
+let for_flow ?config scenario ~flow_id () =
   if not (List.exists
             (fun f -> f.Traffic.Flow.id = flow_id)
             (Traffic.Scenario.flows scenario))
   then invalid_arg "Hints.for_flow: unknown flow id";
   List.filter_map
-    (fun probe -> probe ?exec ?config scenario ~flow_id)
+    (fun probe -> probe ?config scenario ~flow_id)
     [ payload_hint; priority_hint ]

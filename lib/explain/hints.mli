@@ -16,7 +16,6 @@ val describe : hint -> string
     ["scale the flow's payloads by 0.438"]. *)
 
 val for_flow :
-  ?exec:Gmf_exec.t ->
   ?config:Analysis.Config.t ->
   Traffic.Scenario.t ->
   flow_id:Traffic.Flow.id ->

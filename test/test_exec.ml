@@ -1,8 +1,7 @@
 (* Gmf_exec: backend equivalence, memo accounting, worker crashes and
-   per-case timeouts.
+   the supervised persistent worker.
 
-   The pool tests fork real worker processes; every [f] below allocates
-   (so SIGALRM timeouts are delivered) and the case lists stay small
+   The pool tests fork real worker processes; the case lists stay small
    enough that a full run is fast even at one hardware thread. *)
 
 let outcome_str = function
@@ -28,19 +27,6 @@ let prop_map_seq_eq_pool =
       let p = Gmf_exec.map_cases ~exec:(Gmf_exec.pool jobs) ~f:eval cases in
       strs s = strs p)
 
-let prop_search_seq_eq_pool =
-  QCheck.Test.make ~name:"search_first: pool result equals seq" ~count:30
-    QCheck.(pair (small_list (int_range (-3) 50)) (int_range 2 4))
-    (fun (cases, jobs) ->
-      let accept v = v mod 3 = 0 in
-      let run exec =
-        let r = Gmf_exec.search_first ~exec ~f:eval ~accept cases in
-        ( r.Gmf_exec.found,
-          Option.map outcome_str r.Gmf_exec.last,
-          r.Gmf_exec.evaluated )
-      in
-      run Gmf_exec.seq = run (Gmf_exec.pool jobs))
-
 (* --- combinator semantics (seq) ------------------------------------- *)
 
 let test_map_order () =
@@ -48,25 +34,6 @@ let test_map_order () =
   check_outcomes "ordered outcomes"
     [ "ok:22"; "err:exception: Failure(\"negative -1\")"; "ok:1" ]
     (strs r)
-
-let test_search_semantics () =
-  let r =
-    Gmf_exec.search_first ~f:eval
-      ~accept:(fun v -> v > 20)
-      [ 1; 2; 3; 4; 5 ]
-  in
-  (match r.Gmf_exec.found with
-  | Some (2, 22) -> ()
-  | _ -> Alcotest.fail "expected first accepted case at index 2");
-  Alcotest.(check int) "evaluated up to the hit" 3 r.Gmf_exec.evaluated;
-  let none =
-    Gmf_exec.search_first ~f:eval ~accept:(fun _ -> false) [ 1; 2 ]
-  in
-  Alcotest.(check bool) "no hit" true (none.Gmf_exec.found = None);
-  Alcotest.(check int) "all evaluated" 2 none.Gmf_exec.evaluated;
-  let empty = Gmf_exec.search_first ~f:eval ~accept:(fun _ -> true) [] in
-  Alcotest.(check bool) "empty list" true
-    (empty.Gmf_exec.found = None && empty.Gmf_exec.last = None)
 
 (* --- memo ------------------------------------------------------------ *)
 
@@ -168,69 +135,6 @@ let test_worker_crash () =
   | Error (Gmf_exec.Crashed _) -> ()
   | _ -> Alcotest.fail "crash not attributed to the crashing case"
 
-let spin_allocating () =
-  (* Burn wall-clock while allocating so SIGALRM gets delivered. *)
-  let deadline = Unix.gettimeofday () +. 30. in
-  let rec spin acc =
-    if Unix.gettimeofday () > deadline then acc
-    else spin (ignore (Array.make 64 0) :: acc)
-  in
-  List.length (spin [])
-
-let test_timeout_seq () =
-  let f x = if x = 1 then spin_allocating () else x in
-  let exec = { Gmf_exec.backend = Gmf_exec.Seq; timeout_s = Some 0.2 } in
-  let r = Gmf_exec.map_cases ~exec ~f [ 0; 1; 2 ] in
-  check_outcomes "timeout is per-case" [ "ok:0"; "err:timeout"; "ok:2" ]
-    (strs r)
-
-let test_timeout_pool () =
-  let f x = if x = 1 then spin_allocating () else x in
-  let exec = Gmf_exec.pool ~timeout_s:0.2 2 in
-  let r = Gmf_exec.map_cases ~exec ~f [ 0; 1; 2 ] in
-  check_outcomes "worker survives the killed case"
-    [ "ok:0"; "err:timeout"; "ok:2" ] (strs r)
-
-(* A per-case timeout must nest: an inner scoped timer (a nested
-   map_cases with its own budget) restores the outer alarm on exit, so
-   the outer deadline — the daemon's per-request deadline wrapping a
-   per-case timeout — keeps ticking instead of being clobbered. *)
-let test_timeout_nesting () =
-  let inner_fast = { Gmf_exec.backend = Gmf_exec.Seq; timeout_s = Some 10. } in
-  let outer = { Gmf_exec.backend = Gmf_exec.Seq; timeout_s = Some 0.4 } in
-  let f _ =
-    (* The inner scope completes quickly; if its restore dropped the
-       outer alarm, the spin below would run its full 30s guard. *)
-    let inner =
-      Gmf_exec.map_cases ~exec:inner_fast ~f:(fun x -> x + 1) [ 1; 2 ]
-    in
-    assert (strs inner = [ "ok:2"; "ok:3" ]);
-    spin_allocating ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Gmf_exec.map_cases ~exec:outer ~f [ 0 ] in
-  check_outcomes "outer deadline survives the inner scope" [ "err:timeout" ]
-    (strs r);
-  Alcotest.(check bool) "outer fired on its own budget" true
-    (Unix.gettimeofday () -. t0 < 10.);
-  (* Converse nesting: the inner budget expires while the outer keeps
-     ticking — the inner case fails, the outer case completes. *)
-  let inner_slow = { Gmf_exec.backend = Gmf_exec.Seq; timeout_s = Some 0.2 } in
-  let outer_wide = { Gmf_exec.backend = Gmf_exec.Seq; timeout_s = Some 30. } in
-  let g _ =
-    let inner =
-      Gmf_exec.map_cases ~exec:inner_slow
-        ~f:(fun x -> if x = 1 then spin_allocating () else x)
-        [ 0; 1 ]
-    in
-    match strs inner with
-    | [ "ok:0"; "err:timeout" ] -> 42
-    | other -> failwith (String.concat "," other)
-  in
-  let r2 = Gmf_exec.map_cases ~exec:outer_wide ~f:g [ 0 ] in
-  check_outcomes "inner timeout inside a live outer scope" [ "ok:42" ]
-    (strs r2)
-
 (* exec.respawns counts replacement forks — here via the supervised
    persistent worker the daemon uses. *)
 let test_respawn_counter () =
@@ -267,7 +171,7 @@ let test_respawn_counter () =
 let test_jobs_resolution () =
   Alcotest.(check bool) "jobs<=1 is Seq" true
     (Gmf_exec.of_jobs 1 = Gmf_exec.seq);
-  (match (Gmf_exec.of_jobs 4).Gmf_exec.backend with
+  (match Gmf_exec.of_jobs 4 with
   | Gmf_exec.Pool { jobs = 4 } -> ()
   | _ -> Alcotest.fail "of_jobs 4");
   Unix.putenv "GMFNET_JOBS" "3";
@@ -280,18 +184,12 @@ let test_jobs_resolution () =
 let tests =
   [
     Alcotest.test_case "map order and error capture" `Quick test_map_order;
-    Alcotest.test_case "search semantics" `Quick test_search_semantics;
     Alcotest.test_case "memo hits" `Quick test_memo_hits;
     Alcotest.test_case "memo counters" `Quick test_memo_counter;
     Alcotest.test_case "pool merges worker telemetry" `Quick
       test_pool_metrics_merge;
     Alcotest.test_case "worker crash is per-case" `Quick test_worker_crash;
-    Alcotest.test_case "timeout kills the case (seq)" `Quick test_timeout_seq;
-    Alcotest.test_case "timeout kills the case (pool)" `Quick
-      test_timeout_pool;
-    Alcotest.test_case "timeouts nest" `Quick test_timeout_nesting;
     Alcotest.test_case "respawn counter" `Quick test_respawn_counter;
     Alcotest.test_case "jobs knob" `Quick test_jobs_resolution;
     QCheck_alcotest.to_alcotest prop_map_seq_eq_pool;
-    QCheck_alcotest.to_alcotest prop_search_seq_eq_pool;
   ]
