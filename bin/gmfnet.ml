@@ -322,7 +322,9 @@ let precheck_cmd =
 (* analyze                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let print_report report =
+(* The bounds table, then one line per failure of a failed verdict: the
+   table lists only the flows that produced results. *)
+let print_report scenario report =
   Experiments.Exp_common.kv "verdict" (Experiments.Exp_common.verdict_string report);
   Experiments.Exp_common.kv "holistic rounds"
     (string_of_int report.Analysis.Holistic.rounds);
@@ -352,7 +354,19 @@ let print_report report =
             ])
         res.Analysis.Result_types.frames)
     report.Analysis.Holistic.results;
-  Tablefmt.print table
+  Tablefmt.print table;
+  match report.Analysis.Holistic.verdict with
+  | Analysis.Holistic.Deadline_miss failures
+  | Analysis.Holistic.Analysis_failed failures ->
+      List.iter
+        (fun (f : Analysis.Result_types.failure) ->
+          let flow =
+            Traffic.Scenario.flow scenario f.Analysis.Result_types.flow_id
+          in
+          Format.printf "failure: %s: %a@." flow.Traffic.Flow.name
+            Analysis.Result_types.pp_failure f)
+        failures
+  | Analysis.Holistic.Schedulable | Analysis.Holistic.No_fixed_point _ -> ()
 
 let csv_arg =
   let doc = "Emit machine-readable CSV (frames, or stages with $(b,--csv stages))." in
@@ -371,7 +385,7 @@ let analyze_cmd =
                | Some "stages" ->
                    print_string (Analysis.Report_io.stage_csv report)
                | Some _ -> print_string (Analysis.Report_io.frame_csv report)
-               | None -> print_report report)))
+               | None -> print_report scenario report)))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -806,22 +820,12 @@ let plan_cmd =
              let scale_cost c =
                max 0 (int_of_float (circ_scale *. float_of_int c))
              in
-             let switches =
-               List.map
-                 (fun n ->
-                   let m = Traffic.Scenario.switch_model scenario n in
-                   ( n,
-                     Click.Switch_model.make
-                       ~croute:(scale_cost m.Click.Switch_model.croute)
-                       ~csend:(scale_cost m.Click.Switch_model.csend)
-                       ~processors:m.Click.Switch_model.processors
-                       ~ninterfaces:m.Click.Switch_model.ninterfaces () ))
-                 (Traffic.Scenario.switch_nodes scenario)
-             in
-             Traffic.Scenario.make ~switches
-               ~topo:(Traffic.Scenario.topo scenario)
-               ~flows:(Traffic.Scenario.flows scenario)
-               ()
+             Traffic.Scenario.map_switches scenario ~f:(fun _ m ->
+                 Click.Switch_model.make
+                   ~croute:(scale_cost m.Click.Switch_model.croute)
+                   ~csend:(scale_cost m.Click.Switch_model.csend)
+                   ~processors:m.Click.Switch_model.processors
+                   ~ninterfaces:m.Click.Switch_model.ninterfaces ())
            in
            let cpu_slack =
              Analysis.Sensitivity.max_circ ~config
@@ -1178,12 +1182,6 @@ let assign_cmd =
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out @@ fun () ->
            let kv = Experiments.Exp_common.kv in
-           let topo = Traffic.Scenario.topo scenario in
-           let switches =
-             List.map
-               (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-               (Traffic.Scenario.switch_nodes scenario)
-           in
            let flows = Traffic.Scenario.flows scenario in
            let assigned =
              match policy with
@@ -1206,8 +1204,7 @@ let assign_cmd =
              | `Best ->
                  Option.map fst
                    (Analysis.Priority_assign.best_exhaustive
-                      ~exec:(exec_of_jobs jobs) ~config ~levels ~topo
-                      ~switches flows)
+                      ~exec:(exec_of_jobs jobs) ~config ~levels scenario)
            in
            match assigned with
            | None -> kv "result" "no schedulable assignment"
@@ -1232,7 +1229,7 @@ let assign_cmd =
                Tablefmt.print table;
                let report =
                  Analysis.Holistic.analyze ~config
-                   (Traffic.Scenario.make ~switches ~topo ~flows:assigned ())
+                   (Traffic.Scenario.with_flows scenario assigned)
                in
                kv "verdict" (Experiments.Exp_common.verdict_string report)))
   in

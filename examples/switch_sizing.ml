@@ -42,16 +42,7 @@ let () =
     (fun m ->
       let model = Click.Switch_model.make ~ninterfaces:ports ~processors:m () in
       let base = Workload.Scenarios.fig1_videoconf ~rate_bps:1_000_000_000 () in
-      let scenario =
-        Traffic.Scenario.make
-          ~switches:
-            (List.map
-               (fun n -> (n, model))
-               (Traffic.Scenario.switch_nodes base))
-          ~topo:(Traffic.Scenario.topo base)
-          ~flows:(Traffic.Scenario.flows base)
-          ()
-      in
+      let scenario = Traffic.Scenario.map_switches base ~f:(fun _ _ -> model) in
       let report = Analysis.Holistic.analyze scenario in
       let bound =
         if Analysis.Holistic.is_schedulable report then

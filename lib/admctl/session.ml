@@ -42,8 +42,6 @@ type summary = {
 
 type t = {
   config : Analysis.Config.t;
-  topo : Network.Topology.t;
-  switches : (Network.Node.id * Click.Switch_model.t) list;
   warm : bool;
   shadow : bool;
   explain : bool;
@@ -118,8 +116,6 @@ let create ?(config = Analysis.Config.default) ?(warm = true)
   | _ -> ());
   {
     config;
-    topo;
-    switches;
     warm;
     shadow;
     explain;
@@ -205,8 +201,12 @@ let fingerprint t =
     t.s_warm t.s_cold t.s_rounds t.s_saved;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Derived from the committed scenario: its topology, declared switch
+   models and the link tables of every flow record it keeps. *)
 let scenario_of t flows =
-  Traffic.Scenario.make ~switches:t.switches ~topo:t.topo ~flows ()
+  Traffic.Scenario.with_flows (Analysis.Delta.base_scenario t.base) flows
+
+let topo t = Traffic.Scenario.topo (Analysis.Delta.base_scenario t.base)
 
 let find_flow t id =
   List.find_opt (fun f -> f.Traffic.Flow.id = id) (flows t)
@@ -289,7 +289,7 @@ let route_uses avoid route =
   List.exists (fun hop -> List.mem hop avoid) (Network.Route.hops route)
 
 let link_label t a b =
-  let name id = (Network.Topology.node t.topo id).Network.Node.name in
+  let name id = (Network.Topology.node (topo t) id).Network.Node.name in
   Printf.sprintf "%s<->%s" (name a) (name b)
 
 let failed_route_diag t (flow : Traffic.Flow.t) =
@@ -522,8 +522,8 @@ let apply_fail t a b =
   let label = "fail link " ^ link_label t a b in
   let pair = norm_pair a b in
   let exists =
-    Network.Topology.find_link t.topo ~src:a ~dst:b <> None
-    || Network.Topology.find_link t.topo ~src:b ~dst:a <> None
+    Network.Topology.find_link (topo t) ~src:a ~dst:b <> None
+    || Network.Topology.find_link (topo t) ~src:b ~dst:a <> None
   in
   if not exists then
     reject_diag t ~label

@@ -46,9 +46,8 @@ let check ?exec ?config scenario =
       { admitted = Holistic.is_schedulable report; report; diagnostics }
 
 let rebuild scenario extra_flows =
-  Traffic.Scenario.make ~topo:(Traffic.Scenario.topo scenario)
-    ~flows:(Traffic.Scenario.flows scenario @ extra_flows)
-    ()
+  Traffic.Scenario.with_flows scenario
+    (Traffic.Scenario.flows scenario @ extra_flows)
 
 let reject_with diagnostics =
   let errors = Gmf_diag.at_least Gmf_diag.Error diagnostics in
@@ -82,25 +81,29 @@ let admit ?exec ?config ?gate scenario ~candidate =
   match find_duplicate scenario candidate with
   | Some existing -> reject_with [ duplicate_id_diag ~candidate ~existing ]
   | None -> (
-      let decision = admit_exn ?exec ?config scenario ~candidate in
+      let extended = rebuild scenario [ candidate ] in
+      let decision = check ?exec ?config extended in
       match gate with
-      | None -> decision
-      | Some _ when not decision.admitted -> decision
-      | Some gate -> (
-          match gate (rebuild scenario [ candidate ]) with
+      | Some gate when decision.admitted -> (
+          match gate extended with
           | [] -> decision
-          | diags -> reject_with (decision.diagnostics @ diags)))
+          | diags -> reject_with (decision.diagnostics @ diags))
+      | _ -> decision)
 
-let admit_greedily ?config ~topo ~switches candidates =
-  let try_set flows =
-    let scenario = Traffic.Scenario.make ~switches ~topo ~flows () in
-    (check ?config scenario).admitted
-  in
-  let rec go accepted rejected = function
+(* Each attempt derives from the last accepted scenario, so the accepted
+   flows' link tables are built once. *)
+let greedily ~topo ~try_add candidates =
+  let rec go base accepted rejected = function
     | [] -> (List.rev accepted, List.rev rejected)
-    | candidate :: rest ->
-        let attempt = List.rev (candidate :: accepted) in
-        if try_set attempt then go (candidate :: accepted) rejected rest
-        else go accepted (candidate :: rejected) rest
+    | candidate :: rest -> (
+        match try_add base candidate with
+        | Some (flow, extended) -> go extended (flow :: accepted) rejected rest
+        | None -> go base accepted (candidate :: rejected) rest)
   in
-  go [] [] candidates
+  go (Traffic.Scenario.make ~topo ~flows:[] ()) [] [] candidates
+
+let admit_greedily ?config ~topo candidates =
+  greedily ~topo candidates ~try_add:(fun base candidate ->
+      let extended = rebuild base [ candidate ] in
+      if (check ?config extended).admitted then Some (candidate, extended)
+      else None)

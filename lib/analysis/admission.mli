@@ -34,8 +34,9 @@ val admit :
   Traffic.Scenario.t ->
   candidate:Traffic.Flow.t ->
   decision
-(** [admit scenario ~candidate] tests the scenario with [candidate] added.
-    The scenario itself is not modified; the caller rebuilds it on
+(** [admit scenario ~candidate] tests the scenario with [candidate] added
+    ({!Traffic.Scenario.with_flows}: same topology and declared switch
+    models).  The scenario itself is not modified; the caller rebuilds it on
     acceptance.  A candidate whose id collides with an admitted flow is
     {e rejected} with a [GMF014] diagnostic ([rounds = 0], no fixpoint) —
     mirroring the lint pre-pass rather than raising.
@@ -53,7 +54,7 @@ val admit_exn :
   candidate:Traffic.Flow.t ->
   decision
 (** Pre-GMF014 behaviour of {!admit}: raises [Invalid_argument] on a
-    duplicate candidate id (via [Traffic.Scenario.make]). *)
+    duplicate candidate id (via [Traffic.Scenario.with_flows]). *)
 
 val duplicate_id_diag :
   candidate:Traffic.Flow.t -> existing:Traffic.Flow.t -> Gmf_diag.t
@@ -71,13 +72,25 @@ val lint_failed : Gmf_diag.t list -> Holistic.report
     [Analysis_failed] verdict with one {!failure_of_diag} per error, zero
     rounds and no results. *)
 
+val greedily :
+  topo:Network.Topology.t ->
+  try_add:
+    (Traffic.Scenario.t ->
+    Traffic.Flow.t ->
+    (Traffic.Flow.t * Traffic.Scenario.t) option) ->
+  Traffic.Flow.t list ->
+  Traffic.Flow.t list * Traffic.Flow.t list
+(** The loop of every [admit_greedily]: from the empty scenario over
+    [topo], [try_add accepted candidate] returns the flow to admit and the
+    scenario holding it, or [None] to reject.  Returns (admitted,
+    rejected), each in candidate order. *)
+
 val admit_greedily :
   ?config:Config.t ->
   topo:Network.Topology.t ->
-  switches:(Network.Node.id * Click.Switch_model.t) list ->
   Traffic.Flow.t list ->
   Traffic.Flow.t list * Traffic.Flow.t list
-(** [admit_greedily ~topo ~switches candidates] processes candidates in
+(** [admit_greedily ~topo candidates] processes candidates in
     order, keeping each flow whose addition leaves the set schedulable.
     Returns (admitted, rejected).  This is the acceptance-ratio engine of
     experiment E4. *)

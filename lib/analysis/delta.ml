@@ -92,9 +92,7 @@ let same_structure b target =
          match Traffic.Scenario.switch_model b.b_scenario n with
          | bm -> bm = Traffic.Scenario.switch_model target n
          | exception Invalid_argument _ -> true)
-       (List.filter
-          (fun n -> List.mem n (Traffic.Scenario.switch_nodes b.b_scenario))
-          (Traffic.Scenario.switch_nodes target))
+       (Traffic.Scenario.switch_nodes target)
 
 (* Added/removed/changed (old, new) between the base and target flow
    sets, by id.  Physical equality short-circuits the canonical

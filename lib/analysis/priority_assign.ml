@@ -63,10 +63,10 @@ let worst_bound report =
         (Result_types.worst_frame res).Result_types.total)
     0 report.Holistic.results
 
-let best_exhaustive ?exec ?config ?(levels = 8) ~topo ~switches flows =
+let best_exhaustive ?exec ?config ?(levels = 8) scenario =
   if levels < 1 || levels > 8 then
     invalid_arg "Priority_assign.best_exhaustive: levels outside 1..8";
-  let flows = Array.of_list flows in
+  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
   let n = Array.length flows in
   let classes = Array.init levels (fun l -> class_of_level ~levels l) in
   (* All [levels]^n candidate flow sets in enumeration order: position 0
@@ -84,8 +84,7 @@ let best_exhaustive ?exec ?config ?(levels = 8) ~topo ~switches flows =
     enumerate 0 []
   in
   let analyze candidate =
-    Holistic.analyze ?config
-      (Traffic.Scenario.make ~switches ~topo ~flows:candidate ())
+    Holistic.analyze ?config (Traffic.Scenario.with_flows scenario candidate)
   in
   (* Candidates are independent cases; the fold keeps the first strict
      minimum in enumeration order, so the winner is backend independent. *)

@@ -32,12 +32,12 @@ val best_exhaustive :
   ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?levels:int ->
-  topo:Network.Topology.t ->
-  switches:(Network.Node.id * Click.Switch_model.t) list ->
-  Traffic.Flow.t list ->
+  Traffic.Scenario.t ->
   (Traffic.Flow.t list * Gmf_util.Timeunit.ns) option
-(** Exhaustively searches class assignments (at most [levels]^n — use for
-    n <= 6 flows) for one that is schedulable, minimizing the largest
+(** Exhaustively searches class assignments of the scenario's flows (at
+    most [levels]^n — use for n <= 6 flows), each analyzed over the
+    scenario's fabric ({!Traffic.Scenario.with_flows}), for one that is
+    schedulable, minimizing the largest
     worst-frame bound; [None] when no assignment is schedulable.  The
     returned flows carry the winning priorities.
 

@@ -31,61 +31,44 @@ let candidate_routes ?(max_routes = 4) ?avoid_links ?avoid_nodes topo flow =
   else alternatives
 
 (* First-match search over candidate routes, in order, through the case
-   layer's memo: the first schedulable route wins and [attempts] counts
-   the routes analyzed up to and including it. *)
-let try_routes ?config ~base_flows ~topo ~switches flow routes =
+   layer's memo: each attempt is [base] plus the flow on that route, the
+   first schedulable one wins (returned with its scenario) and [attempts]
+   counts the routes analyzed up to and including it. *)
+let try_routes ?config base flow routes =
   let rec go attempts last = function
     | [] -> (None, attempts, last)
     | route :: rest ->
-        let report =
-          Case.analyze ?config
-            (Traffic.Scenario.make ~switches ~topo
-               ~flows:(base_flows @ [ with_route flow route ])
-               ())
+        let rerouted = with_route flow route in
+        let extended =
+          Traffic.Scenario.with_flows base
+            (Traffic.Scenario.flows base @ [ rerouted ])
         in
+        let report = Case.analyze ?config extended in
         if Holistic.is_schedulable report then
-          (Some route, attempts + 1, Some report)
+          (Some (rerouted, extended), attempts + 1, Some report)
         else go (attempts + 1) (Some report) rest
   in
   go 0 None routes
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 let admit ?config ?max_routes ?avoid_links ?avoid_nodes scenario
     ~candidate =
-  let topo = Traffic.Scenario.topo scenario in
   let routes =
-    candidate_routes ?max_routes ?avoid_links ?avoid_nodes topo candidate
+    candidate_routes ?max_routes ?avoid_links ?avoid_nodes
+      (Traffic.Scenario.topo scenario) candidate
   in
   let accepted, attempts, report =
-    try_routes ?config
-      ~base_flows:(Traffic.Scenario.flows scenario)
-      ~topo
-      ~switches:(switch_models scenario)
-      candidate routes
+    try_routes ?config scenario candidate routes
   in
   let report =
     match report with
     | Some r -> r
     | None -> Holistic.analyze ?config scenario
   in
-  { admitted = accepted <> None; route = accepted; attempts; report }
+  let route = Option.map (fun (f, _) -> f.Traffic.Flow.route) accepted in
+  { admitted = route <> None; route; attempts; report }
 
-let admit_greedily ?config ?max_routes ~topo ~switches candidates =
-  let rec go accepted rejected = function
-    | [] -> (List.rev accepted, List.rev rejected)
-    | candidate :: rest -> begin
-        let routes = candidate_routes ?max_routes topo candidate in
-        let found, _, _ =
-          try_routes ?config ~base_flows:(List.rev accepted) ~topo
-            ~switches candidate routes
-        in
-        match found with
-        | Some route ->
-            go (with_route candidate route :: accepted) rejected rest
-        | None -> go accepted (candidate :: rejected) rest
-      end
-  in
-  go [] [] candidates
+let admit_greedily ?config ?max_routes ~topo candidates =
+  Admission.greedily ~topo candidates ~try_add:(fun base candidate ->
+      let routes = candidate_routes ?max_routes topo candidate in
+      let found, _, _ = try_routes ?config base candidate routes in
+      found)

@@ -46,7 +46,6 @@ val admit_greedily :
   ?config:Config.t ->
   ?max_routes:int ->
   topo:Network.Topology.t ->
-  switches:(Network.Node.id * Click.Switch_model.t) list ->
   Traffic.Flow.t list ->
   Traffic.Flow.t list * Traffic.Flow.t list
 (** Greedy admission with rerouting; returns (admitted — with their final,

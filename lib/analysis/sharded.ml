@@ -12,13 +12,11 @@ let m_components_run =
 let m_fixpoints_skipped =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "precheck.fixpoints_skipped"
 
-(* The component keeps the original topology and the switch models of the
-   nodes its member routes traverse: the stage recurrences of the member
-   flows only ever consult flows_on / entering sets, which the membership
-   filter restricts identically, and they never look at a switch off the
-   member routes — so dropping unused models keeps the result byte-equal
-   while the per-component build stays proportional to the component, not
-   to the whole topology. *)
+(* A derived scenario (Traffic.Scenario.with_flows): the stage
+   recurrences of the member flows only consult flows_on / entering
+   sets, which the membership filter restricts identically, and the
+   models of the switches on member routes, which it keeps — so the
+   result is byte-equal, and the members' link tables are shared. *)
 let sub_scenario scenario flow_ids =
   let keep = Hashtbl.create (List.length flow_ids) in
   List.iter (fun id -> Hashtbl.replace keep id ()) flow_ids;
@@ -28,22 +26,7 @@ let sub_scenario scenario flow_ids =
       (Traffic.Scenario.flows scenario)
   in
   if List.length flows = Traffic.Scenario.flow_count scenario then scenario
-  else
-    let used = Hashtbl.create 16 in
-    List.iter
-      (fun (f : Traffic.Flow.t) ->
-        List.iter
-          (fun n -> Hashtbl.replace used n ())
-          (Network.Route.intermediate_switches f.Traffic.Flow.route))
-      flows;
-    let switches =
-      Hashtbl.fold
-        (fun n () acc -> (n, Traffic.Scenario.switch_model scenario n) :: acc)
-        used []
-      |> List.sort compare
-    in
-    Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
-      ~flows ()
+  else Traffic.Scenario.with_flows scenario flows
 
 let stage_of_inequality = function
   | Gmf_precheck.Precheck.Demand_floor { stage; _ }

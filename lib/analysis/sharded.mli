@@ -42,8 +42,9 @@ type stats = {
 
 val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenario.t
 (** [sub_scenario scenario flow_ids] restricts the scenario to the given
-    flows, keeping the full topology and only the switch models the member
-    routes traverse.  When [flow_ids] is a union of complete interference
+    flows through {!Traffic.Scenario.with_flows}: the full topology, the
+    declared switch models and the members' link tables carry over.  When
+    [flow_ids] is a union of complete interference
     components, analyzing the restriction is byte-equal to restricting the
     analysis (the sharding property above).  When [flow_ids] covers
     every flow, [scenario] itself is returned, with its build caches.

@@ -27,16 +27,8 @@ let convert_flow flow =
        ~priority:flow.Traffic.Flow.priority)
     flow.Traffic.Flow.remarks
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 let convert_scenario scenario =
-  Traffic.Scenario.make
-    ~switches:(switch_models scenario)
-    ~topo:(Traffic.Scenario.topo scenario)
-    ~flows:(List.map convert_flow (Traffic.Scenario.flows scenario))
-    ()
+  Traffic.Scenario.map_flows scenario ~f:convert_flow
 
 let analyze ?config scenario =
   Analysis.Holistic.analyze ?config (convert_scenario scenario)
@@ -46,20 +38,14 @@ let check ?config scenario =
   { Analysis.Admission.admitted = Analysis.Holistic.is_schedulable report;
     report; diagnostics = [] }
 
-let admit_greedily ?config ~topo ~switches candidates =
-  let decide flows =
-    let scenario =
-      Traffic.Scenario.make ~switches ~topo
-        ~flows:(List.map convert_flow flows)
-        ()
-    in
-    Analysis.Holistic.is_schedulable (Analysis.Holistic.analyze ?config scenario)
-  in
-  let rec go accepted rejected = function
-    | [] -> (List.rev accepted, List.rev rejected)
-    | candidate :: rest ->
-        if decide (List.rev (candidate :: accepted)) then
-          go (candidate :: accepted) rejected rest
-        else go accepted (candidate :: rejected) rest
-  in
-  go [] [] candidates
+(* The accepted scenario holds the converted flows; the admitted list
+   the original ones. *)
+let admit_greedily ?config ~topo candidates =
+  Analysis.Admission.greedily ~topo candidates ~try_add:(fun base candidate ->
+      let extended =
+        Traffic.Scenario.with_flows base
+          (Traffic.Scenario.flows base @ [ convert_flow candidate ])
+      in
+      if Analysis.Holistic.is_schedulable (Analysis.Holistic.analyze ?config extended)
+      then Some (candidate, extended)
+      else None)

@@ -25,7 +25,8 @@ val convert_flow : Traffic.Flow.t -> Traffic.Flow.t
 (** Same flow with the converted spec. *)
 
 val convert_scenario : Traffic.Scenario.t -> Traffic.Scenario.t
-(** Every flow converted; topology and switch models shared. *)
+(** Every flow converted ({!Traffic.Scenario.map_flows}: same topology
+    and declared switch models). *)
 
 val analyze :
   ?config:Analysis.Config.t -> Traffic.Scenario.t -> Analysis.Holistic.report
@@ -38,7 +39,6 @@ val check : ?config:Analysis.Config.t -> Traffic.Scenario.t ->
 val admit_greedily :
   ?config:Analysis.Config.t ->
   topo:Network.Topology.t ->
-  switches:(Network.Node.id * Click.Switch_model.t) list ->
   Traffic.Flow.t list ->
   Traffic.Flow.t list * Traffic.Flow.t list
 (** Greedy admission (as [Analysis.Admission.admit_greedily]) but deciding

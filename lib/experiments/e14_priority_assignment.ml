@@ -88,8 +88,8 @@ let rows () =
   in
   let optimal =
     match
-      Analysis.Priority_assign.best_exhaustive ~levels:8 ~topo ~switches:[]
-        flows
+      Analysis.Priority_assign.best_exhaustive ~levels:8
+        (Traffic.Scenario.make ~topo ~flows ())
     with
     | Some (assigned, _) ->
         let schedulable, worst_bound, voip_bound = analyze_with topo assigned in

@@ -29,10 +29,10 @@ let sweep ?(max_flows = 12) () =
       let offered = i + 1 in
       let prefix = List.filteri (fun j _ -> j < offered) all in
       let fixed, _ =
-        Analysis.Admission.admit_greedily ~topo ~switches:[] prefix
+        Analysis.Admission.admit_greedily ~topo prefix
       in
       let rerouted, _ =
-        Analysis.Rerouting.admit_greedily ~topo ~switches:[] prefix
+        Analysis.Rerouting.admit_greedily ~topo prefix
       in
       {
         offered;

@@ -9,12 +9,7 @@ type comparison = {
 }
 
 let with_model base model =
-  Traffic.Scenario.make
-    ~switches:
-      (List.map (fun n -> (n, model)) (Traffic.Scenario.switch_nodes base))
-    ~topo:(Traffic.Scenario.topo base)
-    ~flows:(Traffic.Scenario.flows base)
-    ()
+  Traffic.Scenario.map_switches base ~f:(fun _ _ -> model)
 
 let video_results scenario =
   let report = Analysis.Holistic.analyze scenario in

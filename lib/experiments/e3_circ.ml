@@ -10,12 +10,8 @@ type row = {
 let configurations = [ (4, 1); (8, 1); (16, 1); (32, 1); (48, 16); (48, 1) ]
 
 let scenario_with_model model =
-  let base = Workload.Scenarios.fig1_videoconf () in
-  let topo = Traffic.Scenario.topo base in
-  let switches =
-    List.map (fun n -> (n, model)) (Traffic.Scenario.switch_nodes base)
-  in
-  Traffic.Scenario.make ~switches ~topo ~flows:(Traffic.Scenario.flows base) ()
+  Traffic.Scenario.map_switches (Workload.Scenarios.fig1_videoconf ())
+    ~f:(fun _ _ -> model)
 
 let sweep () =
   List.map

@@ -38,10 +38,10 @@ let sweep ?(max_flows = 14) () =
       let offered = i + 1 in
       let prefix = List.filteri (fun j _ -> j < offered) candidates in
       let gmf_in, _ =
-        Analysis.Admission.admit_greedily ~topo ~switches:[] prefix
+        Analysis.Admission.admit_greedily ~topo prefix
       in
       let spor_in, _ =
-        Baseline.Sporadic.admit_greedily ~topo ~switches:[] prefix
+        Baseline.Sporadic.admit_greedily ~topo prefix
       in
       {
         offered;

@@ -151,10 +151,6 @@ let delta_add a b =
     d_warm = a.d_warm + b.d_warm;
   }
 
-let switch_models scenario =
-  Traffic.Scenario.switch_nodes scenario
-  |> List.map (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-
 type 'a degraded = {
   placed : (Traffic.Flow.t * fate) list;
   victims : Traffic.Flow.t list;
@@ -170,7 +166,6 @@ type 'a degraded = {
    counters from the result. *)
 let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
   let topo = Traffic.Scenario.topo scenario in
-  let switches = switch_models scenario in
   (* One route cache per call: flows sharing endpoints under the same
      failure resolve to one enumeration. *)
   let pcache = Network.Pathfind.Cache.create topo in
@@ -203,7 +198,7 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
      degraded set is schedulable or nothing sheddable is left. *)
   let rec settle survivors victims rounds =
     let report, last =
-      attempt (Traffic.Scenario.make ~switches ~topo ~flows:survivors ())
+      attempt (Traffic.Scenario.with_flows scenario survivors)
     in
     let rounds = rounds + report.Analysis.Holistic.rounds in
     let unpinned = List.filter (fun f -> not (is_pinned f)) survivors in

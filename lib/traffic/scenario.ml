@@ -1,6 +1,8 @@
 type t = {
   topo : Network.Topology.t;
   flows : Flow.t array; (* sorted by id *)
+  (* [make ~switches] as given, inherited by derived scenarios *)
+  declared : (Network.Node.id * Click.Switch_model.t) list;
   switches : (Network.Node.id, Click.Switch_model.t) Hashtbl.t;
   params_cache : (Flow.id * Network.Node.id * Network.Node.id, Link_params.t)
     Hashtbl.t;
@@ -76,6 +78,7 @@ let make ?(switches = []) ~topo ~flows () =
   {
     topo;
     flows;
+    declared = switches;
     switches = table;
     params_cache = Hashtbl.create 64;
     by_id;
@@ -170,11 +173,33 @@ let link_utilization t ~src ~dst =
        (fun acc f -> acc +. Link_params.utilization (params t f ~src ~dst))
        0.
 
-let map_flows t ~f =
+(* Link_params depend on the flow record and the link alone, so a derived
+   scenario over the same topology reuses the source's for the records it
+   keeps physically (a record rebuilt under the same id may differ). *)
+let share_params ~from t =
+  Array.iter
+    (fun (f : Flow.t) ->
+      List.iter
+        (fun (src, dst) ->
+          let key = (f.Flow.id, src, dst) in
+          match Hashtbl.find_opt from.params_cache key with
+          | Some p when p.Link_params.flow == f ->
+              Hashtbl.replace t.params_cache key p
+          | _ -> ())
+        (Network.Route.hops f.Flow.route))
+    t.flows;
+  t
+
+let with_flows t flows =
+  share_params ~from:t (make ~switches:t.declared ~topo:t.topo ~flows ())
+
+let map_switches t ~f =
   let switches =
-    Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.switches []
+    List.map (fun n -> (n, f n (switch_model t n))) (switch_nodes t)
   in
-  make ~switches ~topo:t.topo ~flows:(List.map f (flows t)) ()
+  share_params ~from:t (make ~switches ~topo:t.topo ~flows:(flows t) ())
+
+let map_flows t ~f = with_flows t (List.map f (flows t))
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>scenario: %d flows@," (Array.length t.flows);

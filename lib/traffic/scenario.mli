@@ -73,9 +73,35 @@ val cached : t -> key:string -> (unit -> string) -> string
     a scenario marshalled to a worker process carries (and keeps) its own
     cache, with no global revision counter to fall out of sync. *)
 
+(** {2 Derived scenarios}
+
+    Every scenario built from another scenario's fabric goes through
+    {!with_flows} or {!map_switches}.  The result keeps the source's
+    topology and inherits:
+
+    - its {e declared} switch models, the ones passed to [make ~switches];
+      defaults are derived again, as {!make} does, for the other switches
+      the new routes cross;
+    - the source's {!params} of every (flow, hop) whose flow record is
+      physically the source's ([==]): a record rebuilt with the same id
+      gets fresh params.  The copy costs O(new flows x hops).
+
+    [hep]/[lp] sets and {!cached} strings depend on the whole flow set and
+    are never inherited. *)
+
+val with_flows : t -> Flow.t list -> t
+(** [with_flows t flows] is the scenario of [flows] over [t]'s topology
+    and declared switch models.  Raises as {!make} does on duplicate
+    flow ids. *)
+
+val map_switches :
+  t -> f:(Network.Node.id -> Click.Switch_model.t -> Click.Switch_model.t) -> t
+(** [map_switches t ~f] keeps [t]'s flows and topology and gives every
+    switch of {!switch_nodes} the model [f node (switch_model t node)];
+    those models become the result's declared ones.  Raises as {!make}
+    does when a model has fewer ports than its node has links. *)
+
 val map_flows : t -> f:(Flow.t -> Flow.t) -> t
-(** [map_flows t ~f] rebuilds the scenario with every flow transformed
-    (same topology and switch models).  [f] must preserve flow ids'
-    uniqueness. *)
+(** [map_flows t ~f] is [with_flows t (List.map f (flows t))]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -671,6 +671,41 @@ let test_admission_duplicate_id () =
   | _ -> Alcotest.fail "admit_exn should raise on a duplicate id"
   | exception Invalid_argument _ -> ()
 
+(* The extended set of [Admission.admit] keeps the scenario's declared
+   switch models: with every fig1 switch's CROUTE x40 the full set is
+   unschedulable, so admitting its last flow into the rest must fail
+   too.  Analysing it with default models instead admitted it. *)
+let test_admission_keeps_switch_models () =
+  let fig1 = Workload.Scenarios.fig1_videoconf () in
+  let switches =
+    List.map
+      (fun n ->
+        let m = Traffic.Scenario.switch_model fig1 n in
+        ( n,
+          Click.Switch_model.make
+            ~croute:(40 * m.Click.Switch_model.croute)
+            ~csend:m.Click.Switch_model.csend
+            ~processors:m.Click.Switch_model.processors
+            ~ninterfaces:m.Click.Switch_model.ninterfaces () ))
+      (Traffic.Scenario.switch_nodes fig1)
+  in
+  let topo = Traffic.Scenario.topo fig1 in
+  let flows = Traffic.Scenario.flows fig1 in
+  let candidate = List.nth flows (List.length flows - 1) in
+  let rest = List.filter (fun f -> f != candidate) flows in
+  let full = Traffic.Scenario.make ~switches ~topo ~flows () in
+  let base = Traffic.Scenario.make ~switches ~topo ~flows:rest () in
+  Alcotest.(check bool)
+    "full set rejected" false
+    (Analysis.Admission.check full).Analysis.Admission.admitted;
+  Alcotest.(check bool)
+    "admit rejects" false
+    (Analysis.Admission.admit base ~candidate).Analysis.Admission.admitted;
+  Alcotest.(check bool)
+    "admit_exn rejects" false
+    (Analysis.Admission.admit_exn base ~candidate)
+      .Analysis.Admission.admitted
+
 let tests =
   [
     Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
@@ -689,6 +724,8 @@ let tests =
       test_parse_errors;
     Alcotest.test_case "Admission.admit duplicate id" `Quick
       test_admission_duplicate_id;
+    Alcotest.test_case "Admission.admit keeps switch models" `Quick
+      test_admission_keeps_switch_models;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "unconverged commit takes the cold fallback" `Quick
       test_unconverged_commit_falls_back;

@@ -93,7 +93,8 @@ let test_assignment_preserves_everything_else () =
 let test_exhaustive_beats_policies () =
   let topo, flows = mixed_workload () in
   match
-    Analysis.Priority_assign.best_exhaustive ~topo ~switches:[] flows
+    Analysis.Priority_assign.best_exhaustive
+      (Traffic.Scenario.make ~topo ~flows ())
   with
   | None -> Alcotest.fail "some assignment must be schedulable"
   | Some (best_flows, best_bound) ->
@@ -203,9 +204,9 @@ let test_rerouting_prefers_own_route () =
 let test_rerouting_greedy_beats_fixed () =
   let topo, a, b, s1 = diamond () in
   let candidates = List.init 3 (heavy_flow topo a b s1) in
-  let fixed, _ = Analysis.Admission.admit_greedily ~topo ~switches:[] candidates in
+  let fixed, _ = Analysis.Admission.admit_greedily ~topo candidates in
   let rerouted, _ =
-    Analysis.Rerouting.admit_greedily ~topo ~switches:[] candidates
+    Analysis.Rerouting.admit_greedily ~topo candidates
   in
   Alcotest.(check int) "fixed admits 1" 1 (List.length fixed);
   Alcotest.(check int) "rerouting admits 2" 2 (List.length rerouted)

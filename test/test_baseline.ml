@@ -95,10 +95,10 @@ let test_greedy_admission_gap () =
   in
   let candidates = List.init 6 mk in
   let gmf_in, _ =
-    Analysis.Admission.admit_greedily ~topo ~switches:[] candidates
+    Analysis.Admission.admit_greedily ~topo candidates
   in
   let spor_in, _ =
-    Baseline.Sporadic.admit_greedily ~topo ~switches:[] candidates
+    Baseline.Sporadic.admit_greedily ~topo candidates
   in
   Alcotest.(check bool)
     (Printf.sprintf "gmf admits %d >= sporadic %d" (List.length gmf_in)

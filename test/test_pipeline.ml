@@ -227,7 +227,7 @@ let test_admit_greedily () =
   (* Each Figure-3 stream is ~41% of the 10 Mbit/s link: two fit at most. *)
   let candidates = List.init 4 mk in
   let admitted, rejected =
-    Admission.admit_greedily ~topo ~switches:[] candidates
+    Admission.admit_greedily ~topo candidates
   in
   Alcotest.(check int) "conservation" 4
     (List.length admitted + List.length rejected);

@@ -58,10 +58,10 @@ let test_ring_rerouting_gain () =
   in
   let candidates = [ mk 0; mk 1 ] in
   let fixed, _ =
-    Analysis.Admission.admit_greedily ~topo ~switches:[] candidates
+    Analysis.Admission.admit_greedily ~topo candidates
   in
   let rerouted, _ =
-    Analysis.Rerouting.admit_greedily ~topo ~switches:[] candidates
+    Analysis.Rerouting.admit_greedily ~topo candidates
   in
   Alcotest.(check int) "fixed admits one" 1 (List.length fixed);
   Alcotest.(check int) "rerouting admits both" 2 (List.length rerouted)
