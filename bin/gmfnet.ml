@@ -289,16 +289,14 @@ let precheck_cmd =
       & opt int Gmf_precheck.Precheck.default_max_component
       & info [ "max-component" ] ~docv:"N" ~doc)
   in
-  let run pos_file name file rate config json max_component jobs =
+  let run pos_file name file rate config json max_component =
     let file = match pos_file with Some _ -> pos_file | None -> file in
     match build_scenario ?file name rate with
     | Error msg ->
         prerr_endline ("gmfnet: " ^ msg);
         1
     | Ok scenario ->
-        let report =
-          Gmf_precheck.Precheck.run ~exec:(exec_of_jobs jobs) ~config scenario
-        in
+        let report = Gmf_precheck.Precheck.run ~config scenario in
         let diags = Gmf_precheck.Precheck.diagnostics ~max_component report in
         if json then print_string (Gmf_precheck.Precheck.to_json report)
         else begin
@@ -316,7 +314,7 @@ let precheck_cmd =
           Exits non-zero when a flow is certified infeasible.")
     Term.(
       const run $ file_pos_arg $ scenario_arg $ file_arg $ rate_arg
-      $ variant_arg $ json_arg $ max_component_arg $ jobs_arg)
+      $ variant_arg $ json_arg $ max_component_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                            *)
@@ -723,14 +721,11 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 
 let admission_cmd =
-  let run name file rate config jobs =
+  let run name file rate config =
     exit_of_result
       (Result.map
          (fun scenario ->
-           let decision =
-             Analysis.Admission.check ~exec:(exec_of_jobs jobs) ~config
-               scenario
-           in
+           let decision = Analysis.Admission.check ~config scenario in
            Experiments.Exp_common.kv "admitted"
              (if decision.Analysis.Admission.admitted then "yes" else "no");
            Experiments.Exp_common.kv "verdict"
@@ -747,9 +742,7 @@ let admission_cmd =
   Cmd.v
     (Cmd.info "admission"
        ~doc:"Admission-control decision with utilization conditions.")
-    Term.(
-      const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg
-      $ jobs_arg)
+    Term.(const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg)
 
 (* ------------------------------------------------------------------ *)
 (* validate                                                           *)

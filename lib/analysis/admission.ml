@@ -28,7 +28,7 @@ let lint_failed errors =
     results = [];
   }
 
-let check ?exec ?config scenario =
+let check ?config scenario =
   let lint = Gmf_lint.Lint.run ?config scenario in
   let diagnostics = lint.Gmf_lint.Lint.diagnostics in
   match Gmf_lint.Lint.errors lint with
@@ -38,8 +38,8 @@ let check ?exec ?config scenario =
   | [] ->
       (* Lint is clean: run the precheck-guided sharded analysis.  Decided
          flows never enter the fixpoint; the undecided components run
-         independently (and on [exec]'s backend). *)
-      let report, pre, _stats = Sharded.analyze ?exec ?config scenario in
+         independently. *)
+      let report, pre, _stats = Sharded.analyze ?config scenario in
       let diagnostics =
         diagnostics @ Gmf_precheck.Precheck.diagnostics pre
       in
@@ -70,19 +70,19 @@ let find_duplicate scenario candidate =
     (fun f -> f.Traffic.Flow.id = candidate.Traffic.Flow.id)
     (Traffic.Scenario.flows scenario)
 
-let admit_exn ?exec ?config scenario ~candidate =
-  check ?exec ?config (rebuild scenario [ candidate ])
+let admit_exn ?config scenario ~candidate =
+  check ?config (rebuild scenario [ candidate ])
 
 (* The gate (e.g. Gmf_faults.Survive.admission_gate, injected by the
    caller — depending on it here would be a cycle) only runs once the
    extended set is schedulable: a rejection already stands on its own,
    and the gate's k-failure sweep is the expensive part. *)
-let admit ?exec ?config ?gate scenario ~candidate =
+let admit ?config ?gate scenario ~candidate =
   match find_duplicate scenario candidate with
   | Some existing -> reject_with [ duplicate_id_diag ~candidate ~existing ]
   | None -> (
       let extended = rebuild scenario [ candidate ] in
-      let decision = check ?exec ?config extended in
+      let decision = check ?config extended in
       match gate with
       | Some gate when decision.admitted -> (
           match gate extended with

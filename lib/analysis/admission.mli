@@ -18,17 +18,16 @@ type decision = {
           non-fatal warnings/hints alike. *)
 }
 
-val check : ?exec:Gmf_exec.t -> ?config:Config.t -> Traffic.Scenario.t -> decision
+val check : ?config:Config.t -> Traffic.Scenario.t -> decision
 (** [check scenario] runs the [Gmf_lint] pre-pass, rejects immediately on
     any lint error (no fixpoint is executed), and otherwise verifies the
     scenario's flow set with the precheck-guided {!Sharded} analysis:
     statically decided flows skip the fixpoint, undecided interference
-    components run independent fixpoints (on [exec]'s backend when
-    given).  The precheck's own diagnostics (GMF018 certificates, GMF019
-    component-size warnings) are appended to the lint diagnostics. *)
+    components run independent fixpoints.  The precheck's own
+    diagnostics (GMF018 certificates, GMF019 component-size warnings)
+    are appended to the lint diagnostics. *)
 
 val admit :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?gate:(Traffic.Scenario.t -> Gmf_diag.t list) ->
   Traffic.Scenario.t ->
@@ -48,7 +47,6 @@ val admit :
     rejection carrying both the lint diagnostics and the gate's. *)
 
 val admit_exn :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   Traffic.Scenario.t ->
   candidate:Traffic.Flow.t ->

@@ -99,8 +99,8 @@ let report_of_error err =
     results = [];
   }
 
-let analyze_all ?exec ?(config = Config.default) scenarios =
-  Gmf_exec.map_cases ?exec ~memo:shared_memo ~key:(digest ~config)
+let analyze_all ?(config = Config.default) scenarios =
+  Gmf_exec.map_cases ~memo:shared_memo ~key:(digest ~config)
     ~f:(Holistic.analyze ~config) scenarios
   |> List.map (function Ok r -> r | Error e -> report_of_error e)
 

@@ -3,18 +3,15 @@
 
     Sensitivity probes, rerouting candidates, rejection hints and the
     per-component fixpoints of {!Sharded} funnel their whole-scenario
-    analyses through this module so that
+    analyses through this module so that identical cases are computed
+    once: results are memoized in a process-wide table keyed by
+    {!digest}, so e.g. a sensitivity probe revisiting a scale, or a
+    rerouting candidate tried twice, reuses the earlier fixpoint.  Cases
+    run in order, in process.
 
-    + the backend of a batch is pluggable ({!analyze_all}'s [?exec],
-      {!Gmf_exec.seq} by default);
-    + identical cases are computed once: results are memoized in a
-      process-wide table keyed by {!digest}, so e.g. a sensitivity probe
-      revisiting a scale, or a rerouting candidate tried twice, reuses
-      the earlier fixpoint.
-
-    Exec-layer failures (a worker crash) degrade to an
-    [Analysis_failed] report carrying an ["exec: ..."] reason, so
-    drivers stay total and render rejections uniformly. *)
+    An exception from the analysis degrades to an [Analysis_failed]
+    report carrying an ["exec: ..."] reason, so drivers stay total and
+    render rejections uniformly. *)
 
 val digest : config:Config.t -> Traffic.Scenario.t -> string
 (** Hex digest of the canonical serialization of (config, topology —
@@ -35,12 +32,10 @@ val shared_memo : Holistic.report Gmf_exec.Memo.t
 (** The process-wide report cache every entry point below shares. *)
 
 val analyze_all :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   Traffic.Scenario.t list ->
   Holistic.report list
-(** Analyze every scenario, in order, through the executor and the
-    shared memo. *)
+(** Analyze every scenario, in order, through the shared memo. *)
 
 val analyze : ?config:Config.t -> Traffic.Scenario.t -> Holistic.report
 (** Single-case convenience: memoized {!Holistic.analyze}, run in

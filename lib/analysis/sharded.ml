@@ -66,8 +66,8 @@ let certified_result flow ceilings =
   in
   { Result_types.flow; frames }
 
-let analyze ?exec ?(config = Config.default) scenario =
-  let pre = Gmf_precheck.Precheck.run ?exec ~config scenario in
+let analyze ?(config = Config.default) scenario =
+  let pre = Gmf_precheck.Precheck.run ~config scenario in
   let infeasible = Gmf_precheck.Precheck.infeasible pre
   and certified = Gmf_precheck.Precheck.certified pre
   and to_run = Gmf_precheck.Precheck.undecided_components pre in
@@ -79,7 +79,7 @@ let analyze ?exec ?(config = Config.default) scenario =
         sub_scenario scenario c.Gmf_precheck.Igraph.flow_ids)
       to_run
   in
-  let reports = Case.analyze_all ?exec ~config subs in
+  let reports = Case.analyze_all ~config subs in
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
     Gmf_obs.Metrics.incr ~by:(List.length to_run) m_components_run;
     Gmf_obs.Metrics.incr

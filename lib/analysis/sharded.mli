@@ -9,8 +9,7 @@
       per-frame ceilings ([stages = []], no fixpoint either);
     - every remaining interference component is analyzed as an
       independent sub-scenario through {!Case.analyze_all} (so the
-      per-component fixpoints share the process-wide memo and can run on
-      any {!Gmf_exec} backend).
+      per-component fixpoints share the process-wide memo).
 
     Because interference never crosses component boundaries (two flows
     interfere only where their routes share a node, which is exactly an
@@ -52,9 +51,8 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
     closure of an edit. *)
 
 val analyze :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   Traffic.Scenario.t ->
   Holistic.report * Gmf_precheck.Precheck.report * stats
-(** [analyze ?exec ?config scenario] is the merged report, the precheck
+(** [analyze ?config scenario] is the merged report, the precheck
     report it was guided by, and the sharding counters. *)

@@ -14,10 +14,9 @@ let resolve_jobs cli =
       | Some n when n > 0 -> n
       | _ -> 1)
 
-type error = Timed_out | Crashed of string | Exn of string
+type error = Crashed of string | Exn of string
 
 let error_to_string = function
-  | Timed_out -> "timeout"
   | Crashed msg -> Printf.sprintf "crash: %s" msg
   | Exn msg -> Printf.sprintf "exception: %s" msg
 
@@ -96,17 +95,8 @@ let eval_one ~f x =
   (outcome, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* Fork pool                                                           *)
+(* Supervised workers                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type worker = {
-  pid : int;
-  to_child : out_channel;
-  from_child : in_channel;
-  fd : Unix.file_descr;  (* read side, for select *)
-  mutable current : int option;
-  mutable dead : bool;
-}
 
 let reap_message pid =
   match Unix.waitpid [] pid with
@@ -115,91 +105,231 @@ let reap_message pid =
   | _, Unix.WSTOPPED s -> Printf.sprintf "worker stopped by signal %d" s
   | exception Unix.Unix_error _ -> "worker vanished"
 
-let close_worker w =
-  if not w.dead then begin
-    w.dead <- true;
-    (try close_out w.to_child with _ -> ());
-    (try close_in w.from_child with _ -> ());
-    try ignore (Unix.waitpid [] w.pid) with _ -> ()
+(* The one forked-worker implementation.  A worker is forked around an
+   [init] payload and then serves marshalled requests until it is
+   stopped, killed, or crashes.  The daemon keeps one per admission
+   session, so the topology ships exactly once and the session state
+   survives across events; the case pool below forks up to [jobs] per
+   batch, each inheriting the batch's cases by memory. *)
+module Persistent = struct
+  type 'req message = Request of 'req | Quit
+
+  type proc = {
+    pid : int;
+    to_child : out_channel;
+    from_child : in_channel;
+    fd : Unix.file_descr;  (* read side, for select *)
+  }
+
+  type ('req, 'resp) t = {
+    body : Unix.file_descr -> Unix.file_descr -> unit;
+    on_child : unit -> unit;
+    mutable proc : proc option;
+    mutable respawns : int;
+  }
+
+  (* Child-side serve loop: one [init], then strict request/reply — one
+     message per request, so the parent's channel buffer never holds
+     more than one response and select-readability stays truthful.  An
+     exception from [handle] is caught and shipped back as an [Error]
+     string (the worker stays up); an exception from [init] or a
+     truncated stream ends the child, which the parent observes as EOF
+     ([Crashed]). *)
+  let serve ~init ~handle task_r res_w =
+    let ic = Unix.in_channel_of_descr task_r in
+    let oc = Unix.out_channel_of_descr res_w in
+    let st = init () in
+    let rec loop () =
+      match (Marshal.from_channel ic : _ message) with
+      | exception End_of_file -> ()
+      | Quit -> ()
+      | Request req ->
+          let result =
+            match handle st req with
+            | v -> Ok v
+            | exception e -> Error (Printexc.to_string e)
+          in
+          Marshal.to_channel oc (result : (_, string) result)
+            [ Marshal.Closures ];
+          flush oc;
+          loop ()
+    in
+    loop ()
+
+  let spawn_proc ~on_child body =
+    let task_r, task_w = Unix.pipe () in
+    let res_r, res_w = Unix.pipe () in
+    flush stdout;
+    flush stderr;
+    match Unix.fork () with
+    | 0 ->
+        (try
+           Unix.close task_w;
+           Unix.close res_r;
+           on_child ();
+           body task_r res_w
+         with _ -> ());
+        Unix._exit 0
+    | pid ->
+        Unix.close task_r;
+        Unix.close res_w;
+        Gmf_obs.Metrics.incr m_workers;
+        {
+          pid;
+          to_child = Unix.out_channel_of_descr task_w;
+          from_child = Unix.in_channel_of_descr res_r;
+          fd = res_r;
+        }
+
+  let spawn ?(on_child = fun () -> ()) ~init ~handle () =
+    let body task_r res_w = serve ~init ~handle task_r res_w in
+    { body; on_child; proc = Some (spawn_proc ~on_child body); respawns = 0 }
+
+  let alive t = t.proc <> None
+  let fd t = Option.map (fun p -> p.fd) t.proc
+  let respawn_count t = t.respawns
+
+  (* Reap a dead child: close both channels, collect its exit status
+     message, drop the proc.  Safe to call once per death. *)
+  let crashed t =
+    match t.proc with
+    | None -> "worker not running"
+    | Some p ->
+        t.proc <- None;
+        (try close_out p.to_child with _ -> ());
+        (try close_in p.from_child with _ -> ());
+        reap_message p.pid
+
+  let kill t =
+    match t.proc with
+    | None -> ()
+    | Some p ->
+        (try Unix.kill p.pid Sys.sigkill with _ -> ());
+        ignore (crashed t)
+
+  (* Writing to a dead child raises EPIPE only if SIGPIPE is not fatal;
+     mask it for the duration of the write so the failure surfaces as a
+     [Crashed] result instead of killing the calling process. *)
+  let without_sigpipe f =
+    if not Sys.unix then f ()
+    else begin
+      let old =
+        try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> None
+      in
+      let finally () =
+        match old with
+        | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
+        | None -> ()
+      in
+      Fun.protect ~finally f
+    end
+
+  let write p msg =
+    without_sigpipe (fun () ->
+        Marshal.to_channel p.to_child (msg : _ message) [ Marshal.Closures ];
+        flush p.to_child)
+
+  let stop t =
+    match t.proc with
+    | None -> ()
+    | Some p ->
+        (try write p Quit with _ -> ());
+        ignore (crashed t)
+
+  let send t req =
+    match t.proc with
+    | None -> Error (Crashed "worker not running")
+    | Some p -> (
+        match write p (Request req) with
+        | () -> Ok ()
+        | exception _ -> Error (Crashed (crashed t)))
+
+  let recv t =
+    match t.proc with
+    | None -> Error (Crashed "worker not running")
+    | Some p -> (
+        match (Marshal.from_channel p.from_child : (_, string) result) with
+        | Ok v -> Ok v
+        | Error msg -> Error (Exn msg)
+        | exception _ -> Error (Crashed (crashed t)))
+
+  let respawn t =
+    kill t;
+    t.proc <- Some (spawn_proc ~on_child:t.on_child t.body);
+    t.respawns <- t.respawns + 1;
+    Gmf_obs.Metrics.incr m_respawns
+
+  (* Exponential-backoff bookkeeping for a supervisor deciding when a
+     crashed worker may be respawned.  Pure arithmetic on caller-supplied
+     clocks, so tests can drive it deterministically. *)
+  module Backoff = struct
+    type b = {
+      base_s : float;
+      max_s : float;
+      mutable failures : int;
+      mutable not_before : float;
+    }
+
+    let create ?(base_s = 0.1) ?(max_s = 30.) () =
+      if base_s <= 0. || max_s < base_s then
+        invalid_arg "Gmf_exec.Persistent.Backoff.create";
+      { base_s; max_s; failures = 0; not_before = 0. }
+
+    let note_failure b ~now =
+      b.failures <- b.failures + 1;
+      let delay = b.base_s *. (2. ** float_of_int (min 16 (b.failures - 1))) in
+      let delay = if delay > b.max_s then b.max_s else delay in
+      b.not_before <- now +. delay
+
+    let note_success b =
+      b.failures <- 0;
+      b.not_before <- 0.
+
+    let ready b ~now = now >= b.not_before
+    let next_try b = b.not_before
+    let failures b = b.failures
   end
+end
 
-(* Fork one worker.  The child inherits [cases] and [f] by memory,
-   reads decimal task indices (one per line), evaluates, and marshals
-   [(idx, duration, outcome)] back — one message per task, so the
-   parent's channel buffer never holds more than one response and
-   select-readability stays truthful. *)
-let spawn ~f (cases : 'a array) =
-  let task_r, task_w = Unix.pipe () in
-  let res_r, res_w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (try
-         Unix.close task_w;
-         Unix.close res_r;
-         let ic = Unix.in_channel_of_descr task_r in
-         let oc = Unix.out_channel_of_descr res_w in
-         let rec serve () =
-           match input_line ic with
-           | exception End_of_file -> ()
-           | "q" -> ()
-           | line ->
-               let idx = int_of_string line in
-               let reg = Gmf_obs.Metrics.default in
-               let tracer = Gmf_obs.Tracer.default in
-               let obs_on =
-                 Gmf_obs.Metrics.enabled reg || Gmf_obs.Tracer.enabled tracer
-               in
-               (* The fork copied the parent's accumulated recordings;
-                  zero them at case start so the dump sent back carries
-                  exactly this case's activity, once. *)
-               if obs_on then begin
-                 Gmf_obs.Metrics.reset reg;
-                 Gmf_obs.Tracer.reset tracer
-               end;
-               let outcome, dur = eval_one ~f cases.(idx) in
-               let telemetry =
-                 if obs_on then
-                   Some
-                     {
-                       tm_metrics = Gmf_obs.Metrics.dump reg;
-                       tm_spans = Gmf_obs.Tracer.spans tracer;
-                     }
-                 else None
-               in
-               Marshal.to_channel oc
-                 ((idx, dur, outcome, telemetry)
-                   : int * float * _ outcome * telemetry option)
-                 [ Marshal.Closures ];
-               flush oc;
-               serve ()
-         in
-         serve ()
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close task_r;
-      Unix.close res_w;
-      Gmf_obs.Metrics.incr m_workers;
-      {
-        pid;
-        to_child = Unix.out_channel_of_descr task_w;
-        from_child = Unix.in_channel_of_descr res_r;
-        fd = res_r;
-        current = None;
-        dead = false;
-      }
+(* ------------------------------------------------------------------ *)
+(* Case pool                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(* Drive a fork pool over the wanted indices of [cases].
+(* A pool worker and the index of the case it is evaluating. *)
+type 'r slot = { w : (int, 'r) Persistent.t; mutable current : int option }
+
+(* A pool worker's handler for one case.  The fork copied the parent's
+   accumulated recordings; zero them at case start so the telemetry sent
+   back carries exactly this case's activity, once. *)
+let eval_in_worker ~f x =
+  let reg = Gmf_obs.Metrics.default in
+  let tracer = Gmf_obs.Tracer.default in
+  let obs_on = Gmf_obs.Metrics.enabled reg || Gmf_obs.Tracer.enabled tracer in
+  if obs_on then begin
+    Gmf_obs.Metrics.reset reg;
+    Gmf_obs.Tracer.reset tracer
+  end;
+  let outcome, dur = eval_one ~f x in
+  let telemetry =
+    if obs_on then
+      Some
+        {
+          tm_metrics = Gmf_obs.Metrics.dump reg;
+          tm_spans = Gmf_obs.Tracer.spans tracer;
+        }
+    else None
+  in
+  (outcome, dur, telemetry)
+
+(* Drive up to [jobs] workers over the wanted indices of [cases].
 
    [want idx] says whether [idx] still needs a result (memo hits are
    resolved before the pool starts); [record idx outcome dur] stores a
-   collected result.  Results are recorded exactly once per
-   wanted index; a worker crash records [Crashed] for the task it was
-   running and the worker is replaced while work remains.  Ordering of
-   [record] calls is scheduling-dependent — determinism is the caller's
-   job (it stores by index). *)
+   collected result, exactly once per wanted index.  A worker crash
+   records [Crashed] for the case it was running, and the worker is
+   respawned while work remains; a batch forks at most one process per
+   case.  Ordering of [record] calls is scheduling-dependent —
+   determinism is the caller's job (it stores by index). *)
 let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
   let n = Array.length cases in
   let next = ref 0 in
@@ -207,122 +337,93 @@ let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
     while !next < n && not (want !next) do incr next done;
     if !next < n then Some !next else None
   in
-  let respawn_budget = ref n in
-  let workers = ref [] in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> None
+  let handle () idx = eval_in_worker ~f cases.(idx) in
+  let forks_left = ref n in
+  let slots = ref [] in
+  (* An idle live worker, else a fork: a new worker while the pool is
+     below [jobs], then a respawn of a dead one. *)
+  let worker () =
+    let live s = Persistent.alive s.w in
+    match List.find_opt (fun s -> live s && s.current = None) !slots with
+    | Some _ as s -> s
+    | None when !forks_left <= 0 -> None
+    | None when List.length !slots < jobs ->
+        decr forks_left;
+        let w = Persistent.spawn ~init:ignore ~handle () in
+        let s = { w; current = None } in
+        slots := s :: !slots;
+        Some s
+    | None -> (
+        match List.find_opt (fun s -> not (live s)) !slots with
+        | Some s ->
+            decr forks_left;
+            Persistent.respawn s.w;
+            Some s
+        | None -> None)
   in
-  let finally () =
-    List.iter close_worker !workers;
-    match old_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
-    | None -> ()
+  let collect s idx =
+    s.current <- None;
+    match Persistent.recv s.w with
+    | Ok (outcome, dur, telemetry) ->
+        Option.iter absorb_telemetry telemetry;
+        record idx outcome dur
+    | Error e -> record idx (Error e) 0.
   in
-  Fun.protect ~finally (fun () ->
-      let alive () = List.filter (fun w -> not w.dead) !workers in
-      let dispatch w idx =
-        match
-          output_string w.to_child (string_of_int idx ^ "\n");
-          flush w.to_child
-        with
-        | () ->
-            w.current <- Some idx;
-            Gmf_obs.Metrics.incr m_cases;
-            incr next
-        | exception _ ->
-            (* Child died before taking a task (its real failure, if
-               any, was already collected); drop it — the next fill
-               round retries [idx] on another worker. *)
-            close_worker w
-      in
-      (* The first [jobs] spawns build the pool; every later one replaces
-         a crashed worker and counts as a respawn. *)
-      let initial_spawns = ref jobs in
-      let exhausted_noted = ref false in
-      let spawn_one () =
-        if !respawn_budget > 0 then begin
-          decr respawn_budget;
-          if !initial_spawns > 0 then decr initial_spawns
-          else Gmf_obs.Metrics.incr m_respawns;
-          workers := spawn ~f cases :: !workers
-        end
-      in
-      let collect w =
-        match
-          (Marshal.from_channel w.from_child
-            : int * float * _ outcome * telemetry option)
-        with
-        | idx, dur, outcome, telemetry ->
-            (match telemetry with
-            | Some tm -> absorb_telemetry tm
-            | None -> ());
-            w.current <- None;
-            if want idx then record idx outcome dur
-        | exception _ ->
-            (* EOF or truncated message: the worker died mid-task. *)
-            let msg = reap_message w.pid in
-            w.dead <- true;
-            (try close_out w.to_child with _ -> ());
-            (try close_in w.from_child with _ -> ());
-            (match w.current with
-            | Some idx ->
-                w.current <- None;
-                if want idx then record idx (Error (Crashed msg)) 0.
-            | None -> ())
-      in
-      let rec drive () =
-        (* Top up the pool and hand tasks to idle workers. *)
-        let rec fill () =
-          match next_wanted () with
+  let exhausted_noted = ref false in
+  let rec drive () =
+    (* Hand every wanted case to a worker while one can be had. *)
+    let rec fill () =
+      match next_wanted () with
+      | None -> ()
+      | Some idx -> (
+          match worker () with
           | None -> ()
-          | Some idx -> (
-              match List.find_opt (fun w -> w.current = None) (alive ()) with
-              | Some w ->
-                  dispatch w idx;
-                  fill ()
-              | None ->
-                  if List.length (alive ()) < jobs && !respawn_budget > 0
-                  then begin
-                    spawn_one ();
-                    fill ()
-                  end)
-        in
-        fill ();
-        let busy = List.filter (fun w -> w.current <> None) (alive ()) in
-        if busy = [] then begin
-          (* Nothing in flight.  If tasks remain but the respawn budget
-             is gone, fail them rather than hang. *)
-          match next_wanted () with
-          | None -> ()
-          | Some idx ->
-              if alive () = [] && !respawn_budget <= 0 then begin
-                if not !exhausted_noted then begin
-                  exhausted_noted := true;
-                  Gmf_obs.Metrics.incr m_pool_exhausted
-                end;
-                record idx (Error (Crashed "worker pool exhausted")) 0.;
-                incr next;
-                drive ()
-              end
-              else if alive () = [] then begin
-                spawn_one ();
-                drive ()
-              end
-              else drive ()
-        end
-        else begin
-          let fds = List.map (fun w -> w.fd) busy in
-          let ready, _, _ = Unix.select fds [] [] (-1.) in
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun w -> w.fd = fd) busy with
-              | Some w -> collect w
-              | None -> ())
-            ready;
-          drive ()
-        end
-      in
-      drive ())
+          | Some s ->
+              (match Persistent.send s.w idx with
+              | Ok () ->
+                  s.current <- Some idx;
+                  Gmf_obs.Metrics.incr m_cases;
+                  incr next
+              | Error _ ->
+                  (* The worker died before taking a task (its real
+                     failure, if any, was already collected); [idx] goes
+                     to another worker. *)
+                  ());
+              fill ())
+    in
+    fill ();
+    match
+      List.filter_map
+        (fun s -> Option.map (fun idx -> (s, idx)) s.current)
+        !slots
+    with
+    | [] -> (
+        (* Nothing in flight yet no worker to be had: the fork budget is
+           spent.  Fail the remaining cases rather than hang. *)
+        match next_wanted () with
+        | None -> ()
+        | Some idx ->
+            if not !exhausted_noted then begin
+              exhausted_noted := true;
+              Gmf_obs.Metrics.incr m_pool_exhausted
+            end;
+            record idx (Error (Crashed "worker pool exhausted")) 0.;
+            incr next;
+            drive ())
+    | busy ->
+        let fds = List.filter_map (fun (s, _) -> Persistent.fd s.w) busy in
+        let ready, _, _ = Unix.select fds [] [] (-1.) in
+        List.iter
+          (fun (s, idx) ->
+            match Persistent.fd s.w with
+            | Some fd when List.mem fd ready -> collect s idx
+            | _ -> ())
+          busy;
+        drive ()
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun s -> Persistent.stop s.w) !slots)
+    drive
 
 (* ------------------------------------------------------------------ *)
 (* Combinators                                                         *)
@@ -399,256 +500,3 @@ let map_cases ?(exec = seq) ?memo ?key ~f cases =
   | Seq | Pool _ ->
       List.map (eval_seq ~memo ~key ~f) cases
 
-(* ------------------------------------------------------------------ *)
-(* Persistent supervised workers                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the fork pool above — which forks per call-site and inherits
-   its cases by memory — a persistent worker is forked once around an
-   [init] payload (e.g. a parsed topology) and then serves marshalled
-   requests until it is stopped, killed, or crashes.  The daemon keeps
-   one per admission session, so the topology ships exactly once and
-   the session state survives across events without re-marshalling. *)
-module Persistent = struct
-  type 'req message = Request of 'req | Ping | Quit
-  type 'resp reply = Reply of ('resp, string) result | Pong
-
-  type proc = {
-    pid : int;
-    to_child : out_channel;
-    from_child : in_channel;
-    fd : Unix.file_descr;  (* read side, for select *)
-  }
-
-  type ('req, 'resp) t = {
-    body : Unix.file_descr -> Unix.file_descr -> unit;
-    on_child : unit -> unit;
-    mutable proc : proc option;
-    mutable respawns : int;
-  }
-
-  (* Child-side serve loop: one [init], then strict request/reply.  An
-     exception from [handle] is caught and shipped back as an [Error]
-     string (the worker stays up); an exception from [init] or a
-     truncated stream ends the child, which the parent observes as EOF
-     ([Crashed]). *)
-  let serve ~init ~handle task_r res_w =
-    let ic = Unix.in_channel_of_descr task_r in
-    let oc = Unix.out_channel_of_descr res_w in
-    let st = init () in
-    let rec loop () =
-      match (Marshal.from_channel ic : _ message) with
-      | exception End_of_file -> ()
-      | Quit -> ()
-      | Ping ->
-          Marshal.to_channel oc (Pong : _ reply) [ Marshal.Closures ];
-          flush oc;
-          loop ()
-      | Request req ->
-          let result =
-            match handle st req with
-            | v -> Ok v
-            | exception e -> Error (Printexc.to_string e)
-          in
-          Marshal.to_channel oc (Reply result : _ reply) [ Marshal.Closures ];
-          flush oc;
-          loop ()
-    in
-    loop ()
-
-  let spawn_proc ~on_child body =
-    let task_r, task_w = Unix.pipe () in
-    let res_r, res_w = Unix.pipe () in
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        (try
-           Unix.close task_w;
-           Unix.close res_r;
-           on_child ();
-           body task_r res_w
-         with _ -> ());
-        Unix._exit 0
-    | pid ->
-        Unix.close task_r;
-        Unix.close res_w;
-        Gmf_obs.Metrics.incr m_workers;
-        {
-          pid;
-          to_child = Unix.out_channel_of_descr task_w;
-          from_child = Unix.in_channel_of_descr res_r;
-          fd = res_r;
-        }
-
-  let spawn ?(on_child = fun () -> ()) ~init ~handle () =
-    let body task_r res_w = serve ~init ~handle task_r res_w in
-    { body; on_child; proc = Some (spawn_proc ~on_child body); respawns = 0 }
-
-  let alive t = t.proc <> None
-  let pid t = Option.map (fun p -> p.pid) t.proc
-  let fd t = Option.map (fun p -> p.fd) t.proc
-  let respawn_count t = t.respawns
-
-  (* Reap a dead child: close both channels, collect its exit status
-     message, drop the proc.  Safe to call once per death. *)
-  let crashed t =
-    match t.proc with
-    | None -> "worker not running"
-    | Some p ->
-        t.proc <- None;
-        (try close_out p.to_child with _ -> ());
-        (try close_in p.from_child with _ -> ());
-        reap_message p.pid
-
-  let kill t =
-    match t.proc with
-    | None -> ()
-    | Some p ->
-        (try Unix.kill p.pid Sys.sigkill with _ -> ());
-        ignore (crashed t)
-
-  (* Writing to a dead child raises EPIPE only if SIGPIPE is not fatal;
-     mask it for the duration of the write so the failure surfaces as a
-     [Crashed] result instead of killing the calling process. *)
-  let without_sigpipe f =
-    if not Sys.unix then f ()
-    else begin
-      let old =
-        try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> None
-      in
-      let finally () =
-        match old with
-        | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
-        | None -> ()
-      in
-      Fun.protect ~finally f
-    end
-
-  let stop t =
-    match t.proc with
-    | None -> ()
-    | Some p ->
-        (try
-           without_sigpipe (fun () ->
-               Marshal.to_channel p.to_child (Quit : _ message)
-                 [ Marshal.Closures ];
-               flush p.to_child)
-         with _ -> ());
-        ignore (crashed t)
-
-  let send t req =
-    match t.proc with
-    | None -> Error (Crashed "worker not running")
-    | Some p -> (
-        match
-          without_sigpipe (fun () ->
-              Marshal.to_channel p.to_child (Request req : _ message)
-                [ Marshal.Closures ];
-              flush p.to_child)
-        with
-        | () -> Ok ()
-        | exception _ -> Error (Crashed (crashed t)))
-
-  let rec recv t =
-    match t.proc with
-    | None -> Error (Crashed "worker not running")
-    | Some p -> (
-        match (Marshal.from_channel p.from_child : _ reply) with
-        | Pong -> recv t
-        | Reply (Ok v) -> Ok v
-        | Reply (Error msg) -> Error (Exn msg)
-        | exception _ -> Error (Crashed (crashed t)))
-
-  let rec wait_readable fd until =
-    let timeout =
-      match until with
-      | None -> -1.
-      | Some u -> Float.max 0. (u -. Unix.gettimeofday ())
-    in
-    match Unix.select [ fd ] [] [] timeout with
-    | ready, _, _ -> ready <> []
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fd until
-
-  let call ?deadline_s t req =
-    match send t req with
-    | Error _ as e -> e
-    | Ok () -> (
-        match t.proc with
-        | None -> Error (Crashed "worker not running")
-        | Some p ->
-            let until =
-              Option.map (fun s -> Unix.gettimeofday () +. s) deadline_s
-            in
-            if wait_readable p.fd until then recv t
-            else begin
-              kill t;
-              Error Timed_out
-            end)
-
-  let ping ?(deadline_s = 1.) t =
-    match t.proc with
-    | None -> false
-    | Some p -> (
-        match
-          without_sigpipe (fun () ->
-              Marshal.to_channel p.to_child (Ping : _ message)
-                [ Marshal.Closures ];
-              flush p.to_child)
-        with
-        | exception _ ->
-            ignore (crashed t);
-            false
-        | () ->
-            if
-              not
-                (wait_readable p.fd
-                   (Some (Unix.gettimeofday () +. deadline_s)))
-            then begin
-              kill t;
-              false
-            end
-            else (
-              match (Marshal.from_channel p.from_child : _ reply) with
-              | Pong | Reply _ -> true
-              | exception _ ->
-                  ignore (crashed t);
-                  false))
-
-  let respawn t =
-    kill t;
-    t.proc <- Some (spawn_proc ~on_child:t.on_child t.body);
-    t.respawns <- t.respawns + 1;
-    Gmf_obs.Metrics.incr m_respawns
-
-  (* Exponential-backoff bookkeeping for a supervisor deciding when a
-     crashed worker may be respawned.  Pure arithmetic on caller-supplied
-     clocks, so tests can drive it deterministically. *)
-  module Backoff = struct
-    type b = {
-      base_s : float;
-      max_s : float;
-      mutable failures : int;
-      mutable not_before : float;
-    }
-
-    let create ?(base_s = 0.1) ?(max_s = 30.) () =
-      if base_s <= 0. || max_s < base_s then
-        invalid_arg "Gmf_exec.Persistent.Backoff.create";
-      { base_s; max_s; failures = 0; not_before = 0. }
-
-    let note_failure b ~now =
-      b.failures <- b.failures + 1;
-      let delay = b.base_s *. (2. ** float_of_int (min 16 (b.failures - 1))) in
-      let delay = if delay > b.max_s then b.max_s else delay in
-      b.not_before <- now +. delay
-
-    let note_success b =
-      b.failures <- 0;
-      b.not_before <- 0.
-
-    let ready b ~now = now >= b.not_before
-    let next_try b = b.not_before
-    let failures b = b.failures
-  end
-end

@@ -1,11 +1,13 @@
 (** Case-evaluation layer shared by every "analyze many whole cases"
-    driver (survivability enumeration, per-component precheck and
-    fixpoints, priority search, admission sessions).
+    driver: the k-failure survivability sweep (also behind a session's
+    survivable gate) and the exhaustive priority search run on the pool;
+    the sharded analysis's per-component fixpoints run in order through
+    the same memo.
 
     A driver hands the layer a list of independent cases and a pure
     evaluation function; the layer decides {e how} the cases run — the
     {!Seq} backend evaluates them in order in-process, the {!Pool}
-    backend fans them out over a Unix-fork worker pool — and returns
+    backend fans them out over {!Persistent} workers — and returns
     results {e in case order regardless of backend}, so goldens and
     downstream folds never depend on scheduling.
 
@@ -22,12 +24,13 @@
     Telemetry: [exec.cases] counts evaluations actually performed,
     [exec.memo_hits] counts evaluations avoided by the memo table,
     [exec.workers] counts worker processes forked, [exec.respawns]
-    counts workers forked to {e replace} a crashed one (pool refills
-    past the initial [jobs], and every {!Persistent.respawn}), and
-    [exec.pool_exhausted] counts pool runs that ran out of respawn
-    budget and had to fail their remaining cases with
+    counts workers forked to {e replace} a crashed one (every
+    {!Persistent.respawn}, pool refills included), and
+    [exec.pool_exhausted] counts pool runs that ran out of fork budget
+    (one fork per case) and had to fail their remaining cases with
     [Crashed "worker pool exhausted"]; every completed evaluation
-    records an [exec.case] span carrying its measured duration.  Recordings made {e inside} [f] (counters, histograms,
+    records an [exec.case] span carrying its measured duration.
+    Recordings made {e inside} [f] (counters, histograms,
     spans against the default registry/tracer) are preserved under both
     backends: a {!Pool} worker resets its inherited default registry and
     tracer at case start, dumps them with the case result, and the
@@ -38,7 +41,7 @@
 type t =
   | Seq  (** In-process, in-order.  Always available. *)
   | Pool of { jobs : int }
-      (** Unix-fork worker pool with [jobs] workers.  Falls back to
+      (** Up to [jobs] forked {!Persistent} workers.  Falls back to
           {!Seq} when [jobs <= 1] or fewer than two cases need
           evaluating. *)
 (** An executor: how a batch of cases runs. *)
@@ -59,7 +62,6 @@ val resolve_jobs : int option -> int
     integer, else [1]. *)
 
 type error =
-  | Timed_out  (** A {!Persistent.call} deadline expired. *)
   | Crashed of string  (** The worker evaluating the case died. *)
   | Exn of string  (** [f] raised; the payload is [Printexc.to_string]. *)
 
@@ -98,23 +100,23 @@ val map_cases :
     key is already in the table returns the memoized value without
     evaluating, and successful evaluations are added to the table. *)
 
-(** Persistent supervised workers.
+(** Supervised forked workers — the layer's one worker implementation.
 
-    The fork pool above is per call-site: workers are forked for one
-    batch of cases (inheriting them by memory) and die with it.  A
-    {!Persistent} worker is the long-lived complement: it forks {e once}
-    around an [init] payload — e.g. a parsed topology and an admission
-    session — and then serves marshalled request/response pairs until it
-    is stopped, killed, or crashes.  [gmfnetd] keeps one per session, so
-    the topology ships to the worker exactly once and warm fixpoint
-    state survives across events.
+    A {!Persistent} worker forks {e once} around an [init] payload and
+    then serves marshalled request/response pairs until it is stopped,
+    killed, or crashes.  [gmfnetd] keeps one per session around a parsed
+    topology and an admission session, so the topology ships to the
+    worker exactly once and warm fixpoint state survives across events.
+    A {!Pool} batch of {!map_cases} forks up to [jobs] of them, whose
+    handler evaluates the case at a given index of the batch (inherited
+    by memory), and stops them when the batch ends.
 
-    Protocol invariant: at most one message ([call], or [send] without
-    its matching [recv], or [ping]) may be outstanding at a time.  The
-    parent owns supervision — {!call} kills the worker on a missed
-    deadline, a crash surfaces as [Error (Crashed _)], and {!respawn}
-    (counted in [exec.respawns]) replaces the process while {!Backoff}
-    paces the retries. *)
+    Protocol invariant: at most one request ({!send} without its
+    matching {!recv}) may be outstanding at a time.  The parent owns
+    supervision — a crash surfaces as [Error (Crashed _)], {!respawn}
+    (counted in [exec.respawns]) replaces the process, and {!Backoff}
+    paces the retries.  Deadlines are the caller's: wait on {!fd} in
+    its own [select] loop and {!kill} a worker that overruns. *)
 module Persistent : sig
   type ('req, 'resp) t
 
@@ -134,35 +136,22 @@ module Persistent : sig
 
   val alive : ('req, 'resp) t -> bool
   (** Whether a worker process is currently attached.  [alive] does not
-      probe the process ({!ping} does): a worker that died but has not
-      been used since still reports [true] until a call notices. *)
+      probe the process: a worker that died but has not been used since
+      still reports [true] until a {!send} or {!recv} notices. *)
 
-  val pid : ('req, 'resp) t -> int option
   val fd : ('req, 'resp) t -> Unix.file_descr option
   (** Read side of the response pipe, for a caller-owned [select] loop:
       readable exactly when {!recv} will not block (response ready or
       worker dead). *)
 
   val send : ('req, 'resp) t -> 'req -> (unit, error) result
-  (** Hand the worker a request without waiting for the response —
-      the async half of {!call} for select-loop callers. *)
+  (** Hand the worker a request without waiting for the response.  A
+      worker found dead is reaped and reported as [Error (Crashed _)]. *)
 
   val recv : ('req, 'resp) t -> 'resp outcome
   (** Collect the response to the outstanding {!send}.  Blocks unless
       {!fd} was reported readable.  EOF (the worker died mid-request)
       reaps the child and returns [Error (Crashed _)]. *)
-
-  val call : ?deadline_s:float -> ('req, 'resp) t -> 'req -> 'resp outcome
-  (** [send] then [recv], waiting at most [deadline_s] (forever when
-      omitted).  On deadline expiry the worker is killed — its state is
-      unrecoverable mid-request — and the call returns
-      [Error Timed_out]. *)
-
-  val ping : ?deadline_s:float -> ('req, 'resp) t -> bool
-  (** Health check: round-trip a no-op message, waiting at most
-      [deadline_s] (default 1s).  [false] kills and reaps an
-      unresponsive worker.  Only meaningful when no request is
-      outstanding. *)
 
   val stop : ('req, 'resp) t -> unit
   (** Graceful shutdown: ask the serve loop to exit, close the pipes and

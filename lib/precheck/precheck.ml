@@ -126,7 +126,7 @@ let overload_certificate ~config scenario (flow : Traffic.Flow.t) =
 
 (* ---------------- the pass ---------------- *)
 
-let run ?exec ?(config = Analysis_config.default) scenario =
+let run ?(config = Analysis_config.default) scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"precheck"
     "precheck.run"
   @@ fun () ->
@@ -142,10 +142,7 @@ let run ?exec ?(config = Analysis_config.default) scenario =
       | None -> ())
     flows;
   (* Sufficient test, all-or-nothing per component: the jitter caps of
-     the ceilings are only invariant when every member meets them.
-     Components are independent, so with an executor the certification
-     fans out over the pool; outcomes come back in component order, so
-     the report is backend independent. *)
+     the ceilings are only invariant when every member meets them. *)
   let certify_component (c : Igraph.component) =
     let members =
       List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
@@ -175,15 +172,7 @@ let run ?exec ?(config = Analysis_config.default) scenario =
       in
       certify [] members
   in
-  let outcomes =
-    match exec with
-    | None -> List.map certify_component components
-    | Some exec ->
-        Gmf_exec.map_cases ~exec ~f:certify_component components
-        |> List.map (function
-             | Ok outcome -> outcome
-             | Error e -> Error ("exec: " ^ Gmf_exec.error_to_string e))
-  in
+  let outcomes = List.map certify_component components in
   let component_outcome = Hashtbl.create 8 in
   List.iter2
     (fun (c : Igraph.component) outcome ->

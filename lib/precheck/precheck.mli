@@ -52,12 +52,9 @@ type report = {
   verdicts : flow_verdict list;  (** In flow-id order. *)
 }
 
-val run :
-  ?exec:Gmf_exec.t -> ?config:Analysis_config.t -> Traffic.Scenario.t -> report
+val run : ?config:Analysis_config.t -> Traffic.Scenario.t -> report
 (** Runs the whole pass (no fixpoint; polynomial in flows x route length).
-    With [exec], the per-component sufficient-test certification fans out
-    over the executor (components are independent); the report is backend
-    independent.  Bumps the [precheck.*] counters/gauges and traces a
+    Bumps the [precheck.*] counters/gauges and traces a
     [precheck.run] span. *)
 
 val infeasible : report -> flow_verdict list

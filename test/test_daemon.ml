@@ -341,6 +341,10 @@ let test_journal_torn_tail () =
 
 (* ---------------- persistent workers --------------------------------- *)
 
+(* One request/response round trip on a worker with nothing outstanding. *)
+let call w x =
+  match Persistent.send w x with Ok () -> Persistent.recv w | Error e -> Error e
+
 let test_persistent_worker () =
   let w =
     Persistent.spawn
@@ -352,46 +356,26 @@ let test_persistent_worker () =
         !st)
       ()
   in
-  Alcotest.(check bool) "call" true (Persistent.call w 5 = Ok 5);
-  Alcotest.(check bool) "state persists across calls" true
-    (Persistent.call w 2 = Ok 7);
-  Alcotest.(check bool) "ping" true (Persistent.ping w);
+  Alcotest.(check bool) "call" true (call w 5 = Ok 5);
+  Alcotest.(check bool) "state persists across calls" true (call w 2 = Ok 7);
   (* A handler exception comes back as Error (Exn _), worker stays up. *)
-  (match Persistent.call w 13 with
+  (match call w 13 with
   | Error (Gmf_exec.Exn msg) ->
       Alcotest.(check bool) "exn payload" true
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected Error (Exn _)");
   Alcotest.(check bool) "worker survives handler exception" true
-    (Persistent.call w 1 = Ok 8);
+    (call w 1 = Ok 8);
   (* A crash mid-request surfaces as Crashed and detaches the process. *)
-  (match Persistent.call w 99 with
+  (match call w 99 with
   | Error (Gmf_exec.Crashed _) -> ()
   | _ -> Alcotest.fail "expected Error (Crashed _)");
   Alcotest.(check bool) "dead after crash" false (Persistent.alive w);
   (* Respawn re-runs init from scratch. *)
   Persistent.respawn w;
   Alcotest.(check int) "respawn counted" 1 (Persistent.respawn_count w);
-  Alcotest.(check bool) "fresh state after respawn" true
-    (Persistent.call w 4 = Ok 4);
+  Alcotest.(check bool) "fresh state after respawn" true (call w 4 = Ok 4);
   Persistent.stop w
-
-let test_persistent_deadline () =
-  let w =
-    Persistent.spawn
-      ~init:(fun () -> ())
-      ~handle:(fun () s ->
-        Unix.sleepf s;
-        s)
-      ()
-  in
-  let t0 = Unix.gettimeofday () in
-  (match Persistent.call ~deadline_s:0.2 w 10. with
-  | Error Gmf_exec.Timed_out -> ()
-  | _ -> Alcotest.fail "expected Timed_out");
-  Alcotest.(check bool) "deadline killed promptly" true
-    (Unix.gettimeofday () -. t0 < 5.);
-  Alcotest.(check bool) "worker killed on deadline" false (Persistent.alive w)
 
 let test_backoff () =
   let b = Persistent.Backoff.create ~base_s:1. ~max_s:8. () in
@@ -828,6 +812,56 @@ let test_stalled_client_isolation () =
           Alcotest.(check int) "every pipelined request answered" n
             (!outcomes + !shed))
 
+(* The per-request deadline: an event that runs past it is answered
+   with an explicit "deadline" rejection and its worker is killed, so
+   the event is never journaled — the respawned worker replays an empty
+   journal. *)
+let test_daemon_deadline_kill () =
+  let dir = fresh_dir () in
+  let cfg =
+    {
+      Server.default_config with
+      socket_path = Filename.concat dir "d.sock";
+      journal_dir = Filename.concat dir "journal";
+      deadline_s = Some 0.1;
+    }
+  in
+  let topology = "node a endhost\nnode b endhost\nduplex a b rate=100M\n" in
+  let pid = start_daemon cfg in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon pid)
+    (fun () ->
+      (match Client.connect cfg.Server.socket_path with
+      | Error msg -> Alcotest.fail msg
+      | Ok c ->
+          (match
+             Client.request c
+               (Jsonl.Open
+                  {
+                    session = "late";
+                    topology;
+                    verify = false;
+                    explain = false;
+                    cold = false;
+                    survivable = None;
+                    throttle_s = 0.5;
+                  })
+           with
+          | Ok (Jsonl.Opened _) -> ()
+          | _ -> Alcotest.fail "open failed");
+          (match Client.request c (Jsonl.Event { text = "query" }) with
+          | Ok (Jsonl.Rejected { code; _ }) ->
+              Alcotest.(check string) "rejection code" Jsonl.code_deadline code
+          | Ok r -> Alcotest.fail ("unexpected: " ^ Jsonl.encode_response r)
+          | Error msg -> Alcotest.fail msg);
+          Client.close c);
+      match
+        Client.fingerprint ~socket:cfg.Server.socket_path ~session:"late"
+      with
+      | Ok (_digest, events) ->
+          Alcotest.(check int) "killed event never journaled" 0 events
+      | Error msg -> Alcotest.fail msg)
+
 (* Journal replay is exempt from the per-request deadline: a session
    whose events replay slower than the client-facing latency bound must
    still recover instead of being deadline-killed mid-replay and
@@ -921,8 +955,6 @@ let tests =
     Alcotest.test_case "journal: new entries fsync their directory" `Quick
       test_journal_dir_fsync;
     Alcotest.test_case "persistent: lifecycle" `Quick test_persistent_worker;
-    Alcotest.test_case "persistent: deadline kill" `Quick
-      test_persistent_deadline;
     Alcotest.test_case "persistent: backoff pacing" `Quick test_backoff;
     Alcotest.test_case "worker: frozen prologue keeps rejects pure" `Quick
       test_worker_frozen_prologue;
@@ -934,6 +966,8 @@ let tests =
     Alcotest.test_case "daemon: overload shedding" `Quick test_daemon_shedding;
     Alcotest.test_case "daemon: stalled client isolation" `Quick
       test_stalled_client_isolation;
+    Alcotest.test_case "daemon: deadline kill" `Quick
+      test_daemon_deadline_kill;
     Alcotest.test_case "daemon: replay exempt from deadline" `Quick
       test_replay_exempt_from_deadline;
     Alcotest.test_case "daemon: SIGTERM drain" `Quick test_daemon_drain;

@@ -135,6 +135,51 @@ let test_worker_crash () =
   | Error (Gmf_exec.Crashed _) -> ()
   | _ -> Alcotest.fail "crash not attributed to the crashing case"
 
+(* Every case kills its worker, so each one after the first [jobs]
+   runs on a respawned replacement: the counters are exact, unlike a
+   single crash among surviving cases, where how many forks replace it
+   depends on which worker is idle first. *)
+let test_pool_replaces_crashed_workers () =
+  let reg = Gmf_obs.Metrics.default in
+  let was = Gmf_obs.Metrics.enabled reg in
+  Gmf_obs.Metrics.set_enabled reg true;
+  let counter name = Gmf_obs.Metrics.counter reg name in
+  let names =
+    [ "exec.cases"; "exec.workers"; "exec.respawns"; "exec.pool_exhausted" ]
+  in
+  let before =
+    List.map (fun n -> Gmf_obs.Metrics.counter_value (counter n)) names
+  in
+  let r =
+    Gmf_exec.map_cases ~exec:(Gmf_exec.pool 2)
+      ~f:(fun (_ : int) : int -> Unix._exit 3)
+      [ 0; 1; 2; 3; 4 ]
+  in
+  let deltas =
+    List.map2
+      (fun n b -> (n, Gmf_obs.Metrics.counter_value (counter n) - b))
+      names before
+  in
+  Gmf_obs.Metrics.set_enabled reg was;
+  check_outcomes "every case crashed, in order"
+    (List.init 5 (fun _ -> "err:crash: worker exited with code 3"))
+    (strs r);
+  Alcotest.(check (list (pair string int)))
+    "exec counters"
+    [
+      ("exec.cases", 5);
+      ("exec.workers", 5);
+      ("exec.respawns", 3);
+      ("exec.pool_exhausted", 0);
+    ]
+    deltas
+
+(* One request/response round trip on a worker with nothing outstanding. *)
+let call w x =
+  match Gmf_exec.Persistent.send w x with
+  | Ok () -> Gmf_exec.Persistent.recv w
+  | Error e -> Error e
+
 (* exec.respawns counts replacement forks — here via the supervised
    persistent worker the daemon uses. *)
 let test_respawn_counter () =
@@ -151,14 +196,13 @@ let test_respawn_counter () =
         x * 2)
       ()
   in
-  (match Gmf_exec.Persistent.call w 0 with
+  (match call w 0 with
   | Error (Gmf_exec.Crashed _) -> ()
   | o -> Alcotest.fail ("expected a crash, got " ^ outcome_str o));
   Alcotest.(check int) "crash alone is not a respawn" 0
     (Gmf_obs.Metrics.counter_value respawns - r0);
   Gmf_exec.Persistent.respawn w;
-  Alcotest.(check bool) "replacement works" true
-    (Gmf_exec.Persistent.call w 3 = Ok 6);
+  Alcotest.(check bool) "replacement works" true (call w 3 = Ok 6);
   Gmf_exec.Persistent.stop w;
   Gmf_obs.Metrics.set_enabled reg was;
   Alcotest.(check int) "exec.respawns counts the replacement" 1
@@ -189,6 +233,8 @@ let tests =
     Alcotest.test_case "pool merges worker telemetry" `Quick
       test_pool_metrics_merge;
     Alcotest.test_case "worker crash is per-case" `Quick test_worker_crash;
+    Alcotest.test_case "pool replaces crashed workers" `Quick
+      test_pool_replaces_crashed_workers;
     Alcotest.test_case "respawn counter" `Quick test_respawn_counter;
     Alcotest.test_case "jobs knob" `Quick test_jobs_resolution;
     QCheck_alcotest.to_alcotest prop_map_seq_eq_pool;

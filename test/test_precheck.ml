@@ -415,35 +415,10 @@ let prop_verdicts_sound_faithful =
       let rng = Gmf_util.Rng.create ~seed in
       check_soundness ~config:Analysis.Config.faithful (gen_scenario rng))
 
-(* The report is backend-independent: certifying components inline, on a
-   sequential Gmf_exec, and on a fork pool must be byte-identical. *)
-let test_exec_backend_parity () =
-  List.iter
-    (fun scenario ->
-      let inline = Gmf_precheck.Precheck.to_json
-          (Gmf_precheck.Precheck.run scenario)
-      in
-      let seq =
-        Gmf_precheck.Precheck.to_json
-          (Gmf_precheck.Precheck.run ~exec:Gmf_exec.seq scenario)
-      in
-      let pooled =
-        Gmf_precheck.Precheck.to_json
-          (Gmf_precheck.Precheck.run ~exec:(Gmf_exec.of_jobs 2) scenario)
-      in
-      Alcotest.(check string) "seq backend = inline" inline seq;
-      Alcotest.(check string) "pool backend = inline" inline pooled)
-    [
-      Workload.Scenarios.fig1_videoconf ();
-      Workload.Scenarios.enterprise ();
-    ]
-
 let tests =
   [
     Alcotest.test_case "interference graph decomposes clusters" `Quick
       test_igraph_components;
-    Alcotest.test_case "exec backends agree byte-for-byte" `Quick
-      test_exec_backend_parity;
     Alcotest.test_case "conditions read the consolidated inequalities"
       `Quick test_conditions_consolidated;
     Alcotest.test_case "infeasible certificate + GMF018" `Quick
