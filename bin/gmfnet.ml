@@ -1,12 +1,7 @@
-(* gmfnet - command-line front end.
-
-   Subcommands:
-     list        named scenarios and experiments
-     lint        static diagnostics over a scenario, no fixpoint involved
-     analyze     holistic schedulability analysis of a named scenario
-     simulate    discrete-event simulation of a named scenario
-     admission   admission check with per-stage utilization conditions
-     experiment  run one experiment (E1..E10) or all of them *)
+(* gmfnet - command-line front end: one subcommand per section below,
+   grouped into the [gmfnet] command at the end of the file
+   ([gmfnet --help] lists them; [gmfnet list] names the scenarios and
+   the experiments E1..E19). *)
 
 open Cmdliner
 open Gmf_util
@@ -1248,13 +1243,6 @@ let session_cmd =
     let doc = "Emit one JSON object per event instead of transcript lines." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let cold_arg =
-    let doc =
-      "Disable warm starts: every event re-runs the holistic fixpoint from \
-       scratch (the baseline the churn benchmark measures against)."
-    in
-    Arg.(value & flag & info [ "cold" ] ~doc)
-  in
   let verify_arg =
     let doc =
       "Shadow mode: after every fixpoint event also run the cold batch \
@@ -1279,8 +1267,7 @@ let session_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run file config json cold verify explain survivable jobs metrics
-      trace_out =
+  let run file config json verify explain survivable jobs metrics trace_out =
     exit_of_result
       (match Scenario_io.Admtrace.of_file file with
       | Error e ->
@@ -1290,8 +1277,8 @@ let session_cmd =
           let obs =
             with_obs ?metrics ?trace_out (fun () ->
                 let result =
-                  Gmf_admctl.Replay.run ~config ~warm:(not cold)
-                    ~shadow:verify ~explain ?survivable
+                  Gmf_admctl.Replay.run ~config ~shadow:verify ~explain
+                    ?survivable
                     ~exec:(exec_of_jobs jobs)
                     ~on_outcome:(fun o ->
                       if json then
@@ -1323,9 +1310,8 @@ let session_cmd =
        ~doc:
          "Replay an admission trace ($(b,.admtrace)) through a long-lived           admission-control session: admits, removals and updates re-run           the holistic fixpoint warm-started from the previous converged           jitter state.")
     Term.(
-      const run $ file_pos_arg $ variant_arg $ json_arg $ cold_arg
-      $ verify_arg $ explain_arg $ survivable_arg $ jobs_arg $ metrics_arg
-      $ trace_out_arg)
+      const run $ file_pos_arg $ variant_arg $ json_arg $ verify_arg
+      $ explain_arg $ survivable_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                         *)
@@ -1333,7 +1319,7 @@ let session_cmd =
 
 let experiment_cmd =
   let id_arg =
-    let doc = "Experiment id (E1..E10) or $(b,all)." in
+    let doc = "Experiment id (E1..E19) or $(b,all)." in
     Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc)
   in
   let run id =

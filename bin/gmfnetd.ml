@@ -123,9 +123,6 @@ let client_cmd =
   let explain_arg =
     Arg.(value & flag & info [ "explain" ] ~doc:"Attribute fixpoint events.")
   in
-  let cold_arg =
-    Arg.(value & flag & info [ "cold" ] ~doc:"Disable warm starts.")
-  in
   let survivable_arg =
     let doc = "Arm the survivable-admission gate with budget $(docv)." in
     Arg.(value & opt (some int) None & info [ "survivable" ] ~docv:"K" ~doc)
@@ -137,14 +134,14 @@ let client_cmd =
     in
     Arg.(value & opt float 0. & info [ "throttle" ] ~docv:"S" ~doc)
   in
-  let run socket session file verify explain cold survivable throttle =
+  let run socket session file verify explain survivable throttle =
     exit_of_result
       (match In_channel.with_open_text file In_channel.input_all with
       | exception Sys_error msg -> Error msg
       | text -> (
           match
             Gmf_daemon.Client.run_trace ~socket ~session ~verify ~explain
-              ~cold ?survivable ~throttle_s:throttle text
+              ?survivable ~throttle_s:throttle text
           with
           | Error _ as e -> e
           | Ok r ->
@@ -174,7 +171,7 @@ let client_cmd =
           $(b,gmfnet session) on the same trace.")
     Term.(
       const run $ socket_arg $ session_arg $ file_arg $ verify_arg
-      $ explain_arg $ cold_arg $ survivable_arg $ throttle_arg)
+      $ explain_arg $ survivable_arg $ throttle_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fingerprint                                                        *)

@@ -12,10 +12,10 @@ let session_event = function
   | Scenario_io.Admtrace.Restore_link ((a, b), _) ->
       Session.Restore_link (a, b)
 
-let run ?config ?warm ?shadow ?explain ?survivable ?exec
-    ?(on_outcome = fun _ -> ()) (trace : Scenario_io.Admtrace.t) =
+let run ?config ?shadow ?explain ?survivable ?exec ?(on_outcome = fun _ -> ())
+    (trace : Scenario_io.Admtrace.t) =
   let session =
-    Session.create ?config ?warm ?shadow ?explain ?survivable ?exec
+    Session.create ?config ?shadow ?explain ?survivable ?exec
       ~switches:trace.switches ~topo:trace.topo ()
   in
   let outcomes =

@@ -19,7 +19,6 @@ val session_event : Scenario_io.Admtrace.event -> Session.event
 
 val run :
   ?config:Analysis.Config.t ->
-  ?warm:bool ->
   ?shadow:bool ->
   ?explain:bool ->
   ?survivable:int ->
@@ -28,9 +27,9 @@ val run :
   Scenario_io.Admtrace.t ->
   result
 (** Replay every event of the trace in order.  [on_outcome] fires after
-    each event (for streaming output); optional session knobs —
-    including the [survivable] gate and its [exec] backend — are passed
-    through to {!Session.create}. *)
+    each event (for streaming output); optional session knobs — the
+    [shadow] cross-check, [explain], the [survivable] gate and its
+    [exec] backend — are passed through to {!Session.create}. *)
 
 val outcome_line : Session.outcome -> string
 (** One transcript line per event, e.g.
@@ -49,9 +48,10 @@ val outcome_jsonl : Session.outcome -> string
     integer fields only, in the style of [Gmf_lint.Lint_json]. *)
 
 val mismatches : Session.outcome list -> int
-(** Number of shadow comparisons that disagreed with the warm result.
-    Always 0 without [shadow:true]; a non-zero value falsifies the
-    warm-start soundness argument and fails [gmfnet session --verify]. *)
+(** Number of shadow comparisons that disagreed with the session's own
+    result.  Always 0 without [shadow:true]; a non-zero value falsifies
+    the delta engine's soundness argument and fails
+    [gmfnet session --verify]. *)
 
 val pp_summary : Format.formatter -> Session.summary -> unit
 (** Multi-line key/value summary block. *)

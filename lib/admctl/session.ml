@@ -42,7 +42,6 @@ type summary = {
 
 type t = {
   config : Analysis.Config.t;
-  warm : bool;
   shadow : bool;
   explain : bool;
   survivable : int option;
@@ -108,15 +107,13 @@ let empty_report =
     results = [];
   }
 
-let create ?(config = Analysis.Config.default) ?(warm = true)
-    ?(shadow = false) ?(explain = false) ?survivable ?exec ?(switches = [])
-    ~topo () =
+let create ?(config = Analysis.Config.default) ?(shadow = false)
+    ?(explain = false) ?survivable ?exec ?(switches = []) ~topo () =
   (match survivable with
   | Some k when k < 0 -> invalid_arg "Session.create: survivable < 0"
   | _ -> ());
   {
     config;
-    warm;
     shadow;
     explain;
     survivable;
@@ -339,18 +336,15 @@ let shadow_check t scenario report =
    pure-growth closure was warm-seeded; an edit whose closure swallows
    the whole set restarts from source jitters and counts cold, as does
    the engine's cold fallback, which a committed report that never
-   converged forces and a [warm:false] session always takes.  The
-   committed scenario lints clean whenever it converged (every converging
-   path ran the lint gate, and removals only relax link loads), so the
-   delta lint-on-closure rule would be sound here too; events do their
-   own linting, so the engine's gate stays off.  Returns the report, the
+   converged forces.  The committed scenario lints clean whenever it
+   converged (every converging path ran the lint gate, and removals only
+   relax link loads), so the delta lint-on-closure rule would be sound
+   here too; events do their own linting, so the engine's gate stays
+   off.  Returns the report, the
    converged jitter state, how the run started, the shadow comparison
    and (explain sessions only) the worst-frame attribution summary. *)
 let run_fixpoint t scenario =
-  let d =
-    if t.warm then Analysis.Delta.analyze t.base scenario
-    else Analysis.Delta.cold ~config:t.config scenario
-  in
+  let d = Analysis.Delta.analyze t.base scenario in
   let report = d.Analysis.Delta.d_report in
   let s = d.Analysis.Delta.d_stats in
   let reused =

@@ -22,8 +22,9 @@
     (flows certified untouched, or a warm-seeded admit); an edit whose
     closure swallows the whole set restarts from source jitters and
     counts [Cold], as does the engine's cold fallback, which a
-    non-converged committed report forces and a [warm:false] session
-    always takes ({!Analysis.Delta.cold}).
+    non-converged committed report forces.  The cold cross-check is
+    [shadow:true] (below): it re-runs {!Analysis.Holistic.analyze} on
+    every fixpoint event and compares.
 
     Candidate flows are lint-gated ({!Gmf_lint}) before any fixpoint runs;
     a lint error rejects with [rounds = 0] exactly like
@@ -126,7 +127,6 @@ type summary = {
 
 val create :
   ?config:Analysis.Config.t ->
-  ?warm:bool ->
   ?shadow:bool ->
   ?explain:bool ->
   ?survivable:int ->
@@ -135,11 +135,10 @@ val create :
   topo:Network.Topology.t ->
   unit ->
   t
-(** An empty session over a fixed topology.  [warm:false] forces a cold
-    reset on every fixpoint event — the baseline the churn benchmark
-    measures against.  [shadow:true] additionally runs the cold analysis
-    after every warm-started event and records the comparison in
-    {!outcome.shadow} (the warm result stays authoritative).
+(** An empty session over a fixed topology.  [shadow:true] additionally
+    runs the cold analysis after every fixpoint event and records the
+    comparison in {!outcome.shadow} (the session's own result stays
+    authoritative).
     [explain:true] attributes every fixpoint run and attaches the
     worst-frame {!Gmf_explain.Attribution.summary} to the outcome.
 

@@ -70,9 +70,6 @@ let find_duplicate scenario candidate =
     (fun f -> f.Traffic.Flow.id = candidate.Traffic.Flow.id)
     (Traffic.Scenario.flows scenario)
 
-let admit_exn ?config scenario ~candidate =
-  check ?config (rebuild scenario [ candidate ])
-
 (* The gate (e.g. Gmf_faults.Survive.admission_gate, injected by the
    caller — depending on it here would be a cycle) only runs once the
    extended set is schedulable: a rejection already stands on its own,

@@ -46,14 +46,6 @@ val admit :
     [Gmf_faults.Survive.admission_gate]) turns the acceptance into a
     rejection carrying both the lint diagnostics and the gate's. *)
 
-val admit_exn :
-  ?config:Config.t ->
-  Traffic.Scenario.t ->
-  candidate:Traffic.Flow.t ->
-  decision
-(** Pre-GMF014 behaviour of {!admit}: raises [Invalid_argument] on a
-    duplicate candidate id (via [Traffic.Scenario.with_flows]). *)
-
 val duplicate_id_diag :
   candidate:Traffic.Flow.t -> existing:Traffic.Flow.t -> Gmf_diag.t
 (** The [GMF014] error of a candidate whose id is already admitted as

@@ -135,8 +135,7 @@ let diff_flows base_flows target_flows =
 (* Ids of [flows] transitively reachable from any of [seeds] by node
    sharing; always contains the seeds' ids.  BFS over a node -> flows
    index: every route node is expanded at most once, so the closure
-   costs O(total route length).  Formerly lived in Gmf_admctl.Session;
-   shared here by every delta caller. *)
+   costs O(total route length). *)
 let interference_closure ~seeds flows =
   let by_node = Hashtbl.create 64 in
   List.iter
@@ -222,7 +221,7 @@ let cold_run ~precheck ~config scenario =
 
 (* Comparison ruled out: analyze the target cold (optionally through the
    full-scenario lint gate), certify nothing. *)
-let cold ?(lint = false) ?(precheck = false) ~config target =
+let cold ~lint ~precheck ~config target =
   let total = Traffic.Scenario.flow_count target in
   match if lint then lint_reject ~config target else None with
   | Some report ->

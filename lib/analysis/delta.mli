@@ -12,7 +12,7 @@
       counts as changed when its canonical serialization
       ({!Case.flow_digest}) differs (physical equality short-circuits).
       A target whose topology, switch models or convergence status rule
-      the comparison out falls back to a cold run
+      the comparison out falls back to a cold run of the whole target
       ([stats.cold_fallback]).
     + {b Closure.}  Two flows interfere only where their routes share a
       node (exactly an {!Gmf_precheck.Igraph} edge), so the edit's blast
@@ -103,16 +103,6 @@ type result = {
   d_stats : stats;
 }
 
-val interference_closure :
-  seeds:Traffic.Flow.t list ->
-  Traffic.Flow.t list ->
-  (Traffic.Flow.id, unit) Hashtbl.t
-(** Ids of the given flows transitively reachable from any seed by node
-    sharing (routes meeting at a node — exactly an {!Gmf_precheck.Igraph}
-    edge); always contains the seeds' ids.  Node-indexed BFS, O(total
-    route length).  Exposed for callers that need the blast radius
-    without a full delta run; {!analyze} uses it internally. *)
-
 val analyze :
   ?lint:bool -> ?precheck:bool -> base -> Traffic.Scenario.t -> result
 (** [analyze base target] incrementally re-analyzes [target] against
@@ -140,13 +130,3 @@ val analyze :
     jitters or (pure growth) squeezes up from below it.  A closure that
     covers every target flow is run on [target] itself (the restriction
     returns it unchanged), and that run is the result as it stands. *)
-
-val cold :
-  ?lint:bool -> ?precheck:bool -> config:Config.t -> Traffic.Scenario.t ->
-  result
-(** [cold ~config target] is the fallback {!analyze} takes when the
-    comparison is ruled out: [target] analyzed from source jitters
-    (through the full-scenario lint gate under [~lint:true], through
-    {!Sharded.analyze} under [~precheck:true]), nothing certified,
-    [stats.cold_fallback] set.  Exposed for callers that must not reuse
-    a base, e.g. a session created with [warm:false]. *)

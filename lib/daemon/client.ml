@@ -122,7 +122,7 @@ let has_mismatch text =
   at 0
 
 let run_trace ~socket ~session ?(verify = false) ?(explain = false)
-    ?(cold = false) ?survivable ?(throttle_s = 0.) text =
+    ?survivable ?(throttle_s = 0.) text =
   let prologue, chunks = slice_trace text in
   match connect socket with
   | Error _ as e -> e
@@ -143,7 +143,7 @@ let run_trace ~socket ~session ?(verify = false) ?(explain = false)
                      topology = prologue;
                      verify;
                      explain;
-                     cold;
+                     cold = false;
                      survivable;
                      throttle_s;
                    })

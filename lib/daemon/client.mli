@@ -48,7 +48,6 @@ val run_trace :
   session:string ->
   ?verify:bool ->
   ?explain:bool ->
-  ?cold:bool ->
   ?survivable:int ->
   ?throttle_s:float ->
   string ->

@@ -22,6 +22,9 @@ val valid_name : string -> bool
     [A-Za-z0-9._-], not starting with ['.'] — names double as file
     names, so nothing that could escape [dir] or hide the file. *)
 
+val file : dir:string -> session:string -> string
+(** The journal's path, [<dir>/<session>.journal]. *)
+
 val open_ : dir:string -> session:string -> t * string list
 (** Open (creating [dir] and the file as needed) the journal for
     [session] in append mode and return it together with the recovered

@@ -337,11 +337,40 @@ let evict_idle t =
       drop_session t s;
       true
 
-let opts_of_open ~exec_jobs ~verify ~explain ~cold ~survivable ~throttle_s =
-  { Worker.verify; explain; cold; survivable; throttle_s; exec_jobs }
+let opts_of_open ~exec_jobs ~verify ~explain ~survivable ~throttle_s =
+  { Worker.verify; explain; survivable; throttle_s; exec_jobs }
 
-let handle_open t conn ~now ~session ~topology ~verify ~explain ~cold
-    ~survivable ~throttle_s =
+(* Recovery is authoritative: an existing journal's open line defines
+   topology and options, so replay rebuilds the original session even if
+   this re-open drifted.  [Ok None] for a new session.  A journal that
+   does not start with a session open cannot be replayed faithfully: it
+   is refused after a read-only look, so nothing is registered and the
+   file stays as it is. *)
+let recover_journal t ~session =
+  let dir = t.cfg.journal_dir in
+  match Journal.load ~dir ~session with
+  | [] -> Ok None
+  | first :: rest -> (
+      match Jsonl.decode_request first with
+      | Ok
+          (Jsonl.Open
+            { topology; verify; explain; cold = false; survivable; throttle_s;
+              _ }) ->
+          Ok
+            (Some
+               ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify ~explain
+                   ~survivable ~throttle_s,
+                 topology,
+                 rest ))
+      | _ ->
+          Error
+            (Printf.sprintf
+               "journal %s: first line is not a replayable session open; not \
+                recovered"
+               (Journal.file ~dir ~session)))
+
+let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
+    ~throttle_s =
   if t.draining then
     respond t conn
       (Jsonl.Rejected
@@ -393,77 +422,62 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~cold
           | Some message ->
               respond t conn
                 (Jsonl.Rejected { code = Jsonl.code_parse; message })
-          | None ->
-              let journal, recovered =
-                Journal.open_ ~dir:t.cfg.journal_dir ~session
-              in
-              let opts =
-                opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify ~explain ~cold
-                  ~survivable ~throttle_s
-              in
-              (* Recovery is authoritative: an existing journal's open
-                 line defines topology and options, so replay rebuilds
-                 the original session even if this re-open drifted. *)
-              let opts, topology, event_lines =
-                match recovered with
-                | [] ->
-                    Journal.append journal
-                      (Jsonl.encode_request
-                         (Jsonl.Open
-                            {
-                              session;
-                              topology;
-                              verify;
-                              explain;
-                              cold;
-                              survivable;
-                              throttle_s;
-                            }));
-                    (opts, topology, [])
-                | first :: rest -> (
-                    match Jsonl.decode_request first with
-                    | Ok
-                        (Jsonl.Open
-                          {
-                            topology = topo0;
-                            verify = v0;
-                            explain = e0;
-                            cold = c0;
-                            survivable = k0;
-                            throttle_s = th0;
-                            _;
-                          }) ->
-                        ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify:v0
-                            ~explain:e0 ~cold:c0 ~survivable:k0 ~throttle_s:th0,
-                          topo0,
-                          rest )
-                    | _ -> (opts, topology, rest))
-              in
-              let sess =
-                {
-                  s_name = session;
-                  s_opts = opts;
-                  s_topology = topology;
-                  s_journal = journal;
-                  s_events = List.rev event_lines;
-                  s_worker = None;
-                  s_backoff =
-                    Backoff.create ~base_s:t.cfg.backoff_base_s
-                      ~max_s:t.cfg.backoff_max_s ();
-                  s_inflight = None;
-                  s_deadline = None;
-                  s_replay = Queue.create ();
-                  s_queue = Queue.create ();
-                }
-              in
-              Hashtbl.replace t.sessions session sess;
-              Metrics.set_gauge g_sessions
-                (float_of_int (Hashtbl.length t.sessions));
-              conn.c_sess <- Some sess;
-              respond t conn
-                (Jsonl.Opened { session; replayed = List.length event_lines });
-              (* Start the recovery replay right away. *)
-              pump t sess ~now
+          | None -> (
+              match recover_journal t ~session with
+              | Error message ->
+                  respond t conn
+                    (Jsonl.Rejected { code = Jsonl.code_proto; message })
+              | Ok recovered ->
+                  let journal, _ =
+                    Journal.open_ ~dir:t.cfg.journal_dir ~session
+                  in
+                  let opts, topology, event_lines =
+                    match recovered with
+                    | Some r -> r
+                    | None ->
+                        Journal.append journal
+                          (Jsonl.encode_request
+                             (Jsonl.Open
+                                {
+                                  session;
+                                  topology;
+                                  verify;
+                                  explain;
+                                  cold = false;
+                                  survivable;
+                                  throttle_s;
+                                }));
+                        ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify
+                            ~explain ~survivable ~throttle_s,
+                          topology,
+                          [] )
+                  in
+                  let sess =
+                    {
+                      s_name = session;
+                      s_opts = opts;
+                      s_topology = topology;
+                      s_journal = journal;
+                      s_events = List.rev event_lines;
+                      s_worker = None;
+                      s_backoff =
+                        Backoff.create ~base_s:t.cfg.backoff_base_s
+                          ~max_s:t.cfg.backoff_max_s ();
+                      s_inflight = None;
+                      s_deadline = None;
+                      s_replay = Queue.create ();
+                      s_queue = Queue.create ();
+                    }
+                  in
+                  Hashtbl.replace t.sessions session sess;
+                  Metrics.set_gauge g_sessions
+                    (float_of_int (Hashtbl.length t.sessions));
+                  conn.c_sess <- Some sess;
+                  respond t conn
+                    (Jsonl.Opened
+                       { session; replayed = List.length event_lines });
+                  (* Start the recovery replay right away. *)
+                  pump t sess ~now)
         end
 
 let enqueue t conn ~now p =
@@ -507,12 +521,26 @@ let handle_request t conn line ~now =
   | Ok Jsonl.Close ->
       respond t conn Jsonl.Closed;
       conn.c_closed <- true
+  | Ok (Jsonl.Open { cold = true; _ }) ->
+      respond t conn
+        (Jsonl.Rejected
+           {
+             code = Jsonl.code_proto;
+             message = "cold sessions are not supported; use verify";
+           })
   | Ok
       (Jsonl.Open
-        { session; topology; verify; explain; cold; survivable; throttle_s })
-    ->
-      handle_open t conn ~now ~session ~topology ~verify ~explain ~cold
-        ~survivable ~throttle_s
+        {
+          session;
+          topology;
+          verify;
+          explain;
+          cold = false;
+          survivable;
+          throttle_s;
+        }) ->
+      handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
+        ~throttle_s
   | Ok (Jsonl.Event { text } as req) ->
       enqueue t conn ~now
         {

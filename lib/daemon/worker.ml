@@ -28,7 +28,6 @@ module Replay = Gmf_admctl.Replay
 type opts = {
   verify : bool;
   explain : bool;
-  cold : bool;
   survivable : int option;
   throttle_s : float;
   exec_jobs : int;
@@ -38,7 +37,6 @@ let default_opts =
   {
     verify = false;
     explain = false;
-    cold = false;
     survivable = None;
     throttle_s = 0.;
     exec_jobs = 1;
@@ -71,7 +69,7 @@ let init ~opts ~topology () =
      every future replay. *)
   Incremental.freeze inc;
   let session =
-    Session.create ~warm:(not opts.cold) ~shadow:opts.verify
+    Session.create ~shadow:opts.verify
       ~explain:opts.explain ?survivable:opts.survivable
       ~exec:(Gmf_exec.of_jobs opts.exec_jobs)
       ~switches:(Incremental.switches inc)

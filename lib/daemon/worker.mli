@@ -21,7 +21,6 @@
 type opts = {
   verify : bool;  (** Shadow mode, as [gmfnet session --verify]. *)
   explain : bool;
-  cold : bool;  (** Disable warm starts. *)
   survivable : int option;
   throttle_s : float;
       (** Minimum seconds spent per event request — overload-test

@@ -161,15 +161,7 @@ let test_start_kinds () =
   let { Replay.outcomes; _ } = Replay.run star in
   Alcotest.(check string) "shared-switch removal resets cold" "cold"
     (Format.asprintf "%a" Session.pp_start
-       (List.nth outcomes 2).Session.start);
-  (* With warm starts disabled every fixpoint event is cold. *)
-  let { Replay.outcomes; _ } = Replay.run ~warm:false star in
-  List.iter
-    (fun o ->
-      if o.Session.rounds > 0 then
-        Alcotest.(check string) "cold session" "cold"
-          (Format.asprintf "%a" Session.pp_start o.Session.start))
-    outcomes
+       (List.nth outcomes 2).Session.start)
 
 (* ------------------------------------------------------------------ *)
 (* Degraded mode: fail link / restore link                            *)
@@ -443,33 +435,6 @@ let check_admits_against_chain ~config trace text =
       | _ -> colds)
     0 trace.Scenario_io.Admtrace.events
 
-(* A [warm:false] session resets every fixpoint to source jitters: each
-   single-run event takes exactly the rounds of {!Analysis.Holistic.analyze}
-   on its scenario (the shadow's reference run); a link failure sums the
-   rounds of its settle attempts, the last of which is the shadowed one. *)
-let check_cold_replay ~config trace text =
-  let { Replay.outcomes; _ } =
-    Replay.run ~config ~warm:false ~shadow:true trace
-  in
-  List.iter
-    (fun (o : Session.outcome) ->
-      match o.Session.shadow with
-      | None -> ()
-      | Some { Session.cold_rounds; _ } ->
-          let ok =
-            o.Session.start <> Session.Warm
-            &&
-            if o.Session.degradation = None then
-              o.Session.rounds = cold_rounds
-            else o.Session.rounds >= cold_rounds
-          in
-          if not ok then
-            QCheck.Test.fail_reportf
-              "event #%d (%s): cold session %a %d rounds, analyze %d@\n%s"
-              o.Session.seq o.Session.label Session.pp_start o.Session.start
-              o.Session.rounds cold_rounds text)
-    outcomes
-
 (* A warm session agrees with the cold batch analysis: every fixpoint
    with its cold shadow, and the final committed report with a
    from-scratch analysis of the final admitted set. *)
@@ -511,9 +476,9 @@ let check_warm_equals_cold trace text =
 
 (* Every trace is held to cold equivalence under the default config.
    Every third trace is also replayed with the holistic iteration capped
-   at two rounds and held to the chain oracle and the cold replay under
-   that cap.  These random traces never commit an unconverged report,
-   even under a cap, so the cold fallback after one is covered by
+   at two rounds and held to the chain oracle under that cap.  These
+   random traces never commit an unconverged report, even under a cap,
+   so the cold fallback after one is covered by
    [test_unconverged_commit_falls_back]. *)
 let capped_config =
   { Analysis.Config.default with Analysis.Config.max_holistic_rounds = 2 }
@@ -531,9 +496,7 @@ let prop_warm_equals_cold =
         else [ Analysis.Config.default ]
       in
       List.iter
-        (fun config ->
-          ignore (check_admits_against_chain ~config trace text);
-          check_cold_replay ~config trace text)
+        (fun config -> ignore (check_admits_against_chain ~config trace text))
         configs;
       check_warm_equals_cold trace text)
 
@@ -585,7 +548,22 @@ let test_unconverged_commit_falls_back () =
     (verdict_kind (List.nth outcomes 7).Session.verdict);
   Alcotest.(check int) "admits started cold by the chain oracle" 2
     (check_admits_against_chain ~config trace text);
-  check_cold_replay ~config trace text
+  (* Every cold start (the whole-set restart of remove lh1 and the
+     fallbacks after it) runs exactly the shadow's cold analysis. *)
+  let { Replay.outcomes; _ } = Replay.run ~config ~shadow:true trace in
+  let colds =
+    List.filter_map
+      (fun (o : Session.outcome) ->
+        match (o.Session.start, o.Session.shadow) with
+        | Session.Cold, Some { Session.cold_rounds; equivalent } ->
+            Some ((o.Session.rounds, equivalent), (cold_rounds, true))
+        | _ -> None)
+      outcomes
+  in
+  Alcotest.(check (list (pair int bool)))
+    "cold starts: rounds/equivalent == shadow"
+    (List.map snd colds) (List.map fst colds);
+  Alcotest.(check int) "cold starts shadowed" 4 (List.length colds)
 
 let prop_trace_parser_total =
   QCheck.Test.make ~name:"admtrace parser never raises on garbage"
@@ -665,11 +643,7 @@ let test_admission_duplicate_id () =
   | Analysis.Holistic.Analysis_failed [ _ ] -> ()
   | v ->
       Alcotest.failf "expected one synthetic failure, got %a"
-        Analysis.Holistic.pp_verdict v);
-  (* the raising variant keeps the historical behaviour *)
-  match Analysis.Admission.admit_exn scenario ~candidate with
-  | _ -> Alcotest.fail "admit_exn should raise on a duplicate id"
-  | exception Invalid_argument _ -> ()
+        Analysis.Holistic.pp_verdict v)
 
 (* The extended set of [Admission.admit] keeps the scenario's declared
    switch models: with every fig1 switch's CROUTE x40 the full set is
@@ -700,11 +674,7 @@ let test_admission_keeps_switch_models () =
     (Analysis.Admission.check full).Analysis.Admission.admitted;
   Alcotest.(check bool)
     "admit rejects" false
-    (Analysis.Admission.admit base ~candidate).Analysis.Admission.admitted;
-  Alcotest.(check bool)
-    "admit_exn rejects" false
-    (Analysis.Admission.admit_exn base ~candidate)
-      .Analysis.Admission.admitted
+    (Analysis.Admission.admit base ~candidate).Analysis.Admission.admitted
 
 let tests =
   [

@@ -924,6 +924,95 @@ let test_replay_exempt_from_deadline () =
           Alcotest.(check int) "journal replayed in full" 2 events
       | Error msg -> Alcotest.fail msg)
 
+let open_req ?(cold = false) session topology =
+  Jsonl.Open
+    {
+      session;
+      topology;
+      verify = false;
+      explain = false;
+      cold;
+      survivable = None;
+      throttle_s = 0.;
+    }
+
+(* Runs [f] against a fresh daemon's socket and journal directory. *)
+let with_daemon f =
+  let dir = fresh_dir () in
+  let cfg =
+    {
+      Server.default_config with
+      socket_path = Filename.concat dir "d.sock";
+      journal_dir = Filename.concat dir "journal";
+    }
+  in
+  mkdirs cfg.Server.journal_dir;
+  let pid = start_daemon cfg in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon pid)
+    (fun () ->
+      match Client.connect cfg.Server.socket_path with
+      | Error msg -> Alcotest.fail msg
+      | Ok c ->
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () -> f c cfg.Server.journal_dir))
+
+let check_proto_reject what ?needle resp =
+  match resp with
+  | Ok (Jsonl.Rejected { code; message }) ->
+      Alcotest.(check string) (what ^ ": code") Jsonl.code_proto code;
+      Option.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %S" what message needle)
+            true (contains ~needle message))
+        needle
+  | Ok r -> Alcotest.failf "%s: unexpected %s" what (Jsonl.encode_response r)
+  | Error msg -> Alcotest.fail msg
+
+let topology_ab = "node a endhost\nnode b endhost\nduplex a b rate=100M\n"
+
+(* Sessions have one (warm) mode: an open asking for a cold one is
+   refused, for a new session and for a live one alike. *)
+let test_cold_open_rejected () =
+  with_daemon (fun c _journal_dir ->
+      check_proto_reject "new session"
+        (Client.request c (open_req ~cold:true "s" topology_ab));
+      (match Client.request c (open_req "s" topology_ab) with
+      | Ok (Jsonl.Opened _) -> ()
+      | _ -> Alcotest.fail "warm open failed");
+      check_proto_reject "live session"
+        (Client.request c (open_req ~cold:true "s" topology_ab)))
+
+(* Recovery fails closed: a journal whose first line is not a warm
+   session open is refused with [proto] naming the file, no session is
+   registered and the file is left byte-for-byte as it was. *)
+let test_journal_recovery_fails_closed () =
+  with_daemon (fun c journal_dir ->
+      let event = Jsonl.encode_request (Jsonl.Event { text = "query" }) in
+      List.iter
+        (fun (session, first) ->
+          let path = Journal.file ~dir:journal_dir ~session in
+          let text = first ^ "\n" ^ event ^ "\n" in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc text);
+          check_proto_reject session ~needle:path
+            (Client.request c (open_req session topology_ab));
+          Alcotest.(check string)
+            (session ^ ": journal untouched")
+            text
+            (In_channel.with_open_bin path In_channel.input_all);
+          check_proto_reject (session ^ ": no session registered")
+            ~needle:"no session open"
+            (Client.request c Jsonl.Summary))
+        [
+          ("event-first", event);
+          ( "cold-open",
+            Jsonl.encode_request (open_req ~cold:true "cold-open" topology_ab)
+          );
+        ])
+
 (* A fresh journal under not-yet-existing directories: each created
    directory's parent is synced as it is made, and the journal
    directory itself once the file exists in it. *)
@@ -971,4 +1060,8 @@ let tests =
     Alcotest.test_case "daemon: replay exempt from deadline" `Quick
       test_replay_exempt_from_deadline;
     Alcotest.test_case "daemon: SIGTERM drain" `Quick test_daemon_drain;
+    Alcotest.test_case "daemon: cold open rejected" `Quick
+      test_cold_open_rejected;
+    Alcotest.test_case "daemon: journal recovery fails closed" `Quick
+      test_journal_recovery_fails_closed;
   ]

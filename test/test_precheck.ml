@@ -377,7 +377,7 @@ let prop_admtrace_sound =
 (* ------------------------------------------------------------------ *)
 
 let test_example_corpus_sound () =
-  let dir = "../examples/scenarios" in
+  let dir = Example_corpus.dir () in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".gmfnet")

@@ -79,7 +79,7 @@ let test_committed_scenario_files_parse () =
      their in-code counterparts' analysis verdicts. *)
   List.iter
     (fun (file, scenario) ->
-      let path = Filename.concat "../examples/scenarios" file in
+      let path = Filename.concat (Example_corpus.dir ()) file in
       match Scenario_io.Parse.scenario_of_file path with
       | Error e ->
           Alcotest.failf "%s: %a" file Scenario_io.Parse.pp_error e
