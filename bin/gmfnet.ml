@@ -1064,21 +1064,6 @@ let profile_cmd =
            if tables <> "" then Printf.printf "\n%s\n" tables;
            let phases = Gmf_obs.Export.phase_table (Gmf_obs.Tracer.aggregate tr) in
            if phases <> "" then Printf.printf "\n%s\n" phases;
-           (* A pool that ran out of respawn budget failed its remaining
-              cases with [Crashed] instead of analyzing them — that must
-              not hide in the tables. *)
-           let exhausted =
-             Gmf_obs.Metrics.counter_value
-               (Gmf_obs.Metrics.counter reg "exec.pool_exhausted")
-           in
-           if exhausted > 0 then
-             Printf.printf
-               "\nWARNING: worker pool exhausted %d time(s) after %d \
-                respawn(s); affected cases failed with 'worker pool \
-                exhausted' instead of a verdict.\n"
-               exhausted
-               (Gmf_obs.Metrics.counter_value
-                  (Gmf_obs.Metrics.counter reg "exec.respawns"));
            try
              (match metrics with
              | Some path when path <> "-" ->

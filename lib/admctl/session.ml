@@ -282,9 +282,6 @@ let norm_pair a b = (min a b, max a b)
 let failed_directed failed =
   List.concat_map (fun (a, b) -> [ (a, b); (b, a) ]) failed
 
-let route_uses avoid route =
-  List.exists (fun hop -> List.mem hop avoid) (Network.Route.hops route)
-
 let link_label t a b =
   let name id = (Network.Topology.node (topo t) id).Network.Node.name in
   Printf.sprintf "%s<->%s" (name a) (name b)
@@ -306,7 +303,8 @@ let failed_route_diag t (flow : Traffic.Flow.t) =
 
 let routed_over_failure t (flow : Traffic.Flow.t) =
   t.failed <> []
-  && route_uses (failed_directed t.failed) flow.Traffic.Flow.route
+  && Network.Route.crosses flow.Traffic.Flow.route
+       ~links:(failed_directed t.failed) ~nodes:[]
 
 (* Shadow mode: re-run the scenario cold through the monolithic analysis
    and compare.  The oracle the delta engine is judged against —
@@ -536,7 +534,7 @@ let apply_fail t a b =
     let affected, safe =
       List.partition
         (fun (f : Traffic.Flow.t) ->
-          route_uses avoid f.Traffic.Flow.route)
+          Network.Route.crosses f.Traffic.Flow.route ~links:avoid ~nodes:[])
         (flows t)
     in
     t.failed <- failed;

@@ -106,11 +106,6 @@ let mx t flow ~src ~dst ~dt =
 let nx t flow ~src ~dst ~dt =
   count_bound (params t flow ~src ~dst).Traffic.Link_params.count_demand dt
 
-(* The link a stage occupies: ingress stages charge the incoming link. *)
-let link_of flow = function
-  | Stage.First_link (s, d) | Stage.Egress (s, d) -> (s, d)
-  | Stage.Ingress n -> (Network.Route.prec flow.Traffic.Flow.route n, n)
-
 (* Fills the [last] slots of frames not evaluated yet; never returned. *)
 let unevaluated =
   Error
@@ -126,7 +121,7 @@ let node t flow ~stage =
   match Nodes.find_opt t.nodes key with
   | Some node -> node
   | None ->
-      let src, dst = link_of flow stage in
+      let src, dst = Gmf_precheck.Stage_eq.link_of flow stage in
       let p = params t flow ~src ~dst in
       let node =
         {
@@ -144,32 +139,21 @@ let node t flow ~stage =
       Nodes.add t.nodes key node;
       node
 
-(* Every flow on the link for first-link and ingress stages (the first link
-   of a flow is the first link of every flow sharing it: endhosts do not
-   relay); the flow itself ahead of its higher-or-equal-priority flows for
-   egress. *)
 let reads t self =
-  if Array.length self.reads = 0 then begin
-    let flows =
-      match self.stage with
-      | Stage.Egress (n, _) ->
-          self.flow :: Traffic.Scenario.hep t.scenario self.flow ~node:n
-      | stage ->
-          let src, dst = link_of self.flow stage in
-          Traffic.Scenario.flows_on t.scenario ~src ~dst
-    in
+  if Array.length self.reads = 0 then
     self.reads <-
-      Array.of_list (List.map (fun j -> node t j ~stage:self.stage) flows)
-  end;
+      Gmf_precheck.Stage_eq.busy_set t.scenario self.flow self.stage
+      |> List.map (fun j -> node t j ~stage:self.stage)
+      |> Array.of_list;
   self.reads
 
-let charge t self ~others f =
+let charge t self ~others f dt =
   let reads = reads t self in
   let acc = ref 0 in
   for k = 0 to Array.length reads - 1 do
     let j = reads.(k) in
     if not (others && j == self) then
-      acc := Gmf_util.Timeunit.sat_add !acc (f j)
+      acc := Gmf_util.Timeunit.sat_add !acc (f j dt)
   done;
   !acc
 

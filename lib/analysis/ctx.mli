@@ -55,9 +55,9 @@ val extra : t -> Traffic.Flow.t -> stage:Stage.t -> Gmf_util.Timeunit.ns
     One node per (flow, stage of its route), created on first use and kept
     until {!reset_jitters} or {!restore} replaces the jitter state.  A node
     holds the flow's MX/NX tables on the stage's link, its {!extra} there,
-    and its {e reads}: the nodes of the flows the stage analysis charges,
-    in {!Traffic.Scenario.flows_on} order for first-link and ingress stages
-    and [self :: hep] for egress.
+    and its {e reads}: the nodes of the stage's
+    {!Gmf_precheck.Stage_eq.busy_set}, the flows the stage analysis
+    charges.
 
     {b Reuse rule.}  {!set_jitter} refreshes the node's cached extra and,
     only when that extra changes, advances a per-context clock and stamps
@@ -80,11 +80,13 @@ val node : t -> Traffic.Flow.t -> stage:Stage.t -> node
     route. *)
 
 val charge :
-  t -> node -> others:bool -> (node -> Gmf_util.Timeunit.ns) ->
-  Gmf_util.Timeunit.ns
-(** [charge t self ~others f] sums [f] over the reads of [self] in order,
-    skipping [self] itself when [others]; the sum saturates instead of
-    wrapping.  The reads are resolved on the first call. *)
+  t -> node -> others:bool ->
+  (node -> Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) ->
+  Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns
+(** [charge t self ~others f dt] sums [f j dt] over the reads [j] of
+    [self] in order, skipping [self] itself when [others]; the sum
+    saturates instead of wrapping.  The reads are resolved on the first
+    call. *)
 
 val mx_of : t -> node -> dt:Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns
 (** [mx_of t j ~dt] is [mx] of the node's flow over [dt + extra_j]: its

@@ -1,31 +1,6 @@
-(* Lower bound on every packet's response at a stage: even an uncontended
-   packet must transmit itself (link stages) or consume its own task
-   rotations (ingress).  Used by the tight-jitter rule: jitter grows by the
-   stage's response-time variability R - R_min, never by less than 0. *)
-let stage_min_response ctx flow ~frame stage =
-  let scenario = Ctx.scenario ctx in
-  match stage with
-  | Stage.First_link (src, dst) | Stage.Egress (src, dst) ->
-      let p = Ctx.params ctx flow ~src ~dst in
-      p.Traffic.Link_params.c.(frame)
-      + p.Traffic.Link_params.link.Network.Link.prop
-  | Stage.Ingress node ->
-      let prec = Network.Route.prec flow.Traffic.Flow.route node in
-      let p = Ctx.params ctx flow ~src:prec ~dst:node in
-      let model = Traffic.Scenario.switch_model scenario node in
-      p.Traffic.Link_params.eth_frames.(frame)
-      * model.Click.Switch_model.croute
-
 (* Stage evaluations answered from the node's last result because none of
    its reads changed since (see {!Ctx.recall}). *)
 let m_reused = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.reused"
-
-(* Constant span names: selecting by match keeps the disabled path
-   allocation-free. *)
-let stage_span_name = function
-  | Stage.First_link _ -> "stage.first_link"
-  | Stage.Ingress _ -> "stage.ingress"
-  | Stage.Egress _ -> "stage.egress"
 
 let analyze_frame ctx ~flow ~frame =
   if frame < 0 || frame >= Traffic.Flow.n flow then
@@ -42,14 +17,7 @@ let analyze_frame ctx ~flow ~frame =
         Gmf_obs.Metrics.incr m_reused;
         result
     | None ->
-        let result =
-          Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
-            (stage_span_name stage) (fun () ->
-              match stage with
-              | Stage.First_link _ -> First_hop.analyze ctx ~flow ~frame
-              | Stage.Ingress node -> Ingress.analyze ctx ~flow ~node ~frame
-              | Stage.Egress (node, _) -> Egress.analyze ctx ~flow ~node ~frame)
-        in
+        let result = Stage_common.analyze ctx ~flow ~frame stage in
         Ctx.remember ctx self ~frame result;
         result
   in
@@ -75,7 +43,10 @@ let analyze_frame ctx ~flow ~frame =
             let r = stage_response.Result_types.response in
             let jitter_growth =
               if tight then
-                max 0 (r - stage_min_response ctx flow ~frame stage)
+                max 0
+                  (r
+                  - Gmf_precheck.Stage_eq.uncontended (Ctx.scenario ctx) flow
+                      ~frame stage)
               else r
             in
             walk rest (rsum + r) (jsum + jitter_growth)

@@ -15,15 +15,9 @@
     second node is already the destination; we analyze it (repair R5).
 
     Under [Config.tight_jitter] the jitter handed forward grows only by the
-    stage's response-time variability (R − R_min) rather than the full R;
+    stage's response-time variability (R − R_min, with R_min the
+    {!Gmf_precheck.Stage_eq.uncontended} floor) rather than the full R;
     the end-to-end bound itself still sums the full stage responses. *)
-
-val stage_min_response :
-  Ctx.t -> Traffic.Flow.t -> frame:int -> Stage.t -> Gmf_util.Timeunit.ns
-(** Lower bound on the frame's response at the stage: its own transmission
-    plus propagation (link stages) or its own task rotations (ingress).
-    This is the floor the tight-jitter rule subtracts; the explain layer
-    reports it as the hop's uncontended minimum. *)
 
 val analyze_frame :
   Ctx.t ->

@@ -11,13 +11,6 @@ let with_route flow route =
     ~priority:flow.Traffic.Flow.priority
 (* Remarks are dropped deliberately: they name hops of the old route. *)
 
-let route_avoids ?(avoid_links = []) ?(avoid_nodes = []) route =
-  List.for_all (fun hop -> not (List.mem hop avoid_links))
-    (Network.Route.hops route)
-  && List.for_all
-       (fun n -> not (List.mem n avoid_nodes))
-       (Network.Route.nodes route)
-
 let candidate_routes ?(max_routes = 4) ?avoid_links ?avoid_nodes topo flow =
   let own = flow.Traffic.Flow.route in
   let alternatives =
@@ -27,7 +20,12 @@ let candidate_routes ?(max_routes = 4) ?avoid_links ?avoid_nodes topo flow =
     |> List.filter (fun r ->
            Network.Route.nodes r <> Network.Route.nodes own)
   in
-  if route_avoids ?avoid_links ?avoid_nodes own then own :: alternatives
+  let crossed =
+    Network.Route.crosses own
+      ~links:(Option.value avoid_links ~default:[])
+      ~nodes:(Option.value avoid_nodes ~default:[])
+  in
+  if not crossed then own :: alternatives
   else alternatives
 
 (* First-match search over candidate routes, in order, through the case

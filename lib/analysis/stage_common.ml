@@ -1,46 +1,31 @@
-open Gmf_util
+module Eq = Gmf_precheck.Stage_eq
 
-(* The paper's per-frame analysis assumes every busy period begins with a
-   release of the analyzed frame k itself (eqs 16/23/30 charge only whole
-   prior cycles, q * CSUM).  That is unsound when earlier frames of the
-   same flow can still be in service at frame k's release — e.g. the
-   Figure 3 stream on a 10 Mbit/s link, where the I+P packet's 36.6 ms
-   transmission exceeds its 30 ms period, so the following B packet always
-   queues behind it (observed by the simulator, experiment E18).
+(* Per-stage-kind convergence histograms and span names: the profile
+   subcommand reports where fixpoint iterations are spent across the three
+   stage analyses.  Constant names keep the disabled tracer path
+   allocation-free. *)
+type kind_obs = { span : string; iters : Gmf_obs.Metrics.histogram }
 
-   Repair R8 (DESIGN.md): under [Config.Repaired] the scan below maximizes
-   over busy periods starting [l] own frames before frame k
-   (l = 0..n_i - 1); the own-work charge grows by the l predecessors'
-   demand while the subtraction in [finish] grows only by their minimum
-   separations.  [Config.Faithful] keeps the paper's l = 0. *)
+let kind_obs name =
+  {
+    span = "stage." ^ name;
+    iters =
+      Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default
+        ("fixpoint.iters." ^ name);
+  }
 
-let window_before arr ~k ~len =
-  let n = Array.length arr in
-  let rec go i acc =
-    if i >= len then acc
-    else go (i + 1) (acc + arr.((((k - 1 - i) mod n) + n) mod n))
-  in
-  go 0 0
+let obs_first_link = kind_obs "first_link"
+let obs_ingress = kind_obs "ingress"
+let obs_egress = kind_obs "egress"
 
-(* Per-stage-kind convergence histograms: the profile subcommand reports
-   where fixpoint iterations are spent across the three stage analyses. *)
-let iters_first_link =
-  Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default "fixpoint.iters.first_link"
+let obs_of = function
+  | Stage.First_link _ -> obs_first_link
+  | Stage.Ingress _ -> obs_ingress
+  | Stage.Egress _ -> obs_egress
 
-let iters_ingress =
-  Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default "fixpoint.iters.ingress"
-
-let iters_egress =
-  Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default "fixpoint.iters.egress"
-
-let iters_hist = function
-  | Stage.First_link _ -> iters_first_link
-  | Stage.Ingress _ -> iters_ingress
-  | Stage.Egress _ -> iters_egress
-
-let run ~ctx ~stage ~flow ~frame ~busy_seed ~busy_step ~w_base ~w_step ~finish
-    =
+let evaluate ctx ~flow (d : Eq.t) iters =
   let cfg = Ctx.config ctx in
+  let stage = d.Eq.stage and frame = d.Eq.frame in
   let fail reason =
     Error
       {
@@ -50,28 +35,37 @@ let run ~ctx ~stage ~flow ~frame ~busy_seed ~busy_step ~w_base ~w_step ~finish
         reason;
       }
   in
-  let stage_iters = iters_hist stage in
   let fixed ~f ~seed =
     let outcome =
       Fixpoint.iterate ~f ~seed ~max_iters:cfg.Config.max_busy_iters
         ~horizon:cfg.Config.horizon
     in
     (match outcome with
-    | Fixpoint.Converged { iters; _ } ->
-        Gmf_obs.Metrics.observe stage_iters iters
+    | Fixpoint.Converged { iters = n; _ } -> Gmf_obs.Metrics.observe iters n
     | Fixpoint.Diverged _ -> ());
     outcome
   in
-  match fixed ~f:busy_step ~seed:busy_seed with
+  let self = Ctx.node ctx flow ~stage in
+  (* The interferer charge, chosen once per evaluation so the w-iteration
+     neither matches on the stage nor allocates. *)
+  let charge =
+    let circ = d.Eq.circ in
+    match d.Eq.charge with
+    | Eq.Link_time -> fun j dt -> Ctx.mx_of ctx j ~dt
+    | Eq.Rotations -> fun j dt -> Ctx.nx_of j ~dt * circ
+    | Eq.Link_time_and_rotations ->
+        fun j dt -> Ctx.mx_of ctx j ~dt + (Ctx.nx_of j ~dt * circ)
+  in
+  let busy_const = d.Eq.busy_const in
+  match
+    fixed
+      ~f:(fun t -> busy_const + Ctx.charge ctx self ~others:false charge t)
+      ~seed:d.Eq.busy_seed
+  with
   | Fixpoint.Diverged msg -> fail ("busy period: " ^ msg)
-  | Fixpoint.Converged { value = busy_len; _ } -> begin
-      let tsum = Traffic.Flow.tsum flow in
-      let q_count = max 1 (Timeunit.cdiv busy_len tsum) in
-      let l_count =
-        match cfg.Config.variant with
-        | Config.Faithful -> 1
-        | Config.Repaired -> Traffic.Flow.n flow
-      in
+  | Fixpoint.Converged { value = busy_len; _ } ->
+      let q_count = max 1 (Gmf_util.Timeunit.cdiv busy_len d.Eq.tsum) in
+      let l_count = d.Eq.l_count in
       if q_count > cfg.Config.max_q then
         fail
           (Printf.sprintf "Q=%d exceeds the configured cap %d" q_count
@@ -97,14 +91,24 @@ let run ~ctx ~stage ~flow ~frame ~busy_seed ~busy_step ~w_base ~w_step ~finish
               }
           else if l >= l_count then scan (q + 1) 0 best
           else
-            match fixed ~f:(w_step ~q ~l) ~seed:(w_base ~q ~l) with
+            let base = Eq.window_base d ~q ~l in
+            match
+              fixed
+                ~f:(fun w -> base + Ctx.charge ctx self ~others:true charge w)
+                ~seed:base
+            with
             | Fixpoint.Diverged msg ->
                 fail (Printf.sprintf "w(q=%d,l=%d): %s" q l msg)
             | Fixpoint.Converged { value = w; _ } ->
-                let r = finish ~q ~l ~w in
+                let r = Eq.response d ~q ~l ~w in
                 let best_r, _, _, _ = best in
                 scan q (l + 1) (if r > best_r then (r, q, l, w) else best)
         in
         scan 0 0 (min_int, 0, 0, 0)
       end
-    end
+
+let analyze ctx ~flow ~frame stage =
+  let d = Eq.make ~config:(Ctx.config ctx) (Ctx.scenario ctx) flow stage ~frame in
+  let obs = obs_of stage in
+  Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis" obs.span
+    (fun () -> evaluate ctx ~flow d obs.iters)

@@ -1,37 +1,31 @@
-(** Machinery shared by the three stage analyses: the busy-period → Q →
+(** Evaluates any stage of a flow's route: the busy-period → Q →
     per-instance-queuing-time → max-response scan that eqs (14)–(19),
-    (21)–(26) and (28)–(33) all instantiate.
+    (21)–(26) and (28)–(33) all instantiate.  The equations themselves
+    live in one place, {!Gmf_precheck.Stage_eq}; this module iterates
+    them against the context's jitter state.
 
     On top of the paper's scan over cycle instances [q], the [Repaired]
     variant also scans the busy-period start position [l] = number of the
     analyzed flow's own frames released (at minimum separation) before the
     analyzed instance — repair R8, closing the own-flow carry-in soundness
-    hole of the paper's equations (see the implementation comment and
-    experiment E18).  Under [Faithful], [l] is always 0 as the paper
-    writes it. *)
+    hole of the paper's equations (experiment E18).  Under [Faithful], [l]
+    is always 0 as the paper writes it. *)
 
-val run :
-  ctx:Ctx.t ->
-  stage:Stage.t ->
+val analyze :
+  Ctx.t ->
   flow:Traffic.Flow.t ->
   frame:int ->
-  busy_seed:Gmf_util.Timeunit.ns ->
-  busy_step:(Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) ->
-  w_base:(q:int -> l:int -> Gmf_util.Timeunit.ns) ->
-  w_step:(q:int -> l:int -> Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) ->
-  finish:(q:int -> l:int -> w:Gmf_util.Timeunit.ns -> Gmf_util.Timeunit.ns) ->
+  Stage.t ->
   (Result_types.stage_response, Result_types.failure) result
-(** [run] executes the scheme:
+(** [analyze ctx ~flow ~frame stage] builds the stage's
+    {!Gmf_precheck.Stage_eq.t} once, then:
 
-    + iterate [busy_step] from [busy_seed] to the busy-period length [t];
+    + iterates the busy period from its seed to its length [t];
     + [Q = max 1 (ceil (t / TSUM_i))], capped by the configuration;
-    + for every (q, l) pair, iterate [w_step ~q ~l] from [w_base ~q ~l]
-      to [w(q,l)];
-    + the stage response is [max over (q,l) of finish ~q ~l ~w].
+    + for every (q, l) pair, iterates the window from its base to [w(q,l)];
+    + returns the largest response over (q, l), with the winning shape
+      and its window as the witness.
 
-    Any divergence is reported as a [failure] naming the stage. *)
-
-val window_before : int array -> k:int -> len:int -> int
-(** [window_before arr ~k ~len] sums, cyclically, the [len] entries of
-    [arr] preceding index [k] — the demand (or minimum separation) of the
-    analyzed frame's [len] own predecessors.  0 when [len = 0]. *)
+    Any divergence is reported as a [failure] naming the stage.  Raises
+    [Invalid_argument] if [frame] is out of range or the stage's switch is
+    not on the flow's route. *)

@@ -70,7 +70,7 @@ type conn = {
 and pending = {
   p_conn : conn option;  (* None: internal journal replay, no reply *)
   p_req : Worker.req;
-  p_line : string option;  (* canonical request line to journal on commit *)
+  p_event : string option;  (* event text to journal on commit *)
 }
 
 and sess = {
@@ -78,12 +78,12 @@ and sess = {
   s_opts : Worker.opts;
   s_topology : string;
   s_journal : Journal.t;
-  mutable s_events : string list;  (* journaled event lines, newest first *)
+  mutable s_events : string list;  (* journaled event texts, newest first *)
   mutable s_worker : (Worker.req, Worker.resp) Persistent.t option;
   s_backoff : Backoff.b;
   mutable s_inflight : pending option;
   mutable s_deadline : float option;  (* absolute expiry of s_inflight *)
-  s_replay : string Queue.t;  (* journal lines awaiting silent re-apply *)
+  s_replay : string Queue.t;  (* journaled event texts awaiting re-apply *)
   s_queue : pending Queue.t;  (* bounded client requests *)
 }
 
@@ -192,7 +192,7 @@ let worker_failure t sess ~now ~code ~message =
   Backoff.note_failure sess.s_backoff ~now
 
 (* Dispatch the session's next piece of work, journal replays first. *)
-let rec pump t sess ~now =
+let pump t sess ~now =
   if
     sess.s_inflight = None
     && not (Queue.is_empty sess.s_replay && Queue.is_empty sess.s_queue)
@@ -202,49 +202,47 @@ let rec pump t sess ~now =
     | Some w -> (
         let p =
           if not (Queue.is_empty sess.s_replay) then begin
-            let line = Queue.pop sess.s_replay in
-            match Jsonl.decode_request line with
-            | Ok (Jsonl.Event { text }) ->
-                Metrics.incr m_replayed;
-                Some { p_conn = None; p_req = Worker.Event_text text; p_line = None }
-            | _ -> None  (* foreign journal line; skip *)
+            Metrics.incr m_replayed;
+            {
+              p_conn = None;
+              p_req = Worker.Event_text (Queue.pop sess.s_replay);
+              p_event = None;
+            }
           end
           else begin
             Metrics.add_gauge g_queue (-1.);
-            Some (Queue.pop sess.s_queue)
+            Queue.pop sess.s_queue
           end
         in
-        match p with
-        | None -> pump t sess ~now
-        | Some p -> (
-            match Persistent.send w p.p_req with
-            | Ok () ->
-                sess.s_inflight <- Some p;
-                (* The per-request deadline is a client-facing latency
-                   bound; journal replays ([p_conn = None]) are exempt —
-                   deadline-killing a replay that runs colder than the
-                   original request would restart the whole replay under
-                   backoff, potentially starving recovery forever.
-                   Replayed analyses therefore run unbounded. *)
-                sess.s_deadline <-
-                  (if p.p_conn = None then None
-                   else Option.map (fun d -> now +. d) t.cfg.deadline_s)
-            | Error e ->
-                Metrics.incr m_crashes;
-                fail_pending t p ~code:Jsonl.code_crashed
-                  ~message:(Gmf_exec.error_to_string e);
-                Persistent.kill w;
-                Backoff.note_failure sess.s_backoff ~now))
+        match Persistent.send w p.p_req with
+        | Ok () ->
+            sess.s_inflight <- Some p;
+            (* The per-request deadline is a client-facing latency
+               bound; journal replays ([p_conn = None]) are exempt —
+               deadline-killing a replay that runs colder than the
+               original request would restart the whole replay under
+               backoff, potentially starving recovery forever.
+               Replayed analyses therefore run unbounded. *)
+            sess.s_deadline <-
+              (if p.p_conn = None then None
+               else Option.map (fun d -> now +. d) t.cfg.deadline_s)
+        | Error e ->
+            Metrics.incr m_crashes;
+            fail_pending t p ~code:Jsonl.code_crashed
+              ~message:(Gmf_exec.error_to_string e);
+            Persistent.kill w;
+            Backoff.note_failure sess.s_backoff ~now)
 
 let deliver t sess p (r : Worker.resp) =
   match r with
   | Worker.Outcome o ->
       (* Commit order: fsync the journal line before the decision is
          released — a decision a client observed is always durable. *)
-      (match p.p_line with
-      | Some line ->
-          Journal.append sess.s_journal line;
-          sess.s_events <- line :: sess.s_events;
+      (match p.p_event with
+      | Some text ->
+          Journal.append sess.s_journal
+            (Jsonl.encode_request (Jsonl.Event { text }));
+          sess.s_events <- text :: sess.s_events;
           Metrics.incr m_events
       | None -> ());
       (match p.p_conn with
@@ -342,12 +340,25 @@ let opts_of_open ~exec_jobs ~verify ~explain ~survivable ~throttle_s =
 
 (* Recovery is authoritative: an existing journal's open line defines
    topology and options, so replay rebuilds the original session even if
-   this re-open drifted.  [Ok None] for a new session.  A journal that
-   does not start with a session open cannot be replayed faithfully: it
-   is refused after a read-only look, so nothing is registered and the
-   file stays as it is. *)
+   this re-open drifted.  [Ok None] for a new session, else the options,
+   the topology and the event texts.  A journal that does not start with
+   a session open, or holds anything but events after it, cannot be
+   replayed faithfully: it is refused after a read-only look, so nothing
+   is registered and the file stays as it is. *)
 let recover_journal t ~session =
   let dir = t.cfg.journal_dir in
+  let refuse what =
+    Error
+      (Printf.sprintf "journal %s: %s; not recovered"
+         (Journal.file ~dir ~session) what)
+  in
+  let rec events lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+        match Jsonl.decode_request line with
+        | Ok (Jsonl.Event { text }) -> events (lineno + 1) (text :: acc) rest
+        | _ -> refuse (Printf.sprintf "line %d is not an event" lineno))
+  in
   match Journal.load ~dir ~session with
   | [] -> Ok None
   | first :: rest -> (
@@ -356,18 +367,15 @@ let recover_journal t ~session =
           (Jsonl.Open
             { topology; verify; explain; cold = false; survivable; throttle_s;
               _ }) ->
-          Ok
-            (Some
-               ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify ~explain
-                   ~survivable ~throttle_s,
-                 topology,
-                 rest ))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "journal %s: first line is not a replayable session open; not \
-                recovered"
-               (Journal.file ~dir ~session)))
+          Result.map
+            (fun texts ->
+              Some
+                ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify ~explain
+                    ~survivable ~throttle_s,
+                  topology,
+                  texts ))
+            (events 2 [] rest)
+      | _ -> refuse "first line is not a replayable session open")
 
 let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
     ~throttle_s =
@@ -431,7 +439,7 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
                   let journal, _ =
                     Journal.open_ ~dir:t.cfg.journal_dir ~session
                   in
-                  let opts, topology, event_lines =
+                  let opts, topology, event_texts =
                     match recovered with
                     | Some r -> r
                     | None ->
@@ -458,7 +466,7 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
                       s_opts = opts;
                       s_topology = topology;
                       s_journal = journal;
-                      s_events = List.rev event_lines;
+                      s_events = List.rev event_texts;
                       s_worker = None;
                       s_backoff =
                         Backoff.create ~base_s:t.cfg.backoff_base_s
@@ -475,7 +483,7 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
                   conn.c_sess <- Some sess;
                   respond t conn
                     (Jsonl.Opened
-                       { session; replayed = List.length event_lines });
+                       { session; replayed = List.length event_texts });
                   (* Start the recovery replay right away. *)
                   pump t sess ~now)
         end
@@ -541,19 +549,19 @@ let handle_request t conn line ~now =
         }) ->
       handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
         ~throttle_s
-  | Ok (Jsonl.Event { text } as req) ->
+  | Ok (Jsonl.Event { text }) ->
       enqueue t conn ~now
         {
           p_conn = Some conn;
           p_req = Worker.Event_text text;
-          p_line = Some (Jsonl.encode_request req);
+          p_event = Some text;
         }
   | Ok Jsonl.Summary ->
       enqueue t conn ~now
-        { p_conn = Some conn; p_req = Worker.Summary; p_line = None }
+        { p_conn = Some conn; p_req = Worker.Summary; p_event = None }
   | Ok Jsonl.Fingerprint ->
       enqueue t conn ~now
-        { p_conn = Some conn; p_req = Worker.Fingerprint; p_line = None }
+        { p_conn = Some conn; p_req = Worker.Fingerprint; p_event = None }
 
 (* ---------------- connection reads ---------------- *)
 

@@ -1,5 +1,6 @@
 open Gmf_util
 open Analysis
+module Stage_eq = Gmf_precheck.Stage_eq
 
 type interferer = {
   if_id : Traffic.Flow.id;
@@ -58,7 +59,7 @@ let pattern j =
 
 (* Re-evaluates every term of the stage recurrence at the recorded witness
    (w_q, w_l, w_last).  At a jitter fixed point the converged window w
-   satisfies w = base + sum of per-interferer demands evaluated at
+   satisfies w = base + sum of per-interferer charges evaluated at
    w + extra_j, so the decomposition below sums to the stage response
    exactly; [hop_residual] (0 at a fixed point) makes any violation — e.g.
    attribution of a non-converged report — visible instead of silent. *)
@@ -68,132 +69,50 @@ let hop_of_stage ctx flow ~frame (sr : Result_types.stage_response) =
   and l = sr.Result_types.w_l
   and w = sr.Result_types.w_last in
   let stage = sr.Result_types.stage in
-  let tsum_i = Traffic.Flow.tsum flow in
-  let periods = Gmf.Spec.periods flow.Traffic.Flow.spec in
-  let pre_t = Stage_common.window_before periods ~k:frame ~len:l in
-  let sep = (q * tsum_i) + pre_t in
-  let extra j = Ctx.extra ctx j ~stage in
-  let mk j ~link ~cpu ~frames =
-    {
-      if_id = j.Traffic.Flow.id;
-      if_name = j.Traffic.Flow.name;
-      if_pattern = pattern j;
-      if_frames = frames;
-      if_link = link;
-      if_cpu = cpu;
-    }
+  let d = Stage_eq.make ~config:(Ctx.config ctx) scenario flow stage ~frame in
+  let src = d.Stage_eq.src and dst = d.Stage_eq.dst in
+  let interference =
+    Stage_eq.interferers scenario flow stage
+    |> List.map (fun j ->
+           let dt = w + Ctx.extra ctx j ~stage in
+           let frames = Ctx.nx ctx j ~src ~dst ~dt in
+           let link, cpu =
+             Stage_eq.charge_parts d ~mx:(Ctx.mx ctx j ~src ~dst ~dt)
+               ~nx:frames
+           in
+           {
+             if_id = j.Traffic.Flow.id;
+             if_name = j.Traffic.Flow.name;
+             if_pattern = pattern j;
+             if_frames = frames;
+             if_link = link;
+             if_cpu = cpu;
+           })
+    |> List.sort (fun a b ->
+           compare (if_total b, a.if_id) (if_total a, b.if_id))
   in
-  let sort ifs =
-    List.sort
-      (fun a b -> compare (if_total b, a.if_id) (if_total a, b.if_id))
-      ifs
+  let transmission = d.Stage_eq.transmission
+  and software = Stage_eq.own_rotations d ~q ~l + d.Stage_eq.final_rotation
+  and blocking = d.Stage_eq.blocking
+  and own_carry = Stage_eq.own_work d ~q ~l - Stage_eq.separation d ~q ~l in
+  let parts =
+    transmission + software + blocking + own_carry
+    + List.fold_left (fun acc i -> acc + if_total i) 0 interference
   in
-  let others_on ~src ~dst =
-    Traffic.Scenario.flows_on scenario ~src ~dst
-    |> List.filter (fun j -> j.Traffic.Flow.id <> flow.Traffic.Flow.id)
-  in
-  let finish ~transmission ~software ~blocking ~own_carry ~interference =
-    let parts =
-      transmission + software + blocking + own_carry
-      + List.fold_left (fun acc i -> acc + if_total i) 0 interference
-    in
-    {
-      hop_stage = stage;
-      hop_response = sr.Result_types.response;
-      hop_min_response = Pipeline.stage_min_response ctx flow ~frame stage;
-      hop_transmission = transmission;
-      hop_software = software;
-      hop_blocking = blocking;
-      hop_own_carry = own_carry;
-      hop_interference = interference;
-      hop_q = q;
-      hop_l = l;
-      hop_window = w;
-      hop_residual = sr.Result_types.response - parts;
-    }
-  in
-  match stage with
-  | Stage.First_link (s, d) ->
-      let own = Ctx.params ctx flow ~src:s ~dst:d in
-      let c_k = own.Traffic.Link_params.c.(frame) in
-      let prop = own.Traffic.Link_params.link.Network.Link.prop in
-      let csum_i = Traffic.Link_params.csum own in
-      let pre_c =
-        Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l
-      in
-      let interference =
-        others_on ~src:s ~dst:d
-        |> List.map (fun j ->
-               let dt = w + extra j in
-               mk j
-                 ~link:(Ctx.mx ctx j ~src:s ~dst:d ~dt)
-                 ~cpu:0
-                 ~frames:(Ctx.nx ctx j ~src:s ~dst:d ~dt))
-        |> sort
-      in
-      finish ~transmission:(c_k + prop) ~software:0 ~blocking:0
-        ~own_carry:((q * csum_i) + pre_c - sep)
-        ~interference
-  | Stage.Ingress node ->
-      let p = Network.Route.prec flow.Traffic.Flow.route node in
-      let circ = Traffic.Scenario.circ scenario node in
-      let own = Ctx.params ctx flow ~src:p ~dst:node in
-      let m_k = own.Traffic.Link_params.eth_frames.(frame) in
-      let nsum_i = Traffic.Link_params.nsum own in
-      let pre_m =
-        Stage_common.window_before own.Traffic.Link_params.eth_frames
-          ~k:frame ~len:l
-      in
-      let own_charge =
-        match (Ctx.config ctx).Config.variant with
-        | Config.Faithful -> q * circ
-        | Config.Repaired -> ((q * nsum_i) + pre_m + (m_k - 1)) * circ
-      in
-      let interference =
-        others_on ~src:p ~dst:node
-        |> List.map (fun j ->
-               let dt = w + extra j in
-               let frames = Ctx.nx ctx j ~src:p ~dst:node ~dt in
-               mk j ~link:0 ~cpu:(frames * circ) ~frames)
-        |> sort
-      in
-      finish ~transmission:0 ~software:circ ~blocking:0
-        ~own_carry:(own_charge - sep) ~interference
-  | Stage.Egress (node, d) ->
-      let circ = Traffic.Scenario.circ scenario node in
-      let own = Ctx.params ctx flow ~src:node ~dst:d in
-      let c_k = own.Traffic.Link_params.c.(frame) in
-      let m_k = own.Traffic.Link_params.eth_frames.(frame) in
-      let csum_i = Traffic.Link_params.csum own in
-      let nsum_i = Traffic.Link_params.nsum own in
-      let mft = Traffic.Link_params.mft own in
-      let prop = own.Traffic.Link_params.link.Network.Link.prop in
-      let pre_c =
-        Stage_common.window_before own.Traffic.Link_params.c ~k:frame ~len:l
-      in
-      let pre_m =
-        Stage_common.window_before own.Traffic.Link_params.eth_frames
-          ~k:frame ~len:l
-      in
-      let own_rotations =
-        match (Ctx.config ctx).Config.variant with
-        | Config.Faithful -> 0
-        | Config.Repaired -> ((q * nsum_i) + pre_m + m_k) * circ
-      in
-      let own_work = (q * csum_i) + pre_c in
-      let interference =
-        Traffic.Scenario.hep scenario flow ~node
-        |> List.map (fun j ->
-               let dt = w + extra j in
-               let link = Ctx.mx ctx j ~src:node ~dst:d ~dt in
-               let frames = Ctx.nx ctx j ~src:node ~dst:d ~dt in
-               mk j ~link ~cpu:(frames * circ) ~frames)
-        |> sort
-      in
-      finish ~transmission:(c_k + prop) ~software:own_rotations
-        ~blocking:mft
-        ~own_carry:(own_work - sep)
-        ~interference
+  {
+    hop_stage = stage;
+    hop_response = sr.Result_types.response;
+    hop_min_response = d.Stage_eq.uncontended;
+    hop_transmission = transmission;
+    hop_software = software;
+    hop_blocking = blocking;
+    hop_own_carry = own_carry;
+    hop_interference = interference;
+    hop_q = q;
+    hop_l = l;
+    hop_window = w;
+    hop_residual = sr.Result_types.response - parts;
+  }
 
 let frame_of_result ctx flow (fr : Result_types.frame_result) =
   let spec_frame =

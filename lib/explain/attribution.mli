@@ -4,12 +4,14 @@
     queuing window [w] converged on a recurrence that is a {e sum} of
     closed-form terms: the flow's own carried-in work, per-interferer MX
     (link time) and NX·CIRC (switch software) demands, plus constant
-    transmission/blocking terms.  {!Stage_common.run} records the winning
-    busy-period shape [(q, l)] and its converged window as a witness in
-    {!Analysis.Result_types.stage_response}; this module re-evaluates each
-    term at that witness, so the parts sum to the stage response {e
-    exactly} (property-tested), and the per-frame total equals source
-    jitter + the sum of hop responses.
+    transmission/blocking terms.  The terms are those of the stage's
+    {!Gmf_precheck.Stage_eq} description, the one the fixpoint iterates;
+    {!Analysis.Stage_common.analyze} records the winning busy-period
+    shape [(q, l)] and its converged window as a witness in
+    {!Analysis.Result_types.stage_response}, and this module evaluates
+    the description's parts at that witness, so they sum to the stage
+    response {e exactly} (property-tested), and the per-frame total
+    equals source jitter + the sum of hop responses.
 
     Validity: the decomposition is exact when the report's jitter state is
     a fixed point ([Schedulable] or [Deadline_miss] verdicts) and the
@@ -37,7 +39,7 @@ type hop = {
   hop_stage : Analysis.Stage.t;
   hop_response : Gmf_util.Timeunit.ns;  (** The stage bound being decomposed. *)
   hop_min_response : Gmf_util.Timeunit.ns;
-      (** Uncontended floor ({!Analysis.Pipeline.stage_min_response}). *)
+      (** Uncontended floor ({!Gmf_precheck.Stage_eq.uncontended}). *)
   hop_transmission : Gmf_util.Timeunit.ns;
       (** Own frame's transmission + propagation (link stages; 0 at ingress). *)
   hop_software : Gmf_util.Timeunit.ns;

@@ -121,10 +121,6 @@ let failed_parts topo case =
       | Switch n -> (incident n @ links, n :: nodes))
     ([], []) case
 
-let route_hit route ~avoid_links ~avoid_nodes =
-  List.exists (fun hop -> List.mem hop avoid_links) (Network.Route.hops route)
-  || List.exists (fun n -> Network.Route.mem route n) avoid_nodes
-
 (* Lowest 802.1p priority first; ties shed the most recently admitted
    (highest id) flow first.  The comparator is total (flow ids are
    unique), and [stable_sort] pins the permutation even if that ever
@@ -175,7 +171,10 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
     List.map
       (fun (f : Traffic.Flow.t) ->
         let route = f.Traffic.Flow.route in
-        if not (route_hit route ~avoid_links ~avoid_nodes) then
+        if
+          not
+            (Network.Route.crosses route ~links:avoid_links ~nodes:avoid_nodes)
+        then
           ((f, Unaffected), Some f)
         else
           match

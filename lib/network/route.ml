@@ -65,6 +65,13 @@ let prec t n =
 
 let mem t n = Array.exists (fun x -> x = n) t.nodes
 
+let crosses t ~links ~nodes =
+  let last = Array.length t.nodes - 1 in
+  let rec hop i =
+    i < last && (List.mem (t.nodes.(i), t.nodes.(i + 1)) links || hop (i + 1))
+  in
+  hop 0 || List.exists (mem t) nodes
+
 let intermediate_switches t =
   let len = Array.length t.nodes in
   List.init (len - 2) (fun i -> t.nodes.(i + 1))

@@ -37,6 +37,12 @@ val prec : t -> Node.id -> Node.id
 
 val mem : t -> Node.id -> bool
 
+val crosses :
+  t -> links:(Node.id * Node.id) list -> nodes:Node.id list -> bool
+(** [crosses t ~links ~nodes] is true when the route traverses one of the
+    directed [(src, dst)] [links] or visits one of the [nodes] — the
+    route-avoidance test of failure handling and rerouting. *)
+
 val intermediate_switches : t -> Node.id list
 (** The switch nodes strictly between source and destination, in order. *)
 

@@ -90,15 +90,14 @@ let overload_certificate ~config scenario (flow : Traffic.Flow.t) =
         else None)
       (Network.Route.intermediate_switches route)
   in
+  let demand_floors = Static_tests.demand_floor ~config scenario flow in
   let floors =
     List.filter_map
       (fun frame ->
         let deadline =
           (Gmf.Spec.frame flow.Traffic.Flow.spec frame).Gmf.Frame_spec.deadline
         in
-        let total, per_stage =
-          Static_tests.demand_floor ~config scenario flow ~frame
-        in
+        let total, per_stage = demand_floors.(frame) in
         if total > deadline then
           let binding, _ =
             List.fold_left

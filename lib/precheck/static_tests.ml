@@ -40,127 +40,70 @@ let stage_utilization scenario (flow : Traffic.Flow.t) = function
 
 (* ---------------- uncontended floor (GMF202) ---------------- *)
 
-(* GJ + the sum of per-stage response-time lower bounds of Figure 6: own
-   transmission + propagation on every link stage, own rotations at every
-   ingress stage.  Mirrors [Analysis.Pipeline.stage_min_response]. *)
+(* GJ + the uncontended floors of every stage of Figure 6. *)
 let min_response scenario (f : Traffic.Flow.t) ~frame =
-  let route = f.Traffic.Flow.route in
-  let links =
-    List.fold_left
-      (fun acc (src, dst) ->
-        let p = Traffic.Scenario.params scenario f ~src ~dst in
-        acc
-        + p.Traffic.Link_params.c.(frame)
-        + p.Traffic.Link_params.link.Network.Link.prop)
-      0 (Network.Route.hops route)
-  in
-  let ingresses =
-    List.fold_left
-      (fun acc node ->
-        let src = Network.Route.prec route node in
-        let p = Traffic.Scenario.params scenario f ~src ~dst:node in
-        let model = Traffic.Scenario.switch_model scenario node in
-        acc
-        + p.Traffic.Link_params.eth_frames.(frame)
-          * model.Click.Switch_model.croute)
-      0
-      (Network.Route.intermediate_switches route)
-  in
   let gj = (Gmf.Spec.frame f.Traffic.Flow.spec frame).Gmf.Frame_spec.jitter in
-  gj + links + ingresses
-
-(* ---------------- shared demand helpers ---------------- *)
-
-let mx ~capped scenario j ~src ~dst ~dt =
-  Gmf.Demand.bound
-    (Traffic.Scenario.params scenario j ~src ~dst).Traffic.Link_params
-      .time_demand ~capped dt
-
-let nx scenario j ~src ~dst ~dt =
-  Gmf.Demand.bound
-    (Traffic.Scenario.params scenario j ~src ~dst).Traffic.Link_params
-      .count_demand ~capped:false dt
-
-let others_on scenario (flow : Traffic.Flow.t) ~src ~dst =
-  Traffic.Scenario.flows_on scenario ~src ~dst
-  |> List.filter (fun (j : Traffic.Flow.t) ->
-         j.Traffic.Flow.id <> flow.Traffic.Flow.id)
+  List.fold_left
+    (fun acc stage -> acc + Stage_eq.uncontended scenario f ~frame stage)
+    gj
+    (Stage_key.stages_of_route f.Traffic.Flow.route)
 
 (* ---------------- necessary demand floor ---------------- *)
 
+(* First-link jitters are the frozen source jitters: endhosts do not
+   relay, so flows sharing a first link share the stage key.  Everywhere
+   else jitters start at 0 and only grow. *)
+let jitters_frozen = function
+  | Stage_key.First_link _ -> true
+  | Stage_key.Ingress _ | Stage_key.Egress _ -> false
+
 (* One application of each stage's exact recurrence at (q = 0, l = 0) from
-   the bottom jitter state.  At first links every interferer's jitter is
-   its source jitter (first-link jitters never change — endhosts do not
-   relay, so flows sharing a first link share the stage key); everywhere
-   else the bottom jitter is 0.  Converged stage windows dominate one
-   application of their own step function, and the scan of Stage_common
-   includes (0, 0), so each term bounds the real stage response from
-   below for {e any} reachable jitter state. *)
-let demand_floor ~config scenario (flow : Traffic.Flow.t) ~frame =
-  let variant = config.Analysis_config.variant in
-  let capped = variant = Analysis_config.Faithful in
-  let route = flow.Traffic.Flow.route in
-  let floor_of = function
-    | Stage_key.First_link (src, dst) as stage ->
-        let own = Traffic.Scenario.params scenario flow ~src ~dst in
-        let c_k = own.Traffic.Link_params.c.(frame) in
-        let prop = own.Traffic.Link_params.link.Network.Link.prop in
-        let interference =
-          List.fold_left
-            (fun acc (j : Traffic.Flow.t) ->
-              acc
-              + mx ~capped scenario j ~src ~dst
-                  ~dt:(Gmf.Spec.max_jitter j.Traffic.Flow.spec))
-            0
-            (others_on scenario flow ~src ~dst)
-        in
-        (stage, c_k + prop + interference)
-    | Stage_key.Ingress node as stage ->
-        let src = Network.Route.prec route node in
-        let circ = Traffic.Scenario.circ scenario node in
-        let own = Traffic.Scenario.params scenario flow ~src ~dst:node in
-        let m_k = own.Traffic.Link_params.eth_frames.(frame) in
-        let own_charge =
-          match variant with
-          | Analysis_config.Faithful -> 0
-          | Analysis_config.Repaired -> (m_k - 1) * circ
-        in
-        let interference =
-          List.fold_left
-            (fun acc j -> acc + nx scenario j ~src ~dst:node ~dt:0)
-            0
-            (others_on scenario flow ~src ~dst:node)
-        in
-        (stage, own_charge + (interference * circ) + circ)
-    | Stage_key.Egress (node, dst) as stage ->
-        let circ = Traffic.Scenario.circ scenario node in
-        let own = Traffic.Scenario.params scenario flow ~src:node ~dst in
-        let c_k = own.Traffic.Link_params.c.(frame) in
-        let m_k = own.Traffic.Link_params.eth_frames.(frame) in
-        let mft = Traffic.Link_params.mft own in
-        let prop = own.Traffic.Link_params.link.Network.Link.prop in
-        let own_rotations =
-          match variant with
-          | Analysis_config.Faithful -> 0
-          | Analysis_config.Repaired -> m_k * circ
-        in
-        let interference =
-          List.fold_left
-            (fun acc j ->
-              acc
-              + mx ~capped scenario j ~src:node ~dst ~dt:0
-              + (nx scenario j ~src:node ~dst ~dt:0 * circ))
-            0
-            (Traffic.Scenario.hep scenario flow ~node)
-        in
-        (stage, mft + own_rotations + interference + c_k + prop)
+   the bottom jitter state: every interferer's source jitter at first
+   links, 0 elsewhere.  Converged stage windows dominate one application
+   of their own step function, and the scan of Stage_common includes
+   (0, 0), so each term bounds the real stage response from below for
+   {e any} reachable jitter state.  The interference term depends on the
+   stage only, not on the frame. *)
+let demand_floor ~config scenario (flow : Traffic.Flow.t) =
+  let capped = config.Analysis_config.variant = Analysis_config.Faithful in
+  let n = Traffic.Flow.n flow in
+  let floors_of stage =
+    let at = Stage_eq.make ~config scenario flow stage in
+    let eqs = Array.init n (fun frame -> at ~frame) in
+    let src = eqs.(0).Stage_eq.src and dst = eqs.(0).Stage_eq.dst in
+    let bottom (j : Traffic.Flow.t) =
+      if jitters_frozen stage then Gmf.Spec.max_jitter j.Traffic.Flow.spec
+      else 0
+    in
+    let params j = Traffic.Scenario.params scenario j ~src ~dst in
+    let mx j =
+      Gmf.Demand.bound (params j).Traffic.Link_params.time_demand ~capped
+        (bottom j)
+    and nx j =
+      Gmf.Demand.bound (params j).Traffic.Link_params.count_demand
+        ~capped:false (bottom j)
+    in
+    let interference =
+      List.fold_left
+        (fun acc j -> acc + Stage_eq.charge eqs.(0) ~mx ~nx j)
+        0
+        (Stage_eq.interferers scenario flow stage)
+    in
+    Array.map
+      (fun d ->
+        let w = Stage_eq.window_base d ~q:0 ~l:0 + interference in
+        Stage_eq.response d ~q:0 ~l:0 ~w)
+      eqs
   in
-  let per_stage = List.map floor_of (Stage_key.stages_of_route route) in
-  let gj =
-    (Gmf.Spec.frame flow.Traffic.Flow.spec frame).Gmf.Frame_spec.jitter
+  let per_stage =
+    List.map
+      (fun stage -> (stage, floors_of stage))
+      (Stage_key.stages_of_route flow.Traffic.Flow.route)
   in
-  let total = List.fold_left (fun acc (_, v) -> acc + v) gj per_stage in
-  (total, per_stage)
+  let jitters = Gmf.Spec.jitters flow.Traffic.Flow.spec in
+  Array.init n (fun frame ->
+      let terms = List.map (fun (stage, f) -> (stage, f.(frame))) per_stage in
+      (List.fold_left (fun acc (_, v) -> acc + v) jitters.(frame) terms, terms))
 
 (* ---------------- sufficient response ceiling ---------------- *)
 
@@ -195,19 +138,19 @@ let deadline_cap (j : Traffic.Flow.t) =
   let dmax = Array.fold_left max 0 (Gmf.Spec.deadlines spec) in
   float_of_int (max dmax (Gmf.Spec.max_jitter spec))
 
-let window_before arr ~k ~len =
-  let n = Array.length arr in
-  let rec go i acc =
-    if i >= len then acc
-    else go (i + 1) (acc + arr.((((k - 1 - i) mod n) + n) mod n))
-  in
-  go 0 0
+(* Jitter cap of a stage's flows: the frozen source jitter at first
+   links, [deadline_cap] elsewhere. *)
+let jitter_cap stage (j : Traffic.Flow.t) =
+  if jitters_frozen stage then
+    float_of_int (Gmf.Spec.max_jitter j.Traffic.Flow.spec)
+  else deadline_cap j
 
 (* Everything the closed form needs about one stage of the analyzed flow:
    the interferer majorants, the self terms of the (q, l) scan, and the
-   busy-period constants.  [sf_pre]/[sf_pre_t] pair the own carry-in cost
-   of l predecessor frames with their minimum separation, flattened over
-   every (frame, l) combination of the Repaired scan. *)
+   busy-period constants, all read off the per-frame Stage_eq
+   descriptions.  [sf_pre]/[sf_pre_t] pair the own carry-in cost of l
+   predecessor frames with their minimum separation, flattened over every
+   (frame, l) combination of the scan. *)
 type stage_form = {
   sf_interf : majorant list;  (* the w-window interference set *)
   sf_self_m : int;  (* own per-cycle stage cost (busy-period slope) *)
@@ -221,132 +164,44 @@ type stage_form = {
   sf_tail : int array;  (* per-frame finish terms added after w *)
 }
 
-(* Flatten window_before over every (k, l) pair of the Repaired scan,
-   keeping cost and separation arrays index-aligned. *)
-let carry_ins ~repaired ~n cost_arr sep_arr =
-  if not repaired then ([| 0 |], [| 0 |])
-  else begin
-    let costs = Array.make (n * n) 0 and seps = Array.make (n * n) 0 in
-    for k = 0 to n - 1 do
-      for l = 0 to n - 1 do
-        costs.((k * n) + l) <- window_before cost_arr ~k ~len:l;
-        seps.((k * n) + l) <- window_before sep_arr ~k ~len:l
-      done
-    done;
-    (costs, seps)
-  end
-
 let stage_form ~config scenario (flow : Traffic.Flow.t) stage =
-  let variant = config.Analysis_config.variant in
-  let repaired = variant = Analysis_config.Repaired in
-  let route = flow.Traffic.Flow.route in
-  let spec = flow.Traffic.Flow.spec in
-  let n = Gmf.Spec.n spec in
-  let periods = Gmf.Spec.periods spec in
-  match stage with
-  | Stage_key.First_link (src, dst) ->
-      let own = Traffic.Scenario.params scenario flow ~src ~dst in
-      let csum = Traffic.Link_params.csum own in
-      let prop = own.Traffic.Link_params.link.Network.Link.prop in
-      let interf =
-        List.map
-          (fun (j : Traffic.Flow.t) ->
-            let p = Traffic.Scenario.params scenario j ~src ~dst in
-            majorant
-              ~m:(Traffic.Link_params.csum p)
-              ~tsum:(Traffic.Flow.tsum j)
-              (* First-link jitters are frozen source jitters. *)
-              ~ebar:(float_of_int (Gmf.Spec.max_jitter j.Traffic.Flow.spec)))
-          (others_on scenario flow ~src ~dst)
-      in
-      let pre, pre_t =
-        carry_ins ~repaired ~n own.Traffic.Link_params.c periods
-      in
-      {
-        sf_interf = interf;
-        sf_self_m = csum;
-        sf_self_ebar = float_of_int (Gmf.Spec.max_jitter spec);
-        sf_gq = csum;
-        sf_pre = pre;
-        sf_pre_t = pre_t;
-        sf_base0 = Array.make n 0;
-        sf_busy_const = 0;
-        sf_seed = Array.copy own.Traffic.Link_params.c;
-        sf_tail = Array.init n (fun k -> own.Traffic.Link_params.c.(k) + prop);
-      }
-  | Stage_key.Ingress node ->
-      let src = Network.Route.prec route node in
-      let circ = Traffic.Scenario.circ scenario node in
-      let own = Traffic.Scenario.params scenario flow ~src ~dst:node in
-      let nsum = Traffic.Link_params.nsum own in
-      let interf =
-        List.map
-          (fun (j : Traffic.Flow.t) ->
-            let p = Traffic.Scenario.params scenario j ~src ~dst:node in
-            majorant
-              ~m:(Traffic.Link_params.nsum p * circ)
-              ~tsum:(Traffic.Flow.tsum j)
-              ~ebar:(deadline_cap j))
-          (others_on scenario flow ~src ~dst:node)
-      in
-      let m_of k = own.Traffic.Link_params.eth_frames.(k) in
-      let rot_cost =
-        Array.map (fun m -> m * circ) own.Traffic.Link_params.eth_frames
-      in
-      let pre, pre_t = carry_ins ~repaired ~n rot_cost periods in
-      {
-        sf_interf = interf;
-        sf_self_m = nsum * circ;
-        sf_self_ebar = deadline_cap flow;
-        sf_gq = (if repaired then nsum * circ else circ);
-        sf_pre = pre;
-        sf_pre_t = pre_t;
-        sf_base0 =
-          Array.init n (fun k -> if repaired then (m_of k - 1) * circ else 0);
-        sf_busy_const = 0;
-        sf_seed =
-          Array.init n (fun k -> if repaired then m_of k * circ else circ);
-        sf_tail = Array.make n circ;
-      }
-  | Stage_key.Egress (node, dst) ->
-      let circ = Traffic.Scenario.circ scenario node in
-      let own = Traffic.Scenario.params scenario flow ~src:node ~dst in
-      let csum = Traffic.Link_params.csum own in
-      let nsum = Traffic.Link_params.nsum own in
-      let mft = Traffic.Link_params.mft own in
-      let prop = own.Traffic.Link_params.link.Network.Link.prop in
-      let interf =
-        List.map
-          (fun (j : Traffic.Flow.t) ->
-            let p = Traffic.Scenario.params scenario j ~src:node ~dst in
-            majorant
-              ~m:
-                (Traffic.Link_params.csum p
-                + (Traffic.Link_params.nsum p * circ))
-              ~tsum:(Traffic.Flow.tsum j)
-              ~ebar:(deadline_cap j))
-          (Traffic.Scenario.hep scenario flow ~node)
-      in
-      let m_of k = own.Traffic.Link_params.eth_frames.(k) in
-      let pre_cost =
-        Array.init n (fun k ->
-            own.Traffic.Link_params.c.(k)
-            + if repaired then m_of k * circ else 0)
-      in
-      let pre, pre_t = carry_ins ~repaired ~n pre_cost periods in
-      {
-        sf_interf = interf;
-        sf_self_m = csum + (nsum * circ);
-        sf_self_ebar = deadline_cap flow;
-        sf_gq = (if repaired then csum + (nsum * circ) else csum);
-        sf_pre = pre;
-        sf_pre_t = pre_t;
-        sf_base0 =
-          Array.init n (fun k -> mft + if repaired then m_of k * circ else 0);
-        sf_busy_const = mft;
-        sf_seed = Array.make n mft;
-        sf_tail = Array.init n (fun k -> own.Traffic.Link_params.c.(k) + prop);
-      }
+  let n = Traffic.Flow.n flow in
+  let eqs =
+    let at = Stage_eq.make ~config scenario flow stage in
+    Array.init n (fun frame -> at ~frame)
+  in
+  let d = eqs.(0) in
+  let src = d.Stage_eq.src and dst = d.Stage_eq.dst in
+  let majorant_of (j : Traffic.Flow.t) =
+    majorant
+      ~m:
+        (Stage_eq.cycle_charge d
+           (Traffic.Scenario.params scenario j ~src ~dst))
+      ~tsum:(Traffic.Flow.tsum j) ~ebar:(jitter_cap stage j)
+  in
+  (* Index-aligned (frame, l) pairs: own carry-in cost, separation. *)
+  let l_count = d.Stage_eq.l_count in
+  let pre = Array.make (n * l_count) 0 and pre_t = Array.make (n * l_count) 0 in
+  Array.iteri
+    (fun k e ->
+      for l = 0 to l_count - 1 do
+        pre.((k * l_count) + l) <- Stage_eq.own_predecessors e ~l;
+        pre_t.((k * l_count) + l) <- Stage_eq.separation e ~q:0 ~l
+      done)
+    eqs;
+  {
+    sf_interf = List.map majorant_of (Stage_eq.interferers scenario flow stage);
+    sf_self_m =
+      Stage_eq.cycle_charge d (Traffic.Scenario.params scenario flow ~src ~dst);
+    sf_self_ebar = jitter_cap stage flow;
+    sf_gq = Stage_eq.own_per_cycle d;
+    sf_pre = pre;
+    sf_pre_t = pre_t;
+    sf_base0 = Array.map (Stage_eq.window_base ~q:0 ~l:0) eqs;
+    sf_busy_const = d.Stage_eq.busy_const;
+    sf_seed = Array.map (fun e -> e.Stage_eq.busy_seed) eqs;
+    sf_tail = Array.map Stage_eq.tail eqs;
+  }
 
 (* Closed-form per-frame ceiling of one stage, or the violated guard. *)
 let stage_ceiling ~config scenario flow stage =

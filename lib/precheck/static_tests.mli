@@ -11,7 +11,9 @@
     non-cyclic GMF test (a linear majorant of MX/NX makes every stage
     recurrence solvable in closed form; if the ceilings meet every
     deadline of every flow of an interference component, the fixed point
-    must too). *)
+    must too).  The stage recurrences themselves are {!Stage_eq}'s: the
+    floors apply it and the ceiling bounds it, adding only the majorants
+    and the jitter caps. *)
 
 (** {2 Stage utilizations (eqs 20, 34-35 and the egress analogue)} *)
 
@@ -38,25 +40,26 @@ val stage_utilization :
 
 val min_response :
   Traffic.Scenario.t -> Traffic.Flow.t -> frame:int -> Gmf_util.Timeunit.ns
-(** GJ + uncontended per-stage response lower bounds (GMF202): own
-    transmission + propagation per link, own rotations per ingress. *)
+(** GJ + the {!Stage_eq.uncontended} floor of every stage of the route
+    (GMF202). *)
 
 val demand_floor :
   config:Analysis_config.t ->
   Traffic.Scenario.t ->
   Traffic.Flow.t ->
-  frame:int ->
-  Gmf_util.Timeunit.ns * (Stage_key.t * Gmf_util.Timeunit.ns) list
-(** [demand_floor ~config scenario flow ~frame] is a lower bound on the
-    frame's end-to-end holistic bound, with the per-stage contributions.
+  (Gmf_util.Timeunit.ns * (Stage_key.t * Gmf_util.Timeunit.ns) list) array
+(** [demand_floor ~config scenario flow] is, for every frame of the flow,
+    a lower bound on the frame's end-to-end holistic bound, with the
+    per-stage contributions.
 
     Sound by construction: jitters only grow from the bottom state (source
     jitters at first links), stage responses are monotone in the jitter
     state, and each stage's fixed point dominates one application of its
-    recurrence at [q = 0, l = 0] — so GJ plus those one-shot applications
-    (variant-aware: the Repaired own-rotation charges, the uncapped MX of
-    repair R7) bounds the real total from below.  If the floor exceeds
-    the frame's deadline, the holistic analysis cannot admit the flow. *)
+    {!Stage_eq} recurrence at [q = 0, l = 0] — so GJ plus those one-shot
+    applications (variant-aware: the Repaired own-rotation charges, the
+    uncapped MX of repair R7) bounds the real total from below.  If the
+    floor exceeds the frame's deadline, the holistic analysis cannot
+    admit the flow. *)
 
 (** {2 Sufficient test} *)
 

@@ -36,6 +36,12 @@ let star_scenario priorities =
   in
   (Traffic.Scenario.make ~topo ~flows (), sw)
 
+(* The flow's stages on the star: first link, then ingress and egress at
+   the switch. *)
+let first_link flow = List.hd (Stage.stages_of_route flow.Traffic.Flow.route)
+let egress flow sw =
+  Stage.Egress (sw, Network.Route.succ flow.Traffic.Flow.route sw)
+
 let get = function
   | Ok (r : Result_types.stage_response) -> r
   | Error f -> Alcotest.failf "stage failed: %a" Result_types.pp_failure f
@@ -44,7 +50,7 @@ let test_single_flow_first_hop () =
   let scenario, _ = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (First_hop.analyze ctx ~flow ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
   (* Alone on the link: R = C (eqs 16-19 with empty interference). *)
   Alcotest.(check int) "R = C" c_frame r.Result_types.response;
   Alcotest.(check int) "busy = C" c_frame r.Result_types.busy_len;
@@ -54,7 +60,7 @@ let test_single_flow_ingress () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Ingress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
   (* One Ethernet frame, one task rotation: R = CIRC (eq 25). *)
   Alcotest.(check int) "R = CIRC" circ r.Result_types.response
 
@@ -62,7 +68,7 @@ let test_single_flow_egress () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Egress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* Repaired: w(0) = MFT + m*CIRC, R = w + C = 2*MFT + CIRC. *)
   Alcotest.(check int) "R = 2*MFT + CIRC"
     ((2 * c_frame) + circ)
@@ -72,7 +78,7 @@ let test_single_flow_egress_faithful () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create ~config:Config.faithful scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Egress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* Faithful: no own-rotation charge, R = MFT + C = 2*MFT. *)
   Alcotest.(check int) "R = 2*MFT" (2 * c_frame) r.Result_types.response
 
@@ -80,7 +86,7 @@ let test_two_flow_first_hop () =
   let scenario, _ = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (First_hop.analyze ctx ~flow ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
   (* The work-conserving first hop sees the competitor's frame ahead:
      w(0) = C_B, R = C_B + C_A = 2C. *)
   Alcotest.(check int) "R = 2C" (2 * c_frame) r.Result_types.response;
@@ -93,7 +99,7 @@ let test_two_flow_first_hop_faithful_degenerates () =
   let scenario, _ = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create ~config:Config.faithful scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (First_hop.analyze ctx ~flow ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
   Alcotest.(check int) "faithful loses the competitor" c_frame
     r.Result_types.response
 
@@ -101,7 +107,7 @@ let test_two_flow_ingress () =
   let scenario, sw = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Ingress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
   (* Competitor's Ethernet frame takes one rotation, ours the next:
      R = 2 * CIRC. *)
   Alcotest.(check int) "R = 2*CIRC" (2 * circ) r.Result_types.response
@@ -110,7 +116,7 @@ let test_two_flow_egress_equal_priority () =
   let scenario, sw = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Egress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* w(0) = MFT + CIRC + C_B + CIRC_B; R = w + C_A
          = MFT + 2C + 2*CIRC = 3*MFT + 2*CIRC. *)
   Alcotest.(check int) "R = 3*MFT + 2*CIRC"
@@ -123,13 +129,15 @@ let test_two_flow_egress_priority_shields () =
   let scenario, sw = star_scenario [ 6; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Egress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
   Alcotest.(check int) "R = 2*MFT + CIRC (blocking only)"
     ((2 * c_frame) + circ)
     r.Result_types.response;
   (* The lower-priority flow conversely suffers from the high one. *)
   let low = Traffic.Scenario.flow scenario 1 in
-  let r_low = get (Egress.analyze ctx ~flow:low ~node:sw ~frame:0) in
+  let r_low =
+    get (Stage_common.analyze ctx ~flow:low ~frame:0 (egress low sw))
+  in
   Alcotest.(check int) "lp flow sees hp interference"
     ((3 * c_frame) + (2 * circ))
     r_low.Result_types.response
@@ -143,7 +151,7 @@ let test_jitter_inflates_interference () =
   let flow = Traffic.Scenario.flow scenario 0 in
   let competitor = Traffic.Scenario.flow scenario 1 in
   Ctx.set_jitter ctx competitor ~frame:0 ~stage:(Stage.Egress (sw, 2)) period;
-  let r = get (Egress.analyze ctx ~flow ~node:sw ~frame:0) in
+  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
   let no_jitter_bound = (3 * c_frame) + (2 * circ) in
   Alcotest.(check bool) "bound grows with jitter" true
     (r.Result_types.response > no_jitter_bound)
@@ -170,39 +178,41 @@ let test_overload_diverges () =
   let scenario = Traffic.Scenario.make ~topo ~flows () in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  (match First_hop.analyze ctx ~flow ~frame:0 with
+  (match Stage_common.analyze ctx ~flow ~frame:0 (first_link flow) with
   | Ok _ -> Alcotest.fail "overloaded link must not converge"
   | Error f ->
       Alcotest.(check bool) "failure names the stage" true
         (f.Result_types.failed_stage = Some (Stage.First_link (hosts.(0), sw))));
   Alcotest.(check bool) "eq 20 violated" true
-    (First_hop.utilization_condition ctx ~flow >= 1.
-
-)
+    (Gmf_precheck.Static_tests.link_utilization scenario ~src:hosts.(0)
+       ~dst:sw
+    >= 1.)
 
 let test_utilization_conditions () =
   let scenario, sw = star_scenario [ 5; 5 ] in
-  let ctx = Ctx.create scenario in
+  let module Static_tests = Gmf_precheck.Static_tests in
   let flow = Traffic.Scenario.flow scenario 0 in
   let u_link = 2. *. (1_230_400. /. 10_000_000.) in
+  let host = Network.Route.source flow.Traffic.Flow.route in
   Alcotest.(check (float 1e-6)) "first hop (eq 20)" u_link
-    (First_hop.utilization_condition ctx ~flow);
+    (Static_tests.link_utilization scenario ~src:host ~dst:sw);
   (* Ingress: 2 flows, 1 rotation per cycle each. *)
   Alcotest.(check (float 1e-6)) "ingress" (2. *. (7_400. /. 10_000_000.))
-    (Ingress.utilization_condition ctx ~flow ~node:sw);
+    (Static_tests.ingress_utilization scenario ~src:host ~node:sw);
   Alcotest.(check (float 1e-6)) "egress (eqs 34-35)" u_link
-    (Egress.utilization_condition ctx ~flow ~node:sw)
+    (Static_tests.egress_utilization scenario flow ~node:sw)
 
 let test_frame_index_validation () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
   Alcotest.check_raises "first hop"
-    (Invalid_argument "First_hop.analyze: frame index out of range") (fun () ->
-      ignore (First_hop.analyze ctx ~flow ~frame:1));
+    (Invalid_argument "Stage_eq.make: frame index out of range") (fun () ->
+      ignore (Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)));
   Alcotest.check_raises "ingress off-route"
-    (Invalid_argument "Ingress.analyze: node not on the flow's route")
-    (fun () -> ignore (Ingress.analyze ctx ~flow ~node:99 ~frame:0));
+    (Invalid_argument "Stage_eq.make: node not on the flow's route")
+    (fun () ->
+      ignore (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress 99)));
   ignore sw
 
 let tests =

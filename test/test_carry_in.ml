@@ -36,11 +36,16 @@ let scenario () =
   in
   Traffic.Scenario.make ~topo ~flows:[ flow ] ()
 
+let first_link flow =
+  List.hd (Analysis.Stage.stages_of_route flow.Traffic.Flow.route)
+
 let first_hop_bound config =
   let scenario = scenario () in
   let ctx = Analysis.Ctx.create ~config scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  match Analysis.First_hop.analyze ctx ~flow ~frame:1 with
+  match
+    Analysis.Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)
+  with
   | Ok r -> r.Analysis.Result_types.response
   | Error f -> Alcotest.failf "failed: %a" Analysis.Result_types.pp_failure f
 
@@ -93,7 +98,9 @@ let test_no_carry_in_when_fits () =
   let scenario = Traffic.Scenario.make ~topo ~flows:[ flow ] () in
   let bound config =
     let ctx = Analysis.Ctx.create ~config scenario in
-    match Analysis.First_hop.analyze ctx ~flow ~frame:1 with
+    match
+    Analysis.Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)
+  with
     | Ok r -> r.Analysis.Result_types.response
     | Error f -> Alcotest.failf "failed: %a" Analysis.Result_types.pp_failure f
   in

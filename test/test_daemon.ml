@@ -1013,6 +1013,34 @@ let test_journal_recovery_fails_closed () =
           );
         ])
 
+(* Every line after the open must be an event: a foreign line in the
+   middle of a journal is refused the same way, naming the file and the
+   line, rather than skipped while the events around it are replayed. *)
+let test_journal_recovery_foreign_line () =
+  with_daemon (fun c journal_dir ->
+      let session = "foreign-middle" in
+      let path = Journal.file ~dir:journal_dir ~session in
+      let event = Jsonl.encode_request (Jsonl.Event { text = "query" }) in
+      let text =
+        String.concat "\n"
+          [
+            Jsonl.encode_request (open_req session topology_ab);
+            event;
+            "{\"not\": \"a request\"}";
+            event;
+          ]
+        ^ "\n"
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc text);
+      check_proto_reject session
+        ~needle:(path ^ ": line 3 is not an event")
+        (Client.request c (open_req session topology_ab));
+      Alcotest.(check string) "journal untouched" text
+        (In_channel.with_open_bin path In_channel.input_all);
+      check_proto_reject "no session registered" ~needle:"no session open"
+        (Client.request c Jsonl.Summary))
+
 (* A fresh journal under not-yet-existing directories: each created
    directory's parent is synced as it is made, and the journal
    directory itself once the file exists in it. *)
@@ -1064,4 +1092,6 @@ let tests =
       test_cold_open_rejected;
     Alcotest.test_case "daemon: journal recovery fails closed" `Quick
       test_journal_recovery_fails_closed;
+    Alcotest.test_case "daemon: journal with a foreign middle line" `Quick
+      test_journal_recovery_foreign_line;
   ]

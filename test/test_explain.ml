@@ -42,48 +42,91 @@ let fig1_overloaded ?(factor = 2.0) () =
 
 (* --- exactness -------------------------------------------------------- *)
 
+(* Every frame's decomposition is exact (residuals 0) and its total is
+   the holistic report's bound. *)
+let check_exact ~what ~config scenario =
+  let attr, report = Attribution.analyze ~config scenario in
+  if has_bounds report then begin
+    List.iter
+      (fun (af : Attribution.flow_attr) ->
+        List.iter
+          (fun (fa : Attribution.frame_attr) ->
+            if not (Attribution.frame_exact fa) then
+              Alcotest.failf "%s: flow %d frame %d decomposition not exact"
+                what af.Attribution.af_flow.Traffic.Flow.id
+                fa.Attribution.fa_frame)
+          af.Attribution.af_frames)
+      attr.Attribution.flows;
+    List.iter
+      (fun (res : Analysis.Result_types.flow_result) ->
+        let af =
+          List.find
+            (fun (af : Attribution.flow_attr) ->
+              af.Attribution.af_flow.Traffic.Flow.id
+              = res.Analysis.Result_types.flow.Traffic.Flow.id)
+            attr.Attribution.flows
+        in
+        Array.iteri
+          (fun k (fr : Analysis.Result_types.frame_result) ->
+            let fa = List.nth af.Attribution.af_frames k in
+            if fa.Attribution.fa_total <> fr.Analysis.Result_types.total then
+              Alcotest.failf "%s: flow %d frame %d total %d <> report %d" what
+                res.Analysis.Result_types.flow.Traffic.Flow.id k
+                fa.Attribution.fa_total fr.Analysis.Result_types.total)
+          res.Analysis.Result_types.frames)
+      report.Analysis.Holistic.results
+  end
+
 let test_exact_attribution () =
   List.iter
     (fun (sname, scenario) ->
       List.iter
         (fun (cname, config) ->
-          let attr, report = Attribution.analyze ~config scenario in
-          if has_bounds report then begin
-            List.iter
-              (fun (af : Attribution.flow_attr) ->
-                List.iter
-                  (fun (fa : Attribution.frame_attr) ->
-                    if not (Attribution.frame_exact fa) then
-                      Alcotest.failf
-                        "%s/%s: flow %d frame %d decomposition not exact"
-                        sname cname af.Attribution.af_flow.Traffic.Flow.id
-                        fa.Attribution.fa_frame)
-                  af.Attribution.af_frames)
-              attr.Attribution.flows;
-            (* Per-frame totals must equal the holistic report's bounds. *)
-            List.iter
-              (fun (res : Analysis.Result_types.flow_result) ->
-                let af =
-                  List.find
-                    (fun (af : Attribution.flow_attr) ->
-                      af.Attribution.af_flow.Traffic.Flow.id
-                      = res.Analysis.Result_types.flow.Traffic.Flow.id)
-                    attr.Attribution.flows
-                in
-                Array.iteri
-                  (fun k (fr : Analysis.Result_types.frame_result) ->
-                    let fa = List.nth af.Attribution.af_frames k in
-                    if fa.Attribution.fa_total <> fr.Analysis.Result_types.total
-                    then
-                      Alcotest.failf
-                        "%s/%s: flow %d frame %d total %d <> report %d" sname
-                        cname res.Analysis.Result_types.flow.Traffic.Flow.id k
-                        fa.Attribution.fa_total fr.Analysis.Result_types.total)
-                  res.Analysis.Result_types.frames)
-              report.Analysis.Holistic.results
-          end)
+          check_exact ~what:(sname ^ "/" ^ cname) ~config scenario)
         configs)
     (named_scenarios ())
+
+module Gen_spec = Gmf_topogen.Gen_spec
+
+(* Generated meshes and rings of rings (whose stage graph has cycles),
+   20 to 60 flows; on 10 Mb/s links most of them miss deadlines, which
+   are fixed points too. *)
+let print_generated (family, flows, seed, (max_util, rate_bps)) =
+  Printf.sprintf "%s -n %d --seed %d --max-util %g --rate %d"
+    (Gen_spec.family_to_string family)
+    flows seed max_util rate_bps
+
+let generated_arb =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (oneofl
+           [
+             Gen_spec.Mesh { rows = 4; cols = 4; planes = 1 };
+             Gen_spec.Ring_of_rings { rings = 4; ring_size = 4 };
+           ])
+        (int_range 20 60) (int_bound 9_999)
+        (pair (oneofl [ 0.7; 0.98 ]) (oneofl [ 100_000_000; 10_000_000 ])))
+  in
+  QCheck.make ~print:print_generated gen
+
+let generated_scenario (family, flows, seed, (max_util, rate_bps)) =
+  let spec =
+    { Gen_spec.default with Gen_spec.family; flows; seed; max_util; rate_bps }
+  in
+  (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+
+let prop_exact_on_generated =
+  QCheck.Test.make ~name:"attribution is exact on generated scenarios"
+    ~count:8 generated_arb (fun case ->
+      let scenario = generated_scenario case in
+      List.iter
+        (fun (cname, config) ->
+          check_exact
+            ~what:(print_generated case ^ "/" ^ cname)
+            ~config scenario)
+        configs;
+      true)
 
 let test_exact_on_overload () =
   (* Deadline_miss reports are fixed points too — the decomposition must
@@ -323,6 +366,7 @@ let tests =
   [
     Alcotest.test_case "attribution is exact across scenarios and variants"
       `Quick test_exact_attribution;
+    QCheck_alcotest.to_alcotest prop_exact_on_generated;
     Alcotest.test_case "attribution stays exact on a deadline miss" `Quick
       test_exact_on_overload;
     Alcotest.test_case "rejection names binding constraint and interferer"

@@ -117,6 +117,15 @@ let test_route_navigation () =
   Alcotest.(check (list (pair int int))) "hops" [ (0, 4); (4, 6); (6, 3) ]
     (Network.Route.hops route);
   Alcotest.(check int) "3 links" 3 (List.length (Network.Route.links route topo));
+  let crosses ~links ~nodes = Network.Route.crosses route ~links ~nodes in
+  Alcotest.(check bool) "crosses a hop" true
+    (crosses ~links:[ (1, 2); (4, 6) ] ~nodes:[]);
+  Alcotest.(check bool) "links are directed" false
+    (crosses ~links:[ (6, 4) ] ~nodes:[]);
+  Alcotest.(check bool) "visits a node" true
+    (crosses ~links:[] ~nodes:[ 5; 3 ]);
+  Alcotest.(check bool) "avoids both" false
+    (crosses ~links:[ (4, 5) ] ~nodes:[ 5 ]);
   Alcotest.check_raises "succ of destination"
     (Invalid_argument "Route.succ: destination has no successor") (fun () ->
       ignore (Network.Route.succ route 3));

@@ -415,6 +415,48 @@ let prop_verdicts_sound_faithful =
       let rng = Gmf_util.Rng.create ~seed in
       check_soundness ~config:Analysis.Config.faithful (gen_scenario rng))
 
+(* Each per-stage demand-floor term is one application of the stage's
+   recurrence from the bottom jitters, so it never exceeds the converged
+   response of the same (flow, frame, stage), in any variant. *)
+let prop_demand_floor_below_responses =
+  QCheck.Test.make ~name:"demand-floor terms below converged stage responses"
+    ~count:8 Test_explain.generated_arb (fun case ->
+      let scenario = Test_explain.generated_scenario case in
+      List.iter
+        (fun (cname, config) ->
+          let report = Analysis.Holistic.analyze ~config scenario in
+          if Test_explain.has_bounds report then
+            List.iter
+              (fun (res : Analysis.Result_types.flow_result) ->
+                let flow = res.Analysis.Result_types.flow in
+                let floors =
+                  Gmf_precheck.Static_tests.demand_floor ~config scenario flow
+                in
+                Array.iteri
+                  (fun k (fr : Analysis.Result_types.frame_result) ->
+                    let _, terms = floors.(k) in
+                    List.iter2
+                      (fun (stage, floor)
+                           (sr : Analysis.Result_types.stage_response) ->
+                        let r = sr.Analysis.Result_types.response in
+                        if
+                          (not
+                             (Analysis.Stage.equal stage
+                                sr.Analysis.Result_types.stage))
+                          || floor > r
+                        then
+                          QCheck.Test.fail_reportf
+                            "%s/%s: flow %d frame %d %a: floor %d > \
+                             response %d"
+                            (Test_explain.print_generated case)
+                            cname flow.Traffic.Flow.id k Analysis.Stage.pp
+                            stage floor r)
+                      terms fr.Analysis.Result_types.stages)
+                  res.Analysis.Result_types.frames)
+              report.Analysis.Holistic.results)
+        Test_explain.configs;
+      true)
+
 let tests =
   [
     Alcotest.test_case "interference graph decomposes clusters" `Quick
@@ -433,4 +475,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_verdicts_sound;
     QCheck_alcotest.to_alcotest prop_verdicts_sound_faithful;
     QCheck_alcotest.to_alcotest prop_admtrace_sound;
+    QCheck_alcotest.to_alcotest prop_demand_floor_below_responses;
   ]
