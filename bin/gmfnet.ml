@@ -725,8 +725,7 @@ let admission_cmd =
              (if decision.Analysis.Admission.admitted then "yes" else "no");
            Experiments.Exp_common.kv "verdict"
              (Experiments.Exp_common.verdict_string decision.Analysis.Admission.report);
-           let ctx = Analysis.Ctx.create ~config scenario in
-           let checks = Analysis.Conditions.check_all ctx in
+           let checks = Analysis.Conditions.check_all scenario in
            print_endline "per-stage utilization conditions (eqs 20/34-35):";
            List.iter
              (fun c ->

@@ -122,7 +122,6 @@ let create ?(config = Analysis.Config.default) ?(shadow = false)
     base =
       Analysis.Delta.make_base ~config
         ~scenario:(Traffic.Scenario.make ~switches ~topo ~flows:[] ())
-        ~state:(Analysis.Jitter_state.create ())
         ~report:empty_report ();
     seq = 0;
     s_admitted = 0;
@@ -329,7 +328,7 @@ let shadow_check t scenario report =
    an {!Analysis.Delta} edit of the committed base, so only the edit's
    interference closure is re-analyzed and every other flow carries its
    committed bounds over.  An admit is a pure-growth edit, warm-seeded
-   from the committed jitters.  Counted as a warm start exactly when
+   from the committed results.  Counted as a warm start exactly when
    committed state was reused — some flow was certified untouched, or a
    pure-growth closure was warm-seeded; an edit whose closure swallows
    the whole set restarts from source jitters and counts cold, as does
@@ -338,8 +337,7 @@ let shadow_check t scenario report =
    converged (every converging path ran the lint gate, and removals only
    relax link loads), so the delta lint-on-closure rule would be sound
    here too; events do their own linting, so the engine's gate stays
-   off.  Returns the report, the
-   converged jitter state, how the run started, the shadow comparison
+   off.  Returns the report, how the run started, the shadow comparison
    and (explain sessions only) the worst-frame attribution summary. *)
 let run_fixpoint t scenario =
   let d = Analysis.Delta.analyze t.base scenario in
@@ -367,14 +365,12 @@ let run_fixpoint t scenario =
     if not t.explain then None
     else
       Gmf_explain.Attribution.summarize
-        (Gmf_explain.Attribution.of_state ~config:t.config scenario
-           ~state:d.Analysis.Delta.d_state report)
+        (Gmf_explain.Attribution.of_report ~config:t.config scenario report)
   in
-  (report, d.Analysis.Delta.d_state, start, shadow, explain)
+  (report, start, shadow, explain)
 
-let commit t ~scenario ~state ~report =
-  t.base <-
-    Analysis.Delta.make_base ~config:t.config ~scenario ~state ~report ()
+let commit t ~scenario ~report =
+  t.base <- Analysis.Delta.make_base ~config:t.config ~scenario ~report ()
 
 (* The survivability gate of admit/update events, when the session was
    created with [?survivable].  Evaluated on the tentative scenario only
@@ -408,8 +404,8 @@ let try_set ?gate t ~label ~flows =
       (* Static pre-analysis: a certified-infeasible flow rejects before
          any fixpoint (mirroring the lint fast path), and oversized
          interference components surface as GMF019 warnings.  Events it
-         does not reject run the exact fixpoint, whose converged state the
-         commit keeps as the next delta base. *)
+         does not reject run the exact fixpoint, whose report the commit
+         keeps as the next delta base. *)
       let pre = Gmf_precheck.Precheck.run ~config:t.config scenario in
       let pre_diags = Gmf_precheck.Precheck.diagnostics pre in
       match Gmf_diag.at_least Gmf_diag.Error pre_diags with
@@ -423,9 +419,7 @@ let try_set ?gate t ~label ~flows =
             ~shadow:None ()
       | [] -> (
           let diagnostics = lint.Gmf_lint.Lint.diagnostics @ pre_diags in
-          let report, state, start, shadow, explain =
-            run_fixpoint t scenario
-          in
+          let report, start, shadow, explain = run_fixpoint t scenario in
           let accepted = Analysis.Holistic.is_schedulable report in
           let gate_diags =
             match gate with Some g when accepted -> g scenario | _ -> []
@@ -439,7 +433,7 @@ let try_set ?gate t ~label ~flows =
                 ~rounds:report.Analysis.Holistic.rounds ~start
                 ~diagnostics:(diagnostics @ gate_diags) ~shadow ~explain ()
           | [] ->
-              if accepted then commit t ~scenario ~state ~report;
+              if accepted then commit t ~scenario ~report;
               mk_outcome t ~label ~accepted
                 ~verdict:report.Analysis.Holistic.verdict
                 ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics
@@ -469,9 +463,9 @@ let apply_remove t id =
         scenario_of t
           (List.filter (fun f -> f.Traffic.Flow.id <> id) (flows t))
       in
-      let report, state, start, shadow, explain = run_fixpoint t scenario in
+      let report, start, shadow, explain = run_fixpoint t scenario in
       (* The departure happens regardless of the refreshed verdict. *)
-      commit t ~scenario ~state ~report;
+      commit t ~scenario ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict
         ~rounds:report.Analysis.Holistic.rounds ~start ~diagnostics:[]
@@ -552,20 +546,17 @@ let apply_fail t a b =
         with
         | _ :: _ as errors ->
             ( Analysis.Admission.lint_failed errors,
-              (scenario, Analysis.Jitter_state.create (), Skipped, None, None)
-            )
+              (scenario, Skipped, None, None) )
         | [] ->
-            let report, state, start, shadow, explain =
-              run_fixpoint t scenario
-            in
-            (report, (scenario, state, start, shadow, explain))
+            let report, start, shadow, explain = run_fixpoint t scenario in
+            (report, (scenario, start, shadow, explain))
       in
       let {
         Gmf_faults.Survive.placed;
         victims;
         unpinned = rerouted;
         report;
-        last = scenario, state, start, shadow, explain;
+        last = scenario, start, shadow, explain;
         rounds_spent;
         _;
       } =
@@ -585,7 +576,7 @@ let apply_fail t a b =
       Gmf_obs.Metrics.incr
         ~by:(List.length pre_shed + List.length victims)
         m_shed;
-      commit t ~scenario ~state ~report;
+      commit t ~scenario ~report;
       mk_outcome t ~label ~accepted:true
         ~verdict:report.Analysis.Holistic.verdict ~rounds:rounds_spent ~start
         ~diagnostics:[] ~shadow ~explain

@@ -1,9 +1,10 @@
 (** Long-lived admission-control sessions with incremental holistic
     fixpoints (paper Section 3.5, run as a service).
 
-    A session owns the currently-admitted flow set, its converged
-    {!Analysis.Jitter_state.t} and the last committed report, kept
-    together as one {!Analysis.Delta.base}.  Every event that runs a
+    A session owns the currently-admitted flow set and its last
+    committed report, kept together as one {!Analysis.Delta.base}; the
+    report's stage responses fix the committed jitters, so no jitter
+    state is kept beside it.  Every event that runs a
     fixpoint — admit, remove, update, each attempt of a link failure —
     hands its tentative flow set to {!Analysis.Delta.analyze} against
     that base: only the edit's interference closure is re-analyzed, and
@@ -11,10 +12,10 @@
 
     - {e admit}: a pure-growth edit.  Jitters grow monotonically when
       flows are added, so the committed fixed point sits below the new
-      one and the closure, warm-started from it
-      ({!Analysis.Holistic.run_from}), converges to the {e same} verdict
-      and bounds as a cold {!Analysis.Holistic.analyze}, in at most as
-      many rounds;
+      one and the closure, warm-started from the committed results of
+      its flows ({!Analysis.Holistic.run_from}), converges to the
+      {e same} verdict and bounds as a cold {!Analysis.Holistic.analyze},
+      in at most as many rounds;
     - {e remove}/{e update}/{e fail}: shrinking or mixed edits, whose
       closure restarts from source jitters.
 
@@ -73,7 +74,7 @@ type event =
 type start_kind =
   | Warm
       (** Committed state was reused: the fixpoint was seeded from the
-          previous converged state, or the delta engine certified flows
+          committed results, or the delta engine certified flows
           untouched and carried their bounds over. *)
   | Cold  (** Fixpoint from the all-zero state, as a batch run. *)
   | Skipped  (** No fixpoint ran (query, duplicate, lint rejection). *)
@@ -175,9 +176,9 @@ val fingerprint : t -> string
     committed verdict and the event counters.  Deterministic — two
     sessions that processed the same event sequence over the same
     topology fingerprint identically, whatever mix of warm starts,
-    process restarts or journal replays produced them.  Internal
-    fixpoint state is deliberately excluded (it is an implementation
-    detail warm/cold equivalence already guards). *)
+    process restarts or journal replays produced them.  The committed
+    bounds are deliberately excluded (how they were reached is an
+    implementation detail warm/cold equivalence already guards). *)
 
 val pp_start : Format.formatter -> start_kind -> unit
 (** ["warm"], ["cold"], ["-"]. *)

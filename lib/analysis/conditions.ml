@@ -16,19 +16,18 @@ let make_check flow stage utilization =
   }
 
 (* The inequalities themselves live in Gmf_precheck.Static_tests (the
-   single home of eqs (20)/(34)-(35)); this module keeps the Ctx-keyed
+   single home of eqs (20)/(34)-(35)); this module keeps the per-stage
    reporting shape the experiments consume. *)
-let check_flow ctx ~flow =
-  let scenario = Ctx.scenario ctx in
+let check_flow scenario ~flow =
   let condition stage =
     make_check flow stage
       (Gmf_precheck.Static_tests.stage_utilization scenario flow stage)
   in
   List.map condition (Stage.stages_of_route flow.Traffic.Flow.route)
 
-let check_all ctx =
-  Traffic.Scenario.flows (Ctx.scenario ctx)
-  |> List.concat_map (fun flow -> check_flow ctx ~flow)
+let check_all scenario =
+  Traffic.Scenario.flows scenario
+  |> List.concat_map (fun flow -> check_flow scenario ~flow)
 
 let all_satisfied checks = List.for_all (fun c -> c.satisfied) checks
 

@@ -16,10 +16,10 @@ type check = {
   satisfied : bool;  (** [utilization < 1]. *)
 }
 
-val check_flow : Ctx.t -> flow:Traffic.Flow.t -> check list
+val check_flow : Traffic.Scenario.t -> flow:Traffic.Flow.t -> check list
 (** Conditions for every stage of one flow's route. *)
 
-val check_all : Ctx.t -> check list
+val check_all : Traffic.Scenario.t -> check list
 (** Conditions for every stage of every flow. *)
 
 val all_satisfied : check list -> bool

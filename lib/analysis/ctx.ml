@@ -12,6 +12,9 @@ type node = {
   stage : Stage.t;
   time : Gmf.Demand.t;
   count : Gmf.Demand.t;
+  (* Per frame: the generalized jitter GJ at this stage. *)
+  jitter : Gmf_util.Timeunit.ns array;
+  (* The largest entry of [jitter]. *)
   mutable extra : Gmf_util.Timeunit.ns;
   mutable stamp : int;
   (* Empty until first resolved: a stage charges at least its own flow. *)
@@ -25,36 +28,47 @@ type node = {
 type t = {
   scenario : Traffic.Scenario.t;
   config : Config.t;
-  mutable jitters : Jitter_state.t;
   (* MX clamps each window to the interval under the paper's eq (10) only. *)
   capped : bool;
   (* Lint gates are scenario-static: one evaluation per flow and context. *)
   gates : (Traffic.Flow.id, Traffic.Flow.t * Gmf_diag.t list) Hashtbl.t;
-  (* Stage-graph nodes of the current jitter state, created on first use. *)
-  mutable nodes : node Nodes.t;
+  (* One node per (flow, stage of its route), built in [create]; [order]
+     holds the same nodes flow by flow, in route order. *)
+  nodes : node Nodes.t;
+  order : node array;
   (* Advanced on every change of some node's extra. *)
   mutable clock : int;
+  (* Advanced on every jitter write that changed a value. *)
+  mutable writes : int;
 }
 
-let install_source_jitters scenario state =
-  List.iter
-    (fun flow ->
-      let route = flow.Traffic.Flow.route in
-      let source = Network.Route.source route in
-      let stage =
-        Stage.First_link (source, Network.Route.succ route source)
-      in
-      let jitters = Gmf.Spec.jitters flow.Traffic.Flow.spec in
-      Array.iteri
-        (fun frame value ->
-          Jitter_state.set state ~flow:flow.Traffic.Flow.id ~stage ~frame
-            value)
-        jitters)
-    (Traffic.Scenario.flows scenario)
+(* Unset frames of [last]: never returned, [ran_at] is -1 there. *)
+let unevaluated =
+  Error
+    {
+      Result_types.flow_id = -1;
+      frame = -1;
+      failed_stage = None;
+      reason = "not evaluated";
+    }
+
+let max_entry a = Array.fold_left max 0 a
+
+(* The bottom of the holistic iteration (Section 3.5): the flow's source
+   jitters at its first link, 0 at every later stage. *)
+let install_source_jitters node =
+  (match node.stage with
+  | Stage.First_link _ ->
+      Array.blit (Gmf.Spec.jitters node.flow.Traffic.Flow.spec) 0 node.jitter
+        0 (Array.length node.jitter)
+  | Stage.Ingress _ | Stage.Egress _ ->
+      Array.fill node.jitter 0 (Array.length node.jitter) 0);
+  node.extra <- max_entry node.jitter;
+  node.stamp <- 0;
+  Array.fill node.ran_at 0 (Array.length node.ran_at) (-1);
+  Array.fill node.last 0 (Array.length node.last) unevaluated
 
 let create ?(config = Config.default) scenario =
-  let jitters = Jitter_state.create () in
-  install_source_jitters scenario jitters;
   (* The paper's MXS (eq 10) clamps each window's demand to the interval
      length, which makes MX(0) = 0: with all jitters zero, the queuing-time
      recurrences then accept w = 0 as a fixed point and report no
@@ -67,35 +81,60 @@ let create ?(config = Config.default) scenario =
     | Config.Faithful -> true
     | Config.Repaired -> false
   in
+  let nodes = Nodes.create 256 in
+  let order =
+    Traffic.Scenario.flows scenario
+    |> List.concat_map (fun flow ->
+           let n = Traffic.Flow.n flow in
+           Stage.stages_of_route flow.Traffic.Flow.route
+           |> List.map (fun stage ->
+                  let src, dst = Gmf_precheck.Stage_eq.link_of flow stage in
+                  let p = Traffic.Scenario.params scenario flow ~src ~dst in
+                  let node =
+                    {
+                      flow;
+                      stage;
+                      time = p.Traffic.Link_params.time_demand;
+                      count = p.Traffic.Link_params.count_demand;
+                      jitter = Array.make n 0;
+                      extra = 0;
+                      stamp = 0;
+                      reads = [||];
+                      last = Array.make n unevaluated;
+                      ran_at = Array.make n (-1);
+                    }
+                  in
+                  install_source_jitters node;
+                  Nodes.replace nodes (flow.Traffic.Flow.id, stage) node;
+                  node))
+    |> Array.of_list
+  in
   {
     scenario;
     config;
-    jitters;
     capped;
     gates = Hashtbl.create 64;
-    nodes = Nodes.create 64;
+    nodes;
+    order;
     clock = 0;
+    writes = 0;
   }
 
 let scenario t = t.scenario
 let config t = t.config
-let jitters t = t.jitters
-
-(* Nodes cache extras and evaluations of the state they were built on. *)
-let replace_jitters t state =
-  install_source_jitters t.scenario state;
-  t.jitters <- state;
-  t.nodes <- Nodes.create 64
-
-let reset_jitters t = replace_jitters t (Jitter_state.create ())
-let snapshot t = Jitter_state.copy t.jitters
-let restore t state = replace_jitters t (Jitter_state.copy state)
+let reset_jitters t = Array.iter install_source_jitters t.order
 
 let params t flow ~src ~dst = Traffic.Scenario.params t.scenario flow ~src ~dst
 
-let extra t flow ~stage =
-  Jitter_state.extra t.jitters ~flow:flow.Traffic.Flow.id
-    ~n_frames:(Traffic.Flow.n flow) ~stage
+let node t flow ~stage =
+  match Nodes.find_opt t.nodes (flow.Traffic.Flow.id, stage) with
+  | Some node -> node
+  | None ->
+      invalid_arg
+        (Format.asprintf "Ctx.node: %a is not a stage of flow %d here"
+           Stage.pp stage flow.Traffic.Flow.id)
+
+let extra t flow ~stage = (node t flow ~stage).extra
 
 let time_bound t demand dt = Gmf.Demand.bound demand ~capped:t.capped dt
 let count_bound demand dt = Gmf.Demand.bound demand ~capped:false dt
@@ -105,39 +144,6 @@ let mx t flow ~src ~dst ~dt =
 
 let nx t flow ~src ~dst ~dt =
   count_bound (params t flow ~src ~dst).Traffic.Link_params.count_demand dt
-
-(* Fills the [last] slots of frames not evaluated yet; never returned. *)
-let unevaluated =
-  Error
-    {
-      Result_types.flow_id = -1;
-      frame = -1;
-      failed_stage = None;
-      reason = "not evaluated";
-    }
-
-let node t flow ~stage =
-  let key = (flow.Traffic.Flow.id, stage) in
-  match Nodes.find_opt t.nodes key with
-  | Some node -> node
-  | None ->
-      let src, dst = Gmf_precheck.Stage_eq.link_of flow stage in
-      let p = params t flow ~src ~dst in
-      let node =
-        {
-          flow;
-          stage;
-          time = p.Traffic.Link_params.time_demand;
-          count = p.Traffic.Link_params.count_demand;
-          extra = extra t flow ~stage;
-          stamp = 0;
-          reads = [||];
-          last = Array.make (Traffic.Flow.n flow) unevaluated;
-          ran_at = Array.make (Traffic.Flow.n flow) (-1);
-        }
-      in
-      Nodes.add t.nodes key node;
-      node
 
 let reads t self =
   if Array.length self.reads = 0 then
@@ -181,16 +187,45 @@ let flow_gate t flow =
       gate
 
 let set_jitter t flow ~frame ~stage value =
-  Jitter_state.set t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame value;
-  match Nodes.find_opt t.nodes (flow.Traffic.Flow.id, stage) with
-  | None -> ()
-  | Some node ->
-      let extra = extra t flow ~stage in
-      if extra <> node.extra then begin
-        t.clock <- t.clock + 1;
-        node.extra <- extra;
-        node.stamp <- t.clock
-      end
+  if value < 0 then invalid_arg "Ctx.set_jitter: negative jitter";
+  let node = node t flow ~stage in
+  let old = node.jitter.(frame) in
+  if value <> old then begin
+    t.writes <- t.writes + 1;
+    node.jitter.(frame) <- value;
+    let extra =
+      if value > node.extra then value
+      else if old = node.extra then max_entry node.jitter
+      else node.extra
+    in
+    if extra <> node.extra then begin
+      t.clock <- t.clock + 1;
+      node.extra <- extra;
+      node.stamp <- t.clock
+    end
+  end
 
-let get_jitter t flow ~frame ~stage =
-  Jitter_state.get t.jitters ~flow:flow.Traffic.Flow.id ~stage ~frame
+let get_jitter t flow ~frame ~stage = (node t flow ~stage).jitter.(frame)
+let writes t = t.writes
+
+type copy = Gmf_util.Timeunit.ns array array
+
+let copy_jitters t = Array.map (fun node -> Array.copy node.jitter) t.order
+
+let flow_deltas t ~since =
+  let deltas = Hashtbl.create 64 in
+  Array.iteri
+    (fun k node ->
+      let before = since.(k) and after = node.jitter in
+      (* A flow is listed once it holds a non-zero jitter on either side. *)
+      if Array.exists (( <> ) 0) before || Array.exists (( <> ) 0) after
+      then begin
+        let d = ref 0 in
+        Array.iteri (fun i v -> d := max !d (abs (v - before.(i)))) after;
+        let id = node.flow.Traffic.Flow.id in
+        match Hashtbl.find_opt deltas id with
+        | Some cur when cur >= !d -> ()
+        | _ -> Hashtbl.replace deltas id !d
+      end)
+    t.order;
+  Hashtbl.fold (fun id d acc -> (id, d) :: acc) deltas [] |> List.sort compare

@@ -1,37 +1,22 @@
-(** Shared state of one analysis run: the scenario, the configuration, the
-    holistic jitter state, its stage-graph nodes and the per-flow lint
-    gates.  The demand tables behind MX/NX live in the scenario's
-    {!Traffic.Link_params}, built once per (flow, link). *)
+(** Shared state of one analysis run: the scenario, the configuration,
+    the stage-graph nodes that hold the holistic jitter state, and the
+    per-flow lint gates.  The demand tables behind MX/NX live in the
+    scenario's {!Traffic.Link_params}, built once per (flow, link). *)
 
 type t
 
 val create : ?config:Config.t -> Traffic.Scenario.t -> t
-(** [create ?config scenario] initializes the context.  The jitter state
-    starts with every flow's source jitter installed at its first-link stage
-    and zero everywhere else — the starting point of the holistic iteration
-    (Section 3.5). *)
+(** [create ?config scenario] builds one node per (flow, stage of its
+    route).  Each node starts with the flow's source jitters at its
+    first-link stage and zero everywhere else — the starting point of the
+    holistic iteration (Section 3.5). *)
 
 val scenario : t -> Traffic.Scenario.t
 val config : t -> Config.t
-val jitters : t -> Jitter_state.t
 
 val reset_jitters : t -> unit
-(** Restores the initial jitter state (source jitters only) and drops
-    every stage-graph node. *)
-
-val snapshot : t -> Jitter_state.t
-(** A deep copy of the current jitter state.  Taken after a converged
-    {!Holistic} run it is the fixed point of the scenario — the seed an
-    admission session hands back to {!restore} to warm-start the next
-    decision. *)
-
-val restore : t -> Jitter_state.t -> unit
-(** [restore t state] replaces the context's jitters with a copy of
-    [state] and (re-)installs every flow's source jitters on top, so a
-    state captured on a {e smaller} flow set is completed with the first
-    entries of any flow it has never seen.  The argument is not aliased;
-    later mutations of the context leave it intact.  Every stage-graph
-    node is dropped with the old state. *)
+(** Restores the initial jitters (source jitters only).  The nodes stay;
+    every cached stage evaluation is dropped with the old jitters. *)
 
 val mx :
   t -> Traffic.Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
@@ -52,32 +37,33 @@ val extra : t -> Traffic.Flow.t -> stage:Stage.t -> Gmf_util.Timeunit.ns
 
 (** {2 Stage-graph nodes}
 
-    One node per (flow, stage of its route), created on first use and kept
-    until {!reset_jitters} or {!restore} replaces the jitter state.  A node
-    holds the flow's MX/NX tables on the stage's link, its {!extra} there,
-    and its {e reads}: the nodes of the stage's
+    One node per (flow, stage of its route), built by {!create} and kept
+    for the life of the context.  A node owns the flow's per-frame
+    generalized jitters at the stage and their maximum, {!extra}; it
+    also holds the flow's MX/NX tables on the stage's link and its
+    {e reads}: the nodes of the stage's
     {!Gmf_precheck.Stage_eq.busy_set}, the flows the stage analysis
     charges.
 
-    {b Reuse rule.}  {!set_jitter} refreshes the node's cached extra and,
-    only when that extra changes, advances a per-context clock and stamps
-    the node with it.  {!recall} hands back a stage evaluation recorded by
-    {!remember} as long as no node in its reads carries a newer stamp.
-    This is exact: a stage analysis reads the jitter state only through
-    the extras of its reads ({!charge} folds over exactly that array, and
-    the stage's "others" set is the same array minus the node itself), and
-    everything else it reads — scenario, configuration, demand tables,
-    the analyzed flow, which must be one of the context scenario's — is
-    fixed for the life of the context.  So an evaluation whose reads
-    are unchanged would recompute the same result, errors included.  The
-    jitter state returned by {!jitters} must be treated as read-only:
-    writes that bypass {!set_jitter} would escape the stamps. *)
+    {b Reuse rule.}  {!set_jitter} writes one slot of the node and, only
+    when the node's extra changes, advances a per-context clock and
+    stamps the node with it.  {!recall} hands back a stage evaluation
+    recorded by {!remember} as long as no node in its reads carries a
+    newer stamp.  This is exact: a stage analysis reads the jitters only
+    through the extras of its reads ({!charge} folds over exactly that
+    array, and the stage's "others" set is the same array minus the node
+    itself), and everything else it reads — scenario, configuration,
+    demand tables, the analyzed flow, which must be one of the context
+    scenario's — is fixed for the life of the context.  So an evaluation
+    whose reads are unchanged would recompute the same result, errors
+    included.  {!reset_jitters} drops every recorded evaluation. *)
 
 type node
 
 val node : t -> Traffic.Flow.t -> stage:Stage.t -> node
 (** [node t flow ~stage] is the flow's node at [stage], a stage of its
-    route. *)
+    route.  Raises [Invalid_argument] when the context has no such
+    node. *)
 
 val charge :
   t -> node -> others:bool ->
@@ -117,11 +103,27 @@ val flow_gate : t -> Traffic.Flow.t -> Gmf_diag.t list
 val set_jitter :
   t -> Traffic.Flow.t -> frame:int -> stage:Stage.t ->
   Gmf_util.Timeunit.ns -> unit
-(** Writes one jitter and refreshes the (flow, stage) node's extra,
-    stamping the node when the extra changes. *)
+(** Writes one jitter of the (flow, stage) node and keeps its extra up to
+    date, stamping the node when the extra changes.  Raises
+    [Invalid_argument] on a negative value, a frame index out of range or
+    a stage that is not on the route of a flow of the context. *)
 
 val get_jitter :
   t -> Traffic.Flow.t -> frame:int -> stage:Stage.t -> Gmf_util.Timeunit.ns
+
+val writes : t -> int
+(** How many {!set_jitter} calls so far changed a value. *)
+
+type copy
+(** Every node's jitters as they stood at {!copy_jitters}. *)
+
+val copy_jitters : t -> copy
+
+val flow_deltas :
+  t -> since:copy -> (Traffic.Flow.id * Gmf_util.Timeunit.ns) list
+(** Per flow, the largest absolute change of one of its jitters since the
+    copy was taken, sorted by flow id.  A flow is listed iff it holds a
+    non-zero jitter in the copy or now (delta 0 when nothing moved). *)
 
 val params :
   t -> Traffic.Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->

@@ -6,7 +6,6 @@
 type base = {
   b_config : Config.t;
   b_scenario : Traffic.Scenario.t;
-  b_state : Jitter_state.t;
   b_report : Holistic.report;
   b_ok : bool;
   b_lint_clean : bool;
@@ -24,7 +23,6 @@ type stats = {
 
 type result = {
   d_report : Holistic.report;
-  d_state : Jitter_state.t;
   d_untouched : Traffic.Flow.id list;
   d_stats : stats;
 }
@@ -43,26 +41,23 @@ let m_saved =
 let m_fallbacks =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "delta.cold_fallbacks"
 
-let make_base ~config ~scenario ~state ~report () =
+let make_base ~config ~scenario ~report () =
   {
     b_config = config;
     b_scenario = scenario;
-    b_state = state;
     b_report = report;
     b_ok = Holistic.converged report.Holistic.verdict;
     b_lint_clean = true;
   }
 
 let compute_base ?(config = Config.default) scenario =
-  let ctx = Ctx.create ~config scenario in
-  let report = Holistic.run ctx in
+  let report = Holistic.analyze ~config scenario in
   let lint_clean =
     Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) = []
   in
   {
     b_config = config;
     b_scenario = scenario;
-    b_state = Ctx.snapshot ctx;
     b_report = report;
     b_ok = Holistic.converged report.Holistic.verdict;
     b_lint_clean = lint_clean;
@@ -207,52 +202,40 @@ let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
 
 (* A run from source jitters.  Under [~precheck] it goes through the
    precheck-guided sharded engine: flows precheck decides statically
-   never burn fixpoint rounds, but their synthetic results carry
-   certified ceilings rather than converged bounds, so no jitter state
-   comes back. *)
+   never burn fixpoint rounds, and their synthetic results carry
+   certified ceilings rather than converged bounds. *)
 let cold_run ~precheck ~config scenario =
   if precheck then
     let r, _precheck, _stats = Sharded.analyze ~config scenario in
-    (r, Jitter_state.create ())
-  else
-    let ctx = Ctx.create ~config scenario in
-    let r = Holistic.run ctx in
-    (r, Ctx.snapshot ctx)
+    r
+  else Holistic.analyze ~config scenario
 
 (* Comparison ruled out: analyze the target cold (optionally through the
    full-scenario lint gate), certify nothing. *)
 let cold ~lint ~precheck ~config target =
   let total = Traffic.Scenario.flow_count target in
-  match if lint then lint_reject ~config target else None with
-  | Some report ->
-      {
-        d_report = report;
-        d_state = Jitter_state.create ();
-        d_untouched = [];
-        d_stats =
-          mk_stats ~total ~closure:total ~rounds:0 ~saved:0 ~fallback:true
-            ~warm:false;
-      }
-  | None ->
-      let report, state = cold_run ~precheck ~config target in
-      {
-        d_report = report;
-        d_state = state;
-        d_untouched = [];
-        d_stats =
-          mk_stats ~total ~closure:total ~rounds:report.Holistic.rounds
-            ~saved:0 ~fallback:true ~warm:false;
-      }
+  let report =
+    match if lint then lint_reject ~config target else None with
+    | Some report -> report
+    | None -> cold_run ~precheck ~config target
+  in
+  {
+    d_report = report;
+    d_untouched = [];
+    d_stats =
+      mk_stats ~total ~closure:total ~rounds:report.Holistic.rounds ~saved:0
+        ~fallback:true ~warm:false;
+  }
 
 (* A closure run folded back into the base: untouched flows keep their
-   base result records (physically — the certificate the tests check)
-   and jitter entries, closure flows take the re-converged ones, in
-   scenario flow order; the verdict is rebuilt as {!Sharded} does.
-   Returns the merged report and state and the untouched ids; a closure
-   that covers every target flow is the answer as it stands. *)
-let merge base target_flows ~in_closure sub_report sub_state =
+   base result records (physically — the certificate the tests check),
+   closure flows take the re-converged ones, in scenario flow order; the
+   verdict is rebuilt as {!Sharded} does.  Returns the merged report and
+   the untouched ids; a closure that covers every target flow is the
+   answer as it stands. *)
+let merge base target_flows ~in_closure sub_report =
   let untouched = List.filter (fun f -> not (in_closure f)) target_flows in
-  if untouched = [] then (sub_report, sub_state, [])
+  if untouched = [] then (sub_report, [])
   else
     let untouched_tbl = Hashtbl.create 64 in
     List.iter
@@ -284,10 +267,6 @@ let merge base target_flows ~in_closure sub_report sub_state =
           | misses -> Holistic.Deadline_miss misses)
     in
     ( { Holistic.verdict; rounds = sub_report.Holistic.rounds; results },
-      Jitter_state.union
-        (Jitter_state.filter_flows base.b_state
-           ~keep:(Hashtbl.mem untouched_tbl))
-        sub_state,
       List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) untouched )
 
 let analyze ?(lint = false) ?(precheck = false) base target =
@@ -308,7 +287,6 @@ let analyze ?(lint = false) ?(precheck = false) base target =
          which then checks the full target. *)
       {
         d_report = base.b_report;
-        d_state = Jitter_state.copy base.b_state;
         d_untouched =
           List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id)
             target_flows;
@@ -349,7 +327,6 @@ let analyze ?(lint = false) ?(precheck = false) base target =
       | Some report ->
           {
             d_report = report;
-            d_state = Jitter_state.create ();
             d_untouched = [];
             d_stats =
               mk_stats ~total
@@ -358,40 +335,34 @@ let analyze ?(lint = false) ?(precheck = false) base target =
           }
       | None ->
           let pure_growth = removed = [] && changed = [] in
-          let sub_report, sub_state =
-            if pure_growth then begin
+          let sub_report =
+            if pure_growth then
               (* From below: the base fixed point restricted to the
                  closure sits under the new least fixed point (added
                  flows only add interference), so the monotone squeeze
-                 converges to the same fixpoint in fewer rounds. *)
-              let ctx = Ctx.create ~config sub in
-              let r =
-                Holistic.run_from ctx
-                  ~init:
-                    (Jitter_state.filter_flows base.b_state
-                       ~keep:(Hashtbl.mem closure))
-              in
-              (r, Ctx.snapshot ctx)
-            end
+                 converges to the same fixpoint in fewer rounds.  The
+                 base results of the closure flows fix those jitters. *)
+              Holistic.run_from (Ctx.create ~config sub)
+                ~init:
+                  (List.filter
+                     (fun (r : Result_types.flow_result) ->
+                       Hashtbl.mem closure r.Result_types.flow.Traffic.Flow.id)
+                     base.b_report.Holistic.results)
             else
               (* Shrinking or mixed edit: iterating down from a stale
                  state may stop above the least fixed point, so the
                  closure restarts from source jitters.  Under
                  [~precheck:true] that is the path a cold
                  {!Sharded.analyze} of the full target takes, restricted
-                 to the closure; its run returns no jitter state, so
-                 [d_state] keeps only the untouched flows' base entries
-                 (a sound — if partial — warm seed, since absent entries
-                 restart from source jitters). *)
+                 to the closure. *)
               cold_run ~precheck ~config sub
           in
-          let d_report, d_state, d_untouched =
-            merge base target_flows ~in_closure sub_report sub_state
+          let d_report, d_untouched =
+            merge base target_flows ~in_closure sub_report
           in
           let rounds = sub_report.Holistic.rounds in
           {
             d_report;
-            d_state;
             d_untouched;
             d_stats =
               mk_stats ~total

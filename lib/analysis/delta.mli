@@ -23,10 +23,11 @@
       interference components of the target.
     + {b Fixpoint.}  Only the closure is re-analyzed, as a
       {!Sharded.sub_scenario} restriction.  A pure-growth edit (flows
-      added, none removed or changed) warm-starts from the base jitter
-      entries of the closure flows: the base fixed point sits below the
-      new one, so the monotone squeeze of {!Holistic.run_from} converges
-      to the same least fixed point from below.  Any shrinking or mixed
+      added, none removed or changed) warm-starts from the base results
+      of the closure flows, which fix their converged jitters: the base
+      fixed point sits below the new one, so the monotone squeeze of
+      {!Holistic.run_from} converges to the same least fixed point from
+      below.  Any shrinking or mixed
       edit restarts the closure from source jitters — iterating down
       from a stale state is {e not} guaranteed to reach the least fixed
       point, so soundness-ambiguous seeds are never used.
@@ -45,23 +46,24 @@
     [delta.cold_fallbacks] in the default registry. *)
 
 type base
-(** A converged base fixpoint: scenario, config, jitter state, report. *)
+(** A converged base fixpoint: scenario, config and report.  The report
+    is the whole fixpoint: its stage responses fix the converged jitters
+    ({!Pipeline.seed}). *)
 
 val make_base :
   config:Config.t ->
   scenario:Traffic.Scenario.t ->
-  state:Jitter_state.t ->
   report:Holistic.report ->
   unit ->
   base
 (** Wrap an already-computed fixpoint (e.g. an admission session's
-    committed state) as a delta base, at no analysis cost.  [state] must
-    be the converged jitter state of [report] on [scenario] under
-    [config]; a non-converged [report] ([Analysis_failed] /
-    [No_fixed_point]) yields a base every {!analyze} call falls back
-    cold from.  The base scenario is taken to pass the {!Gmf_lint} error
-    gate, which lets [analyze ~lint:true] lint only the closure
-    restriction. *)
+    committed report) as a delta base, at no analysis cost.  [report]
+    must be the analysis of [scenario] under [config] with exact bounds
+    (not precheck ceilings); a non-converged [report]
+    ([Analysis_failed] / [No_fixed_point]) yields a base every
+    {!analyze} call falls back cold from.  The base scenario is taken to
+    pass the {!Gmf_lint} error gate, which lets [analyze ~lint:true]
+    lint only the closure restriction. *)
 
 val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 (** Cold-analyze [scenario] ({!Holistic.run}) and wrap the result; also
@@ -86,7 +88,7 @@ type stats = {
           converged) and the target was analyzed cold. *)
   warm_seeded : bool;
       (** Pure-growth edit: the closure fixpoint started from the base
-          jitter entries instead of source jitters. *)
+          results of its flows instead of source jitters. *)
 }
 
 type result = {
@@ -94,9 +96,6 @@ type result = {
       (** Merged report over the full target flow set, results in
           scenario flow order — untouched flows carry their base result
           records, closure flows their re-converged ones. *)
-  d_state : Jitter_state.t;
-      (** Merged converged jitter state of the target — the warm-start
-          seed for the next edit. *)
   d_untouched : Traffic.Flow.id list;
       (** The certificate: ids (ascending) whose fixed point is provably
           unchanged — results copied, never recomputed. *)
@@ -119,9 +118,7 @@ val analyze :
     monolithic {!Holistic.run}: flows decided statically skip the
     fixpoint.  The schedulability class, fates and matrices are unchanged
     (precheck is schedulability-exact), but closure flows decided
-    statically carry certified ceilings instead of converged bounds and
-    contribute no jitter state — callers that reuse [d_state] as the
-    committed session state (exact bounds required) must leave it off.
+    statically carry certified ceilings instead of converged bounds.
 
     Exactness: the merged verdict and bounds equal a cold analysis of
     [target] — the closure is a union of complete interference

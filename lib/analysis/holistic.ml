@@ -124,24 +124,37 @@ let iterate ctx =
     report
   in
   let rec rounds n =
-    let before = Jitter_state.copy (Ctx.jitters ctx) in
+    let before =
+      if metrics_on || Option.is_some !round_observer then
+        Some (Ctx.copy_jitters ctx)
+      else None
+    in
+    let writes = Ctx.writes ctx in
     let results, failures =
       Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
         "holistic.round" (fun () -> run_round ctx)
     in
-    if metrics_on then
-      Gmf_obs.Metrics.observe m_jitter_delta
-        (Jitter_state.max_delta before (Ctx.jitters ctx));
-    (match !round_observer with
+    (match before with
     | None -> ()
-    | Some observe ->
-        let deltas = Jitter_state.flow_deltas before (Ctx.jitters ctx) in
+    | Some since ->
+        let deltas = Ctx.flow_deltas ctx ~since in
         let max_d = List.fold_left (fun acc (_, d) -> max acc d) 0 deltas in
-        observe
-          { obs_round = n; obs_flow_deltas = deltas; obs_max_delta = max_d });
+        if metrics_on then Gmf_obs.Metrics.observe m_jitter_delta max_d;
+        Option.iter
+          (fun observe ->
+            observe
+              {
+                obs_round = n;
+                obs_flow_deltas = deltas;
+                obs_max_delta = max_d;
+              })
+          !round_observer);
     if failures <> [] then
       finish n { verdict = Analysis_failed failures; rounds = n; results }
-    else if Jitter_state.equal before (Ctx.jitters ctx) then begin
+    (* Quiet round: no write changed a value.  Without failures the round
+       wrote every (flow, frame, stage) jitter exactly once (routes repeat
+       no node), so the jitters are those it started from. *)
+    else if Ctx.writes ctx = writes then begin
       match deadline_misses results with
       | [] -> finish n { verdict = Schedulable; rounds = n; results }
       | misses ->
@@ -159,7 +172,7 @@ let run ctx =
   iterate ctx
 
 let run_from ctx ~init =
-  Ctx.restore ctx init;
+  Pipeline.seed ctx init;
   iterate ctx
 
 let analyze ?config scenario = run (Ctx.create ?config scenario)
@@ -169,6 +182,12 @@ let is_schedulable report = report.verdict = Schedulable
 let converged = function
   | Schedulable | Deadline_miss _ -> true
   | Analysis_failed _ | No_fixed_point _ -> false
+
+let verdict_tag = function
+  | Schedulable -> "schedulable"
+  | Deadline_miss _ -> "deadline-miss"
+  | Analysis_failed _ -> "analysis-failed"
+  | No_fixed_point _ -> "no-fixed-point"
 
 let pp_verdict fmt = function
   | Schedulable -> Format.pp_print_string fmt "schedulable"

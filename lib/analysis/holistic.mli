@@ -8,6 +8,12 @@
     reaches a fixed point (the bounds are then valid) or keeps growing —
     divergence, reported as unschedulable (repair R6).
 
+    A round without failures writes every (flow, frame, stage) jitter
+    exactly once, since a route repeats no node.  So the round is quiet —
+    the fixed point is reached — exactly when none of its writes changed
+    a value ({!Ctx.writes} did not move); a round with failures ends the
+    run before that test.
+
     Within a run a stage is re-evaluated only when its inputs moved: the
     context keeps one node per (flow, stage) with the last evaluation of
     each frame, and the pipeline reuses it while no flow the stage charges
@@ -44,8 +50,9 @@ type report = {
 type round_observation = {
   obs_round : int;  (** 1-based round number within one run. *)
   obs_flow_deltas : (Traffic.Flow.id * Gmf_util.Timeunit.ns) list;
-      (** {!Jitter_state.flow_deltas} of the round: every flow present in
-          the state, with its largest per-entry change (0 = stable). *)
+      (** {!Ctx.flow_deltas} of the round: every flow holding a non-zero
+          jitter before or after it, with its largest per-entry change
+          (0 = stable). *)
   obs_max_delta : Gmf_util.Timeunit.ns;  (** Max over [obs_flow_deltas]. *)
 }
 
@@ -59,21 +66,25 @@ val run : Ctx.t -> report
 (** [run ctx] executes the holistic iteration on the context's scenario,
     resetting the jitter state first. *)
 
-val run_from : Ctx.t -> init:Jitter_state.t -> report
-(** [run_from ctx ~init] warm-starts the iteration from [init] (completed
-    with every flow's source jitters) instead of the all-zero state.
+val run_from : Ctx.t -> init:Result_types.flow_result list -> report
+(** [run_from ctx ~init] warm-starts the iteration from the jitters the
+    results [init] fix ({!Pipeline.seed}: JSUM replayed over each
+    result's stage responses, source jitters for flows without a result)
+    instead of the bottom state.
 
     Soundness: one holistic round is a monotone function [F] of the jitter
     state, and {!run} computes the least fixed point [lfp F] from the
-    bottom state [b] (source jitters only).  For any [init] with
-    [b <= init <= lfp F], the squeeze [F^n b <= F^n init <= lfp F] shows
-    the warm iteration converges to the {e same} fixed point — identical
-    verdicts and bounds, in at most as many rounds.  A converged state of
-    a {e subset} of the scenario's flows qualifies: adding flows only adds
-    interference, so the old fixed point sits below the new one.  A state
-    from a {e larger} or parameter-changed flow set does not qualify —
-    callers must drop the entries of every flow whose fixed point may have
-    shrunk ({!Jitter_state.filter_flows}) or fall back to {!run}. *)
+    bottom state [b] (source jitters only).  For any [init] whose jitters
+    [s] satisfy [b <= s <= lfp F], the squeeze [F^n b <= F^n s <= lfp F]
+    shows the warm iteration converges to the {e same} fixed point —
+    identical verdicts and bounds, in at most as many rounds.  The
+    converged results of a {e subset} of the scenario's flows qualify:
+    adding flows only adds interference, so the old fixed point sits
+    below the new one.  Results from a {e larger} or parameter-changed
+    flow set do not qualify — callers must drop the results of every flow
+    whose fixed point may have shrunk or fall back to {!run}.  Seeding
+    from the report of a converged run of the same scenario takes one
+    round and returns an equal report. *)
 
 val analyze : ?config:Config.t -> Traffic.Scenario.t -> report
 (** One-shot convenience: build a context and {!run}. *)
@@ -90,6 +101,10 @@ val converged : verdict -> bool
 (** Whether the iteration reached a fixed point ([Schedulable] or
     [Deadline_miss]): only then are the bounds and the jitter state
     valid, e.g. as a warm-start or delta base. *)
+
+val verdict_tag : verdict -> string
+(** ["schedulable"], ["deadline-miss"], ["analysis-failed"],
+    ["no-fixed-point"] — constructor only, stable for goldens and JSON. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp : Format.formatter -> report -> unit

@@ -2,6 +2,17 @@
    its reads changed since (see {!Ctx.recall}). *)
 let m_reused = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.reused"
 
+(* JSUM's step past a stage whose response is [r] (Figure 6): the paper
+   advances it by the full response; under the tight-jitter rule it only
+   grows by the stage's variability above its uncontended floor. *)
+let jitter_growth ctx flow ~frame stage r =
+  if (Ctx.config ctx).Config.tight_jitter then
+    max 0
+      (r
+      - Gmf_precheck.Stage_eq.uncontended (Ctx.scenario ctx) flow ~frame stage
+      )
+  else r
+
 let analyze_frame ctx ~flow ~frame =
   if frame < 0 || frame >= Traffic.Flow.n flow then
     invalid_arg "Pipeline.analyze_frame: frame index out of range";
@@ -9,7 +20,6 @@ let analyze_frame ctx ~flow ~frame =
   let gj = spec_frame.Gmf.Frame_spec.jitter in
   let deadline = spec_frame.Gmf.Frame_spec.deadline in
   let stages = Stage.stages_of_route flow.Traffic.Flow.route in
-  let tight = (Ctx.config ctx).Config.tight_jitter in
   let analyze_stage stage =
     let self = Ctx.node ctx flow ~stage in
     match Ctx.recall ctx self ~frame with
@@ -22,9 +32,7 @@ let analyze_frame ctx ~flow ~frame =
         result
   in
   (* RSUM accumulates stage responses into the end-to-end bound (Figure 6
-     line 24); JSUM is the generalized jitter handed to the next stage.
-     The paper advances both by the full stage response; under the
-     tight-jitter rule JSUM only grows by the stage's variability. *)
+     line 24); JSUM is the generalized jitter handed to the next stage. *)
   let rec walk stages rsum jsum acc =
     match stages with
     | [] ->
@@ -41,15 +49,8 @@ let analyze_frame ctx ~flow ~frame =
         | Error failure -> Error failure
         | Ok stage_response ->
             let r = stage_response.Result_types.response in
-            let jitter_growth =
-              if tight then
-                max 0
-                  (r
-                  - Gmf_precheck.Stage_eq.uncontended (Ctx.scenario ctx) flow
-                      ~frame stage)
-              else r
-            in
-            walk rest (rsum + r) (jsum + jitter_growth)
+            walk rest (rsum + r)
+              (jsum + jitter_growth ctx flow ~frame stage r)
               (stage_response :: acc)
       end
   in
@@ -93,3 +94,25 @@ let analyze_flow ctx ~flow =
           go (k + 1)
   in
   go 0
+
+let seed ctx results =
+  Ctx.reset_jitters ctx;
+  List.iter
+    (fun (res : Result_types.flow_result) ->
+      let flow = res.Result_types.flow in
+      Array.iter
+        (fun (fr : Result_types.frame_result) ->
+          let frame = fr.Result_types.frame in
+          let gj =
+            (Gmf.Spec.frame flow.Traffic.Flow.spec frame).Gmf.Frame_spec.jitter
+          in
+          ignore
+            (List.fold_left
+               (fun jsum (sr : Result_types.stage_response) ->
+                 let stage = sr.Result_types.stage in
+                 Ctx.set_jitter ctx flow ~frame ~stage jsum;
+                 jsum
+                 + jitter_growth ctx flow ~frame stage sr.Result_types.response)
+               gj fr.Result_types.stages))
+        res.Result_types.frames)
+    results

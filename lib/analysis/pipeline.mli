@@ -38,3 +38,14 @@ val analyze_flow :
     on the flow's route; a violated condition fails immediately with the
     rendered diagnostic as the reason — the recurrences would only have
     diverged against a cap. *)
+
+val seed : Ctx.t -> Result_types.flow_result list -> unit
+(** [seed ctx results] resets the context's jitters ({!Ctx.reset_jitters})
+    and then writes, for every frame of every result, the jitters the
+    pipeline walk writes: JSUM replayed over the frame's recorded stage
+    responses, with the same growth rule (tight jitter included).  The
+    last round of a run writes exactly its results' stage responses, so
+    seeding from the report of a converged run, or of one that stopped at
+    the round cap, rebuilds the jitters the run left.  Flows without a
+    result keep their source jitters.  Every result must be of a flow of
+    the context's scenario. *)

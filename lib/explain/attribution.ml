@@ -146,9 +146,9 @@ let of_ctx ctx (report : Holistic.report) =
         report.Holistic.results;
   }
 
-let of_state ?config scenario ~state report =
+let of_report ?config scenario report =
   let ctx = Ctx.create ?config scenario in
-  Ctx.restore ctx state;
+  Pipeline.seed ctx report.Holistic.results;
   of_ctx ctx report
 
 let analyze ?config scenario =

@@ -81,17 +81,17 @@ type t = {
 val slack : frame_attr -> Gmf_util.Timeunit.ns
 (** [fa_deadline - fa_total]; negative on a miss. *)
 
-val of_state :
+val of_report :
   ?config:Analysis.Config.t ->
   Traffic.Scenario.t ->
-  state:Analysis.Jitter_state.t ->
   Analysis.Holistic.report ->
   t
-(** [of_state scenario ~state report] decomposes every bound of [report]
-    against the converged jitter [state] it was computed from, over the
-    whole of [scenario] — e.g. an incremental run's merged state
-    ({!Analysis.Delta.result}), whose own context covered only part of
-    the flows. *)
+(** [of_report scenario report] decomposes every bound of [report], an
+    analysis of [scenario], against the jitters the report's own stage
+    responses fix ({!Analysis.Pipeline.seed}) — e.g. an incremental run's
+    merged report ({!Analysis.Delta.result}), whose own context covered
+    only part of the flows.  For a converged report these are the jitters
+    of its fixed point. *)
 
 val analyze : ?config:Analysis.Config.t -> Traffic.Scenario.t -> t * Analysis.Holistic.report
 (** One-shot convenience: run the holistic analysis and attribute it. *)

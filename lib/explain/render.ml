@@ -1,11 +1,5 @@
 open Gmf_util
 
-let verdict_tag = function
-  | Analysis.Holistic.Schedulable -> "schedulable"
-  | Analysis.Holistic.Deadline_miss _ -> "deadline-miss"
-  | Analysis.Holistic.Analysis_failed _ -> "analysis-failed"
-  | Analysis.Holistic.No_fixed_point _ -> "no-fixed-point"
-
 let verdict_line (attr : Attribution.t) =
   Format.asprintf "verdict: %a (after %d round%s)" Analysis.Holistic.pp_verdict
     attr.Attribution.verdict attr.Attribution.rounds
@@ -264,7 +258,7 @@ let to_json ?flow ?(hints = []) (attr : Attribution.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "{\"verdict\":\"%s\",\"rounds\":%d,\"flows\":["
-       (verdict_tag attr.Attribution.verdict)
+       (Analysis.Holistic.verdict_tag attr.Attribution.verdict)
        attr.Attribution.rounds);
   let flows =
     match flow with

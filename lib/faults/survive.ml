@@ -70,12 +70,6 @@ let component_name scenario component =
   | Link (a, b) -> Printf.sprintf "link %s<->%s" (name a) (name b)
   | Switch n -> Printf.sprintf "switch %s" (name n)
 
-let verdict_string = function
-  | Analysis.Holistic.Schedulable -> "schedulable"
-  | Analysis.Holistic.Deadline_miss _ -> "deadline-miss"
-  | Analysis.Holistic.Analysis_failed _ -> "analysis-failed"
-  | Analysis.Holistic.No_fixed_point _ -> "no-fixed-point"
-
 (* All subsets of [comps] of size 1..k, smallest size first.  Within a
    size class the subsets walk in revolving-door Gray order: consecutive
    cases differ by swapping exactly one component in and one out, so
@@ -478,7 +472,7 @@ let case_name scenario case =
 let pp_report scenario fmt r =
   let count pred fates = List.length (List.filter (fun (_, f) -> pred f) fates) in
   Format.fprintf fmt "baseline: %s (%d rounds), %d flows, k=%d, %d cases@\n"
-    (verdict_string r.base.Analysis.Holistic.verdict)
+    (Analysis.Holistic.verdict_tag r.base.Analysis.Holistic.verdict)
     r.base.Analysis.Holistic.rounds
     (List.length (Traffic.Scenario.flows scenario))
     r.k (List.length r.cases);
@@ -491,7 +485,9 @@ let pp_report scenario fmt r =
   List.iter
     (fun c ->
       Format.fprintf fmt "  %-28s %-15s rounds=%-3d rerouted=%d shed=%d@\n"
-        (case_name scenario c.case) (verdict_string c.verdict) c.rounds
+        (case_name scenario c.case)
+        (Analysis.Holistic.verdict_tag c.verdict)
+        c.rounds
         (count (function Rerouted _ -> true | _ -> false) c.fates)
         (count (fun f -> f = Shed) c.fates))
     r.cases;
@@ -520,7 +516,7 @@ let to_json scenario r =
   add (Printf.sprintf "  \"k\": %d,\n" r.k);
   add
     (Printf.sprintf "  \"base\": %s,\n"
-       (str (verdict_string r.base.Analysis.Holistic.verdict)));
+       (str (Analysis.Holistic.verdict_tag r.base.Analysis.Holistic.verdict)));
   (match r.delta_totals with
   | None -> add "  \"delta\": null,\n"
   | Some d ->
@@ -550,7 +546,7 @@ let to_json scenario r =
       \     \"flows\": [%s]}"
       (String.concat ", "
          (List.map (fun comp -> str (component_name scenario comp)) c.case))
-      (str (verdict_string c.verdict))
+      (str (Analysis.Holistic.verdict_tag c.verdict))
       c.rounds
       (String.concat ", " (List.map fate_json c.fates))
   in

@@ -174,9 +174,6 @@ val admission_gate :
 val component_name : Traffic.Scenario.t -> component -> string
 (** e.g. ["link a<->b"], ["switch sw0"]. *)
 
-val verdict_string : Analysis.Holistic.verdict -> string
-(** ["schedulable"], ["deadline-miss"], ["analysis-failed"],
-    ["no-fixed-point"] — constructor only, stable for goldens. *)
 
 val pp_report : Traffic.Scenario.t -> Format.formatter -> report -> unit
 (** Human-readable: one line per case, then the per-flow matrix and the

@@ -679,39 +679,21 @@ let scenario_rules ?(config = Analysis_config.default) scenario =
        ])
 
 let flow_gate scenario (f : Traffic.Flow.t) =
-  let route = f.Traffic.Flow.route in
-  let links =
-    List.filter_map
-      (fun (src, dst) ->
-        let u =
-          Gmf_precheck.Static_tests.link_utilization scenario ~src ~dst
-        in
-        if u >= 1. then
-          Some
-            (Gmf_diag.error ~code:"GMF201"
+  Gmf_precheck.Static_tests.route_overloads scenario f
+  |> List.map (fun (overload, u) ->
+         match overload with
+         | Gmf_precheck.Static_tests.Link_overload { src; dst } ->
+             Gmf_diag.error ~code:"GMF201"
                ~subject:(Gmf_diag.Link { src; dst })
                ~suggestion:"shed flows or raise the link rate"
                "utilization %.3f violates the necessary condition of eq \
                 (20)"
-               u)
-        else None)
-      (Network.Route.hops route)
-  in
-  let ingresses =
-    List.filter_map
-      (fun node ->
-        let src = Network.Route.prec route node in
-        let u = ingress_utilization scenario ~src ~node in
-        if u >= 1. then
-          Some
-            (Gmf_diag.error ~code:"GMF203"
-               ~subject:
-                 (node_subject (Traffic.Scenario.topo scenario) node)
+               u
+         | Gmf_precheck.Static_tests.Ingress_overload { src; node } ->
+             Gmf_diag.error ~code:"GMF203"
+               ~subject:(node_subject (Traffic.Scenario.topo scenario) node)
                ~suggestion:"fewer frames or more processors"
                "ingress rotation utilization %.3f on link %d->%d violates \
                 eqs (34)-(35)"
                u src node)
-        else None)
-      (Network.Route.intermediate_switches route)
-  in
-  List.sort by_code_then_message (links @ ingresses)
+  |> List.sort by_code_then_message

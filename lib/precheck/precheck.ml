@@ -51,44 +51,24 @@ let g_largest =
 
 (* ---------------- necessary tests per flow ---------------- *)
 
-(* Mirrors the predicate (and float arithmetic) of the lint gate
-   [Gmf_lint.Rules.flow_gate], so the two layers can never disagree on an
-   eq-(20)/(34)-(35) overload. *)
+(* The eq-(20)/(34)-(35) overloads are {!Static_tests.route_overloads},
+   the list the lint gate [Gmf_lint.Rules.flow_gate] reports, so the two
+   layers can never disagree on one. *)
 let overload_certificate ~config scenario (flow : Traffic.Flow.t) =
-  let route = flow.Traffic.Flow.route in
   let worst cmp l = match l with [] -> None | hd :: tl ->
     Some (List.fold_left (fun acc c -> if cmp c acc then c else acc) hd tl)
   in
-  let links =
-    List.filter_map
-      (fun (src, dst) ->
-        let u = Static_tests.link_utilization scenario ~src ~dst in
-        if u >= 1. then
-          Some
-            {
-              inequality = Eq20_link_overload { src; dst };
-              value = u;
-              limit = 1.;
-              slack = 1. -. u;
-            }
-        else None)
-      (Network.Route.hops route)
-  in
-  let ingresses =
-    List.filter_map
-      (fun node ->
-        let src = Network.Route.prec route node in
-        let u = Static_tests.ingress_utilization scenario ~src ~node in
-        if u >= 1. then
-          Some
-            {
-              inequality = Eq34_35_ingress_overload { src; node };
-              value = u;
-              limit = 1.;
-              slack = 1. -. u;
-            }
-        else None)
-      (Network.Route.intermediate_switches route)
+  let links, ingresses =
+    Static_tests.route_overloads scenario flow
+    |> List.partition_map (fun (overload, u) ->
+           let cert inequality =
+             { inequality; value = u; limit = 1.; slack = 1. -. u }
+           in
+           match overload with
+           | Static_tests.Link_overload { src; dst } ->
+               Left (cert (Eq20_link_overload { src; dst }))
+           | Static_tests.Ingress_overload { src; node } ->
+               Right (cert (Eq34_35_ingress_overload { src; node })))
   in
   let demand_floors = Static_tests.demand_floor ~config scenario flow in
   let floors =

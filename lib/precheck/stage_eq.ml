@@ -27,6 +27,9 @@ type t = {
   periods : int array;
 }
 
+(* The index before [j] in a cyclic array of [n] entries. *)
+let cyclic_pred n j = if j = 0 then n - 1 else j - 1
+
 let window_before arr ~k ~len =
   let n = Array.length arr in
   (* Walk backwards from k - 1, wrapping below 0: no division per entry. *)
@@ -34,9 +37,21 @@ let window_before arr ~k ~len =
   let acc = ref 0 in
   for _ = 1 to len do
     acc := !acc + arr.(!j);
-    j := if !j = 0 then n - 1 else !j - 1
+    j := cyclic_pred n !j
   done;
   !acc
+
+(* [window_before arr ~k ~len] for every [len] below [count], from one
+   walk: each sum extends the previous one by the next entry back. *)
+let windows_before arr ~k ~count =
+  let n = Array.length arr in
+  let sums = Array.make count 0 in
+  let j = ref ((((k - 1) mod n) + n) mod n) in
+  for len = 1 to count - 1 do
+    sums.(len) <- sums.(len - 1) + arr.(!j);
+    j := cyclic_pred n !j
+  done;
+  sums
 
 let link_of (flow : Traffic.Flow.t) = function
   | Stage_key.First_link (s, d) | Stage_key.Egress (s, d) -> (s, d)
@@ -199,9 +214,15 @@ let own_rotations d ~q ~l = cost_at d.rotations ~frame:d.frame ~q ~l
 let window_base d ~q ~l = d.blocking + own_rotations d ~q ~l + own_work d ~q ~l
 let own_per_cycle d = d.work.per_cycle + d.rotations.per_cycle
 
-let own_predecessors d ~l =
-  predecessors d.work ~frame:d.frame ~l
-  + predecessors d.rotations ~frame:d.frame ~l
+let carry_in d =
+  let count = d.l_count in
+  let scaled c =
+    if c.scale = 0 then Array.make count 0
+    else
+      Array.map (( * ) c.scale) (windows_before c.per_frame ~k:d.frame ~count)
+  in
+  ( Array.map2 ( + ) (scaled d.work) (scaled d.rotations),
+    windows_before d.periods ~k:d.frame ~count )
 
 let separation d ~q ~l =
   (q * d.tsum) + window_before d.periods ~k:d.frame ~len:l

@@ -123,8 +123,10 @@ val window_base : t -> q:int -> l:int -> Gmf_util.Timeunit.ns
 val own_per_cycle : t -> Gmf_util.Timeunit.ns
 (** How much {!window_base} grows per whole own cycle [q]. *)
 
-val own_predecessors : t -> l:int -> Gmf_util.Timeunit.ns
-(** How much {!window_base} grows by the [l] own predecessor frames. *)
+val carry_in : t -> Gmf_util.Timeunit.ns array * Gmf_util.Timeunit.ns array
+(** For every [l] below [l_count]: how much {!window_base} grows by the
+    [l] own predecessor frames, and [separation ~q:0 ~l].  Running sums,
+    one backward walk per array. *)
 
 val separation : t -> q:int -> l:int -> Gmf_util.Timeunit.ns
 (** [q * TSUM_i] plus the [l] predecessors' minimum separations: how long

@@ -21,6 +21,29 @@ let ingress_utilization scenario ~src ~node =
     0.
     (Traffic.Scenario.flows_on scenario ~src ~dst:node)
 
+type overload =
+  | Link_overload of { src : Network.Node.id; dst : Network.Node.id }
+  | Ingress_overload of { src : Network.Node.id; node : Network.Node.id }
+
+let route_overloads scenario (flow : Traffic.Flow.t) =
+  let route = flow.Traffic.Flow.route in
+  let links =
+    List.filter_map
+      (fun (src, dst) ->
+        let u = link_utilization scenario ~src ~dst in
+        if u >= 1. then Some (Link_overload { src; dst }, u) else None)
+      (Network.Route.hops route)
+  in
+  let ingresses =
+    List.filter_map
+      (fun node ->
+        let src = Network.Route.prec route node in
+        let u = ingress_utilization scenario ~src ~node in
+        if u >= 1. then Some (Ingress_overload { src; node }, u) else None)
+      (Network.Route.intermediate_switches route)
+  in
+  links @ ingresses
+
 let egress_utilization scenario (flow : Traffic.Flow.t) ~node =
   let dst = Network.Route.succ flow.Traffic.Flow.route node in
   flow :: Traffic.Scenario.hep scenario flow ~node
@@ -184,10 +207,9 @@ let stage_form ~config scenario (flow : Traffic.Flow.t) stage =
   let pre = Array.make (n * l_count) 0 and pre_t = Array.make (n * l_count) 0 in
   Array.iteri
     (fun k e ->
-      for l = 0 to l_count - 1 do
-        pre.((k * l_count) + l) <- Stage_eq.own_predecessors e ~l;
-        pre_t.((k * l_count) + l) <- Stage_eq.separation e ~q:0 ~l
-      done)
+      let own, sep = Stage_eq.carry_in e in
+      Array.blit own 0 pre (k * l_count) l_count;
+      Array.blit sep 0 pre_t (k * l_count) l_count)
     eqs;
   {
     sf_interf = List.map majorant_of (Stage_eq.interferers scenario flow stage);

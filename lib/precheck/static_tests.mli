@@ -26,6 +26,19 @@ val ingress_utilization :
 (** Left side of eqs (34)-(35) for one ingress link: every Ethernet frame
     entering [node] via [src -> node] costs one CIRC rotation. *)
 
+type overload =
+  | Link_overload of { src : Network.Node.id; dst : Network.Node.id }
+  | Ingress_overload of { src : Network.Node.id; node : Network.Node.id }
+
+val route_overloads :
+  Traffic.Scenario.t -> Traffic.Flow.t -> (overload * float) list
+(** The stages of the flow's route that violate a necessary condition,
+    with their utilization: every hop whose eq-(20) link utilization is
+    at least 1, in route order, then every intermediate switch whose
+    eqs-(34)/(35) ingress utilization is at least 1, in route order.  The
+    lint gate ([GMF201]/[GMF203]) and precheck's infeasibility
+    certificates both read it. *)
+
 val egress_utilization :
   Traffic.Scenario.t -> Traffic.Flow.t -> node:Network.Node.id -> float
 (** Interfering utilization at the flow's egress queue of [node]:

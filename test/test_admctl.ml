@@ -366,10 +366,11 @@ let gen_trace_text rng =
 
 (* The whole-set warm chain admits used to run, kept as the oracle of the
    delta run that replaced it: {!Analysis.Holistic.run_from} over the
-   full tentative set, seeded with the committed set's fixpoint when the
-   committed report converged, else a cold run.  The seed is re-run here
-   without a round cap: a converged committed report sits at the least
-   fixed point of the committed set, which is what the chain kept. *)
+   full tentative set, seeded with the results of the committed set's
+   fixpoint when the committed report converged, else a cold run.  The
+   seed is re-run here without a round cap: a converged committed report
+   sits at the least fixed point of the committed set, which is what the
+   chain kept. *)
 let chain_oracle ~config (trace : Scenario_io.Admtrace.t) ~committed
     ~converged candidate =
   let scenario flows =
@@ -378,10 +379,9 @@ let chain_oracle ~config (trace : Scenario_io.Admtrace.t) ~committed
   in
   let ctx = Analysis.Ctx.create ~config (scenario (candidate :: committed)) in
   if converged then begin
-    let lfp = Analysis.Ctx.create (scenario committed) in
-    ignore (Analysis.Holistic.run lfp);
+    let lfp = Analysis.Holistic.analyze (scenario committed) in
     ( Session.Warm,
-      Analysis.Holistic.run_from ctx ~init:(Analysis.Ctx.snapshot lfp) )
+      Analysis.Holistic.run_from ctx ~init:lfp.Analysis.Holistic.results )
   end
   else (Session.Cold, Analysis.Holistic.run ctx)
 

@@ -89,32 +89,44 @@ let test_stage_direct_route () =
       Alcotest.(check (pair int int)) "only first link" (a, b) (x, y)
   | _ -> Alcotest.fail "direct route must have exactly the first-link stage"
 
+(* The jitters live in the context's stage nodes: one slot per frame,
+   [extra] the per-frame maximum kept up to date on every write, and a
+   write count that moves only when a value changes. *)
 let test_jitter_state () =
-  let js = Jitter_state.create () in
+  let scenario = Workload.Scenarios.fig1_videoconf () in
+  let ctx = Ctx.create scenario in
+  let flow = Traffic.Scenario.flow scenario Workload.Scenarios.video_flow_id in
+  let other =
+    List.find
+      (fun (f : Traffic.Flow.t) ->
+        f.Traffic.Flow.id <> flow.Traffic.Flow.id
+        && List.mem (Stage.Ingress 4)
+             (Stage.stages_of_route f.Traffic.Flow.route))
+      (Traffic.Scenario.flows scenario)
+  in
   let stage = Stage.Ingress 4 in
   Alcotest.(check int) "unset reads 0" 0
-    (Jitter_state.get js ~flow:0 ~stage ~frame:0);
-  Jitter_state.set js ~flow:0 ~stage ~frame:0 500;
-  Jitter_state.set js ~flow:0 ~stage ~frame:2 900;
-  Alcotest.(check int) "get" 500 (Jitter_state.get js ~flow:0 ~stage ~frame:0);
+    (Ctx.get_jitter ctx flow ~stage ~frame:0);
+  let writes = Ctx.writes ctx in
+  Ctx.set_jitter ctx flow ~stage ~frame:0 500;
+  Ctx.set_jitter ctx flow ~stage ~frame:2 900;
+  Alcotest.(check int) "get" 500 (Ctx.get_jitter ctx flow ~stage ~frame:0);
   Alcotest.(check int) "extra = max over frames" 900
-    (Jitter_state.extra js ~flow:0 ~n_frames:3 ~stage);
-  Alcotest.(check int) "other flow unaffected" 0
-    (Jitter_state.extra js ~flow:1 ~n_frames:3 ~stage);
-  Alcotest.(check int) "max_value" 900 (Jitter_state.max_value js);
-  (* copy/equal *)
-  let snapshot = Jitter_state.copy js in
-  Alcotest.(check bool) "copy equal" true (Jitter_state.equal js snapshot);
-  Jitter_state.set js ~flow:0 ~stage ~frame:1 100;
-  Alcotest.(check bool) "mutation detected" false
-    (Jitter_state.equal js snapshot);
-  (* zero set = unset *)
-  Jitter_state.set js ~flow:0 ~stage ~frame:1 0;
-  Alcotest.(check bool) "explicit zero equals unset" true
-    (Jitter_state.equal js snapshot);
+    (Ctx.extra ctx flow ~stage);
+  Alcotest.(check int) "other flow unaffected" 0 (Ctx.extra ctx other ~stage);
+  Alcotest.(check int) "two writes changed a value" (writes + 2)
+    (Ctx.writes ctx);
+  Ctx.set_jitter ctx flow ~stage ~frame:2 900;
+  Alcotest.(check int) "same value is no change" (writes + 2) (Ctx.writes ctx);
+  (* Lowering the maximum entry recomputes extra over the frames. *)
+  Ctx.set_jitter ctx flow ~stage ~frame:2 100;
+  Alcotest.(check int) "extra follows a lowered maximum" 500
+    (Ctx.extra ctx flow ~stage);
+  Ctx.set_jitter ctx flow ~stage ~frame:0 0;
+  Alcotest.(check int) "extra after clearing" 100 (Ctx.extra ctx flow ~stage);
   Alcotest.check_raises "negative jitter"
-    (Invalid_argument "Jitter_state.set: negative jitter") (fun () ->
-      Jitter_state.set js ~flow:0 ~stage ~frame:0 (-1))
+    (Invalid_argument "Ctx.set_jitter: negative jitter") (fun () ->
+      Ctx.set_jitter ctx flow ~stage ~frame:0 (-1))
 
 let test_ctx_initial_jitters () =
   let scenario = Workload.Scenarios.fig1_videoconf () in

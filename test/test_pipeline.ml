@@ -174,8 +174,7 @@ let test_holistic_overload () =
 
 let test_conditions () =
   let scenario = Workload.Scenarios.fig1_videoconf () in
-  let ctx = Ctx.create scenario in
-  let checks = Conditions.check_all ctx in
+  let checks = Conditions.check_all scenario in
   (* 6 flows x 5 stages (every route is 3 hops) = 30 checks. *)
   Alcotest.(check int) "30 stage checks" 30 (List.length checks);
   Alcotest.(check bool) "all satisfied" true (Conditions.all_satisfied checks);

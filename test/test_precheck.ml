@@ -134,8 +134,7 @@ let test_igraph_components () =
    Analysis.Conditions must be exactly Static_tests.stage_utilization. *)
 let test_conditions_consolidated () =
   let scenario = Workload.Scenarios.fig1_videoconf () in
-  let ctx = Analysis.Ctx.create scenario in
-  let checks = Analysis.Conditions.check_all ctx in
+  let checks = Analysis.Conditions.check_all scenario in
   Alcotest.(check bool) "some checks" true (checks <> []);
   List.iter
     (fun (c : Analysis.Conditions.check) ->

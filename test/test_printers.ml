@@ -46,8 +46,7 @@ let test_analysis_printers () =
     (contains (str Analysis.Config.pp Analysis.Config.tight) "tight-jitter");
   Alcotest.(check bool) "stage pp" true
     (contains (str Analysis.Stage.pp (Analysis.Stage.Egress (4, 6))) "out(4->6)");
-  let ctx = Analysis.Ctx.create scenario in
-  (match Analysis.Conditions.check_all ctx with
+  (match Analysis.Conditions.check_all scenario with
   | c :: _ ->
       Alcotest.(check bool) "condition pp has U" true
         (contains (str Analysis.Conditions.pp_check c) "U=")

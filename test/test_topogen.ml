@@ -156,7 +156,6 @@ let test_placement_fills () =
 let test_util_ceiling () =
   let spec = { Gen_spec.default with Gen_spec.flows = 80; max_util = 0.5 } in
   let r = Topogen.generate spec in
-  let ctx = Analysis.Ctx.create r.Topogen.scenario in
   List.iter
     (fun c ->
       Alcotest.(check bool)
@@ -164,7 +163,7 @@ let test_util_ceiling () =
         true
         (c.Analysis.Conditions.utilization
         <= spec.Gen_spec.max_util +. 1e-9))
-    (Analysis.Conditions.check_all ctx)
+    (Analysis.Conditions.check_all r.Topogen.scenario)
 
 let test_spec_parsers () =
   List.iter
