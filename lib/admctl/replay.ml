@@ -148,10 +148,16 @@ let outcome_jsonl (o : Session.outcome) =
       ("seq", Int o.Session.seq);
       ("event", Str o.Session.label);
       ("accepted", Bool o.Session.accepted);
-      ( "verdict",
-        Str
-          (Format.asprintf "%a" Analysis.Holistic.pp_verdict
-             o.Session.verdict) );
+      ("verdict", Str (Analysis.Holistic.verdict_tag o.Session.verdict));
+      ( "failures",
+        Int
+          (match o.Session.verdict with
+          | Analysis.Holistic.Deadline_miss fs
+          | Analysis.Holistic.Analysis_failed fs ->
+              List.length fs
+          | Analysis.Holistic.Schedulable | Analysis.Holistic.No_fixed_point _
+            ->
+              0) );
       ("rounds", Int o.Session.rounds);
       ("start", Str (Format.asprintf "%a" Session.pp_start o.Session.start));
       ("flows", Int o.Session.flow_count);

@@ -44,8 +44,11 @@ val transcript : Session.outcome list -> string
     the golden-file format. *)
 
 val outcome_jsonl : Session.outcome -> string
-(** The outcome as one flat JSON object (no trailing newline), string and
-    integer fields only, in the style of [Gmf_lint.Lint_json]. *)
+(** The outcome as one flat JSON object (no trailing newline), string,
+    integer and boolean fields only, in the style of
+    [Gmf_lint.Lint_json].  ["verdict"] is {!Analysis.Holistic.verdict_tag}
+    and ["failures"] the length of the verdict's failure list (0 for
+    [Schedulable] and [No_fixed_point]). *)
 
 val mismatches : Session.outcome list -> int
 (** Number of shadow comparisons that disagreed with the session's own

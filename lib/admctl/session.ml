@@ -211,15 +211,6 @@ let find_flow t id =
 (* Report comparison (shadow mode)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let same_verdict_kind a b =
-  match (a, b) with
-  | Analysis.Holistic.Schedulable, Analysis.Holistic.Schedulable
-  | Analysis.Holistic.Deadline_miss _, Analysis.Holistic.Deadline_miss _
-  | Analysis.Holistic.Analysis_failed _, Analysis.Holistic.Analysis_failed _
-  | Analysis.Holistic.No_fixed_point _, Analysis.Holistic.No_fixed_point _ ->
-      true
-  | _ -> false
-
 let bounds_of report =
   List.map
     (fun res ->
@@ -230,7 +221,8 @@ let bounds_of report =
     report.Analysis.Holistic.results
 
 let reports_equivalent a b =
-  same_verdict_kind a.Analysis.Holistic.verdict b.Analysis.Holistic.verdict
+  Analysis.Holistic.verdict_tag a.Analysis.Holistic.verdict
+  = Analysis.Holistic.verdict_tag b.Analysis.Holistic.verdict
   && (not
         (Analysis.Holistic.converged a.Analysis.Holistic.verdict
         && Analysis.Holistic.converged b.Analysis.Holistic.verdict)
@@ -240,7 +232,8 @@ let reports_equivalent a b =
 (* Event processing                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let failure_of_diag = Analysis.Admission.failure_of_diag
+let rejection diags =
+  (Analysis.Admission.rejected diags).Analysis.Holistic.verdict
 
 let mk_outcome t ?(degradation = None) ?(explain = None) ~label ~accepted
     ~verdict ~rounds ~start ~diagnostics ~shadow () =
@@ -261,9 +254,8 @@ let mk_outcome t ?(degradation = None) ?(explain = None) ~label ~accepted
   }
 
 let reject_diag t ~label diag =
-  mk_outcome t ~label ~accepted:false
-    ~verdict:(Analysis.Holistic.Analysis_failed [ failure_of_diag diag ])
-    ~rounds:0 ~start:Skipped ~diagnostics:[ diag ] ~shadow:None ()
+  mk_outcome t ~label ~accepted:false ~verdict:(rejection [ diag ]) ~rounds:0
+    ~start:Skipped ~diagnostics:[ diag ] ~shadow:None ()
 
 let unknown_diag ~what id =
   Gmf_diag.error ~code:"GMF015" ~subject:Gmf_diag.Scenario
@@ -394,12 +386,9 @@ let try_set ?gate t ~label ~flows =
   let lint = Gmf_lint.Lint.run ~config:t.config scenario in
   match Gmf_lint.Lint.errors lint with
   | _ :: _ as errors ->
-      mk_outcome t ~label ~accepted:false
-        ~verdict:
-          (Analysis.Holistic.Analysis_failed
-             (List.map failure_of_diag errors))
-        ~rounds:0 ~start:Skipped
-        ~diagnostics:lint.Gmf_lint.Lint.diagnostics ~shadow:None ()
+      mk_outcome t ~label ~accepted:false ~verdict:(rejection errors) ~rounds:0
+        ~start:Skipped ~diagnostics:lint.Gmf_lint.Lint.diagnostics ~shadow:None
+        ()
   | [] -> (
       (* Static pre-analysis: a certified-infeasible flow rejects before
          any fixpoint (mirroring the lint fast path), and oversized
@@ -410,10 +399,7 @@ let try_set ?gate t ~label ~flows =
       let pre_diags = Gmf_precheck.Precheck.diagnostics pre in
       match Gmf_diag.at_least Gmf_diag.Error pre_diags with
       | _ :: _ as errors ->
-          mk_outcome t ~label ~accepted:false
-            ~verdict:
-              (Analysis.Holistic.Analysis_failed
-                 (List.map failure_of_diag errors))
+          mk_outcome t ~label ~accepted:false ~verdict:(rejection errors)
             ~rounds:0 ~start:Skipped
             ~diagnostics:(lint.Gmf_lint.Lint.diagnostics @ pre_diags)
             ~shadow:None ()
@@ -427,9 +413,7 @@ let try_set ?gate t ~label ~flows =
           match gate_diags with
           | _ :: _ ->
               mk_outcome t ~label ~accepted:false
-                ~verdict:
-                  (Analysis.Holistic.Analysis_failed
-                     (List.map failure_of_diag gate_diags))
+                ~verdict:(rejection gate_diags)
                 ~rounds:report.Analysis.Holistic.rounds ~start
                 ~diagnostics:(diagnostics @ gate_diags) ~shadow ~explain ()
           | [] ->
@@ -545,7 +529,7 @@ let apply_fail t a b =
           Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config:t.config scenario)
         with
         | _ :: _ as errors ->
-            ( Analysis.Admission.lint_failed errors,
+            ( Analysis.Admission.rejected errors,
               (scenario, Skipped, None, None) )
         | [] ->
             let report, start, shadow, explain = run_fixpoint t scenario in

@@ -5,13 +5,17 @@ type decision = {
 }
 
 (* A lint error becomes a synthetic analysis failure so existing report
-   consumers (CLI, experiments) render rejections uniformly. *)
+   consumers (CLI, experiments) render rejections uniformly.  Only flow
+   and frame subjects name a flow; every other subject (a node id is
+   not a flow id) carries -1. *)
 let failure_of_diag (d : Gmf_diag.t) =
   let flow_id, frame =
     match d.Gmf_diag.subject with
-    | Gmf_diag.Flow { id; _ } | Gmf_diag.Node { id; _ } -> (id, 0)
+    | Gmf_diag.Flow { id; _ } -> (id, 0)
     | Gmf_diag.Frame { id; frame; _ } -> (id, frame)
-    | Gmf_diag.Scenario | Gmf_diag.Config | Gmf_diag.Link _ -> (-1, 0)
+    | Gmf_diag.Node _ | Gmf_diag.Link _ | Gmf_diag.Scenario | Gmf_diag.Config
+      ->
+        (-1, 0)
   in
   {
     Result_types.flow_id;
@@ -20,7 +24,7 @@ let failure_of_diag (d : Gmf_diag.t) =
     reason = Gmf_diag.to_string d;
   }
 
-let lint_failed errors =
+let rejected errors =
   {
     Holistic.verdict =
       Holistic.Analysis_failed (List.map failure_of_diag errors);
@@ -34,7 +38,7 @@ let check ?config scenario =
   match Gmf_lint.Lint.errors lint with
   | _ :: _ as errors ->
       (* Reject statically: the holistic fixpoint is never entered. *)
-      { admitted = false; report = lint_failed errors; diagnostics }
+      { admitted = false; report = rejected errors; diagnostics }
   | [] ->
       (* Lint is clean: run the precheck-guided sharded analysis.  Decided
          flows never enter the fixpoint; the undecided components run
@@ -51,7 +55,7 @@ let rebuild scenario extra_flows =
 
 let reject_with diagnostics =
   let errors = Gmf_diag.at_least Gmf_diag.Error diagnostics in
-  { admitted = false; report = lint_failed errors; diagnostics }
+  { admitted = false; report = rejected errors; diagnostics }
 
 let duplicate_id_diag ~candidate ~existing =
   Gmf_diag.error ~code:"GMF014"

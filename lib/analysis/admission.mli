@@ -52,15 +52,14 @@ val duplicate_id_diag :
     [existing] — shared with [Gmf_admctl] so a session's duplicate
     rejection reads like {!admit}'s. *)
 
-val failure_of_diag : Gmf_diag.t -> Result_types.failure
-(** The synthetic analysis failure a lint error turns into inside a
-    rejecting decision — shared with [Gmf_admctl] so session rejections
-    render like batch rejections. *)
-
-val lint_failed : Gmf_diag.t list -> Holistic.report
+val rejected : Gmf_diag.t list -> Holistic.report
 (** The report of a rejection that never entered the fixpoint: an
-    [Analysis_failed] verdict with one {!failure_of_diag} per error, zero
-    rounds and no results. *)
+    [Analysis_failed] verdict with one synthetic failure per error, zero
+    rounds and no results.  A failure names the flow (and frame) of a
+    flow or frame subject, and carries [flow_id = -1] for any other
+    subject.  The one builder of rejection reports: {!check},
+    {!admit}, [Delta]'s lint gate and every [Gmf_admctl] session
+    rejection use it, so they render alike. *)
 
 val greedily :
   topo:Network.Topology.t ->

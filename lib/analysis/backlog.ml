@@ -5,10 +5,6 @@ type queue_bound = {
   bits : int;
 }
 
-let pp_queue_bound fmt b =
-  Format.fprintf fmt "queue(%d<->%d): <=%d frames (%d bits)" b.node b.peer
-    b.frames b.bits
-
 (* Worst per-flow stage response at [stage] across the flow's frames, read
    from the holistic report. *)
 let stage_response report flow stage =

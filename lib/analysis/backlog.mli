@@ -36,5 +36,3 @@ val egress_bounds :
 val ingress_bounds :
   Ctx.t -> Holistic.report -> (queue_bound list, string) result
 (** One bound per switch ingress FIFO used by some flow. *)
-
-val pp_queue_bound : Format.formatter -> queue_bound -> unit

@@ -31,6 +31,11 @@ val flow_digest : Traffic.Flow.t -> string
 val shared_memo : Holistic.report Gmf_exec.Memo.t
 (** The process-wide report cache every entry point below shares. *)
 
+val report_of_error : Gmf_exec.error -> Holistic.report
+(** The report of a case the exec layer failed to evaluate (timeout,
+    worker crash): an [Analysis_failed] verdict with one ["exec: ..."]
+    failure of [flow_id = -1], zero rounds and no results. *)
+
 val analyze_all :
   ?config:Config.t ->
   Traffic.Scenario.t list ->

@@ -180,7 +180,7 @@ let interference_closure ~seeds flows =
 let lint_reject ~config scenario =
   match Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) with
   | [] -> None
-  | errors -> Some (Admission.lint_failed errors)
+  | errors -> Some (Admission.rejected errors)
 
 let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
@@ -227,48 +227,6 @@ let cold ~lint ~precheck ~config target =
         ~fallback:true ~warm:false;
   }
 
-(* A closure run folded back into the base: untouched flows keep their
-   base result records (physically — the certificate the tests check),
-   closure flows take the re-converged ones, in scenario flow order; the
-   verdict is rebuilt as {!Sharded} does.  Returns the merged report and
-   the untouched ids; a closure that covers every target flow is the
-   answer as it stands. *)
-let merge base target_flows ~in_closure sub_report =
-  let untouched = List.filter (fun f -> not (in_closure f)) target_flows in
-  if untouched = [] then (sub_report, [])
-  else
-    let untouched_tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (f : Traffic.Flow.t) ->
-        Hashtbl.replace untouched_tbl f.Traffic.Flow.id ())
-      untouched;
-    let by_id = Hashtbl.create 64 in
-    List.iter
-      (fun (r : Result_types.flow_result) ->
-        let id = r.Result_types.flow.Traffic.Flow.id in
-        if Hashtbl.mem untouched_tbl id then Hashtbl.replace by_id id r)
-      base.b_report.Holistic.results;
-    List.iter
-      (fun (r : Result_types.flow_result) ->
-        Hashtbl.replace by_id r.Result_types.flow.Traffic.Flow.id r)
-      sub_report.Holistic.results;
-    let results =
-      List.filter_map
-        (fun (f : Traffic.Flow.t) -> Hashtbl.find_opt by_id f.Traffic.Flow.id)
-        target_flows
-    in
-    let verdict =
-      match sub_report.Holistic.verdict with
-      | Holistic.Analysis_failed _ | Holistic.No_fixed_point _ ->
-          sub_report.Holistic.verdict
-      | Holistic.Schedulable | Holistic.Deadline_miss _ -> (
-          match Holistic.deadline_misses results with
-          | [] -> Holistic.Schedulable
-          | misses -> Holistic.Deadline_miss misses)
-    in
-    ( { Holistic.verdict; rounds = sub_report.Holistic.rounds; results },
-      List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) untouched )
-
 let analyze ?(lint = false) ?(precheck = false) base target =
   let config = base.b_config in
   let target_flows = Traffic.Scenario.flows target in
@@ -307,12 +265,9 @@ let analyze ?(lint = false) ?(precheck = false) base target =
       let in_closure (f : Traffic.Flow.t) =
         Hashtbl.mem closure f.Traffic.Flow.id
       in
-      let closure_ids =
-        List.filter_map
-          (fun (f : Traffic.Flow.t) ->
-            if in_closure f then Some f.Traffic.Flow.id else None)
-          target_flows
-      in
+      let ids = List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) in
+      let inside, outside = List.partition in_closure target_flows in
+      let closure_ids = ids inside in
       let sub = Sharded.sub_scenario target closure_ids in
       (* Sound because the closure is a union of complete target
          components: a lint error of the degraded scenario involves a
@@ -334,6 +289,15 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                 ~rounds:0 ~saved:0 ~fallback:false ~warm:false;
           }
       | None ->
+          (* Untouched flows keep their base result records (physically —
+             the certificate the tests check); the closure flows' base
+             results seed a pure-growth run. *)
+          let seed, carried =
+            List.partition
+              (fun (r : Result_types.flow_result) ->
+                in_closure r.Result_types.flow)
+              base.b_report.Holistic.results
+          in
           let pure_growth = removed = [] && changed = [] in
           let sub_report =
             if pure_growth then
@@ -342,12 +306,7 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                  flows only add interference), so the monotone squeeze
                  converges to the same fixpoint in fewer rounds.  The
                  base results of the closure flows fix those jitters. *)
-              Holistic.run_from (Ctx.create ~config sub)
-                ~init:
-                  (List.filter
-                     (fun (r : Result_types.flow_result) ->
-                       Hashtbl.mem closure r.Result_types.flow.Traffic.Flow.id)
-                     base.b_report.Holistic.results)
+              Holistic.run_from (Ctx.create ~config sub) ~init:seed
             else
               (* Shrinking or mixed edit: iterating down from a stale
                  state may stop above the least fixed point, so the
@@ -357,13 +316,16 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                  to the closure. *)
               cold_run ~precheck ~config sub
           in
-          let d_report, d_untouched =
-            merge base target_flows ~in_closure sub_report
-          in
           let rounds = sub_report.Holistic.rounds in
           {
-            d_report;
-            d_untouched;
+            d_report =
+              Holistic.merge target_flows
+                [
+                  { Holistic.verdict = Holistic.Schedulable; rounds = 0;
+                    results = carried };
+                  sub_report;
+                ];
+            d_untouched = ids outside;
             d_stats =
               mk_stats ~total
                 ~closure:(List.length closure_ids)

@@ -37,9 +37,8 @@
       [d_untouched].  Their interference components are structurally
       unchanged, so their least fixed point is unchanged.
 
-    Verdicts of a merged report are rebuilt exactly as {!Sharded} does:
-    closure-run failures and divergence win, otherwise
-    {!Holistic.deadline_misses} over the merged results decides.
+    The merged report is {!Holistic.merge} of the base results outside
+    the closure and the closure run's report.
 
     Telemetry: [delta.runs], [delta.closure_flows], [delta.flows_skipped],
     [delta.rounds_saved] (estimate: base rounds minus closure rounds) and
@@ -126,4 +125,4 @@ val analyze :
     least fixed point, and the closure either restarts from source
     jitters or (pure growth) squeezes up from below it.  A closure that
     covers every target flow is run on [target] itself (the restriction
-    returns it unchanged), and that run is the result as it stands. *)
+    returns it unchanged), and the merge carries no base result over. *)

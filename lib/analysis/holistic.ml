@@ -29,6 +29,52 @@ let deadline_misses results =
                  }))
     results
 
+let merge flows parts =
+  let by_id = Hashtbl.create 64 in
+  List.iter
+    (fun part ->
+      List.iter
+        (fun res ->
+          Hashtbl.replace by_id res.Result_types.flow.Traffic.Flow.id res)
+        part.results)
+    parts;
+  let results =
+    List.filter_map (fun f -> Hashtbl.find_opt by_id f.Traffic.Flow.id) flows
+  in
+  let rounds = List.fold_left (fun acc part -> max acc part.rounds) 0 parts in
+  let failures =
+    List.concat_map
+      (fun part ->
+        match part.verdict with Analysis_failed fs -> fs | _ -> [])
+      parts
+  in
+  let diverged =
+    List.filter_map
+      (fun part ->
+        match part.verdict with No_fixed_point n -> Some n | _ -> None)
+      parts
+  in
+  let verdict =
+    if failures <> [] then begin
+      let position = Hashtbl.create 64 in
+      List.iteri (fun i f -> Hashtbl.replace position f.Traffic.Flow.id i) flows;
+      (* Unknown ids (exec failures carry -1) sort last. *)
+      let pos (f : Result_types.failure) =
+        Option.value ~default:max_int
+          (Hashtbl.find_opt position f.Result_types.flow_id)
+      in
+      Analysis_failed
+        (List.stable_sort (fun a b -> compare (pos a) (pos b)) failures)
+    end
+    else if diverged <> [] then
+      No_fixed_point (List.fold_left max 0 diverged)
+    else
+      match deadline_misses results with
+      | [] -> Schedulable
+      | misses -> Deadline_miss misses
+  in
+  { verdict; rounds; results }
+
 (* Convergence telemetry of the Tindell & Clark-style outer iteration. *)
 let m_runs = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "holistic.runs"
 

@@ -91,9 +91,25 @@ val analyze : ?config:Config.t -> Traffic.Scenario.t -> report
 
 val deadline_misses : Result_types.flow_result list -> Result_types.failure list
 (** The per-frame deadline violations of a result set, in result order —
-    exactly the list a [Deadline_miss] verdict carries.  Exposed so
-    {!Sharded} can rebuild the monolithic verdict from merged
-    per-component results. *)
+    exactly the list a [Deadline_miss] verdict carries. *)
+
+val merge : Traffic.Flow.t list -> report list -> report
+(** [merge flows parts] combines partial reports over disjoint flow sets
+    (interference components, a delta closure and the results it left
+    untouched, precheck certificates) into one report over [flows]:
+
+    - results in [flows] order, each the very record of the part that
+      holds it (a later part wins a duplicate id);
+    - [rounds] the maximum over the parts;
+    - the verdict: the parts' [Analysis_failed] failures, concatenated
+      in part order and stable-sorted by flow position in [flows], ids
+      not in [flows] (exec failures carry [-1]) last; failing that, the
+      largest [No_fixed_point]; failing that, {!deadline_misses} over
+      the merged results.  A part's [Schedulable] and [Deadline_miss]
+      verdicts are not read, and an [Analysis_failed []] part adds no
+      failure.
+
+    {!Sharded} and {!Delta} build every merged report with it. *)
 
 val is_schedulable : report -> bool
 

@@ -39,8 +39,6 @@ let worst_frame res =
     (fun acc fr -> if slack fr < slack acc then fr else acc)
     res.frames.(0) res.frames
 
-let flow_meets_deadlines res = Array.for_all meets_deadline res.frames
-
 let pp_stage_response fmt sr =
   Format.fprintf fmt "%a: R=%a (busy=%a, Q=%d)" Stage.pp sr.stage Timeunit.pp
     sr.response Timeunit.pp sr.busy_len sr.q_count

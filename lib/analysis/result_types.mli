@@ -50,8 +50,6 @@ val meets_deadline : frame_result -> bool
 val worst_frame : flow_result -> frame_result
 (** The frame with the smallest slack. *)
 
-val flow_meets_deadlines : flow_result -> bool
-
 val pp_stage_response : Format.formatter -> stage_response -> unit
 val pp_frame_result : Format.formatter -> frame_result -> unit
 val pp_failure : Format.formatter -> failure -> unit

@@ -72,7 +72,6 @@ let analyze ?(config = Config.default) scenario =
   and certified = Gmf_precheck.Precheck.certified pre
   and to_run = Gmf_precheck.Precheck.undecided_components pre in
   let scenario_flows = Traffic.Scenario.flows scenario in
-  let flow_by_id id = Traffic.Scenario.flow scenario id in
   let subs =
     List.map
       (fun (c : Gmf_precheck.Igraph.component) ->
@@ -87,41 +86,9 @@ let analyze ?(config = Config.default) scenario =
          - List.length to_run)
       m_fixpoints_skipped
   end;
-  (* Merge: results keyed by flow id, emitted in scenario flow order so the
-     union is ordered exactly like the monolithic run. *)
-  let by_id = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Holistic.report) ->
-      List.iter
-        (fun res ->
-          Hashtbl.replace by_id res.Result_types.flow.Traffic.Flow.id res)
-        r.Holistic.results)
-    reports;
-  List.iter
-    (fun (v : Gmf_precheck.Precheck.flow_verdict) ->
-      match v.Gmf_precheck.Precheck.ceilings with
-      | None -> ()
-      | Some ceilings ->
-          let flow = flow_by_id v.Gmf_precheck.Precheck.flow_id in
-          Hashtbl.replace by_id flow.Traffic.Flow.id
-            (certified_result flow ceilings))
-    certified;
-  let results =
-    List.filter_map
-      (fun f -> Hashtbl.find_opt by_id f.Traffic.Flow.id)
-      scenario_flows
-  in
-  let position =
-    let tbl = Hashtbl.create 16 in
-    List.iteri
-      (fun i f -> Hashtbl.replace tbl f.Traffic.Flow.id i)
-      scenario_flows;
-    fun (f : Result_types.failure) ->
-      match Hashtbl.find_opt tbl f.Result_types.flow_id with
-      | Some i -> i
-      | None -> max_int (* exec-layer failures carry flow_id = -1 *)
-  in
-  let failures =
+  (* The certificates come first, so a flow's certificate sorts before
+     any other failure of it. *)
+  let certificates =
     List.map
       (fun (v : Gmf_precheck.Precheck.flow_verdict) ->
         match v.Gmf_precheck.Precheck.verdict with
@@ -129,35 +96,20 @@ let analyze ?(config = Config.default) scenario =
             failure_of_certificate v.Gmf_precheck.Precheck.flow_id cert
         | _ -> assert false)
       infeasible
-    @ List.concat_map
-        (fun (r : Holistic.report) ->
-          match r.Holistic.verdict with
-          | Holistic.Analysis_failed fs -> fs
-          | _ -> [])
-        reports
-    |> List.stable_sort (fun a b -> compare (position a) (position b))
+  and ceilings =
+    List.filter_map
+      (fun (v : Gmf_precheck.Precheck.flow_verdict) ->
+        Option.map
+          (certified_result
+             (Traffic.Scenario.flow scenario v.Gmf_precheck.Precheck.flow_id))
+          v.Gmf_precheck.Precheck.ceilings)
+      certified
   in
-  let rounds =
-    List.fold_left (fun acc r -> max acc r.Holistic.rounds) 0 reports
-  in
-  let verdict =
-    match failures with
-    | _ :: _ -> Holistic.Analysis_failed failures
-    | [] -> (
-        let diverged =
-          List.filter_map
-            (fun (r : Holistic.report) ->
-              match r.Holistic.verdict with
-              | Holistic.No_fixed_point n -> Some n
-              | _ -> None)
-            reports
-        in
-        match diverged with
-        | _ :: _ -> Holistic.No_fixed_point (List.fold_left max 0 diverged)
-        | [] -> (
-            match Holistic.deadline_misses results with
-            | [] -> Holistic.Schedulable
-            | misses -> Holistic.Deadline_miss misses))
+  let decided verdict results = { Holistic.verdict; rounds = 0; results } in
+  let report =
+    Holistic.merge scenario_flows
+      ((decided (Holistic.Analysis_failed certificates) [] :: reports)
+      @ [ decided Holistic.Schedulable ceilings ])
   in
   let stats =
     {
@@ -169,4 +121,4 @@ let analyze ?(config = Config.default) scenario =
       flows_certified = List.length certified;
     }
   in
-  ({ Holistic.verdict; rounds; results }, pre, stats)
+  (report, pre, stats)

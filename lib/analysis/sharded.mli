@@ -15,12 +15,10 @@
     interfere only where their routes share a node, which is exactly an
     {!Gmf_precheck.Igraph} edge), the union of the per-component fixed
     points {e is} the monolithic fixed point: fixpointing every
-    component through {!sub_scenario} and merging in scenario flow order
-    equals [Holistic.analyze] structurally — same results, [rounds] the
-    maximum over components, the verdict rebuilt with
-    {!Holistic.deadline_misses}.  The property tests in
-    test/test_precheck.ml build that union and enforce it; {!Delta}'s
-    exactness rests on it.  The only caveat is an [Analysis_failed]
+    component through {!sub_scenario} and combining the reports with
+    {!Holistic.merge} equals [Holistic.analyze] structurally.  The
+    property tests in test/test_precheck.ml build that union and enforce
+    it; {!Delta}'s exactness rests on it.  The only caveat is an [Analysis_failed]
     monolithic run, which stops {e every} flow at the failing round,
     while a per-component run lets the other components converge — same
     verdict constructor, possibly more results and rounds.

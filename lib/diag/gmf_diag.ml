@@ -50,11 +50,6 @@ let subject_to_string = function
   | Node { id; name } -> Printf.sprintf "node %d (%s)" id name
   | Link { src; dst } -> Printf.sprintf "link %d->%d" src dst
 
-let max_severity = function
-  | [] -> None
-  | d :: ds ->
-      Some (List.fold_left (fun acc d -> max acc d.severity) d.severity ds)
-
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 let by_severity sev ds = List.filter (fun d -> d.severity = sev) ds
 let at_least sev ds = List.filter (fun d -> d.severity >= sev) ds

@@ -14,7 +14,7 @@
 
 type severity = Hint | Warning | Error
 (** Ordered: [Hint < Warning < Error] under the polymorphic compare, so
-    [max_severity] and deny-level thresholds can use [(>=)] directly. *)
+    deny-level thresholds ({!at_least}) can use [(>=)] directly. *)
 
 type subject =
   | Scenario  (** the flow set / scenario as a whole *)
@@ -72,9 +72,6 @@ val severity_of_string : string -> severity option
 val subject_to_string : subject -> string
 (** Compact rendering: ["scenario"], ["config"], ["flow 3 (voip)"],
     ["flow 3 (voip) frame 1"], ["node 2 (sw0)"], ["link 0->1"]. *)
-
-val max_severity : t list -> severity option
-(** [None] on the empty list. *)
 
 val has_errors : t list -> bool
 

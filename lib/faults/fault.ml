@@ -136,15 +136,3 @@ let taints s ~route ~from ~until =
                 perturbing (burst drain) for about d after recovery. *)
              w_until + (w_until - w.w_from) >= from)
        (windows s)
-
-let pp_event ~names fmt = function
-  | Link_down ((a, b), at) ->
-      Format.fprintf fmt "link %s->%s down at %s" (names a) (names b)
-        (Timeunit.to_string at)
-  | Link_up ((a, b), at) ->
-      Format.fprintf fmt "link %s->%s up at %s" (names a) (names b)
-        (Timeunit.to_string at)
-  | Switch_stall (n, at, duration) ->
-      Format.fprintf fmt "switch %s stalled for %s at %s" (names n)
-        (Timeunit.to_string duration) (Timeunit.to_string at)
-  | Frame_loss p -> Format.fprintf fmt "frame loss p=%g" p

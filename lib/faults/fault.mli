@@ -111,7 +111,3 @@ val taints :
       margin — frames held during the outage drain as a burst after
       recovery and can perturb innocent flows for a while.  Open-ended
       windows taint until the end of the run. *)
-
-val pp_event :
-  names:(Network.Node.id -> string) -> Format.formatter -> event -> unit
-(** e.g. ["link a->b down at 2ms"]. *)

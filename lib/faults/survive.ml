@@ -221,10 +221,9 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
 
 (* One failure case: {!degrade} with every survivor sheddable, each
    attempt a delta against the shared fault-free base.  Per-attempt
-   delta stats are summed into the case result — under a [Pool]
-   executor the worker's registry increments are lost, so the embedded
-   copy is the one the report (and its JSON) aggregates
-   deterministically. *)
+   delta stats are summed into the case result, the copy the report
+   (and its JSON) aggregates whether metrics are on or not and whether
+   the case is later served from the memo. *)
 let analyze_case dbase scenario case =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
@@ -276,16 +275,7 @@ let failed_case_result scenario err case =
       List.map
         (fun (f : Traffic.Flow.t) -> (f, Shed))
         (Traffic.Scenario.flows scenario);
-    verdict =
-      Analysis.Holistic.Analysis_failed
-        [
-          {
-            Analysis.Result_types.flow_id = -1;
-            frame = 0;
-            failed_stage = None;
-            reason = "exec: " ^ Gmf_exec.error_to_string err;
-          };
-        ];
+    verdict = (Analysis.Case.report_of_error err).Analysis.Holistic.verdict;
     rounds = 0;
     delta = None;
   }
@@ -347,9 +337,9 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
            | Error e -> failed_case_result scenario e case)
          case_list
   in
-  (* One pass over every fate: the counters (derived here, correct under
-     both backends — worker-side increments never reach this process)
-     and each flow's worst fate across cases.  [flow_verdict]'s
+  (* One pass over every fate: the counters (derived here from the case
+     results, so a case served from the memo counts like an evaluated
+     one) and each flow's worst fate across cases.  [flow_verdict]'s
      constructors are declared in increasing severity, so [max] keeps
      the worst. *)
   let worst = Hashtbl.create 64 in

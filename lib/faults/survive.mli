@@ -23,10 +23,9 @@
     Telemetry: each case bumps [survive.cases] and runs under a
     [survive.case] span; reroutes and sheds bump [faults.flows_rerouted]
     and [faults.flows_shed].  Delta statistics are additionally embedded
-    in every case result (and summed in [report.delta_totals]) because
-    registry increments made inside [Pool] workers never reach the
-    parent — the embedded copies keep the report, its JSON and the
-    [delta.*] counters deterministic across backends. *)
+    in every case result (and summed in [report.delta_totals]): the
+    report and its JSON sum these copies whether metrics are on or not,
+    and whether a case was evaluated or served from the case memo. *)
 
 type component =
   | Link of Network.Node.id * Network.Node.id

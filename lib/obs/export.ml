@@ -14,9 +14,6 @@ let span_to_jsonl (s : Tracer.span) =
          ("depth", Json.Int s.Tracer.depth);
        ])
 
-let spans_to_jsonl spans =
-  String.concat "" (List.map (fun s -> span_to_jsonl s ^ "\n") spans)
-
 let span_of_jsonl line =
   let ( let* ) = Result.bind in
   let* j = Json.of_string line in

@@ -13,9 +13,6 @@
 val span_to_jsonl : Tracer.span -> string
 (** One span as a single-line JSON object (no trailing newline). *)
 
-val spans_to_jsonl : Tracer.span list -> string
-(** Newline-terminated concatenation of {!span_to_jsonl} lines. *)
-
 val span_of_jsonl : string -> (Tracer.span, string) result
 (** Parses one {!span_to_jsonl} line back (field order-independent).
     [Error] describes the first offending token. *)

@@ -36,14 +36,7 @@ let crosses route ~links ~nodes =
 let evaluate ~config scenario =
   match Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) with
   | [] -> Analysis.Holistic.analyze ~config scenario
-  | errors ->
-      {
-        Analysis.Holistic.verdict =
-          Analysis.Holistic.Analysis_failed
-            (List.map Analysis.Admission.failure_of_diag errors);
-        rounds = 0;
-        results = [];
-      }
+  | errors -> Analysis.Admission.rejected errors
 
 let eval_case ~config scenario case =
   let topo = Traffic.Scenario.topo scenario in

@@ -676,6 +676,31 @@ let test_admission_keeps_switch_models () =
     "admit rejects" false
     (Analysis.Admission.admit base ~candidate).Analysis.Admission.admitted
 
+(* A lint error about a node names no flow: its synthetic failure
+   carries flow_id -1, not the node id (here switch s, node 2, which
+   with more flows would name an unrelated flow). *)
+let test_rejected_node_subject () =
+  let scenario =
+    scenario_of_string
+      "node h0 endhost\nnode h1 endhost\nnode s switch\n\
+       duplex h0 s rate=100M prop=2us\nduplex h1 s rate=100M prop=2us\n\
+       switch s ports=2 cpus=1 croute=2ms csend=1us\n\
+       flow f from=h0 to=h1 prio=7\n\
+      \  frame period=1ms deadline=500ms payload=160B\nend\n"
+  in
+  let decision = Analysis.Admission.check scenario in
+  Alcotest.(check (list string))
+    "GMF203 on node s" [ "GMF203" ]
+    (List.map
+       (fun d -> d.Gmf_diag.code)
+       (Gmf_diag.at_least Gmf_diag.Error decision.Analysis.Admission.diagnostics));
+  match decision.Analysis.Admission.report.Analysis.Holistic.verdict with
+  | Analysis.Holistic.Analysis_failed [ f ] ->
+      Alcotest.(check int) "no flow id" (-1) f.Analysis.Result_types.flow_id
+  | v ->
+      Alcotest.failf "expected one synthetic failure, got %a"
+        Analysis.Holistic.pp_verdict v
+
 let tests =
   [
     Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
@@ -696,6 +721,8 @@ let tests =
       test_admission_duplicate_id;
     Alcotest.test_case "Admission.admit keeps switch models" `Quick
       test_admission_keeps_switch_models;
+    Alcotest.test_case "Admission.rejected: node subject names no flow"
+      `Quick test_rejected_node_subject;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "unconverged commit takes the cold fallback" `Quick
       test_unconverged_commit_falls_back;

@@ -233,6 +233,125 @@ let test_admit_greedily () =
   Alcotest.(check bool) "some admitted" true (List.length admitted >= 1);
   Alcotest.(check bool) "not all admitted" true (List.length admitted < 4)
 
+(* Holistic.merge on hand-built parts.  The flows' scenario order
+   (ids 2, 0, 1) differs from id order, so a position sort is visible. *)
+let merge_flows () =
+  let topo, hosts, sw = Workload.Topologies.star ~hosts:2 () in
+  List.map
+    (fun id ->
+      Traffic.Flow.make ~id ~name:(Printf.sprintf "m%d" id)
+        ~spec:(one_frame_spec ()) ~encap:Ethernet.Encap.Udp
+        ~route:(Network.Route.make topo [ hosts.(0); sw; hosts.(1) ])
+        ~priority:5)
+    [ 2; 0; 1 ]
+
+let merge_result ?(total = Timeunit.ms 1) flow =
+  {
+    Result_types.flow;
+    frames =
+      [|
+        { Result_types.frame = 0; stages = []; total;
+          deadline = Timeunit.ms 50 };
+      |];
+  }
+
+let merge_failure flow_id reason =
+  { Result_types.flow_id; frame = 0; failed_stage = None; reason }
+
+let merge_part ?(rounds = 1) verdict results =
+  { Holistic.verdict; rounds; results }
+
+let test_merge_results_and_rounds () =
+  let flows = merge_flows () in
+  let r = List.map merge_result flows in
+  let r2, r0, r1 = (List.nth r 0, List.nth r 1, List.nth r 2) in
+  let merged =
+    Holistic.merge flows
+      [
+        merge_part ~rounds:3 Holistic.Schedulable [ r1; r0 ];
+        merge_part ~rounds:5 Holistic.Schedulable [ r2 ];
+        merge_part ~rounds:0 Holistic.Schedulable [];
+      ]
+  in
+  Alcotest.(check (list int))
+    "flow order" [ 2; 0; 1 ]
+    (List.map
+       (fun res -> res.Result_types.flow.Traffic.Flow.id)
+       merged.Holistic.results);
+  Alcotest.(check bool)
+    "the parts' records" true
+    (List.for_all2 ( == ) merged.Holistic.results [ r2; r0; r1 ]);
+  Alcotest.(check int) "max rounds" 5 merged.Holistic.rounds;
+  Alcotest.(check string)
+    "schedulable" "schedulable"
+    (Holistic.verdict_tag merged.Holistic.verdict)
+
+let test_merge_verdict_precedence () =
+  let flows = merge_flows () in
+  let late = merge_result ~total:(Timeunit.ms 60) (List.hd flows) in
+  let fine = List.map merge_result (List.tl flows) in
+  let tag parts = Holistic.verdict_tag (Holistic.merge flows parts).verdict in
+  let failed =
+    merge_part (Holistic.Analysis_failed [ merge_failure 0 "x" ]) []
+  in
+  Alcotest.(check string)
+    "failures first" "analysis-failed"
+    (tag
+       [
+         merge_part (Holistic.No_fixed_point 7) fine;
+         merge_part Holistic.Schedulable [ late ];
+         failed;
+       ]);
+  (match
+     (Holistic.merge flows
+        [
+          merge_part (Holistic.No_fixed_point 4) fine;
+          merge_part (Holistic.No_fixed_point 7) [ late ];
+        ])
+       .verdict
+   with
+  | Holistic.No_fixed_point 7 -> ()
+  | v ->
+      Alcotest.failf "expected the largest divergence, got %a"
+        Holistic.pp_verdict v);
+  (match
+     (Holistic.merge flows [ merge_part Holistic.Schedulable (late :: fine) ])
+       .verdict
+   with
+  | Holistic.Deadline_miss [ m ] ->
+      Alcotest.(check int) "missed flow" 2 m.Result_types.flow_id
+  | v -> Alcotest.failf "expected one miss, got %a" Holistic.pp_verdict v);
+  (* A part's own miss list is not read: the merged results decide. *)
+  Alcotest.(check string)
+    "misses recomputed" "schedulable"
+    (tag [ merge_part (Holistic.Deadline_miss [ merge_failure 0 "x" ]) fine ])
+
+let test_merge_failure_order () =
+  let flows = merge_flows () in
+  let merged =
+    Holistic.merge flows
+      [
+        merge_part ~rounds:0
+          (Holistic.Analysis_failed [ merge_failure 1 "cert1" ])
+          [];
+        merge_part
+          (Holistic.Analysis_failed
+             [
+               merge_failure (-1) "exec";
+               merge_failure 1 "comp1";
+               merge_failure 2 "comp2";
+             ])
+          [];
+      ]
+  in
+  match merged.Holistic.verdict with
+  | Holistic.Analysis_failed fs ->
+      Alcotest.(check (list string))
+        "by flow position, certificate first, unknown ids last"
+        [ "comp2"; "cert1"; "comp1"; "exec" ]
+        (List.map (fun f -> f.Result_types.reason) fs)
+  | v -> Alcotest.failf "expected failures, got %a" Holistic.pp_verdict v
+
 let tests =
   [
     Alcotest.test_case "pipeline sums stages" `Quick test_pipeline_sums_stages;
@@ -250,4 +369,10 @@ let tests =
     Alcotest.test_case "admission check/admit" `Quick
       test_admission_check_and_admit;
     Alcotest.test_case "greedy admission" `Quick test_admit_greedily;
+    Alcotest.test_case "merge: flow order, records, max rounds" `Quick
+      test_merge_results_and_rounds;
+    Alcotest.test_case "merge: failures, then divergence, then misses"
+      `Quick test_merge_verdict_precedence;
+    Alcotest.test_case "merge: stable failure order" `Quick
+      test_merge_failure_order;
   ]
