@@ -315,6 +315,26 @@ let precheck_cmd =
 (* analyze                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One line per failure of a failed verdict, in the report's order.  A
+   failure tied to no flow (flow id -1: a link, node or scenario lint
+   error, an exec error) prints its reason alone. *)
+let print_failures scenario report =
+  match report.Analysis.Holistic.verdict with
+  | Analysis.Holistic.Deadline_miss failures
+  | Analysis.Holistic.Analysis_failed failures ->
+      List.iter
+        (fun (f : Analysis.Result_types.failure) ->
+          if f.Analysis.Result_types.flow_id < 0 then
+            Format.printf "failure: %s@." f.Analysis.Result_types.reason
+          else
+            let flow =
+              Traffic.Scenario.flow scenario f.Analysis.Result_types.flow_id
+            in
+            Format.printf "failure: %s: %a@." flow.Traffic.Flow.name
+              Analysis.Result_types.pp_failure f)
+        failures
+  | Analysis.Holistic.Schedulable | Analysis.Holistic.No_fixed_point _ -> ()
+
 (* The bounds table, then one line per failure of a failed verdict: the
    table lists only the flows that produced results. *)
 let print_report scenario report =
@@ -348,18 +368,7 @@ let print_report scenario report =
         res.Analysis.Result_types.frames)
     report.Analysis.Holistic.results;
   Tablefmt.print table;
-  match report.Analysis.Holistic.verdict with
-  | Analysis.Holistic.Deadline_miss failures
-  | Analysis.Holistic.Analysis_failed failures ->
-      List.iter
-        (fun (f : Analysis.Result_types.failure) ->
-          let flow =
-            Traffic.Scenario.flow scenario f.Analysis.Result_types.flow_id
-          in
-          Format.printf "failure: %s: %a@." flow.Traffic.Flow.name
-            Analysis.Result_types.pp_failure f)
-        failures
-  | Analysis.Holistic.Schedulable | Analysis.Holistic.No_fixed_point _ -> ()
+  print_failures scenario report
 
 let csv_arg =
   let doc = "Emit machine-readable CSV (frames, or stages with $(b,--csv stages))." in
@@ -725,6 +734,7 @@ let admission_cmd =
              (if decision.Analysis.Admission.admitted then "yes" else "no");
            Experiments.Exp_common.kv "verdict"
              (Experiments.Exp_common.verdict_string decision.Analysis.Admission.report);
+           print_failures scenario decision.Analysis.Admission.report;
            let checks = Analysis.Conditions.check_all scenario in
            print_endline "per-stage utilization conditions (eqs 20/34-35):";
            List.iter

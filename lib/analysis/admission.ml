@@ -74,22 +74,10 @@ let find_duplicate scenario candidate =
     (fun f -> f.Traffic.Flow.id = candidate.Traffic.Flow.id)
     (Traffic.Scenario.flows scenario)
 
-(* The gate (e.g. Gmf_faults.Survive.admission_gate, injected by the
-   caller — depending on it here would be a cycle) only runs once the
-   extended set is schedulable: a rejection already stands on its own,
-   and the gate's k-failure sweep is the expensive part. *)
-let admit ?config ?gate scenario ~candidate =
+let admit ?config scenario ~candidate =
   match find_duplicate scenario candidate with
   | Some existing -> reject_with [ duplicate_id_diag ~candidate ~existing ]
-  | None -> (
-      let extended = rebuild scenario [ candidate ] in
-      let decision = check ?config extended in
-      match gate with
-      | Some gate when decision.admitted -> (
-          match gate extended with
-          | [] -> decision
-          | diags -> reject_with (decision.diagnostics @ diags))
-      | _ -> decision)
+  | None -> check ?config (rebuild scenario [ candidate ])
 
 (* Each attempt derives from the last accepted scenario, so the accepted
    flows' link tables are built once. *)

@@ -29,7 +29,6 @@ val check : ?config:Config.t -> Traffic.Scenario.t -> decision
 
 val admit :
   ?config:Config.t ->
-  ?gate:(Traffic.Scenario.t -> Gmf_diag.t list) ->
   Traffic.Scenario.t ->
   candidate:Traffic.Flow.t ->
   decision
@@ -38,13 +37,7 @@ val admit :
     models).  The scenario itself is not modified; the caller rebuilds it on
     acceptance.  A candidate whose id collides with an admitted flow is
     {e rejected} with a [GMF014] diagnostic ([rounds = 0], no fixpoint) —
-    mirroring the lint pre-pass rather than raising.
-
-    [gate], when given, is an extra admission policy run on the {e
-    extended} scenario only after the schedulability check accepts: a
-    non-empty diagnostic list (e.g. [GMF017] from
-    [Gmf_faults.Survive.admission_gate]) turns the acceptance into a
-    rejection carrying both the lint diagnostics and the gate's. *)
+    mirroring the lint pre-pass rather than raising. *)
 
 val duplicate_id_diag :
   candidate:Traffic.Flow.t -> existing:Traffic.Flow.t -> Gmf_diag.t

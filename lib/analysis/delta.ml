@@ -124,53 +124,30 @@ let diff_flows base_flows target_flows =
   (added, removed, changed)
 
 (* ------------------------------------------------------------------ *)
-(* Interference closure (node-sharing BFS)                             *)
+(* Interference closure                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Ids of [flows] transitively reachable from any of [seeds] by node
-   sharing; always contains the seeds' ids.  BFS over a node -> flows
-   index: every route node is expanded at most once, so the closure
-   costs O(total route length). *)
+(* Ids of [flows] in the node-sharing components ({!Gmf_precheck.Igraph})
+   that hold a seed; always contains the seeds' ids.  A record whose id
+   is a seed's is a version of that seed, so membership is by id. *)
 let interference_closure ~seeds flows =
-  let by_node = Hashtbl.create 64 in
+  let seed_ids = Hashtbl.create 16 in
   List.iter
-    (fun (f : Traffic.Flow.t) ->
-      List.iter
-        (fun n ->
-          let prev =
-            match Hashtbl.find_opt by_node n with Some l -> l | None -> []
-          in
-          Hashtbl.replace by_node n (f :: prev))
-        (Network.Route.nodes f.Traffic.Flow.route))
-    flows;
-  let closure = Hashtbl.create 16 in
-  let visited_node = Hashtbl.create 64 in
-  let frontier = ref seeds in
-  List.iter
-    (fun (s : Traffic.Flow.t) -> Hashtbl.replace closure s.Traffic.Flow.id ())
+    (fun (s : Traffic.Flow.t) -> Hashtbl.replace seed_ids s.Traffic.Flow.id ())
     seeds;
-  while !frontier <> [] do
-    let grown = ref [] in
-    List.iter
-      (fun (f : Traffic.Flow.t) ->
+  let closure = Hashtbl.create 16 in
+  List.iter
+    (fun group ->
+      if
+        List.exists
+          (fun (f : Traffic.Flow.t) -> Hashtbl.mem seed_ids f.Traffic.Flow.id)
+          group
+      then
         List.iter
-          (fun n ->
-            if not (Hashtbl.mem visited_node n) then begin
-              Hashtbl.replace visited_node n ();
-              List.iter
-                (fun (g : Traffic.Flow.t) ->
-                  if not (Hashtbl.mem closure g.Traffic.Flow.id) then begin
-                    Hashtbl.replace closure g.Traffic.Flow.id ();
-                    grown := g :: !grown
-                  end)
-                (match Hashtbl.find_opt by_node n with
-                | Some l -> l
-                | None -> [])
-            end)
-          (Network.Route.nodes f.Traffic.Flow.route))
-      !frontier;
-    frontier := !grown
-  done;
+          (fun (f : Traffic.Flow.t) ->
+            Hashtbl.replace closure f.Traffic.Flow.id ())
+          group)
+    (Gmf_precheck.Igraph.groups flows);
   closure
 
 (* ------------------------------------------------------------------ *)

@@ -17,8 +17,9 @@
     + {b Closure.}  Two flows interfere only where their routes share a
       node (exactly an {!Gmf_precheck.Igraph} edge), so the edit's blast
       radius is the node-sharing transitive closure of the changed flows
-      — computed by a node-indexed BFS over the {e union} of base and
-      target flow sets (both versions of every changed flow seed it).
+      — the {!Gmf_precheck.Igraph.groups} components that hold a seed,
+      over the {e union} of base and target flow sets (both versions of
+      every changed flow seed it).
       The target flows inside the closure form a union of complete
       interference components of the target.
     + {b Fixpoint.}  Only the closure is re-analyzed, as a

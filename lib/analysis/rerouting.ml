@@ -11,22 +11,14 @@ let with_route flow route =
     ~priority:flow.Traffic.Flow.priority
 (* Remarks are dropped deliberately: they name hops of the old route. *)
 
-let candidate_routes ?(max_routes = 4) ?avoid_links ?avoid_nodes topo flow =
+let candidate_routes topo flow =
   let own = flow.Traffic.Flow.route in
-  let alternatives =
-    Network.Pathfind.k_shortest ~k:max_routes ?avoid_links ?avoid_nodes topo
-      ~src:(Network.Route.source own)
-      ~dst:(Network.Route.destination own)
-    |> List.filter (fun r ->
-           Network.Route.nodes r <> Network.Route.nodes own)
-  in
-  let crossed =
-    Network.Route.crosses own
-      ~links:(Option.value avoid_links ~default:[])
-      ~nodes:(Option.value avoid_nodes ~default:[])
-  in
-  if not crossed then own :: alternatives
-  else alternatives
+  own
+  :: (Network.Pathfind.k_shortest topo
+        ~src:(Network.Route.source own)
+        ~dst:(Network.Route.destination own)
+     |> List.filter (fun r ->
+            Network.Route.nodes r <> Network.Route.nodes own))
 
 (* First-match search over candidate routes, in order, through the case
    layer's memo: each attempt is [base] plus the flow on that route, the
@@ -48,11 +40,9 @@ let try_routes ?config base flow routes =
   in
   go 0 None routes
 
-let admit ?config ?max_routes ?avoid_links ?avoid_nodes scenario
-    ~candidate =
+let admit ?config scenario ~candidate =
   let routes =
-    candidate_routes ?max_routes ?avoid_links ?avoid_nodes
-      (Traffic.Scenario.topo scenario) candidate
+    candidate_routes (Traffic.Scenario.topo scenario) candidate
   in
   let accepted, attempts, report =
     try_routes ?config scenario candidate routes
@@ -65,8 +55,8 @@ let admit ?config ?max_routes ?avoid_links ?avoid_nodes scenario
   let route = Option.map (fun (f, _) -> f.Traffic.Flow.route) accepted in
   { admitted = route <> None; route; attempts; report }
 
-let admit_greedily ?config ?max_routes ~topo candidates =
+let admit_greedily ?config ~topo candidates =
   Admission.greedily ~topo candidates ~try_add:(fun base candidate ->
-      let routes = candidate_routes ?max_routes topo candidate in
+      let routes = candidate_routes topo candidate in
       let found, _, _ = try_routes ?config base candidate routes in
       found)

@@ -23,20 +23,14 @@ val with_route : Traffic.Flow.t -> Network.Route.t -> Traffic.Flow.t
 
 val admit :
   ?config:Config.t ->
-  ?max_routes:int ->
-  ?avoid_links:(Network.Node.id * Network.Node.id) list ->
-  ?avoid_nodes:Network.Node.id list ->
   Traffic.Scenario.t ->
   candidate:Traffic.Flow.t ->
   decision
 (** [admit scenario ~candidate] first tries the candidate's own route, then
-    up to [max_routes] (default 4) alternatives from
-    [Network.Pathfind.k_shortest] ordered by hop count.  The scenario
-    itself is never modified.
-
-    [avoid_links]/[avoid_nodes] describe failed components (see
-    [Gmf_faults]): avoided routes are never tried — including the
-    candidate's own route when it crosses a failed component.
+    the other routes among the first 4 of [Network.Pathfind.k_shortest]
+    (hop count, then node sequence; at most
+    {!Network.Pathfind.max_hops} links).  The scenario itself is never
+    modified.
 
     Candidate routes are analyzed in order through {!Case.analyze} (and
     its shared memo); the first schedulable one is accepted, and
@@ -44,7 +38,6 @@ val admit :
 
 val admit_greedily :
   ?config:Config.t ->
-  ?max_routes:int ->
   topo:Network.Topology.t ->
   Traffic.Flow.t list ->
   Traffic.Flow.t list * Traffic.Flow.t list

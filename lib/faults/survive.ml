@@ -156,9 +156,6 @@ type 'a degraded = {
    counters from the result. *)
 let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
   let topo = Traffic.Scenario.topo scenario in
-  (* One route cache per call: flows sharing endpoints under the same
-     failure resolve to one enumeration. *)
-  let pcache = Network.Pathfind.Cache.create topo in
   (* Phase 1: reroute every flow the failure touches onto its first
      surviving route, or shed it when none survives. *)
   let placed =
@@ -172,13 +169,12 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
           ((f, Unaffected), Some f)
         else
           match
-            Network.Pathfind.Cache.k_shortest ~k:1 ~avoid_links ~avoid_nodes
-              pcache
+            Network.Pathfind.first_route ~avoid_links ~avoid_nodes topo
               ~src:(Network.Route.source route)
               ~dst:(Network.Route.destination route)
           with
-          | [] -> ((f, Shed), None)
-          | alt :: _ ->
+          | None -> ((f, Shed), None)
+          | Some alt ->
               ((f, Rerouted alt), Some (Analysis.Rerouting.with_route f alt)))
       (Traffic.Scenario.flows scenario)
   in

@@ -121,8 +121,10 @@ val degrade :
   'a degraded
 (** [degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario]: every
     flow of [scenario] whose route crosses the failed directed links or
-    nodes moves to its first surviving route, by hop count and then by
-    node sequence, or is shed when none survives.  Then, while
+    nodes moves to its first surviving route of at most
+    {!Network.Pathfind.max_hops} (8) links, by hop count and then by node
+    sequence ({!Network.Pathfind.first_route}), or is shed when none
+    survives.  Then, while
     [attempt]'s report on the survivors is not schedulable, the head of
     {!shed_order} among the survivors not in [pinned] (compared by id)
     is shed.  Bumps no counter.  A survive case pins nothing; a session
@@ -166,9 +168,8 @@ val admission_gate :
     when [candidate]'s matrix verdict is {!Must_shed} — i.e. admitting
     it would leave it shed under some [<= k]-component failure — citing
     the first witnessing failure case.  Returns [[]] when the candidate
-    survives every case (with or without reroute).  Intended as the
-    [?gate] argument of [Analysis.Admission.admit] and the
-    [?survivable] mode of [Gmf_admctl.Session]. *)
+    survives every case (with or without reroute).  The
+    [?survivable] mode of [Gmf_admctl.Session] runs it. *)
 
 val component_name : Traffic.Scenario.t -> component -> string
 (** e.g. ["link a<->b"], ["switch sw0"]. *)

@@ -67,8 +67,9 @@ let catalog =
       title = "single point of failure: no alternate route";
       reference =
         "Section 2.1 (routes are pre-specified; a flow relayed through \
-         switches with only one src/dst route cannot survive a link or \
-         switch failure, see Gmf_faults.Survive)";
+         switches with at most one src/dst route of up to \
+         Network.Pathfind.max_hops links cannot be rerouted around a link \
+         or switch failure, see Gmf_faults.Survive)";
     };
     {
       code = "GMF010";
@@ -388,14 +389,27 @@ let check_unused_switches scenario =
    drown every two-node scenario in hints. *)
 let check_single_route scenario =
   let topo = Traffic.Scenario.topo scenario in
-  (* Existence, not enumeration: redundancy only needs "is there a second
-     route?", and flows sharing endpoints share the answer. *)
+  (* Existence, not enumeration: any second route omits some link of the
+     first, so one is there iff avoiding some link of the first still
+     leaves a route.  Links are tried from the destination end, where a
+     route that cannot get round the avoided link usually fails fast.
+     Flows sharing endpoints share the answer. *)
   let redundant = Hashtbl.create 16 in
   let has_second src dst =
     match Hashtbl.find_opt redundant (src, dst) with
     | Some b -> b
     | None ->
-        let b = Network.Pathfind.has_at_least topo ~src ~dst 2 in
+        let b =
+          match Network.Pathfind.first_route topo ~src ~dst with
+          | None -> false
+          | Some first ->
+              List.exists
+                (fun hop ->
+                  Option.is_some
+                    (Network.Pathfind.first_route ~avoid_links:[ hop ] topo
+                       ~src ~dst))
+                (List.rev (Network.Route.hops first))
+        in
         Hashtbl.replace redundant (src, dst) b;
         b
   in
@@ -414,8 +428,9 @@ let check_single_route scenario =
                  ~suggestion:
                    "add a redundant link so the flow can survive a failure \
                     (gmfnet survive enumerates the cases)"
-                 "single point of failure: only one route from %s to %s"
-                 (name src) (name dst))
+                 "single point of failure: at most one route of up to %d \
+                  links from %s to %s"
+                 Network.Pathfind.max_hops (name src) (name dst))
         | _ -> None)
     (Traffic.Scenario.flows scenario)
 

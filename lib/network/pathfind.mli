@@ -1,92 +1,51 @@
-(** Route enumeration beyond the single shortest path.
+(** Route search beyond the single shortest path.
 
     The paper takes each flow's route as pre-specified; an operator still
-    has to pick it.  This module enumerates candidate routes (loop-free,
-    switch-only interiors, as {!Route} requires) so admission control can
-    try alternatives when the default path is saturated. *)
+    has to pick it.  This module finds candidate routes (loop-free,
+    switch-only interiors, as {!Route} requires) of at most {!max_hops}
+    links, so admission control can try alternatives when the default path
+    is saturated and a failure sweep can reroute around dead components.
+
+    Both searches take [avoid_links] (directed [(src, dst)] pairs) and
+    [avoid_nodes] to exclude failed components: no returned route crosses
+    an avoided link or visits an avoided node (a route whose endpoint is
+    avoided does not exist).  Both default to empty.
+
+    Unlike {!Topology.shortest_path}, which breaks ties by link-declaration
+    order, ties here go to the smaller node id. *)
+
+val max_hops : int
+(** The reroute bound: 8 links.  No route longer than this is returned. *)
+
+val first_route :
+  ?avoid_links:(Node.id * Node.id) list ->
+  ?avoid_nodes:Node.id list ->
+  Topology.t ->
+  src:Node.id ->
+  dst:Node.id ->
+  Route.t option
+(** The head of {!all_routes}: among the fewest-hop routes, the least by
+    node sequence; [None] when that route would exceed {!max_hops} links
+    (or none exists).  One reverse BFS from [dst] over the surviving graph,
+    then a walk from [src] that takes the smallest-id neighbour one link
+    closer at each step — no enumeration. *)
 
 val all_routes :
-  ?max_hops:int ->
   ?avoid_links:(Node.id * Node.id) list ->
   ?avoid_nodes:Node.id list ->
   Topology.t ->
   src:Node.id ->
   dst:Node.id ->
   Route.t list
-(** Every valid route from [src] to [dst] with at most [max_hops] links
-    (default 8), ordered by hop count then lexicographically by node
-    sequence.  Exhaustive DFS — intended for the small edge topologies this
-    library targets.  Empty if the endpoints cannot terminate flows or are
-    unreachable.
-
-    [avoid_links] (directed [(src, dst)] pairs) and [avoid_nodes] exclude
-    failed components: no returned route crosses an avoided link or visits
-    an avoided node (a route whose endpoint is avoided does not exist).
-    Both default to empty. *)
+(** Every valid route from [src] to [dst] with at most {!max_hops} links,
+    ordered by hop count then lexicographically by node sequence.
+    Exhaustive DFS — intended for the small edge topologies this library
+    targets.  Empty if the endpoints cannot terminate flows or are
+    unreachable. *)
 
 val k_shortest :
-  ?max_hops:int ->
   ?avoid_links:(Node.id * Node.id) list ->
   ?avoid_nodes:Node.id list ->
   ?k:int -> Topology.t -> src:Node.id -> dst:Node.id ->
   Route.t list
 (** The first [k] (default 4) routes of {!all_routes}. *)
-
-val has_at_least :
-  ?max_hops:int ->
-  ?avoid_links:(Node.id * Node.id) list ->
-  ?avoid_nodes:Node.id list ->
-  Topology.t ->
-  src:Node.id ->
-  dst:Node.id ->
-  int ->
-  bool
-(** [has_at_least topo ~src ~dst n]: does {!all_routes} hold at least [n]
-    routes?  Early-exits as soon as the [n]th route is found, so existence
-    checks (e.g. redundancy lints) stay cheap on dense topologies where
-    full enumeration would explode. *)
-
-val route_capacity : Topology.t -> Route.t -> int
-(** The smallest link rate along the route (bits/s) — a quick filter for
-    candidate ordering. *)
-
-(** Per-topology route cache for callers that enumerate many candidate
-    routes on one (immutable) topology — flow-set generation, rerouting
-    sweeps.  Caches the reverse-BFS distance table per destination (it
-    also prunes the enumeration DFS) and the full route list per
-    [(src, dst, max_hops, avoids)] query.  The topology must not gain
-    nodes or links while a cache built on it is in use. *)
-module Cache : sig
-  type t
-
-  val create : Topology.t -> t
-
-  val all_routes :
-    ?max_hops:int ->
-    ?avoid_links:(Node.id * Node.id) list ->
-    ?avoid_nodes:Node.id list ->
-    t ->
-    src:Node.id ->
-    dst:Node.id ->
-    Route.t list
-  (** Same result as the top-level {!all_routes}, memoized. *)
-
-  val k_shortest :
-    ?max_hops:int ->
-    ?avoid_links:(Node.id * Node.id) list ->
-    ?avoid_nodes:Node.id list ->
-    ?k:int ->
-    t ->
-    src:Node.id ->
-    dst:Node.id ->
-    Route.t list
-  (** The first [k] (default 4) routes of {!all_routes}. *)
-
-  val shortest_len : t -> src:Node.id -> dst:Node.id -> int option
-  (** Links on a shortest valid route ([None] if unreachable), straight
-    from the cached distance table — no enumeration. *)
-
-  val hits : t -> int
-  val misses : t -> int
-  (** Route-list memo hits/misses since {!create}. *)
-end

@@ -28,11 +28,10 @@ let union parent a b =
   let ra = find parent a and rb = find parent b in
   if ra <> rb then parent.(ra) <- rb
 
-let build scenario =
-  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
-  let nf = Array.length flows in
-  let parent = Array.init nf Fun.id in
-  (* Index: route node -> indices of the flows crossing it. *)
+(* Route node -> indices of the [flows] crossing it, and a union-find
+   over those indices in which flows meeting at a node are joined. *)
+let join flows =
+  let parent = Array.init (Array.length flows) Fun.id in
   let by_node : (Network.Node.id, int list) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
     (fun i f ->
@@ -42,6 +41,38 @@ let build scenario =
           Hashtbl.replace by_node node (i :: prev))
         (Network.Route.nodes f.Traffic.Flow.route))
     flows;
+  Hashtbl.iter
+    (fun _node members ->
+      match members with
+      | [] -> ()
+      | first :: rest -> List.iter (fun i -> union parent first i) rest)
+    by_node;
+  (by_node, parent)
+
+(* The members of each union-find class, classes in order of their first
+   member in [flows], members in [flows] order. *)
+let classes flows parent =
+  let slot = Hashtbl.create 16 and acc = ref [] in
+  Array.iteri
+    (fun i f ->
+      let r = find parent i in
+      match Hashtbl.find_opt slot r with
+      | Some members -> members := f :: !members
+      | None ->
+          let members = ref [ f ] in
+          Hashtbl.replace slot r members;
+          acc := members :: !acc)
+    flows;
+  List.rev_map (fun members -> List.rev !members) !acc
+
+let groups flows =
+  let flows = Array.of_list flows in
+  classes flows (snd (join flows))
+
+let build scenario =
+  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
+  let nf = Array.length flows in
+  let by_node, parent = join flows in
   (* Flows meeting at a node are pairwise adjacent; distinct pairs are
      counted once even when routes share several nodes.  Consecutive nodes
      of a shared path carry the same member list, so identical lists are
@@ -52,8 +83,7 @@ let build scenario =
     (fun _node members ->
       match members with
       | [] | [ _ ] -> ()
-      | first :: rest ->
-          List.iter (fun i -> union parent first i) rest;
+      | _ ->
           if not (Hashtbl.mem seen_sets members) then begin
             Hashtbl.replace seen_sets members ();
             let rec pairs = function
@@ -68,15 +98,11 @@ let build scenario =
             pairs members
           end)
     by_node;
-  let roots = Hashtbl.create 16 in
-  Array.iteri
-    (fun i f ->
-      let r = find parent i in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt roots r) in
-      Hashtbl.replace roots r (f.Traffic.Flow.id :: prev))
-    flows;
   let comps =
-    Hashtbl.fold (fun _root ids acc -> List.sort compare ids :: acc) roots []
+    classes flows parent
+    |> List.map (fun members ->
+           List.sort compare
+             (List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) members))
     |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
     |> List.mapi (fun cid flow_ids -> { cid; flow_ids })
   in

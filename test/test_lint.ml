@@ -81,6 +81,48 @@ let test_gmf006_unused_switch () =
     ("node a endhost\nnode b endhost\nnode sw switch\nlink a b rate=100M\n\
       duplex a sw rate=100M\nswitch sw\nflow f from=a to=b\n" ^ frame1 ^ "end")
 
+(* GMF007 counts routes of up to Pathfind.max_hops links only. *)
+let test_gmf007_single_route () =
+  let gmf007 ds = List.filter (fun d -> d.Gmf_diag.code = "GMF007") ds in
+  let fig1 = Workload.Scenarios.fig1_videoconf () in
+  Alcotest.(check int) "fig1: every relayed flow has a second route" 0
+    (List.length (gmf007 (Gmf_lint.Lint.run fig1).Gmf_lint.Lint.diagnostics));
+  let expect_one label text =
+    match gmf007 (lint text) with
+    | [ d ] ->
+        Alcotest.(check string) label
+          "single point of failure: at most one route of up to 8 links from \
+           a to b"
+          d.Gmf_diag.message
+    | ds -> Alcotest.failf "%s: expected one GMF007, got %d" label (List.length ds)
+  in
+  expect_one "line: the one route"
+    ("node a endhost\nnode b endhost\nnode sw switch\n\
+      duplex a sw rate=100M\nduplex sw b rate=100M\n\
+      flow f from=a to=b\n" ^ frame1 ^ "end");
+  (* Two disjoint 9-link routes a-s0..s7-b and a-t0..t7-b: neither is
+     within the bound, so the flow has at most one (none). *)
+  let path p = ("a" :: List.init 8 (Printf.sprintf "%s%d" p)) @ [ "b" ] in
+  let rec duplexes = function
+    | x :: (y :: _ as rest) ->
+        Printf.sprintf "duplex %s %s rate=100M\n" x y :: duplexes rest
+    | _ -> []
+  in
+  let switches p =
+    List.init 8 (fun i -> Printf.sprintf "node %s%d switch\n" p i)
+  in
+  expect_one "9-link routes lie beyond the bound"
+    (String.concat ""
+       (("node a endhost\nnode b endhost\n" :: switches "s")
+       @ switches "t"
+       @ duplexes (path "s")
+       @ duplexes (path "t")
+       @ [
+           "flow f from=a to=b route=" ^ String.concat "," (path "s") ^ "\n";
+           frame1;
+           "end";
+         ]))
+
 (* GMF010-013 come from the checked constructors of Traffic.Flow: the DSL
    rejects them before a scenario exists, so exercise the API directly. *)
 
@@ -387,6 +429,7 @@ let tests =
     Alcotest.test_case "GMF004 unused link" `Quick test_gmf004_unused_link;
     Alcotest.test_case "GMF005 detour route" `Quick test_gmf005_detour_route;
     Alcotest.test_case "GMF006 unused switch" `Quick test_gmf006_unused_switch;
+    Alcotest.test_case "GMF007 single route" `Quick test_gmf007_single_route;
     Alcotest.test_case "GMF010 priority range" `Quick test_gmf010_priority_range;
     Alcotest.test_case "GMF011 remark off route" `Quick
       test_gmf011_remark_off_route;

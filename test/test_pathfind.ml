@@ -1,4 +1,4 @@
-(* Route enumeration (Network.Pathfind). *)
+(* Route search (Network.Pathfind). *)
 
 let example () = Workload.Topologies.example ()
 
@@ -17,13 +17,24 @@ let test_all_routes_fig1 () =
   Alcotest.(check (list int)) "ordered by hops" [ 0; 4; 6; 3 ]
     (List.hd node_lists)
 
+(* A chain of switches with one host each: host 0 to the host of switch
+   [s] is [s + 2] links.  Both searches stop at exactly max_hops. *)
 let test_max_hops_filter () =
-  let net = example () in
-  let topo = net.Workload.Topologies.topo in
-  let short = Network.Pathfind.all_routes ~max_hops:3 topo ~src:0 ~dst:3 in
-  Alcotest.(check int) "only the direct route" 1 (List.length short);
-  let none = Network.Pathfind.all_routes ~max_hops:2 topo ~src:0 ~dst:3 in
-  Alcotest.(check int) "none within two hops" 0 (List.length none)
+  let topo, hosts, _sw =
+    Workload.Topologies.line ~hosts_per_switch:1 ~switches:8 ()
+  in
+  Alcotest.(check int) "the bound" 8 Network.Pathfind.max_hops;
+  let lengths s =
+    let src = hosts.(0).(0) and dst = hosts.(s).(0) in
+    ( List.map Network.Route.hop_count
+        (Network.Pathfind.all_routes topo ~src ~dst),
+      Option.map Network.Route.hop_count
+        (Network.Pathfind.first_route topo ~src ~dst) )
+  in
+  Alcotest.(check (pair (list int) (option int)))
+    "an 8-link route is found" ([ 8 ], Some 8) (lengths 6);
+  Alcotest.(check (pair (list int) (option int)))
+    "a 9-link route is not" ([], None) (lengths 7)
 
 let test_k_shortest () =
   let net = example () in
@@ -49,17 +60,6 @@ let test_endpoints_and_reachability () =
   Alcotest.(check int) "unreachable" 0
     (List.length (Network.Pathfind.all_routes topo ~src:0 ~dst:lonely))
 
-let test_route_capacity () =
-  let topo = Network.Topology.create () in
-  let a = Network.Topology.add_node topo ~name:"a" ~kind:Network.Node.Endhost in
-  let s = Network.Topology.add_node topo ~name:"s" ~kind:Network.Node.Switch in
-  let b = Network.Topology.add_node topo ~name:"b" ~kind:Network.Node.Endhost in
-  Network.Topology.add_duplex_link topo ~a ~b:s ~rate_bps:1_000_000_000 ~prop:0;
-  Network.Topology.add_duplex_link topo ~a:s ~b ~rate_bps:10_000_000 ~prop:0;
-  let route = Network.Route.make topo [ a; s; b ] in
-  Alcotest.(check int) "bottleneck rate" 10_000_000
-    (Network.Pathfind.route_capacity topo route)
-
 let test_routes_are_valid () =
   (* Every enumerated route passes Route.make's validation by construction;
      double-check interior switch-ness on a richer topology. *)
@@ -79,61 +79,90 @@ let test_routes_are_valid () =
         (Network.Route.intermediate_switches route))
     routes
 
-let test_has_at_least () =
-  let net = example () in
-  let topo = net.Workload.Topologies.topo in
-  (* Figure 1 has exactly two 0->3 routes. *)
-  Alcotest.(check bool) "at least 1" true
-    (Network.Pathfind.has_at_least topo ~src:0 ~dst:3 1);
-  Alcotest.(check bool) "at least 2" true
-    (Network.Pathfind.has_at_least topo ~src:0 ~dst:3 2);
-  Alcotest.(check bool) "not 3" false
-    (Network.Pathfind.has_at_least topo ~src:0 ~dst:3 3);
-  Alcotest.(check bool) "0 is trivially true" true
-    (Network.Pathfind.has_at_least topo ~src:0 ~dst:3 0)
-
-let test_cache_equals_uncached () =
-  let topo, hosts, sw =
-    Workload.Topologies.line ~hosts_per_switch:2 ~switches:4 ()
-  in
-  let cache = Network.Pathfind.Cache.create topo in
-  let queries =
+(* first_route must be the head of all_routes: the fewest-hop route, least
+   by node sequence.  Rings and fat-trees list some neighbours out of id
+   order, so a walk that took the first closer neighbour in adjacency
+   order would disagree; the 6x6 mesh has pairs beyond max_hops, and
+   [src = dst] has no route. *)
+let families =
+  Gmf_topogen.Gen_spec.
     [
-      (hosts.(0).(0), hosts.(3).(1), [], []);
-      (hosts.(0).(0), hosts.(3).(1), [ (sw.(1), sw.(2)) ], []);
-      (hosts.(1).(0), hosts.(2).(0), [], [ sw.(0) ]);
-      (* Repeated: must come from the memo without changing the answer. *)
-      (hosts.(0).(0), hosts.(3).(1), [], []);
+      Mesh { rows = 4; cols = 4; planes = 1 };
+      Mesh { rows = 4; cols = 4; planes = 2 };
+      Mesh { rows = 6; cols = 6; planes = 1 };
+      Fat_tree { k = 4 };
+      Ring_of_rings { rings = 4; ring_size = 4 };
+      Ring_of_rings { rings = 3; ring_size = 5 };
     ]
-  in
-  List.iter
-    (fun (src, dst, avoid_links, avoid_nodes) ->
-      let plain =
-        Network.Pathfind.k_shortest ~k:3 ~avoid_links ~avoid_nodes topo ~src
-          ~dst
+
+let built =
+  lazy
+    (Array.of_list
+       (List.map
+          (Gmf_topogen.Builders.build ~rate_bps:100_000_000 ~prop:0
+             ~hosts_per_switch:1)
+          families))
+
+let prop_first_route_is_head =
+  QCheck.Test.make ~name:"first_route = head of all_routes" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      let b = pick (Lazy.force built) in
+      let topo = b.Gmf_topogen.Builders.topo in
+      let links = Array.of_list (Network.Topology.links topo) in
+      let switches =
+        Network.Topology.nodes topo
+        |> List.filter Network.Node.is_switch
+        |> List.map (fun (n : Network.Node.t) -> n.Network.Node.id)
+        |> Array.of_list
       in
-      let cached =
-        Network.Pathfind.Cache.k_shortest ~k:3 ~avoid_links ~avoid_nodes
-          cache ~src ~dst
+      (* 0-2 failed duplex links and 0-1 failed switches. *)
+      let avoid_links =
+        List.concat
+          (List.init (Random.State.int st 3) (fun _ ->
+               let l = pick links in
+               Network.Link.[ (l.src, l.dst); (l.dst, l.src) ]))
       in
-      Alcotest.(check (list (list int)))
-        "cached = uncached"
-        (List.map Network.Route.nodes plain)
-        (List.map Network.Route.nodes cached))
-    queries;
-  Alcotest.(check bool) "memo actually hit" true
-    (Network.Pathfind.Cache.hits cache > 0)
+      let avoid_nodes =
+        List.init (Random.State.int st 2) (fun _ -> pick switches)
+      in
+      let show =
+        Option.fold ~none:"none" ~some:(Format.asprintf "%a" Network.Route.pp)
+      in
+      List.for_all
+        (fun _ ->
+          let src = pick b.Gmf_topogen.Builders.hosts in
+          let dst =
+            if Random.State.int st 10 = 0 then src
+            else pick b.Gmf_topogen.Builders.hosts
+          in
+          let head =
+            match
+              Network.Pathfind.all_routes ~avoid_links ~avoid_nodes topo ~src
+                ~dst
+            with
+            | [] -> None
+            | r :: _ -> Some r
+          in
+          let first =
+            Network.Pathfind.first_route ~avoid_links ~avoid_nodes topo ~src
+              ~dst
+          in
+          Option.map Network.Route.nodes head
+          = Option.map Network.Route.nodes first
+          || QCheck.Test.fail_reportf "%d -> %d: head %s, first_route %s" src
+               dst (show head) (show first))
+        (List.init 20 Fun.id))
 
 let tests =
   [
     Alcotest.test_case "all routes on Figure 1" `Quick test_all_routes_fig1;
-    Alcotest.test_case "has_at_least early-exit" `Quick test_has_at_least;
-    Alcotest.test_case "route cache equals uncached" `Quick
-      test_cache_equals_uncached;
     Alcotest.test_case "max hops" `Quick test_max_hops_filter;
     Alcotest.test_case "k shortest" `Quick test_k_shortest;
     Alcotest.test_case "endpoints/reachability" `Quick
       test_endpoints_and_reachability;
-    Alcotest.test_case "route capacity" `Quick test_route_capacity;
     Alcotest.test_case "routes are valid" `Quick test_routes_are_valid;
+    QCheck_alcotest.to_alcotest prop_first_route_is_head;
   ]
