@@ -1116,12 +1116,11 @@ let survive_cmd =
                  Gmf_faults.Survive.run ~exec:(exec_of_jobs jobs) ~config ~k
                    scenario
                in
-               if json then
-                 print_string (Gmf_faults.Survive.to_json scenario report)
-               else
-                 Format.printf "%a"
-                   (Gmf_faults.Survive.pp_report scenario)
-                   report)))
+               Format.printf "%a%!"
+                 ((if json then Gmf_faults.Survive.pp_json
+                   else Gmf_faults.Survive.pp_report)
+                    scenario)
+                 report)))
   in
   Cmd.v
     (Cmd.info "survive"

@@ -82,6 +82,9 @@ let digest ~config scenario =
 
 let shared_memo : Holistic.report Gmf_exec.Memo.t = Gmf_exec.Memo.create ()
 
+let m_memo_hits =
+  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.memo_hits"
+
 (* Exec-layer failures become analysis failures so drivers stay total. *)
 let report_of_error err =
   {
@@ -99,10 +102,24 @@ let report_of_error err =
     results = [];
   }
 
+(* Looked up before the exec layer sees the case, so only a miss is
+   mapped; a report of an exec error is not stored. *)
+let analyze_one ~config scenario =
+  let key = digest ~config scenario in
+  match Gmf_exec.Memo.find shared_memo key with
+  | Some r ->
+      Gmf_obs.Metrics.incr m_memo_hits;
+      r
+  | None -> (
+      match Gmf_exec.map_cases ~f:(Holistic.analyze ~config) [ scenario ] with
+      | [ Ok r ] ->
+          Gmf_exec.Memo.add shared_memo key r;
+          r
+      | [ Error e ] -> report_of_error e
+      | _ -> assert false)
+
 let analyze_all ?(config = Config.default) scenarios =
-  Gmf_exec.map_cases ~memo:shared_memo ~key:(digest ~config)
-    ~f:(Holistic.analyze ~config) scenarios
-  |> List.map (function Ok r -> r | Error e -> report_of_error e)
+  List.map (analyze_one ~config) scenarios
 
 let analyze ?config scenario =
   match analyze_all ?config [ scenario ] with [ r ] -> r | _ -> assert false

@@ -4,10 +4,16 @@
     Sensitivity probes, rerouting candidates, rejection hints and the
     per-component fixpoints of {!Sharded} funnel their whole-scenario
     analyses through this module so that identical cases are computed
-    once: results are memoized in a process-wide table keyed by
-    {!digest}, so e.g. a sensitivity probe revisiting a scale, or a
-    rerouting candidate tried twice, reuses the earlier fixpoint.  Cases
-    run in order, in process.
+    once.  This module owns the process's one analysis memo,
+    {!shared_memo}, keyed by {!digest}: each scenario is looked up
+    first, only a miss is handed to {!Gmf_exec.map_cases}, and a hit
+    bumps [exec.memo_hits].  So a sensitivity probe revisiting a scale,
+    a rerouting candidate tried twice, or a component that adjacent
+    survive cases share reuses the earlier fixpoint.  A survive sweep
+    empties the table when it starts
+    ([Gmf_faults.Survive.clear_memo]), so the table holds at most the
+    latest sweep's components plus what other drivers added since.
+    Cases run in order, in process.
 
     An exception from the analysis degrades to an [Analysis_failed]
     report carrying an ["exec: ..."] reason, so drivers stay total and
@@ -29,7 +35,8 @@ val flow_digest : Traffic.Flow.t -> string
     diffs flow sets with it. *)
 
 val shared_memo : Holistic.report Gmf_exec.Memo.t
-(** The process-wide report cache every entry point below shares. *)
+(** The process-wide report cache every entry point below shares.  A
+    report of an exec error is never stored. *)
 
 val report_of_error : Gmf_exec.error -> Holistic.report
 (** The report of a case the exec layer failed to evaluate (timeout,
@@ -40,7 +47,9 @@ val analyze_all :
   ?config:Config.t ->
   Traffic.Scenario.t list ->
   Holistic.report list
-(** Analyze every scenario, in order, through the shared memo. *)
+(** Analyze every scenario, in order, through the shared memo: a
+    scenario whose digest is in the table (an earlier element of the
+    same list included) is not analyzed again. *)
 
 val analyze : ?config:Config.t -> Traffic.Scenario.t -> Holistic.report
 (** Single-case convenience: memoized {!Holistic.analyze}, run in

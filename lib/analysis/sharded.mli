@@ -9,7 +9,7 @@
       per-frame ceilings ([stages = []], no fixpoint either);
     - every remaining interference component is analyzed as an
       independent sub-scenario through {!Case.analyze_all} (so the
-      per-component fixpoints share the process-wide memo).
+      per-component fixpoints share its memo).
 
     Because interference never crosses component boundaries (two flows
     interfere only where their routes share a node, which is exactly an

@@ -23,30 +23,16 @@ let error_to_string = function
 type 'b outcome = ('b, error) result
 
 module Memo = struct
-  type 'b t = { tbl : (string, 'b) Hashtbl.t; mutable hits : int }
+  type 'b t = (string, 'b) Hashtbl.t
 
-  let create () = { tbl = Hashtbl.create 64; hits = 0 }
-
-  let find t key =
-    match Hashtbl.find_opt t.tbl key with
-    | Some v ->
-        t.hits <- t.hits + 1;
-        Some v
-    | None -> None
-
-  let add t key v = Hashtbl.replace t.tbl key v
-  let hits t = t.hits
-  let size t = Hashtbl.length t.tbl
-
-  let clear t =
-    Hashtbl.reset t.tbl;
-    t.hits <- 0
+  let create () = Hashtbl.create 64
+  let find = Hashtbl.find_opt
+  let add = Hashtbl.replace
+  let size = Hashtbl.length
+  let clear = Hashtbl.reset
 end
 
 let m_cases = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.cases"
-
-let m_memo_hits =
-  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.memo_hits"
 
 let m_workers = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.workers"
 
@@ -321,22 +307,18 @@ let eval_in_worker ~f x =
   in
   (outcome, dur, telemetry)
 
-(* Drive up to [jobs] workers over the wanted indices of [cases].
+(* Drive up to [jobs] workers over [cases].
 
-   [want idx] says whether [idx] still needs a result (memo hits are
-   resolved before the pool starts); [record idx outcome dur] stores a
-   collected result, exactly once per wanted index.  A worker crash
-   records [Crashed] for the case it was running, and the worker is
-   respawned while work remains; a batch forks at most one process per
-   case.  Ordering of [record] calls is scheduling-dependent —
-   determinism is the caller's job (it stores by index). *)
-let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
+   [record idx outcome dur] stores a collected result, exactly once per
+   index.  A worker crash records [Crashed] for the case it was
+   running, and the worker is respawned while work remains; a batch
+   forks at most one process per case.  Ordering of [record] calls is
+   scheduling-dependent — determinism is the caller's job (it stores by
+   index). *)
+let pool_run ~jobs ~f ~record (cases : 'a array) =
   let n = Array.length cases in
   let next = ref 0 in
-  let next_wanted () =
-    while !next < n && not (want !next) do incr next done;
-    if !next < n then Some !next else None
-  in
+  let next_case () = if !next < n then Some !next else None in
   let handle () idx = eval_in_worker ~f cases.(idx) in
   let forks_left = ref n in
   let slots = ref [] in
@@ -371,9 +353,9 @@ let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
   in
   let exhausted_noted = ref false in
   let rec drive () =
-    (* Hand every wanted case to a worker while one can be had. *)
+    (* Hand every remaining case to a worker while one can be had. *)
     let rec fill () =
-      match next_wanted () with
+      match next_case () with
       | None -> ()
       | Some idx -> (
           match worker () with
@@ -400,7 +382,7 @@ let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
     | [] -> (
         (* Nothing in flight yet no worker to be had: the fork budget is
            spent.  Fail the remaining cases rather than hang. *)
-        match next_wanted () with
+        match next_case () with
         | None -> ()
         | Some idx ->
             if not !exhausted_noted then begin
@@ -429,74 +411,27 @@ let pool_run ~jobs ~f ~want ~record (cases : 'a array) =
 (* Combinators                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let memo_lookup memo key x =
-  match (memo, key) with
-  | Some m, Some k -> (
-      match Memo.find m (k x) with
-      | Some v ->
-          Gmf_obs.Metrics.incr m_memo_hits;
-          Some v
-      | None -> None)
-  | _ -> None
+let eval_seq ~f x =
+  Gmf_obs.Metrics.incr m_cases;
+  let outcome, dur = eval_one ~f x in
+  emit_case_span dur;
+  outcome
 
-let memo_store memo key x = function
-  | Ok v -> (
-      match (memo, key) with
-      | Some m, Some k -> Memo.add m (k x) v
-      | _ -> ())
-  | Error _ -> ()
-
-let eval_seq ~memo ~key ~f x =
-  match memo_lookup memo key x with
-  | Some v -> Ok v
-  | None ->
-      Gmf_obs.Metrics.incr m_cases;
-      let outcome, dur = eval_one ~f x in
-      emit_case_span dur;
-      memo_store memo key x outcome;
-      outcome
-
-(* How many cases would actually be evaluated (memo hits excluded)? *)
-let count_pending ~memo ~key cases =
-  match (memo, key) with
-  | Some m, Some k ->
-      List.fold_left
-        (fun acc x ->
-          match Hashtbl.find_opt m.Memo.tbl (k x) with
-          | Some _ -> acc
-          | None -> acc + 1)
-        0 cases
-  | _ -> List.length cases
-
-let map_cases ?(exec = seq) ?memo ?key ~f cases =
-  let use_pool jobs =
-    jobs > 1 && Sys.unix && count_pending ~memo ~key cases > 1
-  in
+let map_cases ?(exec = seq) ~f cases =
   match exec with
-  | Pool { jobs } when use_pool jobs ->
+  | Pool { jobs }
+    when jobs > 1 && Sys.unix && List.compare_length_with cases 1 > 0 ->
       let arr = Array.of_list cases in
-      let n = Array.length arr in
-      let results = Array.make n None in
-      (* Resolve memo hits parent-side before forking. *)
-      Array.iteri
-        (fun i x ->
-          match memo_lookup memo key x with
-          | Some v -> results.(i) <- Some (Ok v)
-          | None -> ())
-        arr;
-      let want i = results.(i) = None in
+      let results = Array.make (Array.length arr) None in
       let record i outcome dur =
         results.(i) <- Some outcome;
-        emit_case_span dur;
-        memo_store memo key arr.(i) outcome
+        emit_case_span dur
       in
-      pool_run ~jobs ~f ~want ~record arr;
+      pool_run ~jobs ~f ~record arr;
       Array.to_list
         (Array.map
            (function
              | Some o -> o
              | None -> Error (Crashed "case never completed"))
            results)
-  | Seq | Pool _ ->
-      List.map (eval_seq ~memo ~key ~f) cases
-
+  | Seq | Pool _ -> List.map (eval_seq ~f) cases

@@ -1,8 +1,8 @@
 (** Case-evaluation layer shared by every "analyze many whole cases"
     driver: the k-failure survivability sweep (also behind a session's
     survivable gate) and the exhaustive priority search run on the pool;
-    the sharded analysis's per-component fixpoints run in order through
-    the same memo.
+    {!Analysis.Case} runs the sharded analysis's per-component fixpoints
+    through it, in order, behind its own memo.
 
     A driver hands the layer a list of independent cases and a pure
     evaluation function; the layer decides {e how} the cases run — the
@@ -21,9 +21,9 @@
     case still completes.  Cases run to completion: there is no per-case
     time limit.
 
-    Telemetry: [exec.cases] counts evaluations actually performed,
-    [exec.memo_hits] counts evaluations avoided by the memo table,
-    [exec.workers] counts worker processes forked, [exec.respawns]
+    Telemetry: [exec.cases] counts evaluations performed (the
+    evaluations a memo avoids are its owner's to count: {!Analysis.Case}
+    bumps [exec.memo_hits]), [exec.workers] counts worker processes forked, [exec.respawns]
     counts workers forked to {e replace} a crashed one (every
     {!Persistent.respawn}, pool refills included), and
     [exec.pool_exhausted] counts pool runs that ran out of fork budget
@@ -42,8 +42,8 @@ type t =
   | Seq  (** In-process, in-order.  Always available. *)
   | Pool of { jobs : int }
       (** Up to [jobs] forked {!Persistent} workers.  Falls back to
-          {!Seq} when [jobs <= 1] or fewer than two cases need
-          evaluating. *)
+          {!Seq} when [jobs <= 1] or a batch has fewer than two
+          cases. *)
 (** An executor: how a batch of cases runs. *)
 
 val seq : t
@@ -69,36 +69,22 @@ val error_to_string : error -> string
 
 type 'b outcome = ('b, error) result
 
-(** Memo table keyed by a caller-supplied digest string.  Lookups and
-    inserts happen in the parent process, so hits are shared across
-    drivers within a process; results computed inside pool workers are
-    added when they are collected, but duplicate keys dispatched within
-    one pool batch may each be evaluated once. *)
+(** Memo table keyed by a caller-supplied digest string.  {!map_cases}
+    never consults one: its owner looks a case up before mapping it and
+    stores what the mapping returns ({!Analysis.Case.shared_memo}). *)
 module Memo : sig
   type 'b t
 
   val create : unit -> 'b t
   val find : 'b t -> string -> 'b option
   val add : 'b t -> string -> 'b -> unit
-
-  val hits : 'b t -> int
-  (** Lookups that found a value, since creation (or {!clear}). *)
-
   val size : 'b t -> int
   val clear : 'b t -> unit
 end
 
-val map_cases :
-  ?exec:t ->
-  ?memo:'b Memo.t ->
-  ?key:('a -> string) ->
-  f:('a -> 'b) ->
-  'a list ->
-  'b outcome list
+val map_cases : ?exec:t -> f:('a -> 'b) -> 'a list -> 'b outcome list
 (** [map_cases ~f cases] evaluates every case and returns the outcomes
-    in case order.  When both [memo] and [key] are given, a case whose
-    key is already in the table returns the memoized value without
-    evaluating, and successful evaluations are added to the table. *)
+    in case order. *)
 
 (** Supervised forked workers — the layer's one worker implementation.
 

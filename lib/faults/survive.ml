@@ -74,7 +74,7 @@ let component_name scenario component =
    size class the subsets walk in revolving-door Gray order: consecutive
    cases differ by swapping exactly one component in and one out, so
    adjacent failure cases share most of their degraded flow set and the
-   delta engine's closures (and the shared case memo behind it) stay
+   delta engine's closures (and the component memo behind it) stay
    small along the walk.  Each subset lists its components in [comps]
    order, and the size-1 class is exactly [comps] — the k=1 case order
    (and its golden) is unchanged from the naive enumeration. *)
@@ -219,7 +219,7 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
    attempt a delta against the shared fault-free base.  Per-attempt
    delta stats are summed into the case result, the copy the report
    (and its JSON) aggregates whether metrics are on or not and whether
-   the case is later served from the memo. *)
+   the case ran in process or in a pool worker. *)
 let analyze_case dbase scenario case =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
@@ -276,25 +276,16 @@ let failed_case_result scenario err case =
     delta = None;
   }
 
-(* Case results memoized across runs: repeated sweeps over the same
-   scenario (bench comparisons, per-candidate admission gates that share
-   failure cases) reuse whole case evaluations.  The key pins everything
-   a result depends on: the base scenario + config
-   ({!Analysis.Case.digest}) and the failed components. *)
-let case_memo : case_result Gmf_exec.Memo.t = Gmf_exec.Memo.create ()
-
-let clear_memo () = Gmf_exec.Memo.clear case_memo
-
-let case_key ~base_digest case =
-  let comp = function
-    | Link (a, b) -> Printf.sprintf "L%d-%d" a b
-    | Switch n -> Printf.sprintf "S%d" n
-  in
-  Printf.sprintf "survive|%s|%s" base_digest
-    (String.concat "+" (List.map comp case))
+(* Empties the component memo ({!Analysis.Case.shared_memo}) a sweep
+   fills: the cold fallbacks of its cases analyze their interference
+   components through it, and adjacent cases share most of them. *)
+let clear_memo () = Gmf_exec.Memo.clear Analysis.Case.shared_memo
 
 let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   if k < 0 then invalid_arg "Survive.run: k < 0";
+  (* Every memo hit of the sweep is its own, and the table never
+     outlives the latest sweep. *)
+  clear_memo ();
   (* One base fixpoint shared by every case of the sweep.  A base that
      does not converge leaves every attempt on the delta engine's cold
      fallback, and the sweep reports no delta totals. *)
@@ -302,11 +293,10 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   let comps = match domain with Some d -> d | None -> components scenario in
   let case_list = failure_cases ~k comps in
   Gmf_obs.Metrics.incr ~by:(List.length case_list) m_cases;
-  let base_digest = Analysis.Case.digest ~config scenario in
-  (* A memo hit may come from an earlier run on a byte-identical but
-     physically distinct scenario value; rebind its fates to this run's
-     flow records so [fates] stays keyed by the scenario's own flows
-     (callers use physical equality against [Scenario.flows]). *)
+  (* A pooled case comes back as a marshalled copy, flow records
+     included; rebind its fates to this scenario's own records so
+     [fates] stays keyed by them (callers use physical equality against
+     [Scenario.flows]). *)
   let flow_by_id = Hashtbl.create 64 in
   List.iter
     (fun (f : Traffic.Flow.t) -> Hashtbl.replace flow_by_id f.Traffic.Flow.id f)
@@ -324,9 +314,7 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
     }
   in
   let cases =
-    Gmf_exec.map_cases ?exec ~memo:case_memo ~key:(case_key ~base_digest)
-      ~f:(analyze_case dbase scenario)
-      case_list
+    Gmf_exec.map_cases ?exec ~f:(analyze_case dbase scenario) case_list
     |> List.map2
          (fun case -> function
            | Ok r -> rebind r
@@ -334,10 +322,10 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
          case_list
   in
   (* One pass over every fate: the counters (derived here from the case
-     results, so a case served from the memo counts like an evaluated
-     one) and each flow's worst fate across cases.  [flow_verdict]'s
-     constructors are declared in increasing severity, so [max] keeps
-     the worst. *)
+     results, so a case evaluated in a pool worker counts like one
+     evaluated in process) and each flow's worst fate across cases.
+     [flow_verdict]'s constructors are declared in increasing severity,
+     so [max] keeps the worst. *)
   let worst = Hashtbl.create 64 in
   List.iter
     (fun c ->
@@ -494,10 +482,19 @@ let pp_report scenario fmt r =
                   f.Traffic.Flow.priority)
               shed))
 
-let to_json scenario r =
-  let buf = Buffer.create 1024 in
+(* Written piece by piece, one case at a time, so a large sweep never
+   holds its whole rendering in memory. *)
+let pp_json scenario fmt r =
   let str = Gmf_util.Json.quote in
-  let add = Buffer.add_string buf in
+  let add = Format.pp_print_string fmt in
+  (* Each element of [xs] rendered by [one], separated by [",\n"]. *)
+  let elements one xs =
+    List.iteri
+      (fun i x ->
+        if i > 0 then add ",\n";
+        add (one x))
+      xs
+  in
   add "{\n";
   add (Printf.sprintf "  \"k\": %d,\n" r.k);
   add
@@ -536,17 +533,15 @@ let to_json scenario r =
       c.rounds
       (String.concat ", " (List.map fate_json c.fates))
   in
-  add (String.concat ",\n" (List.map case_json r.cases));
+  elements case_json r.cases;
   add "\n  ],\n";
   add "  \"matrix\": [\n";
-  add
-    (String.concat ",\n"
-       (List.map
-          (fun ((f : Traffic.Flow.t), v) ->
-            Printf.sprintf "    {\"flow\": %s, \"verdict\": %s}"
-              (str f.Traffic.Flow.name)
-              (str (flow_verdict_string v)))
-          r.matrix));
+  elements
+    (fun ((f : Traffic.Flow.t), v) ->
+      Printf.sprintf "    {\"flow\": %s, \"verdict\": %s}"
+        (str f.Traffic.Flow.name)
+        (str (flow_verdict_string v)))
+    r.matrix;
   add "\n  ],\n";
   add
     (Printf.sprintf "  \"shed\": [%s]\n"
@@ -554,5 +549,4 @@ let to_json scenario r =
           (List.map
              (fun (f : Traffic.Flow.t) -> str f.Traffic.Flow.name)
              r.shed_set)));
-  add "}\n";
-  Buffer.contents buf
+  add "}\n"

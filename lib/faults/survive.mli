@@ -25,7 +25,7 @@
     and [faults.flows_shed].  Delta statistics are additionally embedded
     in every case result (and summed in [report.delta_totals]): the
     report and its JSON sum these copies whether metrics are on or not,
-    and whether a case was evaluated or served from the case memo. *)
+    and whether a case ran in process or in a pool worker. *)
 
 type component =
   | Link of Network.Node.id * Network.Node.id
@@ -149,12 +149,14 @@ val run :
     (default: every component of {!components}) — bench sweeps use it
     to bound k>=2 case counts.
 
-    Case evaluations are memoized process-wide, keyed by base scenario
-    digest and failed component set; {!clear_memo} resets the table
-    (timing loops must call it between runs). *)
+    The sweep starts with {!clear_memo}: the component memo's hits
+    during a sweep are its own, and the table holds only what the
+    latest sweep put there. *)
 
 val clear_memo : unit -> unit
-(** Drop every memoized case evaluation. *)
+(** Empty the component memo ({!Analysis.Case.shared_memo}) that a
+    sweep fills: the cold fallbacks of its cases analyze their
+    interference components through it. *)
 
 val admission_gate :
   ?exec:Gmf_exec.t ->
@@ -174,11 +176,11 @@ val admission_gate :
 val component_name : Traffic.Scenario.t -> component -> string
 (** e.g. ["link a<->b"], ["switch sw0"]. *)
 
-
 val pp_report : Traffic.Scenario.t -> Format.formatter -> report -> unit
 (** Human-readable: one line per case, then the per-flow matrix and the
-    shed set. *)
+    shed set, written case by case. *)
 
-val to_json : Traffic.Scenario.t -> report -> string
+val pp_json : Traffic.Scenario.t -> Format.formatter -> report -> unit
 (** Deterministic indented JSON (flows and components by name), suitable
-    for golden files. *)
+    for golden files, written case by case: the rendering of a large
+    sweep is never held in memory whole. *)

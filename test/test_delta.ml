@@ -232,7 +232,6 @@ let prop_survive_delta_equals_cold =
         if Rng.int rng 2 = 0 then with_duplicate_name rng scenario
         else scenario
       in
-      Survive.clear_memo ();
       let d = Survive.run ~k:1 scenario in
       let c = Survive_oracle.run ~k:1 scenario in
       check_sweeps_agree ~what:"k=1"
@@ -242,7 +241,6 @@ let prop_survive_delta_equals_cold =
 
 let test_survive_delta_equals_cold_k2 () =
   let scenario = Workload.Scenarios.fig1_videoconf () in
-  Survive.clear_memo ();
   let d = Survive.run ~k:2 scenario in
   let c = Survive_oracle.run ~k:2 scenario in
   check_sweeps_agree ~what:"k=2" ~fail:Alcotest.fail d c;

@@ -35,26 +35,33 @@ let test_map_order () =
     [ "ok:22"; "err:exception: Failure(\"negative -1\")"; "ok:1" ]
     (strs r)
 
-(* --- memo ------------------------------------------------------------ *)
+(* --- the component memo ------------------------------------------- *)
+
+(* [Analysis.Case] owns the one analysis memo: it looks each scenario up
+   by digest and hands only the misses to [map_cases]. *)
+let memo_scenarios () =
+  let fig1 = Workload.Scenarios.fig1_videoconf () in
+  let fewer =
+    Traffic.Scenario.with_flows fig1 (List.tl (Traffic.Scenario.flows fig1))
+  in
+  (fig1, fewer)
 
 let test_memo_hits () =
-  let memo = Gmf_exec.Memo.create () in
-  let evals = ref 0 in
-  let f x =
-    incr evals;
-    x * 2
-  in
-  let key = string_of_int in
-  let r1 = Gmf_exec.map_cases ~memo ~key ~f [ 1; 2; 1; 3; 2 ] in
-  check_outcomes "memoized run" [ "ok:2"; "ok:4"; "ok:2"; "ok:6"; "ok:4" ]
-    (strs r1);
-  Alcotest.(check int) "distinct cases evaluated once" 3 !evals;
-  Alcotest.(check int) "hits within one run" 2 (Gmf_exec.Memo.hits memo);
-  let r2 = Gmf_exec.map_cases ~memo ~key ~f [ 3; 1 ] in
-  check_outcomes "second run all hits" [ "ok:6"; "ok:2" ] (strs r2);
-  Alcotest.(check int) "no new evaluations" 3 !evals;
-  Alcotest.(check int) "hits accumulate" 4 (Gmf_exec.Memo.hits memo);
-  Alcotest.(check int) "table size" 3 (Gmf_exec.Memo.size memo)
+  let memo = Analysis.Case.shared_memo in
+  Gmf_exec.Memo.clear memo;
+  let a, b = memo_scenarios () in
+  let r1 = Analysis.Case.analyze_all [ a; b; a ] in
+  Alcotest.(check bool) "a hit within one run returns the stored report"
+    true
+    (List.nth r1 2 == List.nth r1 0);
+  Alcotest.(check int) "rounds as a cold analysis"
+    (Analysis.Holistic.analyze a).Analysis.Holistic.rounds
+    (List.hd r1).Analysis.Holistic.rounds;
+  (* Keyed by digest: a byte-identical scenario built afresh hits. *)
+  let r2 = Analysis.Case.analyze_all [ b; fst (memo_scenarios ()) ] in
+  Alcotest.(check bool) "second run all hits" true
+    (List.nth r2 0 == List.nth r1 1 && List.nth r2 1 == List.nth r1 0);
+  Alcotest.(check int) "table size" 2 (Gmf_exec.Memo.size memo)
 
 let test_memo_counter () =
   let reg = Gmf_obs.Metrics.default in
@@ -64,11 +71,9 @@ let test_memo_counter () =
   let cases = Gmf_obs.Metrics.counter reg "exec.cases" in
   let h0 = Gmf_obs.Metrics.counter_value hits in
   let c0 = Gmf_obs.Metrics.counter_value cases in
-  let memo = Gmf_exec.Memo.create () in
-  ignore
-    (Gmf_exec.map_cases ~memo ~key:string_of_int
-       ~f:(fun x -> x)
-       [ 5; 5; 6 ]);
+  Gmf_exec.Memo.clear Analysis.Case.shared_memo;
+  let a, b = memo_scenarios () in
+  ignore (Analysis.Case.analyze_all [ a; a; b ]);
   Gmf_obs.Metrics.set_enabled reg was;
   Alcotest.(check int) "exec.memo_hits"
     1

@@ -374,6 +374,25 @@ let test_survive_k_bounds () =
   Alcotest.(check int) "k=0 has no cases" 0 (List.length r0.Survive.cases);
   Alcotest.(check bool) "k=0 sheds nothing" true (r0.Survive.shed_set = [])
 
+(* A pooled case comes back marshalled, flow records included; its
+   fates must still hold the scenario's own records, as the sequential
+   sweep's do (the [List.assq] above). *)
+let test_survive_pool_keeps_flow_identity () =
+  let scenario = Workload.Scenarios.fig1_videoconf () in
+  let flows = Traffic.Scenario.flows scenario in
+  let report = Survive.run ~exec:(Gmf_exec.pool 2) ~k:1 scenario in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun ((f : Traffic.Flow.t), _) ->
+          if not (List.memq f flows) then
+            Alcotest.failf "%s: fate of %s is a copy"
+              (String.concat " + "
+                 (List.map (Survive.component_name scenario) c.Survive.case))
+              f.Traffic.Flow.name)
+        c.Survive.fates)
+    report.Survive.cases
+
 let tests =
   [
     Alcotest.test_case "schedule validation" `Quick test_make_validation;
@@ -398,4 +417,6 @@ let tests =
     Alcotest.test_case "survive: matrix consistent with fates" `Slow
       test_survive_matrix_consistent;
     Alcotest.test_case "survive: k bounds" `Quick test_survive_k_bounds;
+    Alcotest.test_case "survive: pooled fates keep flow identity" `Quick
+      test_survive_pool_keeps_flow_identity;
   ]

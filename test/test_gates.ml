@@ -12,10 +12,6 @@ module Survive = Gmf_faults.Survive
 module Metrics = Gmf_obs.Metrics
 module Scenarios = Workload.Scenarios
 
-let clear_memos () =
-  Survive.clear_memo ();
-  Gmf_exec.Memo.clear Analysis.Case.shared_memo
-
 (* Run [f] with the default registry on and freshly reset; return its
    result and the counters it bumped (0 for one it never touched). *)
 let with_counters f =
@@ -31,18 +27,16 @@ let with_counters f =
 (* Sequential and fork-pool sweeps render the same report             *)
 (* ------------------------------------------------------------------ *)
 
-(* Both sweeps start from empty memos: the case memo is process-wide,
-   so a pool sweep run after a sequential one would otherwise answer
-   every case from the memo, fork no worker, and compare the memo with
-   itself.  The pool run must fork its two workers and make 96 memo
-   lookups: the 66 cases plus the 30 analyses inside them.  How those
-   lookups split into hits and evaluations depends on which worker
-   gets which case (each fills its own copy of the inner memo), so
+(* Every sweep starts from an empty component memo
+   ({!Survive.clear_memo}), so the pool sweep evaluates every case
+   itself.  It must fork its two workers and make 96 evaluations and
+   memo lookups: the 66 cases plus the 30 component analyses inside
+   them.  How the 30 split into hits and evaluations depends on which
+   worker gets which case (each fills its own copy of the memo), so
    only the sequential run pins the split. *)
 let test_seq_equals_pool () =
   let scenario = Scenarios.fig1_videoconf () in
   let sweep exec =
-    clear_memos ();
     with_counters (fun () -> Survive.run ~exec ~k:2 scenario)
   in
   let seq, seq_counter = sweep Gmf_exec.seq in
@@ -55,8 +49,8 @@ let test_seq_equals_pool () =
   Alcotest.(check int) "pool exec.workers" 2 (pool_counter "exec.workers");
   Alcotest.(check int) "pool lookups" 96 (lookups pool_counter);
   Alcotest.(check string) "pool report == seq report"
-    (Survive.to_json scenario seq)
-    (Survive.to_json scenario pool)
+    (Format.asprintf "%a" (Survive.pp_json scenario) seq)
+    (Format.asprintf "%a" (Survive.pp_json scenario) pool)
 
 (* ------------------------------------------------------------------ *)
 (* Survive sweeps agree with the cold test oracle on a tiled mesh     *)
@@ -158,7 +152,6 @@ let test_delta_equals_cold_tiles () =
   Alcotest.(check int) "tile links" 18 (List.length domain);
   (* The first 8 tile links (rows 0-2) keep the sweep at 36 cases. *)
   let domain = List.filteri (fun i _ -> i < 8) domain in
-  clear_memos ();
   let d = Survive.run ~k:2 ~domain scenario in
   let c = Survive_oracle.run ~k:2 ~domain scenario in
   Alcotest.(check int) "cases" 36 (List.length d.Survive.cases);
@@ -386,7 +379,6 @@ let test_failure_recovery () =
         ];
       Alcotest.(check int) "cold: rounds" 4 cold_rounds
   | _ -> Alcotest.fail "trace has no shadowed fault event");
-  clear_memos ();
   let fig1 = Survive.run ~k:1 (Scenarios.fig1_videoconf ()) in
   Alcotest.(check (list int)) "fig1 k=1: cases/rounds/shed" [ 11; 27; 6 ]
     [

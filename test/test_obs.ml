@@ -406,7 +406,9 @@ let prop_chrome_trace_valid_json =
       parses "precheck"
         Gmf_precheck.Precheck.(to_json (run scenario));
       parses "survive"
-        Gmf_faults.Survive.(to_json scenario (run ~k:1 scenario));
+        (Format.asprintf "%a"
+           (Gmf_faults.Survive.pp_json scenario)
+           (Gmf_faults.Survive.run ~k:1 scenario));
       parses "explain"
         Gmf_explain.(Render.to_json (fst (Attribution.analyze scenario)));
       let diags =
