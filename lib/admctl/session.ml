@@ -51,6 +51,11 @@ type t = {
   mutable base : Analysis.Delta.base;
       (* the committed flow set (id-ascending), its fixpoint and report:
          the base every fixpoint event is a delta against *)
+  mutable last_lint : Gmf_lint.Lint.report option;
+  mutable last_pre : Gmf_precheck.Precheck.report option;
+      (* the last gate reports computed, each the [prev] of the next run
+         of its gate: flows and components an edit leaves alone keep
+         their results *)
   mutable seq : int;
   mutable s_admitted : int;
   mutable s_rejected : int;
@@ -123,6 +128,8 @@ let create ?(config = Analysis.Config.default) ?(shadow = false)
       Analysis.Delta.make_base ~config
         ~scenario:(Traffic.Scenario.make ~switches ~topo ~flows:[] ())
         ~report:empty_report ();
+    last_lint = None;
+    last_pre = None;
     seq = 0;
     s_admitted = 0;
     s_rejected = 0;
@@ -376,6 +383,20 @@ let survive_gate t (flow : Traffic.Flow.t) =
           Gmf_faults.Survive.admission_gate ?exec:t.exec ~config:t.config ~k
             ~candidate:flow scenario)
 
+(* Both gates reuse what the last run of each computed; their reports
+   are the same as from scratch. *)
+let lint t scenario =
+  let r = Gmf_lint.Lint.run ~config:t.config ?prev:t.last_lint scenario in
+  t.last_lint <- Some r;
+  r
+
+let precheck t scenario =
+  let r =
+    Gmf_precheck.Precheck.run ~config:t.config ?prev:t.last_pre scenario
+  in
+  t.last_pre <- Some r;
+  r
+
 (* Admit and update share the accept-or-rollback shape (removals commit
    regardless and are handled separately).  [gate] (survivability) runs
    on the tentative scenario after the fixpoint accepts and before the
@@ -383,7 +404,7 @@ let survive_gate t (flow : Traffic.Flow.t) =
    untouched. *)
 let try_set ?gate t ~label ~flows =
   let scenario = scenario_of t flows in
-  let lint = Gmf_lint.Lint.run ~config:t.config scenario in
+  let lint = lint t scenario in
   match Gmf_lint.Lint.errors lint with
   | _ :: _ as errors ->
       mk_outcome t ~label ~accepted:false ~verdict:(rejection errors) ~rounds:0
@@ -395,7 +416,7 @@ let try_set ?gate t ~label ~flows =
          interference components surface as GMF019 warnings.  Events it
          does not reject run the exact fixpoint, whose report the commit
          keeps as the next delta base. *)
-      let pre = Gmf_precheck.Precheck.run ~config:t.config scenario in
+      let pre = precheck t scenario in
       let pre_diags = Gmf_precheck.Precheck.diagnostics pre in
       match Gmf_diag.at_least Gmf_diag.Error pre_diags with
       | _ :: _ as errors ->
@@ -525,9 +546,7 @@ let apply_fail t a b =
         ()
     else begin
       let attempt scenario =
-        match
-          Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config:t.config scenario)
-        with
+        match Gmf_lint.Lint.errors (lint t scenario) with
         | _ :: _ as errors ->
             ( Analysis.Admission.rejected errors,
               (scenario, Skipped, None, None) )

@@ -30,6 +30,9 @@
     Candidate flows are lint-gated ({!Gmf_lint}) before any fixpoint runs;
     a lint error rejects with [rounds = 0] exactly like
     [Analysis.Admission].  Rejected events leave the session untouched.
+    The session passes the last lint and precheck reports it computed as
+    the next run's [?prev], so both gates recompute only the flows and
+    interference components the edit changed (docs/ADMCTL.md).
 
     Telemetry: every event bumps [admctl.events], a per-kind span and an
     [admctl.latency_ns.<kind>] histogram sample on the default

@@ -5,12 +5,23 @@
     traversal of the scenario/topology/config — so gating an analysis on
     it costs O(flows × route length). *)
 
-type report = { diagnostics : Gmf_diag.t list  (** Sorted by code. *) }
+type report = {
+  diagnostics : Gmf_diag.t list;  (** Sorted by code, then message. *)
+  by_flow : Gmf_diag.t list Gmf_precheck.Reuse.t;
+      (** Each flow's {!Rules.flow_rules} findings, for the next [run]'s
+          [?prev]. *)
+}
 
-val run : ?config:Analysis_config.t -> Traffic.Scenario.t -> report
-(** Run {!Rules.scenario_rules} and bump the per-rule
-    [lint.hits.<CODE>] counters plus [lint.runs] on
-    {!Gmf_obs.Metrics.default} (visible under [gmfnet profile]). *)
+val run :
+  ?config:Analysis_config.t -> ?prev:report -> Traffic.Scenario.t -> report
+(** Run {!Rules.flow_rules} on every flow and {!Rules.fabric_rules} once
+    ([config] defaults to {!Analysis_config.default}).  With [prev], a
+    flow whose findings carry over from [prev] ({!Gmf_precheck.Reuse.find})
+    keeps them instead of running its rules again; the report is the
+    same as without [prev].  Bumps the per-rule [lint.hits.<CODE>]
+    counters, [lint.runs] and [lint.flows_reused] on
+    {!Gmf_obs.Metrics.default} (visible under [gmfnet profile]) and
+    traces a [lint.run] span on {!Gmf_obs.Tracer.default}. *)
 
 val errors : report -> Gmf_diag.t list
 val warnings : report -> Gmf_diag.t list

@@ -106,7 +106,7 @@ let catalog =
       title = "candidate flow id already admitted";
       reference =
         "Section 3.5 (admission control: produced by Analysis.Admission \
-         and Gmf_admctl sessions, not by scenario_rules)";
+         and Gmf_admctl sessions, not by the scenario rules)";
     };
     {
       code = "GMF015";
@@ -115,7 +115,7 @@ let catalog =
       title = "remove/update of a flow id the session does not hold";
       reference =
         "Section 3.5 (admission control: produced by Gmf_admctl sessions, \
-         not by scenario_rules)";
+         not by the scenario rules)";
     };
     {
       code = "GMF016";
@@ -125,7 +125,7 @@ let catalog =
                duplicate fail/restore)";
       reference =
         "Section 3.5 (degraded-mode sessions: produced by Gmf_admctl \
-         fail/restore handling, not by scenario_rules)";
+         fail/restore handling, not by the scenario rules)";
     };
     {
       code = "GMF017";
@@ -134,7 +134,8 @@ let catalog =
       title = "candidate not k-failure survivable (must-shed verdict)";
       reference =
         "Section 3.5 (produced by the survivable-admission gate — \
-         Gmf_faults.Survive.admission_gate — not by scenario_rules)";
+         Gmf_faults.Survive.admission_gate — not by the scenario \
+         rules)";
     };
     {
       code = "GMF018";
@@ -143,7 +144,7 @@ let catalog =
       title = "flow statically infeasible (precheck certificate)";
       reference =
         "eqs (20)/(34)-(35) and the one-shot demand floor (produced by \
-         Gmf_precheck.Precheck, not by scenario_rules)";
+         Gmf_precheck.Precheck, not by the scenario rules)";
     };
     {
       code = "GMF019";
@@ -152,8 +153,8 @@ let catalog =
       title = "interference component larger than the configured bound";
       reference =
         "Section 3.5 (fixpoint cost grows with the interference \
-         component; produced by Gmf_precheck.Precheck, not by \
-         scenario_rules)";
+         component; produced by Gmf_precheck.Precheck, not by the \
+         scenario rules)";
     };
     {
       code = "GMF101";
@@ -295,20 +296,16 @@ let check_duplicate_names scenario =
           None)
     (Traffic.Scenario.flows scenario)
 
-let check_redundant_remarks scenario =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      List.filter_map
-        (fun ((src, dst), p) ->
-          if p = f.Traffic.Flow.priority then
-            Some
-              (Gmf_diag.hint ~code:"GMF002" ~subject:(flow_subject f)
-                 ~suggestion:"drop the remark; the default already applies"
-                 "remark on hop %d->%d repeats the default priority %d" src
-                 dst p)
-          else None)
-        f.Traffic.Flow.remarks)
-    (Traffic.Scenario.flows scenario)
+let check_redundant_remarks (f : Traffic.Flow.t) =
+  List.filter_map
+    (fun ((src, dst), p) ->
+      if p = f.Traffic.Flow.priority then
+        Some
+          (Gmf_diag.hint ~code:"GMF002" ~subject:(flow_subject f)
+             ~suggestion:"drop the remark; the default already applies"
+             "remark on hop %d->%d repeats the default priority %d" src dst p)
+      else None)
+    f.Traffic.Flow.remarks
 
 let check_isolated_nodes scenario =
   let topo = Traffic.Scenario.topo scenario in
@@ -344,26 +341,21 @@ let check_unused_links scenario =
              "link carries no flow"))
     (Network.Topology.links topo)
 
-let check_detour_routes scenario =
-  let topo = Traffic.Scenario.topo scenario in
-  List.filter_map
-    (fun (f : Traffic.Flow.t) ->
-      let route = f.Traffic.Flow.route in
-      let src = Network.Route.source route
-      and dst = Network.Route.destination route in
-      match Network.Topology.shortest_path topo ~src ~dst with
-      | Some path
-        when List.length path - 1 < Network.Route.hop_count route ->
-          Some
-            (Gmf_diag.hint ~code:"GMF005" ~subject:(flow_subject f)
-               ~suggestion:
-                 (Printf.sprintf "a %d-hop path exists"
-                    (List.length path - 1))
-               "route takes %d hops where %d suffice"
-               (Network.Route.hop_count route)
-               (List.length path - 1))
-      | _ -> None)
-    (Traffic.Scenario.flows scenario)
+let check_detour_route topo (f : Traffic.Flow.t) =
+  let route = f.Traffic.Flow.route in
+  let src = Network.Route.source route
+  and dst = Network.Route.destination route in
+  match Network.Topology.shortest_path topo ~src ~dst with
+  | Some path when List.length path - 1 < Network.Route.hop_count route ->
+      [
+        Gmf_diag.hint ~code:"GMF005" ~subject:(flow_subject f)
+          ~suggestion:
+            (Printf.sprintf "a %d-hop path exists" (List.length path - 1))
+          "route takes %d hops where %d suffice"
+          (Network.Route.hop_count route)
+          (List.length path - 1);
+      ]
+  | _ -> []
 
 let check_unused_switches scenario =
   let topo = Traffic.Scenario.topo scenario in
@@ -386,9 +378,9 @@ let check_unused_switches scenario =
 
 (* Only flows relayed through at least one switch are probed: a direct
    host-to-host wire is trivially its only route, and flagging it would
-   drown every two-node scenario in hints. *)
-let check_single_route scenario =
-  let topo = Traffic.Scenario.topo scenario in
+   drown every two-node scenario in hints.  Applied to the topology once
+   per pass: the application shares the answer between flows. *)
+let check_single_route topo =
   (* Existence, not enumeration: any second route omits some link of the
      first, so one is there iff avoiding some link of the first still
      leaves a route.  Links are tried from the destination end, where a
@@ -413,96 +405,74 @@ let check_single_route scenario =
         Hashtbl.replace redundant (src, dst) b;
         b
   in
-  List.filter_map
-    (fun (f : Traffic.Flow.t) ->
-      let route = f.Traffic.Flow.route in
-      if Network.Route.intermediate_switches route = [] then None
+  fun (f : Traffic.Flow.t) ->
+    let route = f.Traffic.Flow.route in
+    if Network.Route.intermediate_switches route = [] then []
+    else
+      let src = Network.Route.source route
+      and dst = Network.Route.destination route in
+      if has_second src dst then []
       else
-        let src = Network.Route.source route
-        and dst = Network.Route.destination route in
-        match has_second src dst with
-        | false ->
-            let name id = (Network.Topology.node topo id).Network.Node.name in
-            Some
-              (Gmf_diag.hint ~code:"GMF007" ~subject:(flow_subject f)
-                 ~suggestion:
-                   "add a redundant link so the flow can survive a failure \
-                    (gmfnet survive enumerates the cases)"
-                 "single point of failure: at most one route of up to %d \
-                  links from %s to %s"
-                 Network.Pathfind.max_hops (name src) (name dst))
-        | _ -> None)
-    (Traffic.Scenario.flows scenario)
+        let name id = (Network.Topology.node topo id).Network.Node.name in
+        [
+          Gmf_diag.hint ~code:"GMF007" ~subject:(flow_subject f)
+            ~suggestion:
+              "add a redundant link so the flow can survive a failure \
+               (gmfnet survive enumerates the cases)"
+            "single point of failure: at most one route of up to %d links \
+             from %s to %s"
+            Network.Pathfind.max_hops (name src) (name dst);
+        ]
 
 (* ---------------- GMF1xx: model preconditions ---------------- *)
 
-let check_deadline_vs_period scenario =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      let spec = f.Traffic.Flow.spec in
-      List.filter_map
-        (fun k ->
-          let fr = Gmf.Spec.frame spec k in
-          if fr.Gmf.Frame_spec.deadline > fr.Gmf.Frame_spec.period then
-            Some
-              (Gmf_diag.hint ~code:"GMF101" ~subject:(frame_subject f k)
-                 ~suggestion:
-                   "legal, but consecutive cycles may overlap in the network"
-                 "deadline %s exceeds period %s"
-                 (Timeunit.to_string fr.Gmf.Frame_spec.deadline)
-                 (Timeunit.to_string fr.Gmf.Frame_spec.period))
-          else None)
-        (List.init (Gmf.Spec.n spec) Fun.id))
-    (Traffic.Scenario.flows scenario)
+(* The findings of [check f k] over every frame [k] of [f]. *)
+let per_frame (f : Traffic.Flow.t) check =
+  List.filter_map (check f) (List.init (Traffic.Flow.n f) Fun.id)
 
-let check_jitter_vs_period scenario =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      let spec = f.Traffic.Flow.spec in
-      List.filter_map
-        (fun k ->
-          let fr = Gmf.Spec.frame spec k in
-          if
-            fr.Gmf.Frame_spec.period > 0
-            && fr.Gmf.Frame_spec.jitter >= fr.Gmf.Frame_spec.period
-          then
-            Some
-              (Gmf_diag.warning ~code:"GMF102" ~subject:(frame_subject f k)
-                 ~suggestion:
-                   "bursts of back-to-back releases inflate every bound"
-                 "source jitter %s is at least the period %s"
-                 (Timeunit.to_string fr.Gmf.Frame_spec.jitter)
-                 (Timeunit.to_string fr.Gmf.Frame_spec.period))
-          else None)
-        (List.init (Gmf.Spec.n spec) Fun.id))
-    (Traffic.Scenario.flows scenario)
+let check_deadline_vs_period (f : Traffic.Flow.t) k =
+  let fr = Gmf.Spec.frame f.Traffic.Flow.spec k in
+  if fr.Gmf.Frame_spec.deadline > fr.Gmf.Frame_spec.period then
+    Some
+      (Gmf_diag.hint ~code:"GMF101" ~subject:(frame_subject f k)
+         ~suggestion:"legal, but consecutive cycles may overlap in the network"
+         "deadline %s exceeds period %s"
+         (Timeunit.to_string fr.Gmf.Frame_spec.deadline)
+         (Timeunit.to_string fr.Gmf.Frame_spec.period))
+  else None
 
-let check_fragmentation ~(config : Analysis_config.t) scenario =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      List.filter_map
-        (fun k ->
-          let nbits = Traffic.Flow.nbits f k in
-          let frags = Ethernet.Fragment.fragment_count ~nbits in
-          if frags > 1 then
-            let build =
-              match config.Analysis_config.variant with
-              | Analysis_config.Faithful ->
-                  Gmf_diag.warning
-                    ~suggestion:
-                      "the faithful variant under-charges rotations for \
-                       fragmented frames; prefer --variant repaired"
-              | Analysis_config.Repaired ->
-                  Gmf_diag.hint
-                    ~suggestion:"each fragment costs a CIRC rotation"
-            in
-            Some
-              (build ~code:"GMF103" ~subject:(frame_subject f k)
-                 "datagram of %d bits fragments into %d Ethernet frames"
-                 nbits frags)
-          else None)
-        (List.init (Traffic.Flow.n f) Fun.id))
-    (Traffic.Scenario.flows scenario)
+let check_jitter_vs_period (f : Traffic.Flow.t) k =
+  let fr = Gmf.Spec.frame f.Traffic.Flow.spec k in
+  if
+    fr.Gmf.Frame_spec.period > 0
+    && fr.Gmf.Frame_spec.jitter >= fr.Gmf.Frame_spec.period
+  then
+    Some
+      (Gmf_diag.warning ~code:"GMF102" ~subject:(frame_subject f k)
+         ~suggestion:"bursts of back-to-back releases inflate every bound"
+         "source jitter %s is at least the period %s"
+         (Timeunit.to_string fr.Gmf.Frame_spec.jitter)
+         (Timeunit.to_string fr.Gmf.Frame_spec.period))
+  else None
+
+let check_fragmentation ~(config : Analysis_config.t) (f : Traffic.Flow.t) k =
+  let nbits = Traffic.Flow.nbits f k in
+  let frags = Ethernet.Fragment.fragment_count ~nbits in
+  if frags > 1 then
+    let build =
+      match config.Analysis_config.variant with
+      | Analysis_config.Faithful ->
+          Gmf_diag.warning
+            ~suggestion:
+              "the faithful variant under-charges rotations for fragmented \
+               frames; prefer --variant repaired"
+      | Analysis_config.Repaired ->
+          Gmf_diag.hint ~suggestion:"each fragment costs a CIRC rotation"
+    in
+    Some
+      (build ~code:"GMF103" ~subject:(frame_subject f k)
+         "datagram of %d bits fragments into %d Ethernet frames" nbits frags)
+  else None
 
 let check_priority_ties scenario =
   let used = used_links scenario in
@@ -601,27 +571,19 @@ let check_ingress_utilization scenario =
       else acc)
     crossed []
 
-let check_impossible_deadlines scenario =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      List.filter_map
-        (fun k ->
-          let d =
-            (Gmf.Spec.frame f.Traffic.Flow.spec k).Gmf.Frame_spec.deadline
-          in
-          let floor = min_response scenario f ~frame:k in
-          if floor > d then
-            Some
-              (Gmf_diag.error ~code:"GMF202" ~subject:(frame_subject f k)
-                 ~suggestion:
-                   "even an uncontended packet misses; relax the deadline \
-                    or shorten the route"
-                 "jitter plus uncontended stage responses total %s, above \
-                  the deadline %s"
-                 (Timeunit.to_string floor) (Timeunit.to_string d))
-          else None)
-        (List.init (Traffic.Flow.n f) Fun.id))
-    (Traffic.Scenario.flows scenario)
+let check_impossible_deadline scenario (f : Traffic.Flow.t) k =
+  let d = (Gmf.Spec.frame f.Traffic.Flow.spec k).Gmf.Frame_spec.deadline in
+  let floor = min_response scenario f ~frame:k in
+  if floor > d then
+    Some
+      (Gmf_diag.error ~code:"GMF202" ~subject:(frame_subject f k)
+         ~suggestion:
+           "even an uncontended packet misses; relax the deadline or shorten \
+            the route"
+         "jitter plus uncontended stage responses total %s, above the \
+          deadline %s"
+         (Timeunit.to_string floor) (Timeunit.to_string d))
+  else None
 
 let check_config ~(config : Analysis_config.t) scenario =
   let caps =
@@ -671,27 +633,40 @@ let by_code_then_message (a : Gmf_diag.t) (b : Gmf_diag.t) =
   | 0 -> compare a.Gmf_diag.message b.Gmf_diag.message
   | c -> c
 
-let scenario_rules ?(config = Analysis_config.default) scenario =
-  List.sort by_code_then_message
-    (List.concat
-       [
-         check_duplicate_names scenario;
-         check_redundant_remarks scenario;
-         check_isolated_nodes scenario;
-         check_unused_links scenario;
-         check_detour_routes scenario;
-         check_unused_switches scenario;
-         check_single_route scenario;
-         check_deadline_vs_period scenario;
-         check_jitter_vs_period scenario;
-         check_fragmentation ~config scenario;
-         check_priority_ties scenario;
-         check_overprovisioned_switches scenario;
-         check_link_utilization scenario;
-         check_ingress_utilization scenario;
-         check_impossible_deadlines scenario;
-         check_config ~config scenario;
-       ])
+let sort = List.sort by_code_then_message
+
+(* Rule by rule, each over every flow: the route searches of GMF005
+   and GMF007 keep their working sets warm that way. *)
+let flow_rules ~config scenario flows =
+  let topo = Traffic.Scenario.topo scenario in
+  let by_rule =
+    List.map
+      (fun rule -> List.map rule flows)
+      [
+        check_redundant_remarks;
+        check_detour_route topo;
+        check_single_route topo;
+        (fun f -> per_frame f check_deadline_vs_period);
+        (fun f -> per_frame f check_jitter_vs_period);
+        (fun f -> per_frame f (check_fragmentation ~config));
+        (fun f -> per_frame f (check_impossible_deadline scenario));
+      ]
+  in
+  List.fold_right (List.map2 ( @ )) by_rule (List.map (fun _ -> []) flows)
+
+let fabric_rules ~config scenario =
+  List.concat
+    [
+      check_duplicate_names scenario;
+      check_isolated_nodes scenario;
+      check_unused_links scenario;
+      check_unused_switches scenario;
+      check_priority_ties scenario;
+      check_overprovisioned_switches scenario;
+      check_link_utilization scenario;
+      check_ingress_utilization scenario;
+      check_config ~config scenario;
+    ]
 
 let flow_gate scenario (f : Traffic.Flow.t) =
   Gmf_precheck.Static_tests.route_overloads scenario f
@@ -711,4 +686,4 @@ let flow_gate scenario (f : Traffic.Flow.t) =
                "ingress rotation utilization %.3f on link %d->%d violates \
                 eqs (34)-(35)"
                u src node)
-  |> List.sort by_code_then_message
+  |> sort

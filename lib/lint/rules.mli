@@ -26,15 +26,37 @@ type rule = {
 val catalog : rule list
 (** Every code the tree can emit, ascending; includes the constructor
     codes [GMF010]–[GMF013] that are produced by [Traffic.Flow] rather
-    than by {!scenario_rules}. *)
+    than by the scenario rules ({!flow_rules}, {!fabric_rules}). *)
 
 val find : string -> rule option
 
-val scenario_rules :
-  ?config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list
-(** Run every static rule over the scenario (and the analysis config,
-    defaulting to {!Analysis_config.default}).  Pure: no fixpoint is
-    executed, no metrics are recorded (that is {!Lint.run}'s job). *)
+(** {2 The scenario rules}
+
+    Every static rule is in exactly one of the two groups below, and a
+    whole pass is [sort (concat (flow_rules of every flow, in flow order)
+    @ fabric_rules)].  Pure: no fixpoint is executed, no metrics are
+    recorded (that is {!Lint.run}'s job, which also reuses per-flow
+    findings across passes). *)
+
+val flow_rules :
+  config:Analysis_config.t ->
+  Traffic.Scenario.t ->
+  Traffic.Flow.t list ->
+  Gmf_diag.t list list
+(** The findings on each of the given flows of the scenario, in order,
+    of the rules that depend only on that flow record, the topology, the
+    switch models on its route and the config: GMF002, GMF005, GMF007,
+    GMF101, GMF102, GMF103 and GMF202.  Flows with the same endpoints
+    share one GMF007 route search. *)
+
+val fabric_rules :
+  config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list
+(** The per-link and global rules, which read the whole flow set:
+    GMF001, GMF003, GMF004, GMF006, GMF104, GMF105, GMF201, GMF203,
+    GMF204, GMF205 and GMF206. *)
+
+val sort : Gmf_diag.t list -> Gmf_diag.t list
+(** Stable sort by code, then message. *)
 
 val flow_gate : Traffic.Scenario.t -> Traffic.Flow.t -> Gmf_diag.t list
 (** The cheap per-flow pre-pass used by [Analysis.Pipeline]: only the

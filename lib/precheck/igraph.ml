@@ -9,11 +9,7 @@ type stats = {
   density : float;
 }
 
-type t = {
-  comps : component list;
-  comp_of : (Traffic.Flow.id, int) Hashtbl.t;
-  graph_stats : stats;
-}
+type t = { comps : component list; graph_stats : stats }
 
 (* Union-find over flow array indices, with path halving. *)
 let rec find parent i =
@@ -106,10 +102,6 @@ let build scenario =
     |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
     |> List.mapi (fun cid flow_ids -> { cid; flow_ids })
   in
-  let comp_of = Hashtbl.create nf in
-  List.iter
-    (fun c -> List.iter (fun id -> Hashtbl.replace comp_of id c.cid) c.flow_ids)
-    comps;
   let largest =
     List.fold_left (fun acc c -> max acc (List.length c.flow_ids)) 0 comps
   in
@@ -123,7 +115,6 @@ let build scenario =
   in
   {
     comps;
-    comp_of;
     graph_stats =
       {
         flows = nf;
@@ -136,11 +127,6 @@ let build scenario =
   }
 
 let components t = t.comps
-
-let component_of t id =
-  match Hashtbl.find_opt t.comp_of id with
-  | Some cid -> cid
-  | None -> invalid_arg (Printf.sprintf "Igraph.component_of: unknown flow %d" id)
 
 let stats t = t.graph_stats
 

@@ -37,8 +37,5 @@ val groups : Traffic.Flow.t list -> Traffic.Flow.t list list
 
 val components : t -> component list
 
-val component_of : t -> Traffic.Flow.id -> int
-(** Raises [Invalid_argument] on a flow id not in the scenario. *)
-
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

@@ -24,10 +24,21 @@ type flow_verdict = {
   ceilings : Gmf_util.Timeunit.ns array option;
 }
 
+(* A member's verdict as its component computed it, with that
+   component's cid and size: a component of the next pass reuses it when
+   every member carries over from one component of the same size. *)
+type carried = {
+  from_cid : int;
+  from_size : int;
+  c_verdict : verdict;
+  c_ceilings : Gmf_util.Timeunit.ns array option;
+}
+
 type report = {
   stats : Igraph.stats;
   components : Igraph.component list;
   verdicts : flow_verdict list;
+  by_flow : carried Reuse.t;
 }
 
 (* ---------------- observability ---------------- *)
@@ -45,6 +56,9 @@ let m_infeasible =
 
 let m_certified =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "precheck.certified"
+
+let m_components_reused =
+  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "precheck.components_reused"
 
 let g_largest =
   Gmf_obs.Metrics.gauge Gmf_obs.Metrics.default "precheck.largest_component"
@@ -105,102 +119,122 @@ let overload_certificate ~config scenario (flow : Traffic.Flow.t) =
 
 (* ---------------- the pass ---------------- *)
 
-let run ?(config = Analysis_config.default) scenario =
+(* Sufficient test, all-or-nothing per component: the jitter caps of
+   the ceilings are only invariant when every member meets them. *)
+let certify ~config scenario members =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (f : Traffic.Flow.t) :: rest -> (
+        match Static_tests.response_ceiling ~config scenario f with
+        | Error e -> Error (Printf.sprintf "flow %s: %s" f.Traffic.Flow.name e)
+        | Ok ceiling when not (Static_tests.certifies f ceiling) ->
+            Error
+              (Printf.sprintf
+                 "flow %s: frame %d one-shot bound misses its deadline by \
+                  %.0f ns"
+                 f.Traffic.Flow.name ceiling.Static_tests.binding_frame
+                 (-.ceiling.Static_tests.slack))
+        | Ok ceiling -> go (ceiling :: acc) rest)
+  in
+  go [] members
+
+let schedulable (f : Traffic.Flow.t) (ceiling : Static_tests.ceiling) =
+  let deadlines = Gmf.Spec.deadlines f.Traffic.Flow.spec in
+  let k = ceiling.Static_tests.binding_frame in
+  let total = Float.ceil ceiling.Static_tests.totals.(k) in
+  let cert =
+    {
+      inequality =
+        One_shot_bound { frame = k; stage = ceiling.Static_tests.binding_stage };
+      value = total;
+      limit = float_of_int deadlines.(k);
+      slack = float_of_int deadlines.(k) -. total;
+    }
+  in
+  ( Schedulable cert,
+    Some
+      (Array.map
+         (fun t -> int_of_float (Float.ceil t))
+         ceiling.Static_tests.totals) )
+
+(* Every member's verdict and ceilings, in member order.  Each test reads
+   only flows that share a route node with the flow under test, all of
+   them members of its component. *)
+let component_verdicts ~config scenario members =
+  let overloads = List.map (overload_certificate ~config scenario) members in
+  let needs reason = (Needs_fixpoint { reason }, None) in
+  if List.exists Option.is_some overloads then
+    List.map
+      (function
+        | Some cert -> (Infeasible cert, None)
+        | None -> needs "component holds a statically infeasible flow")
+      overloads
+  else
+    match certify ~config scenario members with
+    | Error reason -> List.map (fun _ -> needs reason) members
+    | Ok ceilings -> List.map2 schedulable members ceilings
+
+(* The members' verdicts from [prev], when every member carries over
+   from one component of [prev] of the same size, i.e. the same member
+   set. *)
+let carried_over ~prev ~config scenario members =
+  let size = List.length members in
+  let found = List.map (Reuse.find ~prev ~config scenario) members in
+  match found with
+  | Some first :: _
+    when List.for_all
+           (function
+             | Some c -> c.from_cid = first.from_cid && c.from_size = size
+             | None -> false)
+           found ->
+      Some
+        (List.filter_map
+           (Option.map (fun c -> (c.c_verdict, c.c_ceilings)))
+           found)
+  | _ -> None
+
+let run ?(config = Analysis_config.default) ?prev scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"precheck"
     "precheck.run"
   @@ fun () ->
   let graph = Igraph.build scenario in
   let components = Igraph.components graph in
   let stats = Igraph.stats graph in
-  let flows = Traffic.Scenario.flows scenario in
-  let infeasible_certs = Hashtbl.create 8 in
+  let reused = ref 0 and of_id = Hashtbl.create 64 in
   List.iter
-    (fun (f : Traffic.Flow.t) ->
-      match overload_certificate ~config scenario f with
-      | Some cert -> Hashtbl.replace infeasible_certs f.Traffic.Flow.id cert
-      | None -> ())
-    flows;
-  (* Sufficient test, all-or-nothing per component: the jitter caps of
-     the ceilings are only invariant when every member meets them. *)
-  let certify_component (c : Igraph.component) =
-    let members =
-      List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
-    in
-    if
-      List.exists
-        (fun (f : Traffic.Flow.t) ->
-          Hashtbl.mem infeasible_certs f.Traffic.Flow.id)
-        members
-    then Error "component holds a statically infeasible flow"
-    else
-      let rec certify acc = function
-        | [] -> Ok (List.rev acc)
-        | (f : Traffic.Flow.t) :: rest -> (
-            match Static_tests.response_ceiling ~config scenario f with
-            | Error e ->
-                Error (Printf.sprintf "flow %s: %s" f.Traffic.Flow.name e)
-            | Ok ceiling when not (Static_tests.certifies f ceiling) ->
-                Error
-                  (Printf.sprintf
-                     "flow %s: frame %d one-shot bound misses its \
-                      deadline by %.0f ns"
-                     f.Traffic.Flow.name
-                     ceiling.Static_tests.binding_frame
-                     (-.ceiling.Static_tests.slack))
-            | Ok ceiling -> certify ((f.Traffic.Flow.id, ceiling) :: acc) rest)
+    (fun (c : Igraph.component) ->
+      let members =
+        List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
       in
-      certify [] members
+      let outcome =
+        match
+          Option.bind prev (fun p ->
+              carried_over ~prev:p.by_flow ~config scenario members)
+        with
+        | Some outcome ->
+            incr reused;
+            outcome
+        | None -> component_verdicts ~config scenario members
+      in
+      let from_size = List.length members in
+      List.iter2
+        (fun (f : Traffic.Flow.t) (c_verdict, c_ceilings) ->
+          Hashtbl.replace of_id f.Traffic.Flow.id
+            { from_cid = c.Igraph.cid; from_size; c_verdict; c_ceilings })
+        members outcome)
+    components;
+  let carried =
+    List.map
+      (fun (f : Traffic.Flow.t) -> (f, Hashtbl.find of_id f.Traffic.Flow.id))
+      (Traffic.Scenario.flows scenario)
   in
-  let outcomes = List.map certify_component components in
-  let component_outcome = Hashtbl.create 8 in
-  List.iter2
-    (fun (c : Igraph.component) outcome ->
-      Hashtbl.replace component_outcome c.Igraph.cid outcome)
-    components outcomes;
   let verdicts =
     List.map
-      (fun (f : Traffic.Flow.t) ->
-        let id = f.Traffic.Flow.id in
-        let component = Igraph.component_of graph id in
-        let verdict, ceilings =
-          match Hashtbl.find_opt infeasible_certs id with
-          | Some cert -> (Infeasible cert, None)
-          | None -> (
-              match Hashtbl.find component_outcome component with
-              | Error reason -> (Needs_fixpoint { reason }, None)
-              | Ok certified -> (
-                  match
-                    List.find_opt (fun (gid, _) -> gid = id) certified
-                  with
-                  | None -> (Needs_fixpoint { reason = "uncertified" }, None)
-                  | Some (_, ceiling) ->
-                      let deadlines = Gmf.Spec.deadlines f.Traffic.Flow.spec in
-                      let k = ceiling.Static_tests.binding_frame in
-                      let cert =
-                        {
-                          inequality =
-                            One_shot_bound
-                              {
-                                frame = k;
-                                stage = ceiling.Static_tests.binding_stage;
-                              };
-                          value = Float.ceil ceiling.Static_tests.totals.(k);
-                          limit = float_of_int deadlines.(k);
-                          slack =
-                            float_of_int deadlines.(k)
-                            -. Float.ceil ceiling.Static_tests.totals.(k);
-                        }
-                      in
-                      let bounds =
-                        Array.map
-                          (fun t -> int_of_float (Float.ceil t))
-                          ceiling.Static_tests.totals
-                      in
-                      (Schedulable cert, Some bounds)))
-        in
-        { flow_id = id; flow_name = f.Traffic.Flow.name; component; verdict;
-          ceilings })
-      flows
+      (fun ((f : Traffic.Flow.t), c) ->
+        { flow_id = f.Traffic.Flow.id; flow_name = f.Traffic.Flow.name;
+          component = c.from_cid; verdict = c.c_verdict;
+          ceilings = c.c_ceilings })
+      carried
   in
   let n_inf =
     List.length
@@ -215,12 +249,13 @@ let run ?(config = Analysis_config.default) scenario =
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
     Gmf_obs.Metrics.incr m_runs;
     Gmf_obs.Metrics.incr ~by:stats.Igraph.components m_components;
+    Gmf_obs.Metrics.incr ~by:!reused m_components_reused;
     Gmf_obs.Metrics.incr ~by:(n_inf + n_cert) m_decided;
     Gmf_obs.Metrics.incr ~by:n_inf m_infeasible;
     Gmf_obs.Metrics.incr ~by:n_cert m_certified;
     Gmf_obs.Metrics.set_gauge g_largest (float_of_int stats.Igraph.largest)
   end;
-  { stats; components; verdicts }
+  { stats; components; verdicts; by_flow = Reuse.make ~config scenario carried }
 
 (* ---------------- accessors ---------------- *)
 

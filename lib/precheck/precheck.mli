@@ -46,16 +46,25 @@ type flow_verdict = {
       (** Certified per-frame end-to-end bounds when [Schedulable]. *)
 }
 
+type carried
+(** A flow's verdict and ceilings as its component computed them. *)
+
 type report = {
   stats : Igraph.stats;
   components : Igraph.component list;
   verdicts : flow_verdict list;  (** In flow-id order. *)
+  by_flow : carried Reuse.t;  (** For the next [run]'s [?prev]. *)
 }
 
-val run : ?config:Analysis_config.t -> Traffic.Scenario.t -> report
+val run :
+  ?config:Analysis_config.t -> ?prev:report -> Traffic.Scenario.t -> report
 (** Runs the whole pass (no fixpoint; polynomial in flows x route length).
-    Bumps the [precheck.*] counters/gauges and traces a
-    [precheck.run] span. *)
+    With [prev], a component whose members all carry over
+    ({!Reuse.find}) from one component of [prev] with the same member
+    set keeps their verdicts and ceilings under its current [cid]
+    instead of being tested again; the report is the same as without
+    [prev].  Bumps the [precheck.*] counters/gauges (among them
+    [precheck.components_reused]) and traces a [precheck.run] span. *)
 
 val infeasible : report -> flow_verdict list
 val certified : report -> flow_verdict list

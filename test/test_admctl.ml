@@ -474,6 +474,74 @@ let check_warm_equals_cold trace text =
     else true
   end
 
+(* Replays [events] into a fresh session and holds the diagnostics of
+   every admit or update that reached the gates to the gates run from
+   scratch: [Lint.run] on a scenario built afresh from the tentative flow
+   set, then, when lint found no error, the precheck diagnostics — both
+   without [?prev], so whatever the session's gates reused must not
+   show. *)
+let check_gates_from_scratch ~config ~switches ~topo events text =
+  let session = Session.create ~config ~switches ~topo () in
+  let render = List.map Gmf_diag.to_string in
+  List.iter
+    (fun event ->
+      let committed = Session.flows session in
+      let failed =
+        List.concat_map
+          (fun (a, b) -> [ (a, b); (b, a) ])
+          (Session.failed_links session)
+      in
+      let o = Session.apply session event in
+      let holds (f : Traffic.Flow.t) =
+        List.exists
+          (fun (g : Traffic.Flow.t) -> g.Traffic.Flow.id = f.Traffic.Flow.id)
+          committed
+      in
+      let others (f : Traffic.Flow.t) =
+        List.filter
+          (fun (g : Traffic.Flow.t) -> g.Traffic.Flow.id <> f.Traffic.Flow.id)
+          committed
+      in
+      let tentative =
+        match event with
+        | Session.Admit f when not (holds f) -> Some (f, f :: committed)
+        | Session.Update f when holds f -> Some (f, f :: others f)
+        | _ -> None
+      in
+      match tentative with
+      | Some (f, flows)
+        when not
+               (Network.Route.crosses f.Traffic.Flow.route ~links:failed
+                  ~nodes:[]) ->
+          let scenario = Traffic.Scenario.make ~switches ~topo ~flows () in
+          let lint = Gmf_lint.Lint.run ~config scenario in
+          let expected =
+            if Gmf_lint.Lint.errors lint <> [] then lint.Gmf_lint.Lint.diagnostics
+            else
+              lint.Gmf_lint.Lint.diagnostics
+              @ Gmf_precheck.Precheck.diagnostics
+                  (Gmf_precheck.Precheck.run ~config scenario)
+          in
+          if render expected <> render o.Session.diagnostics then
+            QCheck.Test.fail_reportf
+              "event #%d (%s): gate diagnostics@\n%s@\ndiffer from the gates \
+               run from scratch@\n%s@\n%s"
+              o.Session.seq o.Session.label
+              (String.concat "\n" (render o.Session.diagnostics))
+              (String.concat "\n" (render expected))
+              text
+      | _ -> ())
+    events
+
+let check_trace_gates ~config (trace : Scenario_io.Admtrace.t) text =
+  check_gates_from_scratch ~config
+    ~switches:trace.Scenario_io.Admtrace.switches
+    ~topo:trace.Scenario_io.Admtrace.topo
+    (List.map
+       (fun (_line, ev) -> Replay.session_event ev)
+       trace.Scenario_io.Admtrace.events)
+    text
+
 (* Every trace is held to cold equivalence under the default config.
    Every third trace is also replayed with the holistic iteration capped
    at two rounds and held to the chain oracle under that cap.  These
@@ -496,9 +564,84 @@ let prop_warm_equals_cold =
         else [ Analysis.Config.default ]
       in
       List.iter
-        (fun config -> ignore (check_admits_against_chain ~config trace text))
+        (fun config ->
+          ignore (check_admits_against_chain ~config trace text);
+          check_trace_gates ~config trace text)
         configs;
       check_warm_equals_cold trace text)
+
+(* [f] with every deadline scaled by [factor]: a tight one fails
+   lint (GMF202) or precheck (GMF018). *)
+let tighten (f : Traffic.Flow.t) factor =
+  let frame (fr : Gmf.Frame_spec.t) =
+    Gmf.Frame_spec.make ~period:fr.Gmf.Frame_spec.period
+      ~deadline:
+        (max 1
+           (int_of_float (float_of_int fr.Gmf.Frame_spec.deadline *. factor)))
+      ~jitter:fr.Gmf.Frame_spec.jitter
+      ~payload_bits:fr.Gmf.Frame_spec.payload_bits
+  in
+  Traffic.Flow.make ~id:f.Traffic.Flow.id ~name:f.Traffic.Flow.name
+    ~spec:
+      (Gmf.Spec.make
+         (List.map frame (Array.to_list (Gmf.Spec.frames f.Traffic.Flow.spec))))
+    ~encap:f.Traffic.Flow.encap ~route:f.Traffic.Flow.route
+    ~priority:f.Traffic.Flow.priority
+
+(* The gate oracle on the 2x6 tile mesh, whose interference graph has
+   one component per tile: every tile's flows are admitted in a random
+   order, then random admits, removes, updates (payloads rescaled or
+   deadlines tightened), fails and restores of the tile links follow.  Each trace
+   must also reuse flows in lint and components in precheck, or the
+   oracle would hold vacuously. *)
+let tile_mesh = lazy (Test_gates.tile_mesh ~rows:2 ~cols:6)
+
+let prop_gates_from_scratch_tiles =
+  QCheck.Test.make ~name:"session gates == gates from scratch on a tile mesh"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let scenario, domain = Lazy.force tile_mesh in
+      let rng = Gmf_util.Rng.create ~seed in
+      let pool = Array.of_list (Traffic.Scenario.flows scenario) in
+      let links =
+        Array.of_list
+          (List.filter_map
+             (function Gmf_faults.Survive.Link (a, b) -> Some (a, b) | _ -> None)
+             domain)
+      in
+      let pick a = a.(Gmf_util.Rng.int rng (Array.length a)) in
+      let order = Array.map (fun f -> (Gmf_util.Rng.int rng 1_000_000, f)) pool in
+      Array.sort compare order;
+      let base =
+        Array.to_list (Array.map (fun (_, f) -> Session.Admit f) order)
+      in
+      let edits =
+        List.init 30 (fun _ ->
+            match Gmf_util.Rng.int rng 10 with
+            | 0 | 1 | 2 -> Session.Admit (pick pool)
+            | 3 | 4 -> Session.Remove (pick pool).Traffic.Flow.id
+            | 5 | 6 ->
+                Session.Update
+                  (Traffic.Flow.scale_payloads (pick pool)
+                     (pick [| 0.5; 2.; 8. |]))
+            | 7 -> Session.Update (tighten (pick pool) (pick [| 0.002; 0.01; 0.03 |]))
+            | 8 ->
+                let a, b = pick links in
+                Session.Fail_link (a, b)
+            | _ ->
+                let a, b = pick links in
+                Session.Restore_link (a, b))
+      in
+      let (), counter =
+        Test_gates.with_counters (fun () ->
+            check_gates_from_scratch ~config:Analysis.Config.default
+              ~switches:[] ~topo:(Traffic.Scenario.topo scenario)
+              (base @ edits)
+              (Printf.sprintf "tile mesh, seed %d" seed))
+      in
+      counter "lint.flows_reused" > 0
+      && counter "precheck.components_reused" > 0)
 
 (* A committed report that never converged: on a line of four switches,
    seven long-haul flows each admit within three rounds, but removing
@@ -776,6 +919,7 @@ let tests =
     Alcotest.test_case "Admission.rejected: node subject names no flow"
       `Quick test_rejected_node_subject;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    QCheck_alcotest.to_alcotest prop_gates_from_scratch_tiles;
     Alcotest.test_case "unconverged commit takes the cold fallback" `Quick
       test_unconverged_commit_falls_back;
     Alcotest.test_case "survivable session memo holds one sweep" `Quick

@@ -177,8 +177,13 @@ let test_delta_equals_cold_tiles () =
    admit is one warm-seeded, pure-growth delta run against the committed
    base, whose closure is the candidate's tile rather than the whole
    admitted set: 18 tiles of 6 flows re-analyze 18 x (1 + ... + 6) = 378
-   flows.  The committed verdict and results end equal to a cold
-   analysis of the full population. *)
+   flows.  Each admit's gates reuse the results of the last ones: lint
+   reruns the per-flow rules of the candidate alone (the k-th admit
+   reuses k - 1 flows, 0 + 1 + ... + 107 = 5778 in all) and precheck
+   tests only the component the candidate joins, so of the 1026
+   components the 108 passes see, 108 are tested and 918 reused.  The
+   committed verdict and results end equal to a cold analysis of the
+   full population. *)
 let admit_all scenario =
   let module Session = Gmf_admctl.Session in
   let session = Session.create ~topo:(Traffic.Scenario.topo scenario) () in
@@ -208,6 +213,13 @@ let test_session_admits_tiles () =
     [
       counter "delta.runs"; counter "delta.cold_fallbacks";
       counter "delta.closure_flows"; counter "fixpoint.calls";
+    ];
+  Alcotest.(check (list int))
+    "lint.runs/flows_reused, precheck.runs/components/components_reused"
+    [ 108; 5778; 108; 1026; 918 ]
+    [
+      counter "lint.runs"; counter "lint.flows_reused"; counter "precheck.runs";
+      counter "precheck.components"; counter "precheck.components_reused";
     ];
   let cold = Analysis.Holistic.analyze scenario
   and committed = Session.report session in

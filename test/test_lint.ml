@@ -417,6 +417,42 @@ let test_admission_rejects_without_fixpoint () =
   Alcotest.(check bool) "clean scenario analyzed" true
     (certified_statically || Gmf_obs.Metrics.counter_value fixpoint_calls > 0)
 
+(* ---------------- reuse across passes ---------------- *)
+
+(* [run ~prev] equals a pass from scratch when the context of the
+   per-flow findings moved while every flow record stayed physically the
+   same: the findings must differ from [prev]'s, or reuse is untested. *)
+let check_prev_equals_scratch ~what ?config ~prev scenario =
+  let render r = List.map Gmf_diag.to_string r.Gmf_lint.Lint.diagnostics in
+  let scratch = Gmf_lint.Lint.run ?config scenario in
+  Alcotest.(check bool) (what ^ ": findings moved") false
+    (render scratch = render prev);
+  Alcotest.(check (list string)) (what ^ ": run ~prev == run") (render scratch)
+    (render (Gmf_lint.Lint.run ?config ~prev scenario))
+
+(* A slower switch CPU raises CIRC on every route and pushes fig1's
+   uncontended floors past their deadlines (GMF202). *)
+let test_prev_switch_models () =
+  let fig1 = Workload.Scenarios.fig1_videoconf () in
+  let slow =
+    Traffic.Scenario.map_switches fig1 ~f:(fun _ m ->
+        Click.Switch_model.make ~croute:50_000_000
+          ~csend:m.Click.Switch_model.csend
+          ~processors:m.Click.Switch_model.processors
+          ~ninterfaces:m.Click.Switch_model.ninterfaces ())
+  in
+  Alcotest.(check bool) "GMF202 fires" true
+    (find_code "GMF202" (Gmf_lint.Lint.run slow).Gmf_lint.Lint.diagnostics
+    <> None);
+  check_prev_equals_scratch ~what:"CIRC" ~prev:(Gmf_lint.Lint.run fig1) slow
+
+(* GMF103 is a warning under Faithful and a hint under Repaired. *)
+let test_prev_variant () =
+  let fig1 = Workload.Scenarios.fig1_videoconf () in
+  check_prev_equals_scratch ~what:"variant"
+    ~prev:(Gmf_lint.Lint.run ~config:Analysis.Config.faithful fig1)
+    fig1
+
 let tests =
   [
     Alcotest.test_case "clean scenario is diagnostic-free" `Quick
@@ -462,4 +498,8 @@ let tests =
       test_json_of_real_run;
     Alcotest.test_case "admission rejects without fixpoint" `Quick
       test_admission_rejects_without_fixpoint;
+    Alcotest.test_case "run ~prev after a switch-model change" `Quick
+      test_prev_switch_models;
+    Alcotest.test_case "run ~prev under the other variant" `Quick
+      test_prev_variant;
   ]

@@ -115,13 +115,9 @@ let test_igraph_components () =
   Alcotest.(check int) "components" 2 st.Ig.components;
   Alcotest.(check int) "largest" 2 st.Ig.largest;
   Alcotest.(check int) "edges" 1 st.Ig.edges;
-  Alcotest.(check int) "a and b together"
-    (Ig.component_of g 0) (Ig.component_of g 1);
-  Alcotest.(check bool) "c apart" false
-    (Ig.component_of g 0 = Ig.component_of g 2);
   let comps = Ig.components g in
   Alcotest.(check (list (list int)))
-    "members ascending"
+    "a and b together, c apart, members ascending"
     [ [ 0; 1 ]; [ 2 ] ]
     (List.map (fun c -> c.Ig.flow_ids) comps)
 
@@ -456,6 +452,40 @@ let prop_demand_floor_below_responses =
         Test_explain.configs;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Reuse across passes                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [run ~prev] equals a pass from scratch when the context of every
+   component moved while every flow record stayed physically the same:
+   the verdicts must differ from [prev]'s, or reuse is untested. *)
+let check_prev_equals_scratch ~what ?config ~prev scenario =
+  let scratch = P.run ?config scenario in
+  Alcotest.(check bool) (what ^ ": verdicts moved") false
+    (P.to_json scratch = P.to_json prev);
+  Alcotest.(check string) (what ^ ": run ~prev == run") (P.to_json scratch)
+    (P.to_json (P.run ?config ~prev scenario))
+
+(* Doubling CROUTE raises CIRC and every certified ceiling. *)
+let test_prev_switch_models () =
+  let enterprise = Workload.Scenarios.enterprise () in
+  let slow =
+    Traffic.Scenario.map_switches enterprise ~f:(fun _ m ->
+        Click.Switch_model.make
+          ~croute:(2 * m.Click.Switch_model.croute)
+          ~csend:m.Click.Switch_model.csend
+          ~processors:m.Click.Switch_model.processors
+          ~ninterfaces:m.Click.Switch_model.ninterfaces ())
+  in
+  check_prev_equals_scratch ~what:"CIRC" ~prev:(P.run enterprise) slow
+
+(* The Repaired variant charges every own Ethernet frame a rotation. *)
+let test_prev_variant () =
+  let enterprise = Workload.Scenarios.enterprise () in
+  check_prev_equals_scratch ~what:"variant"
+    ~prev:(P.run ~config:Analysis.Config.faithful enterprise)
+    enterprise
+
 let tests =
   [
     Alcotest.test_case "interference graph decomposes clusters" `Quick
@@ -475,4 +505,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_verdicts_sound_faithful;
     QCheck_alcotest.to_alcotest prop_admtrace_sound;
     QCheck_alcotest.to_alcotest prop_demand_floor_below_responses;
+    Alcotest.test_case "run ~prev after a switch-model change" `Quick
+      test_prev_switch_models;
+    Alcotest.test_case "run ~prev under the other variant" `Quick
+      test_prev_variant;
   ]
