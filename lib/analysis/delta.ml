@@ -52,15 +52,12 @@ let make_base ~config ~scenario ~report () =
 
 let compute_base ?(config = Config.default) scenario =
   let report = Holistic.analyze ~config scenario in
-  let lint_clean =
-    Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) = []
-  in
   {
     b_config = config;
     b_scenario = scenario;
     b_report = report;
     b_ok = Holistic.converged report.Holistic.verdict;
-    b_lint_clean = lint_clean;
+    b_lint_clean = Gmf_lint.Lint.gate ~config scenario = [];
   }
 
 let base_scenario b = b.b_scenario
@@ -154,8 +151,8 @@ let interference_closure ~seeds flows =
 (* Analysis                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let lint_reject ~config scenario =
-  match Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario) with
+let lint_reject ~config ?within scenario =
+  match Gmf_lint.Lint.gate ~config ?within scenario with
   | [] -> None
   | errors -> Some (Admission.rejected errors)
 
@@ -247,12 +244,13 @@ let analyze ?(lint = false) ?(precheck = false) base target =
       let closure_ids = ids inside in
       let sub = Sharded.sub_scenario target closure_ids in
       (* Sound because the closure is a union of complete target
-         components: a lint error of the degraded scenario involves a
+         components: an error of a component-local rule involves a
          changed component (the base lints clean), and changed
-         components are wholly inside the restriction. *)
+         components are wholly inside the restriction.  Name clashes
+         cross components, so GMF001 still checks the whole target. *)
       let lint_gate =
         if not lint then None
-        else if base.b_lint_clean then lint_reject ~config sub
+        else if base.b_lint_clean then lint_reject ~config ~within:sub target
         else lint_reject ~config target
       in
       match lint_gate with

@@ -62,12 +62,13 @@ val make_base :
     (not precheck ceilings); a non-converged [report]
     ([Analysis_failed] / [No_fixed_point]) yields a base every
     {!analyze} call falls back cold from.  The base scenario is taken to
-    pass the {!Gmf_lint} error gate, which lets [analyze ~lint:true]
-    lint only the closure restriction. *)
+    pass the lint error gate ({!Gmf_lint.Lint.gate}), which lets
+    [analyze ~lint:true] run the component-local error rules on the
+    closure restriction only. *)
 
 val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 (** Cold-analyze [scenario] ({!Holistic.run}) and wrap the result; also
-    records whether the scenario lints clean. *)
+    records whether the scenario passes {!Gmf_lint.Lint.gate}. *)
 
 val base_scenario : base -> Traffic.Scenario.t
 val base_report : base -> Holistic.report
@@ -105,12 +106,20 @@ type result = {
 val analyze :
   ?lint:bool -> ?precheck:bool -> base -> Traffic.Scenario.t -> result
 (** [analyze base target] incrementally re-analyzes [target] against
-    [base] (under the base's config).  With [~lint:true] the closure
-    restriction is run through the {!Gmf_lint} error gate first (sound
-    when the base lints clean: an error involves only flows of changed
-    components, and a component is wholly inside or outside the
-    closure); errors yield an [Analysis_failed] report with zero rounds,
-    mirroring the shed-without-fixpoint fast path of the survive loop.
+    [base] (under the base's config).  With [~lint:true] the target is
+    run through the errors-only lint gate first,
+    [Gmf_lint.Lint.gate ~within:restriction target]: it runs only the
+    rules that can emit an error, and never builds a hint.  GMF001
+    (duplicate names) checks the whole target, since two flows of
+    different components can share a name; the component-local error
+    rules (GMF201, GMF202, GMF203, GMF206) run on the closure
+    restriction only.  That is sound when the base lints clean: such an
+    error involves the flows, links and switches of one component, an
+    error of the target involves a changed component, and a component
+    is wholly inside or outside the closure.  A base that does not lint
+    clean gates the whole target.  Errors yield an [Analysis_failed]
+    report with zero rounds, mirroring the shed-without-fixpoint fast
+    path of the survive loop.
 
     [precheck] (default [false]) routes a shrinking or mixed edit's cold
     closure restart — and a cold fallback's run over the full target —

@@ -11,10 +11,11 @@
     each attempt incrementally against one fault-free base fixpoint
     ({!Analysis.Delta.analyze}, lint gate and precheck on): only the
     interference closure of the case's reroutes and sheds is
-    re-analyzed, and a degraded set that fails the {!Gmf_lint} error
-    gate (e.g. a reroute saturates a link, GMF201) sheds without burning
-    fixpoint rounds.  Same-size failure sets walk in revolving-door Gray
-    order, so consecutive cases share most of their degraded sets.  A
+    re-analyzed, and a degraded set that fails the errors-only lint gate
+    ({!Gmf_lint.Lint.gate}; e.g. a reroute saturates a link, GMF201)
+    sheds without burning fixpoint rounds.  Same-size failure sets walk
+    in revolving-door Gray order, so consecutive cases share most of
+    their degraded sets.  A
     base that does not converge certifies nothing: every attempt takes
     the delta engine's cold fallback (lint gate, then the
     precheck-guided {!Analysis.Sharded.analyze} of the whole degraded

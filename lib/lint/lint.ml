@@ -54,6 +54,14 @@ let run ?(config = Analysis_config.default) ?prev scenario =
   List.iter hit diagnostics;
   { diagnostics; by_flow }
 
+let gate ?(config = Analysis_config.default) ?within scenario =
+  Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"lint" "lint.gate"
+  @@ fun () ->
+  Gmf_obs.Metrics.incr runs;
+  let errors = Rules.gate_rules ~config ?within scenario in
+  List.iter hit errors;
+  errors
+
 let errors r = Gmf_diag.by_severity Gmf_diag.Error r.diagnostics
 let warnings r = Gmf_diag.by_severity Gmf_diag.Warning r.diagnostics
 let hints r = Gmf_diag.by_severity Gmf_diag.Hint r.diagnostics

@@ -23,6 +23,19 @@ val run :
     {!Gmf_obs.Metrics.default} (visible under [gmfnet profile]) and
     traces a [lint.run] span on {!Gmf_obs.Tracer.default}. *)
 
+val gate :
+  ?config:Analysis_config.t ->
+  ?within:Traffic.Scenario.t ->
+  Traffic.Scenario.t ->
+  Gmf_diag.t list
+(** The error gate: exactly [errors (run ?config s)], the same
+    diagnostics in the same order, from only the rules that can emit an
+    error ({!Rules.gate_rules}).  Callers that need nothing but errors
+    use it, chiefly [Analysis.Delta] on every survive case.  [within] is
+    as in {!Rules.gate_rules}.  Bumps [lint.runs] and the
+    [lint.hits.<CODE>] counters of the errors it returns, and traces a
+    [lint.gate] span. *)
+
 val errors : report -> Gmf_diag.t list
 val warnings : report -> Gmf_diag.t list
 val hints : report -> Gmf_diag.t list

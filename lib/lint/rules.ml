@@ -626,6 +626,73 @@ let check_config ~(config : Analysis_config.t) scenario =
   in
   caps @ horizon
 
+(* ---------------- the rule table ---------------- *)
+
+(* How a check is applied.  A [Per_flow] check is applied to the config
+   and the scenario once per pass, and the result to each flow: the
+   route searches of GMF005 and GMF007 share their answers that way. *)
+type scope =
+  | Per_flow of
+      (config:Analysis_config.t ->
+      Traffic.Scenario.t ->
+      Traffic.Flow.t ->
+      Gmf_diag.t list)
+  | Fabric of
+      (config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list)
+
+type check = {
+  emits : string list; (* the codes the check can emit *)
+  scope : scope;
+  global : bool;
+      (* reads the flows of every interference component at once (name
+         clashes, what no flow uses), so a restriction of the scenario
+         to some components cannot stand in for the whole *)
+}
+
+(* Every scenario rule, once, in pass order: flow rules, then fabric. *)
+let checks =
+  let flow emits f = { emits; scope = Per_flow f; global = false } in
+  let fabric ?(global = false) emits f = { emits; scope = Fabric f; global } in
+  let topo = Traffic.Scenario.topo in
+  [
+    flow [ "GMF002" ] (fun ~config:_ _ -> check_redundant_remarks);
+    flow [ "GMF005" ] (fun ~config:_ s -> check_detour_route (topo s));
+    flow [ "GMF007" ] (fun ~config:_ s -> check_single_route (topo s));
+    flow [ "GMF101" ] (fun ~config:_ _ f ->
+        per_frame f check_deadline_vs_period);
+    flow [ "GMF102" ] (fun ~config:_ _ f ->
+        per_frame f check_jitter_vs_period);
+    flow [ "GMF103" ] (fun ~config _ f ->
+        per_frame f (check_fragmentation ~config));
+    flow [ "GMF202" ] (fun ~config:_ s f ->
+        per_frame f (check_impossible_deadline s));
+    fabric ~global:true [ "GMF001" ] (fun ~config:_ -> check_duplicate_names);
+    fabric [ "GMF003" ] (fun ~config:_ -> check_isolated_nodes);
+    fabric ~global:true [ "GMF004" ] (fun ~config:_ -> check_unused_links);
+    fabric ~global:true [ "GMF006" ] (fun ~config:_ -> check_unused_switches);
+    fabric [ "GMF104" ] (fun ~config:_ -> check_priority_ties);
+    fabric [ "GMF105" ] (fun ~config:_ -> check_overprovisioned_switches);
+    fabric [ "GMF201"; "GMF204" ] (fun ~config:_ -> check_link_utilization);
+    fabric [ "GMF203" ] (fun ~config:_ -> check_ingress_utilization);
+    fabric [ "GMF206"; "GMF205" ] (fun ~config -> check_config ~config);
+  ]
+
+let is_error code =
+  match find code with
+  | Some r -> r.default_severity = Gmf_diag.Error
+  | None -> false
+
+(* The checks that can emit an error, and those errors' codes. *)
+let gate_checks =
+  List.filter (fun c -> List.exists is_error c.emits) checks
+
+let gate_codes =
+  List.sort compare
+    (List.concat_map (fun c -> List.filter is_error c.emits) gate_checks)
+
+let scenario_codes =
+  List.sort compare (List.concat_map (fun c -> c.emits) checks)
+
 (* ---------------- entry points ---------------- *)
 
 let by_code_then_message (a : Gmf_diag.t) (b : Gmf_diag.t) =
@@ -638,35 +705,40 @@ let sort = List.sort by_code_then_message
 (* Rule by rule, each over every flow: the route searches of GMF005
    and GMF007 keep their working sets warm that way. *)
 let flow_rules ~config scenario flows =
-  let topo = Traffic.Scenario.topo scenario in
   let by_rule =
-    List.map
-      (fun rule -> List.map rule flows)
-      [
-        check_redundant_remarks;
-        check_detour_route topo;
-        check_single_route topo;
-        (fun f -> per_frame f check_deadline_vs_period);
-        (fun f -> per_frame f check_jitter_vs_period);
-        (fun f -> per_frame f (check_fragmentation ~config));
-        (fun f -> per_frame f (check_impossible_deadline scenario));
-      ]
+    List.filter_map
+      (fun c ->
+        match c.scope with
+        | Per_flow rule -> Some (List.map (rule ~config scenario) flows)
+        | Fabric _ -> None)
+      checks
   in
   List.fold_right (List.map2 ( @ )) by_rule (List.map (fun _ -> []) flows)
 
 let fabric_rules ~config scenario =
-  List.concat
-    [
-      check_duplicate_names scenario;
-      check_isolated_nodes scenario;
-      check_unused_links scenario;
-      check_unused_switches scenario;
-      check_priority_ties scenario;
-      check_overprovisioned_switches scenario;
-      check_link_utilization scenario;
-      check_ingress_utilization scenario;
-      check_config ~config scenario;
-    ]
+  List.concat_map
+    (fun c ->
+      match c.scope with
+      | Fabric rule -> rule ~config scenario
+      | Per_flow _ -> [])
+    checks
+
+(* Each rule's findings come in the order of the full pass, and each
+   code has one rule, so the stable sort lines the errors up exactly as
+   in [sort (flow_rules @ fabric_rules)]. *)
+let gate_rules ~config ?within scenario =
+  List.concat_map
+    (fun c ->
+      let s =
+        if c.global then scenario else Option.value within ~default:scenario
+      in
+      match c.scope with
+      | Per_flow rule ->
+          List.concat_map (rule ~config s) (Traffic.Scenario.flows s)
+      | Fabric rule -> rule ~config s)
+    gate_checks
+  |> Gmf_diag.by_severity Gmf_diag.Error
+  |> sort
 
 let flow_gate scenario (f : Traffic.Flow.t) =
   Gmf_precheck.Static_tests.route_overloads scenario f

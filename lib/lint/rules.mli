@@ -32,11 +32,21 @@ val find : string -> rule option
 
 (** {2 The scenario rules}
 
-    Every static rule is in exactly one of the two groups below, and a
-    whole pass is [sort (concat (flow_rules of every flow, in flow order)
-    @ fabric_rules)].  Pure: no fixpoint is executed, no metrics are
-    recorded (that is {!Lint.run}'s job, which also reuses per-flow
-    findings across passes). *)
+    Every static rule is declared once, in one table that lists the
+    codes it can emit.  It is in exactly one of the two groups below,
+    and a whole pass is [sort (concat (flow_rules of every flow, in flow
+    order) @ fabric_rules)].  {!gate_rules} selects from the same table
+    the rules that can emit an error.  Pure: no fixpoint is executed, no
+    metrics are recorded (that is {!Lint.run}'s and {!Lint.gate}'s job;
+    [run] also reuses per-flow findings across passes). *)
+
+val scenario_codes : string list
+(** Every code the table's rules can emit, ascending: the catalog minus
+    the constructor, admission and precheck codes GMF010–GMF019. *)
+
+val gate_codes : string list
+(** The codes of {!gate_rules}, ascending: the [Error] codes of the
+    table's rules (GMF001, GMF201, GMF202, GMF203, GMF206). *)
 
 val flow_rules :
   config:Analysis_config.t ->
@@ -54,6 +64,25 @@ val fabric_rules :
 (** The per-link and global rules, which read the whole flow set:
     GMF001, GMF003, GMF004, GMF006, GMF104, GMF105, GMF201, GMF203,
     GMF204, GMF205 and GMF206. *)
+
+val gate_rules :
+  config:Analysis_config.t ->
+  ?within:Traffic.Scenario.t ->
+  Traffic.Scenario.t ->
+  Gmf_diag.t list
+(** The errors of a whole pass, and only those: the rules that can emit
+    an error, with their other findings (GMF204 hints, the GMF205
+    warning) dropped, sorted as the whole pass sorts.  So
+    [gate_rules ~config s] is [by_severity Error (sort (flow_rules ~config
+    s (flows s) @ fabric_rules ~config s))], in the same order.
+
+    [within] is a restriction of the scenario to complete interference
+    components ({!Traffic.Scenario.with_flows}).  With it, the rules that
+    read across components (GMF001: a duplicate name may sit in another
+    component) still run on the whole scenario, and the component-local
+    ones (GMF201, GMF202, GMF203, GMF206) run on [within] only: their
+    errors are then those of the whole scenario that involve [within]'s
+    flows, links and switches. *)
 
 val sort : Gmf_diag.t list -> Gmf_diag.t list
 (** Stable sort by code, then message. *)

@@ -120,6 +120,42 @@ let test_structure_change_falls_back () =
   Alcotest.(check bool) "fallback bounds equal cold" true
     (bounds_of cold = bounds_of d.Delta.d_report)
 
+(* A name clash crosses interference components: renaming flow rnd0 of
+   the 6x6 tile mesh to rnd107, a flow of another tile, leaves the
+   closure at rnd0's tile, yet the target must be rejected exactly as a
+   full lint pass rejects it. *)
+let test_lint_gate_duplicate_name_across_components () =
+  let scenario, _ = Test_gates.tile_mesh ~rows:6 ~cols:6 in
+  let renamed =
+    List.map
+      (fun (f : Traffic.Flow.t) ->
+        if f.Traffic.Flow.name <> "rnd0" then f
+        else
+          Traffic.Flow.make ~id:f.Traffic.Flow.id ~name:"rnd107"
+            ~spec:f.Traffic.Flow.spec ~encap:f.Traffic.Flow.encap
+            ~route:f.Traffic.Flow.route ~priority:f.Traffic.Flow.priority)
+      (Traffic.Scenario.flows scenario)
+  in
+  let target = Traffic.Scenario.with_flows scenario renamed in
+  let full = Gmf_lint.Lint.errors (Gmf_lint.Lint.run target) in
+  Alcotest.(check (list string)) "full pass: one GMF001" [ "GMF001" ]
+    (List.map (fun d -> d.Gmf_diag.code) full);
+  let d = Delta.analyze ~lint:true (Delta.compute_base scenario) target in
+  Alcotest.(check int) "closure is rnd0's tile" 6
+    d.Delta.d_stats.Delta.closure_flows;
+  Alcotest.(check int) "over the whole mesh" 108
+    d.Delta.d_stats.Delta.total_flows;
+  match d.Delta.d_report.Analysis.Holistic.verdict with
+  | Analysis.Holistic.Analysis_failed _ ->
+      Alcotest.(check string) "rejected as the full pass rejects"
+        (Format.asprintf "%a" Analysis.Holistic.pp_verdict
+           (Analysis.Admission.rejected full).Analysis.Holistic.verdict)
+        (Format.asprintf "%a" Analysis.Holistic.pp_verdict
+           d.Delta.d_report.Analysis.Holistic.verdict)
+  | v ->
+      Alcotest.failf "expected a lint rejection, got %a"
+        Analysis.Holistic.pp_verdict v
+
 (* ------------------------------------------------------------------ *)
 (* Survive sweeps: delta engine vs the cold test oracle                *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +428,8 @@ let tests =
     Alcotest.test_case "identity edit is free" `Quick test_identity_edit_free;
     Alcotest.test_case "structure change falls back cold" `Quick
       test_structure_change_falls_back;
+    Alcotest.test_case "lint gate: duplicate name across components" `Quick
+      test_lint_gate_duplicate_name_across_components;
     Alcotest.test_case "survive delta == cold at k=2 (fig1)" `Quick
       test_survive_delta_equals_cold_k2;
     Alcotest.test_case "gray-code failure walk" `Quick test_gray_code_walk;

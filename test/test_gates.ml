@@ -152,9 +152,21 @@ let test_delta_equals_cold_tiles () =
   Alcotest.(check int) "tile links" 18 (List.length domain);
   (* The first 8 tile links (rows 0-2) keep the sweep at 36 cases. *)
   let domain = List.filteri (fun i _ -> i < 8) domain in
-  let d = Survive.run ~k:2 ~domain scenario in
+  let d, counter =
+    with_counters (fun () -> Survive.run ~k:2 ~domain scenario)
+  in
   let c = Survive_oracle.run ~k:2 ~domain scenario in
   Alcotest.(check int) "cases" 36 (List.length d.Survive.cases);
+  (* One error gate for the base and one per case, since every case
+     settles on its first delta attempt; the gates build no hint and no
+     warning. *)
+  Alcotest.(check int) "lint.runs" 37 (counter "lint.runs");
+  Alcotest.(check int) "hint and warning lint.hits" 0
+    (List.fold_left
+       (fun acc (r : Gmf_lint.Rules.rule) ->
+         if r.Gmf_lint.Rules.default_severity = Gmf_diag.Error then acc
+         else acc + counter ("lint.hits." ^ r.Gmf_lint.Rules.code))
+       0 Gmf_lint.Rules.catalog);
   Alcotest.(check string) "delta signature == oracle signature"
     (sweep_signature scenario c)
     (sweep_signature scenario d);

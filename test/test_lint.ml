@@ -453,6 +453,181 @@ let test_prev_variant () =
     ~prev:(Gmf_lint.Lint.run ~config:Analysis.Config.faithful fig1)
     fig1
 
+(* ---------------- the error gate ---------------- *)
+
+(* [Lint.gate] runs only the rules that can emit an error; it must equal
+   the errors of the full pass, as a list. *)
+let check_gate ~what ~config scenario =
+  Alcotest.(check (list diag))
+    (what ^ ": gate == errors of run")
+    (Gmf_lint.Lint.errors (Gmf_lint.Lint.run ~config scenario))
+    (Gmf_lint.Lint.gate ~config scenario)
+
+let gate_configs =
+  [
+    ("default", Analysis.Config.default);
+    ("faithful", Analysis.Config.faithful);
+    ("tight", Analysis.Config.tight);
+  ]
+
+(* The checked-in scenarios: the linted examples and the corpus of
+   scenarios that fail the analysis on purpose. *)
+let test_gate_equals_run_corpus () =
+  let examples = Example_corpus.dir () in
+  let corpus =
+    Filename.concat
+      (Filename.dirname (Filename.dirname examples))
+      (Filename.concat "test" "corpus")
+  in
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".gmfnet")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let paths = files examples @ files corpus in
+  Alcotest.(check bool) "corpus scenarios present" true
+    (List.exists
+       (fun p -> Filename.basename p = "split_overload.gmfnet")
+       paths);
+  List.iter
+    (fun path ->
+      match Scenario_io.Parse.scenario_of_file path with
+      | Error e -> Alcotest.failf "%s: %a" path Scenario_io.Parse.pp_error e
+      | Ok scenario ->
+          List.iter
+            (fun (name, config) ->
+              check_gate
+                ~what:(Filename.basename path ^ " " ^ name)
+                ~config scenario)
+            gate_configs)
+    paths
+
+(* A flow rebuilt with another name or spec, remarks kept. *)
+let rebuild ?name ?spec (f : Traffic.Flow.t) =
+  let g =
+    Traffic.Flow.make ~id:f.Traffic.Flow.id
+      ~name:(Option.value name ~default:f.Traffic.Flow.name)
+      ~spec:(Option.value spec ~default:f.Traffic.Flow.spec)
+      ~encap:f.Traffic.Flow.encap ~route:f.Traffic.Flow.route
+      ~priority:f.Traffic.Flow.priority
+  in
+  if f.Traffic.Flow.remarks = [] then g
+  else Traffic.Flow.with_remarks g f.Traffic.Flow.remarks
+
+(* A generated mesh, fat-tree or ring of rings with 20 to 200 flows,
+   loaded up to 0.7 or 1 per resource, and errors injected at random: a
+   flow whose payloads grow 2000 to 32000 times, loading its links past 1
+   at 100 Mbit/s (GMF201) and its ingresses past 1 at 10 Gbit/s (GMF203),
+   a duplicated name (GMF001) and a frame deadline of 1 ns, far below
+   its uncontended floor (GMF202). *)
+let gen_erroneous rng =
+  let module G = Gmf_topogen.Gen_spec in
+  let family =
+    match Gmf_util.Rng.int rng 3 with
+    | 0 -> G.Mesh { rows = 4; cols = 4; planes = 1 }
+    | 1 -> G.Fat_tree { k = 4 }
+    | _ -> G.Ring_of_rings { rings = 4; ring_size = 4 }
+  in
+  let spec =
+    {
+      G.default with
+      G.family;
+      hosts_per_switch = 2;
+      rate_bps =
+        (if Gmf_util.Rng.int rng 2 = 0 then 100_000_000 else 10_000_000_000);
+      flows = 20 + Gmf_util.Rng.int rng 181;
+      max_util = (if Gmf_util.Rng.int rng 2 = 0 then 0.7 else 1.);
+      seed = Gmf_util.Rng.int rng 1_000_000;
+    }
+  in
+  let scenario =
+    (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+  in
+  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
+  let n = Array.length flows in
+  let pick () = Gmf_util.Rng.int rng n in
+  if n >= 1 && Gmf_util.Rng.int rng 2 = 0 then begin
+    let i = pick () in
+    flows.(i) <-
+      Traffic.Flow.scale_payloads flows.(i)
+        (float_of_int (2000 lsl (2 * Gmf_util.Rng.int rng 3)))
+  end;
+  if n >= 2 && Gmf_util.Rng.int rng 2 = 0 then begin
+    let a = pick () and b = pick () in
+    if a <> b then
+      flows.(b) <- rebuild ~name:flows.(a).Traffic.Flow.name flows.(b)
+  end;
+  if n >= 1 && Gmf_util.Rng.int rng 2 = 0 then begin
+    let i = pick () in
+    let f = flows.(i) in
+    let k = Gmf_util.Rng.int rng (Traffic.Flow.n f) in
+    let frames =
+      Array.to_list (Gmf.Spec.frames f.Traffic.Flow.spec)
+      |> List.mapi (fun j (fr : Gmf.Frame_spec.t) ->
+             if j <> k then fr
+             else
+               Gmf.Frame_spec.make ~period:fr.Gmf.Frame_spec.period
+                 ~deadline:1 ~jitter:fr.Gmf.Frame_spec.jitter
+                 ~payload_bits:fr.Gmf.Frame_spec.payload_bits)
+    in
+    flows.(i) <- rebuild ~spec:(Gmf.Spec.make frames) f
+  end;
+  Traffic.Scenario.with_flows scenario (Array.to_list flows)
+
+(* Every generated scenario under the default, faithful and tight
+   configs, one of them with a non-positive cap (GMF206) or a horizon
+   under the deadlines (the GMF205 warning the gate drops).  Between
+   them the cases raise every code the gate can emit. *)
+let test_gate_equals_run_generated () =
+  let rng = Gmf_util.Rng.create ~seed:30 in
+  let seen = Hashtbl.create 8 in
+  for i = 1 to 20 do
+    let scenario = gen_erroneous rng in
+    let capped =
+      match Gmf_util.Rng.int rng 3 with
+      | 0 -> { Analysis.Config.default with max_q = 0 }
+      | 1 -> { Analysis.Config.default with max_busy_iters = -1 }
+      | _ -> { Analysis.Config.default with horizon = 1 }
+    in
+    List.iter
+      (fun (name, config) ->
+        check_gate ~what:(Printf.sprintf "generated #%d %s" i name) ~config
+          scenario;
+        List.iter
+          (fun d -> Hashtbl.replace seen d.Gmf_diag.code ())
+          (Gmf_lint.Lint.gate ~config scenario))
+      (("capped", capped) :: gate_configs)
+  done;
+  Alcotest.(check (list string)) "every gate code raised"
+    Gmf_lint.Rules.gate_codes
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+
+(* The gate's rules are those of the table that can emit an error: every
+   Error code of the catalog but the ones no scenario rule produces
+   (constructors, admission, precheck: GMF010-GMF018).  A new error rule
+   cannot be left out of the gate. *)
+let test_gate_codes () =
+  let non_scenario code = code >= "GMF010" && code <= "GMF019" in
+  let catalog_codes p =
+    List.filter_map
+      (fun r -> if p r then Some r.Gmf_lint.Rules.code else None)
+      Gmf_lint.Rules.catalog
+  in
+  Alcotest.(check (list string))
+    "gate codes == catalog errors - GMF010..GMF018"
+    (catalog_codes (fun r ->
+         r.Gmf_lint.Rules.default_severity = Gmf_diag.Error
+         && not (non_scenario r.Gmf_lint.Rules.code)))
+    Gmf_lint.Rules.gate_codes;
+  Alcotest.(check (list string)) "gate codes"
+    [ "GMF001"; "GMF201"; "GMF202"; "GMF203"; "GMF206" ]
+    Gmf_lint.Rules.gate_codes;
+  Alcotest.(check (list string))
+    "scenario rule codes == catalog - GMF010..GMF019"
+    (catalog_codes (fun r -> not (non_scenario r.Gmf_lint.Rules.code)))
+    Gmf_lint.Rules.scenario_codes
+
 let tests =
   [
     Alcotest.test_case "clean scenario is diagnostic-free" `Quick
@@ -502,4 +677,10 @@ let tests =
       test_prev_switch_models;
     Alcotest.test_case "run ~prev under the other variant" `Quick
       test_prev_variant;
+    Alcotest.test_case "gate == errors of run on the corpus" `Quick
+      test_gate_equals_run_corpus;
+    Alcotest.test_case "gate == errors of run on generated fabrics" `Quick
+      test_gate_equals_run_generated;
+    Alcotest.test_case "gate codes are the catalog's errors" `Quick
+      test_gate_codes;
   ]
