@@ -204,11 +204,6 @@ let fingerprint t =
     t.s_warm t.s_cold t.s_rounds t.s_saved;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Derived from the committed scenario: its topology, declared switch
-   models and the link tables of every flow record it keeps. *)
-let scenario_of t flows =
-  Traffic.Scenario.with_flows (Analysis.Delta.base_scenario t.base) flows
-
 let topo t = Traffic.Scenario.topo (Analysis.Delta.base_scenario t.base)
 
 let find_flow t id =
@@ -322,12 +317,29 @@ let shadow_check t scenario report =
         equivalent = reports_equivalent report cold;
       }
 
+(* A put record equal to the committed one edits nothing: an update
+   that restates a flow keeps the committed fixpoint. *)
+let changed_only t (edit : Analysis.Delta.edit) =
+  let committed = Analysis.Delta.base_scenario t.base in
+  let changed (f : Traffic.Flow.t) =
+    match Traffic.Scenario.flow committed f.Traffic.Flow.id with
+    | old ->
+        old != f
+        && Analysis.Case.flow_digest old <> Analysis.Case.flow_digest f
+    | exception Invalid_argument _ -> true
+  in
+  {
+    edit with
+    Analysis.Delta.put = List.filter changed edit.Analysis.Delta.put;
+  }
+
 (* The one fixpoint run of every event that edits the committed flow set
-   (admit, remove, update, the fail loop's degraded sets): [scenario] is
-   an {!Analysis.Delta} edit of the committed base, so only the edit's
-   interference closure is re-analyzed and every other flow carries its
-   committed bounds over.  An admit is a pure-growth edit, warm-seeded
-   from the committed results.  Counted as a warm start exactly when
+   (admit, remove, update, the fail loop's degraded sets): [edit] is the
+   event's {!Analysis.Delta} edit of the committed base and [scenario]
+   the edited set in full, so only the edit's interference closure is
+   re-analyzed and every other flow carries its committed bounds over.
+   An admit is a pure-growth edit, warm-seeded from the committed
+   results.  Counted as a warm start exactly when
    committed state was reused — some flow was certified untouched, or a
    pure-growth closure was warm-seeded; an edit whose closure swallows
    the whole set restarts from source jitters and counts cold, as does
@@ -338,8 +350,8 @@ let shadow_check t scenario report =
    here too; events do their own linting, so the engine's gate stays
    off.  Returns the report, how the run started, the shadow comparison
    and (explain sessions only) the worst-frame attribution summary. *)
-let run_fixpoint t scenario =
-  let d = Analysis.Delta.analyze t.base scenario in
+let run_fixpoint t edit scenario =
+  let d = Analysis.Delta.analyze t.base (changed_only t edit) in
   let report = d.Analysis.Delta.d_report in
   let s = d.Analysis.Delta.d_stats in
   let reused =
@@ -402,8 +414,8 @@ let precheck t scenario =
    on the tentative scenario after the fixpoint accepts and before the
    commit: a non-empty diagnostic list rejects, leaving the session
    untouched. *)
-let try_set ?gate t ~label ~flows =
-  let scenario = scenario_of t flows in
+let try_set ?gate t ~label ~edit =
+  let scenario = Analysis.Delta.target t.base edit in
   let lint = lint t scenario in
   match Gmf_lint.Lint.errors lint with
   | _ :: _ as errors ->
@@ -426,7 +438,7 @@ let try_set ?gate t ~label ~flows =
             ~shadow:None ()
       | [] -> (
           let diagnostics = lint.Gmf_lint.Lint.diagnostics @ pre_diags in
-          let report, start, shadow, explain = run_fixpoint t scenario in
+          let report, start, shadow, explain = run_fixpoint t edit scenario in
           let accepted = Analysis.Holistic.is_schedulable report in
           let gate_diags =
             match gate with Some g when accepted -> g scenario | _ -> []
@@ -454,7 +466,7 @@ let apply_admit t flow =
       reject_diag t ~label (failed_route_diag t flow)
   | None ->
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(flow :: flows t)
+        ~edit:{ Analysis.Delta.removed = []; put = [ flow ] }
 
 let apply_remove t id =
   match find_flow t id with
@@ -464,11 +476,9 @@ let apply_remove t id =
         (unknown_diag ~what:"remove" id)
   | Some victim ->
       let label = "remove " ^ victim.Traffic.Flow.name in
-      let scenario =
-        scenario_of t
-          (List.filter (fun f -> f.Traffic.Flow.id <> id) (flows t))
-      in
-      let report, start, shadow, explain = run_fixpoint t scenario in
+      let edit = { Analysis.Delta.removed = [ id ]; put = [] } in
+      let scenario = Analysis.Delta.target t.base edit in
+      let report, start, shadow, explain = run_fixpoint t edit scenario in
       (* The departure happens regardless of the refreshed verdict. *)
       commit t ~scenario ~report;
       mk_outcome t ~label ~accepted:true
@@ -484,16 +494,12 @@ let apply_update t flow =
   | Some _ when routed_over_failure t flow ->
       reject_diag t ~label (failed_route_diag t flow)
   | Some _ ->
-      let rest =
-        List.filter
-          (fun f -> f.Traffic.Flow.id <> flow.Traffic.Flow.id)
-          (flows t)
-      in
-      (* The delta engine diffs old vs new parameters itself, closes the
-         edit under interference and restarts only the closure from
-         source jitters (a parameter change is never a pure growth). *)
+      (* The new record replaces the committed one; the delta engine
+         closes the edit under interference and restarts only the
+         closure from source jitters (a parameter change is never a pure
+         growth). *)
       try_set t ?gate:(survive_gate t flow) ~label
-        ~flows:(flow :: rest)
+        ~edit:{ Analysis.Delta.removed = []; put = [ flow ] }
 
 let link_subject a b = Gmf_diag.Link { src = a; dst = b }
 
@@ -545,13 +551,16 @@ let apply_fail t a b =
         ~degradation:(Some { rerouted = []; shed = [] })
         ()
     else begin
-      let attempt scenario =
+      let attempt edit =
+        let scenario = Analysis.Delta.target t.base edit in
         match Gmf_lint.Lint.errors (lint t scenario) with
         | _ :: _ as errors ->
             ( Analysis.Admission.rejected errors,
               (scenario, Skipped, None, None) )
         | [] ->
-            let report, start, shadow, explain = run_fixpoint t scenario in
+            let report, start, shadow, explain =
+              run_fixpoint t edit scenario
+            in
             (report, (scenario, start, shadow, explain))
       in
       let {
@@ -565,7 +574,7 @@ let apply_fail t a b =
       } =
         Gmf_faults.Survive.degrade ~pinned:safe ~avoid_links:avoid
           ~avoid_nodes:[] ~attempt
-          (Analysis.Delta.base_scenario t.base)
+          (Gmf_faults.Survive.sweep (Analysis.Delta.base_scenario t.base))
       in
       let pre_shed =
         List.filter_map

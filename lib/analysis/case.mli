@@ -31,8 +31,8 @@ val digest : config:Config.t -> Traffic.Scenario.t -> string
 val flow_digest : Traffic.Flow.t -> string
 (** The canonical per-flow fragment of {!digest} (id, name,
     encapsulation, priority, route, remarks, frame specs).  Two flows
-    with equal fragments are interchangeable for the analysis; {!Delta}
-    diffs flow sets with it. *)
+    with equal fragments are interchangeable for the analysis; an
+    admission session drops an update that restates a flow with it. *)
 
 val shared_memo : Holistic.report Gmf_exec.Memo.t
 (** The process-wide report cache every entry point below shares.  A

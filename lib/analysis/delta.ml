@@ -1,7 +1,18 @@
-(* Incremental re-analysis against a converged base fixpoint: diff the
-   flow sets, close the edit under interference (routes sharing a node),
-   fixpoint only the closure, carry everything else over.  See delta.mli
-   for the soundness argument; docs/DELTA.md spells it out in full. *)
+(* Incremental re-analysis against a converged base fixpoint: close the
+   edit under interference (routes sharing a node) through the base's
+   components, fixpoint only the closure, carry everything else over.
+   See delta.mli for the soundness argument; docs/DELTA.md spells it out
+   in full. *)
+
+type edit = { removed : Traffic.Flow.id list; put : Traffic.Flow.t list }
+
+(* The base's node-sharing components, a node -> component index and a
+   name -> flows index, built at the first edit that needs them. *)
+type index = {
+  comp_of_node : (Network.Node.id, int) Hashtbl.t;
+  members : Traffic.Flow.t list array;  (** Per component, in id order. *)
+  by_name : (string, Traffic.Flow.t list) Hashtbl.t;
+}
 
 type base = {
   b_config : Config.t;
@@ -9,6 +20,8 @@ type base = {
   b_report : Holistic.report;
   b_ok : bool;
   b_lint_clean : bool;
+  b_index : index Lazy.t;
+  b_pool : Traffic.Scenario.params_pool;
 }
 
 type stats = {
@@ -41,118 +54,160 @@ let m_saved =
 let m_fallbacks =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "delta.cold_fallbacks"
 
-let make_base ~config ~scenario ~report () =
+let build_index scenario =
+  let groups =
+    Array.of_list
+      (Gmf_precheck.Igraph.groups (Traffic.Scenario.flows scenario))
+  in
+  let comp_of_node = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
+  Array.iteri
+    (fun cid members ->
+      List.iter
+        (fun (f : Traffic.Flow.t) ->
+          List.iter
+            (fun node -> Hashtbl.replace comp_of_node node cid)
+            (Network.Route.nodes f.Traffic.Flow.route))
+        members)
+    groups;
+  List.iter
+    (fun (f : Traffic.Flow.t) ->
+      let name = f.Traffic.Flow.name in
+      Hashtbl.replace by_name name
+        (f :: Option.value ~default:[] (Hashtbl.find_opt by_name name)))
+    (Traffic.Scenario.flows scenario);
+  { comp_of_node; members = groups; by_name }
+
+let wrap ~config ~scenario ~report ~lint_clean =
   {
     b_config = config;
     b_scenario = scenario;
     b_report = report;
     b_ok = Holistic.converged report.Holistic.verdict;
-    b_lint_clean = true;
+    b_lint_clean = lint_clean;
+    b_index = lazy (build_index scenario);
+    b_pool = Traffic.Scenario.params_pool ();
   }
+
+let make_base ~config ~scenario ~report () =
+  wrap ~config ~scenario ~report ~lint_clean:true
 
 let compute_base ?(config = Config.default) scenario =
   let report = Holistic.analyze ~config scenario in
-  {
-    b_config = config;
-    b_scenario = scenario;
-    b_report = report;
-    b_ok = Holistic.converged report.Holistic.verdict;
-    b_lint_clean = Gmf_lint.Lint.gate ~config scenario = [];
-  }
+  wrap ~config ~scenario ~report
+    ~lint_clean:(Gmf_lint.Lint.gate ~config scenario = [])
 
 let base_scenario b = b.b_scenario
 let base_report b = b.b_report
 let base_ok b = b.b_ok
 
 (* ------------------------------------------------------------------ *)
-(* Structure comparison and flow diff                                  *)
+(* The edit against the base                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The comparison only holds when everything outside the flow sets is
-   identical: topology (nodes and links), config (shared by
-   construction) and the models of every switch both scenarios know.  A
-   switch only one side models serves only routes of added/removed/
-   changed flows — those are closure seeds anyway. *)
-let same_structure b target =
-  let bt = Traffic.Scenario.topo b.b_scenario
-  and tt = Traffic.Scenario.topo target in
-  (bt == tt
-  || Network.Topology.nodes bt = Network.Topology.nodes tt
-     && Network.Topology.links bt = Network.Topology.links tt)
-  && List.for_all
-       (fun n ->
-         match Traffic.Scenario.switch_model b.b_scenario n with
-         | bm -> bm = Traffic.Scenario.switch_model target n
-         | exception Invalid_argument _ -> true)
-       (Traffic.Scenario.switch_nodes target)
+let ids_of flows =
+  let t = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Traffic.Flow.t) -> Hashtbl.replace t f.Traffic.Flow.id ())
+    flows;
+  t
 
-(* Added/removed/changed (old, new) between the base and target flow
-   sets, by id.  Physical equality short-circuits the canonical
-   serialization — the common case, since drivers reuse the unchanged
-   flow records. *)
-let diff_flows base_flows target_flows =
-  let btbl = Hashtbl.create 64 and ttbl = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Traffic.Flow.t) -> Hashtbl.replace btbl f.Traffic.Flow.id f)
-    base_flows;
-  List.iter
-    (fun (f : Traffic.Flow.t) -> Hashtbl.replace ttbl f.Traffic.Flow.id f)
-    target_flows;
-  let added =
-    List.filter
-      (fun (f : Traffic.Flow.t) -> not (Hashtbl.mem btbl f.Traffic.Flow.id))
-      target_flows
+(* The target's flows in id order: the base's, minus the removed and
+   replaced ones, merged with the put records. *)
+let target_flows base edit =
+  let edited = ids_of edit.put in
+  List.iter (fun id -> Hashtbl.replace edited id ()) edit.removed;
+  let put =
+    List.sort
+      (fun (a : Traffic.Flow.t) (b : Traffic.Flow.t) ->
+        compare a.Traffic.Flow.id b.Traffic.Flow.id)
+      edit.put
   in
-  let removed =
-    List.filter
-      (fun (f : Traffic.Flow.t) -> not (Hashtbl.mem ttbl f.Traffic.Flow.id))
-      base_flows
+  let rec merge kept put =
+    match (kept, put) with
+    | [], rest | rest, [] -> rest
+    | (k : Traffic.Flow.t) :: ks, (p : Traffic.Flow.t) :: ps ->
+        if k.Traffic.Flow.id < p.Traffic.Flow.id then k :: merge ks put
+        else p :: merge kept ps
   in
-  let changed =
-    List.filter_map
-      (fun (nw : Traffic.Flow.t) ->
-        match Hashtbl.find_opt btbl nw.Traffic.Flow.id with
-        | Some old when old != nw && Case.flow_digest old <> Case.flow_digest nw
-          ->
-            Some (old, nw)
-        | _ -> None)
-      target_flows
-  in
-  (added, removed, changed)
+  merge
+    (List.filter
+       (fun (f : Traffic.Flow.t) ->
+         not (Hashtbl.mem edited f.Traffic.Flow.id))
+       (Traffic.Scenario.flows base.b_scenario))
+    put
 
-(* ------------------------------------------------------------------ *)
-(* Interference closure                                                *)
-(* ------------------------------------------------------------------ *)
+let target base edit =
+  Traffic.Scenario.with_flows ~pool:base.b_pool base.b_scenario
+    (target_flows base edit)
 
-(* Ids of [flows] in the node-sharing components ({!Gmf_precheck.Igraph})
-   that hold a seed; always contains the seeds' ids.  A record whose id
-   is a seed's is a version of that seed, so membership is by id. *)
-let interference_closure ~seeds flows =
-  let seed_ids = Hashtbl.create 16 in
+(* The base records the edit drops or replaces: the old versions of its
+   seeds. *)
+let old_versions base edit =
+  let old id =
+    match Traffic.Scenario.flow base.b_scenario id with
+    | f -> Some f
+    | exception Invalid_argument _ -> None
+  in
+  List.filter_map old edit.removed
+  @ List.filter_map
+      (fun (f : Traffic.Flow.t) -> old f.Traffic.Flow.id)
+      edit.put
+
+(* The target flows in the edit's interference closure: the put records
+   and the surviving members of every base component that a seed's old
+   or new route touches.  Over the union of base and target flows, the
+   node-sharing components holding a seed are exactly these: a base
+   component joins a seed's union component only through a seed (every
+   record the base lacks is one), and it does so by sharing a node with
+   that seed's route or by holding its old version. *)
+let closure_flows base edit ~old =
+  let ix = Lazy.force base.b_index in
+  let comps = Hashtbl.create 8 in
   List.iter
-    (fun (s : Traffic.Flow.t) -> Hashtbl.replace seed_ids s.Traffic.Flow.id ())
-    seeds;
-  let closure = Hashtbl.create 16 in
+    (fun (f : Traffic.Flow.t) ->
+      List.iter
+        (fun node ->
+          match Hashtbl.find_opt ix.comp_of_node node with
+          | Some cid -> Hashtbl.replace comps cid ()
+          | None -> ())
+        (Network.Route.nodes f.Traffic.Flow.route))
+    (old @ edit.put);
+  let dropped = ids_of old in
+  Hashtbl.fold
+    (fun cid () acc ->
+      List.filter
+        (fun (f : Traffic.Flow.t) ->
+          not (Hashtbl.mem dropped f.Traffic.Flow.id))
+        ix.members.(cid)
+      @ acc)
+    comps edit.put
+
+(* The flows whose names can clash with a put record's in the target:
+   the put records and the surviving base flows of the same names.  In
+   a base that lints clean, every duplicate name of the target involves
+   a put record. *)
+let name_clash_candidates base edit ~old =
+  let ix = Lazy.force base.b_index in
+  let dropped = ids_of old in
+  let names = Hashtbl.create 8 in
   List.iter
-    (fun group ->
-      if
-        List.exists
-          (fun (f : Traffic.Flow.t) -> Hashtbl.mem seed_ids f.Traffic.Flow.id)
-          group
-      then
-        List.iter
-          (fun (f : Traffic.Flow.t) ->
-            Hashtbl.replace closure f.Traffic.Flow.id ())
-          group)
-    (Gmf_precheck.Igraph.groups flows);
-  closure
+    (fun (f : Traffic.Flow.t) -> Hashtbl.replace names f.Traffic.Flow.name ())
+    edit.put;
+  Hashtbl.fold
+    (fun name () acc ->
+      List.filter
+        (fun (f : Traffic.Flow.t) ->
+          not (Hashtbl.mem dropped f.Traffic.Flow.id))
+        (Option.value ~default:[] (Hashtbl.find_opt ix.by_name name))
+      @ acc)
+    names edit.put
 
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let lint_reject ~config ?within scenario =
-  match Gmf_lint.Lint.gate ~config ?within scenario with
+let lint_reject ~config ?names scenario =
+  match Gmf_lint.Lint.gate ~config ?names scenario with
   | [] -> None
   | errors -> Some (Admission.rejected errors)
 
@@ -184,8 +239,8 @@ let cold_run ~precheck ~config scenario =
     r
   else Holistic.analyze ~config scenario
 
-(* Comparison ruled out: analyze the target cold (optionally through the
-   full-scenario lint gate), certify nothing. *)
+(* The base did not converge: analyze the whole target cold (optionally
+   through the full-scenario lint gate), certify nothing. *)
 let cold ~lint ~precheck ~config target =
   let total = Traffic.Scenario.flow_count target in
   let report =
@@ -201,18 +256,13 @@ let cold ~lint ~precheck ~config target =
         ~fallback:true ~warm:false;
   }
 
-let analyze ?(lint = false) ?(precheck = false) base target =
+let analyze ?(lint = false) ?(precheck = false) base edit =
   let config = base.b_config in
-  let target_flows = Traffic.Scenario.flows target in
-  let total = List.length target_flows in
-  if not (base.b_ok && same_structure base target) then
-    cold ~lint ~precheck ~config target
+  if not base.b_ok then cold ~lint ~precheck ~config (target base edit)
   else begin
-    let base_flows = Traffic.Scenario.flows base.b_scenario in
-    let added, removed, changed = diff_flows base_flows target_flows in
-    if
-      added = [] && removed = [] && changed = []
-      && not (lint && not base.b_lint_clean)
+    let target_flows = target_flows base edit in
+    let total = List.length target_flows in
+    if edit.removed = [] && edit.put = [] && not (lint && not base.b_lint_clean)
     then
       (* Identity edit: the base fixpoint is the answer.  A base that
          does not lint clean still goes through the lint gate below,
@@ -227,31 +277,28 @@ let analyze ?(lint = false) ?(precheck = false) base target =
             ~saved:base.b_report.Holistic.rounds ~fallback:false ~warm:false;
       }
     else begin
-      (* Both versions of every changed flow seed the closure, over the
-         union of the two flow sets: a removed flow may be the only
-         bridge between two target components, and the closure must
-         still join them. *)
-      let seeds =
-        removed @ List.map fst changed @ List.map snd changed @ added
-      in
-      let union_flows = base_flows @ List.map snd changed @ added in
-      let closure = interference_closure ~seeds union_flows in
+      let old = old_versions base edit in
+      let inside = closure_flows base edit ~old in
+      let closure = ids_of inside in
+      List.iter (fun id -> Hashtbl.replace closure id ()) edit.removed;
       let in_closure (f : Traffic.Flow.t) =
         Hashtbl.mem closure f.Traffic.Flow.id
       in
-      let ids = List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) in
-      let inside, outside = List.partition in_closure target_flows in
-      let closure_ids = ids inside in
-      let sub = Sharded.sub_scenario target closure_ids in
+      let sub =
+        Traffic.Scenario.with_flows ~pool:base.b_pool base.b_scenario inside
+      in
+      let closure_count = Traffic.Scenario.flow_count sub in
       (* Sound because the closure is a union of complete target
          components: an error of a component-local rule involves a
          changed component (the base lints clean), and changed
          components are wholly inside the restriction.  Name clashes
-         cross components, so GMF001 still checks the whole target. *)
+         cross components, so GMF001 also reads the base flows that
+         share a name with a put record. *)
       let lint_gate =
         if not lint then None
-        else if base.b_lint_clean then lint_reject ~config ~within:sub target
-        else lint_reject ~config target
+        else if base.b_lint_clean then
+          lint_reject ~config ~names:(name_clash_candidates base edit ~old) sub
+        else lint_reject ~config (target base edit)
       in
       match lint_gate with
       | Some report ->
@@ -259,9 +306,8 @@ let analyze ?(lint = false) ?(precheck = false) base target =
             d_report = report;
             d_untouched = [];
             d_stats =
-              mk_stats ~total
-                ~closure:(List.length closure_ids)
-                ~rounds:0 ~saved:0 ~fallback:false ~warm:false;
+              mk_stats ~total ~closure:closure_count ~rounds:0 ~saved:0
+                ~fallback:false ~warm:false;
           }
       | None ->
           (* Untouched flows keep their base result records (physically —
@@ -273,7 +319,7 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                 in_closure r.Result_types.flow)
               base.b_report.Holistic.results
           in
-          let pure_growth = removed = [] && changed = [] in
+          let pure_growth = old = [] in
           let sub_report =
             if pure_growth then
               (* From below: the base fixed point restricted to the
@@ -300,11 +346,13 @@ let analyze ?(lint = false) ?(precheck = false) base target =
                     results = carried };
                   sub_report;
                 ];
-            d_untouched = ids outside;
+            d_untouched =
+              List.filter_map
+                (fun (f : Traffic.Flow.t) ->
+                  if in_closure f then None else Some f.Traffic.Flow.id)
+                target_flows;
             d_stats =
-              mk_stats ~total
-                ~closure:(List.length closure_ids)
-                ~rounds
+              mk_stats ~total ~closure:closure_count ~rounds
                 ~saved:(max 0 (base.b_report.Holistic.rounds - rounds))
                 ~fallback:false ~warm:pure_growth;
           }

@@ -1,37 +1,44 @@
 (** Incremental ("delta") re-analysis against a converged base fixpoint.
 
     Every what-if driver in the system — the k-failure survivability
-    sweep, the admission session's remove/update/fail events, the daemon
-    workers behind them — evaluates scenarios that differ from an
+    sweep, the admission session's admit/remove/update/fail events, the
+    daemon workers behind them — evaluates scenarios that differ from an
     already-analyzed base by a handful of flows (a reroute, a shed, an
-    update).  This module re-runs the holistic fixpoint only over the
-    edit's {e interference closure} and certifies every other flow as
-    provably untouched:
+    update).  Each driver knows its {!edit}: the ids it drops and the
+    records it adds or replaces.  This module re-runs the holistic
+    fixpoint only over the edit's {e interference closure} and certifies
+    every other flow as provably untouched:
 
-    + {b Diff.}  Base and target flow sets are diffed by id; a flow
-      counts as changed when its canonical serialization
-      ({!Case.flow_digest}) differs (physical equality short-circuits).
-      A target whose topology, switch models or convergence status rule
-      the comparison out falls back to a cold run of the whole target
-      ([stats.cold_fallback]).
+    + {b Edit.}  The target is the base minus [removed] plus [put], over
+      the base's topology and switch models by construction.  Every put
+      record counts as changed; a caller that may put a record equal to
+      the base's (a session update) leaves it out of [put].
     + {b Closure.}  Two flows interfere only where their routes share a
       node (exactly an {!Gmf_precheck.Igraph} edge), so the edit's blast
-      radius is the node-sharing transitive closure of the changed flows
-      — the {!Gmf_precheck.Igraph.groups} components that hold a seed,
-      over the {e union} of base and target flow sets (both versions of
-      every changed flow seed it).
-      The target flows inside the closure form a union of complete
-      interference components of the target.
-    + {b Fixpoint.}  Only the closure is re-analyzed, as a
-      {!Sharded.sub_scenario} restriction.  A pure-growth edit (flows
-      added, none removed or changed) warm-starts from the base results
-      of the closure flows, which fix their converged jitters: the base
-      fixed point sits below the new one, so the monotone squeeze of
+      radius is the node-sharing transitive closure of its seeds — the
+      old and new versions of every edited flow — over the {e union} of
+      base and target flow sets.  The base's components
+      ({!Gmf_precheck.Igraph.groups}) and a node → component index are
+      built once per base, at the first edit; the closure is the put
+      records plus the surviving members of every base component that a
+      seed's old or new route touches.  That is the union-find closure
+      of the union: a base component joins a seed only through a seed,
+      since every record the base lacks is one.  The target flows inside
+      the closure form a union of complete interference components of
+      the target.
+    + {b Fixpoint.}  Only the closure is built as a scenario (the
+      restriction, {!Traffic.Scenario.with_flows} of the base with the
+      base's params pool) and re-analyzed; the whole target is never
+      materialized, except on the cold fallback and for the lint gate of
+      a base that does not lint clean.  A pure-growth edit (flows added,
+      none removed or changed) warm-starts from the base results of the
+      closure flows, which fix their converged jitters: the base fixed
+      point sits below the new one, so the monotone squeeze of
       {!Holistic.run_from} converges to the same least fixed point from
-      below.  Any shrinking or mixed
-      edit restarts the closure from source jitters — iterating down
-      from a stale state is {e not} guaranteed to reach the least fixed
-      point, so soundness-ambiguous seeds are never used.
+      below.  Any shrinking or mixed edit restarts the closure from
+      source jitters — iterating down from a stale state is {e not}
+      guaranteed to reach the least fixed point, so soundness-ambiguous
+      seeds are never used.
     + {b Certificate.}  Flows outside the closure keep their base
       results — the very same report records, never recomputed (the
       tests check physical equality) — and are listed in
@@ -41,6 +48,11 @@
     The merged report is {!Holistic.merge} of the base results outside
     the closure and the closure run's report.
 
+    Each base owns a {!Traffic.Scenario.params_pool}: every restriction
+    and target built against it shares its link parameters, so a
+    (flow, hop) that recurs across edits (a survive sweep's reroute) is
+    built once per base.
+
     Telemetry: [delta.runs], [delta.closure_flows], [delta.flows_skipped],
     [delta.rounds_saved] (estimate: base rounds minus closure rounds) and
     [delta.cold_fallbacks] in the default registry. *)
@@ -48,7 +60,16 @@
 type base
 (** A converged base fixpoint: scenario, config and report.  The report
     is the whole fixpoint: its stage responses fix the converged jitters
-    ({!Pipeline.seed}). *)
+    ({!Pipeline.seed}).  It also owns the base's interference components
+    and name index (built at the first edit that needs them) and the
+    params pool of the scenarios derived from it. *)
+
+type edit = {
+  removed : Traffic.Flow.id list;  (** Base flows the target drops. *)
+  put : Traffic.Flow.t list;
+      (** Flows the target adds, and new versions of base flows (matched
+          by id), each taken as changed. *)
+}
 
 val make_base :
   config:Config.t ->
@@ -70,6 +91,11 @@ val compute_base : ?config:Config.t -> Traffic.Scenario.t -> base
 (** Cold-analyze [scenario] ({!Holistic.run}) and wrap the result; also
     records whether the scenario passes {!Gmf_lint.Lint.gate}. *)
 
+val target : base -> edit -> Traffic.Scenario.t
+(** The edited scenario in full, derived from the base scenario with the
+    base's params pool: what a caller that lints or commits the whole
+    target (a session) builds. *)
+
 val base_scenario : base -> Traffic.Scenario.t
 val base_report : base -> Holistic.report
 val base_ok : base -> bool
@@ -85,8 +111,7 @@ type stats = {
       (** Estimate of avoided work: base rounds minus closure rounds
           (never negative, 0 on a cold fallback). *)
   cold_fallback : bool;
-      (** The comparison was ruled out (structure changed, base not
-          converged) and the target was analyzed cold. *)
+      (** The base did not converge, so the target was analyzed cold. *)
   warm_seeded : bool;
       (** Pure-growth edit: the closure fixpoint started from the base
           results of its flows instead of source jitters. *)
@@ -103,23 +128,23 @@ type result = {
   d_stats : stats;
 }
 
-val analyze :
-  ?lint:bool -> ?precheck:bool -> base -> Traffic.Scenario.t -> result
-(** [analyze base target] incrementally re-analyzes [target] against
-    [base] (under the base's config).  With [~lint:true] the target is
-    run through the errors-only lint gate first,
-    [Gmf_lint.Lint.gate ~within:restriction target]: it runs only the
-    rules that can emit an error, and never builds a hint.  GMF001
-    (duplicate names) checks the whole target, since two flows of
-    different components can share a name; the component-local error
-    rules (GMF201, GMF202, GMF203, GMF206) run on the closure
-    restriction only.  That is sound when the base lints clean: such an
-    error involves the flows, links and switches of one component, an
-    error of the target involves a changed component, and a component
-    is wholly inside or outside the closure.  A base that does not lint
-    clean gates the whole target.  Errors yield an [Analysis_failed]
-    report with zero rounds, mirroring the shed-without-fixpoint fast
-    path of the survive loop.
+val analyze : ?lint:bool -> ?precheck:bool -> base -> edit -> result
+(** [analyze base edit] incrementally re-analyzes the edited target
+    against [base] (under the base's config).  With [~lint:true] the
+    target is run through the errors-only lint gate first,
+    [Gmf_lint.Lint.gate ~names restriction]: it runs only the rules that
+    can emit an error, and never builds a hint.  GMF001 (duplicate
+    names) compares the put records with the base flows of the same
+    names, since two flows of different components can share a name;
+    the component-local error rules (GMF201, GMF202, GMF203, GMF206) run
+    on the closure restriction only.  That is sound when the base lints
+    clean: a duplicate name of the target then involves a put record,
+    any other error involves the flows, links and switches of one
+    component, an error of the target involves a changed component, and
+    a component is wholly inside or outside the closure.  A base that
+    does not lint clean gates the whole target.  Errors yield an
+    [Analysis_failed] report with zero rounds, mirroring the
+    shed-without-fixpoint fast path of the survive loop.
 
     [precheck] (default [false]) routes a shrinking or mixed edit's cold
     closure restart — and a cold fallback's run over the full target —
@@ -129,10 +154,12 @@ val analyze :
     (precheck is schedulability-exact), but closure flows decided
     statically carry certified ceilings instead of converged bounds.
 
+    A base that did not converge certifies nothing: the target is built
+    and analyzed cold ([stats.cold_fallback]).
+
     Exactness: the merged verdict and bounds equal a cold analysis of
-    [target] — the closure is a union of complete interference
+    the target — the closure is a union of complete interference
     components (sharding property), untouched components keep their
     least fixed point, and the closure either restarts from source
     jitters or (pure growth) squeezes up from below it.  A closure that
-    covers every target flow is run on [target] itself (the restriction
-    returns it unchanged), and the merge carries no base result over. *)
+    covers every target flow carries no base result over. *)

@@ -45,8 +45,8 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
     components, analyzing the restriction is byte-equal to restricting the
     analysis (the sharding property above).  When [flow_ids] covers
     every flow, [scenario] itself is returned, with its build caches.
-    Exposed for {!Delta}, which fixpoints exactly the interference
-    closure of an edit. *)
+    ({!Delta} builds its closure restriction the same way, from the
+    base scenario and the edit.) *)
 
 val analyze :
   ?config:Config.t ->

@@ -99,21 +99,66 @@ let failure_cases ~k comps =
       List.map (List.map (Array.get arr)) (revolving n (size + 1)))
     (List.init k Fun.id)
 
-(* The directed links and nodes a failure case takes out. *)
-let failed_parts topo case =
-  let incident n =
-    List.filter_map
-      (fun (l : Network.Link.t) ->
-        if l.Network.Link.src = n || l.Network.Link.dst = n then
-          Some (l.Network.Link.src, l.Network.Link.dst)
-        else None)
-      (Network.Topology.links topo)
+type sweep = {
+  scenario : Traffic.Scenario.t;
+  on_node : (Network.Node.id, Traffic.Flow.t list) Hashtbl.t;
+      (* node -> the flows whose route holds it, in scenario order *)
+  incident : (Network.Node.id, (Network.Node.id * Network.Node.id) list)
+    Hashtbl.t;
+      (* node -> its directed links, in topology order *)
+  reroutes : (Traffic.Flow.id * Network.Node.id list, Traffic.Flow.t)
+    Hashtbl.t;
+      (* (flow, route) -> the one rerouted record of the sweep *)
+}
+
+let sweep scenario =
+  let on_node = Hashtbl.create 64 and incident = Hashtbl.create 64 in
+  let push tbl key v =
+    Hashtbl.replace tbl key
+      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
   in
+  List.iter
+    (fun (f : Traffic.Flow.t) ->
+      List.iter
+        (fun n -> push on_node n f)
+        (Network.Route.nodes f.Traffic.Flow.route))
+    (List.rev (Traffic.Scenario.flows scenario));
+  List.iter
+    (fun (l : Network.Link.t) ->
+      let hop = (l.Network.Link.src, l.Network.Link.dst) in
+      push incident l.Network.Link.src hop;
+      if l.Network.Link.dst <> l.Network.Link.src then
+        push incident l.Network.Link.dst hop)
+    (List.rev (Network.Topology.links (Traffic.Scenario.topo scenario)));
+  { scenario; on_node; incident; reroutes = Hashtbl.create 64 }
+
+(* The directed links and nodes a failure case takes out. *)
+let failed_parts sw case =
   List.fold_left
     (fun (links, nodes) -> function
       | Link (a, b) -> ((a, b) :: (b, a) :: links, nodes)
-      | Switch n -> (incident n @ links, n :: nodes))
+      | Switch n ->
+          ( Option.value ~default:[] (Hashtbl.find_opt sw.incident n) @ links,
+            n :: nodes ))
     ([], []) case
+
+(* The one record of [f] on [route] for the whole sweep: every case that
+   reroutes [f] the same way shares it, and the params it fits. *)
+let reroute sw (f : Traffic.Flow.t) route =
+  let key = (f.Traffic.Flow.id, Network.Route.nodes route) in
+  match Hashtbl.find_opt sw.reroutes key with
+  | Some r -> r
+  | None ->
+      let r = Analysis.Rerouting.with_route f route in
+      Hashtbl.replace sw.reroutes key r;
+      r
+
+let id_set flows =
+  let t = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Traffic.Flow.t) -> Hashtbl.replace t f.Traffic.Flow.id ())
+    flows;
+  t
 
 (* Lowest 802.1p priority first; ties shed the most recently admitted
    (highest id) flow first.  The comparator is total (flow ids are
@@ -154,40 +199,67 @@ type 'a degraded = {
 (* Pure: no counter bumps here — a survive case runs in a [Pool] worker
    whose registry increments are lost, so each caller derives its
    counters from the result. *)
-let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
+let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sw =
+  let scenario = sw.scenario in
   let topo = Traffic.Scenario.topo scenario in
   (* Phase 1: reroute every flow the failure touches onto its first
-     surviving route, or shed it when none survives. *)
+     surviving route, or shed it when none survives.  The flows it
+     touches are those on a failed directed link or node. *)
+  let hit = Hashtbl.create 16 in
+  let mark =
+    List.iter (fun (f : Traffic.Flow.t) ->
+        Hashtbl.replace hit f.Traffic.Flow.id ())
+  in
+  List.iter
+    (fun (src, dst) -> mark (Traffic.Scenario.flows_on scenario ~src ~dst))
+    avoid_links;
+  List.iter
+    (fun n -> mark (Option.value ~default:[] (Hashtbl.find_opt sw.on_node n)))
+    avoid_nodes;
   let placed =
     List.map
       (fun (f : Traffic.Flow.t) ->
-        let route = f.Traffic.Flow.route in
-        if
-          not
-            (Network.Route.crosses route ~links:avoid_links ~nodes:avoid_nodes)
-        then
+        if not (Hashtbl.mem hit f.Traffic.Flow.id) then
           ((f, Unaffected), Some f)
         else
+          let route = f.Traffic.Flow.route in
           match
             Network.Pathfind.first_route ~avoid_links ~avoid_nodes topo
               ~src:(Network.Route.source route)
               ~dst:(Network.Route.destination route)
           with
           | None -> ((f, Shed), None)
-          | Some alt ->
-              ((f, Rerouted alt), Some (Analysis.Rerouting.with_route f alt)))
+          | Some alt -> ((f, Rerouted alt), Some (reroute sw f alt)))
       (Traffic.Scenario.flows scenario)
   in
-  let is_pinned (f : Traffic.Flow.t) =
-    List.exists
-      (fun (p : Traffic.Flow.t) -> p.Traffic.Flow.id = f.Traffic.Flow.id)
-      pinned
+  let pre_shed, rerouted =
+    List.fold_right
+      (fun (((f : Traffic.Flow.t), fate), moved) (shed, rerouted) ->
+        match (fate, moved) with
+        | Shed, _ -> (f.Traffic.Flow.id :: shed, rerouted)
+        | Rerouted _, Some r -> (shed, r :: rerouted)
+        | _ -> (shed, rerouted))
+      placed ([], [])
   in
+  let pinned = id_set pinned in
+  let is_pinned (f : Traffic.Flow.t) = Hashtbl.mem pinned f.Traffic.Flow.id in
   (* Phase 2: greedy shedding among the unpinned survivors until the
-     degraded set is schedulable or nothing sheddable is left. *)
-  let rec settle survivors victims rounds =
+     degraded set is schedulable or nothing sheddable is left.  Each
+     attempt is an edit of [scenario]: the sheds are removals and the
+     reroutes of the survivors are put records. *)
+  let rec settle survivors victims shed rounds =
     let report, last =
-      attempt (Traffic.Scenario.with_flows scenario survivors)
+      attempt
+        {
+          Analysis.Delta.removed =
+            pre_shed
+            @ List.map (fun (v : Traffic.Flow.t) -> v.Traffic.Flow.id) victims;
+          put =
+            List.filter
+              (fun (r : Traffic.Flow.t) ->
+                not (Hashtbl.mem shed r.Traffic.Flow.id))
+              rerouted;
+        }
     in
     let rounds = rounds + report.Analysis.Holistic.rounds in
     let unpinned = List.filter (fun f -> not (is_pinned f)) survivors in
@@ -206,31 +278,28 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario =
           rounds_spent = rounds;
         }
     | victim :: _ ->
+        Hashtbl.replace shed victim.Traffic.Flow.id ();
         settle
           (List.filter
              (fun (f : Traffic.Flow.t) ->
                f.Traffic.Flow.id <> victim.Traffic.Flow.id)
              survivors)
-          (victim :: victims) rounds
+          (victim :: victims) shed rounds
   in
-  settle (List.filter_map snd placed) [] 0
+  settle (List.filter_map snd placed) [] (Hashtbl.create 8) 0
 
 (* One failure case: {!degrade} with every survivor sheddable, each
    attempt a delta against the shared fault-free base.  Per-attempt
    delta stats are summed into the case result, the copy the report
    (and its JSON) aggregates whether metrics are on or not and whether
    the case ran in process or in a pool worker. *)
-let analyze_case dbase scenario case =
+let analyze_case dbase sw case =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
-      let avoid_links, avoid_nodes =
-        failed_parts (Traffic.Scenario.topo scenario) case
-      in
+      let avoid_links, avoid_nodes = failed_parts sw case in
       let acc = ref delta_zero in
-      let attempt scenario' =
-        let d =
-          Analysis.Delta.analyze ~lint:true ~precheck:true dbase scenario'
-        in
+      let attempt edit =
+        let d = Analysis.Delta.analyze ~lint:true ~precheck:true dbase edit in
         let s = d.Analysis.Delta.d_stats in
         acc :=
           delta_add !acc
@@ -243,14 +312,12 @@ let analyze_case dbase scenario case =
             };
         (d.Analysis.Delta.d_report, ())
       in
-      let d = degrade ~pinned:[] ~avoid_links ~avoid_nodes ~attempt scenario in
-      let shed_ids =
-        List.map (fun (v : Traffic.Flow.t) -> v.Traffic.Flow.id) d.victims
-      in
+      let d = degrade ~pinned:[] ~avoid_links ~avoid_nodes ~attempt sw in
+      let shed_ids = id_set d.victims in
       let fates =
         List.map
           (fun ((f : Traffic.Flow.t), fate) ->
-            if List.mem f.Traffic.Flow.id shed_ids then (f, Shed)
+            if Hashtbl.mem shed_ids f.Traffic.Flow.id then (f, Shed)
             else (f, fate))
           d.placed
       in
@@ -290,6 +357,8 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
      does not converge leaves every attempt on the delta engine's cold
      fallback, and the sweep reports no delta totals. *)
   let dbase = Analysis.Delta.compute_base ~config scenario in
+  (* The base flows by node and the reroute records, once per sweep. *)
+  let sw = sweep scenario in
   let comps = match domain with Some d -> d | None -> components scenario in
   let case_list = failure_cases ~k comps in
   Gmf_obs.Metrics.incr ~by:(List.length case_list) m_cases;
@@ -314,7 +383,7 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
     }
   in
   let cases =
-    Gmf_exec.map_cases ?exec ~f:(analyze_case dbase scenario) case_list
+    Gmf_exec.map_cases ?exec ~f:(analyze_case dbase sw) case_list
     |> List.map2
          (fun case -> function
            | Ok r -> rebind r

@@ -9,13 +9,17 @@
     Every case runs {!degrade} — the one reroute-and-shed loop, shared
     with the link-failure events of [Gmf_admctl.Session] — and evaluates
     each attempt incrementally against one fault-free base fixpoint
-    ({!Analysis.Delta.analyze}, lint gate and precheck on): only the
-    interference closure of the case's reroutes and sheds is
-    re-analyzed, and a degraded set that fails the errors-only lint gate
+    ({!Analysis.Delta.analyze}, lint gate and precheck on): the attempt
+    is an edit (the case's sheds and reroutes), only its interference
+    closure is built and re-analyzed, and a degraded set that fails the
+    errors-only lint gate
     ({!Gmf_lint.Lint.gate}; e.g. a reroute saturates a link, GMF201)
-    sheds without burning fixpoint rounds.  Same-size failure sets walk
-    in revolving-door Gray order, so consecutive cases share most of
-    their degraded sets.  A
+    sheds without burning fixpoint rounds.  A case costs O(closure)
+    beyond a few O(flows) list passes (its fates, the merged report):
+    the base's components, the flows by node and each reroute's record
+    and link parameters are built once per sweep ({!sweep}).  Same-size failure
+    sets walk in revolving-door Gray order, so consecutive cases share
+    most of their degraded sets.  A
     base that does not converge certifies nothing: every attempt takes
     the delta engine's cold fallback (lint gate, then the
     precheck-guided {!Analysis.Sharded.analyze} of the whole degraded
@@ -102,6 +106,18 @@ val failure_cases : k:int -> component list -> component list list
     components in input order.  The size-1 class is the input list
     itself.  This is the exact case order {!run} evaluates. *)
 
+type sweep
+(** What every case of a sweep reads of its scenario, built once: the
+    flows by node (by directed hop, the scenario's own
+    {!Traffic.Scenario.flows_on}), each node's directed links, and the
+    reroute records made so far — one record per (flow, route) for the
+    whole sweep, so the link parameters it fits are built once too
+    (they live in the sweep's {!Analysis.Delta.base} pool).  It belongs
+    to the sweep and goes with it; a session's link failure is a sweep
+    of one case. *)
+
+val sweep : Traffic.Scenario.t -> sweep
+
 type 'a degraded = {
   placed : (Traffic.Flow.t * fate) list;
       (** Every flow, in scenario order, before any greedy shed. *)
@@ -117,19 +133,21 @@ val degrade :
   pinned:Traffic.Flow.t list ->
   avoid_links:(Network.Node.id * Network.Node.id) list ->
   avoid_nodes:Network.Node.id list ->
-  attempt:(Traffic.Scenario.t -> Analysis.Holistic.report * 'a) ->
-  Traffic.Scenario.t ->
+  attempt:(Analysis.Delta.edit -> Analysis.Holistic.report * 'a) ->
+  sweep ->
   'a degraded
-(** [degrade ~pinned ~avoid_links ~avoid_nodes ~attempt scenario]: every
-    flow of [scenario] whose route crosses the failed directed links or
-    nodes moves to its first surviving route of at most
-    {!Network.Pathfind.max_hops} (8) links, by hop count and then by node
-    sequence ({!Network.Pathfind.first_route}), or is shed when none
-    survives.  Then, while
-    [attempt]'s report on the survivors is not schedulable, the head of
-    {!shed_order} among the survivors not in [pinned] (compared by id)
-    is shed.  Bumps no counter.  A survive case pins nothing; a session
-    link failure pins the flows the outage did not hit. *)
+(** [degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sweep]: every
+    flow of the sweep's scenario on a failed directed link or node (found
+    through the sweep's indexes, not by scanning every route) moves to
+    its first surviving route of at most {!Network.Pathfind.max_hops}
+    (8) links, by hop count and then by node sequence
+    ({!Network.Pathfind.first_route}), or is shed when none survives.
+    Then, while [attempt]'s report on the survivors is not schedulable,
+    the head of {!shed_order} among the survivors not in [pinned]
+    (compared by id) is shed.  Each attempt gets the survivors as an
+    edit of the scenario: the shed ids are [removed], the surviving
+    reroutes are [put].  Bumps no counter.  A survive case pins nothing;
+    a session link failure pins the flows the outage did not hit. *)
 
 val run :
   ?exec:Gmf_exec.t ->

@@ -54,11 +54,11 @@ let run ?(config = Analysis_config.default) ?prev scenario =
   List.iter hit diagnostics;
   { diagnostics; by_flow }
 
-let gate ?(config = Analysis_config.default) ?within scenario =
+let gate ?(config = Analysis_config.default) ?names scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"lint" "lint.gate"
   @@ fun () ->
   Gmf_obs.Metrics.incr runs;
-  let errors = Rules.gate_rules ~config ?within scenario in
+  let errors = Rules.gate_rules ~config ?names scenario in
   List.iter hit errors;
   errors
 

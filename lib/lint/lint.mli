@@ -25,13 +25,13 @@ val run :
 
 val gate :
   ?config:Analysis_config.t ->
-  ?within:Traffic.Scenario.t ->
+  ?names:Traffic.Flow.t list ->
   Traffic.Scenario.t ->
   Gmf_diag.t list
 (** The error gate: exactly [errors (run ?config s)], the same
     diagnostics in the same order, from only the rules that can emit an
     error ({!Rules.gate_rules}).  Callers that need nothing but errors
-    use it, chiefly [Analysis.Delta] on every survive case.  [within] is
+    use it, chiefly [Analysis.Delta] on every survive case.  [names] is
     as in {!Rules.gate_rules}.  Bumps [lint.runs] and the
     [lint.hits.<CODE>] counters of the errors it returns, and traces a
     [lint.gate] span. *)

@@ -280,7 +280,8 @@ let min_response = Gmf_precheck.Static_tests.min_response
 
 (* ---------------- GMF0xx: structural ---------------- *)
 
-let check_duplicate_names scenario =
+(* Over [flows] in id order: the first of a name is the one cited. *)
+let check_duplicate_names flows =
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun (f : Traffic.Flow.t) ->
@@ -294,7 +295,7 @@ let check_duplicate_names scenario =
       | None ->
           Hashtbl.add seen f.Traffic.Flow.name f.Traffic.Flow.id;
           None)
-    (Traffic.Scenario.flows scenario)
+    flows
 
 let check_redundant_remarks (f : Traffic.Flow.t) =
   List.filter_map
@@ -639,20 +640,20 @@ type scope =
       Gmf_diag.t list)
   | Fabric of
       (config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list)
+  | Names of (Traffic.Flow.t list -> Gmf_diag.t list)
+      (* reads only the names and ids of the flows it is given, in id
+         order: a whole pass gives it every flow, the gate may give it
+         the flows of other interference components too *)
 
 type check = {
   emits : string list; (* the codes the check can emit *)
   scope : scope;
-  global : bool;
-      (* reads the flows of every interference component at once (name
-         clashes, what no flow uses), so a restriction of the scenario
-         to some components cannot stand in for the whole *)
 }
 
 (* Every scenario rule, once, in pass order: flow rules, then fabric. *)
 let checks =
-  let flow emits f = { emits; scope = Per_flow f; global = false } in
-  let fabric ?(global = false) emits f = { emits; scope = Fabric f; global } in
+  let flow emits f = { emits; scope = Per_flow f } in
+  let fabric emits f = { emits; scope = Fabric f } in
   let topo = Traffic.Scenario.topo in
   [
     flow [ "GMF002" ] (fun ~config:_ _ -> check_redundant_remarks);
@@ -666,10 +667,10 @@ let checks =
         per_frame f (check_fragmentation ~config));
     flow [ "GMF202" ] (fun ~config:_ s f ->
         per_frame f (check_impossible_deadline s));
-    fabric ~global:true [ "GMF001" ] (fun ~config:_ -> check_duplicate_names);
+    { emits = [ "GMF001" ]; scope = Names check_duplicate_names };
     fabric [ "GMF003" ] (fun ~config:_ -> check_isolated_nodes);
-    fabric ~global:true [ "GMF004" ] (fun ~config:_ -> check_unused_links);
-    fabric ~global:true [ "GMF006" ] (fun ~config:_ -> check_unused_switches);
+    fabric [ "GMF004" ] (fun ~config:_ -> check_unused_links);
+    fabric [ "GMF006" ] (fun ~config:_ -> check_unused_switches);
     fabric [ "GMF104" ] (fun ~config:_ -> check_priority_ties);
     fabric [ "GMF105" ] (fun ~config:_ -> check_overprovisioned_switches);
     fabric [ "GMF201"; "GMF204" ] (fun ~config:_ -> check_link_utilization);
@@ -710,7 +711,7 @@ let flow_rules ~config scenario flows =
       (fun c ->
         match c.scope with
         | Per_flow rule -> Some (List.map (rule ~config scenario) flows)
-        | Fabric _ -> None)
+        | Fabric _ | Names _ -> None)
       checks
   in
   List.fold_right (List.map2 ( @ )) by_rule (List.map (fun _ -> []) flows)
@@ -720,22 +721,30 @@ let fabric_rules ~config scenario =
     (fun c ->
       match c.scope with
       | Fabric rule -> rule ~config scenario
+      | Names rule -> rule (Traffic.Scenario.flows scenario)
       | Per_flow _ -> [])
     checks
 
 (* Each rule's findings come in the order of the full pass, and each
    code has one rule, so the stable sort lines the errors up exactly as
    in [sort (flow_rules @ fabric_rules)]. *)
-let gate_rules ~config ?within scenario =
+let gate_rules ~config ?names scenario =
   List.concat_map
     (fun c ->
-      let s =
-        if c.global then scenario else Option.value within ~default:scenario
-      in
       match c.scope with
       | Per_flow rule ->
-          List.concat_map (rule ~config s) (Traffic.Scenario.flows s)
-      | Fabric rule -> rule ~config s)
+          List.concat_map (rule ~config scenario)
+            (Traffic.Scenario.flows scenario)
+      | Fabric rule -> rule ~config scenario
+      | Names rule -> (
+          match names with
+          | None -> rule (Traffic.Scenario.flows scenario)
+          | Some flows ->
+              rule
+                (List.stable_sort
+                   (fun (a : Traffic.Flow.t) (b : Traffic.Flow.t) ->
+                     compare a.Traffic.Flow.id b.Traffic.Flow.id)
+                   flows)))
     gate_checks
   |> Gmf_diag.by_severity Gmf_diag.Error
   |> sort

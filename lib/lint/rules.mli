@@ -67,7 +67,7 @@ val fabric_rules :
 
 val gate_rules :
   config:Analysis_config.t ->
-  ?within:Traffic.Scenario.t ->
+  ?names:Traffic.Flow.t list ->
   Traffic.Scenario.t ->
   Gmf_diag.t list
 (** The errors of a whole pass, and only those: the rules that can emit
@@ -76,13 +76,14 @@ val gate_rules :
     [gate_rules ~config s] is [by_severity Error (sort (flow_rules ~config
     s (flows s) @ fabric_rules ~config s))], in the same order.
 
-    [within] is a restriction of the scenario to complete interference
-    components ({!Traffic.Scenario.with_flows}).  With it, the rules that
-    read across components (GMF001: a duplicate name may sit in another
-    component) still run on the whole scenario, and the component-local
-    ones (GMF201, GMF202, GMF203, GMF206) run on [within] only: their
-    errors are then those of the whole scenario that involve [within]'s
-    flows, links and switches. *)
+    [names] (default: the scenario's flows) are the flows whose names
+    GMF001 compares, the one rule that reads across interference
+    components.  A caller that gates a restriction of a larger scenario
+    to complete components ({!Traffic.Scenario.with_flows}) passes the
+    flows of the larger one that can clash: the component-local rules
+    (GMF201, GMF202, GMF203, GMF206) then report exactly the larger
+    scenario's errors that involve the restriction's flows, links and
+    switches. *)
 
 val sort : Gmf_diag.t list -> Gmf_diag.t list
 (** Stable sort by code, then message. *)

@@ -32,8 +32,8 @@ val groups : Traffic.Flow.t list -> Traffic.Flow.t list list
 (** The connected components of the node-sharing graph over a bare flow
     list, as lists of the given records: groups in order of their first
     member, members in list order.  Records are not merged by id, so the
-    list may hold two versions of one flow (as [Analysis.Delta]'s union
-    of a base and a target flow set does). *)
+    list may hold two versions of one flow.  [Analysis.Delta] computes
+    a base's components with it, once per base. *)
 
 val components : t -> component list
 

@@ -235,11 +235,12 @@ let stage_ceiling ~config scenario flow stage =
       ~ebar:sf.sf_self_ebar
   in
   let u_all = u +. self.rho in
-  let stage_str = Format.asprintf "%a" Stage_key.pp stage in
+  (* Formatted only for an [Error]: most stages certify. *)
+  let stage_str () = Format.asprintf "%a" Stage_key.pp stage in
   if u_all >= 1. -. eps then
     Error
-      (Printf.sprintf "stage %s: utilization %.3f leaves no slack" stage_str
-         u_all)
+      (Printf.sprintf "stage %s: utilization %.3f leaves no slack"
+         (stage_str ()) u_all)
   else begin
     let a_all = a +. self.sigma in
     let horizon = float_of_int config.Analysis_config.horizon in
@@ -273,10 +274,11 @@ let stage_ceiling ~config scenario flow stage =
     if q_bar > float_of_int config.Analysis_config.max_q then
       Error
         (Printf.sprintf "stage %s: busy-period bound needs Q=%.0f > max_q %d"
-           stage_str q_bar config.Analysis_config.max_q)
+           (stage_str ()) q_bar config.Analysis_config.max_q)
     else if Float.max busy_bar (Float.max w_bar seed_max) > horizon -. 1. then
       Error
-        (Printf.sprintf "stage %s: window bound exceeds the horizon" stage_str)
+        (Printf.sprintf "stage %s: window bound exceeds the horizon"
+           (stage_str ()))
     else begin
       (* q = 0 dominates the scan: gq/(1-U) <= TSUM_i follows from
          U + self.rho < 1 and gq <= self_m. *)

@@ -1,11 +1,17 @@
+type params_pool =
+  (Flow.id * Network.Node.id * Network.Node.id, Link_params.t) Hashtbl.t
+
 type t = {
   topo : Network.Topology.t;
   flows : Flow.t array; (* sorted by id *)
   (* [make ~switches] as given, inherited by derived scenarios *)
   declared : (Network.Node.id * Click.Switch_model.t) list;
   switches : (Network.Node.id, Click.Switch_model.t) Hashtbl.t;
-  params_cache : (Flow.id * Network.Node.id * Network.Node.id, Link_params.t)
-    Hashtbl.t;
+  (* Keyed by flow id; an entry serves a record only when it [fits] it.
+     A pooled scenario's table is the caller's pool, shared with the
+     other scenarios derived with it. *)
+  params_cache : params_pool;
+  pooled : bool;
   by_id : (Flow.id, Flow.t) Hashtbl.t;
   (* (src, dst) -> flows whose route contains that hop, in id order.  Built
      once in [make]; turns the per-stage interferer collection from a scan
@@ -81,6 +87,7 @@ let make ?(switches = []) ~topo ~flows () =
     declared = switches;
     switches = table;
     params_cache = Hashtbl.create 64;
+    pooled = false;
     by_id;
     on_link;
     hep_cache = Hashtbl.create 64;
@@ -157,13 +164,30 @@ let lp t flow_i ~node =
       Hashtbl.replace t.lp_cache key l;
       l
 
+(* Link_params depend on the spec, the encapsulation and the link alone:
+   params built for one record serve every record of the same id that
+   carries the same spec (physically) and encapsulation — a flow
+   rerouted, re-prioritized or remarked keeps them. *)
+let fits (p : Link_params.t) (f : Flow.t) =
+  let g = p.Link_params.flow in
+  g == f || (g.Flow.spec == f.Flow.spec && g.Flow.encap = f.Flow.encap)
+
+let params_pool () : params_pool = Hashtbl.create 256
+
+(* Registered at the first pooled build, so a run that derives no
+   pooled scenario lists no such counter. *)
+let m_params_built =
+  lazy (Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "traffic.params_built")
+
 let params t flow ~src ~dst =
   let key = (flow.Flow.id, src, dst) in
   match Hashtbl.find_opt t.params_cache key with
-  | Some p -> p
-  | None ->
+  | Some p when fits p flow -> p
+  | _ ->
       let link = Network.Topology.link_exn t.topo ~src ~dst in
       let p = Link_params.make ~flow ~link in
+      if t.pooled && Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then
+        Gmf_obs.Metrics.incr (Lazy.force m_params_built);
       Hashtbl.replace t.params_cache key p;
       p
 
@@ -173,25 +197,31 @@ let link_utilization t ~src ~dst =
        (fun acc f -> acc +. Link_params.utilization (params t f ~src ~dst))
        0.
 
-(* Link_params depend on the flow record and the link alone, so a derived
-   scenario over the same topology reuses the source's for the records it
-   keeps physically (a record rebuilt under the same id may differ). *)
+(* A derived scenario over the same topology takes the source's params
+   of every (flow, hop) they [fit], unless its table already holds
+   fitting ones (a pool). *)
 let share_params ~from t =
   Array.iter
     (fun (f : Flow.t) ->
       List.iter
         (fun (src, dst) ->
           let key = (f.Flow.id, src, dst) in
-          match Hashtbl.find_opt from.params_cache key with
-          | Some p when p.Link_params.flow == f ->
-              Hashtbl.replace t.params_cache key p
-          | _ -> ())
+          match Hashtbl.find_opt t.params_cache key with
+          | Some p when fits p f -> ()
+          | _ -> (
+              match Hashtbl.find_opt from.params_cache key with
+              | Some p when fits p f -> Hashtbl.replace t.params_cache key p
+              | _ -> ()))
         (Network.Route.hops f.Flow.route))
     t.flows;
   t
 
-let with_flows t flows =
-  share_params ~from:t (make ~switches:t.declared ~topo:t.topo ~flows ())
+let with_flows ?pool t flows =
+  let derived = make ~switches:t.declared ~topo:t.topo ~flows () in
+  share_params ~from:t
+    (match pool with
+    | None -> derived
+    | Some pool -> { derived with params_cache = pool; pooled = true })
 
 let map_switches t ~f =
   let switches =

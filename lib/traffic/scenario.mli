@@ -58,7 +58,9 @@ val lp : t -> Flow.t -> node:Network.Node.id -> Flow.t list
 
 val params : t -> Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
   Link_params.t
-(** Cached per-(flow, link) derived parameters. *)
+(** Cached per-(flow, link) derived parameters: built at the first call,
+    or taken from the scenario this one derives from (see
+    {!with_flows}). *)
 
 val link_utilization : t -> src:Network.Node.id -> dst:Network.Node.id -> float
 (** Sum over flows(src,dst) of CSUM/TSUM — the left side of eq (20). *)
@@ -82,17 +84,31 @@ val cached : t -> key:string -> (unit -> string) -> string
     - its {e declared} switch models, the ones passed to [make ~switches];
       defaults are derived again, as {!make} does, for the other switches
       the new routes cross;
-    - the source's {!params} of every (flow, hop) whose flow record is
-      physically the source's ([==]): a record rebuilt with the same id
-      gets fresh params.  The copy costs O(new flows x hops).
+    - the source's {!params} of every (flow, hop) they fit.  Params
+      depend only on the spec, the encapsulation and the link, so those
+      built for one record fit every record of the same id with the same
+      spec (physically) and encapsulation: a rerouted or re-prioritized
+      flow keeps them, a flow with a new spec gets fresh ones.  The copy
+      costs O(new flows x hops).
 
     [hep]/[lp] sets and {!cached} strings depend on the whole flow set and
     are never inherited. *)
 
-val with_flows : t -> Flow.t list -> t
+type params_pool
+(** A table of {!params}, keyed by (flow id, hop), that the scenarios
+    derived with it share: a (flow, hop) is built once for all of them
+    and kept as long as the pool's owner keeps the pool.  An entry serves
+    only records it fits, so the scenarios may disagree on a record. *)
+
+val params_pool : unit -> params_pool
+
+val with_flows : ?pool:params_pool -> t -> Flow.t list -> t
 (** [with_flows t flows] is the scenario of [flows] over [t]'s topology
-    and declared switch models.  Raises as {!make} does on duplicate
-    flow ids. *)
+    and declared switch models.  With [pool], the result keeps its
+    params in [pool]: it takes fitting entries from there first, then
+    from [t], and adds what it builds.  Each such build bumps the
+    [traffic.params_built] counter, registered at the first one.  Raises
+    as {!make} does on duplicate flow ids. *)
 
 val map_switches :
   t -> f:(Network.Node.id -> Click.Switch_model.t -> Click.Switch_model.t) -> t

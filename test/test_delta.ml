@@ -68,7 +68,7 @@ let test_untouched_carried_over () =
   (* Remove flow 0 (first cluster): flow 1 shares its cluster, flow 2
      lives on the other switch. *)
   let target = drop_flow scenario 0 in
-  let d = Delta.analyze base target in
+  let d = Delta.analyze base { Delta.removed = [ 0 ]; put = [] } in
   Alcotest.(check bool) "flow 2 certified untouched" true
     (List.mem 2 d.Delta.d_untouched);
   Alcotest.(check bool) "flow 1 not certified" false
@@ -91,7 +91,7 @@ let test_untouched_carried_over () =
 let test_identity_edit_free () =
   let scenario = two_cluster_scenario () in
   let base = Delta.compute_base scenario in
-  let d = Delta.analyze base scenario in
+  let d = Delta.analyze base { Delta.removed = []; put = [] } in
   Alcotest.(check int) "no closure" 0 d.Delta.d_stats.Delta.closure_flows;
   Alcotest.(check int) "no rounds" 0 d.Delta.d_stats.Delta.rounds;
   Alcotest.(check int) "everything untouched" 3
@@ -99,24 +99,24 @@ let test_identity_edit_free () =
   Alcotest.(check bool) "report reused" true
     (Delta.base_report base == d.Delta.d_report)
 
-let test_structure_change_falls_back () =
-  let scenario = two_cluster_scenario () in
+(* At 2 Mb/s the fig1 base does not converge: an edit against it
+   certifies nothing and analyzes the whole target cold. *)
+let test_non_converged_base_falls_back () =
+  let scenario = Workload.Scenarios.fig1_videoconf ~rate_bps:2_000_000 () in
   let base = Delta.compute_base scenario in
-  let other_topo, hosts, _ =
-    Workload.Topologies.line ~hosts_per_switch:3 ~switches:3 ()
-  in
-  let rng = Rng.create ~seed:7 in
-  let flows =
-    Workload.Random_gen.flows_between rng ~topo:other_topo
-      ~pairs:[ (hosts.(0).(0), hosts.(0).(1)) ]
-      ()
-  in
-  let target = Traffic.Scenario.make ~topo:other_topo ~flows () in
-  let d = Delta.analyze base target in
+  Alcotest.(check bool) "base not converged" false (Delta.base_ok base);
+  let victim = List.hd (Traffic.Scenario.flows scenario) in
+  let edit = { Delta.removed = [ victim.Traffic.Flow.id ]; put = [] } in
+  let d = Delta.analyze base edit in
   Alcotest.(check bool) "cold fallback" true
     d.Delta.d_stats.Delta.cold_fallback;
   Alcotest.(check bool) "nothing certified" true (d.Delta.d_untouched = []);
-  let cold = Analysis.Holistic.analyze target in
+  let cold =
+    Analysis.Holistic.analyze (drop_flow scenario victim.Traffic.Flow.id)
+  in
+  Alcotest.(check string) "fallback verdict equals cold"
+    (Analysis.Holistic.verdict_tag cold.Analysis.Holistic.verdict)
+    (Analysis.Holistic.verdict_tag d.Delta.d_report.Analysis.Holistic.verdict);
   Alcotest.(check bool) "fallback bounds equal cold" true
     (bounds_of cold = bounds_of d.Delta.d_report)
 
@@ -126,21 +126,23 @@ let test_structure_change_falls_back () =
    full lint pass rejects it. *)
 let test_lint_gate_duplicate_name_across_components () =
   let scenario, _ = Test_gates.tile_mesh ~rows:6 ~cols:6 in
-  let renamed =
-    List.map
-      (fun (f : Traffic.Flow.t) ->
-        if f.Traffic.Flow.name <> "rnd0" then f
-        else
-          Traffic.Flow.make ~id:f.Traffic.Flow.id ~name:"rnd107"
-            ~spec:f.Traffic.Flow.spec ~encap:f.Traffic.Flow.encap
-            ~route:f.Traffic.Flow.route ~priority:f.Traffic.Flow.priority)
+  let rnd0 =
+    List.find
+      (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.name = "rnd0")
       (Traffic.Scenario.flows scenario)
   in
-  let target = Traffic.Scenario.with_flows scenario renamed in
+  let renamed =
+    Traffic.Flow.make ~id:rnd0.Traffic.Flow.id ~name:"rnd107"
+      ~spec:rnd0.Traffic.Flow.spec ~encap:rnd0.Traffic.Flow.encap
+      ~route:rnd0.Traffic.Flow.route ~priority:rnd0.Traffic.Flow.priority
+  in
+  let edit = { Delta.removed = []; put = [ renamed ] } in
+  let base = Delta.compute_base scenario in
+  let target = Delta.target base edit in
   let full = Gmf_lint.Lint.errors (Gmf_lint.Lint.run target) in
   Alcotest.(check (list string)) "full pass: one GMF001" [ "GMF001" ]
     (List.map (fun d -> d.Gmf_diag.code) full);
-  let d = Delta.analyze ~lint:true (Delta.compute_base scenario) target in
+  let d = Delta.analyze ~lint:true base edit in
   Alcotest.(check int) "closure is rnd0's tile" 6
     d.Delta.d_stats.Delta.closure_flows;
   Alcotest.(check int) "over the whole mesh" 108
@@ -254,6 +256,165 @@ let with_duplicate_name rng scenario =
              flows)
         ()
 
+(* ------------------------------------------------------------------ *)
+(* Edits: delta == cold analysis of the materialized target            *)
+(* ------------------------------------------------------------------ *)
+
+(* The scenario an edit describes, built without Delta: the base's
+   switch models, the base flows the edit leaves alone and the put
+   records. *)
+let materialize scenario (edit : Delta.edit) =
+  let edited =
+    edit.Delta.removed
+    @ List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) edit.Delta.put
+  in
+  let switches =
+    List.map
+      (fun n -> (n, Traffic.Scenario.switch_model scenario n))
+      (Traffic.Scenario.switch_nodes scenario)
+  in
+  Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
+    ~flows:
+      (List.filter
+         (fun (f : Traffic.Flow.t) -> not (List.mem f.Traffic.Flow.id edited))
+         (Traffic.Scenario.flows scenario)
+      @ edit.Delta.put)
+    ()
+
+(* The closure as a union-find over the union of the base flows and the
+   put records defines it: the target ids in a node-sharing component
+   that holds a seed (an old or new version of an edited flow). *)
+let union_find_closure scenario (edit : Delta.edit) target =
+  let seeds =
+    edit.Delta.removed
+    @ List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) edit.Delta.put
+  in
+  let closure =
+    List.concat_map
+      (fun group ->
+        let ids =
+          List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) group
+        in
+        if List.exists (fun id -> List.mem id seeds) ids then ids else [])
+      (Gmf_precheck.Igraph.groups
+         (Traffic.Scenario.flows scenario @ edit.Delta.put))
+  in
+  List.filter_map
+    (fun (f : Traffic.Flow.t) ->
+      if List.mem f.Traffic.Flow.id closure then Some f.Traffic.Flow.id
+      else None)
+    (Traffic.Scenario.flows target)
+
+(* One to three edits of distinct flows: a removal, a payload update, a
+   reroute around one of the route's links, or an added copy of a flow
+   under a fresh id — in one case of three under an existing name, which
+   only the lint gate's GMF001 sees. *)
+let random_edit rng scenario =
+  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
+  let topo = Traffic.Scenario.topo scenario in
+  let next_id =
+    ref
+      (1
+      + Array.fold_left
+          (fun m (f : Traffic.Flow.t) -> max m f.Traffic.Flow.id)
+          0 flows)
+  in
+  let touched = Hashtbl.create 8 in
+  let removed = ref [] and put = ref [] in
+  for _ = 1 to 1 + Rng.int rng 3 do
+    let f = flows.(Rng.int rng (Array.length flows)) in
+    if not (Hashtbl.mem touched f.Traffic.Flow.id) then begin
+      let replace g =
+        Hashtbl.replace touched f.Traffic.Flow.id ();
+        put := g :: !put
+      in
+      match Rng.int rng 4 with
+      | 0 ->
+          Hashtbl.replace touched f.Traffic.Flow.id ();
+          removed := f.Traffic.Flow.id :: !removed
+      | 1 -> (
+          match Traffic.Flow.scale_payloads_checked f 1.25 with
+          | Ok g -> replace g
+          | Error _ -> ())
+      | 2 -> (
+          let route = f.Traffic.Flow.route in
+          let hops = Network.Route.hops route in
+          let hop = List.nth hops (Rng.int rng (List.length hops)) in
+          match
+            Network.Pathfind.first_route ~avoid_links:[ hop ] topo
+              ~src:(Network.Route.source route)
+              ~dst:(Network.Route.destination route)
+          with
+          | Some alt -> replace (Analysis.Rerouting.with_route f alt)
+          | None -> ())
+      | _ ->
+          let id = !next_id in
+          incr next_id;
+          let name =
+            if Rng.int rng 3 = 0 then
+              flows.(Rng.int rng (Array.length flows)).Traffic.Flow.name
+            else Printf.sprintf "added%d" id
+          in
+          put :=
+            Traffic.Flow.make ~id ~name ~spec:f.Traffic.Flow.spec
+              ~encap:f.Traffic.Flow.encap ~route:f.Traffic.Flow.route
+              ~priority:f.Traffic.Flow.priority
+            :: !put
+    end
+  done;
+  { Delta.removed = !removed; put = !put }
+
+let prop_edit_equals_cold =
+  QCheck.Test.make ~name:"edit delta == cold analysis of the target"
+    ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let scenario = gen_fabric rng in
+      let config =
+        if Rng.int rng 2 = 0 then Analysis.Config.default
+        else Analysis.Config.faithful
+      in
+      let base = Delta.compute_base ~config scenario in
+      let edit = random_edit rng scenario in
+      let target = materialize scenario edit in
+      let cold = Analysis.Holistic.analyze ~config target in
+      let d = Delta.analyze base edit in
+      let report = d.Delta.d_report in
+      if report.Analysis.Holistic.verdict <> cold.Analysis.Holistic.verdict
+      then
+        QCheck.Test.fail_reportf "verdicts differ: %a vs cold %a"
+          Analysis.Holistic.pp_verdict report.Analysis.Holistic.verdict
+          Analysis.Holistic.pp_verdict cold.Analysis.Holistic.verdict;
+      if
+        Analysis.Holistic.converged cold.Analysis.Holistic.verdict
+        && bounds_of report <> bounds_of cold
+      then QCheck.Test.fail_report "bounds differ from the cold analysis";
+      (if not d.Delta.d_stats.Delta.cold_fallback then
+         let closure =
+           List.filter_map
+             (fun (f : Traffic.Flow.t) ->
+               if List.mem f.Traffic.Flow.id d.Delta.d_untouched then None
+               else Some f.Traffic.Flow.id)
+             (Traffic.Scenario.flows target)
+         in
+         if closure <> union_find_closure scenario edit target then
+           QCheck.Test.fail_report "closure differs from the union-find one");
+      (* The gate: a lint rejection exactly when the whole target's error
+         gate rejects, with the same errors. *)
+      let expected =
+        match Gmf_lint.Lint.gate ~config target with
+        | [] -> cold.Analysis.Holistic.verdict
+        | errors ->
+            (Analysis.Admission.rejected errors).Analysis.Holistic.verdict
+      in
+      let gated = (Delta.analyze ~lint:true base edit).Delta.d_report in
+      if gated.Analysis.Holistic.verdict <> expected then
+        QCheck.Test.fail_reportf "gated verdict %a, expected %a"
+          Analysis.Holistic.pp_verdict gated.Analysis.Holistic.verdict
+          Analysis.Holistic.pp_verdict expected;
+      true)
+
 let prop_survive_delta_equals_cold =
   QCheck.Test.make ~name:"survive delta == cold on random scenarios"
     ~count:15
@@ -271,6 +432,41 @@ let prop_survive_delta_equals_cold =
       let d = Survive.run ~k:1 scenario in
       let c = Survive_oracle.run ~k:1 scenario in
       check_sweeps_agree ~what:"k=1"
+        ~fail:(fun msg -> QCheck.Test.fail_report msg)
+        d c;
+      true)
+
+(* Pairs of failures over a random domain of at most 6 components,
+   switches included: a case can fail a switch and a link its reroutes
+   need, or two links of one detour. *)
+let prop_survive_delta_equals_cold_k2 =
+  QCheck.Test.make ~name:"k=2 sweeps on random domains: delta == cold"
+    ~count:4
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let scenario =
+        if Rng.int rng 2 = 0 then Test_precheck.gen_scenario rng
+        else gen_fabric rng
+      in
+      let comps = Survive.components scenario in
+      let switches, links =
+        List.partition
+          (function Survive.Switch _ -> true | Survive.Link _ -> false)
+          comps
+      in
+      (* Up to 2 switches and 4 links, drawn without replacement, kept in
+         component order. *)
+      let pick n pool =
+        let keyed = List.map (fun c -> (Rng.int rng 1_000_000, c)) pool in
+        List.filteri (fun i _ -> i < n)
+          (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) keyed))
+      in
+      let chosen = pick 2 switches @ pick 4 links in
+      let domain = List.filter (fun c -> List.mem c chosen) comps in
+      let d = Survive.run ~k:2 ~domain scenario in
+      let c = Survive_oracle.run ~k:2 ~domain scenario in
+      check_sweeps_agree ~what:"k=2"
         ~fail:(fun msg -> QCheck.Test.fail_report msg)
         d c;
       true)
@@ -324,7 +520,7 @@ let prop_churn_delta_sound =
           in
           let base = Delta.compute_base scenario in
           if Delta.base_ok base then begin
-            let d = Delta.analyze base scenario in
+            let d = Delta.analyze base { Delta.removed = []; put = [] } in
             if d.Delta.d_stats.Delta.rounds <> 0 then
               QCheck.Test.fail_reportf "identity edit burned rounds@\n%s"
                 text;
@@ -426,8 +622,8 @@ let tests =
     Alcotest.test_case "untouched flows carried over" `Quick
       test_untouched_carried_over;
     Alcotest.test_case "identity edit is free" `Quick test_identity_edit_free;
-    Alcotest.test_case "structure change falls back cold" `Quick
-      test_structure_change_falls_back;
+    Alcotest.test_case "non-converged base falls back cold" `Quick
+      test_non_converged_base_falls_back;
     Alcotest.test_case "lint gate: duplicate name across components" `Quick
       test_lint_gate_duplicate_name_across_components;
     Alcotest.test_case "survive delta == cold at k=2 (fig1)" `Quick
@@ -436,5 +632,7 @@ let tests =
     Alcotest.test_case "shed order permutation-invariant" `Quick
       test_shed_order_permutation_invariant;
     QCheck_alcotest.to_alcotest prop_survive_delta_equals_cold;
+    QCheck_alcotest.to_alcotest prop_survive_delta_equals_cold_k2;
+    QCheck_alcotest.to_alcotest prop_edit_equals_cold;
     QCheck_alcotest.to_alcotest prop_churn_delta_sound;
   ]

@@ -146,8 +146,10 @@ let check_equal ~what derived expected =
   if Analysis.Report_io.stage_csv rd <> Analysis.Report_io.stage_csv re then
     fail "%s: stage CSVs differ" what
 
-(* A flow record both scenarios hold shares the source's link tables; a
-   record the source does not hold gets its own. *)
+(* Link tables depend only on the spec, the encapsulation and the link:
+   a record of the source's spec (physically) and encapsulation — the
+   source's own, or one rerouted, re-prioritized or remarked — shares
+   the source's tables; a record with a new spec gets its own. *)
 let check_sharing ~what source derived =
   let held = Hashtbl.create 64 in
   List.iter
@@ -160,15 +162,18 @@ let check_sharing ~what source derived =
         (fun (src, dst) ->
           let p = Traffic.Scenario.params derived f ~src ~dst in
           match old with
-          | Some o when o == f ->
+          | Some o when not (List.mem (src, dst) (hops o)) -> ()
+          | Some o
+            when o.Traffic.Flow.spec == f.Traffic.Flow.spec
+                 && o.Traffic.Flow.encap = f.Traffic.Flow.encap ->
               if p != Traffic.Scenario.params source o ~src ~dst then
-                fail "%s: unchanged flow %d rebuilt its params" what
+                fail "%s: flow %d of the same spec rebuilt its params" what
                   f.Traffic.Flow.id
-          | Some o when List.mem (src, dst) (hops o) ->
+          | Some o ->
               if p == Traffic.Scenario.params source o ~src ~dst then
-                fail "%s: rebuilt flow %d kept stale params" what
+                fail "%s: flow %d with a new spec kept stale params" what
                   f.Traffic.Flow.id
-          | _ -> ())
+          | None -> ())
         (hops f))
     (Traffic.Scenario.flows derived)
 

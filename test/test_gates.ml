@@ -170,6 +170,34 @@ let test_delta_equals_cold_tiles () =
   Alcotest.(check string) "delta signature == oracle signature"
     (sweep_signature scenario c)
     (sweep_signature scenario d);
+  (* Each reroute record and its link parameters are built once per
+     sweep: the base's own params serve every hop a reroute keeps, and
+     the sweep's pool builds each (flow, hop) a reroute adds exactly
+     once, however many cases take that reroute.  No case sheds, so the
+     fates name every reroute the sweep made. *)
+  let added = Hashtbl.create 64 and reroutes = ref 0 in
+  List.iter
+    (fun (c : Survive.case_result) ->
+      List.iter
+        (fun ((f : Traffic.Flow.t), fate) ->
+          match fate with
+          | Survive.Rerouted route ->
+              incr reroutes;
+              List.iter
+                (fun hop ->
+                  if
+                    not
+                      (List.mem hop (Network.Route.hops f.Traffic.Flow.route))
+                  then Hashtbl.replace added (f.Traffic.Flow.id, hop) ())
+                (Network.Route.hops route)
+          | Survive.Shed -> Alcotest.fail "tile sweep: a case shed a flow"
+          | Survive.Unaffected -> ())
+        c.Survive.fates)
+    d.Survive.cases;
+  Alcotest.(check (list int))
+    "reroutes, added (flow, hop) pairs, traffic.params_built"
+    [ 384; 288; 288 ]
+    [ !reroutes; Hashtbl.length added; counter "traffic.params_built" ];
   match d.Survive.delta_totals with
   | None -> Alcotest.fail "delta sweep reported no delta totals"
   | Some t ->
