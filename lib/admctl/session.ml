@@ -52,10 +52,11 @@ type t = {
       (* the committed flow set (id-ascending), its fixpoint and report:
          the base every fixpoint event is a delta against *)
   mutable last_lint : Gmf_lint.Lint.report option;
-  mutable last_pre : Gmf_precheck.Precheck.report option;
-      (* the last gate reports computed, each the [prev] of the next run
-         of its gate: flows and components an edit leaves alone keep
-         their results *)
+      (* the last lint report, the [prev] of the next lint run: flows an
+         edit leaves alone keep their findings *)
+  pre_table : Gmf_precheck.Precheck.Table.t;
+      (* the components of the last precheck run: the ones an edit
+         leaves alone keep their verdicts *)
   mutable seq : int;
   mutable s_admitted : int;
   mutable s_rejected : int;
@@ -129,7 +130,7 @@ let create ?(config = Analysis.Config.default) ?(shadow = false)
         ~scenario:(Traffic.Scenario.make ~switches ~topo ~flows:[] ())
         ~report:empty_report ();
     last_lint = None;
-    last_pre = None;
+    pre_table = Gmf_precheck.Precheck.Table.create ();
     seq = 0;
     s_admitted = 0;
     s_rejected = 0;
@@ -402,12 +403,16 @@ let lint t scenario =
   t.last_lint <- Some r;
   r
 
+(* The table keeps only the latest run's components, so a long session
+   holds one scenario's worth of verdicts, not a history. *)
 let precheck t scenario =
   let r =
-    Gmf_precheck.Precheck.run ~config:t.config ?prev:t.last_pre scenario
+    Gmf_precheck.Precheck.run ~config:t.config ~table:t.pre_table scenario
   in
-  t.last_pre <- Some r;
+  Gmf_precheck.Precheck.Table.keep_latest t.pre_table;
   r
+
+let precheck_entries t = Gmf_precheck.Precheck.Table.length t.pre_table
 
 (* Admit and update share the accept-or-rollback shape (removals commit
    regardless and are handled separately).  [gate] (survivability) runs

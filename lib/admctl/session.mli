@@ -30,9 +30,11 @@
     Candidate flows are lint-gated ({!Gmf_lint}) before any fixpoint runs;
     a lint error rejects with [rounds = 0] exactly like
     [Analysis.Admission].  Rejected events leave the session untouched.
-    The session passes the last lint and precheck reports it computed as
-    the next run's [?prev], so both gates recompute only the flows and
-    interference components the edit changed (docs/ADMCTL.md).
+    The session passes its last lint report as the next lint run's
+    [?prev] and keeps one {!Gmf_precheck.Precheck.Table} holding the
+    components of its latest precheck run, so both gates recompute only
+    the flows and interference components the edit changed
+    (docs/ADMCTL.md).
 
     Telemetry: every event bumps [admctl.events], a per-kind span and an
     [admctl.latency_ns.<kind>] histogram sample on the default
@@ -170,6 +172,10 @@ val report : t -> Analysis.Holistic.report
 
 val failed_links : t -> (Network.Node.id * Network.Node.id) list
 (** Currently-failed undirected pairs (smaller id first), oldest first. *)
+
+val precheck_entries : t -> int
+(** Entries of the session's precheck table: one per interference
+    component of the latest precheck run, whatever ran before it. *)
 
 val summary : t -> summary
 

@@ -22,6 +22,7 @@ type base = {
   b_lint_clean : bool;
   b_index : index Lazy.t;
   b_pool : Traffic.Scenario.params_pool;
+  b_precheck : Gmf_precheck.Precheck.Table.t;
 }
 
 type stats = {
@@ -86,6 +87,7 @@ let wrap ~config ~scenario ~report ~lint_clean =
     b_lint_clean = lint_clean;
     b_index = lazy (build_index scenario);
     b_pool = Traffic.Scenario.params_pool ();
+    b_precheck = Gmf_precheck.Precheck.Table.create ();
   }
 
 let make_base ~config ~scenario ~report () =
@@ -232,21 +234,25 @@ let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
 (* A run from source jitters.  Under [~precheck] it goes through the
    precheck-guided sharded engine: flows precheck decides statically
    never burn fixpoint rounds, and their synthetic results carry
-   certified ceilings rather than converged bounds. *)
-let cold_run ~precheck ~config scenario =
+   certified ceilings rather than converged bounds.  The base's table
+   keeps every component an earlier edit prechecked. *)
+let cold_run ~precheck base scenario =
+  let config = base.b_config in
   if precheck then
-    let r, _precheck, _stats = Sharded.analyze ~config scenario in
+    let r, _precheck, _stats =
+      Sharded.analyze ~config ~table:base.b_precheck scenario
+    in
     r
   else Holistic.analyze ~config scenario
 
 (* The base did not converge: analyze the whole target cold (optionally
    through the full-scenario lint gate), certify nothing. *)
-let cold ~lint ~precheck ~config target =
+let cold ~lint ~precheck base target =
   let total = Traffic.Scenario.flow_count target in
   let report =
-    match if lint then lint_reject ~config target else None with
+    match if lint then lint_reject ~config:base.b_config target else None with
     | Some report -> report
-    | None -> cold_run ~precheck ~config target
+    | None -> cold_run ~precheck base target
   in
   {
     d_report = report;
@@ -258,7 +264,7 @@ let cold ~lint ~precheck ~config target =
 
 let analyze ?(lint = false) ?(precheck = false) base edit =
   let config = base.b_config in
-  if not base.b_ok then cold ~lint ~precheck ~config (target base edit)
+  if not base.b_ok then cold ~lint ~precheck base (target base edit)
   else begin
     let target_flows = target_flows base edit in
     let total = List.length target_flows in
@@ -335,7 +341,7 @@ let analyze ?(lint = false) ?(precheck = false) base edit =
                  [~precheck:true] that is the path a cold
                  {!Sharded.analyze} of the full target takes, restricted
                  to the closure. *)
-              cold_run ~precheck ~config sub
+              cold_run ~precheck base sub
           in
           let rounds = sub_report.Holistic.rounds in
           {

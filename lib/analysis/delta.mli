@@ -51,7 +51,11 @@
     Each base owns a {!Traffic.Scenario.params_pool}: every restriction
     and target built against it shares its link parameters, so a
     (flow, hop) that recurs across edits (a survive sweep's reroute) is
-    built once per base.
+    built once per base.  It also owns a
+    {!Gmf_precheck.Precheck.Table}, which every [~precheck] closure
+    restart and cold fallback passes through {!Sharded.analyze}: a
+    component that recurs across edits with the same records (a survive
+    sweep's degraded tile) is prechecked once per base.
 
     Telemetry: [delta.runs], [delta.closure_flows], [delta.flows_skipped],
     [delta.rounds_saved] (estimate: base rounds minus closure rounds) and
@@ -61,8 +65,9 @@ type base
 (** A converged base fixpoint: scenario, config and report.  The report
     is the whole fixpoint: its stage responses fix the converged jitters
     ({!Pipeline.seed}).  It also owns the base's interference components
-    and name index (built at the first edit that needs them) and the
-    params pool of the scenarios derived from it. *)
+    and name index (built at the first edit that needs them), the
+    params pool of the scenarios derived from it and the precheck table
+    of its closure restarts; all live as long as the base. *)
 
 type edit = {
   removed : Traffic.Flow.id list;  (** Base flows the target drops. *)
@@ -150,7 +155,8 @@ val analyze : ?lint:bool -> ?precheck:bool -> base -> edit -> result
     closure restart — and a cold fallback's run over the full target —
     through the precheck-guided {!Sharded.analyze} instead of a
     monolithic {!Holistic.run}: flows decided statically skip the
-    fixpoint.  The schedulability class, fates and matrices are unchanged
+    fixpoint, and components the base's precheck table already holds
+    are not tested again.  The schedulability class, fates and matrices are unchanged
     (precheck is schedulability-exact), but closure flows decided
     statically carry certified ceilings instead of converged bounds.
 

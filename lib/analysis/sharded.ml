@@ -66,8 +66,8 @@ let certified_result flow ceilings =
   in
   { Result_types.flow; frames }
 
-let analyze ?(config = Config.default) scenario =
-  let pre = Gmf_precheck.Precheck.run ~config scenario in
+let analyze ?(config = Config.default) ?table scenario =
+  let pre = Gmf_precheck.Precheck.run ~config ?table scenario in
   let infeasible = Gmf_precheck.Precheck.infeasible pre
   and certified = Gmf_precheck.Precheck.certified pre
   and to_run = Gmf_precheck.Precheck.undecided_components pre in

@@ -1,7 +1,8 @@
 (** Precheck-guided holistic analysis: decide statically what can be
     decided, fixpoint the rest component by component.
 
-    {!analyze} runs {!Gmf_precheck.Precheck.run} first, then:
+    {!analyze} runs {!Gmf_precheck.Precheck.run} first (through the
+    caller's table, when given one), then:
 
     - statically infeasible flows are rejected without any fixpoint (the
       certificate becomes the failure reason);
@@ -50,7 +51,11 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
 
 val analyze :
   ?config:Config.t ->
+  ?table:Gmf_precheck.Precheck.Table.t ->
   Traffic.Scenario.t ->
   Holistic.report * Gmf_precheck.Precheck.report * stats
-(** [analyze ?config scenario] is the merged report, the precheck
-    report it was guided by, and the sharding counters. *)
+(** [analyze ?config ?table scenario] is the merged report, the precheck
+    report it was guided by, and the sharding counters.  [table] goes to
+    {!Gmf_precheck.Precheck.run}: components it already holds are not
+    tested again ({!Delta} passes its base's table, so every closure
+    restart against one base shares it). *)

@@ -72,12 +72,14 @@ let component_name scenario component =
 
 (* All subsets of [comps] of size 1..k, smallest size first.  Within a
    size class the subsets walk in revolving-door Gray order: consecutive
-   cases differ by swapping exactly one component in and one out, so
-   adjacent failure cases share most of their degraded flow set and the
-   delta engine's closures (and the component memo behind it) stay
-   small along the walk.  Each subset lists its components in [comps]
-   order, and the size-1 class is exactly [comps] — the k=1 case order
-   (and its golden) is unchanged from the naive enumeration. *)
+   cases differ by swapping exactly one component in and one out.  No
+   cost depends on the order (every closure is relative to the
+   fault-free base, and the base's precheck table and the component
+   memo are keyed by content); it is kept because the reports and their
+   goldens list cases in it.  Each subset lists its components in
+   [comps] order, and the size-1 class is exactly [comps] — the k=1
+   case order (and its golden) is unchanged from the naive
+   enumeration. *)
 let failure_cases ~k comps =
   let arr = Array.of_list comps in
   let n = Array.length arr in
@@ -344,8 +346,9 @@ let failed_case_result scenario err case =
   }
 
 (* Empties the component memo ({!Analysis.Case.shared_memo}) a sweep
-   fills: the cold fallbacks of its cases analyze their interference
-   components through it, and adjacent cases share most of them. *)
+   fills: the closure restarts of its cases (the undecided components
+   of a precheck-guided run) and their cold fallbacks analyze their
+   interference components through it. *)
 let clear_memo () = Gmf_exec.Memo.clear Analysis.Case.shared_memo
 
 let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =

@@ -17,9 +17,13 @@
     sheds without burning fixpoint rounds.  A case costs O(closure)
     beyond a few O(flows) list passes (its fates, the merged report):
     the base's components, the flows by node and each reroute's record
-    and link parameters are built once per sweep ({!sweep}).  Same-size failure
-    sets walk in revolving-door Gray order, so consecutive cases share
-    most of their degraded sets.  A
+    and link parameters are built once per sweep ({!sweep}), and a
+    degraded component that recurs across cases is prechecked once (the
+    base's {!Gmf_precheck.Precheck.Table}) and fixpointed once (the
+    component memo).  Same-size failure sets walk in revolving-door Gray
+    order; both tables are keyed by content, so the order is kept
+    because the goldens list cases in it, not for what adjacent cases
+    share.  A
     base that does not converge certifies nothing: every attempt takes
     the delta engine's cold fallback (lint gate, then the
     precheck-guided {!Analysis.Sharded.analyze} of the whole degraded
@@ -104,7 +108,8 @@ val failure_cases : k:int -> component list -> component list list
     class the subsets walk in revolving-door Gray order (consecutive
     cases swap exactly one component), each subset listing its
     components in input order.  The size-1 class is the input list
-    itself.  This is the exact case order {!run} evaluates. *)
+    itself.  This is the exact case order {!run} evaluates and its
+    reports (and their goldens) list; no cost depends on it. *)
 
 type sweep
 (** What every case of a sweep reads of its scenario, built once: the
@@ -174,8 +179,9 @@ val run :
 
 val clear_memo : unit -> unit
 (** Empty the component memo ({!Analysis.Case.shared_memo}) that a
-    sweep fills: the cold fallbacks of its cases analyze their
-    interference components through it. *)
+    sweep fills: its cases' closure restarts (under [~precheck], the
+    undecided components of {!Analysis.Sharded.analyze}) and cold
+    fallbacks analyze their interference components through it. *)
 
 val admission_gate :
   ?exec:Gmf_exec.t ->

@@ -24,22 +24,55 @@ type flow_verdict = {
   ceilings : Gmf_util.Timeunit.ns array option;
 }
 
-(* A member's verdict as its component computed it, with that
-   component's cid and size: a component of the next pass reuses it when
-   every member carries over from one component of the same size. *)
-type carried = {
-  from_cid : int;
-  from_size : int;
-  c_verdict : verdict;
-  c_ceilings : Gmf_util.Timeunit.ns array option;
-}
-
 type report = {
   stats : Igraph.stats;
   components : Igraph.component list;
   verdicts : flow_verdict list;
-  by_flow : carried Reuse.t;
 }
+
+(* ---------------- component-verdict table ---------------- *)
+
+module Ids = Hashtbl.Make (struct
+  type t = Traffic.Flow.id list
+
+  let equal = List.equal Int.equal
+
+  (* Over the whole list: [Hashtbl.hash] reads only its first cells, and
+     the components of a sweep's cases often share their smallest ids. *)
+  let hash ids =
+    List.fold_left (fun h id -> (h * 65599) + id) 0 ids land max_int
+end)
+
+(* A component's verdicts with everything they were computed from: the
+   member records, the topology, the config and the switch models along
+   the members' routes.  Never the scenario, which would keep every
+   flow of the run alive. *)
+type entry = {
+  members : Traffic.Flow.t list;  (* in id order *)
+  topo : Network.Topology.t;
+  config : Analysis_config.t;
+  models : Click.Switch_model.t list;  (* along the members' routes *)
+  outcome : (verdict * Gmf_util.Timeunit.ns array option) list;
+  mutable seen : int;  (* the last run that read or wrote it *)
+}
+
+(* Every entry of a member-id set, newest first: the cases of a sweep
+   can meet one set with different records (a tile rerouted one way
+   alone and another way next to a second failure). *)
+module Table = struct
+  type t = { entries : entry list Ids.t; mutable run : int }
+
+  let create () = { entries = Ids.create 16; run = 0 }
+  let length t = Ids.fold (fun _ es n -> n + List.length es) t.entries 0
+
+  let keep_latest t =
+    Ids.filter_map_inplace
+      (fun _ es ->
+        match List.filter (fun e -> e.seen = t.run) es with
+        | [] -> None
+        | kept -> Some kept)
+      t.entries
+end
 
 (* ---------------- observability ---------------- *)
 
@@ -174,32 +207,52 @@ let component_verdicts ~config scenario members =
     | Error reason -> List.map (fun _ -> needs reason) members
     | Ok ceilings -> List.map2 schedulable members ceilings
 
-(* The members' verdicts from [prev], when every member carries over
-   from one component of [prev] of the same size, i.e. the same member
-   set. *)
-let carried_over ~prev ~config scenario members =
-  let size = List.length members in
-  let found = List.map (Reuse.find ~prev ~config scenario) members in
-  match found with
-  | Some first :: _
-    when List.for_all
-           (function
-             | Some c -> c.from_cid = first.from_cid && c.from_size = size
-             | None -> false)
-           found ->
-      Some
-        (List.filter_map
-           (Option.map (fun c -> (c.c_verdict, c.c_ceilings)))
-           found)
-  | _ -> None
+let route_models scenario members =
+  List.concat_map
+    (fun (f : Traffic.Flow.t) ->
+      List.map
+        (Traffic.Scenario.switch_model scenario)
+        (Network.Route.intermediate_switches f.Traffic.Flow.route))
+    members
 
-let run ?(config = Analysis_config.default) ?prev scenario =
+(* The members' verdicts from [table], when it holds an entry for their
+   ids computed from these very records ([==]), this topology ([==]), an
+   equal config and equal models on their routes: every static test
+   reads only the component's own members, so the verdicts come out the
+   same.  A miss computes them and adds an entry. *)
+let lookup_or_compute (table : Table.t) ~config ~reused scenario ids members =
+  let topo = Traffic.Scenario.topo scenario in
+  let models = lazy (route_models scenario members) in
+  let fits e =
+    e.topo == topo
+    && List.equal ( == ) e.members members
+    && e.config = config
+    && List.equal ( = ) e.models (Lazy.force models)
+  in
+  let entries =
+    Option.value ~default:[] (Ids.find_opt table.Table.entries ids)
+  in
+  match List.find_opt fits entries with
+  | Some e ->
+      incr reused;
+      e.seen <- table.Table.run;
+      e.outcome
+  | None ->
+      let outcome = component_verdicts ~config scenario members in
+      Ids.replace table.Table.entries ids
+        ({ members; topo; config; models = Lazy.force models; outcome;
+           seen = table.Table.run }
+        :: entries);
+      outcome
+
+let run ?(config = Analysis_config.default) ?table scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"precheck"
     "precheck.run"
   @@ fun () ->
   let graph = Igraph.build scenario in
   let components = Igraph.components graph in
   let stats = Igraph.stats graph in
+  Option.iter (fun (t : Table.t) -> t.Table.run <- t.Table.run + 1) table;
   let reused = ref 0 and of_id = Hashtbl.create 64 in
   List.iter
     (fun (c : Igraph.component) ->
@@ -207,34 +260,26 @@ let run ?(config = Analysis_config.default) ?prev scenario =
         List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
       in
       let outcome =
-        match
-          Option.bind prev (fun p ->
-              carried_over ~prev:p.by_flow ~config scenario members)
-        with
-        | Some outcome ->
-            incr reused;
-            outcome
+        match table with
+        | Some t ->
+            lookup_or_compute t ~config ~reused scenario c.Igraph.flow_ids
+              members
         | None -> component_verdicts ~config scenario members
       in
-      let from_size = List.length members in
       List.iter2
-        (fun (f : Traffic.Flow.t) (c_verdict, c_ceilings) ->
-          Hashtbl.replace of_id f.Traffic.Flow.id
-            { from_cid = c.Igraph.cid; from_size; c_verdict; c_ceilings })
+        (fun (f : Traffic.Flow.t) o ->
+          Hashtbl.replace of_id f.Traffic.Flow.id (c.Igraph.cid, o))
         members outcome)
     components;
-  let carried =
-    List.map
-      (fun (f : Traffic.Flow.t) -> (f, Hashtbl.find of_id f.Traffic.Flow.id))
-      (Traffic.Scenario.flows scenario)
-  in
   let verdicts =
     List.map
-      (fun ((f : Traffic.Flow.t), c) ->
+      (fun (f : Traffic.Flow.t) ->
+        let component, (verdict, ceilings) =
+          Hashtbl.find of_id f.Traffic.Flow.id
+        in
         { flow_id = f.Traffic.Flow.id; flow_name = f.Traffic.Flow.name;
-          component = c.from_cid; verdict = c.c_verdict;
-          ceilings = c.c_ceilings })
-      carried
+          component; verdict; ceilings })
+      (Traffic.Scenario.flows scenario)
   in
   let n_inf =
     List.length
@@ -255,7 +300,7 @@ let run ?(config = Analysis_config.default) ?prev scenario =
     Gmf_obs.Metrics.incr ~by:n_cert m_certified;
     Gmf_obs.Metrics.set_gauge g_largest (float_of_int stats.Igraph.largest)
   end;
-  { stats; components; verdicts; by_flow = Reuse.make ~config scenario carried }
+  { stats; components; verdicts }
 
 (* ---------------- accessors ---------------- *)
 

@@ -1,12 +1,14 @@
-(** Per-flow results of a static pass, kept so that the next pass over
-    an edited scenario can carry them over instead of recomputing them.
+(** Per-flow results of lint's per-flow rules, kept so that the next
+    lint pass over an edited scenario can carry them over instead of
+    recomputing them ({!Gmf_lint.Lint.run}'s [?prev]; precheck keeps
+    per-component verdicts in {!Precheck.Table} instead).
 
     A result stored for a flow is reused only when it would come out the
     same: the flow record is physically the one it was computed for
     ([==]), the topology is physically the same, the switch model of
     every switch on the flow's route is equal, and so is the analysis
-    config.  Lint's per-flow rules and precheck's per-component verdicts
-    are functions of exactly these (see [docs/ADMCTL.md]).
+    config.  Lint's per-flow rules are functions of exactly these (see
+    [docs/ADMCTL.md]).
 
     A table never refers to the table it was built from, so keeping the
     last one costs one scenario's worth of results, not a history. *)

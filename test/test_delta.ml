@@ -260,27 +260,6 @@ let with_duplicate_name rng scenario =
 (* Edits: delta == cold analysis of the materialized target            *)
 (* ------------------------------------------------------------------ *)
 
-(* The scenario an edit describes, built without Delta: the base's
-   switch models, the base flows the edit leaves alone and the put
-   records. *)
-let materialize scenario (edit : Delta.edit) =
-  let edited =
-    edit.Delta.removed
-    @ List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) edit.Delta.put
-  in
-  let switches =
-    List.map
-      (fun n -> (n, Traffic.Scenario.switch_model scenario n))
-      (Traffic.Scenario.switch_nodes scenario)
-  in
-  Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
-    ~flows:
-      (List.filter
-         (fun (f : Traffic.Flow.t) -> not (List.mem f.Traffic.Flow.id edited))
-         (Traffic.Scenario.flows scenario)
-      @ edit.Delta.put)
-    ()
-
 (* The closure as a union-find over the union of the base flows and the
    put records defines it: the target ids in a node-sharing component
    that holds a seed (an old or new version of an edited flow). *)
@@ -305,65 +284,6 @@ let union_find_closure scenario (edit : Delta.edit) target =
       else None)
     (Traffic.Scenario.flows target)
 
-(* One to three edits of distinct flows: a removal, a payload update, a
-   reroute around one of the route's links, or an added copy of a flow
-   under a fresh id — in one case of three under an existing name, which
-   only the lint gate's GMF001 sees. *)
-let random_edit rng scenario =
-  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
-  let topo = Traffic.Scenario.topo scenario in
-  let next_id =
-    ref
-      (1
-      + Array.fold_left
-          (fun m (f : Traffic.Flow.t) -> max m f.Traffic.Flow.id)
-          0 flows)
-  in
-  let touched = Hashtbl.create 8 in
-  let removed = ref [] and put = ref [] in
-  for _ = 1 to 1 + Rng.int rng 3 do
-    let f = flows.(Rng.int rng (Array.length flows)) in
-    if not (Hashtbl.mem touched f.Traffic.Flow.id) then begin
-      let replace g =
-        Hashtbl.replace touched f.Traffic.Flow.id ();
-        put := g :: !put
-      in
-      match Rng.int rng 4 with
-      | 0 ->
-          Hashtbl.replace touched f.Traffic.Flow.id ();
-          removed := f.Traffic.Flow.id :: !removed
-      | 1 -> (
-          match Traffic.Flow.scale_payloads_checked f 1.25 with
-          | Ok g -> replace g
-          | Error _ -> ())
-      | 2 -> (
-          let route = f.Traffic.Flow.route in
-          let hops = Network.Route.hops route in
-          let hop = List.nth hops (Rng.int rng (List.length hops)) in
-          match
-            Network.Pathfind.first_route ~avoid_links:[ hop ] topo
-              ~src:(Network.Route.source route)
-              ~dst:(Network.Route.destination route)
-          with
-          | Some alt -> replace (Analysis.Rerouting.with_route f alt)
-          | None -> ())
-      | _ ->
-          let id = !next_id in
-          incr next_id;
-          let name =
-            if Rng.int rng 3 = 0 then
-              flows.(Rng.int rng (Array.length flows)).Traffic.Flow.name
-            else Printf.sprintf "added%d" id
-          in
-          put :=
-            Traffic.Flow.make ~id ~name ~spec:f.Traffic.Flow.spec
-              ~encap:f.Traffic.Flow.encap ~route:f.Traffic.Flow.route
-              ~priority:f.Traffic.Flow.priority
-            :: !put
-    end
-  done;
-  { Delta.removed = !removed; put = !put }
-
 let prop_edit_equals_cold =
   QCheck.Test.make ~name:"edit delta == cold analysis of the target"
     ~count:20
@@ -376,8 +296,8 @@ let prop_edit_equals_cold =
         else Analysis.Config.faithful
       in
       let base = Delta.compute_base ~config scenario in
-      let edit = random_edit rng scenario in
-      let target = materialize scenario edit in
+      let edit = Test_precheck.random_edit rng scenario in
+      let target = Test_precheck.materialize scenario edit in
       let cold = Analysis.Holistic.analyze ~config target in
       let d = Delta.analyze base edit in
       let report = d.Delta.d_report in

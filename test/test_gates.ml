@@ -161,6 +161,23 @@ let test_delta_equals_cold_tiles () =
      settles on its first delta attempt; the gates build no hint and no
      warning. *)
   Alcotest.(check int) "lint.runs" 37 (counter "lint.runs");
+  (* Every case's attempt is a mixed edit (its reroutes), so its closure
+     restarts through the precheck-guided engine: 36 precheck runs, one
+     per case.  A single failure reroutes its tile across a neighbouring
+     tile, so each of the 8 tests one 12-flow component (two neighbours
+     failing alone give the same ids with different records: two
+     entries).  Of the 28 pairs, 5 merge into one 18-flow component and
+     23 hold two 12-flow components: 8 + 5 + 46 = 59.  44 of the 46 are
+     a single failure's component with the same records, read from the
+     base's table; the other 2 belong to a tile whose detour crossed the
+     pair's other failed link, so it detours elsewhere.  The sweep tests
+     8 + 5 + 2 = 15 components. *)
+  Alcotest.(check (list int))
+    "precheck.runs/components/components_reused" [ 36; 59; 44 ]
+    [
+      counter "precheck.runs"; counter "precheck.components";
+      counter "precheck.components_reused";
+    ];
   Alcotest.(check int) "hint and warning lint.hits" 0
     (List.fold_left
        (fun acc (r : Gmf_lint.Rules.rule) ->
@@ -261,6 +278,11 @@ let test_session_admits_tiles () =
       counter "lint.runs"; counter "lint.flows_reused"; counter "precheck.runs";
       counter "precheck.components"; counter "precheck.components_reused";
     ];
+  (* The session's precheck table keeps the latest run's components only:
+     the 18 tiles of the full population, not the 108 member sets its
+     admits tested. *)
+  Alcotest.(check int) "precheck table entries" 18
+    (Session.precheck_entries session);
   let cold = Analysis.Holistic.analyze scenario
   and committed = Session.report session in
   Alcotest.(check bool) "committed verdict and results == cold analysis" true

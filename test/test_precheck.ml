@@ -5,6 +5,8 @@
 module P = Gmf_precheck.Precheck
 module Ig = Gmf_precheck.Igraph
 module St = Gmf_precheck.Static_tests
+module Delta = Analysis.Delta
+module Rng = Gmf_util.Rng
 
 let parse text =
   match Scenario_io.Parse.scenario_of_string text with
@@ -453,38 +455,220 @@ let prop_demand_floor_below_responses =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Reuse across passes                                                *)
+(* Random edits, shared with test_delta.ml                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [run ~prev] equals a pass from scratch when the context of every
-   component moved while every flow record stayed physically the same:
-   the verdicts must differ from [prev]'s, or reuse is untested. *)
-let check_prev_equals_scratch ~what ?config ~prev scenario =
-  let scratch = P.run ?config scenario in
-  Alcotest.(check bool) (what ^ ": verdicts moved") false
-    (P.to_json scratch = P.to_json prev);
-  Alcotest.(check string) (what ^ ": run ~prev == run") (P.to_json scratch)
-    (P.to_json (P.run ?config ~prev scenario))
+(* The scenario an edit describes, built without Delta: the base's
+   switch models, the base flows the edit leaves alone and the put
+   records. *)
+let materialize scenario (edit : Delta.edit) =
+  let edited =
+    edit.Delta.removed
+    @ List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) edit.Delta.put
+  in
+  let switches =
+    List.map
+      (fun n -> (n, Traffic.Scenario.switch_model scenario n))
+      (Traffic.Scenario.switch_nodes scenario)
+  in
+  Traffic.Scenario.make ~switches ~topo:(Traffic.Scenario.topo scenario)
+    ~flows:
+      (List.filter
+         (fun (f : Traffic.Flow.t) -> not (List.mem f.Traffic.Flow.id edited))
+         (Traffic.Scenario.flows scenario)
+      @ edit.Delta.put)
+    ()
 
-(* Doubling CROUTE raises CIRC and every certified ceiling. *)
-let test_prev_switch_models () =
-  let enterprise = Workload.Scenarios.enterprise () in
-  let slow =
-    Traffic.Scenario.map_switches enterprise ~f:(fun _ m ->
+(* One to three edits of distinct flows: a removal, a payload update, a
+   reroute around one of the route's links, or an added copy of a flow
+   under a fresh id — in one case of three under an existing name, which
+   only the lint gate's GMF001 sees. *)
+let random_edit rng scenario =
+  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
+  let topo = Traffic.Scenario.topo scenario in
+  let next_id =
+    ref
+      (1
+      + Array.fold_left
+          (fun m (f : Traffic.Flow.t) -> max m f.Traffic.Flow.id)
+          0 flows)
+  in
+  let touched = Hashtbl.create 8 in
+  let removed = ref [] and put = ref [] in
+  for _ = 1 to 1 + Rng.int rng 3 do
+    let f = flows.(Rng.int rng (Array.length flows)) in
+    if not (Hashtbl.mem touched f.Traffic.Flow.id) then begin
+      let replace g =
+        Hashtbl.replace touched f.Traffic.Flow.id ();
+        put := g :: !put
+      in
+      match Rng.int rng 4 with
+      | 0 ->
+          Hashtbl.replace touched f.Traffic.Flow.id ();
+          removed := f.Traffic.Flow.id :: !removed
+      | 1 -> (
+          match Traffic.Flow.scale_payloads_checked f 1.25 with
+          | Ok g -> replace g
+          | Error _ -> ())
+      | 2 -> (
+          let route = f.Traffic.Flow.route in
+          let hops = Network.Route.hops route in
+          let hop = List.nth hops (Rng.int rng (List.length hops)) in
+          match
+            Network.Pathfind.first_route ~avoid_links:[ hop ] topo
+              ~src:(Network.Route.source route)
+              ~dst:(Network.Route.destination route)
+          with
+          | Some alt -> replace (Analysis.Rerouting.with_route f alt)
+          | None -> ())
+      | _ ->
+          let id = !next_id in
+          incr next_id;
+          let name =
+            if Rng.int rng 3 = 0 then
+              flows.(Rng.int rng (Array.length flows)).Traffic.Flow.name
+            else Printf.sprintf "added%d" id
+          in
+          put :=
+            Traffic.Flow.make ~id ~name ~spec:f.Traffic.Flow.spec
+              ~encap:f.Traffic.Flow.encap ~route:f.Traffic.Flow.route
+              ~priority:f.Traffic.Flow.priority
+            :: !put
+    end
+  done;
+  { Delta.removed = !removed; put = !put }
+
+(* ------------------------------------------------------------------ *)
+(* One component table across an edit script                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A topogen fabric — mesh, fat-tree or ring of rings — whose flows stay
+   in their source's region, so most fabrics fall apart into several
+   interference components, loaded up to 95% per resource. *)
+let gen_fabric rng =
+  let open Gmf_topogen.Gen_spec in
+  let family =
+    match Rng.int rng 3 with
+    | 0 -> Mesh { rows = 4; cols = 4; planes = 1 }
+    | 1 -> Fat_tree { k = 4 }
+    | _ -> Ring_of_rings { rings = 4; ring_size = 3 }
+  in
+  let spec =
+    {
+      default with
+      family;
+      hosts_per_switch = 2;
+      flows = 10 + Rng.int rng 21;
+      locality = 1.0;
+      max_util = 0.95;
+      seed = Rng.int rng 1_000_000;
+    }
+  in
+  (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+
+(* Doubling CROUTE on the switches of one route raises their CIRC and
+   the certified ceilings of every component crossing them, while every
+   flow record and the topology stay physically the same. *)
+let slow_switches scenario (f : Traffic.Flow.t) =
+  let on_route = Network.Route.intermediate_switches f.Traffic.Flow.route in
+  Traffic.Scenario.map_switches scenario ~f:(fun n m ->
+      if not (List.mem n on_route) then m
+      else
         Click.Switch_model.make
           ~croute:(2 * m.Click.Switch_model.croute)
           ~csend:m.Click.Switch_model.csend
           ~processors:m.Click.Switch_model.processors
           ~ninterfaces:m.Click.Switch_model.ninterfaces ())
-  in
-  check_prev_equals_scratch ~what:"CIRC" ~prev:(P.run enterprise) slow
 
-(* The Repaired variant charges every own Ethernet frame a rotation. *)
-let test_prev_variant () =
-  let enterprise = Workload.Scenarios.enterprise () in
-  check_prev_equals_scratch ~what:"variant"
-    ~prev:(P.run ~config:Analysis.Config.faithful enterprise)
-    enterprise
+(* One step of a script: {!random_edit}'s one to three removals,
+   payload updates, reroutes and added copies, or — once each per
+   script — a switch-model change, an update that keeps the flow's id
+   and route but changes its record (a rename and smaller payloads), and
+   a switch to the other variant.  Returns the new scenario and
+   config. *)
+let script_step rng ~once ~config scenario =
+  let flows = Traffic.Scenario.flows scenario in
+  let f = List.nth flows (Rng.int rng (List.length flows)) in
+  let first tag =
+    let fresh = not (Hashtbl.mem once tag) in
+    Hashtbl.replace once tag ();
+    fresh
+  in
+  let edit = materialize scenario in
+  match Rng.int rng 6 with
+  | 0 when first "models" -> (slow_switches scenario f, config)
+  | 1 when first "record" -> (
+      match Traffic.Flow.scale_payloads_checked f 0.8 with
+      | Ok g ->
+          ( edit
+              {
+                Delta.removed = [];
+                put =
+                  [
+                    Traffic.Flow.make ~id:g.Traffic.Flow.id
+                      ~name:(g.Traffic.Flow.name ^ "'")
+                      ~spec:g.Traffic.Flow.spec ~encap:g.Traffic.Flow.encap
+                      ~route:g.Traffic.Flow.route
+                      ~priority:g.Traffic.Flow.priority;
+                  ];
+              },
+            config )
+      | Error _ -> (scenario, config))
+  | 2 when first "variant" ->
+      ( scenario,
+        if config = Analysis.Config.faithful then Analysis.Config.default
+        else Analysis.Config.faithful )
+  | _ -> (edit (random_edit rng scenario), config)
+
+(* The components [f]'s prechecks read from a table. *)
+let components_reused f =
+  let reg = Gmf_obs.Metrics.default in
+  let counter = Gmf_obs.Metrics.counter reg "precheck.components_reused" in
+  let was = Gmf_obs.Metrics.enabled reg in
+  let before = Gmf_obs.Metrics.counter_value counter in
+  Gmf_obs.Metrics.set_enabled reg true;
+  Fun.protect ~finally:(fun () -> Gmf_obs.Metrics.set_enabled reg was) f;
+  Gmf_obs.Metrics.counter_value counter - before
+
+(* A random edit script under Repaired or Faithful, every step prechecked
+   through one table shared by the whole script: each report equals a
+   run from scratch.  A table that reused a component for its ids alone
+   would return the stale verdicts of an updated record, a slower
+   switch or the other variant. *)
+let prop_table_equals_scratch =
+  QCheck.Test.make ~name:"one table across an edit script == runs from scratch"
+    ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let config =
+        ref
+          (if Rng.int rng 2 = 0 then Analysis.Config.default
+           else Analysis.Config.faithful)
+      in
+      let scenario = ref (gen_fabric rng) in
+      let table = P.Table.create () and once = Hashtbl.create 4 in
+      for step = 0 to 11 do
+        if step > 0 then begin
+          let s, c = script_step rng ~once ~config:!config !scenario in
+          scenario := s;
+          config := c
+        end;
+        let scratch = P.to_json (P.run ~config:!config !scenario) in
+        if P.to_json (P.run ~config:!config ~table !scenario) <> scratch then
+          QCheck.Test.fail_reportf "step %d: report through the table differs"
+            step
+      done;
+      (* The table holds every component of the last step: running that
+         step again tests none of them. *)
+      let components = (P.run !scenario).P.stats.Ig.components in
+      if
+        components_reused (fun () ->
+            ignore (P.run ~config:!config ~table !scenario))
+        <> components
+      then
+        QCheck.Test.fail_report "a rerun of the last step tested a component";
+      true)
 
 let tests =
   [
@@ -505,8 +689,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_verdicts_sound_faithful;
     QCheck_alcotest.to_alcotest prop_admtrace_sound;
     QCheck_alcotest.to_alcotest prop_demand_floor_below_responses;
-    Alcotest.test_case "run ~prev after a switch-model change" `Quick
-      test_prev_switch_models;
-    Alcotest.test_case "run ~prev under the other variant" `Quick
-      test_prev_variant;
+    QCheck_alcotest.to_alcotest prop_table_equals_scratch;
   ]
