@@ -102,6 +102,31 @@ let exit_of_result = function
       prerr_endline ("gmfnet: " ^ msg);
       1
 
+(* The exit status of a command that reaches a verdict: 0 when the
+   verdict passed ([Ok true]), 1 when it did not, and 1 with a [gmfnet:]
+   message on an error. *)
+let exit_of_verdict = function
+  | Ok passed -> if passed then 0 else 1
+  | Error msg -> exit_of_result (Error msg)
+
+(* The man page's EXIT STATUS section of such a command. *)
+let verdict_exits ~passed ~failed =
+  Cmd.Exit.info 0 ~doc:passed
+  :: Cmd.Exit.info 1
+       ~doc:
+         (failed
+        ^ ", or on an error (an unknown scenario, an unreadable file, an \
+           unwritable output path).")
+  :: List.filter (fun i -> Cmd.Exit.info_code i <> 0) Cmd.Exit.defaults
+
+let schedulable_exits what =
+  verdict_exits
+    ~passed:("when " ^ what ^ " is schedulable.")
+    ~failed:
+      ("when " ^ what
+     ^ " is not (a deadline miss, a failed analysis or no jitter fixed \
+        point)")
+
 (* ------------------------------------------------------------------ *)
 (* Observability flags                                                *)
 (* ------------------------------------------------------------------ *)
@@ -153,7 +178,7 @@ let with_obs ?metrics ?trace_out f =
           (Gmf_obs.Export.chrome_trace (Gmf_obs.Tracer.spans tr))
   in
   match f () with
-  | () -> ( try Ok (emit ()) with Sys_error msg -> Error msg)
+  | v -> ( try emit (); Ok v with Sys_error msg -> Error msg)
   | exception e ->
       (try emit () with Sys_error _ -> ());
       raise e
@@ -379,18 +404,19 @@ let csv_arg =
 
 let analyze_cmd =
   let run name file rate config csv metrics trace_out =
-    exit_of_result
+    exit_of_verdict
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out (fun () ->
                let report = Analysis.Holistic.analyze ~config scenario in
-               match csv with
+               (match csv with
                | Some "stages" ->
                    print_string (Analysis.Report_io.stage_csv report)
                | Some _ -> print_string (Analysis.Report_io.frame_csv report)
-               | None -> print_report scenario report)))
+               | None -> print_report scenario report);
+               Analysis.Holistic.is_schedulable report)))
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits:(schedulable_exits "the verdict")
        ~doc:"Upper-bound every flow's end-to-end response time.")
     Term.(const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg
           $ csv_arg $ metrics_arg $ trace_out_arg)
@@ -726,7 +752,7 @@ let gen_cmd =
 
 let admission_cmd =
   let run name file rate config =
-    exit_of_result
+    exit_of_verdict
       (Result.map
          (fun scenario ->
            let decision = Analysis.Admission.check ~config scenario in
@@ -740,11 +766,15 @@ let admission_cmd =
            List.iter
              (fun c ->
                Format.printf "  %a@." Analysis.Conditions.pp_check c)
-             checks)
+             checks;
+           decision.Analysis.Admission.admitted)
          (build_scenario ?file name rate))
   in
   Cmd.v
     (Cmd.info "admission"
+       ~exits:
+         (verdict_exits ~passed:"when the flow set is admitted."
+            ~failed:"when it is rejected (by lint, precheck or the analysis)")
        ~doc:"Admission-control decision with utilization conditions.")
     Term.(const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg)
 
@@ -939,7 +969,7 @@ let explain_cmd =
       | Some s -> (s, file)
       | None -> (name, file)
     in
-    exit_of_result
+    exit_of_verdict
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            let known id =
              List.exists
@@ -988,20 +1018,22 @@ let explain_cmd =
                          Gmf_explain.Render.rejection ~hints attr
                        in
                        if rejection <> "" then print_string rejection
-                     end)
+                     end;
+                     attr.Gmf_explain.Attribution.verdict
+                     = Analysis.Holistic.Schedulable)
                in
-               Result.bind obs (fun () ->
+               Result.bind obs (fun schedulable ->
                    match (convergence, !recorded) with
                    | Some path, Some conv -> (
                        try
-                         Ok
-                           (Gmf_obs.Export.write_file ~path
-                              (Gmf_explain.Convergence.to_jsonl conv))
+                         Gmf_obs.Export.write_file ~path
+                           (Gmf_explain.Convergence.to_jsonl conv);
+                         Ok schedulable
                        with Sys_error msg -> Error msg)
-                   | _ -> Ok ())))
+                   | _ -> Ok schedulable)))
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits:(schedulable_exits "the verdict")
        ~doc:
          "Attribute every response-time bound: per-hop transmission /           switch-software / blocking / interference terms summing to the           holistic bound exactly, the binding hop and interferer per flow,           and nearest-feasible hints on a rejection.")
     Term.(

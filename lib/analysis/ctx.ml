@@ -1,11 +1,4 @@
-module Nodes = Hashtbl.Make (struct
-  type t = Traffic.Flow.id * Stage.t
-
-  let equal ((f1 : Traffic.Flow.id), s1) (f2, s2) =
-    f1 = f2 && Stage.equal s1 s2
-
-  let hash = Hashtbl.hash
-end)
+module By_id = Hashtbl.Make (Int)
 
 type node = {
   flow : Traffic.Flow.t;
@@ -19,6 +12,9 @@ type node = {
   mutable stamp : int;
   (* Empty until first resolved: a stage charges at least its own flow. *)
   mutable reads : node array;
+  (* The stage's equations, described at the first request: they depend
+     on the scenario and the configuration only. *)
+  mutable describe : (frame:int -> Gmf_precheck.Stage_eq.t) option;
   (* Per frame: the last evaluation and the clock when it ran, -1 before
      the first one. *)
   last : (Result_types.stage_response, Result_types.failure) result array;
@@ -32,9 +28,9 @@ type t = {
   capped : bool;
   (* Lint gates are scenario-static: one evaluation per flow and context. *)
   gates : (Traffic.Flow.id, Traffic.Flow.t * Gmf_diag.t list) Hashtbl.t;
-  (* One node per (flow, stage of its route), built in [create]; [order]
-     holds the same nodes flow by flow, in route order. *)
-  nodes : node Nodes.t;
+  (* Per flow id: the flow's nodes in route order, built in [create];
+     [order] holds the same nodes flow by flow. *)
+  routes : node array By_id.t;
   order : node array;
   (* Advanced on every change of some node's extra. *)
   mutable clock : int;
@@ -81,40 +77,46 @@ let create ?(config = Config.default) scenario =
     | Config.Faithful -> true
     | Config.Repaired -> false
   in
-  let nodes = Nodes.create 256 in
+  let routes = By_id.create 256 in
   let order =
     Traffic.Scenario.flows scenario
-    |> List.concat_map (fun flow ->
+    |> List.map (fun flow ->
            let n = Traffic.Flow.n flow in
-           Stage.stages_of_route flow.Traffic.Flow.route
-           |> List.map (fun stage ->
-                  let src, dst = Gmf_precheck.Stage_eq.link_of flow stage in
-                  let p = Traffic.Scenario.params scenario flow ~src ~dst in
-                  let node =
-                    {
-                      flow;
-                      stage;
-                      time = p.Traffic.Link_params.time_demand;
-                      count = p.Traffic.Link_params.count_demand;
-                      jitter = Array.make n 0;
-                      extra = 0;
-                      stamp = 0;
-                      reads = [||];
-                      last = Array.make n unevaluated;
-                      ran_at = Array.make n (-1);
-                    }
-                  in
-                  install_source_jitters node;
-                  Nodes.replace nodes (flow.Traffic.Flow.id, stage) node;
-                  node))
-    |> Array.of_list
+           let node stage =
+             let src, dst = Gmf_precheck.Stage_eq.link_of flow stage in
+             let p = Traffic.Scenario.params scenario flow ~src ~dst in
+             let node =
+               {
+                 flow;
+                 stage;
+                 time = p.Traffic.Link_params.time_demand;
+                 count = p.Traffic.Link_params.count_demand;
+                 jitter = Array.make n 0;
+                 extra = 0;
+                 stamp = 0;
+                 reads = [||];
+                 describe = None;
+                 last = Array.make n unevaluated;
+                 ran_at = Array.make n (-1);
+               }
+             in
+             install_source_jitters node;
+             node
+           in
+           let nodes =
+             Array.of_list
+               (List.map node (Stage.stages_of_route flow.Traffic.Flow.route))
+           in
+           By_id.replace routes flow.Traffic.Flow.id nodes;
+           nodes)
+    |> Array.concat
   in
   {
     scenario;
     config;
     capped;
     gates = Hashtbl.create 64;
-    nodes;
+    routes;
     order;
     clock = 0;
     writes = 0;
@@ -126,13 +128,37 @@ let reset_jitters t = Array.iter install_source_jitters t.order
 
 let params t flow ~src ~dst = Traffic.Scenario.params t.scenario flow ~src ~dst
 
+let nodes t flow =
+  match By_id.find_opt t.routes flow.Traffic.Flow.id with
+  | Some nodes -> nodes
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Ctx.nodes: flow %d is not in this context"
+           flow.Traffic.Flow.id)
+
 let node t flow ~stage =
-  match Nodes.find_opt t.nodes (flow.Traffic.Flow.id, stage) with
+  let nodes =
+    Option.value ~default:[||] (By_id.find_opt t.routes flow.Traffic.Flow.id)
+  in
+  match Array.find_opt (fun node -> Stage.equal node.stage stage) nodes with
   | Some node -> node
   | None ->
       invalid_arg
-        (Format.asprintf "Ctx.node: %a is not a stage of flow %d here"
-           Stage.pp stage flow.Traffic.Flow.id)
+        (Format.asprintf "Ctx.node: %a is not a stage of flow %d here" Stage.pp
+           stage flow.Traffic.Flow.id)
+
+let node_flow node = node.flow
+
+let describe t node ~frame =
+  match node.describe with
+  | Some d -> d ~frame
+  | None ->
+      let d =
+        Gmf_precheck.Stage_eq.make ~config:t.config t.scenario node.flow
+          node.stage
+      in
+      node.describe <- Some d;
+      d ~frame
 
 let extra t flow ~stage = (node t flow ~stage).extra
 
@@ -186,9 +212,8 @@ let flow_gate t flow =
       Hashtbl.replace t.gates flow.Traffic.Flow.id (flow, gate);
       gate
 
-let set_jitter t flow ~frame ~stage value =
+let write t node ~frame value =
   if value < 0 then invalid_arg "Ctx.set_jitter: negative jitter";
-  let node = node t flow ~stage in
   let old = node.jitter.(frame) in
   if value <> old then begin
     t.writes <- t.writes + 1;
@@ -204,6 +229,9 @@ let set_jitter t flow ~frame ~stage value =
       node.stamp <- t.clock
     end
   end
+
+let set_jitter t flow ~frame ~stage value =
+  write t (node t flow ~stage) ~frame value
 
 let get_jitter t flow ~frame ~stage = (node t flow ~stage).jitter.(frame)
 let writes t = t.writes

@@ -1,15 +1,17 @@
 (** Shared state of one analysis run: the scenario, the configuration,
     the stage-graph nodes that hold the holistic jitter state, and the
     per-flow lint gates.  The demand tables behind MX/NX live in the
-    scenario's {!Traffic.Link_params}, built once per (flow, link). *)
+    scenario's {!Traffic.Link_params}, built once per (flow record, link
+    rate) and shared by the flow's hops at that rate. *)
 
 type t
 
 val create : ?config:Config.t -> Traffic.Scenario.t -> t
 (** [create ?config scenario] builds one node per (flow, stage of its
-    route).  Each node starts with the flow's source jitters at its
-    first-link stage and zero everywhere else — the starting point of the
-    holistic iteration (Section 3.5). *)
+    route), kept per flow as an array in route order.  Each node starts
+    with the flow's source jitters at its first-link stage and zero
+    everywhere else — the starting point of the holistic iteration
+    (Section 3.5). *)
 
 val scenario : t -> Traffic.Scenario.t
 val config : t -> Config.t
@@ -38,14 +40,19 @@ val extra : t -> Traffic.Flow.t -> stage:Stage.t -> Gmf_util.Timeunit.ns
 (** {2 Stage-graph nodes}
 
     One node per (flow, stage of its route), built by {!create} and kept
-    for the life of the context.  A node owns the flow's per-frame
-    generalized jitters at the stage and their maximum, {!extra}; it
-    also holds the flow's MX/NX tables on the stage's link and its
-    {e reads}: the nodes of the stage's
-    {!Gmf_precheck.Stage_eq.busy_set}, the flows the stage analysis
-    charges.
+    for the life of the context; {!nodes} hands a flow's nodes out in
+    route order, so a pipeline walk reaches each one without a lookup.
+    A node owns the flow's per-frame generalized jitters at the stage
+    and their maximum, {!extra}; it also holds the flow's MX/NX tables
+    on the stage's link, the stage's {!Gmf_precheck.Stage_eq}
+    description ({!describe}) and its {e reads}: the nodes of the
+    stage's {!Gmf_precheck.Stage_eq.busy_set}, the flows the stage
+    analysis charges.
 
-    {b Reuse rule.}  {!set_jitter} writes one slot of the node and, only
+    Nodes are found by flow id: a same-id record of another scenario
+    reaches the node of this context's flow of that id.
+
+    {b Reuse rule.}  {!write} sets one slot of the node and, only
     when the node's extra changes, advances a per-context clock and
     stamps the node with it.  {!recall} hands back a stage evaluation
     recorded by {!remember} as long as no node in its reads carries a
@@ -53,17 +60,33 @@ val extra : t -> Traffic.Flow.t -> stage:Stage.t -> Gmf_util.Timeunit.ns
     through the extras of its reads ({!charge} folds over exactly that
     array, and the stage's "others" set is the same array minus the node
     itself), and everything else it reads — scenario, configuration,
-    demand tables, the analyzed flow, which must be one of the context
-    scenario's — is fixed for the life of the context.  So an evaluation
+    demand tables, the node's flow and its stage description — is fixed
+    for the life of the context.  So an evaluation
     whose reads are unchanged would recompute the same result, errors
     included.  {!reset_jitters} drops every recorded evaluation. *)
 
 type node
 
+val nodes : t -> Traffic.Flow.t -> node array
+(** [nodes t flow] is the flow's nodes in route order, one per stage of
+    {!Stage.stages_of_route}; the array is the context's own and must not
+    be modified.  Raises [Invalid_argument] when the context has no flow
+    of that id. *)
+
 val node : t -> Traffic.Flow.t -> stage:Stage.t -> node
 (** [node t flow ~stage] is the flow's node at [stage], a stage of its
-    route.  Raises [Invalid_argument] when the context has no such
-    node. *)
+    route (a scan of {!nodes}).  Raises [Invalid_argument] when the
+    context has no such node. *)
+
+val node_flow : node -> Traffic.Flow.t
+(** The context's record of the node's flow. *)
+
+val describe : t -> node -> frame:int -> Gmf_precheck.Stage_eq.t
+(** [describe t node ~frame] is
+    [Gmf_precheck.Stage_eq.make ~config scenario flow stage ~frame] for
+    the node's flow and stage under the context's configuration.  What
+    the frames share is looked up once per node, at the first call.
+    Raises [Invalid_argument] if [frame] is out of range. *)
 
 val charge :
   t -> node -> others:bool ->
@@ -100,19 +123,23 @@ val flow_gate : t -> Traffic.Flow.t -> Gmf_diag.t list
     evaluated once per flow: it depends on the scenario only, so every
     holistic round after the first reuses it. *)
 
+val write : t -> node -> frame:int -> Gmf_util.Timeunit.ns -> unit
+(** Writes one jitter of the node and keeps its extra up to date,
+    stamping the node when the extra changes.  Raises [Invalid_argument]
+    on a negative value or a frame index out of range. *)
+
 val set_jitter :
   t -> Traffic.Flow.t -> frame:int -> stage:Stage.t ->
   Gmf_util.Timeunit.ns -> unit
-(** Writes one jitter of the (flow, stage) node and keeps its extra up to
-    date, stamping the node when the extra changes.  Raises
-    [Invalid_argument] on a negative value, a frame index out of range or
-    a stage that is not on the route of a flow of the context. *)
+(** {!write} to the (flow, stage) node.  Raises [Invalid_argument] as
+    {!write} does and on a stage that is not on the route of a flow of
+    the context. *)
 
 val get_jitter :
   t -> Traffic.Flow.t -> frame:int -> stage:Stage.t -> Gmf_util.Timeunit.ns
 
 val writes : t -> int
-(** How many {!set_jitter} calls so far changed a value. *)
+(** How many {!write}s so far changed a value. *)
 
 type copy
 (** Every node's jitters as they stood at {!copy_jitters}. *)

@@ -5,56 +5,55 @@ let m_reused = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "stage.reused"
 (* JSUM's step past a stage whose response is [r] (Figure 6): the paper
    advances it by the full response; under the tight-jitter rule it only
    grows by the stage's variability above its uncontended floor. *)
-let jitter_growth ctx flow ~frame stage r =
+let jitter_growth ctx node ~frame r =
   if (Ctx.config ctx).Config.tight_jitter then
-    max 0
-      (r
-      - Gmf_precheck.Stage_eq.uncontended (Ctx.scenario ctx) flow ~frame stage
-      )
+    max 0 (r - (Ctx.describe ctx node ~frame).Gmf_precheck.Stage_eq.uncontended)
   else r
+
+let analyze_stage ctx node ~frame =
+  match Ctx.recall ctx node ~frame with
+  | Some result ->
+      Gmf_obs.Metrics.incr m_reused;
+      result
+  | None ->
+      let result = Stage_common.analyze ctx node ~frame in
+      Ctx.remember ctx node ~frame result;
+      result
+
+(* One frame along the flow's nodes, in route order. *)
+let walk_frame ctx flow nodes ~frame =
+  let spec_frame = Gmf.Spec.frame flow.Traffic.Flow.spec frame in
+  let gj = spec_frame.Gmf.Frame_spec.jitter in
+  let deadline = spec_frame.Gmf.Frame_spec.deadline in
+  (* RSUM accumulates stage responses into the end-to-end bound (Figure 6
+     line 24); JSUM is the generalized jitter handed to the next stage. *)
+  let rec walk k rsum jsum acc =
+    if k >= Array.length nodes then
+      Ok
+        {
+          Result_types.frame;
+          stages = List.rev acc;
+          total = rsum;
+          deadline;
+        }
+    else begin
+      let node = nodes.(k) in
+      Ctx.write ctx node ~frame jsum;
+      match analyze_stage ctx node ~frame with
+      | Error failure -> Error failure
+      | Ok stage_response ->
+          let r = stage_response.Result_types.response in
+          walk (k + 1) (rsum + r)
+            (jsum + jitter_growth ctx node ~frame r)
+            (stage_response :: acc)
+    end
+  in
+  walk 0 gj gj []
 
 let analyze_frame ctx ~flow ~frame =
   if frame < 0 || frame >= Traffic.Flow.n flow then
     invalid_arg "Pipeline.analyze_frame: frame index out of range";
-  let spec_frame = Gmf.Spec.frame flow.Traffic.Flow.spec frame in
-  let gj = spec_frame.Gmf.Frame_spec.jitter in
-  let deadline = spec_frame.Gmf.Frame_spec.deadline in
-  let stages = Stage.stages_of_route flow.Traffic.Flow.route in
-  let analyze_stage stage =
-    let self = Ctx.node ctx flow ~stage in
-    match Ctx.recall ctx self ~frame with
-    | Some result ->
-        Gmf_obs.Metrics.incr m_reused;
-        result
-    | None ->
-        let result = Stage_common.analyze ctx ~flow ~frame stage in
-        Ctx.remember ctx self ~frame result;
-        result
-  in
-  (* RSUM accumulates stage responses into the end-to-end bound (Figure 6
-     line 24); JSUM is the generalized jitter handed to the next stage. *)
-  let rec walk stages rsum jsum acc =
-    match stages with
-    | [] ->
-        Ok
-          {
-            Result_types.frame;
-            stages = List.rev acc;
-            total = rsum;
-            deadline;
-          }
-    | stage :: rest -> begin
-        Ctx.set_jitter ctx flow ~frame ~stage jsum;
-        match analyze_stage stage with
-        | Error failure -> Error failure
-        | Ok stage_response ->
-            let r = stage_response.Result_types.response in
-            walk rest (rsum + r)
-              (jsum + jitter_growth ctx flow ~frame stage r)
-              (stage_response :: acc)
-      end
-  in
-  walk stages gj gj []
+  walk_frame ctx flow (Ctx.nodes ctx flow) ~frame
 
 (* Static impossibility gate: when a link or ingress rotation on this
    flow's route is utilization-overloaded, the busy-period recurrences
@@ -78,6 +77,7 @@ let analyze_flow ctx ~flow =
   | Some failure -> Error failure
   | None ->
   let n = Traffic.Flow.n flow in
+  let nodes = Ctx.nodes ctx flow in
   let results = Array.make n None in
   let rec go k =
     if k >= n then
@@ -87,7 +87,7 @@ let analyze_flow ctx ~flow =
           frames = Array.map Option.get results;
         }
     else
-      match analyze_frame ctx ~flow ~frame:k with
+      match walk_frame ctx flow nodes ~frame:k with
       | Error failure -> Error failure
       | Ok fr ->
           results.(k) <- Some fr;
@@ -109,10 +109,9 @@ let seed ctx results =
           ignore
             (List.fold_left
                (fun jsum (sr : Result_types.stage_response) ->
-                 let stage = sr.Result_types.stage in
-                 Ctx.set_jitter ctx flow ~frame ~stage jsum;
-                 jsum
-                 + jitter_growth ctx flow ~frame stage sr.Result_types.response)
+                 let node = Ctx.node ctx flow ~stage:sr.Result_types.stage in
+                 Ctx.write ctx node ~frame jsum;
+                 jsum + jitter_growth ctx node ~frame sr.Result_types.response)
                gj fr.Result_types.stages))
         res.Result_types.frames)
     results

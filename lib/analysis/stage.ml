@@ -9,6 +9,5 @@ type t = Gmf_precheck.Stage_key.t =
 
 let equal = Gmf_precheck.Stage_key.equal
 let compare = Gmf_precheck.Stage_key.compare
-let hash = Gmf_precheck.Stage_key.hash
 let stages_of_route = Gmf_precheck.Stage_key.stages_of_route
 let pp = Gmf_precheck.Stage_key.pp

@@ -18,7 +18,6 @@ type t = Gmf_precheck.Stage_key.t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val stages_of_route : Network.Route.t -> t list
 (** The stage sequence of a route, in traversal order: first link, then for

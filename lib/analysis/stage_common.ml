@@ -23,13 +23,13 @@ let obs_of = function
   | Stage.Ingress _ -> obs_ingress
   | Stage.Egress _ -> obs_egress
 
-let evaluate ctx ~flow (d : Eq.t) iters =
+let evaluate ctx self (d : Eq.t) iters =
   let cfg = Ctx.config ctx in
   let stage = d.Eq.stage and frame = d.Eq.frame in
   let fail reason =
     Error
       {
-        Result_types.flow_id = flow.Traffic.Flow.id;
+        Result_types.flow_id = (Ctx.node_flow self).Traffic.Flow.id;
         frame;
         failed_stage = Some stage;
         reason;
@@ -45,7 +45,6 @@ let evaluate ctx ~flow (d : Eq.t) iters =
     | Fixpoint.Diverged _ -> ());
     outcome
   in
-  let self = Ctx.node ctx flow ~stage in
   (* The interferer charge, chosen once per evaluation so the w-iteration
      neither matches on the stage nor allocates. *)
   let charge =
@@ -107,8 +106,8 @@ let evaluate ctx ~flow (d : Eq.t) iters =
         scan 0 0 (min_int, 0, 0, 0)
       end
 
-let analyze ctx ~flow ~frame stage =
-  let d = Eq.make ~config:(Ctx.config ctx) (Ctx.scenario ctx) flow stage ~frame in
-  let obs = obs_of stage in
+let analyze ctx self ~frame =
+  let d = Ctx.describe ctx self ~frame in
+  let obs = obs_of d.Eq.stage in
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis" obs.span
-    (fun () -> evaluate ctx ~flow d obs.iters)
+    (fun () -> evaluate ctx self d obs.iters)

@@ -13,12 +13,11 @@
 
 val analyze :
   Ctx.t ->
-  flow:Traffic.Flow.t ->
+  Ctx.node ->
   frame:int ->
-  Stage.t ->
   (Result_types.stage_response, Result_types.failure) result
-(** [analyze ctx ~flow ~frame stage] builds the stage's
-    {!Gmf_precheck.Stage_eq.t} once, then:
+(** [analyze ctx node ~frame] takes the node's
+    {!Gmf_precheck.Stage_eq.t} of [frame] ({!Ctx.describe}), then:
 
     + iterates the busy period from its seed to its length [t];
     + [Q = max 1 (ceil (t / TSUM_i))], capped by the configuration;
@@ -27,5 +26,4 @@ val analyze :
       and its window as the witness.
 
     Any divergence is reported as a [failure] naming the stage.  Raises
-    [Invalid_argument] if [frame] is out of range or the stage's switch is
-    not on the flow's route. *)
+    [Invalid_argument] if [frame] is out of range. *)

@@ -3,9 +3,14 @@ type t =
   | Ingress of Network.Node.id
   | Egress of Network.Node.id * Network.Node.id
 
-let equal a b = a = b
+let equal a b =
+  match (a, b) with
+  | First_link (s, d), First_link (s', d') | Egress (s, d), Egress (s', d') ->
+      s = s' && d = d'
+  | Ingress n, Ingress n' -> n = n'
+  | (First_link _ | Ingress _ | Egress _), _ -> false
+
 let compare = Stdlib.compare
-let hash = Hashtbl.hash
 
 let stages_of_route route =
   let source = Network.Route.source route in

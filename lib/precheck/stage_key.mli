@@ -14,7 +14,6 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val stages_of_route : Network.Route.t -> t list
 (** First link, then [Ingress n; Egress (n, succ n)] per intermediate

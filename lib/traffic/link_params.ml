@@ -25,6 +25,21 @@ let make ~flow ~link =
     count_demand = Gmf.Demand.make ~costs:eth_frames ~periods;
   }
 
+let fits t (flow : Flow.t) =
+  let g = t.flow in
+  g == flow || (g.Flow.spec == flow.Flow.spec && g.Flow.encap = flow.Flow.encap)
+
+(* C_i^k, the Ethernet-frame counts and both demand tables depend on the
+   link through its rate alone (the MFT and every transmission time are
+   functions of the bit rate); only [link] itself, whose propagation
+   delay the tail reads, is per hop. *)
+let relink t ~flow ~link =
+  if not (fits t flow) then
+    invalid_arg "Link_params.relink: the flow does not fit these params";
+  if link.Network.Link.rate_bps <> t.link.Network.Link.rate_bps then
+    invalid_arg "Link_params.relink: the link rate differs";
+  { t with flow; link }
+
 let csum t = Gmf.Demand.cost_total t.time_demand
 let nsum t = Gmf.Demand.cost_total t.count_demand
 let mft t = Network.Link.mft t.link

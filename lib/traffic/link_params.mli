@@ -21,11 +21,26 @@ type t = private {
 }
 
 val make : flow:Flow.t -> link:Network.Link.t -> t
-(** Derives all per-frame values and builds both demand tables once; a
-    {!Scenario} caches the result per (flow, link).  The link need not be
-    on the flow's route (the first-hop analysis of an IP-router source uses
-    the incoming link of the router, which the operator models
-    explicitly). *)
+(** Derives all per-frame values and builds both demand tables.  The link
+    need not be on the flow's route (the first-hop analysis of an
+    IP-router source uses the incoming link of the router, which the
+    operator models explicitly).  A {!Scenario} calls it once per (flow
+    record, link rate) and derives its other hops at that rate with
+    {!relink}. *)
+
+val fits : t -> Flow.t -> bool
+(** [fits p flow]: [p] serves [flow] on [p]'s link.  Everything but
+    [link] depends on the flow's spec and encapsulation alone, so params
+    built for one record fit the record itself and every record carrying
+    the same spec (physically) and an equal encapsulation — a flow
+    rerouted, re-prioritized or remarked keeps them. *)
+
+val relink : t -> flow:Flow.t -> link:Network.Link.t -> t
+(** [relink p ~flow ~link] equals [make ~flow ~link] and shares [p]'s
+    per-frame arrays and demand tables: the GMF request-bound functions
+    depend only on the frame costs and separations, here the spec, the
+    encapsulation and the link rate.  Raises [Invalid_argument] unless
+    [fits p flow] and [link] has [p]'s link rate. *)
 
 val csum : t -> Gmf_util.Timeunit.ns
 (** CSUM (eq 4): total link time of one cycle. *)

@@ -1,5 +1,11 @@
-type params_pool =
-  (Flow.id * Network.Node.id * Network.Node.id, Link_params.t) Hashtbl.t
+(* [hops] is keyed by (flow id, src, dst); [rates] holds, per (flow id,
+   link rate), the params every other hop of a fitting record at that rate
+   is relinked from.  An entry of either serves a record only when it
+   [Link_params.fits] it. *)
+type params_pool = {
+  hops : (Flow.id * Network.Node.id * Network.Node.id, Link_params.t) Hashtbl.t;
+  rates : (Flow.id * int, Link_params.t) Hashtbl.t;
+}
 
 type t = {
   topo : Network.Topology.t;
@@ -7,8 +13,7 @@ type t = {
   (* [make ~switches] as given, inherited by derived scenarios *)
   declared : (Network.Node.id * Click.Switch_model.t) list;
   switches : (Network.Node.id, Click.Switch_model.t) Hashtbl.t;
-  (* Keyed by flow id; an entry serves a record only when it [fits] it.
-     A pooled scenario's table is the caller's pool, shared with the
+  (* A pooled scenario's tables are the caller's pool, shared with the
      other scenarios derived with it. *)
   params_cache : params_pool;
   pooled : bool;
@@ -27,6 +32,9 @@ type t = {
      processes stay self-consistent. *)
   derived : (string, string) Hashtbl.t;
 }
+
+let params_tables n = { hops = Hashtbl.create n; rates = Hashtbl.create n }
+let params_pool () = params_tables 256
 
 let make ?(switches = []) ~topo ~flows () =
   let flows = Array.of_list flows in
@@ -86,7 +94,7 @@ let make ?(switches = []) ~topo ~flows () =
     flows;
     declared = switches;
     switches = table;
-    params_cache = Hashtbl.create 64;
+    params_cache = params_tables 64;
     pooled = false;
     by_id;
     on_link;
@@ -164,31 +172,34 @@ let lp t flow_i ~node =
       Hashtbl.replace t.lp_cache key l;
       l
 
-(* Link_params depend on the spec, the encapsulation and the link alone:
-   params built for one record serve every record of the same id that
-   carries the same spec (physically) and encapsulation — a flow
-   rerouted, re-prioritized or remarked keeps them. *)
-let fits (p : Link_params.t) (f : Flow.t) =
-  let g = p.Link_params.flow in
-  g == f || (g.Flow.spec == f.Flow.spec && g.Flow.encap = f.Flow.encap)
-
-let params_pool () : params_pool = Hashtbl.create 256
-
 (* Registered at the first pooled build, so a run that derives no
    pooled scenario lists no such counter. *)
 let m_params_built =
   lazy (Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "traffic.params_built")
 
+let find_fitting table key flow =
+  match Hashtbl.find_opt table key with
+  | Some p when Link_params.fits p flow -> Some p
+  | _ -> None
+
 let params t flow ~src ~dst =
   let key = (flow.Flow.id, src, dst) in
-  match Hashtbl.find_opt t.params_cache key with
-  | Some p when fits p flow -> p
-  | _ ->
+  match find_fitting t.params_cache.hops key flow with
+  | Some p -> p
+  | None ->
       let link = Network.Topology.link_exn t.topo ~src ~dst in
-      let p = Link_params.make ~flow ~link in
+      let rate = (flow.Flow.id, link.Network.Link.rate_bps) in
+      let p =
+        match find_fitting t.params_cache.rates rate flow with
+        | Some q -> Link_params.relink q ~flow ~link
+        | None ->
+            let p = Link_params.make ~flow ~link in
+            Hashtbl.replace t.params_cache.rates rate p;
+            p
+      in
       if t.pooled && Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then
         Gmf_obs.Metrics.incr (Lazy.force m_params_built);
-      Hashtbl.replace t.params_cache key p;
+      Hashtbl.replace t.params_cache.hops key p;
       p
 
 let link_utilization t ~src ~dst =
@@ -198,20 +209,25 @@ let link_utilization t ~src ~dst =
        0.
 
 (* A derived scenario over the same topology takes the source's params
-   of every (flow, hop) they [fit], unless its table already holds
-   fitting ones (a pool). *)
+   of every (flow, hop) they fit, unless its tables already hold fitting
+   ones (a pool); a taken entry also serves the record's new hops at its
+   rate. *)
 let share_params ~from t =
   Array.iter
     (fun (f : Flow.t) ->
       List.iter
         (fun (src, dst) ->
           let key = (f.Flow.id, src, dst) in
-          match Hashtbl.find_opt t.params_cache key with
-          | Some p when fits p f -> ()
-          | _ -> (
-              match Hashtbl.find_opt from.params_cache key with
-              | Some p when fits p f -> Hashtbl.replace t.params_cache key p
-              | _ -> ()))
+          if Option.is_none (find_fitting t.params_cache.hops key f) then
+            match find_fitting from.params_cache.hops key f with
+            | Some p ->
+                Hashtbl.replace t.params_cache.hops key p;
+                let rate =
+                  (f.Flow.id, p.Link_params.link.Network.Link.rate_bps)
+                in
+                if Option.is_none (find_fitting t.params_cache.rates rate f)
+                then Hashtbl.replace t.params_cache.rates rate p
+            | None -> ())
         (Network.Route.hops f.Flow.route))
     t.flows;
   t

@@ -60,7 +60,10 @@ val params : t -> Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
   Link_params.t
 (** Cached per-(flow, link) derived parameters: built at the first call,
     or taken from the scenario this one derives from (see
-    {!with_flows}). *)
+    {!with_flows}).  A build relinks ({!Link_params.relink}) params the
+    scenario already holds for a fitting record on a link of the same
+    rate, so {!Link_params.make} runs once per (flow record, link rate)
+    and a flow's hops at one rate share one set of demand tables. *)
 
 val link_utilization : t -> src:Network.Node.id -> dst:Network.Node.id -> float
 (** Sum over flows(src,dst) of CSUM/TSUM — the left side of eq (20). *)
@@ -84,12 +87,14 @@ val cached : t -> key:string -> (unit -> string) -> string
     - its {e declared} switch models, the ones passed to [make ~switches];
       defaults are derived again, as {!make} does, for the other switches
       the new routes cross;
-    - the source's {!params} of every (flow, hop) they fit.  Params
-      depend only on the spec, the encapsulation and the link, so those
-      built for one record fit every record of the same id with the same
-      spec (physically) and encapsulation: a rerouted or re-prioritized
-      flow keeps them, a flow with a new spec gets fresh ones.  The copy
-      costs O(new flows x hops).
+    - the source's {!params} of every (flow, hop) they fit
+      ({!Link_params.fits}).  Params depend only on the spec, the
+      encapsulation and the link, so those built for one record fit
+      every record of the same id with the same spec (physically) and
+      encapsulation: a rerouted or re-prioritized flow keeps them, and
+      a new hop of its route relinks the ones of a hop at the same
+      rate; a flow with a new spec gets fresh ones.  The copy costs
+      O(new flows x hops).
 
     [hep]/[lp] sets and {!cached} strings depend on the whole flow set and
     are never inherited. *)
@@ -97,8 +102,9 @@ val cached : t -> key:string -> (unit -> string) -> string
 type params_pool
 (** A table of {!params}, keyed by (flow id, hop), that the scenarios
     derived with it share: a (flow, hop) is built once for all of them
-    and kept as long as the pool's owner keeps the pool.  An entry serves
-    only records it fits, so the scenarios may disagree on a record. *)
+    and kept as long as the pool's owner keeps the pool, and a (flow
+    record, link rate)'s demand tables once.  An entry serves only
+    records it fits, so the scenarios may disagree on a record. *)
 
 val params_pool : unit -> params_pool
 
@@ -106,8 +112,9 @@ val with_flows : ?pool:params_pool -> t -> Flow.t list -> t
 (** [with_flows t flows] is the scenario of [flows] over [t]'s topology
     and declared switch models.  With [pool], the result keeps its
     params in [pool]: it takes fitting entries from there first, then
-    from [t], and adds what it builds.  Each such build bumps the
-    [traffic.params_built] counter, registered at the first one.  Raises
+    from [t], and adds what it builds.  Each such build of a (flow, hop)
+    record, relinked or made, bumps the [traffic.params_built] counter,
+    registered at the first one.  Raises
     as {!make} does on duplicate flow ids. *)
 
 val map_switches :

@@ -13,3 +13,20 @@ let dir () =
       else up parent
   in
   up (Filename.dirname Sys.executable_name)
+
+(* Every checked-in scenario: the linted examples, then the corpus of
+   scenarios that fail the analysis on purpose ([test/corpus]). *)
+let scenario_paths () =
+  let examples = dir () in
+  let corpus =
+    Filename.concat
+      (Filename.dirname (Filename.dirname examples))
+      (Filename.concat "test" "corpus")
+  in
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".gmfnet")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  files examples @ files corpus

@@ -42,6 +42,10 @@ let first_link flow = List.hd (Stage.stages_of_route flow.Traffic.Flow.route)
 let egress flow sw =
   Stage.Egress (sw, Network.Route.succ flow.Traffic.Flow.route sw)
 
+(* The stage analysis at the flow's node of [stage]. *)
+let analyze ctx ~flow ~frame stage =
+  Stage_common.analyze ctx (Ctx.node ctx flow ~stage) ~frame
+
 let get = function
   | Ok (r : Result_types.stage_response) -> r
   | Error f -> Alcotest.failf "stage failed: %a" Result_types.pp_failure f
@@ -50,7 +54,7 @@ let test_single_flow_first_hop () =
   let scenario, _ = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
+  let r = get (analyze ctx ~flow ~frame:0 (first_link flow)) in
   (* Alone on the link: R = C (eqs 16-19 with empty interference). *)
   Alcotest.(check int) "R = C" c_frame r.Result_types.response;
   Alcotest.(check int) "busy = C" c_frame r.Result_types.busy_len;
@@ -60,7 +64,7 @@ let test_single_flow_ingress () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
   (* One Ethernet frame, one task rotation: R = CIRC (eq 25). *)
   Alcotest.(check int) "R = CIRC" circ r.Result_types.response
 
@@ -68,7 +72,7 @@ let test_single_flow_egress () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* Repaired: w(0) = MFT + m*CIRC, R = w + C = 2*MFT + CIRC. *)
   Alcotest.(check int) "R = 2*MFT + CIRC"
     ((2 * c_frame) + circ)
@@ -78,7 +82,7 @@ let test_single_flow_egress_faithful () =
   let scenario, sw = star_scenario [ 5 ] in
   let ctx = Ctx.create ~config:Config.faithful scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* Faithful: no own-rotation charge, R = MFT + C = 2*MFT. *)
   Alcotest.(check int) "R = 2*MFT" (2 * c_frame) r.Result_types.response
 
@@ -86,7 +90,7 @@ let test_two_flow_first_hop () =
   let scenario, _ = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
+  let r = get (analyze ctx ~flow ~frame:0 (first_link flow)) in
   (* The work-conserving first hop sees the competitor's frame ahead:
      w(0) = C_B, R = C_B + C_A = 2C. *)
   Alcotest.(check int) "R = 2C" (2 * c_frame) r.Result_types.response;
@@ -99,7 +103,7 @@ let test_two_flow_first_hop_faithful_degenerates () =
   let scenario, _ = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create ~config:Config.faithful scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (first_link flow)) in
+  let r = get (analyze ctx ~flow ~frame:0 (first_link flow)) in
   Alcotest.(check int) "faithful loses the competitor" c_frame
     r.Result_types.response
 
@@ -107,7 +111,7 @@ let test_two_flow_ingress () =
   let scenario, sw = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (Stage.Ingress sw)) in
   (* Competitor's Ethernet frame takes one rotation, ours the next:
      R = 2 * CIRC. *)
   Alcotest.(check int) "R = 2*CIRC" (2 * circ) r.Result_types.response
@@ -116,7 +120,7 @@ let test_two_flow_egress_equal_priority () =
   let scenario, sw = star_scenario [ 5; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (egress flow sw)) in
   (* w(0) = MFT + CIRC + C_B + CIRC_B; R = w + C_A
          = MFT + 2C + 2*CIRC = 3*MFT + 2*CIRC. *)
   Alcotest.(check int) "R = 3*MFT + 2*CIRC"
@@ -129,14 +133,14 @@ let test_two_flow_egress_priority_shields () =
   let scenario, sw = star_scenario [ 6; 5 ] in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (egress flow sw)) in
   Alcotest.(check int) "R = 2*MFT + CIRC (blocking only)"
     ((2 * c_frame) + circ)
     r.Result_types.response;
   (* The lower-priority flow conversely suffers from the high one. *)
   let low = Traffic.Scenario.flow scenario 1 in
   let r_low =
-    get (Stage_common.analyze ctx ~flow:low ~frame:0 (egress low sw))
+    get (analyze ctx ~flow:low ~frame:0 (egress low sw))
   in
   Alcotest.(check int) "lp flow sees hp interference"
     ((3 * c_frame) + (2 * circ))
@@ -151,7 +155,7 @@ let test_jitter_inflates_interference () =
   let flow = Traffic.Scenario.flow scenario 0 in
   let competitor = Traffic.Scenario.flow scenario 1 in
   Ctx.set_jitter ctx competitor ~frame:0 ~stage:(Stage.Egress (sw, 2)) period;
-  let r = get (Stage_common.analyze ctx ~flow ~frame:0 (egress flow sw)) in
+  let r = get (analyze ctx ~flow ~frame:0 (egress flow sw)) in
   let no_jitter_bound = (3 * c_frame) + (2 * circ) in
   Alcotest.(check bool) "bound grows with jitter" true
     (r.Result_types.response > no_jitter_bound)
@@ -178,7 +182,7 @@ let test_overload_diverges () =
   let scenario = Traffic.Scenario.make ~topo ~flows () in
   let ctx = Ctx.create scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
-  (match Stage_common.analyze ctx ~flow ~frame:0 (first_link flow) with
+  (match analyze ctx ~flow ~frame:0 (first_link flow) with
   | Ok _ -> Alcotest.fail "overloaded link must not converge"
   | Error f ->
       Alcotest.(check bool) "failure names the stage" true
@@ -208,11 +212,16 @@ let test_frame_index_validation () =
   let flow = Traffic.Scenario.flow scenario 0 in
   Alcotest.check_raises "first hop"
     (Invalid_argument "Stage_eq.make: frame index out of range") (fun () ->
-      ignore (Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)));
+      ignore (analyze ctx ~flow ~frame:1 (first_link flow)));
   Alcotest.check_raises "ingress off-route"
     (Invalid_argument "Stage_eq.make: node not on the flow's route")
     (fun () ->
-      ignore (Stage_common.analyze ctx ~flow ~frame:0 (Stage.Ingress 99)));
+      ignore
+        (Gmf_precheck.Stage_eq.make ~config:Config.default scenario flow
+           (Stage.Ingress 99) ~frame:0));
+  Alcotest.check_raises "no node off the route"
+    (Invalid_argument "Ctx.node: in(99) is not a stage of flow 0 here")
+    (fun () -> ignore (analyze ctx ~flow ~frame:0 (Stage.Ingress 99)));
   ignore sw
 
 let tests =

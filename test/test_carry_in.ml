@@ -44,7 +44,9 @@ let first_hop_bound config =
   let ctx = Analysis.Ctx.create ~config scenario in
   let flow = Traffic.Scenario.flow scenario 0 in
   match
-    Analysis.Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)
+    Analysis.Stage_common.analyze ctx
+      (Analysis.Ctx.node ctx flow ~stage:(first_link flow))
+      ~frame:1
   with
   | Ok r -> r.Analysis.Result_types.response
   | Error f -> Alcotest.failf "failed: %a" Analysis.Result_types.pp_failure f
@@ -99,8 +101,10 @@ let test_no_carry_in_when_fits () =
   let bound config =
     let ctx = Analysis.Ctx.create ~config scenario in
     match
-    Analysis.Stage_common.analyze ctx ~flow ~frame:1 (first_link flow)
-  with
+      Analysis.Stage_common.analyze ctx
+        (Analysis.Ctx.node ctx flow ~stage:(first_link flow))
+        ~frame:1
+    with
     | Ok r -> r.Analysis.Result_types.response
     | Error f -> Alcotest.failf "failed: %a" Analysis.Result_types.pp_failure f
   in

@@ -196,6 +196,136 @@ let prop_matches_model =
       && Ctx.writes ctx - writes0 = !changed
       && Ctx.flow_deltas ctx ~since = model_deltas)
 
+(* ------------------------------------------------------------------ *)
+(* Node lookup contract                                               *)
+(* ------------------------------------------------------------------ *)
+
+let parse_fig1 () =
+  let path = Filename.concat (Example_corpus.dir ()) "fig1.gmfnet" in
+  match Scenario_io.Parse.scenario_of_file path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "fig1.gmfnet: %a" Scenario_io.Parse.pp_error e
+
+(* A flow's nodes come in route order; a stage off the route has none. *)
+let test_node_off_route () =
+  let sc = scenario () in
+  let ctx = Ctx.create sc in
+  List.iter
+    (fun (f : Traffic.Flow.t) ->
+      let nodes = Ctx.nodes ctx f in
+      Alcotest.(check int)
+        (f.Traffic.Flow.name ^ ": one node per stage")
+        (List.length (stages f)) (Array.length nodes);
+      List.iteri
+        (fun k stage ->
+          Alcotest.(check bool)
+            (Format.asprintf "%s: node %d is %a" f.Traffic.Flow.name k
+               Stage.pp stage)
+            true
+            (Ctx.node ctx f ~stage == nodes.(k)))
+        (stages f);
+      let off =
+        [
+          Stage.Ingress 99;
+          Stage.Egress (99, 0);
+          Stage.First_link (99, 98);
+        ]
+      in
+      List.iter
+        (fun stage ->
+          match Ctx.node ctx f ~stage with
+          | _ ->
+              Alcotest.failf "%s has no node at %a" f.Traffic.Flow.name
+                Stage.pp stage
+          | exception Invalid_argument _ -> ())
+        off)
+    (Traffic.Scenario.flows sc)
+
+(* A record of the same id from another scenario (the file parsed again:
+   equal records, none of them physically the context's) reaches the
+   context's node of that id, for lookups, writes and whole-flow runs. *)
+let test_same_id_record () =
+  let sc = parse_fig1 () and other = parse_fig1 () in
+  let ctx = Ctx.create sc in
+  List.iter2
+    (fun (own : Traffic.Flow.t) (foreign : Traffic.Flow.t) ->
+      Alcotest.(check bool) "another record" false (own == foreign);
+      List.iter
+        (fun stage ->
+          let node = Ctx.node ctx foreign ~stage in
+          Alcotest.(check bool) "the context's node" true
+            (Ctx.node ctx own ~stage == node);
+          Alcotest.(check bool) "the context's record" true
+            (Ctx.node_flow node == own);
+          Ctx.set_jitter ctx foreign ~frame:0 ~stage 4_321;
+          Alcotest.(check int) "written to the context's node" 4_321
+            (Ctx.get_jitter ctx own ~frame:0 ~stage))
+        (stages own))
+    (Traffic.Scenario.flows sc)
+    (Traffic.Scenario.flows other);
+  let analyze flow =
+    Ctx.reset_jitters ctx;
+    match Analysis.Pipeline.analyze_flow ctx ~flow with
+    | Ok res ->
+        Array.to_list res.Analysis.Result_types.frames
+        |> List.map
+             (Format.asprintf "%a" Analysis.Result_types.pp_frame_result)
+        |> String.concat ""
+    | Error f -> Format.asprintf "%a" Analysis.Result_types.pp_failure f
+  in
+  List.iter2
+    (fun own foreign ->
+      Alcotest.(check string) "same analysis" (analyze own) (analyze foreign))
+    (Traffic.Scenario.flows sc)
+    (Traffic.Scenario.flows other)
+
+(* A context reset after a run, its stage descriptions and reads kept,
+   runs as a fresh one does: same jitters after the reset, same report,
+   same jitters after the run. *)
+let test_reset_then_run () =
+  let spec =
+    {
+      Gmf_topogen.Gen_spec.default with
+      Gmf_topogen.Gen_spec.family =
+        Gmf_topogen.Gen_spec.Ring_of_rings { rings = 4; ring_size = 4 };
+      flows = 40;
+      seed = 7;
+    }
+  in
+  let generated =
+    (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+  in
+  List.iter
+    (fun (what, config, sc) ->
+      let read ctx =
+        List.map
+          (fun (f, k, stage, _) -> Ctx.get_jitter ctx f ~frame:k ~stage)
+          (bottom sc)
+      in
+      let used = Ctx.create ~config sc in
+      ignore (Analysis.Holistic.run used);
+      Ctx.reset_jitters used;
+      let fresh = Ctx.create ~config sc in
+      Alcotest.(check (list int)) (what ^ ": jitters after the reset")
+        (read fresh) (read used);
+      let expected = Analysis.Holistic.run fresh in
+      let again = Analysis.Holistic.run used in
+      Alcotest.(check string) (what ^ ": stage csv")
+        (Analysis.Report_io.stage_csv expected)
+        (Analysis.Report_io.stage_csv again);
+      Alcotest.(check int) (what ^ ": rounds") expected.Analysis.Holistic.rounds
+        again.Analysis.Holistic.rounds;
+      Alcotest.(check bool) (what ^ ": verdict") true
+        (expected.Analysis.Holistic.verdict = again.Analysis.Holistic.verdict);
+      Alcotest.(check (list int)) (what ^ ": jitters after the run")
+        (read fresh) (read used))
+    [
+      ("fig1", Analysis.Config.default, scenario ());
+      ("fig1 tight", Analysis.Config.tight, scenario ());
+      ("rings", Analysis.Config.default, generated);
+      ("rings faithful", Analysis.Config.faithful, generated);
+    ]
+
 let tests =
   [
     Alcotest.test_case "restore re-installs source jitters" `Quick
@@ -203,4 +333,9 @@ let tests =
     Alcotest.test_case "restore completes unseen flows" `Quick
       test_restore_completes_unseen_flows;
     QCheck_alcotest.to_alcotest prop_matches_model;
+    Alcotest.test_case "node off the route raises" `Quick test_node_off_route;
+    Alcotest.test_case "same-id record of another scenario" `Quick
+      test_same_id_record;
+    Alcotest.test_case "reset then run == fresh context" `Quick
+      test_reset_then_run;
   ]

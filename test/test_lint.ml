@@ -473,19 +473,7 @@ let gate_configs =
 (* The checked-in scenarios: the linted examples and the corpus of
    scenarios that fail the analysis on purpose. *)
 let test_gate_equals_run_corpus () =
-  let examples = Example_corpus.dir () in
-  let corpus =
-    Filename.concat
-      (Filename.dirname (Filename.dirname examples))
-      (Filename.concat "test" "corpus")
-  in
-  let files dir =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".gmfnet")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-  in
-  let paths = files examples @ files corpus in
+  let paths = Example_corpus.scenario_paths () in
   Alcotest.(check bool) "corpus scenarios present" true
     (List.exists
        (fun p -> Filename.basename p = "split_overload.gmfnet")

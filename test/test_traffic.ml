@@ -209,6 +209,117 @@ let test_link_utilization () =
     (Traffic.Scenario.link_utilization scenario ~src:4 ~dst:5
      -. Traffic.Scenario.link_utilization scenario ~src:4 ~dst:5)
 
+(* ------------------------------------------------------------------ *)
+(* Params shared across a flow's hops at one link rate                *)
+(* ------------------------------------------------------------------ *)
+
+(* [p], the scenario's params of [flow] on [src -> dst], against a fresh
+   [Link_params.make] on that link, field by field, with both demand
+   tables evaluated capped and uncapped on a grid of windows. *)
+let check_fresh what topo (flow : Traffic.Flow.t) (src, dst)
+    (p : Traffic.Link_params.t) =
+  let link = Network.Topology.link_exn topo ~src ~dst in
+  let fresh = Traffic.Link_params.make ~flow ~link in
+  let where =
+    Printf.sprintf "%s: %s on %d->%d" what flow.Traffic.Flow.name src dst
+  in
+  let open Traffic.Link_params in
+  Alcotest.(check bool) (where ^ ": link") true (p.link = link);
+  Alcotest.(check (array int)) (where ^ ": C") fresh.c p.c;
+  Alcotest.(check (array int)) (where ^ ": eth frames") fresh.eth_frames
+    p.eth_frames;
+  Alcotest.(check int) (where ^ ": CSUM") (csum fresh) (csum p);
+  Alcotest.(check int) (where ^ ": NSUM") (nsum fresh) (nsum p);
+  let step = (Traffic.Flow.tsum flow / 13) + 1 in
+  let grid = List.init 40 (fun k -> k * step) @ Array.to_list fresh.c in
+  List.iter
+    (fun capped ->
+      List.iter
+        (fun dt ->
+          let bound d = Gmf.Demand.bound d ~capped dt in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: MX(%d) capped=%b" where dt capped)
+            (bound fresh.time_demand) (bound p.time_demand);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: NX(%d) capped=%b" where dt capped)
+            (bound fresh.count_demand) (bound p.count_demand))
+        grid)
+    [ true; false ]
+
+let rates topo (flow : Traffic.Flow.t) =
+  List.map
+    (fun (src, dst) ->
+      (Network.Topology.link_exn topo ~src ~dst).Network.Link.rate_bps)
+    (Network.Route.hops flow.Traffic.Flow.route)
+  |> List.sort_uniq compare
+
+(* Every (flow, hop) of every checked-in scenario, asked in route order,
+   so each flow's later hops are relinked from its earlier ones. *)
+let test_shared_params_corpus () =
+  let mixed = ref 0 in
+  List.iter
+    (fun path ->
+      match Scenario_io.Parse.scenario_of_file path with
+      | Error e -> Alcotest.failf "%s: %a" path Scenario_io.Parse.pp_error e
+      | Ok scenario ->
+          let topo = Traffic.Scenario.topo scenario in
+          List.iter
+            (fun (flow : Traffic.Flow.t) ->
+              if List.length (rates topo flow) > 1 then incr mixed;
+              List.iter
+                (fun (src, dst) ->
+                  check_fresh (Filename.basename path) topo flow (src, dst)
+                    (Traffic.Scenario.params scenario flow ~src ~dst))
+                (Network.Route.hops flow.Traffic.Flow.route))
+            (Traffic.Scenario.flows scenario))
+    (Example_corpus.scenario_paths ());
+  (* Sharing that ignored the rate would fail on these flows. *)
+  Alcotest.(check bool) "some flows cross links of several rates" true
+    (!mixed > 0)
+
+(* A pooled derivation whose reroute leaves a 10 Mbit/s route for a
+   detour over 1 Gbit/s and 100 Mbit/s links: the taken params of the
+   first hop must not serve the new hops. *)
+let test_shared_params_pooled_reroute () =
+  let topo = Network.Topology.create () in
+  let node name kind = Network.Topology.add_node topo ~name ~kind in
+  let a = node "a" Network.Node.Endhost and b = node "b" Network.Node.Endhost in
+  let s1 = node "s1" Network.Node.Switch and s2 = node "s2" Network.Node.Switch in
+  let duplex x y rate_bps =
+    Network.Topology.add_duplex_link topo ~a:x ~b:y ~rate_bps ~prop:1_000
+  in
+  duplex a s1 10_000_000;
+  duplex s1 b 10_000_000;
+  duplex s1 s2 1_000_000_000;
+  duplex s2 b 100_000_000;
+  let spec = (video (fig1 ())).Traffic.Flow.spec in
+  let flow route =
+    Traffic.Flow.make ~id:0 ~name:"f" ~spec ~encap:Ethernet.Encap.Udp
+      ~route:(Network.Route.make topo route) ~priority:5
+  in
+  let direct = flow [ a; s1; b ] and detour = flow [ a; s1; s2; b ] in
+  let base = Traffic.Scenario.make ~topo ~flows:[ direct ] () in
+  let hops (f : Traffic.Flow.t) = Network.Route.hops f.Traffic.Flow.route in
+  List.iter
+    (fun (src, dst) ->
+      check_fresh "base" topo direct (src, dst)
+        (Traffic.Scenario.params base direct ~src ~dst))
+    (hops direct);
+  let pool = Traffic.Scenario.params_pool () in
+  let rerouted = Traffic.Scenario.with_flows ~pool base [ detour ] in
+  Alcotest.(check (list int)) "the detour crosses three rates"
+    [ 10_000_000; 100_000_000; 1_000_000_000 ]
+    (rates topo detour);
+  List.iter
+    (fun (src, dst) ->
+      check_fresh "rerouted" topo detour (src, dst)
+        (Traffic.Scenario.params rerouted detour ~src ~dst))
+    (hops detour);
+  (* The first hop is taken from the base, not built again. *)
+  Alcotest.(check bool) "first hop shared" true
+    (Traffic.Scenario.params rerouted detour ~src:a ~dst:s1
+    == Traffic.Scenario.params base direct ~src:a ~dst:s1)
+
 let tests =
   [
     Alcotest.test_case "flow basics" `Quick test_flow_basics;
@@ -229,4 +340,8 @@ let tests =
     Alcotest.test_case "scale payloads" `Quick test_scale_payloads;
     Alcotest.test_case "map flows" `Quick test_map_flows;
     Alcotest.test_case "link utilization" `Quick test_link_utilization;
+    Alcotest.test_case "shared params == fresh on the corpus" `Quick
+      test_shared_params_corpus;
+    Alcotest.test_case "shared params: pooled reroute across rates" `Quick
+      test_shared_params_pooled_reroute;
   ]
