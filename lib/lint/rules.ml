@@ -342,22 +342,6 @@ let check_unused_links scenario =
              "link carries no flow"))
     (Network.Topology.links topo)
 
-let check_detour_route topo (f : Traffic.Flow.t) =
-  let route = f.Traffic.Flow.route in
-  let src = Network.Route.source route
-  and dst = Network.Route.destination route in
-  match Network.Topology.shortest_path topo ~src ~dst with
-  | Some path when List.length path - 1 < Network.Route.hop_count route ->
-      [
-        Gmf_diag.hint ~code:"GMF005" ~subject:(flow_subject f)
-          ~suggestion:
-            (Printf.sprintf "a %d-hop path exists" (List.length path - 1))
-          "route takes %d hops where %d suffice"
-          (Network.Route.hop_count route)
-          (List.length path - 1);
-      ]
-  | _ -> []
-
 let check_unused_switches scenario =
   let topo = Traffic.Scenario.topo scenario in
   let crossed = Hashtbl.create 8 in
@@ -377,45 +361,37 @@ let check_unused_switches scenario =
              "switch model is never exercised"))
     (Traffic.Scenario.switch_nodes scenario)
 
-(* Only flows relayed through at least one switch are probed: a direct
-   host-to-host wire is trivially its only route, and flagging it would
-   drown every two-node scenario in hints.  Applied to the topology once
-   per pass: the application shares the answer between flows. *)
-let check_single_route topo =
-  (* Existence, not enumeration: any second route omits some link of the
-     first, so one is there iff avoiding some link of the first still
-     leaves a route.  Links are tried from the destination end, where a
-     route that cannot get round the avoided link usually fails fast.
-     Flows sharing endpoints share the answer. *)
-  let redundant = Hashtbl.create 16 in
-  let has_second src dst =
-    match Hashtbl.find_opt redundant (src, dst) with
-    | Some b -> b
-    | None ->
-        let b =
-          match Network.Pathfind.first_route topo ~src ~dst with
-          | None -> false
-          | Some first ->
-              List.exists
-                (fun hop ->
-                  Option.is_some
-                    (Network.Pathfind.first_route ~avoid_links:[ hop ] topo
-                       ~src ~dst))
-                (List.rev (Network.Route.hops first))
-        in
-        Hashtbl.replace redundant (src, dst) b;
-        b
+(* GMF005 and GMF007 over the flows of one pass, from one route search
+   per destination ({!Network.Pathfind.summarize}).  Only flows relayed
+   through at least one switch are searched: a direct wire has no
+   shorter route, and is trivially its only one (flagging it would
+   drown every two-node scenario in GMF007 hints). *)
+let check_routes topo flows =
+  let relayed (f : Traffic.Flow.t) =
+    Network.Route.hop_count f.Traffic.Flow.route > 1
   in
-  fun (f : Traffic.Flow.t) ->
+  let endpoints (f : Traffic.Flow.t) =
     let route = f.Traffic.Flow.route in
-    if Network.Route.intermediate_switches route = [] then []
+    (Network.Route.source route, Network.Route.destination route)
+  in
+  let findings (f : Traffic.Flow.t) (a : Network.Pathfind.summary) =
+    let hops = Network.Route.hop_count f.Traffic.Flow.route in
+    let detour =
+      match a.Network.Pathfind.fewest with
+      | Some d when d < hops ->
+          [
+            Gmf_diag.hint ~code:"GMF005" ~subject:(flow_subject f)
+              ~suggestion:(Printf.sprintf "a %d-hop path exists" d)
+              "route takes %d hops where %d suffice" hops d;
+          ]
+      | _ -> []
+    in
+    if a.Network.Pathfind.second then detour
     else
-      let src = Network.Route.source route
-      and dst = Network.Route.destination route in
-      if has_second src dst then []
-      else
-        let name id = (Network.Topology.node topo id).Network.Node.name in
-        [
+      let src, dst = endpoints f in
+      let name id = (Network.Topology.node topo id).Network.Node.name in
+      detour
+      @ [
           Gmf_diag.hint ~code:"GMF007" ~subject:(flow_subject f)
             ~suggestion:
               "add a redundant link so the flow can survive a failure \
@@ -424,6 +400,22 @@ let check_single_route topo =
              from %s to %s"
             Network.Pathfind.max_hops (name src) (name dst);
         ]
+  in
+  let rec zip flows answers =
+    match (flows, answers) with
+    | [], _ -> []
+    | f :: rest, a :: answers when relayed f -> findings f a :: zip rest answers
+    | _ :: rest, _ -> [] :: zip rest answers
+  in
+  zip flows
+    (Network.Pathfind.summarize topo
+       (List.filter_map
+          (fun (f : Traffic.Flow.t) ->
+            if relayed f then
+              let src, dst = endpoints f in
+              Some (src, dst, Network.Route.hop_count f.Traffic.Flow.route - 1)
+            else None)
+          flows))
 
 (* ---------------- GMF1xx: model preconditions ---------------- *)
 
@@ -629,15 +621,16 @@ let check_config ~(config : Analysis_config.t) scenario =
 
 (* ---------------- the rule table ---------------- *)
 
-(* How a check is applied.  A [Per_flow] check is applied to the config
-   and the scenario once per pass, and the result to each flow: the
-   route searches of GMF005 and GMF007 share their answers that way. *)
+(* How a check is applied.  A [Per_flow] check is handed the flows of a
+   pass at once and returns the findings on each, in order, so it may
+   share work between them: GMF005 and GMF007 run one route search per
+   destination. *)
 type scope =
   | Per_flow of
       (config:Analysis_config.t ->
       Traffic.Scenario.t ->
-      Traffic.Flow.t ->
-      Gmf_diag.t list)
+      Traffic.Flow.t list ->
+      Gmf_diag.t list list)
   | Fabric of
       (config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list)
   | Names of (Traffic.Flow.t list -> Gmf_diag.t list)
@@ -652,13 +645,17 @@ type check = {
 
 (* Every scenario rule, once, in pass order: flow rules, then fabric. *)
 let checks =
-  let flow emits f = { emits; scope = Per_flow f } in
+  let flow emits f =
+    { emits; scope = Per_flow (fun ~config s -> List.map (f ~config s)) }
+  in
   let fabric emits f = { emits; scope = Fabric f } in
   let topo = Traffic.Scenario.topo in
   [
     flow [ "GMF002" ] (fun ~config:_ _ -> check_redundant_remarks);
-    flow [ "GMF005" ] (fun ~config:_ s -> check_detour_route (topo s));
-    flow [ "GMF007" ] (fun ~config:_ s -> check_single_route (topo s));
+    {
+      emits = [ "GMF005"; "GMF007" ];
+      scope = Per_flow (fun ~config:_ s -> check_routes (topo s));
+    };
     flow [ "GMF101" ] (fun ~config:_ _ f ->
         per_frame f check_deadline_vs_period);
     flow [ "GMF102" ] (fun ~config:_ _ f ->
@@ -703,14 +700,16 @@ let by_code_then_message (a : Gmf_diag.t) (b : Gmf_diag.t) =
 
 let sort = List.sort by_code_then_message
 
-(* Rule by rule, each over every flow: the route searches of GMF005
-   and GMF007 keep their working sets warm that way. *)
+(* Rule by rule, each handed every flow: the GMF005/GMF007 check
+   searches once per destination among [flows] and never looks at the
+   scenario's other flows, so a pass that reuses most findings searches
+   only for the rest. *)
 let flow_rules ~config scenario flows =
   let by_rule =
     List.filter_map
       (fun c ->
         match c.scope with
-        | Per_flow rule -> Some (List.map (rule ~config scenario) flows)
+        | Per_flow rule -> Some (rule ~config scenario flows)
         | Fabric _ | Names _ -> None)
       checks
   in
@@ -733,8 +732,7 @@ let gate_rules ~config ?names scenario =
     (fun c ->
       match c.scope with
       | Per_flow rule ->
-          List.concat_map (rule ~config scenario)
-            (Traffic.Scenario.flows scenario)
+          List.concat (rule ~config scenario (Traffic.Scenario.flows scenario))
       | Fabric rule -> rule ~config scenario
       | Names rule -> (
           match names with

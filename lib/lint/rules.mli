@@ -56,8 +56,11 @@ val flow_rules :
 (** The findings on each of the given flows of the scenario, in order,
     of the rules that depend only on that flow record, the topology, the
     switch models on its route and the config: GMF002, GMF005, GMF007,
-    GMF101, GMF102, GMF103 and GMF202.  Flows with the same endpoints
-    share one GMF007 route search. *)
+    GMF101, GMF102, GMF103 and GMF202.  GMF005 and GMF007 are answered
+    for all the given flows at once, by one route search per destination
+    ({!Network.Pathfind.summarize}); the scenario's other flows are not
+    searched, so a caller that reuses most findings pays only for the
+    rest. *)
 
 val fabric_rules :
   config:Analysis_config.t -> Traffic.Scenario.t -> Gmf_diag.t list

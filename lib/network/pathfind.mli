@@ -30,6 +30,31 @@ val first_route :
     then a walk from [src] that takes the smallest-id neighbour one link
     closer at each step — no enumeration. *)
 
+type summary = {
+  fewest : int option;
+      (** The links of a shortest route, when it has at most [max within
+          max_hops] of them. *)
+  second : bool;
+      (** At least two routes of at most {!max_hops} links exist: the
+          route {!first_route} returns is not the only one. *)
+}
+
+val summarize :
+  Topology.t -> (Node.id * Node.id * int) list -> summary list
+(** For each query [(src, dst, within)], in order, what the single-route
+    searches would answer over the whole topology (nothing avoided):
+    [fewest] is the hop count of {!first_route} searched to [max within
+    max_hops] links, and [second] says whether {!all_routes} has two
+    entries or more.  Endpoints that cannot terminate a flow, or
+    [src = dst], get [{ fewest = None; second = false }].
+
+    One reverse BFS per destination answers all of its queries, and
+    labels only as far as they need.  A second route is first counted in
+    the BFS layers (shortest routes, up to two); a source with one
+    shortest route then looks for a detour off it at each node along it
+    (Yen's spurs), each a BFS bounded by the distance table.  Queries with
+    the same endpoints share the search. *)
+
 val all_routes :
   ?avoid_links:(Node.id * Node.id) list ->
   ?avoid_nodes:Node.id list ->

@@ -1,10 +1,10 @@
 type t = {
-  mutable nodes : Node.t array; (* dense by id; length = count *)
+  mutable nodes : Node.t array; (* dense by id; length = capacity *)
   mutable node_count : int;
   links : (Node.id * Node.id, Link.t) Hashtbl.t;
   mutable link_order : Link.t list; (* reversed insertion order *)
-  out_edges : (Node.id, Node.id list) Hashtbl.t; (* reversed insertion order *)
-  in_edges : (Node.id, Node.id list) Hashtbl.t; (* reversed insertion order *)
+  mutable out_edges : Node.id list array; (* by id, insertion order *)
+  mutable in_edges : Node.id list array; (* by id, reversed insertion order *)
 }
 
 let create () =
@@ -13,8 +13,8 @@ let create () =
     node_count = 0;
     links = Hashtbl.create 64;
     link_order = [];
-    out_edges = Hashtbl.create 64;
-    in_edges = Hashtbl.create 64;
+    out_edges = [||];
+    in_edges = [||];
   }
 
 let add_node t ~name ~kind =
@@ -22,9 +22,14 @@ let add_node t ~name ~kind =
   let node = { Node.id; name; kind } in
   let cap = Array.length t.nodes in
   if id = cap then begin
-    let grown = Array.make (max 8 (2 * cap)) node in
-    Array.blit t.nodes 0 grown 0 cap;
-    t.nodes <- grown
+    let grow a fill =
+      let grown = Array.make (max 8 (2 * cap)) fill in
+      Array.blit a 0 grown 0 cap;
+      grown
+    in
+    t.nodes <- grow t.nodes node;
+    t.out_edges <- grow t.out_edges [];
+    t.in_edges <- grow t.in_edges []
   end;
   t.nodes.(id) <- node;
   t.node_count <- id + 1;
@@ -51,12 +56,9 @@ let add_link t ~src ~dst ~rate_bps ~prop =
   let link = Link.make ~src ~dst ~rate_bps ~prop in
   Hashtbl.replace t.links (src, dst) link;
   t.link_order <- link :: t.link_order;
-  let push edges a b =
-    Hashtbl.replace edges a
-      (b :: Option.value ~default:[] (Hashtbl.find_opt edges a))
-  in
-  push t.out_edges src dst;
-  push t.in_edges dst src
+  (* Appended, so [out_neighbors] hands the stored list out as it is. *)
+  t.out_edges.(src) <- t.out_edges.(src) @ [ dst ];
+  t.in_edges.(dst) <- src :: t.in_edges.(dst)
 
 let add_duplex_link t ~a ~b ~rate_bps ~prop =
   add_link t ~src:a ~dst:b ~rate_bps ~prop;
@@ -74,11 +76,11 @@ let links t = List.rev t.link_order
 
 let out_neighbors t id =
   check_node t id "Topology.out_neighbors";
-  List.rev (Option.value ~default:[] (Hashtbl.find_opt t.out_edges id))
+  t.out_edges.(id)
 
 let in_neighbors t id =
   check_node t id "Topology.in_neighbors";
-  Option.value ~default:[] (Hashtbl.find_opt t.in_edges id)
+  t.in_edges.(id)
 
 let degree t id = List.length (out_neighbors t id)
 

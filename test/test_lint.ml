@@ -100,6 +100,13 @@ let test_gmf007_single_route () =
     ("node a endhost\nnode b endhost\nnode sw switch\n\
       duplex a sw rate=100M\nduplex sw b rate=100M\n\
       flow f from=a to=b\n" ^ frame1 ^ "end");
+  (* a-s1-h-b is one link closer from s1 than a-s1-s2-b is, but the host
+     h cannot relay: a-s1-s2-b stays the only route. *)
+  expect_one "a host beside the route does not relay"
+    ("node a endhost\nnode b endhost\nnode h endhost\nnode s1 switch\n\
+      node s2 switch\nduplex a s1 rate=100M\nduplex s1 s2 rate=100M\n\
+      duplex s2 b rate=100M\nduplex s1 h rate=100M\nduplex h b rate=100M\n\
+      flow f from=a to=b route=a,s1,s2,b\n" ^ frame1 ^ "end");
   (* Two disjoint 9-link routes a-s0..s7-b and a-t0..t7-b: neither is
      within the bound, so the flow has at most one (none). *)
   let path p = ("a" :: List.init 8 (Printf.sprintf "%s%d" p)) @ [ "b" ] in
@@ -616,6 +623,213 @@ let test_gate_codes () =
     (catalog_codes (fun r -> not (non_scenario r.Gmf_lint.Rules.code)))
     Gmf_lint.Rules.scenario_codes
 
+(* ---------------- the route rules against per-flow searches ---------------- *)
+
+(* [topo] without the [gone] links and every link of the [dead]
+   switches: the same nodes under the same ids. *)
+let degrade topo ~gone ~dead =
+  let t = Network.Topology.create () in
+  List.iter
+    (fun (n : Network.Node.t) ->
+      ignore
+        (Network.Topology.add_node t ~name:n.Network.Node.name
+           ~kind:n.Network.Node.kind))
+    (Network.Topology.nodes topo);
+  List.iter
+    (fun (l : Network.Link.t) ->
+      let open Network.Link in
+      if
+        not
+          (List.mem (l.src, l.dst) gone
+          || List.mem l.src dead || List.mem l.dst dead)
+      then
+        Network.Topology.add_link t ~src:l.src ~dst:l.dst ~rate_bps:l.rate_bps
+          ~prop:l.prop)
+    (Network.Topology.links topo);
+  t
+
+(* [f] on a route of [topo]: its own if it survived, else the shortest;
+   one flow in four takes a later [all_routes] entry instead, and
+   another one in four (and every flow whose shortcut runs past
+   max_hops) a detour through a random switch, the first of eight draws
+   whose legs join into a route, so that GMF005 fires. *)
+let reroute rng topo switches (f : Traffic.Flow.t) =
+  let route nodes =
+    match Network.Route.make topo nodes with
+    | r -> Some r
+    | exception Invalid_argument _ -> None
+  in
+  let src = Network.Route.source f.Traffic.Flow.route
+  and dst = Network.Route.destination f.Traffic.Flow.route in
+  let path a b = Network.Topology.shortest_path topo ~src:a ~dst:b in
+  let later () =
+    match Network.Pathfind.all_routes topo ~src ~dst with
+    | _ :: (_ :: _ as rest) -> Some (Gmf_util.Rng.pick rng (Array.of_list rest))
+    | _ -> None
+  in
+  let rec via tries =
+    if tries = 0 then None
+    else
+      let w = Gmf_util.Rng.pick rng switches in
+      match (path src w, path w dst) with
+      | Some a, Some (_ :: b) when route (a @ b) <> None -> route (a @ b)
+      | _ -> via (tries - 1)
+  in
+  let far =
+    match path src dst with
+    | Some p -> List.length p - 1 > Network.Pathfind.max_hops
+    | None -> false
+  in
+  let pick =
+    match Gmf_util.Rng.int rng 8 with
+    | _ when far -> via 8
+    | 0 | 1 -> later ()
+    | 2 | 3 -> via 8
+    | _ -> None
+  in
+  let chosen =
+    match pick with
+    | Some r -> Some r
+    | None -> (
+        match route (Network.Route.nodes f.Traffic.Flow.route) with
+        | Some r -> Some r
+        | None -> Option.bind (path src dst) route)
+  in
+  Option.map
+    (fun route ->
+      Traffic.Flow.make ~id:f.Traffic.Flow.id ~name:f.Traffic.Flow.name
+        ~spec:f.Traffic.Flow.spec ~encap:f.Traffic.Flow.encap ~route
+        ~priority:f.Traffic.Flow.priority)
+    chosen
+
+(* A generated mesh (one or two planes), fat-tree or ring of rings with
+   0-3 duplex links and 0-1 switches taken out, its flows rerouted as
+   [reroute] does, and a random subset of them (every flow in one case
+   of three). *)
+let gen_rerouted seed =
+  let module G = Gmf_topogen.Gen_spec in
+  let rng = Gmf_util.Rng.create ~seed in
+  let family =
+    Gmf_util.Rng.pick rng
+      [|
+        G.Mesh { rows = 4; cols = 4; planes = 1 };
+        G.Mesh { rows = 6; cols = 6; planes = 1 };
+        G.Mesh { rows = 3; cols = 4; planes = 2 };
+        G.Fat_tree { k = 4 };
+        G.Ring_of_rings { rings = 4; ring_size = 4 };
+        G.Ring_of_rings { rings = 3; ring_size = 5 };
+      |]
+  in
+  let spec =
+    {
+      G.default with
+      G.family;
+      hosts_per_switch = 1 + Gmf_util.Rng.int rng 2;
+      flows = 20 + Gmf_util.Rng.int rng 81;
+      (* the 6x6 mesh draws its pairs anywhere, for shortcuts past
+         max_hops *)
+      locality =
+        (match family with
+        | G.Mesh { rows = 6; _ } -> 0.
+        | _ -> if Gmf_util.Rng.bool rng then 0.8 else 0.);
+      max_util = 1.;
+      seed = Gmf_util.Rng.int rng 1_000_000;
+    }
+  in
+  let scenario =
+    (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+  in
+  let topo = Traffic.Scenario.topo scenario in
+  let links = Array.of_list (Network.Topology.links topo) in
+  let switches =
+    Array.of_list
+      (List.filter_map
+         (fun (n : Network.Node.t) ->
+           if Network.Node.is_switch n then Some n.Network.Node.id else None)
+         (Network.Topology.nodes topo))
+  in
+  let gone =
+    List.concat
+      (List.init (Gmf_util.Rng.int rng 4) (fun _ ->
+           let l = Gmf_util.Rng.pick rng links in
+           Network.Link.[ (l.src, l.dst); (l.dst, l.src) ]))
+  in
+  let dead =
+    List.init (Gmf_util.Rng.int rng 2) (fun _ -> Gmf_util.Rng.pick rng switches)
+  in
+  let topo = degrade topo ~gone ~dead in
+  let flows =
+    List.filter_map (reroute rng topo switches) (Traffic.Scenario.flows scenario)
+  in
+  let scenario = Traffic.Scenario.make ~topo ~flows () in
+  let every = Gmf_util.Rng.int rng 3 = 0 in
+  (scenario, List.filter (fun _ -> every || Gmf_util.Rng.bool rng) flows)
+
+let route_findings scenario flows =
+  List.map
+    (List.filter (fun d -> d.Gmf_diag.code = "GMF005" || d.Gmf_diag.code = "GMF007"))
+    (Gmf_lint.Rules.flow_rules ~config:Analysis.Config.default scenario flows)
+
+let prop_route_rules_equal_oracle =
+  QCheck.Test.make ~name:"GMF005/GMF007 == per-flow search oracle" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let scenario, flows = gen_rerouted seed in
+      let oracle =
+        Route_oracle.findings (Traffic.Scenario.topo scenario) flows
+      in
+      List.for_all2
+        (fun (f : Traffic.Flow.t) (got, want) ->
+          got = want
+          || QCheck.Test.fail_reportf "flow %s: batched [%s], oracle [%s]"
+               f.Traffic.Flow.name
+               (String.concat "; " (List.map Gmf_diag.to_string got))
+               (String.concat "; " (List.map Gmf_diag.to_string want)))
+        flows
+        (List.combine (route_findings scenario flows) oracle))
+
+(* The generator above reaches every branch of the batched search on
+   fixed seeds: GMF005 with a shortcut past max_hops, GMF007, and flows
+   with one shortest route and a longer second one (the spur search). *)
+let test_route_oracle_coverage () =
+  let detours = ref 0 and far = ref 0 and singles = ref 0 and spurs = ref 0 in
+  for seed = 1 to 30 do
+    let scenario, flows = gen_rerouted seed in
+    let topo = Traffic.Scenario.topo scenario in
+    List.iter2
+      (fun (f : Traffic.Flow.t) ds ->
+        List.iter
+          (fun d ->
+            if d.Gmf_diag.code = "GMF007" then incr singles
+            else begin
+              incr detours;
+              Scanf.sscanf d.Gmf_diag.message "route takes %d hops where %d"
+                (fun _ n -> if n > Network.Pathfind.max_hops then incr far)
+            end)
+          ds;
+        let route = f.Traffic.Flow.route in
+        match
+          Network.Pathfind.all_routes topo
+            ~src:(Network.Route.source route)
+            ~dst:(Network.Route.destination route)
+        with
+        | a :: b :: _
+          when Network.Route.hop_count a < Network.Route.hop_count b ->
+            incr spurs
+        | _ -> ())
+      flows
+      (route_findings scenario flows)
+  done;
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s (%d)" what n) true (n > 0))
+    [
+      ("GMF005", !detours);
+      ("GMF005 past max_hops", !far);
+      ("GMF007", !singles);
+      ("one shortest route, a longer second", !spurs);
+    ]
+
 let tests =
   [
     Alcotest.test_case "clean scenario is diagnostic-free" `Quick
@@ -629,6 +843,9 @@ let tests =
     Alcotest.test_case "GMF005 detour route" `Quick test_gmf005_detour_route;
     Alcotest.test_case "GMF006 unused switch" `Quick test_gmf006_unused_switch;
     Alcotest.test_case "GMF007 single route" `Quick test_gmf007_single_route;
+    QCheck_alcotest.to_alcotest prop_route_rules_equal_oracle;
+    Alcotest.test_case "route oracle cases reach every branch" `Quick
+      test_route_oracle_coverage;
     Alcotest.test_case "GMF010 priority range" `Quick test_gmf010_priority_range;
     Alcotest.test_case "GMF011 remark off route" `Quick
       test_gmf011_remark_off_route;

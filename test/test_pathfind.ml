@@ -156,6 +156,49 @@ let prop_first_route_is_head =
                dst (show head) (show first))
         (List.init 20 Fun.id))
 
+(* [summarize] answers a batch of queries as the per-pair searches do
+   ([Route_oracle.summary]): random endpoints, switches and [src = dst]
+   among them, many sharing a destination, and depths past max_hops. *)
+let prop_summarize_equals_searches =
+  QCheck.Test.make ~name:"summarize == per-query searches" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      let b = pick (Lazy.force built) in
+      let topo = b.Gmf_topogen.Builders.topo in
+      let nodes = Array.init (Network.Topology.node_count topo) Fun.id in
+      let dsts = Array.init 3 (fun _ -> pick b.Gmf_topogen.Builders.hosts) in
+      let queries =
+        List.init 30 (fun _ ->
+            let endpoint () =
+              if Random.State.int st 8 = 0 then pick nodes
+              else pick b.Gmf_topogen.Builders.hosts
+            in
+            let dst =
+              if Random.State.bool st then pick dsts else endpoint ()
+            in
+            let src =
+              if Random.State.int st 10 = 0 then dst else endpoint ()
+            in
+            (src, dst, Random.State.int st 14))
+      in
+      let show (s : Network.Pathfind.summary) =
+        Printf.sprintf "{fewest %s; second %b}"
+          (Option.fold ~none:"none" ~some:string_of_int
+             s.Network.Pathfind.fewest)
+          s.Network.Pathfind.second
+      in
+      List.for_all2
+        (fun (src, dst, within) (got, want) ->
+          got = want
+          || QCheck.Test.fail_reportf "%d -> %d within %d: %s, searches %s"
+               src dst within (show got) (show want))
+        queries
+        (List.combine
+           (Network.Pathfind.summarize topo queries)
+           (List.map (Route_oracle.summary topo) queries)))
+
 let tests =
   [
     Alcotest.test_case "all routes on Figure 1" `Quick test_all_routes_fig1;
@@ -165,4 +208,5 @@ let tests =
       test_endpoints_and_reachability;
     Alcotest.test_case "routes are valid" `Quick test_routes_are_valid;
     QCheck_alcotest.to_alcotest prop_first_route_is_head;
+    QCheck_alcotest.to_alcotest prop_summarize_equals_searches;
   ]
