@@ -51,10 +51,10 @@ type t = {
   mutable base : Analysis.Delta.base;
       (* the committed flow set (id-ascending), its fixpoint and report:
          the base every fixpoint event is a delta against *)
-  mutable last_lint : Gmf_lint.Lint.report option;
-      (* the last lint report, the [prev] of the next lint run: flows an
-         edit leaves alone keep their findings *)
-  pre_table : Gmf_precheck.Precheck.Table.t;
+  lint_table : Gmf_diag.t list Gmf_precheck.Reuse.t;
+      (* the flows of the last lint run: the ones an edit leaves alone
+         keep their findings *)
+  pre_table : Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t;
       (* the components of the last precheck run: the ones an edit
          leaves alone keep their verdicts *)
   mutable seq : int;
@@ -129,8 +129,8 @@ let create ?(config = Analysis.Config.default) ?(shadow = false)
       Analysis.Delta.make_base ~config
         ~scenario:(Traffic.Scenario.make ~switches ~topo ~flows:[] ())
         ~report:empty_report ();
-    last_lint = None;
-    pre_table = Gmf_precheck.Precheck.Table.create ();
+    lint_table = Gmf_precheck.Reuse.create ();
+    pre_table = Gmf_precheck.Reuse.create ();
     seq = 0;
     s_admitted = 0;
     s_rejected = 0;
@@ -208,7 +208,9 @@ let fingerprint t =
 let topo t = Traffic.Scenario.topo (Analysis.Delta.base_scenario t.base)
 
 let find_flow t id =
-  List.find_opt (fun f -> f.Traffic.Flow.id = id) (flows t)
+  match Traffic.Scenario.flow (Analysis.Delta.base_scenario t.base) id with
+  | f -> Some f
+  | exception Invalid_argument _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Report comparison (shadow mode)                                    *)
@@ -321,13 +323,12 @@ let shadow_check t scenario report =
 (* A put record equal to the committed one edits nothing: an update
    that restates a flow keeps the committed fixpoint. *)
 let changed_only t (edit : Analysis.Delta.edit) =
-  let committed = Analysis.Delta.base_scenario t.base in
   let changed (f : Traffic.Flow.t) =
-    match Traffic.Scenario.flow committed f.Traffic.Flow.id with
-    | old ->
+    match find_flow t f.Traffic.Flow.id with
+    | Some old ->
         old != f
         && Analysis.Case.flow_digest old <> Analysis.Case.flow_digest f
-    | exception Invalid_argument _ -> true
+    | None -> true
   in
   {
     edit with
@@ -397,22 +398,22 @@ let survive_gate t (flow : Traffic.Flow.t) =
             ~candidate:flow scenario)
 
 (* Both gates reuse what the last run of each computed; their reports
-   are the same as from scratch. *)
+   are the same as from scratch.  Each table keeps only its latest run's
+   entries, so a long session holds one scenario's worth, not a
+   history. *)
 let lint t scenario =
-  let r = Gmf_lint.Lint.run ~config:t.config ?prev:t.last_lint scenario in
-  t.last_lint <- Some r;
+  let r = Gmf_lint.Lint.run ~config:t.config ~table:t.lint_table scenario in
+  Gmf_precheck.Reuse.keep_latest t.lint_table;
   r
 
-(* The table keeps only the latest run's components, so a long session
-   holds one scenario's worth of verdicts, not a history. *)
 let precheck t scenario =
   let r =
     Gmf_precheck.Precheck.run ~config:t.config ~table:t.pre_table scenario
   in
-  Gmf_precheck.Precheck.Table.keep_latest t.pre_table;
+  Gmf_precheck.Reuse.keep_latest t.pre_table;
   r
 
-let precheck_entries t = Gmf_precheck.Precheck.Table.length t.pre_table
+let precheck_entries t = Gmf_precheck.Reuse.length t.pre_table
 
 (* Admit and update share the accept-or-rollback shape (removals commit
    regardless and are handled separately).  [gate] (survivability) runs

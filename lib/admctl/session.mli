@@ -30,11 +30,11 @@
     Candidate flows are lint-gated ({!Gmf_lint}) before any fixpoint runs;
     a lint error rejects with [rounds = 0] exactly like
     [Analysis.Admission].  Rejected events leave the session untouched.
-    The session passes its last lint report as the next lint run's
-    [?prev] and keeps one {!Gmf_precheck.Precheck.Table} holding the
-    components of its latest precheck run, so both gates recompute only
-    the flows and interference components the edit changed
-    (docs/ADMCTL.md).
+    The session keeps one {!Gmf_precheck.Reuse} table per gate, passes
+    it to every run of that gate and trims it to that run's entries
+    afterwards, so both gates recompute only the flows and interference
+    components that miss the table's key (docs/ADMCTL.md, "Gate
+    reuse").
 
     Telemetry: every event bumps [admctl.events], a per-kind span and an
     [admctl.latency_ns.<kind>] histogram sample on the default

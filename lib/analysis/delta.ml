@@ -22,7 +22,7 @@ type base = {
   b_lint_clean : bool;
   b_index : index Lazy.t;
   b_pool : Traffic.Scenario.params_pool;
-  b_precheck : Gmf_precheck.Precheck.Table.t;
+  b_precheck : Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t;
 }
 
 type stats = {
@@ -87,7 +87,7 @@ let wrap ~config ~scenario ~report ~lint_clean =
     b_lint_clean = lint_clean;
     b_index = lazy (build_index scenario);
     b_pool = Traffic.Scenario.params_pool ();
-    b_precheck = Gmf_precheck.Precheck.Table.create ();
+    b_precheck = Gmf_precheck.Reuse.create ();
   }
 
 let make_base ~config ~scenario ~report () =

@@ -51,11 +51,11 @@
     Each base owns a {!Traffic.Scenario.params_pool}: every restriction
     and target built against it shares its link parameters, so a
     (flow, hop) that recurs across edits (a survive sweep's reroute) is
-    built once per base.  It also owns a
-    {!Gmf_precheck.Precheck.Table}, which every [~precheck] closure
-    restart and cold fallback passes through {!Sharded.analyze}: a
-    component that recurs across edits with the same records (a survive
-    sweep's degraded tile) is prechecked once per base.
+    built once per base.  It also owns a {!Gmf_precheck.Reuse} table of
+    precheck verdicts, which every [~precheck] closure restart and cold
+    fallback passes through {!Sharded.analyze}: a component that recurs
+    across edits under the table's key (a survive sweep's degraded tile)
+    is prechecked once per base.
 
     Telemetry: [delta.runs], [delta.closure_flows], [delta.flows_skipped],
     [delta.rounds_saved] (estimate: base rounds minus closure rounds) and

@@ -2,7 +2,7 @@
     decided, fixpoint the rest component by component.
 
     {!analyze} runs {!Gmf_precheck.Precheck.run} first (through the
-    caller's table, when given one), then:
+    caller's {!Gmf_precheck.Reuse} table, when given one), then:
 
     - statically infeasible flows are rejected without any fixpoint (the
       certificate becomes the failure reason);
@@ -51,11 +51,12 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
 
 val analyze :
   ?config:Config.t ->
-  ?table:Gmf_precheck.Precheck.Table.t ->
+  ?table:Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t ->
   Traffic.Scenario.t ->
   Holistic.report * Gmf_precheck.Precheck.report * stats
 (** [analyze ?config ?table scenario] is the merged report, the precheck
     report it was guided by, and the sharding counters.  [table] goes to
-    {!Gmf_precheck.Precheck.run}: components it already holds are not
-    tested again ({!Delta} passes its base's table, so every closure
-    restart against one base shares it). *)
+    {!Gmf_precheck.Precheck.run}: components that meet its key
+    ({!Gmf_precheck.Reuse}) are not tested again ({!Delta} passes its
+    base's table, so every closure restart against one base shares
+    it). *)

@@ -19,7 +19,7 @@
     the base's components, the flows by node and each reroute's record
     and link parameters are built once per sweep ({!sweep}), and a
     degraded component that recurs across cases is prechecked once (the
-    base's {!Gmf_precheck.Precheck.Table}) and fixpointed once (the
+    base's {!Gmf_precheck.Reuse} table) and fixpointed once (the
     component memo).  Same-size failure sets walk in revolving-door Gray
     order; both tables are keyed by content, so the order is kept
     because the goldens list cases in it, not for what adjacent cases

@@ -1,7 +1,4 @@
-type report = {
-  diagnostics : Gmf_diag.t list;
-  by_flow : Gmf_diag.t list Gmf_precheck.Reuse.t;
-}
+type report = { diagnostics : Gmf_diag.t list }
 
 let runs = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "lint.runs"
 
@@ -15,44 +12,45 @@ let hit d =
     (Gmf_obs.Metrics.counter Gmf_obs.Metrics.default
        ("lint.hits." ^ d.Gmf_diag.code))
 
-let run ?(config = Analysis_config.default) ?prev scenario =
+let run ?(config = Analysis_config.default) ?table scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"lint" "lint.run"
   @@ fun () ->
   Gmf_obs.Metrics.incr runs;
+  let find f =
+    Option.bind table (fun t ->
+        Gmf_precheck.Reuse.find t ~config scenario [ f ])
+  in
   let known =
-    List.map
-      (fun f ->
-        ( f,
-          Option.bind prev (fun p ->
-              Gmf_precheck.Reuse.find ~prev:p.by_flow ~config scenario f) ))
-      (Traffic.Scenario.flows scenario)
+    List.map (fun f -> (f, find f)) (Traffic.Scenario.flows scenario)
   in
-  (* The findings of the flows [prev] does not cover, in flow order. *)
-  let fresh =
-    ref
-      (Rules.flow_rules ~config scenario
-         (List.filter_map
-            (fun (f, c) -> if Option.is_none c then Some f else None)
-            known))
+  (* The flows [table] does not cover run their rules in one batch. *)
+  let misses =
+    List.filter_map
+      (fun (f, cached) -> if Option.is_none cached then Some f else None)
+      known
   in
-  let findings (f, cached) =
-    match cached with
-    | Some ds ->
-        Gmf_obs.Metrics.incr flows_reused;
-        (f, ds)
-    | None ->
-        let ds = List.hd !fresh in
-        fresh := List.tl !fresh;
-        (f, ds)
+  let fresh = Rules.flow_rules ~config scenario misses in
+  Option.iter
+    (fun t ->
+      List.iter2
+        (fun f ds -> Gmf_precheck.Reuse.add t ~config scenario [ f ] ds)
+        misses fresh)
+    table;
+  let _, per_flow =
+    List.fold_left_map
+      (fun fresh (_, cached) ->
+        match cached with
+        | Some ds ->
+            Gmf_obs.Metrics.incr flows_reused;
+            (fresh, ds)
+        | None -> (List.tl fresh, List.hd fresh))
+      fresh known
   in
-  let per_flow = List.map findings known in
-  let by_flow = Gmf_precheck.Reuse.make ~config scenario per_flow in
   let diagnostics =
-    Rules.sort
-      (List.concat_map snd per_flow @ Rules.fabric_rules ~config scenario)
+    Rules.sort (List.concat per_flow @ Rules.fabric_rules ~config scenario)
   in
   List.iter hit diagnostics;
-  { diagnostics; by_flow }
+  { diagnostics }
 
 let gate ?(config = Analysis_config.default) ?names scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"lint" "lint.gate"

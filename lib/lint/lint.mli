@@ -3,23 +3,26 @@
     [run] is the entry point the CLI, [Analysis.Admission] and tests use.
     It never executes a fixpoint — every rule in {!Rules} is a pure
     traversal of the scenario/topology/config — so gating an analysis on
-    it costs O(flows × route length). *)
+    it costs O(flows × route length).  A session passes [run] a
+    {!Gmf_precheck.Reuse} table, so a flow that meets the table's key
+    keeps its findings instead of running its rules again. *)
 
 type report = {
   diagnostics : Gmf_diag.t list;  (** Sorted by code, then message. *)
-  by_flow : Gmf_diag.t list Gmf_precheck.Reuse.t;
-      (** Each flow's {!Rules.flow_rules} findings, for the next [run]'s
-          [?prev]. *)
 }
 
 val run :
-  ?config:Analysis_config.t -> ?prev:report -> Traffic.Scenario.t -> report
+  ?config:Analysis_config.t ->
+  ?table:Gmf_diag.t list Gmf_precheck.Reuse.t ->
+  Traffic.Scenario.t ->
+  report
 (** Run {!Rules.flow_rules} on every flow and {!Rules.fabric_rules} once
-    ([config] defaults to {!Analysis_config.default}).  With [prev], a
-    flow whose findings carry over from [prev] ({!Gmf_precheck.Reuse.find})
-    keeps them instead of running its rules again; the report is the
-    same as without [prev].  Bumps the per-rule [lint.hits.<CODE>]
-    counters, [lint.runs] and [lint.flows_reused] on
+    ([config] defaults to {!Analysis_config.default}).  With [table], a
+    flow that meets {!Gmf_precheck.Reuse}'s key under [[flow]] keeps the
+    findings the table holds; the others run their rules in one
+    {!Rules.flow_rules} batch and are added.  The report is the same as
+    without [table].  Bumps the per-rule [lint.hits.<CODE>] counters,
+    [lint.runs] and [lint.flows_reused] (the flows read from [table]) on
     {!Gmf_obs.Metrics.default} (visible under [gmfnet profile]) and
     traces a [lint.run] span on {!Gmf_obs.Tracer.default}. *)
 

@@ -7,7 +7,7 @@
     connected components of this graph therefore have completely
     independent fixed points, which is what lets the holistic analysis be
     sharded per component (see [Analysis.Sharded]) and what the closure
-    machinery in [Gmf_admctl.Session] exploits event by event. *)
+    machinery in [Analysis.Delta] exploits edit by edit. *)
 
 type component = {
   cid : int;  (** 0-based, ordered by smallest member flow id. *)

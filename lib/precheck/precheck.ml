@@ -30,49 +30,7 @@ type report = {
   verdicts : flow_verdict list;
 }
 
-(* ---------------- component-verdict table ---------------- *)
-
-module Ids = Hashtbl.Make (struct
-  type t = Traffic.Flow.id list
-
-  let equal = List.equal Int.equal
-
-  (* Over the whole list: [Hashtbl.hash] reads only its first cells, and
-     the components of a sweep's cases often share their smallest ids. *)
-  let hash ids =
-    List.fold_left (fun h id -> (h * 65599) + id) 0 ids land max_int
-end)
-
-(* A component's verdicts with everything they were computed from: the
-   member records, the topology, the config and the switch models along
-   the members' routes.  Never the scenario, which would keep every
-   flow of the run alive. *)
-type entry = {
-  members : Traffic.Flow.t list;  (* in id order *)
-  topo : Network.Topology.t;
-  config : Analysis_config.t;
-  models : Click.Switch_model.t list;  (* along the members' routes *)
-  outcome : (verdict * Gmf_util.Timeunit.ns array option) list;
-  mutable seen : int;  (* the last run that read or wrote it *)
-}
-
-(* Every entry of a member-id set, newest first: the cases of a sweep
-   can meet one set with different records (a tile rerouted one way
-   alone and another way next to a second failure). *)
-module Table = struct
-  type t = { entries : entry list Ids.t; mutable run : int }
-
-  let create () = { entries = Ids.create 16; run = 0 }
-  let length t = Ids.fold (fun _ es n -> n + List.length es) t.entries 0
-
-  let keep_latest t =
-    Ids.filter_map_inplace
-      (fun _ es ->
-        match List.filter (fun e -> e.seen = t.run) es with
-        | [] -> None
-        | kept -> Some kept)
-      t.entries
-end
+type outcome = verdict * Gmf_util.Timeunit.ns array option
 
 (* ---------------- observability ---------------- *)
 
@@ -207,44 +165,6 @@ let component_verdicts ~config scenario members =
     | Error reason -> List.map (fun _ -> needs reason) members
     | Ok ceilings -> List.map2 schedulable members ceilings
 
-let route_models scenario members =
-  List.concat_map
-    (fun (f : Traffic.Flow.t) ->
-      List.map
-        (Traffic.Scenario.switch_model scenario)
-        (Network.Route.intermediate_switches f.Traffic.Flow.route))
-    members
-
-(* The members' verdicts from [table], when it holds an entry for their
-   ids computed from these very records ([==]), this topology ([==]), an
-   equal config and equal models on their routes: every static test
-   reads only the component's own members, so the verdicts come out the
-   same.  A miss computes them and adds an entry. *)
-let lookup_or_compute (table : Table.t) ~config ~reused scenario ids members =
-  let topo = Traffic.Scenario.topo scenario in
-  let models = lazy (route_models scenario members) in
-  let fits e =
-    e.topo == topo
-    && List.equal ( == ) e.members members
-    && e.config = config
-    && List.equal ( = ) e.models (Lazy.force models)
-  in
-  let entries =
-    Option.value ~default:[] (Ids.find_opt table.Table.entries ids)
-  in
-  match List.find_opt fits entries with
-  | Some e ->
-      incr reused;
-      e.seen <- table.Table.run;
-      e.outcome
-  | None ->
-      let outcome = component_verdicts ~config scenario members in
-      Ids.replace table.Table.entries ids
-        ({ members; topo; config; models = Lazy.force models; outcome;
-           seen = table.Table.run }
-        :: entries);
-      outcome
-
 let run ?(config = Analysis_config.default) ?table scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"precheck"
     "precheck.run"
@@ -252,19 +172,24 @@ let run ?(config = Analysis_config.default) ?table scenario =
   let graph = Igraph.build scenario in
   let components = Igraph.components graph in
   let stats = Igraph.stats graph in
-  Option.iter (fun (t : Table.t) -> t.Table.run <- t.Table.run + 1) table;
   let reused = ref 0 and of_id = Hashtbl.create 64 in
   List.iter
     (fun (c : Igraph.component) ->
       let members =
         List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
       in
+      let cached =
+        Option.bind table (fun t -> Reuse.find t ~config scenario members)
+      in
       let outcome =
-        match table with
-        | Some t ->
-            lookup_or_compute t ~config ~reused scenario c.Igraph.flow_ids
-              members
-        | None -> component_verdicts ~config scenario members
+        match cached with
+        | Some o ->
+            incr reused;
+            o
+        | None ->
+            let o = component_verdicts ~config scenario members in
+            Option.iter (fun t -> Reuse.add t ~config scenario members o) table;
+            o
       in
       List.iter2
         (fun (f : Traffic.Flow.t) o ->

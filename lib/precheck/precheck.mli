@@ -15,8 +15,8 @@
     - everything else is [Needs_fixpoint], naming the component to run
       (independently of all other components).
 
-    A run given a {!Table} tests only the components the table does not
-    already hold with the same content, and returns the same report.
+    A run given a {!Reuse} table tests only the components the table
+    does not already hold under its key, and returns the same report.
 
     Verdict lattice and certificate format are documented in
     [docs/PRECHECK.md]. *)
@@ -55,46 +55,22 @@ type report = {
   verdicts : flow_verdict list;  (** In flow-id order. *)
 }
 
-(** Component verdicts kept across runs, so that a run reuses what an
-    earlier one computed for the same component instead of testing it
-    again.
-
-    Entries are keyed by a component's member ids (the hash covers the
-    whole list).  An entry holds the member records, the topology, the
-    config, the switch models on the members' routes and the members'
-    verdicts and ceilings; it never holds a scenario.  A run reuses it
-    only when every member record is the one it was computed for
-    ([==]), the topology is the same ([==]), and the config and the
-    route models are equal: every static test reads only the
-    component's own members, so the verdicts come out the same.  A miss
-    adds an entry; one id set can hold several (a sweep meets the same
-    members rerouted in different ways).
-
-    An {!Analysis.Delta} base keeps one table for as long as it lives
-    (one survive sweep, one session commit); an admission session keeps
-    one and trims it to its latest run ({!keep_latest}). *)
-module Table : sig
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-  (** Entries held: one per distinct component content tested since the
-      last {!keep_latest}. *)
-
-  val keep_latest : t -> unit
-  (** Drops every entry the latest {!run} through the table neither
-      read nor wrote, leaving one per component of that run. *)
-end
+type outcome = verdict * Gmf_util.Timeunit.ns array option
+(** A flow's verdict and ceilings: what a {!Reuse} table keeps, one per
+    member, for a component. *)
 
 val run :
-  ?config:Analysis_config.t -> ?table:Table.t -> Traffic.Scenario.t -> report
+  ?config:Analysis_config.t ->
+  ?table:outcome list Reuse.t ->
+  Traffic.Scenario.t ->
+  report
 (** Runs the whole pass (no fixpoint; polynomial in flows x route length).
-    With [table], each component reuses the table's verdicts when they
-    carry over (see {!Table}) and adds its own when they do not; the
-    report is the same as without [table].  Bumps the [precheck.*]
-    counters/gauges (among them [precheck.components_reused], the
-    components read from [table]) and traces a [precheck.run] span. *)
+    With [table], a component whose members meet {!Reuse}'s key takes
+    their outcomes from it, and a component that misses is tested and
+    added under its member ids; the report is the same as without
+    [table].  Bumps the [precheck.*] counters/gauges (among them
+    [precheck.components_reused], the components read from [table]) and
+    traces a [precheck.run] span. *)
 
 val infeasible : report -> flow_verdict list
 val certified : report -> flow_verdict list

@@ -1,35 +1,56 @@
-(** Per-flow results of lint's per-flow rules, kept so that the next
-    lint pass over an edited scenario can carry them over instead of
-    recomputing them ({!Gmf_lint.Lint.run}'s [?prev]; precheck keeps
-    per-component verdicts in {!Precheck.Table} instead).
+(** The one reuse table of the session gates: values computed from a set
+    of flows, kept so that a later run over an edited scenario can read
+    them back instead of computing them again.  {!Precheck.run}'s
+    [?table] keeps a component's verdicts under its members;
+    {!Gmf_lint.Lint.run}'s [?table] keeps one flow's findings under
+    [[flow]].
 
-    A result stored for a flow is reused only when it would come out the
-    same: the flow record is physically the one it was computed for
-    ([==]), the topology is physically the same, the switch model of
-    every switch on the flow's route is equal, and so is the analysis
-    config.  Lint's per-flow rules are functions of exactly these (see
-    [docs/ADMCTL.md]).
+    {b The key.}  Entries are keyed by the members' ids (the hash covers
+    the whole list).  An entry holds the member records, the topology,
+    the config, the switch models on the members' routes and the value;
+    it never holds a scenario.  A lookup hits it only when
 
-    A table never refers to the table it was built from, so keeping the
-    last one costs one scenario's worth of results, not a history. *)
+    - every member record is physically the one it was computed for
+      ([==]);
+    - the topology is physically the same ([==]);
+    - every switch on the members' routes has an equal switch model;
+    - the analysis config is equal.
+
+    Lint's per-flow rules and every precheck test read only their
+    members, the topology, the models on the members' routes and the
+    config, so a hit is the value a fresh computation returns
+    ([docs/ADMCTL.md], "Gate reuse").  One id set can hold several
+    entries: a sweep meets the same members rerouted in different ways. *)
 
 type 'a t
 
-val make :
-  config:Analysis_config.t ->
-  Traffic.Scenario.t ->
-  (Traffic.Flow.t * 'a) list ->
-  'a t
-(** The results of one pass over [scenario] under [config], one per
-    flow.  Nothing is indexed until a later pass looks a flow up, so a
-    pass nobody reuses pays only for the list. *)
+val create : unit -> 'a t
 
 val find :
-  prev:'a t ->
+  'a t ->
   config:Analysis_config.t ->
   Traffic.Scenario.t ->
-  Traffic.Flow.t ->
+  Traffic.Flow.t list ->
   'a option
-(** [find ~prev ~config scenario flow] is the result [prev] holds for
-    [flow] when it carries over to a pass over [scenario] under
-    [config], else [None]. *)
+(** [find t ~config scenario members] is the value [t] holds for
+    [members] (in id order, all of [scenario]) under the key, else
+    [None]. *)
+
+val add :
+  'a t ->
+  config:Analysis_config.t ->
+  Traffic.Scenario.t ->
+  Traffic.Flow.t list ->
+  'a ->
+  unit
+(** [add t ~config scenario members v] keeps [v] for [members] beside
+    the entries their ids already hold.  Callers add only after a
+    {!find} missed. *)
+
+val length : 'a t -> int
+(** Entries held. *)
+
+val keep_latest : 'a t -> unit
+(** Drops every entry that no {!find} hit and no {!add} wrote since the
+    previous [keep_latest].  An owner that calls it after each run keeps
+    one run's worth of entries, not a history. *)

@@ -478,7 +478,7 @@ let check_warm_equals_cold trace text =
    every admit or update that reached the gates to the gates run from
    scratch: [Lint.run] on a scenario built afresh from the tentative flow
    set, then, when lint found no error, the precheck diagnostics — both
-   without [?prev], so whatever the session's gates reused must not
+   without a table, so whatever the session's gates reused must not
    show. *)
 let check_gates_from_scratch ~config ~switches ~topo events text =
   let session = Session.create ~config ~switches ~topo () in

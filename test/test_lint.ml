@@ -426,20 +426,27 @@ let test_admission_rejects_without_fixpoint () =
 
 (* ---------------- reuse across passes ---------------- *)
 
-(* [run ~prev] equals a pass from scratch when the context of the
+(* [run ~table] equals a pass from scratch when the context of the
    per-flow findings moved while every flow record stayed physically the
-   same: the findings must differ from [prev]'s, or reuse is untested. *)
-let check_prev_equals_scratch ~what ?config ~prev scenario =
+   same.  [fill] runs lint through the table first; its findings must
+   differ from the scratch pass's, or reuse is untested. *)
+let check_table_equals_scratch ~what ?config ~fill scenario =
   let render r = List.map Gmf_diag.to_string r.Gmf_lint.Lint.diagnostics in
+  let table = Gmf_precheck.Reuse.create () in
+  let filled = fill table in
+  Alcotest.(check int) (what ^ ": table filled")
+    (Traffic.Scenario.flow_count scenario)
+    (Gmf_precheck.Reuse.length table);
   let scratch = Gmf_lint.Lint.run ?config scenario in
   Alcotest.(check bool) (what ^ ": findings moved") false
-    (render scratch = render prev);
-  Alcotest.(check (list string)) (what ^ ": run ~prev == run") (render scratch)
-    (render (Gmf_lint.Lint.run ?config ~prev scenario))
+    (render scratch = render filled);
+  Alcotest.(check (list string)) (what ^ ": run ~table == run")
+    (render scratch)
+    (render (Gmf_lint.Lint.run ?config ~table scenario))
 
 (* A slower switch CPU raises CIRC on every route and pushes fig1's
    uncontended floors past their deadlines (GMF202). *)
-let test_prev_switch_models () =
+let test_table_switch_models () =
   let fig1 = Workload.Scenarios.fig1_videoconf () in
   let slow =
     Traffic.Scenario.map_switches fig1 ~f:(fun _ m ->
@@ -451,14 +458,38 @@ let test_prev_switch_models () =
   Alcotest.(check bool) "GMF202 fires" true
     (find_code "GMF202" (Gmf_lint.Lint.run slow).Gmf_lint.Lint.diagnostics
     <> None);
-  check_prev_equals_scratch ~what:"CIRC" ~prev:(Gmf_lint.Lint.run fig1) slow
+  check_table_equals_scratch ~what:"CIRC"
+    ~fill:(fun table -> Gmf_lint.Lint.run ~table fig1)
+    slow
 
 (* GMF103 is a warning under Faithful and a hint under Repaired. *)
-let test_prev_variant () =
+let test_table_variant () =
   let fig1 = Workload.Scenarios.fig1_videoconf () in
-  check_prev_equals_scratch ~what:"variant"
-    ~prev:(Gmf_lint.Lint.run ~config:Analysis.Config.faithful fig1)
+  check_table_equals_scratch ~what:"variant"
+    ~fill:(fun table ->
+      Gmf_lint.Lint.run ~config:Analysis.Config.faithful ~table fig1)
     fig1
+
+(* A second route through a new switch clears GMF007 while the flow
+   record stays physically the same: only the topology moved. *)
+let test_table_topology () =
+  let line =
+    "node a endhost\nnode b endhost\nnode sw switch\n\
+     duplex a sw rate=100M\nduplex sw b rate=100M\n"
+  in
+  let flow = "flow f from=a to=b route=a,sw,b\n" ^ frame1 ^ "end" in
+  let one = parse (line ^ flow) in
+  let two =
+    Traffic.Scenario.with_flows
+      (parse
+         (line
+        ^ "node sw2 switch\nduplex a sw2 rate=100M\nduplex sw2 b rate=100M\n"
+        ^ flow))
+      (Traffic.Scenario.flows one)
+  in
+  check_table_equals_scratch ~what:"topology"
+    ~fill:(fun table -> Gmf_lint.Lint.run ~table one)
+    two
 
 (* ---------------- the error gate ---------------- *)
 
@@ -878,10 +909,12 @@ let tests =
       test_json_of_real_run;
     Alcotest.test_case "admission rejects without fixpoint" `Quick
       test_admission_rejects_without_fixpoint;
-    Alcotest.test_case "run ~prev after a switch-model change" `Quick
-      test_prev_switch_models;
-    Alcotest.test_case "run ~prev under the other variant" `Quick
-      test_prev_variant;
+    Alcotest.test_case "run ~table after a switch-model change" `Quick
+      test_table_switch_models;
+    Alcotest.test_case "run ~table across the two variants" `Quick
+      test_table_variant;
+    Alcotest.test_case "run ~table after a topology change" `Quick
+      test_table_topology;
     Alcotest.test_case "gate == errors of run on the corpus" `Quick
       test_gate_equals_run_corpus;
     Alcotest.test_case "gate == errors of run on generated fabrics" `Quick

@@ -3,6 +3,7 @@
    per-component fixpoints reproducing the monolithic fixpoint exactly. *)
 
 module P = Gmf_precheck.Precheck
+module Reuse = Gmf_precheck.Reuse
 module Ig = Gmf_precheck.Igraph
 module St = Gmf_precheck.Static_tests
 module Delta = Analysis.Delta
@@ -620,10 +621,11 @@ let script_step rng ~once ~config scenario =
         else Analysis.Config.faithful )
   | _ -> (edit (random_edit rng scenario), config)
 
-(* The components [f]'s prechecks read from a table. *)
-let components_reused f =
+(* What [f]'s runs read from a table: [name] is
+   [precheck.components_reused] or [lint.flows_reused]. *)
+let reused name f =
   let reg = Gmf_obs.Metrics.default in
-  let counter = Gmf_obs.Metrics.counter reg "precheck.components_reused" in
+  let counter = Gmf_obs.Metrics.counter reg name in
   let was = Gmf_obs.Metrics.enabled reg in
   let before = Gmf_obs.Metrics.counter_value counter in
   Gmf_obs.Metrics.set_enabled reg true;
@@ -631,10 +633,13 @@ let components_reused f =
   Gmf_obs.Metrics.counter_value counter - before
 
 (* A random edit script under Repaired or Faithful, every step prechecked
-   through one table shared by the whole script: each report equals a
-   run from scratch.  A table that reused a component for its ids alone
-   would return the stale verdicts of an updated record, a slower
-   switch or the other variant. *)
+   through one table and linted through another, each shared by the
+   whole script: each report equals a run from scratch.  A table that
+   reused a component or a flow for its ids alone would return the stale
+   verdicts or findings of an updated record, a slower switch or the
+   other variant.  The lint table is trimmed after each step, as a
+   session trims its tables; the precheck table, like a delta base's,
+   is not. *)
 let prop_table_equals_scratch =
   QCheck.Test.make ~name:"one table across an edit script == runs from scratch"
     ~count:20
@@ -647,7 +652,12 @@ let prop_table_equals_scratch =
            else Analysis.Config.faithful)
       in
       let scenario = ref (gen_fabric rng) in
-      let table = P.Table.create () and once = Hashtbl.create 4 in
+      let table = Reuse.create () and lint_table = Reuse.create () in
+      let once = Hashtbl.create 4 in
+      let lint ?table s =
+        List.map Gmf_diag.to_string
+          (Gmf_lint.Lint.run ~config:!config ?table s).Gmf_lint.Lint.diagnostics
+      in
       for step = 0 to 11 do
         if step > 0 then begin
           let s, c = script_step rng ~once ~config:!config !scenario in
@@ -657,17 +667,32 @@ let prop_table_equals_scratch =
         let scratch = P.to_json (P.run ~config:!config !scenario) in
         if P.to_json (P.run ~config:!config ~table !scenario) <> scratch then
           QCheck.Test.fail_reportf "step %d: report through the table differs"
-            step
+            step;
+        if lint ~table:lint_table !scenario <> lint !scenario then
+          QCheck.Test.fail_reportf
+            "step %d: lint through the table differs" step;
+        Reuse.keep_latest lint_table;
+        if Reuse.length lint_table <> Traffic.Scenario.flow_count !scenario
+        then
+          QCheck.Test.fail_reportf
+            "step %d: the trimmed lint table holds %d entries for %d flows"
+            step (Reuse.length lint_table)
+            (Traffic.Scenario.flow_count !scenario)
       done;
-      (* The table holds every component of the last step: running that
-         step again tests none of them. *)
+      (* The tables hold every component and flow of the last step:
+         running that step again tests none of them. *)
       let components = (P.run !scenario).P.stats.Ig.components in
       if
-        components_reused (fun () ->
+        reused "precheck.components_reused" (fun () ->
             ignore (P.run ~config:!config ~table !scenario))
         <> components
       then
         QCheck.Test.fail_report "a rerun of the last step tested a component";
+      if
+        reused "lint.flows_reused" (fun () ->
+            ignore (lint ~table:lint_table !scenario))
+        <> Traffic.Scenario.flow_count !scenario
+      then QCheck.Test.fail_report "a rerun of the last step linted a flow";
       true)
 
 let tests =
