@@ -85,16 +85,21 @@ let variant_arg =
   in
   Arg.(value & opt variant Analysis.Config.default & info [ "variant" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Evaluate independent analysis cases on $(docv) forked worker \
-     processes.  Default: sequential; when the flag is absent the \
-     $(b,GMFNET_JOBS) environment variable is consulted.  The results \
-     are byte-identical to a sequential run."
+(* An integer option restricted to [lo..hi]: a value outside the range
+   is a usage error (exit 124), like every other bad option value. *)
+let int_in ?(hi = max_int) lo =
+  let expected =
+    if hi = max_int then Printf.sprintf "an integer >= %d" lo
+    else Printf.sprintf "an integer in %d..%d" lo hi
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let exec_of_jobs jobs = Gmf_exec.of_jobs (Gmf_exec.resolve_jobs jobs)
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        if lo <= n && n <= hi then Ok n
+        else
+          Error
+            (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected)))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let exit_of_result = function
   | Ok () -> 0
@@ -1134,19 +1139,18 @@ let profile_cmd =
 let survive_cmd =
   let k_arg =
     let doc = "Maximum number of simultaneously failed components." in
-    Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc)
+    Arg.(value & opt (int_in 0) 1 & info [ "k" ] ~docv:"K" ~doc)
   in
   let json_arg =
     let doc = "Emit the deterministic JSON report (golden-file format)." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run name file rate config k json jobs metrics trace_out =
+  let run name file rate config k json metrics trace_out =
     exit_of_result
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out (fun () ->
                let report =
-                 Gmf_faults.Survive.run ~exec:(exec_of_jobs jobs) ~config ~k
-                   scenario
+                 Gmf_faults.Survive.run ~config ~k scenario
                in
                Format.printf "%a%!"
                  ((if json then Gmf_faults.Survive.pp_json
@@ -1160,7 +1164,7 @@ let survive_cmd =
          "Enumerate every failure of at most K links or switches, reroute           the affected flows around each failure and re-run the holistic           analysis, reporting which flows survive, survive only via a           reroute, or must be shed.")
     Term.(
       const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg $ k_arg
-      $ json_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
+      $ json_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* assign                                                             *)
@@ -1188,9 +1192,9 @@ let assign_cmd =
   in
   let levels_arg =
     let doc = "Number of 802.1p classes the switches support (1..8)." in
-    Arg.(value & opt int 8 & info [ "levels" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_in ~hi:8 1) 8 & info [ "levels" ] ~docv:"N" ~doc)
   in
-  let run name file rate config policy levels jobs metrics trace_out =
+  let run name file rate config policy levels metrics trace_out =
     exit_of_result
       (Result.bind (build_scenario ?file name rate) (fun scenario ->
            with_obs ?metrics ?trace_out @@ fun () ->
@@ -1216,8 +1220,8 @@ let assign_cmd =
                       (Analysis.Priority_assign.Uniform 0) flows)
              | `Best ->
                  Option.map fst
-                   (Analysis.Priority_assign.best_exhaustive
-                      ~exec:(exec_of_jobs jobs) ~config ~levels scenario)
+                   (Analysis.Priority_assign.best_exhaustive ~config ~levels
+                      scenario)
            in
            match assigned with
            | None -> kv "result" "no schedulable assignment"
@@ -1252,7 +1256,7 @@ let assign_cmd =
          "Rewrite every flow's 802.1p class with a priority-assignment           policy, or search exhaustively for the best schedulable           assignment, and report the resulting verdict.")
     Term.(
       const run $ scenario_arg $ file_arg $ rate_arg $ variant_arg
-      $ policy_arg $ levels_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
+      $ policy_arg $ levels_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* session                                                            *)
@@ -1283,7 +1287,7 @@ let session_cmd =
        $(docv) links or switches ($(b,GMF017))."
     in
     Arg.(
-      value & opt (some int) None & info [ "survivable" ] ~docv:"K" ~doc)
+      value & opt (some (int_in 0)) None & info [ "survivable" ] ~docv:"K" ~doc)
   in
   let explain_arg =
     let doc =
@@ -1292,7 +1296,7 @@ let session_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run file config json verify explain survivable jobs metrics trace_out =
+  let run file config json verify explain survivable metrics trace_out =
     exit_of_result
       (match Scenario_io.Admtrace.of_file file with
       | Error e ->
@@ -1304,7 +1308,6 @@ let session_cmd =
                 let result =
                   Gmf_admctl.Replay.run ~config ~shadow:verify ~explain
                     ?survivable
-                    ~exec:(exec_of_jobs jobs)
                     ~on_outcome:(fun o ->
                       if json then
                         print_endline (Gmf_admctl.Replay.outcome_jsonl o)
@@ -1336,7 +1339,7 @@ let session_cmd =
          "Replay an admission trace ($(b,.admtrace)) through a long-lived           admission-control session: admits, removals and updates re-run           the holistic fixpoint warm-started from the previous converged           jitter state.")
     Term.(
       const run $ file_pos_arg $ variant_arg $ json_arg $ verify_arg
-      $ explain_arg $ survivable_arg $ jobs_arg $ metrics_arg $ trace_out_arg)
+      $ explain_arg $ survivable_arg $ metrics_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                         *)

@@ -70,11 +70,7 @@ let serve_cmd =
     in
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
   in
-  let jobs_arg =
-    let doc = "Executor width inside each session worker." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let run socket journal_dir max_sessions queue_cap deadline jobs =
+  let run socket journal_dir max_sessions queue_cap deadline =
     exit_of_result
       (try
          Gmf_daemon.Server.run
@@ -87,7 +83,6 @@ let serve_cmd =
              max_sessions;
              queue_cap;
              deadline_s = deadline;
-             exec_jobs = jobs;
            };
          Ok ()
        with
@@ -105,7 +100,7 @@ let serve_cmd =
           with explicit overload shedding.  SIGTERM drains and exits.")
     Term.(
       const run $ socket_arg $ journal_dir_arg $ max_sessions_arg
-      $ queue_cap_arg $ deadline_arg $ jobs_arg)
+      $ queue_cap_arg $ deadline_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                             *)

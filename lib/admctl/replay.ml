@@ -12,10 +12,10 @@ let session_event = function
   | Scenario_io.Admtrace.Restore_link ((a, b), _) ->
       Session.Restore_link (a, b)
 
-let run ?config ?shadow ?explain ?survivable ?exec ?(on_outcome = fun _ -> ())
+let run ?config ?shadow ?explain ?survivable ?(on_outcome = fun _ -> ())
     (trace : Scenario_io.Admtrace.t) =
   let session =
-    Session.create ?config ?shadow ?explain ?survivable ?exec
+    Session.create ?config ?shadow ?explain ?survivable
       ~switches:trace.switches ~topo:trace.topo ()
   in
   let outcomes =

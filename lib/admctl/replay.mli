@@ -22,14 +22,13 @@ val run :
   ?shadow:bool ->
   ?explain:bool ->
   ?survivable:int ->
-  ?exec:Gmf_exec.t ->
   ?on_outcome:(Session.outcome -> unit) ->
   Scenario_io.Admtrace.t ->
   result
 (** Replay every event of the trace in order.  [on_outcome] fires after
     each event (for streaming output); optional session knobs — the
-    [shadow] cross-check, [explain], the [survivable] gate and its
-    [exec] backend — are passed through to {!Session.create}. *)
+    [shadow] cross-check, [explain] and the [survivable] gate — are
+    passed through to {!Session.create}. *)
 
 val outcome_line : Session.outcome -> string
 (** One transcript line per event, e.g.

@@ -45,7 +45,6 @@ type t = {
   shadow : bool;
   explain : bool;
   survivable : int option;
-  exec : Gmf_exec.t option;
   mutable failed : (Network.Node.id * Network.Node.id) list;
       (* undirected failed link pairs, smaller id first, newest first *)
   mutable base : Analysis.Delta.base;
@@ -114,7 +113,7 @@ let empty_report =
   }
 
 let create ?(config = Analysis.Config.default) ?(shadow = false)
-    ?(explain = false) ?survivable ?exec ?(switches = []) ~topo () =
+    ?(explain = false) ?survivable ?(switches = []) ~topo () =
   (match survivable with
   | Some k when k < 0 -> invalid_arg "Session.create: survivable < 0"
   | _ -> ());
@@ -123,7 +122,6 @@ let create ?(config = Analysis.Config.default) ?(shadow = false)
     shadow;
     explain;
     survivable;
-    exec;
     failed = [];
     base =
       Analysis.Delta.make_base ~config
@@ -394,7 +392,7 @@ let survive_gate t (flow : Traffic.Flow.t) =
   | Some k ->
       Some
         (fun scenario ->
-          Gmf_faults.Survive.admission_gate ?exec:t.exec ~config:t.config ~k
+          Gmf_faults.Survive.admission_gate ~config:t.config ~k
             ~candidate:flow scenario)
 
 (* Both gates reuse what the last run of each computed; their reports

@@ -136,7 +136,6 @@ val create :
   ?shadow:bool ->
   ?explain:bool ->
   ?survivable:int ->
-  ?exec:Gmf_exec.t ->
   ?switches:(Network.Node.id * Click.Switch_model.t) list ->
   topo:Network.Topology.t ->
   unit ->
@@ -152,9 +151,8 @@ val create :
     update whose tentative set is schedulable is additionally swept with
     {!Gmf_faults.Survive.admission_gate} and rejected with a [GMF017]
     diagnostic when the candidate flow would be shed under some
-    [<= k]-component failure.  The gate's failure cases are evaluated
-    through [exec] (default {!Gmf_exec.seq}; outcomes are
-    backend-independent).  Raises [Invalid_argument] when [k < 0]. *)
+    [<= k]-component failure.  Raises [Invalid_argument] when
+    [k < 0]. *)
 
 val apply : t -> event -> outcome
 (** Process one event.  Never raises on user-level problems (duplicate or

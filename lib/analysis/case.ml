@@ -85,7 +85,7 @@ let shared_memo : Holistic.report Gmf_exec.Memo.t = Gmf_exec.Memo.create ()
 let m_memo_hits =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.memo_hits"
 
-(* Exec-layer failures become analysis failures so drivers stay total. *)
+(* A case that raised becomes an analysis failure, so drivers stay total. *)
 let report_of_error err =
   {
     Holistic.verdict =
@@ -111,12 +111,11 @@ let analyze_one ~config scenario =
       Gmf_obs.Metrics.incr m_memo_hits;
       r
   | None -> (
-      match Gmf_exec.map_cases ~f:(Holistic.analyze ~config) [ scenario ] with
-      | [ Ok r ] ->
+      match Gmf_exec.run ~f:(Holistic.analyze ~config) scenario with
+      | Ok r ->
           Gmf_exec.Memo.add shared_memo key r;
           r
-      | [ Error e ] -> report_of_error e
-      | _ -> assert false)
+      | Error e -> report_of_error e)
 
 let analyze_all ?(config = Config.default) scenarios =
   List.map (analyze_one ~config) scenarios

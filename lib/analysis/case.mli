@@ -6,7 +6,7 @@
     analyses through this module so that identical cases are computed
     once.  This module owns the process's one analysis memo,
     {!shared_memo}, keyed by {!digest}: each scenario is looked up
-    first, only a miss is handed to {!Gmf_exec.map_cases}, and a hit
+    first, only a miss is handed to {!Gmf_exec.run}, and a hit
     bumps [exec.memo_hits].  So a sensitivity probe revisiting a scale,
     a rerouting candidate tried twice, or a component that adjacent
     survive cases share reuses the earlier fixpoint.  A survive sweep
@@ -39,9 +39,9 @@ val shared_memo : Holistic.report Gmf_exec.Memo.t
     report of an exec error is never stored. *)
 
 val report_of_error : Gmf_exec.error -> Holistic.report
-(** The report of a case the exec layer failed to evaluate (timeout,
-    worker crash): an [Analysis_failed] verdict with one ["exec: ..."]
-    failure of [flow_id = -1], zero rounds and no results. *)
+(** The report of a case whose evaluation raised: an [Analysis_failed]
+    verdict with one ["exec: ..."] failure of [flow_id = -1], zero
+    rounds and no results. *)
 
 val analyze_all :
   ?config:Config.t ->

@@ -63,40 +63,49 @@ let worst_bound report =
         (Result_types.worst_frame res).Result_types.total)
     0 report.Holistic.results
 
-let best_exhaustive ?exec ?config ?(levels = 8) scenario =
+(* Every vector of [n] levels below [levels], lazily, in enumeration
+   order: position 0 varies slowest, level 0 first. *)
+let rec vectors ~levels n : int list Seq.t =
+  if n = 0 then Seq.return []
+  else
+    Seq.concat_map
+      (fun level -> Seq.map (List.cons level) (vectors ~levels (n - 1)))
+      (Seq.init levels Fun.id)
+
+(* A vector is dense when its levels are exactly 0..m-1.  The analysis
+   reads priorities only through the hep/lp sets, so every vector of one
+   priority order has the same verdict and bound; the order's dense
+   vector is pointwise, and so lexicographically, its least, hence the
+   first of the order enumerated. *)
+let dense vector =
+  let mask = List.fold_left (fun m level -> m lor (1 lsl level)) 0 vector in
+  mask land (mask + 1) = 0
+
+let best_exhaustive ?config ?(levels = 8) scenario =
   if levels < 1 || levels > 8 then
     invalid_arg "Priority_assign.best_exhaustive: levels outside 1..8";
-  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
-  let n = Array.length flows in
+  let flows = Traffic.Scenario.flows scenario in
   let classes = Array.init levels (fun l -> class_of_level ~levels l) in
-  (* All [levels]^n candidate flow sets in enumeration order: position 0
-     varies slowest, level 0 first — the order the old recursive search
-     visited, which the fold below relies on for tie-breaking. *)
-  let candidates =
-    let rec enumerate i acc =
-      if i = n then [ List.rev acc ]
-      else
-        List.concat_map
-          (fun level ->
-            enumerate (i + 1) (reprioritize flows.(i) classes.(level) :: acc))
-          (List.init levels Fun.id)
-    in
-    enumerate 0 []
-  in
   let analyze candidate =
     Holistic.analyze ?config (Traffic.Scenario.with_flows scenario candidate)
   in
-  (* Candidates are independent cases; the fold keeps the first strict
-     minimum in enumeration order, so the winner is backend independent. *)
-  let outcomes = Gmf_exec.map_cases ?exec ~f:analyze candidates in
-  List.fold_left2
-    (fun best candidate outcome ->
-      match outcome with
-      | Ok report when Holistic.is_schedulable report -> begin
-          let bound = worst_bound report in
-          match best with
-          | Some (_, best_bound) when best_bound <= bound -> best
-          | _ -> Some (candidate, bound)
-        end
-      | Ok _ | Error _ -> best)
-    None candidates outcomes
+  (* The fold keeps the first strict minimum in enumeration order; a
+     later vector of an order already analyzed cannot displace it. *)
+  vectors ~levels (List.length flows)
+  |> Seq.filter dense
+  |> Seq.fold_left
+       (fun best vector ->
+         let candidate =
+           List.map2
+             (fun f level -> reprioritize f classes.(level))
+             flows vector
+         in
+         match Gmf_exec.run ~f:analyze candidate with
+         | Ok report when Holistic.is_schedulable report -> begin
+             let bound = worst_bound report in
+             match best with
+             | Some (_, best_bound) when best_bound <= bound -> best
+             | _ -> Some (candidate, bound)
+           end
+         | Ok _ | Error _ -> best)
+       None

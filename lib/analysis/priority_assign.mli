@@ -29,20 +29,23 @@ val assign :
     Raises [Invalid_argument] if [levels] is outside 1..8. *)
 
 val best_exhaustive :
-  ?exec:Gmf_exec.t ->
   ?config:Config.t ->
   ?levels:int ->
   Traffic.Scenario.t ->
   (Traffic.Flow.t list * Gmf_util.Timeunit.ns) option
-(** Exhaustively searches class assignments of the scenario's flows (at
-    most [levels]^n — use for n <= 6 flows), each analyzed over the
-    scenario's fabric ({!Traffic.Scenario.with_flows}), for one that is
-    schedulable, minimizing the largest
-    worst-frame bound; [None] when no assignment is schedulable.  The
-    returned flows carry the winning priorities.
+(** Exhaustively searches class assignments of the scenario's flows,
+    each analyzed over the scenario's fabric
+    ({!Traffic.Scenario.with_flows}), for one that is schedulable,
+    minimizing the largest worst-frame bound; [None] when no assignment
+    is schedulable.  The returned flows carry the winning priorities.
+    Raises [Invalid_argument] if [levels] is outside 1..8.
 
-    Assignments are independent cases evaluated through [exec] (default
-    {!Gmf_exec.seq}); ties on the minimal bound resolve to the earliest
-    assignment in enumeration order, so the winner is identical for
-    every backend.  A case the executor fails to evaluate (timeout,
-    crash) is skipped, exactly as an unschedulable assignment is. *)
+    The analysis reads priorities only through each flow's hep/lp sets,
+    so it analyzes one assignment per priority order: the {e dense}
+    one, whose levels are exactly [0..m-1] (a weak order of n flows into
+    at most [levels] classes; 4,683 of the 262,144 assignments of six
+    flows to 8 levels).  Assignments are visited lazily in enumeration
+    order (flow 0 varies slowest, level 0 first), and ties on the
+    minimal bound resolve to the earliest, so the winner is the one a
+    search of all [levels]^n assignments returns.  An assignment whose
+    analysis raises is skipped, exactly as an unschedulable one is. *)

@@ -31,7 +31,6 @@ type config = {
   deadline_s : float option;
   backoff_base_s : float;
   backoff_max_s : float;
-  exec_jobs : int;
 }
 
 let default_config =
@@ -43,7 +42,6 @@ let default_config =
     deadline_s = None;
     backoff_base_s = 0.05;
     backoff_max_s = 5.;
-    exec_jobs = 1;
   }
 
 let m_requests = Metrics.counter Metrics.default "daemon.requests"
@@ -335,9 +333,6 @@ let evict_idle t =
       drop_session t s;
       true
 
-let opts_of_open ~exec_jobs ~verify ~explain ~survivable ~throttle_s =
-  { Worker.verify; explain; survivable; throttle_s; exec_jobs }
-
 (* Recovery is authoritative: an existing journal's open line defines
    topology and options, so replay rebuilds the original session even if
    this re-open drifted.  [Ok None] for a new session, else the options,
@@ -370,8 +365,7 @@ let recover_journal t ~session =
           Result.map
             (fun texts ->
               Some
-                ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify ~explain
-                    ~survivable ~throttle_s,
+                ( { Worker.verify; explain; survivable; throttle_s },
                   topology,
                   texts ))
             (events 2 [] rest)
@@ -455,8 +449,7 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
                                   survivable;
                                   throttle_s;
                                 }));
-                        ( opts_of_open ~exec_jobs:t.cfg.exec_jobs ~verify
-                            ~explain ~survivable ~throttle_s,
+                        ( { Worker.verify; explain; survivable; throttle_s },
                           topology,
                           [] )
                   in

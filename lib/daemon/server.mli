@@ -53,13 +53,11 @@ type config = {
           client requests only — journal replays are exempt. *)
   backoff_base_s : float;  (** Respawn backoff, first retry delay. *)
   backoff_max_s : float;  (** Respawn backoff cap. *)
-  exec_jobs : int;  (** Executor width inside each worker. *)
 }
 
 val default_config : config
 (** [gmfnetd.sock] / [gmfnetd.journal] in the current directory, 8
-    sessions, queue cap 64, no deadline, 0.05s–5s backoff, sequential
-    executor. *)
+    sessions, queue cap 64, no deadline, 0.05s–5s backoff. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Bind, listen, serve until SIGTERM/SIGINT, drain, clean up (workers

@@ -30,7 +30,6 @@ type opts = {
   explain : bool;
   survivable : int option;
   throttle_s : float;
-  exec_jobs : int;
 }
 
 let default_opts =
@@ -39,7 +38,6 @@ let default_opts =
     explain = false;
     survivable = None;
     throttle_s = 0.;
-    exec_jobs = 1;
   }
 
 type req = Event_text of string | Summary | Fingerprint
@@ -71,7 +69,6 @@ let init ~opts ~topology () =
   let session =
     Session.create ~shadow:opts.verify
       ~explain:opts.explain ?survivable:opts.survivable
-      ~exec:(Gmf_exec.of_jobs opts.exec_jobs)
       ~switches:(Incremental.switches inc)
       ~topo:(Incremental.topology inc) ()
   in

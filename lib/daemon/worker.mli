@@ -25,12 +25,10 @@ type opts = {
   throttle_s : float;
       (** Minimum seconds spent per event request — overload-test
           pacing; [0.] in production. *)
-  exec_jobs : int;
-      (** Executor width for the survivable gate inside the worker. *)
 }
 
 val default_opts : opts
-(** All features off, [exec_jobs = 1]. *)
+(** All features off. *)
 
 type req =
   | Event_text of string

@@ -1,19 +1,3 @@
-type t = Seq | Pool of { jobs : int }
-
-let seq = Seq
-let pool jobs = Pool { jobs }
-let of_jobs jobs = if jobs <= 1 then Seq else pool jobs
-
-let resolve_jobs cli =
-  match cli with
-  | Some n -> n
-  | None -> (
-      match Option.bind (Sys.getenv_opt "GMFNET_JOBS") (fun s ->
-                int_of_string_opt (String.trim s))
-      with
-      | Some n when n > 0 -> n
-      | _ -> 1)
-
 type error = Crashed of string | Exn of string
 
 let error_to_string = function
@@ -34,51 +18,22 @@ end
 
 let m_cases = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.cases"
 
-let m_workers = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.workers"
-
 let m_respawns =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.respawns"
 
-let m_pool_exhausted =
-  Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.pool_exhausted"
-
-(* Worker-side observability recordings, marshalled back with each case
-   result.  The metrics dump replays samples into the parent registry
-   ({!Gmf_obs.Metrics.absorb}), so pooled totals — bucket counts and
-   percentiles included — match a sequential run exactly; worker spans are
-   re-emitted into the parent tracer in their case-local time domain. *)
-type telemetry = {
-  tm_metrics : Gmf_obs.Metrics.dump;
-  tm_spans : Gmf_obs.Tracer.span list;
-}
-
-let absorb_telemetry tm =
-  Gmf_obs.Metrics.absorb Gmf_obs.Metrics.default tm.tm_metrics;
-  List.iter
-    (fun (s : Gmf_obs.Tracer.span) ->
-      Gmf_obs.Tracer.emit ~cat:s.Gmf_obs.Tracer.cat ~tid:s.Gmf_obs.Tracer.tid
-        Gmf_obs.Tracer.default ~name:s.Gmf_obs.Tracer.name
-        ~begin_ns:s.Gmf_obs.Tracer.begin_ns
-        ~end_ns:(s.Gmf_obs.Tracer.begin_ns + s.Gmf_obs.Tracer.dur_ns))
-    tm.tm_spans
-
-(* Parent-side span for one completed case.  Durations are measured
-   where the case ran (possibly a worker process) and recorded here in
-   a caller-owned time domain (lane 1, origin 0), so aggregates stay
-   correct under both backends. *)
-let emit_case_span dur_s =
-  let dur_ns = int_of_float (dur_s *. 1e9) in
-  let dur_ns = if dur_ns < 0 then 0 else dur_ns in
-  Gmf_obs.Tracer.emit ~cat:"exec" ~tid:1 Gmf_obs.Tracer.default
-    ~name:"exec.case" ~begin_ns:0 ~end_ns:dur_ns
-
-(* Outcome plus wall-clock duration in seconds. *)
-let eval_one ~f x =
+(* The [exec.case] span carries the case's measured duration in a
+   caller-owned time domain (lane 1, origin 0): its aggregates are what
+   the profile reads. *)
+let run ~f x =
+  Gmf_obs.Metrics.incr m_cases;
   let t0 = Unix.gettimeofday () in
   let outcome =
     match f x with v -> Ok v | exception e -> Error (Exn (Printexc.to_string e))
   in
-  (outcome, Unix.gettimeofday () -. t0)
+  let dur_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  Gmf_obs.Tracer.emit ~cat:"exec" ~tid:1 Gmf_obs.Tracer.default
+    ~name:"exec.case" ~begin_ns:0 ~end_ns:(max 0 dur_ns);
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Supervised workers                                                  *)
@@ -95,8 +50,7 @@ let reap_message pid =
    [init] payload and then serves marshalled requests until it is
    stopped, killed, or crashes.  The daemon keeps one per admission
    session, so the topology ships exactly once and the session state
-   survives across events; the case pool below forks up to [jobs] per
-   batch, each inheriting the batch's cases by memory. *)
+   survives across events. *)
 module Persistent = struct
   type 'req message = Request of 'req | Quit
 
@@ -159,7 +113,6 @@ module Persistent = struct
     | pid ->
         Unix.close task_r;
         Unix.close res_w;
-        Gmf_obs.Metrics.incr m_workers;
         {
           pid;
           to_child = Unix.out_channel_of_descr task_w;
@@ -277,161 +230,3 @@ module Persistent = struct
   end
 end
 
-(* ------------------------------------------------------------------ *)
-(* Case pool                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A pool worker and the index of the case it is evaluating. *)
-type 'r slot = { w : (int, 'r) Persistent.t; mutable current : int option }
-
-(* A pool worker's handler for one case.  The fork copied the parent's
-   accumulated recordings; zero them at case start so the telemetry sent
-   back carries exactly this case's activity, once. *)
-let eval_in_worker ~f x =
-  let reg = Gmf_obs.Metrics.default in
-  let tracer = Gmf_obs.Tracer.default in
-  let obs_on = Gmf_obs.Metrics.enabled reg || Gmf_obs.Tracer.enabled tracer in
-  if obs_on then begin
-    Gmf_obs.Metrics.reset reg;
-    Gmf_obs.Tracer.reset tracer
-  end;
-  let outcome, dur = eval_one ~f x in
-  let telemetry =
-    if obs_on then
-      Some
-        {
-          tm_metrics = Gmf_obs.Metrics.dump reg;
-          tm_spans = Gmf_obs.Tracer.spans tracer;
-        }
-    else None
-  in
-  (outcome, dur, telemetry)
-
-(* Drive up to [jobs] workers over [cases].
-
-   [record idx outcome dur] stores a collected result, exactly once per
-   index.  A worker crash records [Crashed] for the case it was
-   running, and the worker is respawned while work remains; a batch
-   forks at most one process per case.  Ordering of [record] calls is
-   scheduling-dependent — determinism is the caller's job (it stores by
-   index). *)
-let pool_run ~jobs ~f ~record (cases : 'a array) =
-  let n = Array.length cases in
-  let next = ref 0 in
-  let next_case () = if !next < n then Some !next else None in
-  let handle () idx = eval_in_worker ~f cases.(idx) in
-  let forks_left = ref n in
-  let slots = ref [] in
-  (* An idle live worker, else a fork: a new worker while the pool is
-     below [jobs], then a respawn of a dead one. *)
-  let worker () =
-    let live s = Persistent.alive s.w in
-    match List.find_opt (fun s -> live s && s.current = None) !slots with
-    | Some _ as s -> s
-    | None when !forks_left <= 0 -> None
-    | None when List.length !slots < jobs ->
-        decr forks_left;
-        let w = Persistent.spawn ~init:ignore ~handle () in
-        let s = { w; current = None } in
-        slots := s :: !slots;
-        Some s
-    | None -> (
-        match List.find_opt (fun s -> not (live s)) !slots with
-        | Some s ->
-            decr forks_left;
-            Persistent.respawn s.w;
-            Some s
-        | None -> None)
-  in
-  let collect s idx =
-    s.current <- None;
-    match Persistent.recv s.w with
-    | Ok (outcome, dur, telemetry) ->
-        Option.iter absorb_telemetry telemetry;
-        record idx outcome dur
-    | Error e -> record idx (Error e) 0.
-  in
-  let exhausted_noted = ref false in
-  let rec drive () =
-    (* Hand every remaining case to a worker while one can be had. *)
-    let rec fill () =
-      match next_case () with
-      | None -> ()
-      | Some idx -> (
-          match worker () with
-          | None -> ()
-          | Some s ->
-              (match Persistent.send s.w idx with
-              | Ok () ->
-                  s.current <- Some idx;
-                  Gmf_obs.Metrics.incr m_cases;
-                  incr next
-              | Error _ ->
-                  (* The worker died before taking a task (its real
-                     failure, if any, was already collected); [idx] goes
-                     to another worker. *)
-                  ());
-              fill ())
-    in
-    fill ();
-    match
-      List.filter_map
-        (fun s -> Option.map (fun idx -> (s, idx)) s.current)
-        !slots
-    with
-    | [] -> (
-        (* Nothing in flight yet no worker to be had: the fork budget is
-           spent.  Fail the remaining cases rather than hang. *)
-        match next_case () with
-        | None -> ()
-        | Some idx ->
-            if not !exhausted_noted then begin
-              exhausted_noted := true;
-              Gmf_obs.Metrics.incr m_pool_exhausted
-            end;
-            record idx (Error (Crashed "worker pool exhausted")) 0.;
-            incr next;
-            drive ())
-    | busy ->
-        let fds = List.filter_map (fun (s, _) -> Persistent.fd s.w) busy in
-        let ready, _, _ = Unix.select fds [] [] (-1.) in
-        List.iter
-          (fun (s, idx) ->
-            match Persistent.fd s.w with
-            | Some fd when List.mem fd ready -> collect s idx
-            | _ -> ())
-          busy;
-        drive ()
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun s -> Persistent.stop s.w) !slots)
-    drive
-
-(* ------------------------------------------------------------------ *)
-(* Combinators                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let eval_seq ~f x =
-  Gmf_obs.Metrics.incr m_cases;
-  let outcome, dur = eval_one ~f x in
-  emit_case_span dur;
-  outcome
-
-let map_cases ?(exec = seq) ~f cases =
-  match exec with
-  | Pool { jobs }
-    when jobs > 1 && Sys.unix && List.compare_length_with cases 1 > 0 ->
-      let arr = Array.of_list cases in
-      let results = Array.make (Array.length arr) None in
-      let record i outcome dur =
-        results.(i) <- Some outcome;
-        emit_case_span dur
-      in
-      pool_run ~jobs ~f ~record arr;
-      Array.to_list
-        (Array.map
-           (function
-             | Some o -> o
-             | None -> Error (Crashed "case never completed"))
-           results)
-  | Seq | Pool _ -> List.map (eval_seq ~f) cases

@@ -1,77 +1,33 @@
-(** Case-evaluation layer shared by every "analyze many whole cases"
-    driver: the k-failure survivability sweep (also behind a session's
-    survivable gate) and the exhaustive priority search run on the pool;
-    {!Analysis.Case} runs the sharded analysis's per-component fixpoints
-    through it, in order, behind its own memo.
+(** Case-evaluation layer: one evaluator, {!run}, that every "analyze
+    many whole cases" driver maps its cases through — the k-failure
+    survivability sweep (also behind a session's survivable gate), the
+    exhaustive priority search, and {!Analysis.Case}'s memoized
+    per-component fixpoints — plus the {!Memo} table type and the
+    daemon's supervised worker, {!Persistent}.
 
-    A driver hands the layer a list of independent cases and a pure
-    evaluation function; the layer decides {e how} the cases run — the
-    {!Seq} backend evaluates them in order in-process, the {!Pool}
-    backend fans them out over {!Persistent} workers — and returns
-    results {e in case order regardless of backend}, so goldens and
-    downstream folds never depend on scheduling.
-
-    Contract for [f]: it must be a pure function of its case (no
-    reliance on mutable state it shares with other cases), and under
-    {!Pool} its result is shipped back through [Marshal], so it must
-    not contain custom blocks that cannot be marshalled.
-
-    Failures are per-case, never whole-run: an exception in [f] or a
-    worker crash surfaces as an [Error] for that case while every other
-    case still completes.  Cases run to completion: there is no per-case
-    time limit.
+    Every case runs in process, in the caller's order.  A failure is
+    per-case, never whole-run: an exception in [f] surfaces as an
+    [Error (Exn _)] for that case while the driver goes on with the
+    next.  Cases run to completion: there is no per-case time limit.
 
     Telemetry: [exec.cases] counts evaluations performed (the
-    evaluations a memo avoids are its owner's to count: {!Analysis.Case}
-    bumps [exec.memo_hits]), [exec.workers] counts worker processes forked, [exec.respawns]
-    counts workers forked to {e replace} a crashed one (every
-    {!Persistent.respawn}, pool refills included), and
-    [exec.pool_exhausted] counts pool runs that ran out of fork budget
-    (one fork per case) and had to fail their remaining cases with
-    [Crashed "worker pool exhausted"]; every completed evaluation
+    evaluations a memo avoids are its owner's to count:
+    {!Analysis.Case} bumps [exec.memo_hits]), and every evaluation
     records an [exec.case] span carrying its measured duration.
-    Recordings made {e inside} [f] (counters, histograms,
-    spans against the default registry/tracer) are preserved under both
-    backends: a {!Pool} worker resets its inherited default registry and
-    tracer at case start, dumps them with the case result, and the
-    parent replays the dump ({!Gmf_obs.Metrics.absorb}) and re-emits the
-    spans — so pooled totals, histogram percentiles included, equal a
-    sequential run's (modulo [exec.workers], which only a pool bumps). *)
-
-type t =
-  | Seq  (** In-process, in-order.  Always available. *)
-  | Pool of { jobs : int }
-      (** Up to [jobs] forked {!Persistent} workers.  Falls back to
-          {!Seq} when [jobs <= 1] or a batch has fewer than two
-          cases. *)
-(** An executor: how a batch of cases runs. *)
-
-val seq : t
-(** The default executor, {!Seq}. *)
-
-val pool : int -> t
-(** [pool jobs] is [Pool { jobs }]. *)
-
-val of_jobs : int -> t
-(** [of_jobs jobs] is {!seq} when [jobs <= 1], [pool jobs] otherwise —
-    the normal way to turn a [--jobs N] flag into an executor. *)
-
-val resolve_jobs : int option -> int
-(** [resolve_jobs cli] picks the job count: the CLI value when given,
-    else the [GMFNET_JOBS] environment variable when it is a positive
-    integer, else [1]. *)
+    [exec.respawns] counts the {!Persistent} workers forked to replace
+    a crashed one. *)
 
 type error =
-  | Crashed of string  (** The worker evaluating the case died. *)
+  | Crashed of string  (** A {!Persistent} worker died. *)
   | Exn of string  (** [f] raised; the payload is [Printexc.to_string]. *)
 
 val error_to_string : error -> string
 
 type 'b outcome = ('b, error) result
 
-(** Memo table keyed by a caller-supplied digest string.  {!map_cases}
-    never consults one: its owner looks a case up before mapping it and
-    stores what the mapping returns ({!Analysis.Case.shared_memo}). *)
+(** Memo table keyed by a caller-supplied digest string.  {!run} never
+    consults one: its owner looks a case up before running it and
+    stores what the run returns ({!Analysis.Case.shared_memo}). *)
 module Memo : sig
   type 'b t
 
@@ -82,9 +38,10 @@ module Memo : sig
   val clear : 'b t -> unit
 end
 
-val map_cases : ?exec:t -> f:('a -> 'b) -> 'a list -> 'b outcome list
-(** [map_cases ~f cases] evaluates every case and returns the outcomes
-    in case order. *)
+val run : f:('a -> 'b) -> 'a -> 'b outcome
+(** [run ~f case] evaluates one case in process: [Ok (f case)], or
+    [Error (Exn _)] when [f] raises.  Bumps [exec.cases] and records an
+    [exec.case] span either way. *)
 
 (** Supervised forked workers — the layer's one worker implementation.
 
@@ -93,9 +50,6 @@ val map_cases : ?exec:t -> f:('a -> 'b) -> 'a list -> 'b outcome list
     killed, or crashes.  [gmfnetd] keeps one per session around a parsed
     topology and an admission session, so the topology ships to the
     worker exactly once and warm fixpoint state survives across events.
-    A {!Pool} batch of {!map_cases} forks up to [jobs] of them, whose
-    handler evaluates the case at a given index of the batch (inherited
-    by memory), and stops them when the batch ends.
 
     Protocol invariant: at most one request ({!send} without its
     matching {!recv}) may be outstanding at a time.  The parent owns

@@ -198,9 +198,9 @@ type 'a degraded = {
   rounds_spent : int;
 }
 
-(* Pure: no counter bumps here — a survive case runs in a [Pool] worker
-   whose registry increments are lost, so each caller derives its
-   counters from the result. *)
+(* Pure: no counter bumps here.  A flow may be rerouted and then shed
+   within one call, so each caller counts the fates it keeps: a sweep
+   from its cases' final fates, a session from its degradation. *)
 let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sw =
   let scenario = sw.scenario in
   let topo = Traffic.Scenario.topo scenario in
@@ -293,8 +293,7 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sw =
 (* One failure case: {!degrade} with every survivor sheddable, each
    attempt a delta against the shared fault-free base.  Per-attempt
    delta stats are summed into the case result, the copy the report
-   (and its JSON) aggregates whether metrics are on or not and whether
-   the case ran in process or in a pool worker. *)
+   (and its JSON) aggregates whether metrics are on or not. *)
 let analyze_case dbase sw case =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"faults" "survive.case"
     (fun () ->
@@ -331,8 +330,8 @@ let analyze_case dbase sw case =
         delta = Some !acc;
       })
 
-(* A case the exec layer failed to evaluate (timeout, worker crash) is
-   reported conservatively: analysis-failed verdict, every flow shed. *)
+(* A case whose evaluation raised is reported conservatively:
+   analysis-failed verdict, every flow shed. *)
 let failed_case_result scenario err case =
   {
     case;
@@ -351,7 +350,7 @@ let failed_case_result scenario err case =
    interference components through it. *)
 let clear_memo () = Gmf_exec.Memo.clear Analysis.Case.shared_memo
 
-let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
+let run ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   if k < 0 then invalid_arg "Survive.run: k < 0";
   (* Every memo hit of the sweep is its own, and the table never
      outlives the latest sweep. *)
@@ -365,37 +364,16 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   let comps = match domain with Some d -> d | None -> components scenario in
   let case_list = failure_cases ~k comps in
   Gmf_obs.Metrics.incr ~by:(List.length case_list) m_cases;
-  (* A pooled case comes back as a marshalled copy, flow records
-     included; rebind its fates to this scenario's own records so
-     [fates] stays keyed by them (callers use physical equality against
-     [Scenario.flows]). *)
-  let flow_by_id = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Traffic.Flow.t) -> Hashtbl.replace flow_by_id f.Traffic.Flow.id f)
-    (Traffic.Scenario.flows scenario);
-  let rebind c =
-    {
-      c with
-      fates =
-        List.map
-          (fun ((f : Traffic.Flow.t), fate) ->
-            match Hashtbl.find_opt flow_by_id f.Traffic.Flow.id with
-            | Some f' -> (f', fate)
-            | None -> (f, fate))
-          c.fates;
-    }
-  in
   let cases =
-    Gmf_exec.map_cases ?exec ~f:(analyze_case dbase sw) case_list
-    |> List.map2
-         (fun case -> function
-           | Ok r -> rebind r
-           | Error e -> failed_case_result scenario e case)
-         case_list
+    List.map
+      (fun case ->
+        match Gmf_exec.run ~f:(analyze_case dbase sw) case with
+        | Ok r -> r
+        | Error e -> failed_case_result scenario e case)
+      case_list
   in
-  (* One pass over every fate: the counters (derived here from the case
-     results, so a case evaluated in a pool worker counts like one
-     evaluated in process) and each flow's worst fate across cases.
+  (* One pass over every fate: the counters and each flow's worst fate
+     across cases.
      [flow_verdict]'s constructors are declared in increasing severity,
      so [max] keeps the worst. *)
   let worst = Hashtbl.create 64 in
@@ -454,9 +432,8 @@ let run ?exec ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
 (* Survivable-admission gate                                           *)
 (* ------------------------------------------------------------------ *)
 
-let admission_gate ?exec ?config ?(k = 1) ~(candidate : Traffic.Flow.t)
-    scenario =
-  let report = run ?exec ?config ~k scenario in
+let admission_gate ?config ?(k = 1) ~(candidate : Traffic.Flow.t) scenario =
+  let report = run ?config ~k scenario in
   let verdict =
     List.find_map
       (fun ((f : Traffic.Flow.t), v) ->

@@ -33,8 +33,7 @@
     [survive.case] span; reroutes and sheds bump [faults.flows_rerouted]
     and [faults.flows_shed].  Delta statistics are additionally embedded
     in every case result (and summed in [report.delta_totals]): the
-    report and its JSON sum these copies whether metrics are on or not,
-    and whether a case ran in process or in a pool worker. *)
+    report and its JSON sum these copies whether metrics are on or not. *)
 
 type component =
   | Link of Network.Node.id * Network.Node.id
@@ -155,19 +154,16 @@ val degrade :
     a session link failure pins the flows the outage did not hit. *)
 
 val run :
-  ?exec:Gmf_exec.t ->
   ?config:Analysis.Config.t ->
   ?k:int ->
   ?domain:component list ->
   Traffic.Scenario.t ->
   report
 (** [run scenario] analyzes every failure case of at most [k] (default 1)
-    components with {!degrade}.  Cases are independent and evaluated
-    through [exec] (default {!Gmf_exec.seq}); results are identical for
-    every backend.  A case the executor fails to evaluate (per-case
-    timeout, worker crash) is reported conservatively: analysis-failed
-    verdict with an ["exec: ..."] reason and every flow shed.  Raises
-    [Invalid_argument] when [k < 0].
+    components with {!degrade}, in order, in process, each through
+    {!Gmf_exec.run}.  A case whose evaluation raises is reported
+    conservatively: analysis-failed verdict with an ["exec: ..."] reason
+    and every flow shed.  Raises [Invalid_argument] when [k < 0].
 
     [domain] restricts the failure enumeration to the given components
     (default: every component of {!components}) — bench sweeps use it
@@ -184,7 +180,6 @@ val clear_memo : unit -> unit
     fallbacks analyze their interference components through it. *)
 
 val admission_gate :
-  ?exec:Gmf_exec.t ->
   ?config:Analysis.Config.t ->
   ?k:int ->
   candidate:Traffic.Flow.t ->

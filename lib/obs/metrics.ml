@@ -182,50 +182,3 @@ let snapshot (t : t) =
     histograms =
       sorted_bindings t.histograms (fun name h -> (name, summarize h));
   }
-
-(* ---------------- cross-process transfer ---------------- *)
-
-(* A [dump] carries histogram *samples* (not bucket summaries), so absorbing
-   it replays every observation into the receiving registry: bucket counts
-   and order statistics (p50/p95) come out identical to recording in-process,
-   which the seq==pool metrics-equality guarantee depends on. *)
-
-type dump = {
-  d_counters : (string * int) list;
-  d_gauges : (string * float * float) list; (* (name, last, max) *)
-  d_histograms : (string * int array * int list) list;
-      (* (name, bounds, samples in insertion order) *)
-}
-
-let dump (t : t) =
-  {
-    d_counters = sorted_bindings t.counters (fun name c -> (name, c.c_value));
-    d_gauges =
-      sorted_bindings t.gauges (fun name g -> (name, g.g_value, g.g_max));
-    d_histograms =
-      sorted_bindings t.histograms (fun name h ->
-          (name, Array.copy h.h_bounds, Stats.to_list h.h_stats));
-  }
-
-let absorb t (d : dump) =
-  List.iter
-    (fun (name, v) -> if v <> 0 then incr ~by:v (counter t name))
-    d.d_counters;
-  List.iter
-    (fun (name, last, max_v) ->
-      (* A gauge that was never set carries (0., neg_infinity): skip it so
-         absorbing does not fabricate a zero reading. *)
-      if max_v > neg_infinity then begin
-        let g = gauge t name in
-        set_gauge g max_v;
-        set_gauge g last
-      end)
-    d.d_gauges;
-  List.iter
-    (fun (name, bounds, samples) ->
-      match samples with
-      | [] -> ()
-      | _ ->
-          let h = histogram ~bounds t name in
-          List.iter (observe h) samples)
-    d.d_histograms

@@ -105,22 +105,3 @@ type snapshot = {
 val snapshot : t -> snapshot
 (** A consistent copy of every registered metric, for rendering or export.
     Metrics that never recorded anything are included (zero-valued). *)
-
-(** {1 Cross-process transfer}
-
-    Pool workers ({!Gmf_exec}) record into their own process; a {!dump} is a
-    marshal-safe value (strings, ints, floats — no closures, no shared
-    mutable state) that carries everything back to the parent.  Unlike
-    {!snapshot} it keeps raw histogram samples, so {!absorb} replays them
-    and the merged registry is indistinguishable from having recorded
-    in-process — bucket counts {e and} percentiles included. *)
-
-type dump
-
-val dump : t -> dump
-(** Everything currently recorded in [t], as a self-contained value. *)
-
-val absorb : t -> dump -> unit
-(** Replays [dump] into [t]: counters add, gauges re-set (max first, then
-    last; never-set gauges are skipped), histogram samples re-observe.
-    Recording is still gated on [t] being enabled. *)

@@ -28,8 +28,7 @@ type t = {
   lp_cache : (Flow.id * Network.Node.id, Flow.t list) Hashtbl.t;
   (* Derived-string memo slots (e.g. the canonical analysis-case digest,
      keyed by the config it was computed under).  Tied to the value, not
-     to a global revision counter, so scenarios marshalled to worker
-     processes stay self-consistent. *)
+     to a global revision counter. *)
   derived : (string, string) Hashtbl.t;
 }
 

@@ -74,9 +74,8 @@ val cached : t -> key:string -> (unit -> string) -> string
     so any function of the scenario alone — plus whatever the caller
     encodes into [key], e.g. an analysis config — is safe to cache this
     way.  Used by [Analysis.Case.digest] so repeated memo probes stop
-    re-serializing the whole scenario.  The slot lives inside the value:
-    a scenario marshalled to a worker process carries (and keeps) its own
-    cache, with no global revision counter to fall out of sync. *)
+    re-serializing the whole scenario.  The slot lives inside the value,
+    with no global revision counter to fall out of sync. *)
 
 (** {2 Derived scenarios}
 

@@ -134,6 +134,108 @@ let test_levels_validation () =
         (Analysis.Priority_assign.assign ~levels:9
            Analysis.Priority_assign.Deadline_monotonic flows))
 
+(* A generated flow: source (switch, host), destination (switch, host)
+   and its frames as (period ms, deadline ms, payload bytes). *)
+type gen_flow = {
+  src : int * int;
+  dst : int * int;
+  frames : (int * int * int) list;
+}
+
+(* Two switches on a chain, three hosts each, 10 Mbit/s links: flows
+   share a host link, a switch or the trunk depending on their ends. *)
+let scenario_of_gen gflows =
+  let topo, hosts, switches =
+    Workload.Topologies.line ~rate_bps:10_000_000 ~hosts_per_switch:3
+      ~switches:2 ()
+  in
+  let flows =
+    List.mapi
+      (fun id g ->
+        let (ss, sh), (ds, dh) = (g.src, g.dst) in
+        let path =
+          (hosts.(ss).(sh) :: switches.(ss)
+          :: (if ss = ds then [] else [ switches.(ds) ]))
+          @ [ hosts.(ds).(dh) ]
+        in
+        Traffic.Flow.make ~id
+          ~name:(Printf.sprintf "f%d" id)
+          ~spec:
+            (Gmf.Spec.make
+               (List.map
+                  (fun (period, deadline, bytes) ->
+                    Gmf.Frame_spec.make ~period:(Timeunit.ms period)
+                      ~deadline:(Timeunit.ms deadline) ~jitter:0
+                      ~payload_bits:(8 * bytes))
+                  g.frames))
+          ~encap:Ethernet.Encap.Udp
+          ~route:(Network.Route.make topo path)
+          ~priority:0)
+      gflows
+  in
+  Traffic.Scenario.make ~topo ~flows ()
+
+let gen_flow =
+  QCheck.Gen.(
+    let endpoint = pair (int_range 0 1) (int_range 0 2) in
+    let* src = endpoint in
+    let* dst =
+      endpoint >|= fun d -> if d = src then (1 - fst src, snd src) else d
+    in
+    let* frames =
+      list_size (int_range 1 2)
+        (triple (int_range 10 40) (int_range 8 60) (int_range 200 3_000))
+    in
+    return { src; dst; frames })
+
+(* 3-5 flows at 2 or 3 levels, 3-4 at 8 levels: the oracle analyzes all
+   [levels]^n vectors, so 8 levels stops at 4,096 of them (5 flows would
+   be 32,768 analyses a case).  At 8 levels no order uses every level. *)
+let gen_case =
+  QCheck.Gen.(
+    let* levels = oneofl [ 2; 3; 8 ] in
+    let* n = if levels = 8 then int_range 3 4 else int_range 3 5 in
+    let* flows = list_repeat n gen_flow in
+    return (levels, flows))
+
+let print_case (levels, flows) =
+  Printf.sprintf "levels %d: %s" levels
+    (String.concat "; "
+       (List.map
+          (fun g ->
+            Printf.sprintf "(%d,%d)->(%d,%d) [%s]" (fst g.src) (snd g.src)
+              (fst g.dst) (snd g.dst)
+              (String.concat " "
+                 (List.map
+                    (fun (p, d, b) -> Printf.sprintf "%d/%d/%dB" p d b)
+                    g.frames)))
+          flows))
+
+let show_best = function
+  | None -> "none"
+  | Some (flows, bound) ->
+      Printf.sprintf "%s bound %d"
+        (String.concat ","
+           (List.map
+              (fun (f : Traffic.Flow.t) ->
+                string_of_int f.Traffic.Flow.priority)
+              flows))
+        bound
+
+(* The search over dense vectors returns the winner, priorities and
+   bound, of the search over every vector. *)
+let prop_dense_equals_full =
+  QCheck.Test.make ~name:"dense search == full enumeration" ~count:30
+    (QCheck.make ~print:print_case gen_case)
+    (fun (levels, gflows) ->
+      let scenario = scenario_of_gen gflows in
+      let dense =
+        show_best (Analysis.Priority_assign.best_exhaustive ~levels scenario)
+      in
+      let full = show_best (Assign_oracle.best_exhaustive ~levels scenario) in
+      if dense = full then true
+      else QCheck.Test.fail_reportf "dense %s, full %s" dense full)
+
 (* ---------------- rerouting ---------------- *)
 
 (* A diamond: two disjoint switch paths between the hosts, the second with
@@ -222,6 +324,7 @@ let tests =
     Alcotest.test_case "exhaustive is optimal" `Slow
       test_exhaustive_beats_policies;
     Alcotest.test_case "levels validation" `Quick test_levels_validation;
+    QCheck_alcotest.to_alcotest prop_dense_equals_full;
     Alcotest.test_case "rerouting: detour" `Quick test_rerouting_admits_on_detour;
     Alcotest.test_case "rerouting: own route first" `Quick
       test_rerouting_prefers_own_route;

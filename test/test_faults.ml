@@ -374,13 +374,13 @@ let test_survive_k_bounds () =
   Alcotest.(check int) "k=0 has no cases" 0 (List.length r0.Survive.cases);
   Alcotest.(check bool) "k=0 sheds nothing" true (r0.Survive.shed_set = [])
 
-(* A pooled case comes back marshalled, flow records included; its
-   fates must still hold the scenario's own records, as the sequential
-   sweep's do (the [List.assq] above). *)
-let test_survive_pool_keeps_flow_identity () =
+(* Every case's fates hold the scenario's own flow records, not copies:
+   callers look fates up by physical equality against
+   [Scenario.flows] (the [List.assq] above). *)
+let test_survive_fates_keep_flow_identity () =
   let scenario = Workload.Scenarios.fig1_videoconf () in
   let flows = Traffic.Scenario.flows scenario in
-  let report = Survive.run ~exec:(Gmf_exec.pool 2) ~k:1 scenario in
+  let report = Survive.run ~k:1 scenario in
   List.iter
     (fun c ->
       List.iter
@@ -417,6 +417,6 @@ let tests =
     Alcotest.test_case "survive: matrix consistent with fates" `Slow
       test_survive_matrix_consistent;
     Alcotest.test_case "survive: k bounds" `Quick test_survive_k_bounds;
-    Alcotest.test_case "survive: pooled fates keep flow identity" `Quick
-      test_survive_pool_keeps_flow_identity;
+    Alcotest.test_case "survive: fates keep flow identity" `Quick
+      test_survive_fates_keep_flow_identity;
   ]

@@ -1,4 +1,4 @@
-(* Exact counter gates on fixed inputs: executor equivalence, survive
+(* Exact counter gates on fixed inputs: the fig1 k=2 sweep's counts, survive
    sweeps == the cold test oracle, session admits as delta runs,
    precheck coverage of the example workloads, the end-to-end m250
    admission path and the failover session's recovery cost.  Every
@@ -24,33 +24,20 @@ let with_counters f =
   (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
 
 (* ------------------------------------------------------------------ *)
-(* Sequential and fork-pool sweeps render the same report             *)
+(* The fig1 k=2 sweep's case and memo counts                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Every sweep starts from an empty component memo
-   ({!Survive.clear_memo}), so the pool sweep evaluates every case
-   itself.  It must fork its two workers and make 96 evaluations and
-   memo lookups: the 66 cases plus the 30 component analyses inside
-   them.  How the 30 split into hits and evaluations depends on which
-   worker gets which case (each fills its own copy of the memo), so
-   only the sequential run pins the split. *)
-let test_seq_equals_pool () =
+(* The sweep starts from an empty component memo ({!Survive.clear_memo})
+   and makes 96 evaluations and memo lookups: the 66 cases plus the 30
+   component analyses inside them, 18 of which hit. *)
+let test_fig1_k2_counters () =
   let scenario = Scenarios.fig1_videoconf () in
-  let sweep exec =
-    with_counters (fun () -> Survive.run ~exec ~k:2 scenario)
+  let _, counter =
+    with_counters (fun () -> Survive.run ~k:2 scenario)
   in
-  let seq, seq_counter = sweep Gmf_exec.seq in
-  let pool, pool_counter = sweep (Gmf_exec.pool 2) in
-  let lookups counter = counter "exec.cases" + counter "exec.memo_hits" in
-  Alcotest.(check int) "seq survive.cases" 66 (seq_counter "survive.cases");
-  Alcotest.(check int) "seq exec.cases" 78 (seq_counter "exec.cases");
-  Alcotest.(check int) "seq exec.memo_hits" 18 (seq_counter "exec.memo_hits");
-  Alcotest.(check int) "pool survive.cases" 66 (pool_counter "survive.cases");
-  Alcotest.(check int) "pool exec.workers" 2 (pool_counter "exec.workers");
-  Alcotest.(check int) "pool lookups" 96 (lookups pool_counter);
-  Alcotest.(check string) "pool report == seq report"
-    (Format.asprintf "%a" (Survive.pp_json scenario) seq)
-    (Format.asprintf "%a" (Survive.pp_json scenario) pool)
+  Alcotest.(check int) "survive.cases" 66 (counter "survive.cases");
+  Alcotest.(check int) "exec.cases" 78 (counter "exec.cases");
+  Alcotest.(check int) "exec.memo_hits" 18 (counter "exec.memo_hits")
 
 (* ------------------------------------------------------------------ *)
 (* Survive sweeps agree with the cold test oracle on a tiled mesh     *)
@@ -463,8 +450,8 @@ let test_failure_recovery () =
 
 let tests =
   [
-    Alcotest.test_case "seq == pool on fig1 k=2, memos cleared" `Quick
-      test_seq_equals_pool;
+    Alcotest.test_case "fig1 k=2 sweep counters, memo cleared" `Quick
+      test_fig1_k2_counters;
     Alcotest.test_case "delta == cold on the 6x6 tile mesh at k=2" `Quick
       test_delta_equals_cold_tiles;
     Alcotest.test_case "session admits on the 6x6 tile mesh" `Quick

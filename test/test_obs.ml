@@ -251,29 +251,6 @@ let test_histogram_percentiles () =
   Alcotest.(check (option int)) "empty p50" None summary.Metrics.h_p50;
   Alcotest.(check (option int)) "empty p95" None summary.Metrics.h_p95
 
-(* Absorbing a dump must reproduce the source registry exactly —
-   including bucket counts and order statistics, which is why the dump
-   carries raw samples, not summaries.  This is the property the
-   Gmf_exec pool relies on for seq == pool telemetry. *)
-let test_dump_absorb_equality () =
-  let src = Metrics.create ~enabled:true () in
-  Metrics.incr ~by:7 (Metrics.counter src "cases");
-  Metrics.incr (Metrics.counter src "rounds");
-  Metrics.set_gauge (Metrics.gauge src "depth") 9.0;
-  Metrics.set_gauge (Metrics.gauge src "depth") 4.0;
-  let h = Metrics.histogram ~bounds:[| 10; 100; 1_000 |] src "lat" in
-  List.iter (Metrics.observe h) [ 250; 3; 99; 17; 4_000 ];
-  let dst = Metrics.create ~enabled:true () in
-  Metrics.absorb dst (Metrics.dump src);
-  Alcotest.(check bool) "snapshots identical" true
-    (Metrics.snapshot src = Metrics.snapshot dst);
-  (* Absorbing into a registry with prior content accumulates. *)
-  Metrics.absorb dst (Metrics.dump src);
-  Alcotest.(check int) "counters add up" 14
-    (Metrics.counter_value (Metrics.counter dst "cases"));
-  let summary = List.assoc "lat" (Metrics.snapshot dst).Metrics.histograms in
-  Alcotest.(check int) "histogram samples add up" 10 summary.Metrics.h_count
-
 (* ---------------- generic JSON reader ---------------- *)
 
 let test_json_parse () =
@@ -477,8 +454,6 @@ let tests =
       test_export_metrics_formats;
     Alcotest.test_case "histogram percentiles" `Quick
       test_histogram_percentiles;
-    Alcotest.test_case "dump/absorb equality" `Quick
-      test_dump_absorb_equality;
     Alcotest.test_case "generic json reader" `Quick test_json_parse;
     QCheck_alcotest.to_alcotest prop_span_jsonl_roundtrip;
     QCheck_alcotest.to_alcotest prop_chrome_trace_valid_json;
