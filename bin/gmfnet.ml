@@ -65,10 +65,6 @@ let file_arg =
   in
   Arg.(value & opt (some file) None & info [ "f"; "file" ] ~docv:"PATH" ~doc)
 
-let rate_arg =
-  let doc = "Override every link's bit rate (bits per second)." in
-  Arg.(value & opt (some int) None & info [ "rate" ] ~docv:"BPS" ~doc)
-
 let variant_arg =
   let doc =
     "Analysis variant: $(b,repaired) (default), $(b,faithful) \
@@ -100,6 +96,10 @@ let int_in ?(hi = max_int) lo =
             (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected)))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let rate_arg =
+  let doc = "Override every link's bit rate (bits per second)." in
+  Arg.(value & opt (some (int_in 1)) None & info [ "rate" ] ~docv:"BPS" ~doc)
 
 let exit_of_result = function
   | Ok () -> 0

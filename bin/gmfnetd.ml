@@ -120,7 +120,17 @@ let client_cmd =
   in
   let survivable_arg =
     let doc = "Arm the survivable-admission gate with budget $(docv)." in
-    Arg.(value & opt (some int) None & info [ "survivable" ] ~docv:"K" ~doc)
+    (* A negative budget is a usage error (exit 124), as in gmfnet. *)
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok k when k < 0 ->
+          Error
+            (`Msg
+              (Printf.sprintf "invalid value '%s', expected an integer >= 0" s))
+      | r -> r
+    in
+    let budget = Arg.conv (parse, Format.pp_print_int) in
+    Arg.(value & opt (some budget) None & info [ "survivable" ] ~docv:"K" ~doc)
   in
   let throttle_arg =
     let doc =

@@ -323,9 +323,7 @@ let shadow_check t scenario report =
 let changed_only t (edit : Analysis.Delta.edit) =
   let changed (f : Traffic.Flow.t) =
     match find_flow t f.Traffic.Flow.id with
-    | Some old ->
-        old != f
-        && Analysis.Case.flow_digest old <> Analysis.Case.flow_digest f
+    | Some old -> old <> f
     | None -> true
   in
   {

@@ -23,6 +23,7 @@ type base = {
   b_index : index Lazy.t;
   b_pool : Traffic.Scenario.params_pool;
   b_precheck : Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t;
+  b_reports : Holistic.report Gmf_precheck.Reuse.t;
 }
 
 type stats = {
@@ -88,6 +89,7 @@ let wrap ~config ~scenario ~report ~lint_clean =
     b_index = lazy (build_index scenario);
     b_pool = Traffic.Scenario.params_pool ();
     b_precheck = Gmf_precheck.Reuse.create ();
+    b_reports = Gmf_precheck.Reuse.create ();
   }
 
 let make_base ~config ~scenario ~report () =
@@ -234,13 +236,14 @@ let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
 (* A run from source jitters.  Under [~precheck] it goes through the
    precheck-guided sharded engine: flows precheck decides statically
    never burn fixpoint rounds, and their synthetic results carry
-   certified ceilings rather than converged bounds.  The base's table
-   keeps every component an earlier edit prechecked. *)
+   certified ceilings rather than converged bounds.  The base's tables
+   keep every component an earlier edit prechecked or fixpointed. *)
 let cold_run ~precheck base scenario =
   let config = base.b_config in
   if precheck then
     let r, _precheck, _stats =
-      Sharded.analyze ~config ~table:base.b_precheck scenario
+      Sharded.analyze ~config ~table:base.b_precheck ~reports:base.b_reports
+        scenario
     in
     r
   else Holistic.analyze ~config scenario

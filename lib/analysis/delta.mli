@@ -51,11 +51,12 @@
     Each base owns a {!Traffic.Scenario.params_pool}: every restriction
     and target built against it shares its link parameters, so a
     (flow, hop) that recurs across edits (a survive sweep's reroute) is
-    built once per base.  It also owns a {!Gmf_precheck.Reuse} table of
-    precheck verdicts, which every [~precheck] closure restart and cold
-    fallback passes through {!Sharded.analyze}: a component that recurs
-    across edits under the table's key (a survive sweep's degraded tile)
-    is prechecked once per base.
+    built once per base.  It also owns two {!Gmf_precheck.Reuse} tables,
+    one of precheck verdicts and one of component fixpoint reports,
+    which every [~precheck] closure restart and cold fallback passes
+    through {!Sharded.analyze}: a component that recurs across edits
+    under the tables' key (a survive sweep's degraded tile) is
+    prechecked once and fixpointed once per base.
 
     Telemetry: [delta.runs], [delta.closure_flows], [delta.flows_skipped],
     [delta.rounds_saved] (estimate: base rounds minus closure rounds) and
@@ -66,8 +67,9 @@ type base
     is the whole fixpoint: its stage responses fix the converged jitters
     ({!Pipeline.seed}).  It also owns the base's interference components
     and name index (built at the first edit that needs them), the
-    params pool of the scenarios derived from it and the precheck table
-    of its closure restarts; all live as long as the base. *)
+    params pool of the scenarios derived from it and the precheck and
+    report tables of its closure restarts; all live as long as the
+    base. *)
 
 type edit = {
   removed : Traffic.Flow.id list;  (** Base flows the target drops. *)
@@ -155,10 +157,11 @@ val analyze : ?lint:bool -> ?precheck:bool -> base -> edit -> result
     closure restart — and a cold fallback's run over the full target —
     through the precheck-guided {!Sharded.analyze} instead of a
     monolithic {!Holistic.run}: flows decided statically skip the
-    fixpoint, and components the base's precheck table already holds
-    are not tested again.  The schedulability class, fates and matrices are unchanged
-    (precheck is schedulability-exact), but closure flows decided
-    statically carry certified ceilings instead of converged bounds.
+    fixpoint, and components the base's tables already hold are not
+    tested or fixpointed again.  The schedulability class, fates and
+    matrices are unchanged (precheck is schedulability-exact), but
+    closure flows decided statically carry certified ceilings instead
+    of converged bounds.
 
     A base that did not converge certifies nothing: the target is built
     and analyzed cold ([stats.cold_fallback]).

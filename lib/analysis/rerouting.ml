@@ -21,7 +21,7 @@ let candidate_routes topo flow =
             Network.Route.nodes r <> Network.Route.nodes own))
 
 (* First-match search over candidate routes, in order, through the case
-   layer's memo: each attempt is [base] plus the flow on that route, the
+   layer: each attempt is [base] plus the flow on that route, the
    first schedulable one wins (returned with its scenario) and [attempts]
    counts the routes analyzed up to and including it. *)
 let try_routes ?config base flow routes =

@@ -32,9 +32,9 @@ val admit :
     {!Network.Pathfind.max_hops} links).  The scenario itself is never
     modified.
 
-    Candidate routes are analyzed in order through {!Case.analyze} (and
-    its shared memo); the first schedulable one is accepted, and
-    [attempts] counts the routes analyzed up to it. *)
+    Candidate routes are analyzed in order through {!Case.analyze}; the
+    first schedulable one is accepted, and [attempts] counts the routes
+    analyzed up to it. *)
 
 val admit_greedily :
   ?config:Config.t ->

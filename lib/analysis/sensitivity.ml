@@ -1,7 +1,6 @@
-(* Every probe goes through the case layer, whose shared memo means a
-   probe revisited across searches (or by another driver) reuses its
-   fixpoint.  The bisections are inherently sequential — each probe
-   depends on the last verdict — so every probe runs in process. *)
+(* The bisections are inherently sequential — each probe depends on the
+   last verdict — so every probe runs in process, through the case
+   layer. *)
 
 (* Binary search on integers: smallest x in [lo, hi] with [ok x], given
    [not (ok lo)] and [ok hi]; stops at 1% relative resolution. *)

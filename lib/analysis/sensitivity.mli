@@ -8,9 +8,9 @@
     predicate is monotone in every searched parameter (more capacity never
     breaks a schedulable set), which the test suite checks.
 
-    Probes are evaluated through {!Case.schedulable}, so revisited
-    probes hit the shared report memo.  The bisections are sequential —
-    every probe depends on the previous verdict — and run in process. *)
+    Probes are evaluated through {!Case.schedulable}.  The bisections
+    are sequential — every probe depends on the previous verdict — and
+    run in process. *)
 
 val min_link_rate :
   ?config:Config.t ->

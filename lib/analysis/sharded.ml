@@ -66,19 +66,40 @@ let certified_result flow ceilings =
   in
   { Result_types.flow; frames }
 
-let analyze ?(config = Config.default) ?table scenario =
+(* One undecided component's fixpoint, read back from [reports] or run
+   and kept there. *)
+let component_report ~config ?reports scenario flow_ids =
+  let members = List.map (Traffic.Scenario.flow scenario) flow_ids in
+  match
+    Option.bind reports (fun t ->
+        Gmf_precheck.Reuse.find t ~config scenario members)
+  with
+  | Some r -> r
+  | None -> (
+      match
+        Gmf_exec.run ~f:(Holistic.analyze ~config)
+          (sub_scenario scenario flow_ids)
+      with
+      | Ok r ->
+          Option.iter
+            (fun t -> Gmf_precheck.Reuse.add t ~config scenario members r)
+            reports;
+          r
+      | Error e -> Case.report_of_error e)
+
+let analyze ?(config = Config.default) ?table ?reports scenario =
   let pre = Gmf_precheck.Precheck.run ~config ?table scenario in
   let infeasible = Gmf_precheck.Precheck.infeasible pre
   and certified = Gmf_precheck.Precheck.certified pre
   and to_run = Gmf_precheck.Precheck.undecided_components pre in
   let scenario_flows = Traffic.Scenario.flows scenario in
-  let subs =
+  let fixpoints =
     List.map
       (fun (c : Gmf_precheck.Igraph.component) ->
-        sub_scenario scenario c.Gmf_precheck.Igraph.flow_ids)
+        component_report ~config ?reports scenario
+          c.Gmf_precheck.Igraph.flow_ids)
       to_run
   in
-  let reports = Case.analyze_all ~config subs in
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
     Gmf_obs.Metrics.incr ~by:(List.length to_run) m_components_run;
     Gmf_obs.Metrics.incr
@@ -108,7 +129,7 @@ let analyze ?(config = Config.default) ?table scenario =
   let decided verdict results = { Holistic.verdict; rounds = 0; results } in
   let report =
     Holistic.merge scenario_flows
-      ((decided (Holistic.Analysis_failed certificates) [] :: reports)
+      ((decided (Holistic.Analysis_failed certificates) [] :: fixpoints)
       @ [ decided Holistic.Schedulable ceilings ])
   in
   let stats =

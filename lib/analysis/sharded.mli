@@ -9,8 +9,8 @@
     - certified flows get synthetic results carrying their certified
       per-frame ceilings ([stages = []], no fixpoint either);
     - every remaining interference component is analyzed as an
-      independent sub-scenario through {!Case.analyze_all} (so the
-      per-component fixpoints share its memo).
+      independent sub-scenario, one {!Gmf_exec.run} each, unless the
+      caller's report table already holds its fixpoint.
 
     Because interference never crosses component boundaries (two flows
     interfere only where their routes share a node, which is exactly an
@@ -52,11 +52,13 @@ val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenari
 val analyze :
   ?config:Config.t ->
   ?table:Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t ->
+  ?reports:Holistic.report Gmf_precheck.Reuse.t ->
   Traffic.Scenario.t ->
   Holistic.report * Gmf_precheck.Precheck.report * stats
-(** [analyze ?config ?table scenario] is the merged report, the precheck
-    report it was guided by, and the sharding counters.  [table] goes to
-    {!Gmf_precheck.Precheck.run}: components that meet its key
-    ({!Gmf_precheck.Reuse}) are not tested again ({!Delta} passes its
-    base's table, so every closure restart against one base shares
-    it). *)
+(** [analyze ?config ?table ?reports scenario] is the merged report, the
+    precheck report it was guided by, and the sharding counters.  [table]
+    goes to {!Gmf_precheck.Precheck.run}: components that meet its key
+    ({!Gmf_precheck.Reuse}) are not tested again.  [reports] does the
+    same for the fixpoints of undecided components: a fixpoint reads
+    only what the key checks, and a run that raised is not kept.
+    {!Delta} passes its base's two tables. *)

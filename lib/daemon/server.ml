@@ -386,6 +386,11 @@ let handle_open t conn ~now ~session ~topology ~verify ~explain ~survivable
              Printf.sprintf "bad session name %S (want [A-Za-z0-9._-]+)"
                session;
          })
+  else if Option.value ~default:0 survivable < 0 then
+    (* Every respawned worker's session would refuse it. *)
+    respond t conn
+      (Jsonl.Rejected
+         { code = Jsonl.code_proto; message = "negative survivable budget" })
   else
     match Hashtbl.find_opt t.sessions session with
     | Some sess ->

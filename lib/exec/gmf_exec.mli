@@ -1,19 +1,19 @@
 (** Case-evaluation layer: one evaluator, {!run}, that every "analyze
     many whole cases" driver maps its cases through — the k-failure
     survivability sweep (also behind a session's survivable gate), the
-    exhaustive priority search, and {!Analysis.Case}'s memoized
-    per-component fixpoints — plus the {!Memo} table type and the
-    daemon's supervised worker, {!Persistent}.
+    exhaustive priority search, and the per-component fixpoints of
+    {!Analysis.Sharded} — plus the daemon's supervised worker,
+    {!Persistent}.
 
     Every case runs in process, in the caller's order.  A failure is
     per-case, never whole-run: an exception in [f] surfaces as an
     [Error (Exn _)] for that case while the driver goes on with the
     next.  Cases run to completion: there is no per-case time limit.
 
-    Telemetry: [exec.cases] counts evaluations performed (the
-    evaluations a memo avoids are its owner's to count:
-    {!Analysis.Case} bumps [exec.memo_hits]), and every evaluation
-    records an [exec.case] span carrying its measured duration.
+    Telemetry: [exec.cases] counts evaluations performed (a component
+    fixpoint that {!Analysis.Sharded} reads back from its caller's
+    report table is not one), and every evaluation records an
+    [exec.case] span carrying its measured duration.
     [exec.respawns] counts the {!Persistent} workers forked to replace
     a crashed one. *)
 
@@ -25,16 +25,14 @@ val error_to_string : error -> string
 
 type 'b outcome = ('b, error) result
 
-(** Memo table keyed by a caller-supplied digest string.  {!run} never
-    consults one: its owner looks a case up before running it and
-    stores what the run returns ({!Analysis.Case.shared_memo}). *)
+(** A stub kept only for the benchmark harness ([perfbench/common.ml]
+    clears {!Analysis.Case.shared_memo} before every timed op).  Nothing
+    reads or fills one: component fixpoints are reused through an
+    {!Analysis.Delta} base's report table instead. *)
 module Memo : sig
   type 'b t
 
   val create : unit -> 'b t
-  val find : 'b t -> string -> 'b option
-  val add : 'b t -> string -> 'b -> unit
-  val size : 'b t -> int
   val clear : 'b t -> unit
 end
 

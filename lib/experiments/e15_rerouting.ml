@@ -25,19 +25,15 @@ let sweep ?(max_flows = 12) () =
   let net = Workload.Topologies.example ~rate_bps:100_000_000 () in
   let topo = net.Workload.Topologies.topo in
   let all = candidates net max_flows in
+  (* One greedy run per controller answers every prefix. *)
+  let fixed, _ = Analysis.Admission.admit_greedily ~topo all in
+  let rerouted, _ = Analysis.Rerouting.admit_greedily ~topo all in
   List.init max_flows (fun i ->
       let offered = i + 1 in
-      let prefix = List.filteri (fun j _ -> j < offered) all in
-      let fixed, _ =
-        Analysis.Admission.admit_greedily ~topo prefix
-      in
-      let rerouted, _ =
-        Analysis.Rerouting.admit_greedily ~topo prefix
-      in
       {
         offered;
-        fixed_admitted = List.length fixed;
-        rerouted_admitted = List.length rerouted;
+        fixed_admitted = Exp_common.admitted_among ~offered fixed;
+        rerouted_admitted = Exp_common.admitted_among ~offered rerouted;
       })
 
 let run () =

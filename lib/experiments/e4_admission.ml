@@ -34,20 +34,16 @@ let sweep ?(max_flows = 14) () =
       (Traffic.Link_params.make ~flow:flow0
          ~link:(Network.Topology.link_exn topo ~src:hosts.(0) ~dst:sw))
   in
+  (* One greedy run per controller answers every prefix. *)
+  let gmf_in, _ = Analysis.Admission.admit_greedily ~topo candidates in
+  let spor_in, _ = Baseline.Sporadic.admit_greedily ~topo candidates in
   List.init max_flows (fun i ->
       let offered = i + 1 in
-      let prefix = List.filteri (fun j _ -> j < offered) candidates in
-      let gmf_in, _ =
-        Analysis.Admission.admit_greedily ~topo prefix
-      in
-      let spor_in, _ =
-        Baseline.Sporadic.admit_greedily ~topo prefix
-      in
       {
         offered;
         offered_utilization = float_of_int offered *. u1;
-        gmf_admitted = List.length gmf_in;
-        sporadic_admitted = List.length spor_in;
+        gmf_admitted = Exp_common.admitted_among ~offered gmf_in;
+        sporadic_admitted = Exp_common.admitted_among ~offered spor_in;
       })
 
 let run () =

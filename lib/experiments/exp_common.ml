@@ -22,3 +22,8 @@ let verdict_string report =
 
 let ratio a b =
   if b = 0 then "n/a" else Printf.sprintf "%.2f" (float_of_int a /. float_of_int b)
+
+let admitted_among ~offered admitted =
+  List.length
+    (List.filter (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id < offered)
+       admitted)

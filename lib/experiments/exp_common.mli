@@ -22,3 +22,8 @@ val verdict_string : Analysis.Holistic.report -> string
 
 val ratio : int -> int -> string
 (** [ratio a b] renders [a /. b] with two decimals ("n/a" when [b = 0]). *)
+
+val admitted_among : offered:int -> Traffic.Flow.t list -> int
+(** The flows of [admitted] with an id below [offered].  Greedy admission
+    decides candidate [i] from candidates [0..i-1] only, so with ids in
+    candidate order one run answers every prefix. *)

@@ -2,8 +2,7 @@
 
     When a scenario is unschedulable, "no" is a poor answer for an
     operator: these probes find the smallest change {e to one flow} that
-    admits the set, reusing the {!Analysis.Sensitivity} bisection (and its
-    {!Analysis.Case} memo, so repeated probes are cheap). *)
+    admits the set, reusing the {!Analysis.Sensitivity} bisection. *)
 
 type hint =
   | Payload_scale of float

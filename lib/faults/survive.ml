@@ -74,8 +74,8 @@ let component_name scenario component =
    size class the subsets walk in revolving-door Gray order: consecutive
    cases differ by swapping exactly one component in and one out.  No
    cost depends on the order (every closure is relative to the
-   fault-free base, and the base's precheck table and the component
-   memo are keyed by content); it is kept because the reports and their
+   fault-free base, and the base's precheck and report tables hold every
+   component the sweep met); it is kept because the reports and their
    goldens list cases in it.  Each subset lists its components in
    [comps] order, and the size-1 class is exactly [comps] — the k=1
    case order (and its golden) is unchanged from the naive
@@ -344,17 +344,11 @@ let failed_case_result scenario err case =
     delta = None;
   }
 
-(* Empties the component memo ({!Analysis.Case.shared_memo}) a sweep
-   fills: the closure restarts of its cases (the undecided components
-   of a precheck-guided run) and their cold fallbacks analyze their
-   interference components through it. *)
-let clear_memo () = Gmf_exec.Memo.clear Analysis.Case.shared_memo
+(* A stub for the benchmark harness; see the interface. *)
+let clear_memo () = ()
 
 let run ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   if k < 0 then invalid_arg "Survive.run: k < 0";
-  (* Every memo hit of the sweep is its own, and the table never
-     outlives the latest sweep. *)
-  clear_memo ();
   (* One base fixpoint shared by every case of the sweep.  A base that
      does not converge leaves every attempt on the delta engine's cold
      fallback, and the sweep reports no delta totals. *)

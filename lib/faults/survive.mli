@@ -18,10 +18,10 @@
     beyond a few O(flows) list passes (its fates, the merged report):
     the base's components, the flows by node and each reroute's record
     and link parameters are built once per sweep ({!sweep}), and a
-    degraded component that recurs across cases is prechecked once (the
-    base's {!Gmf_precheck.Reuse} table) and fixpointed once (the
-    component memo).  Same-size failure sets walk in revolving-door Gray
-    order; both tables are keyed by content, so the order is kept
+    degraded component that recurs across cases is prechecked once and
+    fixpointed once (the base's two {!Gmf_precheck.Reuse} tables).
+    Same-size failure sets walk in revolving-door Gray order; both
+    tables hold every component the sweep met, so the order is kept
     because the goldens list cases in it, not for what adjacent cases
     share.  A
     base that does not converge certifies nothing: every attempt takes
@@ -169,15 +169,12 @@ val run :
     (default: every component of {!components}) — bench sweeps use it
     to bound k>=2 case counts.
 
-    The sweep starts with {!clear_memo}: the component memo's hits
-    during a sweep are its own, and the table holds only what the
-    latest sweep put there. *)
+    Every table the sweep fills belongs to its one {!Analysis.Delta}
+    base, so nothing outlives the sweep. *)
 
 val clear_memo : unit -> unit
-(** Empty the component memo ({!Analysis.Case.shared_memo}) that a
-    sweep fills: its cases' closure restarts (under [~precheck], the
-    undecided components of {!Analysis.Sharded.analyze}) and cold
-    fallbacks analyze their interference components through it. *)
+(** Does nothing.  A stub kept only for the benchmark harness, which
+    calls it before every timed op ([perfbench/common.ml]). *)
 
 val admission_gate :
   ?config:Analysis.Config.t ->

@@ -26,10 +26,6 @@ type t = {
      every frame, busy-window iteration and holistic round. *)
   hep_cache : (Flow.id * Network.Node.id, Flow.t list) Hashtbl.t;
   lp_cache : (Flow.id * Network.Node.id, Flow.t list) Hashtbl.t;
-  (* Derived-string memo slots (e.g. the canonical analysis-case digest,
-     keyed by the config it was computed under).  Tied to the value, not
-     to a global revision counter. *)
-  derived : (string, string) Hashtbl.t;
 }
 
 let params_tables n = { hops = Hashtbl.create n; rates = Hashtbl.create n }
@@ -99,16 +95,7 @@ let make ?(switches = []) ~topo ~flows () =
     on_link;
     hep_cache = Hashtbl.create 64;
     lp_cache = Hashtbl.create 64;
-    derived = Hashtbl.create 4;
   }
-
-let cached t ~key compute =
-  match Hashtbl.find_opt t.derived key with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      Hashtbl.replace t.derived key v;
-      v
 
 let topo t = t.topo
 let flows t = Array.to_list t.flows

@@ -68,15 +68,6 @@ val params : t -> Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
 val link_utilization : t -> src:Network.Node.id -> dst:Network.Node.id -> float
 (** Sum over flows(src,dst) of CSUM/TSUM — the left side of eq (20). *)
 
-val cached : t -> key:string -> (unit -> string) -> string
-(** [cached t ~key compute] memoizes a derived string per scenario value
-    (computed at most once per key).  Scenarios are immutable once built,
-    so any function of the scenario alone — plus whatever the caller
-    encodes into [key], e.g. an analysis config — is safe to cache this
-    way.  Used by [Analysis.Case.digest] so repeated memo probes stop
-    re-serializing the whole scenario.  The slot lives inside the value,
-    with no global revision counter to fall out of sync. *)
-
 (** {2 Derived scenarios}
 
     Every scenario built from another scenario's fabric goes through
@@ -95,8 +86,8 @@ val cached : t -> key:string -> (unit -> string) -> string
       rate; a flow with a new spec gets fresh ones.  The copy costs
       O(new flows x hops).
 
-    [hep]/[lp] sets and {!cached} strings depend on the whole flow set and
-    are never inherited. *)
+    [hep]/[lp] sets depend on the whole flow set and are never
+    inherited. *)
 
 type params_pool
 (** A table of {!params}, keyed by (flow id, hop), that the scenarios

@@ -844,58 +844,6 @@ let test_rejected_node_subject () =
       Alcotest.failf "expected one synthetic failure, got %a"
         Analysis.Holistic.pp_verdict v
 
-(* A survivable session sweeps every admit and update with a k=1
-   survive run, which starts by emptying the component memo.  So after
-   an accepted update the memo holds exactly what a fresh sweep of the
-   committed scenario leaves behind, however many events came before. *)
-let test_survivable_memo_bounded () =
-  let spec =
-    {
-      Gmf_topogen.Gen_spec.default with
-      family = Gmf_topogen.Gen_spec.Mesh { rows = 3; cols = 3; planes = 2 };
-      hosts_per_switch = 2;
-      flows = 40;
-      max_util = 0.95;
-      seed = 2;
-    }
-  in
-  let generated =
-    (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
-  in
-  let topo = Traffic.Scenario.topo generated in
-  let switches =
-    List.map
-      (fun n -> (n, Traffic.Scenario.switch_model generated n))
-      (Traffic.Scenario.switch_nodes generated)
-  in
-  let session = Session.create ~survivable:1 ~switches ~topo () in
-  List.iter
-    (fun f -> ignore (Session.apply session (Session.Admit f)))
-    (Traffic.Scenario.flows generated);
-  let admitted = Session.flows session in
-  Alcotest.(check bool) "some flows admitted" true (List.length admitted > 4);
-  let updates =
-    List.mapi
-      (fun i f ->
-        Session.apply session
-          (Session.Update
-             (Traffic.Flow.scale_payloads f (0.9 -. (0.1 *. float_of_int i)))))
-      (List.filteri (fun i _ -> i < 3) admitted)
-  in
-  Alcotest.(check (list bool)) "updates accepted" [ true; true; true ]
-    (List.map (fun (o : Session.outcome) -> o.Session.accepted) updates);
-  let size () = Gmf_exec.Memo.size Analysis.Case.shared_memo in
-  let after_session = size () in
-  let committed =
-    Traffic.Scenario.make ~switches ~topo ~flows:(Session.flows session) ()
-  in
-  (* The reference sweep starts from an empty table whatever
-     [Survive.run] itself clears. *)
-  Gmf_exec.Memo.clear Analysis.Case.shared_memo;
-  ignore (Gmf_faults.Survive.run ~k:1 committed);
-  Alcotest.(check bool) "the sweep fills the memo" true (size () > 0);
-  Alcotest.(check int) "memo holds one sweep" (size ()) after_session
-
 let tests =
   [
     Alcotest.test_case "replay lifecycle" `Quick test_replay_lifecycle;
@@ -922,7 +870,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_gates_from_scratch_tiles;
     Alcotest.test_case "unconverged commit takes the cold fallback" `Quick
       test_unconverged_commit_falls_back;
-    Alcotest.test_case "survivable session memo holds one sweep" `Quick
-      test_survivable_memo_bounded;
     QCheck_alcotest.to_alcotest prop_trace_parser_total;
   ]

@@ -106,6 +106,62 @@ let test_greedy_admission_gap () =
     true
     (List.length gmf_in >= List.length spor_in)
 
+(* Greedy admission decides candidate i from candidates 0..i-1 only, so
+   a run over a prefix of the candidates is the full run restricted to
+   that prefix: experiments E4 and E15 read every prefix's count off one
+   full run.  The candidates are E15's video flows with random payload
+   scales, priorities and sources, on the Figure 2 route at 100 Mbit/s:
+   the 4 -> 6 link saturates, so some are rejected and some rerouted over
+   the 4 -> 5 -> 6 detour. *)
+let prop_greedy_prefix =
+  let net = Workload.Topologies.example ~rate_bps:100_000_000 () in
+  let topo = net.Workload.Topologies.topo in
+  let h = net.Workload.Topologies.endhosts
+  and s = net.Workload.Topologies.switches in
+  let candidate rng id =
+    Traffic.Flow.scale_payloads
+      (Traffic.Flow.make ~id
+         ~name:(Printf.sprintf "video%d" id)
+         ~spec:
+           (Workload.Mpeg.spec
+              ~sizes:
+                { Workload.Mpeg.i_plus_p_bytes = 88_000; p_bytes = 40_000;
+                  b_bytes = 16_000 }
+              ~deadline:(Timeunit.ms 260) ())
+         ~encap:Ethernet.Encap.Udp
+         ~route:
+           (Network.Route.make topo [ h.(Rng.int rng 2); s.(0); s.(2); h.(3) ])
+         ~priority:(Rng.int rng 8))
+      (0.5 +. Rng.float rng 1.)
+  in
+  let controllers =
+    [
+      ("Admission", fun c -> Analysis.Admission.admit_greedily ~topo c);
+      ("Rerouting", fun c -> Analysis.Rerouting.admit_greedily ~topo c);
+      ("Sporadic", fun c -> Baseline.Sporadic.admit_greedily ~topo c);
+    ]
+  in
+  QCheck.Test.make ~name:"greedy admission: prefix run == full run restricted"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let candidates = List.init (5 + Rng.int rng 4) (candidate rng) in
+      let below n =
+        List.filter (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id < n)
+      in
+      List.for_all
+        (fun (name, admit_greedily) ->
+          let admitted, rejected = admit_greedily candidates in
+          List.for_all
+            (fun n ->
+              let prefix = List.filteri (fun i _ -> i < n) candidates in
+              admit_greedily prefix = (below n admitted, below n rejected)
+              || QCheck.Test.fail_reportf "%s, seed %d: prefix of %d differs"
+                   name seed n)
+            (List.init (List.length candidates) Fun.id))
+        controllers)
+
 let tests =
   [
     Alcotest.test_case "convert spec" `Quick test_convert_spec;
@@ -118,4 +174,5 @@ let tests =
     Alcotest.test_case "gmf admits what sporadic rejects" `Quick
       test_baseline_utilization_inflation;
     Alcotest.test_case "greedy admission gap" `Quick test_greedy_admission_gap;
+    QCheck_alcotest.to_alcotest prop_greedy_prefix;
   ]

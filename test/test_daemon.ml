@@ -924,7 +924,7 @@ let test_replay_exempt_from_deadline () =
           Alcotest.(check int) "journal replayed in full" 2 events
       | Error msg -> Alcotest.fail msg)
 
-let open_req ?(cold = false) session topology =
+let open_req ?(cold = false) ?survivable session topology =
   Jsonl.Open
     {
       session;
@@ -932,7 +932,7 @@ let open_req ?(cold = false) session topology =
       verify = false;
       explain = false;
       cold;
-      survivable = None;
+      survivable;
       throttle_s = 0.;
     }
 
@@ -984,6 +984,26 @@ let test_cold_open_rejected () =
       | _ -> Alcotest.fail "warm open failed");
       check_proto_reject "live session"
         (Client.request c (open_req ~cold:true "s" topology_ab)))
+
+(* A negative survivable budget is refused at [open] with [proto]: no
+   session is registered, no journal written and no worker spawned, so
+   none is left to crash at every respawn.  The same name then opens
+   with a valid budget and answers an event. *)
+let test_negative_survivable_rejected () =
+  with_daemon (fun c journal_dir ->
+      check_proto_reject "negative budget" ~needle:"survivable"
+        (Client.request c (open_req ~survivable:(-1) "neg" topology_ab));
+      check_proto_reject "no session registered" ~needle:"no session open"
+        (Client.request c Jsonl.Summary);
+      Alcotest.(check bool) "no journal" false
+        (Sys.file_exists (Journal.file ~dir:journal_dir ~session:"neg"));
+      (match Client.request c (open_req ~survivable:0 "neg" topology_ab) with
+      | Ok (Jsonl.Opened { replayed = 0; _ }) -> ()
+      | _ -> Alcotest.fail "open with budget 0 failed");
+      match Client.request c (Jsonl.Event { text = "query" }) with
+      | Ok (Jsonl.Outcome _) -> ()
+      | Ok r -> Alcotest.failf "query: unexpected %s" (Jsonl.encode_response r)
+      | Error msg -> Alcotest.fail msg)
 
 (* Recovery fails closed: a journal whose first line is not a warm
    session open is refused with [proto] naming the file, no session is
@@ -1090,6 +1110,8 @@ let tests =
     Alcotest.test_case "daemon: SIGTERM drain" `Quick test_daemon_drain;
     Alcotest.test_case "daemon: cold open rejected" `Quick
       test_cold_open_rejected;
+    Alcotest.test_case "daemon: negative survivable rejected" `Quick
+      test_negative_survivable_rejected;
     Alcotest.test_case "daemon: journal recovery fails closed" `Quick
       test_journal_recovery_fails_closed;
     Alcotest.test_case "daemon: journal with a foreign middle line" `Quick

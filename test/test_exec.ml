@@ -1,5 +1,4 @@
-(* Gmf_exec: the case evaluator, memo accounting and the supervised
-   persistent worker. *)
+(* Gmf_exec: the case evaluator and the supervised persistent worker. *)
 
 let outcome_str = function
   | Ok n -> Printf.sprintf "ok:%d" n
@@ -21,51 +20,6 @@ let test_map_order () =
   check_outcomes "ordered outcomes"
     [ "ok:22"; "err:exception: Failure(\"negative -1\")"; "ok:1" ]
     (strs r)
-
-(* --- the component memo ------------------------------------------- *)
-
-(* [Analysis.Case] owns the one analysis memo: it looks each scenario up
-   by digest and hands only the misses to [Gmf_exec.run]. *)
-let memo_scenarios () =
-  let fig1 = Workload.Scenarios.fig1_videoconf () in
-  let fewer =
-    Traffic.Scenario.with_flows fig1 (List.tl (Traffic.Scenario.flows fig1))
-  in
-  (fig1, fewer)
-
-let test_memo_hits () =
-  let memo = Analysis.Case.shared_memo in
-  Gmf_exec.Memo.clear memo;
-  let a, b = memo_scenarios () in
-  let r1 = Analysis.Case.analyze_all [ a; b; a ] in
-  Alcotest.(check bool) "a hit within one run returns the stored report"
-    true
-    (List.nth r1 2 == List.nth r1 0);
-  Alcotest.(check int) "rounds as a cold analysis"
-    (Analysis.Holistic.analyze a).Analysis.Holistic.rounds
-    (List.hd r1).Analysis.Holistic.rounds;
-  (* Keyed by digest: a byte-identical scenario built afresh hits. *)
-  let r2 = Analysis.Case.analyze_all [ b; fst (memo_scenarios ()) ] in
-  Alcotest.(check bool) "second run all hits" true
-    (List.nth r2 0 == List.nth r1 1 && List.nth r2 1 == List.nth r1 0);
-  Alcotest.(check int) "table size" 2 (Gmf_exec.Memo.size memo)
-
-let test_memo_counter () =
-  let reg = Gmf_obs.Metrics.default in
-  let was = Gmf_obs.Metrics.enabled reg in
-  Gmf_obs.Metrics.set_enabled reg true;
-  let hits = Gmf_obs.Metrics.counter reg "exec.memo_hits" in
-  let cases = Gmf_obs.Metrics.counter reg "exec.cases" in
-  let h0 = Gmf_obs.Metrics.counter_value hits in
-  let c0 = Gmf_obs.Metrics.counter_value cases in
-  Gmf_exec.Memo.clear Analysis.Case.shared_memo;
-  let a, b = memo_scenarios () in
-  ignore (Analysis.Case.analyze_all [ a; a; b ]);
-  Gmf_obs.Metrics.set_enabled reg was;
-  Alcotest.(check int) "exec.memo_hits"
-    1
-    (Gmf_obs.Metrics.counter_value hits - h0);
-  Alcotest.(check int) "exec.cases" 2 (Gmf_obs.Metrics.counter_value cases - c0)
 
 (* One request/response round trip on a worker with nothing outstanding. *)
 let call w x =
@@ -128,8 +82,6 @@ let test_respawn_counter () =
 let tests =
   [
     Alcotest.test_case "map order and error capture" `Quick test_map_order;
-    Alcotest.test_case "memo hits" `Quick test_memo_hits;
-    Alcotest.test_case "memo counters" `Quick test_memo_counter;
     Alcotest.test_case "worker crash is per-case" `Quick test_worker_crash;
     Alcotest.test_case "respawn counter" `Quick test_respawn_counter;
   ]

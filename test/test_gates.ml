@@ -1,7 +1,8 @@
-(* Exact counter gates on fixed inputs: the fig1 k=2 sweep's counts, survive
-   sweeps == the cold test oracle, session admits as delta runs,
-   precheck coverage of the example workloads, the end-to-end m250
-   admission path and the failover session's recovery cost.  Every
+(* Exact counter gates on fixed inputs: the fig1 k=2 and rings4x4 k=1
+   sweeps' counts, survive sweeps == the cold test oracle, session
+   admits as delta runs, precheck coverage of the example workloads,
+   the end-to-end m250 admission path and the failover session's
+   recovery cost.  Every
    expected number below is an exact count, not a timing: a change that
    moves one is either a bug or a deliberate change to the analysis, and
    must update the number here with a reason.
@@ -24,20 +25,49 @@ let with_counters f =
   (r, fun name -> Option.value ~default:0 (List.assoc_opt name counters))
 
 (* ------------------------------------------------------------------ *)
-(* The fig1 k=2 sweep's case and memo counts                           *)
+(* The fig1 k=2 sweep's case counts                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The sweep starts from an empty component memo ({!Survive.clear_memo})
-   and makes 96 evaluations and memo lookups: the 66 cases plus the 30
-   component analyses inside them, 18 of which hit. *)
+(* The sweep makes 78 evaluations: the 66 cases plus the 12 component
+   fixpoints its base's report table did not already hold (30 undecided
+   components in all, 18 read back). *)
 let test_fig1_k2_counters () =
   let scenario = Scenarios.fig1_videoconf () in
   let _, counter =
     with_counters (fun () -> Survive.run ~k:2 scenario)
   in
   Alcotest.(check int) "survive.cases" 66 (counter "survive.cases");
-  Alcotest.(check int) "exec.cases" 78 (counter "exec.cases");
-  Alcotest.(check int) "exec.memo_hits" 18 (counter "exec.memo_hits")
+  Alcotest.(check int) "exec.cases" 78 (counter "exec.cases")
+
+(* ------------------------------------------------------------------ *)
+(* Component fixpoints read back on a rings sweep                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The committed rings:4x4 scenario (test/corpus/rings4x4.gmfnet) is the
+   one family where the cases of a sweep meet the same degraded
+   components over and over.  Its k=1 sweep over the first 4 components
+   runs 63 evaluations: the 4 cases plus the 59 component fixpoints the
+   base's report table did not already hold; a further 141 undecided
+   components are read back from it. *)
+let test_rings_k1_counters () =
+  let path =
+    List.find
+      (fun p -> Filename.basename p = "rings4x4.gmfnet")
+      (Example_corpus.scenario_paths ())
+  in
+  let scenario =
+    match Scenario_io.Parse.scenario_of_file path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%a" Scenario_io.Parse.pp_error e
+  in
+  let domain =
+    List.filteri (fun i _ -> i < 4) (Survive.components scenario)
+  in
+  let _, counter =
+    with_counters (fun () -> Survive.run ~k:1 ~domain scenario)
+  in
+  Alcotest.(check int) "survive.cases" 4 (counter "survive.cases");
+  Alcotest.(check int) "exec.cases" 63 (counter "exec.cases")
 
 (* ------------------------------------------------------------------ *)
 (* Survive sweeps agree with the cold test oracle on a tiled mesh     *)
@@ -450,8 +480,10 @@ let test_failure_recovery () =
 
 let tests =
   [
-    Alcotest.test_case "fig1 k=2 sweep counters, memo cleared" `Quick
+    Alcotest.test_case "fig1 k=2 sweep counters" `Quick
       test_fig1_k2_counters;
+    Alcotest.test_case "rings k=1 sweep counters" `Quick
+      test_rings_k1_counters;
     Alcotest.test_case "delta == cold on the 6x6 tile mesh at k=2" `Quick
       test_delta_equals_cold_tiles;
     Alcotest.test_case "session admits on the 6x6 tile mesh" `Quick
