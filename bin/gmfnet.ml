@@ -1074,12 +1074,14 @@ let profile_cmd =
            kv "precheck largest component"
              (string_of_int
                 pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.largest);
-           kv "igraph edges"
-             (string_of_int
-                pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.edges);
+           let edges =
+             Gmf_precheck.Igraph.edges pre.Gmf_precheck.Precheck.components
+           in
+           kv "igraph edges" (string_of_int edges);
            kv "igraph density"
              (Printf.sprintf "%.4f"
-                pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.density);
+                (Gmf_precheck.Igraph.density
+                   pre.Gmf_precheck.Precheck.stats ~edges));
            kv "igraph singletons"
              (string_of_int
                 pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.singletons);

@@ -43,7 +43,7 @@ let check ?config scenario =
       (* Lint is clean: run the precheck-guided sharded analysis.  Decided
          flows never enter the fixpoint; the undecided components run
          independently. *)
-      let report, pre, _stats = Sharded.analyze ?config scenario in
+      let report, pre = Sharded.analyze ?config scenario in
       let diagnostics =
         diagnostics @ Gmf_precheck.Precheck.diagnostics pre
       in

@@ -6,11 +6,10 @@
 
 type edit = { removed : Traffic.Flow.id list; put : Traffic.Flow.t list }
 
-(* The base's node-sharing components, a node -> component index and a
-   name -> flows index, built at the first edit that needs them. *)
+(* The base's interference index (its components and node -> component)
+   and a name -> flows index, built at the first edit that needs them. *)
 type index = {
-  comp_of_node : (Network.Node.id, int) Hashtbl.t;
-  members : Traffic.Flow.t list array;  (** Per component, in id order. *)
+  graph : Gmf_precheck.Igraph.t;
   by_name : (string, Traffic.Flow.t list) Hashtbl.t;
 }
 
@@ -57,27 +56,15 @@ let m_fallbacks =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "delta.cold_fallbacks"
 
 let build_index scenario =
-  let groups =
-    Array.of_list
-      (Gmf_precheck.Igraph.groups (Traffic.Scenario.flows scenario))
-  in
-  let comp_of_node = Hashtbl.create 64 and by_name = Hashtbl.create 64 in
-  Array.iteri
-    (fun cid members ->
-      List.iter
-        (fun (f : Traffic.Flow.t) ->
-          List.iter
-            (fun node -> Hashtbl.replace comp_of_node node cid)
-            (Network.Route.nodes f.Traffic.Flow.route))
-        members)
-    groups;
+  let flows = Traffic.Scenario.flows scenario in
+  let by_name = Hashtbl.create 64 in
   List.iter
     (fun (f : Traffic.Flow.t) ->
       let name = f.Traffic.Flow.name in
       Hashtbl.replace by_name name
         (f :: Option.value ~default:[] (Hashtbl.find_opt by_name name)))
-    (Traffic.Scenario.flows scenario);
-  { comp_of_node; members = groups; by_name }
+    flows;
+  { graph = Gmf_precheck.Igraph.build flows; by_name }
 
 let wrap ~config ~scenario ~report ~lint_clean =
   {
@@ -171,18 +158,18 @@ let closure_flows base edit ~old =
     (fun (f : Traffic.Flow.t) ->
       List.iter
         (fun node ->
-          match Hashtbl.find_opt ix.comp_of_node node with
-          | Some cid -> Hashtbl.replace comps cid ()
+          match Gmf_precheck.Igraph.node_component ix.graph node with
+          | Some c -> Hashtbl.replace comps c.Gmf_precheck.Igraph.cid c
           | None -> ())
         (Network.Route.nodes f.Traffic.Flow.route))
     (old @ edit.put);
   let dropped = ids_of old in
   Hashtbl.fold
-    (fun cid () acc ->
+    (fun _cid (c : Gmf_precheck.Igraph.component) acc ->
       List.filter
         (fun (f : Traffic.Flow.t) ->
           not (Hashtbl.mem dropped f.Traffic.Flow.id))
-        ix.members.(cid)
+        c.Gmf_precheck.Igraph.members
       @ acc)
     comps edit.put
 
@@ -241,11 +228,9 @@ let mk_stats ~total ~closure ~rounds ~saved ~fallback ~warm =
 let cold_run ~precheck base scenario =
   let config = base.b_config in
   if precheck then
-    let r, _precheck, _stats =
-      Sharded.analyze ~config ~table:base.b_precheck ~reports:base.b_reports
-        scenario
-    in
-    r
+    fst
+      (Sharded.analyze ~config ~table:base.b_precheck ~reports:base.b_reports
+         scenario)
   else Holistic.analyze ~config scenario
 
 (* The base did not converge: analyze the whole target cold (optionally

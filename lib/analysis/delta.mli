@@ -17,11 +17,12 @@
       node (exactly an {!Gmf_precheck.Igraph} edge), so the edit's blast
       radius is the node-sharing transitive closure of its seeds — the
       old and new versions of every edited flow — over the {e union} of
-      base and target flow sets.  The base's components
-      ({!Gmf_precheck.Igraph.groups}) and a node → component index are
-      built once per base, at the first edit; the closure is the put
-      records plus the surviving members of every base component that a
-      seed's old or new route touches.  That is the union-find closure
+      base and target flow sets.  The base's interference index
+      ({!Gmf_precheck.Igraph.build} over the base flows, the same
+      union-find precheck and {!Sharded} read) is built once per base,
+      at the first edit; the closure is the put records plus the
+      surviving members of every base component that a seed's old or
+      new route touches ({!Gmf_precheck.Igraph.node_component}).  That is the union-find closure
       of the union: a base component joins a seed only through a seed,
       since every record the base lacks is one.  The target flows inside
       the closure form a union of complete interference components of
@@ -65,7 +66,7 @@
 type base
 (** A converged base fixpoint: scenario, config and report.  The report
     is the whole fixpoint: its stage responses fix the converged jitters
-    ({!Pipeline.seed}).  It also owns the base's interference components
+    ({!Pipeline.seed}).  It also owns the base's interference index
     and name index (built at the first edit that needs them), the
     params pool of the scenarios derived from it and the precheck and
     report tables of its closure restarts; all live as long as the

@@ -81,9 +81,6 @@ let m_runs = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "holistic.runs"
 let m_rounds =
   Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default "holistic.rounds"
 
-let m_fixpoint_rounds =
-  Gmf_obs.Metrics.histogram Gmf_obs.Metrics.default "fixpoint.rounds"
-
 let m_jitter_delta =
   Gmf_obs.Metrics.histogram
     ~bounds:
@@ -165,7 +162,6 @@ let iterate ctx =
   let finish n report =
     Gmf_obs.Metrics.incr m_runs;
     Gmf_obs.Metrics.observe m_rounds n;
-    Gmf_obs.Metrics.observe m_fixpoint_rounds n;
     if metrics_on then observe_responses report.results;
     report
   in

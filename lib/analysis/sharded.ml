@@ -1,11 +1,3 @@
-type stats = {
-  components : int;
-  components_run : int;
-  flows : int;
-  flows_infeasible : int;
-  flows_certified : int;
-}
-
 let m_components_run =
   Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "precheck.components_run"
 
@@ -14,17 +6,11 @@ let m_fixpoints_skipped =
 
 (* A derived scenario (Traffic.Scenario.with_flows): the stage
    recurrences of the member flows only consult flows_on / entering
-   sets, which the membership filter restricts identically, and the
-   models of the switches on member routes, which it keeps — so the
-   result is byte-equal, and the members' link tables are shared. *)
-let sub_scenario scenario flow_ids =
-  let keep = Hashtbl.create (List.length flow_ids) in
-  List.iter (fun id -> Hashtbl.replace keep id ()) flow_ids;
-  let flows =
-    List.filter
-      (fun f -> Hashtbl.mem keep f.Traffic.Flow.id)
-      (Traffic.Scenario.flows scenario)
-  in
+   sets, which hold only members when the flows are whole components,
+   and the models of the switches on member routes, which the
+   restriction keeps — so the result is byte-equal, and the members'
+   link tables are shared. *)
+let sub_scenario scenario flows =
   if List.length flows = Traffic.Scenario.flow_count scenario then scenario
   else Traffic.Scenario.with_flows scenario flows
 
@@ -68,8 +54,7 @@ let certified_result flow ceilings =
 
 (* One undecided component's fixpoint, read back from [reports] or run
    and kept there. *)
-let component_report ~config ?reports scenario flow_ids =
-  let members = List.map (Traffic.Scenario.flow scenario) flow_ids in
+let component_report ~config ?reports scenario members =
   match
     Option.bind reports (fun t ->
         Gmf_precheck.Reuse.find t ~config scenario members)
@@ -78,7 +63,7 @@ let component_report ~config ?reports scenario flow_ids =
   | None -> (
       match
         Gmf_exec.run ~f:(Holistic.analyze ~config)
-          (sub_scenario scenario flow_ids)
+          (sub_scenario scenario members)
       with
       | Ok r ->
           Option.iter
@@ -92,12 +77,11 @@ let analyze ?(config = Config.default) ?table ?reports scenario =
   let infeasible = Gmf_precheck.Precheck.infeasible pre
   and certified = Gmf_precheck.Precheck.certified pre
   and to_run = Gmf_precheck.Precheck.undecided_components pre in
-  let scenario_flows = Traffic.Scenario.flows scenario in
   let fixpoints =
     List.map
       (fun (c : Gmf_precheck.Igraph.component) ->
         component_report ~config ?reports scenario
-          c.Gmf_precheck.Igraph.flow_ids)
+          c.Gmf_precheck.Igraph.members)
       to_run
   in
   if Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default then begin
@@ -128,18 +112,8 @@ let analyze ?(config = Config.default) ?table ?reports scenario =
   in
   let decided verdict results = { Holistic.verdict; rounds = 0; results } in
   let report =
-    Holistic.merge scenario_flows
+    Holistic.merge (Traffic.Scenario.flows scenario)
       ((decided (Holistic.Analysis_failed certificates) [] :: fixpoints)
       @ [ decided Holistic.Schedulable ceilings ])
   in
-  let stats =
-    {
-      components =
-        pre.Gmf_precheck.Precheck.stats.Gmf_precheck.Igraph.components;
-      components_run = List.length to_run;
-      flows = List.length scenario_flows;
-      flows_infeasible = List.length infeasible;
-      flows_certified = List.length certified;
-    }
-  in
-  (report, pre, stats)
+  (report, pre)

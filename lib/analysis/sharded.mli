@@ -30,22 +30,16 @@
     schedulable agrees (the certificates are sound), the bounds and
     failure reasons need not. *)
 
-type stats = {
-  components : int;  (** Interference components in the scenario. *)
-  components_run : int;  (** Components that actually fixpointed. *)
-  flows : int;
-  flows_infeasible : int;  (** Rejected statically. *)
-  flows_certified : int;  (** Admitted statically. *)
-}
-
-val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.id list -> Traffic.Scenario.t
-(** [sub_scenario scenario flow_ids] restricts the scenario to the given
-    flows through {!Traffic.Scenario.with_flows}: the full topology, the
-    declared switch models and the members' link tables carry over.  When
-    [flow_ids] is a union of complete interference
-    components, analyzing the restriction is byte-equal to restricting the
-    analysis (the sharding property above).  When [flow_ids] covers
-    every flow, [scenario] itself is returned, with its build caches.
+val sub_scenario : Traffic.Scenario.t -> Traffic.Flow.t list -> Traffic.Scenario.t
+(** [sub_scenario scenario flows] restricts the scenario to [flows],
+    records of [scenario] in its flow order (an
+    {!Gmf_precheck.Igraph.component}'s members), through
+    {!Traffic.Scenario.with_flows}: the full topology, the declared
+    switch models and the members' link tables carry over.  When [flows]
+    is a union of complete interference components, analyzing the
+    restriction is byte-equal to restricting the analysis (the sharding
+    property above).  When [flows] holds every flow, [scenario] itself
+    is returned, with its build caches.
     ({!Delta} builds its closure restriction the same way, from the
     base scenario and the edit.) *)
 
@@ -54,9 +48,11 @@ val analyze :
   ?table:Gmf_precheck.Precheck.outcome list Gmf_precheck.Reuse.t ->
   ?reports:Holistic.report Gmf_precheck.Reuse.t ->
   Traffic.Scenario.t ->
-  Holistic.report * Gmf_precheck.Precheck.report * stats
-(** [analyze ?config ?table ?reports scenario] is the merged report, the
-    precheck report it was guided by, and the sharding counters.  [table]
+  Holistic.report * Gmf_precheck.Precheck.report
+(** [analyze ?config ?table ?reports scenario] is the merged report and
+    the precheck report it was guided by; the precheck report's
+    components are the ones fixpointed or decided.  Bumps
+    [precheck.components_run] and [precheck.fixpoints_skipped].  [table]
     goes to {!Gmf_precheck.Precheck.run}: components that meet its key
     ({!Gmf_precheck.Reuse}) are not tested again.  [reports] does the
     same for the fixpoints of undecided components: a fixpoint reads

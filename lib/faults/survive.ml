@@ -103,44 +103,24 @@ let failure_cases ~k comps =
 
 type sweep = {
   scenario : Traffic.Scenario.t;
-  on_node : (Network.Node.id, Traffic.Flow.t list) Hashtbl.t;
-      (* node -> the flows whose route holds it, in scenario order *)
-  incident : (Network.Node.id, (Network.Node.id * Network.Node.id) list)
-    Hashtbl.t;
-      (* node -> its directed links, in topology order *)
   reroutes : (Traffic.Flow.id * Network.Node.id list, Traffic.Flow.t)
     Hashtbl.t;
       (* (flow, route) -> the one rerouted record of the sweep *)
 }
 
-let sweep scenario =
-  let on_node = Hashtbl.create 64 and incident = Hashtbl.create 64 in
-  let push tbl key v =
-    Hashtbl.replace tbl key
-      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-  in
-  List.iter
-    (fun (f : Traffic.Flow.t) ->
-      List.iter
-        (fun n -> push on_node n f)
-        (Network.Route.nodes f.Traffic.Flow.route))
-    (List.rev (Traffic.Scenario.flows scenario));
-  List.iter
-    (fun (l : Network.Link.t) ->
-      let hop = (l.Network.Link.src, l.Network.Link.dst) in
-      push incident l.Network.Link.src hop;
-      if l.Network.Link.dst <> l.Network.Link.src then
-        push incident l.Network.Link.dst hop)
-    (List.rev (Network.Topology.links (Traffic.Scenario.topo scenario)));
-  { scenario; on_node; incident; reroutes = Hashtbl.create 64 }
+let sweep scenario = { scenario; reroutes = Hashtbl.create 64 }
 
-(* The directed links and nodes a failure case takes out. *)
+(* The directed links and nodes a failure case takes out: a failed
+   switch takes every link into and out of it. *)
 let failed_parts sw case =
+  let topo = Traffic.Scenario.topo sw.scenario in
   List.fold_left
     (fun (links, nodes) -> function
       | Link (a, b) -> ((a, b) :: (b, a) :: links, nodes)
       | Switch n ->
-          ( Option.value ~default:[] (Hashtbl.find_opt sw.incident n) @ links,
+          ( List.map (fun m -> (n, m)) (Network.Topology.out_neighbors topo n)
+            @ List.map (fun m -> (m, n)) (Network.Topology.in_neighbors topo n)
+            @ links,
             n :: nodes ))
     ([], []) case
 
@@ -206,18 +186,16 @@ let degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sw =
   let topo = Traffic.Scenario.topo scenario in
   (* Phase 1: reroute every flow the failure touches onto its first
      surviving route, or shed it when none survives.  The flows it
-     touches are those on a failed directed link or node. *)
+     touches are those on a failed directed link: a route starts and
+     ends at an endhost or router, so a flow through a failed node
+     crosses one of its links, which [avoid_links] holds. *)
   let hit = Hashtbl.create 16 in
-  let mark =
-    List.iter (fun (f : Traffic.Flow.t) ->
-        Hashtbl.replace hit f.Traffic.Flow.id ())
-  in
   List.iter
-    (fun (src, dst) -> mark (Traffic.Scenario.flows_on scenario ~src ~dst))
+    (fun (src, dst) ->
+      List.iter
+        (fun (f : Traffic.Flow.t) -> Hashtbl.replace hit f.Traffic.Flow.id ())
+        (Traffic.Scenario.flows_on scenario ~src ~dst))
     avoid_links;
-  List.iter
-    (fun n -> mark (Option.value ~default:[] (Hashtbl.find_opt sw.on_node n)))
-    avoid_nodes;
   let placed =
     List.map
       (fun (f : Traffic.Flow.t) ->
@@ -353,7 +331,7 @@ let run ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
      does not converge leaves every attempt on the delta engine's cold
      fallback, and the sweep reports no delta totals. *)
   let dbase = Analysis.Delta.compute_base ~config scenario in
-  (* The base flows by node and the reroute records, once per sweep. *)
+  (* The reroute records, once per sweep. *)
   let sw = sweep scenario in
   let comps = match domain with Some d -> d | None -> components scenario in
   let case_list = failure_cases ~k comps in

@@ -16,9 +16,11 @@
     ({!Gmf_lint.Lint.gate}; e.g. a reroute saturates a link, GMF201)
     sheds without burning fixpoint rounds.  A case costs O(closure)
     beyond a few O(flows) list passes (its fates, the merged report):
-    the base's components, the flows by node and each reroute's record
-    and link parameters are built once per sweep ({!sweep}), and a
-    degraded component that recurs across cases is prechecked once and
+    the base's interference index ({!Gmf_precheck.Igraph.build}, read
+    by the delta engine) and each reroute's record and link parameters
+    are built once per sweep ({!sweep}), a case finds its hit flows by
+    directed hop ({!Traffic.Scenario.flows_on}), and a degraded
+    component that recurs across cases is prechecked once and
     fixpointed once (the base's two {!Gmf_precheck.Reuse} tables).
     Same-size failure sets walk in revolving-door Gray order; both
     tables hold every component the sweep met, so the order is kept
@@ -111,14 +113,11 @@ val failure_cases : k:int -> component list -> component list list
     reports (and their goldens) list; no cost depends on it. *)
 
 type sweep
-(** What every case of a sweep reads of its scenario, built once: the
-    flows by node (by directed hop, the scenario's own
-    {!Traffic.Scenario.flows_on}), each node's directed links, and the
-    reroute records made so far — one record per (flow, route) for the
-    whole sweep, so the link parameters it fits are built once too
-    (they live in the sweep's {!Analysis.Delta.base} pool).  It belongs
-    to the sweep and goes with it; a session's link failure is a sweep
-    of one case. *)
+(** A sweep's scenario and the reroute records made so far — one
+    record per (flow, route) for the whole sweep, so the link
+    parameters it fits are built once too (they live in the sweep's
+    {!Analysis.Delta.base} pool).  It belongs to the sweep and goes with
+    it; a session's link failure is a sweep of one case. *)
 
 val sweep : Traffic.Scenario.t -> sweep
 
@@ -141,9 +140,10 @@ val degrade :
   sweep ->
   'a degraded
 (** [degrade ~pinned ~avoid_links ~avoid_nodes ~attempt sweep]: every
-    flow of the sweep's scenario on a failed directed link or node (found
-    through the sweep's indexes, not by scanning every route) moves to
-    its first surviving route of at most {!Network.Pathfind.max_hops}
+    flow of the sweep's scenario on a failed directed link (found by
+    directed hop, {!Traffic.Scenario.flows_on}, not by scanning every
+    route) moves to its first surviving route, avoiding [avoid_links]
+    and [avoid_nodes], of at most {!Network.Pathfind.max_hops}
     (8) links, by hop count and then by node sequence
     ({!Network.Pathfind.first_route}), or is shed when none survives.
     Then, while [attempt]'s report on the survivors is not schedulable,
@@ -151,7 +151,14 @@ val degrade :
     (compared by id) is shed.  Each attempt gets the survivors as an
     edit of the scenario: the shed ids are [removed], the surviving
     reroutes are [put].  Bumps no counter.  A survive case pins nothing;
-    a session link failure pins the flows the outage did not hit. *)
+    a session link failure pins the flows the outage did not hit.
+
+    Precondition: [avoid_links] holds every directed link into and out
+    of each node of [avoid_nodes].  A route starts and ends at an
+    endhost or router ({!Network.Route.make}), so every flow through a
+    failed switch crosses one of its links and is found through them; a
+    survive case's failed switch adds all its links, and a session
+    passes [avoid_nodes = []]. *)
 
 val run :
   ?config:Analysis.Config.t ->

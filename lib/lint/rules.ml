@@ -609,7 +609,10 @@ let check_config ~(config : Analysis_config.t) scenario =
     then
       [
         Gmf_diag.warning ~code:"GMF205" ~subject:Gmf_diag.Config
-          ~suggestion:"raise --horizon above the largest deadline"
+          ~suggestion:
+            "shorten the deadline to the horizon or less; the horizon is \
+             Config.horizon (100 s by default), which no command-line \
+             option sets"
           "horizon %s is below the largest frame deadline %s; verdicts \
            degrade to divergence"
           (Timeunit.to_string config.Analysis_config.horizon)

@@ -1,17 +1,14 @@
-type component = { cid : int; flow_ids : Traffic.Flow.id list }
+type component = { cid : int; members : Traffic.Flow.t list }
 
-type stats = {
-  flows : int;
-  edges : int;
-  components : int;
-  largest : int;
-  singletons : int;
-  density : float;
+type stats = { flows : int; components : int; largest : int; singletons : int }
+
+type t = {
+  comps : component array;
+  cid_of_node : int array;  (* node -> cid, -1 off every route *)
+  graph_stats : stats;
 }
 
-type t = { comps : component list; graph_stats : stats }
-
-(* Union-find over flow array indices, with path halving. *)
+(* Union-find over node ids, with path halving. *)
 let rec find parent i =
   let p = parent.(i) in
   if p = i then i
@@ -24,114 +21,114 @@ let union parent a b =
   let ra = find parent a and rb = find parent b in
   if ra <> rb then parent.(ra) <- rb
 
-(* Route node -> indices of the [flows] crossing it, and a union-find
-   over those indices in which flows meeting at a node are joined. *)
-let join flows =
-  let parent = Array.init (Array.length flows) Fun.id in
-  let by_node : (Network.Node.id, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i f ->
-      List.iter
-        (fun node ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_node node) in
-          Hashtbl.replace by_node node (i :: prev))
-        (Network.Route.nodes f.Traffic.Flow.route))
-    flows;
-  Hashtbl.iter
-    (fun _node members ->
-      match members with
-      | [] -> ()
-      | first :: rest -> List.iter (fun i -> union parent first i) rest)
-    by_node;
-  (by_node, parent)
+let route_nodes (f : Traffic.Flow.t) = Network.Route.nodes f.Traffic.Flow.route
 
-(* The members of each union-find class, classes in order of their first
-   member in [flows], members in [flows] order. *)
-let classes flows parent =
-  let slot = Hashtbl.create 16 and acc = ref [] in
-  Array.iteri
-    (fun i f ->
-      let r = find parent i in
-      match Hashtbl.find_opt slot r with
-      | Some members -> members := f :: !members
-      | None ->
-          let members = ref [ f ] in
-          Hashtbl.replace slot r members;
-          acc := members :: !acc)
-    flows;
-  List.rev_map (fun members -> List.rev !members) !acc
-
-let groups flows =
+let build flows =
   let flows = Array.of_list flows in
-  classes flows (snd (join flows))
-
-let build scenario =
-  let flows = Array.of_list (Traffic.Scenario.flows scenario) in
-  let nf = Array.length flows in
-  let by_node, parent = join flows in
-  (* Flows meeting at a node are pairwise adjacent; distinct pairs are
-     counted once even when routes share several nodes.  Consecutive nodes
-     of a shared path carry the same member list, so identical lists are
-     enumerated once; pair keys are packed into one int. *)
-  let edge_set = Hashtbl.create 64 in
-  let seen_sets = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _node members ->
-      match members with
-      | [] | [ _ ] -> ()
-      | _ ->
-          if not (Hashtbl.mem seen_sets members) then begin
-            Hashtbl.replace seen_sets members ();
-            let rec pairs = function
-              | [] -> ()
-              | i :: tl ->
-                  List.iter
-                    (fun j ->
-                      Hashtbl.replace edge_set ((min i j * nf) + max i j) ())
-                    tl;
-                  pairs tl
-            in
-            pairs members
-          end)
-    by_node;
-  let comps =
-    classes flows parent
-    |> List.map (fun members ->
-           List.sort compare
-             (List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) members))
-    |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
-    |> List.mapi (fun cid flow_ids -> { cid; flow_ids })
+  let max_node =
+    Array.fold_left
+      (fun acc f -> List.fold_left max acc (route_nodes f))
+      (-1) flows
   in
-  let largest =
-    List.fold_left (fun acc c -> max acc (List.length c.flow_ids)) 0 comps
-  in
-  let singletons =
-    List.length (List.filter (fun c -> List.length c.flow_ids = 1) comps)
-  in
-  let edges = Hashtbl.length edge_set in
-  let density =
-    if nf < 2 then 0.
-    else float_of_int edges /. (float_of_int (nf * (nf - 1)) /. 2.)
-  in
+  (* Every route's nodes join one class: two flows share a class iff a
+     chain of routes, each meeting the next at a node, links them. *)
+  let parent = Array.init (max_node + 1) Fun.id in
+  Array.iter
+    (fun f ->
+      let nodes = route_nodes f in
+      List.iter (union parent (List.hd nodes)) nodes)
+    flows;
+  (* Classes numbered in order of their first member. *)
+  let slot = Array.make (max_node + 1) (-1) and count = ref 0 in
+  let cid_of_flow = Array.make (Array.length flows) 0 in
+  Array.iteri
+    (fun i f ->
+      let r = find parent (List.hd (route_nodes f)) in
+      if slot.(r) < 0 then begin
+        slot.(r) <- !count;
+        incr count
+      end;
+      cid_of_flow.(i) <- slot.(r))
+    flows;
+  let members = Array.make !count [] in
+  for i = Array.length flows - 1 downto 0 do
+    let cid = cid_of_flow.(i) in
+    members.(cid) <- flows.(i) :: members.(cid)
+  done;
+  let comps = Array.mapi (fun cid members -> { cid; members }) members in
+  let sizes = Array.map List.length members in
   {
     comps;
+    cid_of_node = Array.init (max_node + 1) (fun n -> slot.(find parent n));
     graph_stats =
       {
-        flows = nf;
-        edges;
-        components = List.length comps;
-        largest;
-        singletons;
-        density;
+        flows = Array.length flows;
+        components = !count;
+        largest = Array.fold_left max 0 sizes;
+        singletons =
+          Array.fold_left (fun acc s -> if s = 1 then acc + 1 else acc) 0 sizes;
       };
   }
 
-let components t = t.comps
+let components t = Array.to_list t.comps
+
+let node_component t node =
+  if node < 0 || node >= Array.length t.cid_of_node then None
+  else
+    let cid = t.cid_of_node.(node) in
+    if cid < 0 then None else Some t.comps.(cid)
 
 let stats t = t.graph_stats
 
-let pp_stats fmt s =
+(* Members meeting at a node are pairwise adjacent; distinct pairs are
+   counted once even when routes share several nodes.  Consecutive nodes
+   of a shared path carry the same member list, so identical lists are
+   enumerated once; pair keys are packed into one int. *)
+let component_edges c =
+  let members = Array.of_list c.members in
+  let m = Array.length members in
+  if m < 2 then 0
+  else begin
+    let by_node = Hashtbl.create 64 in
+    Array.iteri
+      (fun i f ->
+        List.iter
+          (fun node ->
+            Hashtbl.replace by_node node
+              (i :: Option.value ~default:[] (Hashtbl.find_opt by_node node)))
+          (route_nodes f))
+      members;
+    let edge_set = Hashtbl.create 64 and seen_sets = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun _node at ->
+        match at with
+        | [] | [ _ ] -> ()
+        | _ ->
+            if not (Hashtbl.mem seen_sets at) then begin
+              Hashtbl.replace seen_sets at ();
+              let rec pairs = function
+                | [] -> ()
+                | i :: tl ->
+                    List.iter
+                      (fun j ->
+                        Hashtbl.replace edge_set ((min i j * m) + max i j) ())
+                      tl;
+                    pairs tl
+              in
+              pairs at
+            end)
+      by_node;
+    Hashtbl.length edge_set
+  end
+
+let edges comps = List.fold_left (fun acc c -> acc + component_edges c) 0 comps
+
+let density s ~edges =
+  if s.flows < 2 then 0.
+  else float_of_int edges /. (float_of_int (s.flows * (s.flows - 1)) /. 2.)
+
+let pp_stats ~edges fmt s =
   Format.fprintf fmt
     "%d flows, %d edges, %d components (largest %d, %d singletons), density \
      %.3f"
-    s.flows s.edges s.components s.largest s.singletons s.density
+    s.flows edges s.components s.largest s.singletons (density s ~edges)

@@ -169,15 +169,13 @@ let run ?(config = Analysis_config.default) ?table scenario =
   Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"precheck"
     "precheck.run"
   @@ fun () ->
-  let graph = Igraph.build scenario in
+  let graph = Igraph.build (Traffic.Scenario.flows scenario) in
   let components = Igraph.components graph in
   let stats = Igraph.stats graph in
   let reused = ref 0 and of_id = Hashtbl.create 64 in
   List.iter
     (fun (c : Igraph.component) ->
-      let members =
-        List.map (fun id -> Traffic.Scenario.flow scenario id) c.Igraph.flow_ids
-      in
+      let members = c.Igraph.members in
       let cached =
         Option.bind table (fun t -> Reuse.find t ~config scenario members)
       in
@@ -327,7 +325,7 @@ let diagnostics ?(max_component = default_max_component) report =
   let gmf019 =
     List.filter_map
       (fun (c : Igraph.component) ->
-        let size = List.length c.Igraph.flow_ids in
+        let size = List.length c.Igraph.members in
         if size > max_component then
           Some
             (Gmf_diag.warning ~code:"GMF019" ~subject:Gmf_diag.Scenario
@@ -344,11 +342,13 @@ let diagnostics ?(max_component = default_max_component) report =
 (* ---------------- rendering ---------------- *)
 
 let pp fmt report =
-  Format.fprintf fmt "interference graph: %a@," Igraph.pp_stats report.stats;
+  Format.fprintf fmt "interference graph: %a@,"
+    (Igraph.pp_stats ~edges:(Igraph.edges report.components))
+    report.stats;
   List.iter
     (fun (c : Igraph.component) ->
       Format.fprintf fmt "component %d (%d flows):@," c.Igraph.cid
-        (List.length c.Igraph.flow_ids);
+        (List.length c.Igraph.members);
       List.iter
         (fun v ->
           if v.component = c.Igraph.cid then
@@ -364,19 +364,22 @@ let pp fmt report =
 let to_json report =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let s = report.stats in
+  let s = report.stats and edges = Igraph.edges report.components in
   add "{\n";
   add
     "  \"stats\": {\"flows\": %d, \"edges\": %d, \"components\": %d, \
      \"largest\": %d, \"singletons\": %d, \"density\": %.4f},\n"
-    s.Igraph.flows s.Igraph.edges s.Igraph.components s.Igraph.largest
-    s.Igraph.singletons s.Igraph.density;
+    s.Igraph.flows edges s.Igraph.components s.Igraph.largest
+    s.Igraph.singletons (Igraph.density s ~edges);
   add "  \"components\": [";
   List.iteri
     (fun i (c : Igraph.component) ->
       if i > 0 then add ", ";
       add "{\"cid\": %d, \"flows\": [%s]}" c.Igraph.cid
-        (String.concat ", " (List.map string_of_int c.Igraph.flow_ids)))
+        (String.concat ", "
+           (List.map
+              (fun (f : Traffic.Flow.t) -> string_of_int f.Traffic.Flow.id)
+              c.Igraph.members)))
     report.components;
   add "],\n";
   add "  \"verdicts\": [\n";

@@ -1,8 +1,9 @@
 (** Static schedulability pre-analysis: certified three-valued verdicts
     per flow, before (and often instead of) the holistic fixpoint.
 
-    The pass builds the interference graph ({!Igraph}), then runs the
-    necessary and sufficient tests of {!Static_tests} per flow:
+    The pass builds the interference index ({!Igraph}) over the
+    scenario's flows, then runs the necessary and sufficient tests of
+    {!Static_tests} on each component's member records:
 
     - a {e necessary} test that fails yields [Infeasible cert] — the
       holistic analysis provably rejects the flow (overloaded eq-(20)
@@ -100,4 +101,5 @@ val pp : Format.formatter -> report -> unit
     rendering). *)
 
 val to_json : report -> string
-(** Deterministic JSON rendering (golden-diffed in CI). *)
+(** Deterministic JSON rendering (golden-diffed in CI).  This and {!pp}
+    count the graph's edges ({!Igraph.edges}); {!run} does not. *)

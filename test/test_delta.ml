@@ -275,8 +275,12 @@ let union_find_closure scenario (edit : Delta.edit) target =
           List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) group
         in
         if List.exists (fun id -> List.mem id seeds) ids then ids else [])
-      (Gmf_precheck.Igraph.groups
-         (Traffic.Scenario.flows scenario @ edit.Delta.put))
+      (List.map
+         (fun (c : Gmf_precheck.Igraph.component) ->
+           c.Gmf_precheck.Igraph.members)
+         (Gmf_precheck.Igraph.components
+            (Gmf_precheck.Igraph.build
+               (Traffic.Scenario.flows scenario @ edit.Delta.put))))
   in
   List.filter_map
     (fun (f : Traffic.Flow.t) ->

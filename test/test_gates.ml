@@ -346,7 +346,7 @@ let test_precheck_counters () =
     (fun (name, make, expected) ->
       let scenario = make () in
       let mono = Analysis.Holistic.analyze scenario in
-      let sharded, pre, stats = Analysis.Sharded.analyze scenario in
+      let sharded, pre = Analysis.Sharded.analyze scenario in
       let st = pre.Gmf_precheck.Precheck.stats in
       Alcotest.(check (list int))
         (name ^ ": flows/components/decided/certified/mono rounds")
@@ -354,7 +354,7 @@ let test_precheck_counters () =
         [
           st.Gmf_precheck.Igraph.flows; st.Gmf_precheck.Igraph.components;
           Gmf_precheck.Precheck.decided pre;
-          stats.Analysis.Sharded.flows_certified;
+          List.length (Gmf_precheck.Precheck.certified pre);
           mono.Analysis.Holistic.rounds;
         ];
       Alcotest.(check bool)

@@ -278,7 +278,26 @@ let test_gmf205_short_horizon () =
   in
   check_fires ~config ~code:"GMF205" ~severity:Gmf_diag.Warning
     "node a endhost\nnode b endhost\nlink a b rate=100M\n\
-     flow f from=a to=b\n  frame period=20ms deadline=10ms payload=100B\nend"
+     flow f from=a to=b\n  frame period=20ms deadline=10ms payload=100B\nend";
+  (* A 200 s deadline over one switch, under the 100 s default horizon:
+     the suggestion names what a user can change. *)
+  match
+    find_code "GMF205"
+      (lint
+         "node a endhost\nnode b endhost\nnode sw switch\n\
+          duplex a sw rate=100M\nduplex b sw rate=100M\n\
+          flow f from=a to=b\n\
+         \  frame period=300s deadline=200s payload=100B\nend")
+  with
+  | None -> Alcotest.fail "expected GMF205 under the default horizon"
+  | Some d ->
+      Alcotest.(check (option string))
+        "GMF205 suggestion"
+        (Some
+           "shorten the deadline to the horizon or less; the horizon is \
+            Config.horizon (100 s by default), which no command-line option \
+            sets")
+        d.Gmf_diag.suggestion
 
 let test_gmf206_nonpositive_caps () =
   let config =

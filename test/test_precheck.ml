@@ -40,8 +40,8 @@ let component_union scenario =
     List.map
       (fun (c : Ig.component) ->
         Analysis.Holistic.analyze
-          (Analysis.Sharded.sub_scenario scenario c.Ig.flow_ids))
-      (Ig.components (Ig.build scenario))
+          (Analysis.Sharded.sub_scenario scenario c.Ig.members))
+      (Ig.components (Ig.build (Traffic.Scenario.flows scenario)))
   in
   let by_id = Hashtbl.create 16 in
   List.iter
@@ -112,17 +112,98 @@ let two_clusters =
 
 let test_igraph_components () =
   let scenario = parse two_clusters in
-  let g = Ig.build scenario in
+  let g = Ig.build (Traffic.Scenario.flows scenario) in
   let st = Ig.stats g in
   Alcotest.(check int) "flows" 3 st.Ig.flows;
   Alcotest.(check int) "components" 2 st.Ig.components;
   Alcotest.(check int) "largest" 2 st.Ig.largest;
-  Alcotest.(check int) "edges" 1 st.Ig.edges;
   let comps = Ig.components g in
+  Alcotest.(check int) "edges" 1 (Ig.edges comps);
   Alcotest.(check (list (list int)))
     "a and b together, c apart, members ascending"
     [ [ 0; 1 ]; [ 2 ] ]
-    (List.map (fun c -> c.Ig.flow_ids) comps)
+    (List.map
+       (fun c ->
+         List.map (fun (f : Traffic.Flow.t) -> f.Traffic.Flow.id) c.Ig.members)
+       comps)
+
+(* A generated mesh, fat-tree or ring of rings, a random subset of its
+   flows, and a second version of one of them (the same id on another
+   route when one avoids a hop of its own, else on the same route). *)
+let gen_flow_list rng =
+  let module G = Gmf_topogen.Gen_spec in
+  let family =
+    match Rng.int rng 3 with
+    | 0 ->
+        G.Mesh { rows = 2 + Rng.int rng 3; cols = 2 + Rng.int rng 3; planes = 1 }
+    | 1 -> G.Fat_tree { k = 4 }
+    | _ -> G.Ring_of_rings { rings = 2 + Rng.int rng 3; ring_size = 4 }
+  in
+  let spec =
+    { G.default with
+      G.family; hosts_per_switch = 2; flows = 5 + Rng.int rng 56;
+      seed = Rng.int rng 1_000_000 }
+  in
+  let scenario =
+    (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+  in
+  let flows =
+    List.filter (fun _ -> Rng.int rng 4 > 0) (Traffic.Scenario.flows scenario)
+  in
+  let second_version =
+    match flows with
+    | [] -> []
+    | _ ->
+        let f = List.nth flows (Rng.int rng (List.length flows)) in
+        let route = f.Traffic.Flow.route in
+        let hops = Network.Route.hops route in
+        let alt =
+          Network.Pathfind.first_route
+            ~avoid_links:[ List.nth hops (Rng.int rng (List.length hops)) ]
+            (Traffic.Scenario.topo scenario)
+            ~src:(Network.Route.source route)
+            ~dst:(Network.Route.destination route)
+        in
+        [ Analysis.Rerouting.with_route f (Option.value ~default:route alt) ]
+  in
+  (Traffic.Scenario.topo scenario, flows @ second_version)
+
+let prop_igraph_equals_oracle =
+  QCheck.Test.make ~name:"igraph == brute-force oracle on generated fabrics"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let topo, flows = gen_flow_list (Rng.create ~seed) in
+      let g = Ig.build flows and oracle = Igraph_oracle.build flows in
+      let position (f : Traffic.Flow.t) =
+        let rec go i = function
+          | [] -> Alcotest.fail "member not in the given list"
+          | x :: rest -> if x == f then i else go (i + 1) rest
+        in
+        go 0 flows
+      in
+      let comps = Ig.components g in
+      let st = Ig.stats g in
+      let sizes = List.map List.length oracle.Igraph_oracle.components in
+      Alcotest.(check (list int)) "cids number the components"
+        (List.init (List.length comps) Fun.id)
+        (List.map (fun c -> c.Ig.cid) comps);
+      Alcotest.(check (list (list int))) "components"
+        oracle.Igraph_oracle.components
+        (List.map (fun c -> List.map position c.Ig.members) comps);
+      Alcotest.(check (list int)) "flows/components/largest/singletons"
+        [ List.length flows; List.length sizes;
+          List.fold_left max 0 sizes;
+          List.length (List.filter (( = ) 1) sizes) ]
+        [ st.Ig.flows; st.Ig.components; st.Ig.largest; st.Ig.singletons ];
+      Alcotest.(check int) "edges" oracle.Igraph_oracle.edges (Ig.edges comps);
+      for node = -1 to Network.Topology.node_count topo do
+        Alcotest.(check (option int))
+          (Printf.sprintf "node %d" node)
+          (oracle.Igraph_oracle.node_component node)
+          (Option.map (fun c -> c.Ig.cid) (Ig.node_component g node))
+      done;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Consolidated inequalities                                          *)
@@ -699,6 +780,7 @@ let tests =
   [
     Alcotest.test_case "interference graph decomposes clusters" `Quick
       test_igraph_components;
+    QCheck_alcotest.to_alcotest prop_igraph_equals_oracle;
     Alcotest.test_case "conditions read the consolidated inequalities"
       `Quick test_conditions_consolidated;
     Alcotest.test_case "infeasible certificate + GMF018" `Quick
