@@ -311,7 +311,7 @@ let precheck_cmd =
     in
     Arg.(
       value
-      & opt int Gmf_precheck.Precheck.default_max_component
+      & opt (int_in 0) Gmf_precheck.Precheck.default_max_component
       & info [ "max-component" ] ~docv:"N" ~doc)
   in
   let run pos_file name file rate config json max_component =
@@ -432,7 +432,7 @@ let analyze_cmd =
 
 let duration_arg =
   let doc = "Traffic-generation duration in milliseconds." in
-  Arg.(value & opt int 1_000 & info [ "d"; "duration" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (int_in 1) 1_000 & info [ "d"; "duration" ] ~docv:"MS" ~doc)
 
 let seed_arg =
   let doc = "Deterministic master seed." in
@@ -462,7 +462,9 @@ let capacity_arg =
     "Finite switch-queue capacity in Ethernet frames (default: unbounded); \
      overflows are dropped and counted."
   in
-  Arg.(value & opt (some int) None & info [ "capacity" ] ~docv:"FRAMES" ~doc)
+  Arg.(
+    value & opt (some (int_in 0)) None
+    & info [ "capacity" ] ~docv:"FRAMES" ~doc)
 
 let phasing_arg =
   let doc = "Start each flow at a random offset within its cycle." in
@@ -790,7 +792,8 @@ let admission_cmd =
 let validate_cmd =
   let duration_arg =
     let doc = "Simulated traffic duration in milliseconds." in
-    Arg.(value & opt int 2_000 & info [ "d"; "duration" ] ~docv:"MS" ~doc)
+    Arg.(
+      value & opt (int_in 1) 2_000 & info [ "d"; "duration" ] ~docv:"MS" ~doc)
   in
   let run name file rate duration =
     exit_of_result

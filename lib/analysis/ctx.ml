@@ -26,8 +26,6 @@ type t = {
   config : Config.t;
   (* MX clamps each window to the interval under the paper's eq (10) only. *)
   capped : bool;
-  (* Lint gates are scenario-static: one evaluation per flow and context. *)
-  gates : (Traffic.Flow.id, Traffic.Flow.t * Gmf_diag.t list) Hashtbl.t;
   (* Per flow id: the flow's nodes in route order, built in [create];
      [order] holds the same nodes flow by flow. *)
   routes : node array By_id.t;
@@ -115,7 +113,6 @@ let create ?(config = Config.default) scenario =
     scenario;
     config;
     capped;
-    gates = Hashtbl.create 64;
     routes;
     order;
     clock = 0;
@@ -201,16 +198,6 @@ let recall t self ~frame =
 let remember t self ~frame result =
   self.last.(frame) <- result;
   self.ran_at.(frame) <- t.clock
-
-let flow_gate t flow =
-  match Hashtbl.find_opt t.gates flow.Traffic.Flow.id with
-  (* Physical equality: a caller may pass a same-id flow of another
-     scenario, whose gate must be computed afresh. *)
-  | Some (f, gate) when f == flow -> gate
-  | _ ->
-      let gate = Gmf_lint.Rules.flow_gate t.scenario flow in
-      Hashtbl.replace t.gates flow.Traffic.Flow.id (flow, gate);
-      gate
 
 let write t node ~frame value =
   if value < 0 then invalid_arg "Ctx.set_jitter: negative jitter";

@@ -1,8 +1,9 @@
-(** Shared state of one analysis run: the scenario, the configuration,
-    the stage-graph nodes that hold the holistic jitter state, and the
-    per-flow lint gates.  The demand tables behind MX/NX live in the
-    scenario's {!Traffic.Link_params}, built once per (flow record, link
-    rate) and shared by the flow's hops at that rate. *)
+(** Shared state of one analysis run: the scenario, the configuration
+    and the stage-graph nodes that hold the holistic jitter state.  The
+    demand tables behind MX/NX live in the scenario's
+    {!Traffic.Link_params}, built once per (flow record, link rate) and
+    shared by the flow's hops at that rate, and the per-flow gate reads
+    the scenario's load table ({!Traffic.Scenario.link_utilization}). *)
 
 type t
 
@@ -117,11 +118,6 @@ val remember :
   (Result_types.stage_response, Result_types.failure) result -> unit
 (** Records the evaluation of [frame] at the node against the current
     clock. *)
-
-val flow_gate : t -> Traffic.Flow.t -> Gmf_diag.t list
-(** {!Gmf_lint.Rules.flow_gate} of the flow in this context's scenario,
-    evaluated once per flow: it depends on the scenario only, so every
-    holistic round after the first reuses it. *)
 
 val write : t -> node -> frame:int -> Gmf_util.Timeunit.ns -> unit
 (** Writes one jitter of the node and keeps its extra up to date,

@@ -58,10 +58,9 @@ let analyze_frame ctx ~flow ~frame =
 (* Static impossibility gate: when a link or ingress rotation on this
    flow's route is utilization-overloaded, the busy-period recurrences
    provably diverge — skip them and fail with the diagnostic instead of
-   burning [max_busy_iters] iterations to find out.  The gate depends on
-   the scenario only, so the context evaluates it once per flow. *)
+   burning [max_busy_iters] iterations to find out. *)
 let lint_gate ctx ~flow =
-  match Ctx.flow_gate ctx flow with
+  match Gmf_lint.Rules.flow_gate (Ctx.scenario ctx) flow with
   | [] -> None
   | d :: _ ->
       Some

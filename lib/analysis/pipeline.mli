@@ -37,7 +37,9 @@ val analyze_flow :
     checks the utilization impossibility conditions ([GMF201]/[GMF203])
     on the flow's route; a violated condition fails immediately with the
     rendered diagnostic as the reason — the recurrences would only have
-    diverged against a cap. *)
+    diverged against a cap.  The gate is a few lookups in the scenario's
+    load table ({!Traffic.Scenario.link_utilization}), made on every
+    call. *)
 
 val seed : Ctx.t -> Result_types.flow_result list -> unit
 (** [seed ctx results] resets the context's jitters ({!Ctx.reset_jitters})

@@ -259,25 +259,6 @@ let frame_subject (f : Traffic.Flow.t) k =
 let node_subject topo id =
   Gmf_diag.Node { id; name = (Network.Topology.node topo id).Network.Node.name }
 
-(* Directed links actually crossed by some flow's route. *)
-let used_links scenario =
-  let used = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Traffic.Flow.t) ->
-      List.iter
-        (fun hop -> Hashtbl.replace used hop ())
-        (Network.Route.hops f.Traffic.Flow.route))
-    (Traffic.Scenario.flows scenario);
-  used
-
-(* Left side of eqs (34)-(35) for one ingress link (src -> switch): every
-   Ethernet frame entering the switch there costs one CIRC rotation. *)
-let ingress_utilization = Gmf_precheck.Static_tests.ingress_utilization
-
-(* GJ + uncontended per-stage response lower bounds; the formula lives
-   in Gmf_precheck.Static_tests (single home of the static inequalities). *)
-let min_response = Gmf_precheck.Static_tests.min_response
-
 (* ---------------- GMF0xx: structural ---------------- *)
 
 (* Over [flows] in id order: the first of a name is the one cited. *)
@@ -329,11 +310,10 @@ let check_isolated_nodes scenario =
 
 let check_unused_links scenario =
   let topo = Traffic.Scenario.topo scenario in
-  let used = used_links scenario in
   List.filter_map
     (fun (l : Network.Link.t) ->
       let src = l.Network.Link.src and dst = l.Network.Link.dst in
-      if Hashtbl.mem used (src, dst) then None
+      if Traffic.Scenario.flows_on scenario ~src ~dst <> [] then None
       else
         Some
           (Gmf_diag.hint ~code:"GMF004"
@@ -342,18 +322,17 @@ let check_unused_links scenario =
              "link carries no flow"))
     (Network.Topology.links topo)
 
+(* Routes end at endhosts, so a switch relays some flow exactly when a
+   link into it carries one. *)
 let check_unused_switches scenario =
   let topo = Traffic.Scenario.topo scenario in
-  let crossed = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Traffic.Flow.t) ->
-      List.iter
-        (fun node -> Hashtbl.replace crossed node ())
-        (Network.Route.intermediate_switches f.Traffic.Flow.route))
-    (Traffic.Scenario.flows scenario);
   List.filter_map
     (fun node ->
-      if Hashtbl.mem crossed node then None
+      if
+        List.exists
+          (fun src -> Traffic.Scenario.flows_on scenario ~src ~dst:node <> [])
+          (Network.Topology.in_neighbors topo node)
+      then None
       else
         Some
           (Gmf_diag.hint ~code:"GMF006" ~subject:(node_subject topo node)
@@ -468,9 +447,8 @@ let check_fragmentation ~(config : Analysis_config.t) (f : Traffic.Flow.t) k =
   else None
 
 let check_priority_ties scenario =
-  let used = used_links scenario in
-  Hashtbl.fold
-    (fun (src, dst) () acc ->
+  List.concat_map
+    (fun ((src, dst), _) ->
       let flows = Traffic.Scenario.flows_on scenario ~src ~dst in
       let by_prio = Hashtbl.create 8 in
       List.iter
@@ -493,8 +471,8 @@ let check_priority_ties scenario =
               (List.length group) p
             :: acc
           else acc)
-        by_prio acc)
-    used []
+        by_prio [])
+    (Traffic.Scenario.loaded_links scenario)
 
 let check_overprovisioned_switches scenario =
   let topo = Traffic.Scenario.topo scenario in
@@ -516,57 +494,50 @@ let check_overprovisioned_switches scenario =
 
 (* ---------------- GMF2xx: utilization / config ---------------- *)
 
-let check_link_utilization scenario =
-  let used = used_links scenario in
-  Hashtbl.fold
-    (fun (src, dst) () acc ->
-      let u = Gmf_precheck.Static_tests.link_utilization scenario ~src ~dst in
-      if u >= 1. then
-        Gmf_diag.error ~code:"GMF201"
-          ~subject:(Gmf_diag.Link { src; dst })
-          ~suggestion:"shed flows or raise the link rate"
-          "utilization %.3f violates the necessary condition of eq (20)" u
-        :: acc
-      else if u >= 0.9 then
-        Gmf_diag.hint ~code:"GMF204"
-          ~subject:(Gmf_diag.Link { src; dst })
-          ~suggestion:"busy periods grow sharply near saturation"
-          "utilization %.3f is within 10%% of saturation" u
-        :: acc
-      else acc)
-    used []
+(* GMF201, as the fabric rule and the per-flow gate both report it. *)
+let link_overload ~src ~dst u =
+  Gmf_diag.error ~code:"GMF201"
+    ~subject:(Gmf_diag.Link { src; dst })
+    ~suggestion:"shed flows or raise the link rate"
+    "utilization %.3f violates the necessary condition of eq (20)" u
 
+let check_link_utilization scenario =
+  List.filter_map
+    (fun ((src, dst), u) ->
+      if u >= 1. then Some (link_overload ~src ~dst u)
+      else if u >= 0.9 then
+        Some
+          (Gmf_diag.hint ~code:"GMF204"
+             ~subject:(Gmf_diag.Link { src; dst })
+             ~suggestion:"busy periods grow sharply near saturation"
+             "utilization %.3f is within 10%% of saturation" u)
+      else None)
+    (Traffic.Scenario.loaded_links scenario)
+
+(* GMF203 has two suggestions: this one names the ingress link, the
+   per-flow gate's ([flow_gate]) does not.  [lint] and [admission] print
+   the first, [analyze]'s failure lines the second, so both stay. *)
 let check_ingress_utilization scenario =
-  let crossed = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Traffic.Flow.t) ->
-      let route = f.Traffic.Flow.route in
-      List.iter
-        (fun node ->
-          Hashtbl.replace crossed (Network.Route.prec route node, node) ())
-        (Network.Route.intermediate_switches route))
-    (Traffic.Scenario.flows scenario);
   let topo = Traffic.Scenario.topo scenario in
-  Hashtbl.fold
-    (fun (src, node) () acc ->
-      let u = ingress_utilization scenario ~src ~node in
+  List.filter_map
+    (fun ((src, node), u) ->
       if u >= 1. then
-        Gmf_diag.error ~code:"GMF203" ~subject:(node_subject topo node)
-          ~suggestion:
-            (Printf.sprintf
-               "frames entering via link %d->%d alone oversubscribe the \
-                rotation; fewer frames or more processors"
-               src node)
-          "ingress rotation utilization %.3f on link %d->%d violates eqs \
-           (34)-(35)"
-          u src node
-        :: acc
-      else acc)
-    crossed []
+        Some
+          (Gmf_diag.error ~code:"GMF203" ~subject:(node_subject topo node)
+             ~suggestion:
+               (Printf.sprintf
+                  "frames entering via link %d->%d alone oversubscribe the \
+                   rotation; fewer frames or more processors"
+                  src node)
+             "ingress rotation utilization %.3f on link %d->%d violates \
+              eqs (34)-(35)"
+             u src node)
+      else None)
+    (Traffic.Scenario.loaded_ingresses scenario)
 
 let check_impossible_deadline scenario (f : Traffic.Flow.t) k =
   let d = (Gmf.Spec.frame f.Traffic.Flow.spec k).Gmf.Frame_spec.deadline in
-  let floor = min_response scenario f ~frame:k in
+  let floor = Gmf_precheck.Static_tests.min_response scenario f ~frame:k in
   if floor > d then
     Some
       (Gmf_diag.error ~code:"GMF202" ~subject:(frame_subject f k)
@@ -755,12 +726,7 @@ let flow_gate scenario (f : Traffic.Flow.t) =
   |> List.map (fun (overload, u) ->
          match overload with
          | Gmf_precheck.Static_tests.Link_overload { src; dst } ->
-             Gmf_diag.error ~code:"GMF201"
-               ~subject:(Gmf_diag.Link { src; dst })
-               ~suggestion:"shed flows or raise the link rate"
-               "utilization %.3f violates the necessary condition of eq \
-                (20)"
-               u
+             link_overload ~src ~dst u
          | Gmf_precheck.Static_tests.Ingress_overload { src; node } ->
              Gmf_diag.error ~code:"GMF203"
                ~subject:(node_subject (Traffic.Scenario.topo scenario) node)

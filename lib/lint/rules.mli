@@ -95,4 +95,5 @@ val flow_gate : Traffic.Scenario.t -> Traffic.Flow.t -> Gmf_diag.t list
 (** The cheap per-flow pre-pass used by [Analysis.Pipeline]: only the
     utilization impossibility rules ([GMF201], [GMF203]) restricted to
     the links the flow's route crosses — conditions under which the
-    busy-period recurrences provably diverge.  Returns errors only. *)
+    busy-period recurrences provably diverge, read off the scenario's
+    load table.  Returns errors only. *)

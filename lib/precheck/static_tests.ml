@@ -5,22 +5,6 @@ let eps = 1e-9
 
 (* ---------------- stage utilizations ---------------- *)
 
-let link_utilization scenario ~src ~dst =
-  Traffic.Scenario.link_utilization scenario ~src ~dst
-
-(* Left side of eqs (34)-(35) for one ingress link (src -> switch): every
-   Ethernet frame entering the switch there costs one CIRC rotation. *)
-let ingress_utilization scenario ~src ~node =
-  let circ = Traffic.Scenario.circ scenario node in
-  List.fold_left
-    (fun acc f ->
-      let p = Traffic.Scenario.params scenario f ~src ~dst:node in
-      acc
-      +. float_of_int (Traffic.Link_params.nsum p * circ)
-         /. float_of_int (Traffic.Flow.tsum f))
-    0.
-    (Traffic.Scenario.flows_on scenario ~src ~dst:node)
-
 type overload =
   | Link_overload of { src : Network.Node.id; dst : Network.Node.id }
   | Ingress_overload of { src : Network.Node.id; node : Network.Node.id }
@@ -30,7 +14,7 @@ let route_overloads scenario (flow : Traffic.Flow.t) =
   let links =
     List.filter_map
       (fun (src, dst) ->
-        let u = link_utilization scenario ~src ~dst in
+        let u = Traffic.Scenario.link_utilization scenario ~src ~dst in
         if u >= 1. then Some (Link_overload { src; dst }, u) else None)
       (Network.Route.hops route)
   in
@@ -38,7 +22,7 @@ let route_overloads scenario (flow : Traffic.Flow.t) =
     List.filter_map
       (fun node ->
         let src = Network.Route.prec route node in
-        let u = ingress_utilization scenario ~src ~node in
+        let u = Traffic.Scenario.ingress_utilization scenario ~src ~node in
         if u >= 1. then Some (Ingress_overload { src; node }, u) else None)
       (Network.Route.intermediate_switches route)
   in
@@ -55,10 +39,11 @@ let egress_utilization scenario (flow : Traffic.Flow.t) ~node =
        0.
 
 let stage_utilization scenario (flow : Traffic.Flow.t) = function
-  | Stage_key.First_link (src, dst) -> link_utilization scenario ~src ~dst
+  | Stage_key.First_link (src, dst) ->
+      Traffic.Scenario.link_utilization scenario ~src ~dst
   | Stage_key.Ingress node ->
       let src = Network.Route.prec flow.Traffic.Flow.route node in
-      ingress_utilization scenario ~src ~node
+      Traffic.Scenario.ingress_utilization scenario ~src ~node
   | Stage_key.Egress (node, _) -> egress_utilization scenario flow ~node
 
 (* ---------------- uncontended floor (GMF202) ---------------- *)

@@ -13,18 +13,10 @@
     deadline of every flow of an interference component, the fixed point
     must too).  The stage recurrences themselves are {!Stage_eq}'s: the
     floors apply it and the ceiling bounds it, adding only the majorants
-    and the jitter caps. *)
+    and the jitter caps.  The inequalities stay here; the sums of eqs (20)
+    and (34)-(35) are {!Traffic.Scenario}'s load table, summed once. *)
 
 (** {2 Stage utilizations (eqs 20, 34-35 and the egress analogue)} *)
-
-val link_utilization :
-  Traffic.Scenario.t -> src:Network.Node.id -> dst:Network.Node.id -> float
-(** Left side of eq (20): sum of CSUM/TSUM over flows(src,dst). *)
-
-val ingress_utilization :
-  Traffic.Scenario.t -> src:Network.Node.id -> node:Network.Node.id -> float
-(** Left side of eqs (34)-(35) for one ingress link: every Ethernet frame
-    entering [node] via [src -> node] costs one CIRC rotation. *)
 
 type overload =
   | Link_overload of { src : Network.Node.id; dst : Network.Node.id }
@@ -35,9 +27,9 @@ val route_overloads :
 (** The stages of the flow's route that violate a necessary condition,
     with their utilization: every hop whose eq-(20) link utilization is
     at least 1, in route order, then every intermediate switch whose
-    eqs-(34)/(35) ingress utilization is at least 1, in route order.  The
-    lint gate ([GMF201]/[GMF203]) and precheck's infeasibility
-    certificates both read it. *)
+    eqs-(34)/(35) ingress utilization is at least 1, in route order: a
+    few lookups in the load table.  The fixpoint's per-flow gate
+    ([Gmf_lint.Rules.flow_gate]) and precheck's certificates read it. *)
 
 val egress_utilization :
   Traffic.Scenario.t -> Traffic.Flow.t -> node:Network.Node.id -> float

@@ -126,7 +126,7 @@ let generate (spec : Gen_spec.t) =
         Hashtbl.replace model_memo n m;
         m
   in
-  (* Running utilizations, mirroring Static_tests.link_utilization and
+  (* Running utilizations, mirroring Scenario.link_utilization and
      ingress_utilization term by term so the emitted scenario can never
      trip GMF201/GMF203 (and with max_util <= 0.9, not even the GMF204
      saturation hint). *)

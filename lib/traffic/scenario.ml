@@ -26,6 +26,11 @@ type t = {
      every frame, busy-window iteration and holistic round. *)
   hep_cache : (Flow.id * Network.Node.id, Flow.t list) Hashtbl.t;
   lp_cache : (Flow.id * Network.Node.id, Flow.t list) Hashtbl.t;
+  (* hop -> left sides of eq (20) and, for a hop into a switch, of eqs
+     (34)-(35); built at the first read from this record's params (a
+     pooled [with_flows] swaps its params tables in after [make]). *)
+  mutable loads :
+    (Network.Node.id * Network.Node.id, float * float) Hashtbl.t option;
 }
 
 let params_tables n = { hops = Hashtbl.create n; rates = Hashtbl.create n }
@@ -95,6 +100,7 @@ let make ?(switches = []) ~topo ~flows () =
     on_link;
     hep_cache = Hashtbl.create 64;
     lp_cache = Hashtbl.create 64;
+    loads = None;
   }
 
 let topo t = t.topo
@@ -188,11 +194,48 @@ let params t flow ~src ~dst =
       Hashtbl.replace t.params_cache.hops key p;
       p
 
-let link_utilization t ~src ~dst =
-  flows_on t ~src ~dst
-  |> List.fold_left
-       (fun acc f -> acc +. Link_params.utilization (params t f ~src ~dst))
-       0.
+(* One pass over the flows in id order, so each sum adds the terms of
+   the fold over [flows_on] in its order.  The table gains its keys in
+   the order the flows and their hops first reach them, from 16 buckets:
+   that fixes the order [loaded_links] lists them in, and so the order
+   of lint's GMF104/GMF201/GMF204 findings with equal messages.  Routes
+   end at endhosts, so a hop into a switch is an ingress. *)
+let build_loads t =
+  let loads = Hashtbl.create 16 in
+  Array.iter
+    (fun f ->
+      List.iter
+        (fun ((src, dst) as hop) ->
+          let p = params t f ~src ~dst in
+          let link, ingress =
+            Option.value ~default:(0., 0.) (Hashtbl.find_opt loads hop)
+          in
+          let rotations =
+            if Hashtbl.mem t.switches dst then
+              float_of_int (Link_params.nsum p * circ t dst)
+              /. float_of_int (Flow.tsum f)
+            else 0.
+          in
+          Hashtbl.replace loads hop
+            (link +. Link_params.utilization p, ingress +. rotations))
+        (Network.Route.hops f.Flow.route))
+    t.flows;
+  loads
+
+let loads t =
+  if Option.is_none t.loads then t.loads <- Some (build_loads t);
+  Option.get t.loads
+
+let load t hop = Option.value ~default:(0., 0.) (Hashtbl.find_opt (loads t) hop)
+let link_utilization t ~src ~dst = fst (load t (src, dst))
+let ingress_utilization t ~src ~node = snd (load t (src, node))
+let loaded_links t = Hashtbl.fold (fun h (u, _) l -> (h, u) :: l) (loads t) []
+
+let loaded_ingresses t =
+  Hashtbl.fold
+    (fun ((_, dst) as h) (_, u) l ->
+      if Hashtbl.mem t.switches dst then (h, u) :: l else l)
+    (loads t) []
 
 (* A derived scenario over the same topology takes the source's params
    of every (flow, hop) they fit, unless its tables already hold fitting

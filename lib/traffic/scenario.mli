@@ -65,8 +65,30 @@ val params : t -> Flow.t -> src:Network.Node.id -> dst:Network.Node.id ->
     rate, so {!Link_params.make} runs once per (flow record, link rate)
     and a flow's hops at one rate share one set of demand tables. *)
 
+(** {2 Stage loads}
+
+    The left sides of eq (20) per used directed link and of eqs (34)-(35)
+    per crossed ingress [(src, switch)], summed once per scenario from its
+    own {!params} at the first read, in one pass over the flows in id
+    order: each sum equals the fold over {!flows_on} bit for bit.  Lint,
+    precheck, the fixpoint's per-flow gate and [Analysis.Conditions] read
+    them, through [Gmf_precheck.Static_tests] or directly. *)
+
 val link_utilization : t -> src:Network.Node.id -> dst:Network.Node.id -> float
-(** Sum over flows(src,dst) of CSUM/TSUM — the left side of eq (20). *)
+(** Sum over flows(src,dst) of CSUM/TSUM; [0.] on an unused link. *)
+
+val ingress_utilization :
+  t -> src:Network.Node.id -> node:Network.Node.id -> float
+(** Sum over flows(src,node) of NSUM * CIRC(node) / TSUM: every Ethernet
+    frame entering switch [node] from [src] costs one CIRC rotation. *)
+
+val loaded_links : t -> ((Network.Node.id * Network.Node.id) * float) list
+(** Every used link with its {!link_utilization}, in an order fixed by
+    the flows and their routes. *)
+
+val loaded_ingresses :
+  t -> ((Network.Node.id * Network.Node.id) * float) list
+(** Every crossed ingress with its {!ingress_utilization}. *)
 
 (** {2 Derived scenarios}
 

@@ -188,9 +188,7 @@ let test_overload_diverges () =
       Alcotest.(check bool) "failure names the stage" true
         (f.Result_types.failed_stage = Some (Stage.First_link (hosts.(0), sw))));
   Alcotest.(check bool) "eq 20 violated" true
-    (Gmf_precheck.Static_tests.link_utilization scenario ~src:hosts.(0)
-       ~dst:sw
-    >= 1.)
+    (Traffic.Scenario.link_utilization scenario ~src:hosts.(0) ~dst:sw >= 1.)
 
 let test_utilization_conditions () =
   let scenario, sw = star_scenario [ 5; 5 ] in
@@ -199,10 +197,10 @@ let test_utilization_conditions () =
   let u_link = 2. *. (1_230_400. /. 10_000_000.) in
   let host = Network.Route.source flow.Traffic.Flow.route in
   Alcotest.(check (float 1e-6)) "first hop (eq 20)" u_link
-    (Static_tests.link_utilization scenario ~src:host ~dst:sw);
+    (Traffic.Scenario.link_utilization scenario ~src:host ~dst:sw);
   (* Ingress: 2 flows, 1 rotation per cycle each. *)
   Alcotest.(check (float 1e-6)) "ingress" (2. *. (7_400. /. 10_000_000.))
-    (Static_tests.ingress_utilization scenario ~src:host ~node:sw);
+    (Traffic.Scenario.ingress_utilization scenario ~src:host ~node:sw);
   Alcotest.(check (float 1e-6)) "egress (eqs 34-35)" u_link
     (Static_tests.egress_utilization scenario flow ~node:sw)
 

@@ -228,6 +228,112 @@ let test_conditions_consolidated () =
         c.Analysis.Conditions.satisfied)
     checks
 
+(* A generated mesh, fat-tree or ring of rings on 2-9 Mb/s links, filled
+   up to 90% of some links and ingresses. *)
+let gen_loaded_fabric rng =
+  let module G = Gmf_topogen.Gen_spec in
+  let family =
+    match Rng.int rng 3 with
+    | 0 ->
+        G.Mesh { rows = 2 + Rng.int rng 3; cols = 2 + Rng.int rng 3; planes = 1 }
+    | 1 -> G.Fat_tree { k = 4 }
+    | _ -> G.Ring_of_rings { rings = 2 + Rng.int rng 3; ring_size = 4 }
+  in
+  let spec =
+    { G.default with
+      G.family; hosts_per_switch = 2; flows = 5 + Rng.int rng 56;
+      rate_bps = 1_000_000 * (2 + Rng.int rng 8); max_util = 0.9;
+      seed = Rng.int rng 1_000_000 }
+  in
+  (Gmf_topogen.Topogen.generate spec).Gmf_topogen.Topogen.scenario
+
+(* The scenario's load table against the folds over flows_on it replaced
+   (test/load_oracle.ml), compared with [=], so bit for bit: every link
+   and ingress sum, the listings in lint's order, and route_overloads of
+   every flow.  Checked on a generated fabric, a pooled restriction to a
+   random subset, a pooled scenario with up to three copies of each flow
+   under fresh ids (past eq (20) on shared links), and a map_switches
+   with other CROUTE and processor counts (CIRC changes, ingresses go
+   past eqs (34)-(35)).
+   Each source's table is read before a scenario derives from it. *)
+let prop_loads_equal_folds =
+  QCheck.Test.make ~name:"load table == flows_on folds on generated fabrics"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let base = gen_loaded_fabric rng in
+      let flows = Traffic.Scenario.flows base in
+      let check what s =
+        let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
+        let oracle_links =
+          List.map
+            (fun (src, dst) ->
+              ((src, dst), Load_oracle.link_utilization s ~src ~dst))
+            (Load_oracle.used_links s)
+        in
+        if Traffic.Scenario.loaded_links s <> oracle_links then
+          fail "loaded links differ from the eq-(20) folds";
+        List.iter
+          (fun ((src, dst), u) ->
+            if Traffic.Scenario.link_utilization s ~src ~dst <> u then
+              fail "link %d->%d" src dst)
+          oracle_links;
+        let oracle_ingresses =
+          List.map
+            (fun (src, node) ->
+              ((src, node), Load_oracle.ingress_utilization s ~src ~node))
+            (Load_oracle.crossed s)
+        in
+        if
+          List.sort compare (Traffic.Scenario.loaded_ingresses s)
+          <> oracle_ingresses
+        then fail "loaded ingresses differ from the eqs-(34)-(35) folds";
+        List.iter
+          (fun ((src, node), u) ->
+            if Traffic.Scenario.ingress_utilization s ~src ~node <> u then
+              fail "ingress %d->%d" src node)
+          oracle_ingresses;
+        List.iter
+          (fun (f : Traffic.Flow.t) ->
+            if St.route_overloads s f <> Load_oracle.route_overloads s f then
+              fail "route_overloads of flow %d" f.Traffic.Flow.id)
+          (Traffic.Scenario.flows s)
+      in
+      check "base" base;
+      let pool = Traffic.Scenario.params_pool () in
+      check "restriction"
+        (Traffic.Scenario.with_flows ~pool base
+           (List.filter (fun _ -> Rng.int rng 3 > 0) flows));
+      let next_id =
+        ref (List.fold_left (fun m (f : Traffic.Flow.t) ->
+                 max m f.Traffic.Flow.id) 0 flows)
+      in
+      let copies =
+        List.concat_map
+          (fun (f : Traffic.Flow.t) ->
+            List.init (Rng.int rng 4) (fun _ ->
+                incr next_id;
+                Traffic.Flow.make ~id:!next_id
+                  ~name:(Printf.sprintf "copy%d" !next_id)
+                  ~spec:f.Traffic.Flow.spec ~encap:f.Traffic.Flow.encap
+                  ~route:f.Traffic.Flow.route
+                  ~priority:f.Traffic.Flow.priority))
+          flows
+      in
+      check "copies" (Traffic.Scenario.with_flows ~pool base (flows @ copies));
+      let remodel _ (m : Click.Switch_model.t) =
+        let ports = m.Click.Switch_model.ninterfaces in
+        let divisors = List.filter (fun d -> ports mod d = 0) [ 1; 2; 4 ] in
+        Click.Switch_model.make
+          ~croute:(m.Click.Switch_model.croute * (1 + Rng.int rng 2_000))
+          ~csend:m.Click.Switch_model.csend
+          ~processors:(List.nth divisors (Rng.int rng (List.length divisors)))
+          ~ninterfaces:ports ()
+      in
+      check "map_switches" (Traffic.Scenario.map_switches base ~f:remodel);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Certificates and diagnostics                                       *)
 (* ------------------------------------------------------------------ *)
@@ -781,6 +887,7 @@ let tests =
     Alcotest.test_case "interference graph decomposes clusters" `Quick
       test_igraph_components;
     QCheck_alcotest.to_alcotest prop_igraph_equals_oracle;
+    QCheck_alcotest.to_alcotest prop_loads_equal_folds;
     Alcotest.test_case "conditions read the consolidated inequalities"
       `Quick test_conditions_consolidated;
     Alcotest.test_case "infeasible certificate + GMF018" `Quick
