@@ -8,7 +8,9 @@
 
    [gmfnetd client] streams a .admtrace file through a session and
    prints output byte-identical to [gmfnet session] — the CI smoke job
-   diffs it against the committed golden transcript.
+   diffs it against the committed golden transcript.  On a lost
+   connection it prints the outcomes it did receive, then the error on
+   stderr, and exits 1.
 
    [gmfnetd fingerprint] fetches a session's state digest, queued
    behind any journal-recovery replay — the hook the kill -9 recovery
@@ -28,6 +30,25 @@ let socket_arg =
     value
     & opt string Gmf_daemon.Server.default_config.socket_path
     & info [ "socket" ] ~docv:"PATH" ~doc)
+
+(* [conv] narrowed to the values [ok] accepts: any other value is a
+   cmdliner usage error (exit 124), as in gmfnet. *)
+let narrow conv ~expected ok =
+  let parse s =
+    Result.bind (Arg.conv_parser conv s) (fun v ->
+        if ok v then Ok v
+        else
+          Error
+            (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected)))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_in lo =
+  narrow Arg.int ~expected:(Printf.sprintf "an integer >= %d" lo) (( <= ) lo)
+
+let seconds =
+  narrow Arg.float ~expected:"a finite number > 0" (fun d ->
+      Float.is_finite d && d > 0.)
 
 let session_arg =
   let doc = "Session name (also the journal file name)." in
@@ -49,7 +70,7 @@ let serve_cmd =
     let doc = "Maximum concurrently live sessions (worker processes)." in
     Arg.(
       value
-      & opt int Gmf_daemon.Server.default_config.max_sessions
+      & opt (int_in 1) Gmf_daemon.Server.default_config.max_sessions
       & info [ "max-sessions" ] ~docv:"N" ~doc)
   in
   let queue_cap_arg =
@@ -59,7 +80,7 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt int Gmf_daemon.Server.default_config.queue_cap
+      & opt (int_in 1) Gmf_daemon.Server.default_config.queue_cap
       & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
@@ -68,7 +89,7 @@ let serve_cmd =
        worker (the event is rejected, the worker respawned and \
        journal-replayed)."
     in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
+    Arg.(value & opt (some seconds) None & info [ "deadline" ] ~docv:"S" ~doc)
   in
   let run socket journal_dir max_sessions queue_cap deadline =
     exit_of_result
@@ -120,17 +141,8 @@ let client_cmd =
   in
   let survivable_arg =
     let doc = "Arm the survivable-admission gate with budget $(docv)." in
-    (* A negative budget is a usage error (exit 124), as in gmfnet. *)
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok k when k < 0 ->
-          Error
-            (`Msg
-              (Printf.sprintf "invalid value '%s', expected an integer >= 0" s))
-      | r -> r
-    in
-    let budget = Arg.conv (parse, Format.pp_print_int) in
-    Arg.(value & opt (some budget) None & info [ "survivable" ] ~docv:"K" ~doc)
+    Arg.(
+      value & opt (some (int_in 0)) None & info [ "survivable" ] ~docv:"K" ~doc)
   in
   let throttle_arg =
     let doc =
@@ -148,7 +160,9 @@ let client_cmd =
             Gmf_daemon.Client.run_trace ~socket ~session ~verify ~explain
               ?survivable ~throttle_s:throttle text
           with
-          | Error _ as e -> e
+          | Error { Gmf_daemon.Client.received; reason } ->
+              print_string received;
+              Error reason
           | Ok r ->
               print_string r.Gmf_daemon.Client.output;
               List.iter
@@ -173,7 +187,8 @@ let client_cmd =
        ~doc:
          "Stream an admission trace through a daemon session and print \
           the transcript and summary, byte-identical to \
-          $(b,gmfnet session) on the same trace.")
+          $(b,gmfnet session) on the same trace.  On a lost connection \
+          the outcomes received so far are printed before the error.")
     Term.(
       const run $ socket_arg $ session_arg $ file_arg $ verify_arg
       $ explain_arg $ survivable_arg $ throttle_arg)
@@ -211,4 +226,8 @@ let main =
     (Cmd.info "gmfnetd" ~version:"1.0.0" ~doc)
     [ serve_cmd; client_cmd; fingerprint_cmd ]
 
-let () = exit (Cmd.eval' main)
+(* A daemon that closes the connection must surface as a send error
+   (the client then prints what it received), not kill the process. *)
+let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  exit (Cmd.eval' main)

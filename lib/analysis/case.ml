@@ -1,7 +1,24 @@
-let shared_memo : Holistic.report Gmf_exec.Memo.t = Gmf_exec.Memo.create ()
+(* Holds nothing: see the interface. *)
+let shared_memo = ()
+
+let m_cases = Gmf_obs.Metrics.counter Gmf_obs.Metrics.default "exec.cases"
+
+(* The [exec.case] span carries the case's measured duration in a
+   caller-owned time domain (lane 1, origin 0): its aggregates are what
+   the profile reads. *)
+let run ~f x =
+  Gmf_obs.Metrics.incr m_cases;
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  in
+  let dur_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  Gmf_obs.Tracer.emit ~cat:"exec" ~tid:1 Gmf_obs.Tracer.default
+    ~name:"exec.case" ~begin_ns:0 ~end_ns:(max 0 dur_ns);
+  outcome
 
 (* A case that raised becomes an analysis failure, so drivers stay total. *)
-let report_of_error err =
+let report_of_error msg =
   {
     Holistic.verdict =
       Holistic.Analysis_failed
@@ -10,7 +27,7 @@ let report_of_error err =
             Result_types.flow_id = -1;
             frame = 0;
             failed_stage = None;
-            reason = "exec: " ^ Gmf_exec.error_to_string err;
+            reason = "exec: exception: " ^ msg;
           };
         ];
     rounds = 0;
@@ -18,9 +35,9 @@ let report_of_error err =
   }
 
 let analyze ?(config = Config.default) scenario =
-  match Gmf_exec.run ~f:(Holistic.analyze ~config) scenario with
+  match run ~f:(Holistic.analyze ~config) scenario with
   | Ok r -> r
-  | Error e -> report_of_error e
+  | Error msg -> report_of_error msg
 
 let schedulable ?config scenario =
   Holistic.is_schedulable (analyze ?config scenario)

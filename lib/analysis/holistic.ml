@@ -135,8 +135,25 @@ type round_observation = {
 let round_observer : (round_observation -> unit) option ref = ref None
 let set_round_observer f = round_observer := f
 
-let run_round ctx =
-  let flows = Traffic.Scenario.flows (Ctx.scenario ctx) in
+(* Static impossibility gate: when a link or ingress rotation on the
+   flow's route is utilization-overloaded, the busy-period recurrences
+   provably diverge — skip them and fail with the diagnostic instead of
+   burning [max_busy_iters] iterations to find out. *)
+let gate scenario flow =
+  match Gmf_lint.Rules.flow_gate scenario flow with
+  | [] -> None
+  | d :: _ ->
+      Some
+        {
+          Result_types.flow_id = flow.Traffic.Flow.id;
+          frame = 0;
+          failed_stage = None;
+          reason = Gmf_diag.to_string d;
+        }
+
+(* One round over the flows in scenario order, each paired with its gate
+   failure: a gated flow fails without being analyzed. *)
+let run_round ctx gated =
   let tracer = Gmf_obs.Tracer.default in
   let analyze flow =
     if Gmf_obs.Tracer.enabled tracer then
@@ -145,19 +162,28 @@ let run_round ctx =
         (fun () -> Pipeline.analyze_flow ctx ~flow)
     else Pipeline.analyze_flow ctx ~flow
   in
-  let rec go flows acc failures =
-    match flows with
+  let rec go gated acc failures =
+    match gated with
     | [] -> (List.rev acc, List.rev failures)
-    | flow :: rest -> begin
+    | (_, Some f) :: rest -> go rest acc (f :: failures)
+    | (flow, None) :: rest -> begin
         match analyze flow with
         | Ok res -> go rest (res :: acc) failures
         | Error f -> go rest acc (f :: failures)
       end
   in
-  go flows [] []
+  go gated [] []
 
 let iterate ctx =
   let max_rounds = (Ctx.config ctx).Config.max_holistic_rounds in
+  (* A gate reads only the scenario, and a round with a failure ends the
+     run, so only round 1 can fail one: each flow is gated once. *)
+  let scenario = Ctx.scenario ctx in
+  let gated =
+    List.map
+      (fun flow -> (flow, gate scenario flow))
+      (Traffic.Scenario.flows scenario)
+  in
   let metrics_on = Gmf_obs.Metrics.enabled Gmf_obs.Metrics.default in
   let finish n report =
     Gmf_obs.Metrics.incr m_runs;
@@ -174,7 +200,7 @@ let iterate ctx =
     let writes = Ctx.writes ctx in
     let results, failures =
       Gmf_obs.Tracer.with_span Gmf_obs.Tracer.default ~cat:"analysis"
-        "holistic.round" (fun () -> run_round ctx)
+        "holistic.round" (fun () -> run_round ctx gated)
     in
     (match before with
     | None -> ()

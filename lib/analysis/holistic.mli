@@ -14,6 +14,10 @@
     a value ({!Ctx.writes} did not move); a round with failures ends the
     run before that test.
 
+    Each flow meets the utilization gate ([Gmf_lint.Rules.flow_gate])
+    once, before round 1: a flow that fails it is not analyzed, and
+    round 1 lists its diagnostic among the failures, in flow order.
+
     Within a run a stage is re-evaluated only when its inputs moved: the
     context keeps one node per (flow, stage) with the last evaluation of
     each frame, and the pipeline reuses it while no flow the stage charges

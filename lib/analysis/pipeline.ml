@@ -55,26 +55,7 @@ let analyze_frame ctx ~flow ~frame =
     invalid_arg "Pipeline.analyze_frame: frame index out of range";
   walk_frame ctx flow (Ctx.nodes ctx flow) ~frame
 
-(* Static impossibility gate: when a link or ingress rotation on this
-   flow's route is utilization-overloaded, the busy-period recurrences
-   provably diverge — skip them and fail with the diagnostic instead of
-   burning [max_busy_iters] iterations to find out. *)
-let lint_gate ctx ~flow =
-  match Gmf_lint.Rules.flow_gate (Ctx.scenario ctx) flow with
-  | [] -> None
-  | d :: _ ->
-      Some
-        {
-          Result_types.flow_id = flow.Traffic.Flow.id;
-          frame = 0;
-          failed_stage = None;
-          reason = Gmf_diag.to_string d;
-        }
-
 let analyze_flow ctx ~flow =
-  match lint_gate ctx ~flow with
-  | Some failure -> Error failure
-  | None ->
   let n = Traffic.Flow.n flow in
   let nodes = Ctx.nodes ctx flow in
   let results = Array.make n None in

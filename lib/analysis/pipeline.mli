@@ -31,15 +31,7 @@ val analyze_flow :
   flow:Traffic.Flow.t ->
   (Result_types.flow_result, Result_types.failure) result
 (** Bounds for every frame of the flow (frame 0 first).  Stops at the first
-    failing frame.
-
-    Before any fixpoint runs, the [Gmf_lint.Rules.flow_gate] pre-pass
-    checks the utilization impossibility conditions ([GMF201]/[GMF203])
-    on the flow's route; a violated condition fails immediately with the
-    rendered diagnostic as the reason — the recurrences would only have
-    diverged against a cap.  The gate is a few lookups in the scenario's
-    load table ({!Traffic.Scenario.link_utilization}), made on every
-    call. *)
+    failing frame.  {!Holistic} runs the utilization gate, not this. *)
 
 val seed : Ctx.t -> Result_types.flow_result list -> unit
 (** [seed ctx results] resets the context's jitters ({!Ctx.reset_jitters})

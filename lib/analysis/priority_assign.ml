@@ -100,7 +100,7 @@ let best_exhaustive ?config ?(levels = 8) scenario =
              (fun f level -> reprioritize f classes.(level))
              flows vector
          in
-         match Gmf_exec.run ~f:analyze candidate with
+         match Case.run ~f:analyze candidate with
          | Ok report when Holistic.is_schedulable report -> begin
              let bound = worst_bound report in
              match best with

@@ -60,17 +60,12 @@ let component_report ~config ?reports scenario members =
         Gmf_precheck.Reuse.find t ~config scenario members)
   with
   | Some r -> r
-  | None -> (
-      match
-        Gmf_exec.run ~f:(Holistic.analyze ~config)
-          (sub_scenario scenario members)
-      with
-      | Ok r ->
-          Option.iter
-            (fun t -> Gmf_precheck.Reuse.add t ~config scenario members r)
-            reports;
-          r
-      | Error e -> Case.report_of_error e)
+  | None ->
+      let r = Case.analyze ~config (sub_scenario scenario members) in
+      Option.iter
+        (fun t -> Gmf_precheck.Reuse.add t ~config scenario members r)
+        reports;
+      r
 
 let analyze ?(config = Config.default) ?table ?reports scenario =
   let pre = Gmf_precheck.Precheck.run ~config ?table scenario in

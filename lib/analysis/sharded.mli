@@ -9,8 +9,10 @@
     - certified flows get synthetic results carrying their certified
       per-frame ceilings ([stages = []], no fixpoint either);
     - every remaining interference component is analyzed as an
-      independent sub-scenario, one {!Gmf_exec.run} each, unless the
-      caller's report table already holds its fixpoint.
+      independent sub-scenario, one {!Case.analyze} each, unless the
+      caller's report table already holds its report (a component
+      whose analysis raised is kept there too, as {!Case.report_of_error}:
+      the same members raise again).
 
     Because interference never crosses component boundaries (two flows
     interfere only where their routes share a node, which is exactly an

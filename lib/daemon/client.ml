@@ -121,9 +121,15 @@ let has_mismatch text =
   in
   at 0
 
+type trace_error = { received : string; reason : string }
+
 let run_trace ~socket ~session ?(verify = false) ?(explain = false)
     ?survivable ?(throttle_s = 0.) text =
   let prologue, chunks = slice_trace text in
+  (* The transcript so far: an error hands it back with the reason. *)
+  let out = Buffer.create 4096 in
+  Result.map_error (fun reason -> { received = Buffer.contents out; reason })
+  @@
   match connect socket with
   | Error _ as e -> e
   | Ok c ->
@@ -131,7 +137,6 @@ let run_trace ~socket ~session ?(verify = false) ?(explain = false)
         ~finally:(fun () -> close c)
         (fun () ->
           let ( let* ) = Result.bind in
-          let out = Buffer.create 4096 in
           let mismatches = ref 0 in
           let rejections = ref [] in
           let* _opened =

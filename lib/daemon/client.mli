@@ -43,6 +43,13 @@ type trace_result = {
           errors); refused events do not appear in [output]. *)
 }
 
+type trace_error = {
+  received : string;
+      (** The transcript lines of the events answered before the
+          failure, as in {!trace_result.output} (no summary block). *)
+  reason : string;
+}
+
 val run_trace :
   socket:string ->
   session:string ->
@@ -51,10 +58,11 @@ val run_trace :
   ?survivable:int ->
   ?throttle_s:float ->
   string ->
-  (trace_result, string) result
+  (trace_result, trace_error) result
 (** Open [session] (topology = the trace's prologue), stream every
     event chunk synchronously, collect the summary, close.  [Error] on
-    connection loss or a refused open/summary. *)
+    connection loss or a refused open/summary, with the outcomes that
+    did arrive, so a caller can show which events committed. *)
 
 val fingerprint :
   socket:string -> session:string -> (string * int, string) result

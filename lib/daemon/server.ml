@@ -4,10 +4,10 @@
 
    The three robustness pillars live here:
 
-   - supervision: each session's worker is a [Gmf_exec.Persistent]
-     process.  A crash, a [handle] exception or a missed per-request
-     deadline answers the affected request with an explicit rejection,
-     kills the worker, and rebuilds it — paced by exponential backoff —
+   - supervision: each session's worker is a [Persistent] process.  A
+     crash, a [handle] exception or a missed per-request deadline
+     answers the affected request with an explicit rejection, kills
+     the worker, and rebuilds it — paced by exponential backoff —
      by replaying the session journal.  The replayed worker is
      byte-identical to the lost one for every committed event.
    - write-ahead journal: an event is journaled (write + fsync) after
@@ -19,7 +19,6 @@
      journaled analysis. *)
 
 module Jsonl = Scenario_io.Admtrace_jsonl
-module Persistent = Gmf_exec.Persistent
 module Backoff = Persistent.Backoff
 module Metrics = Gmf_obs.Metrics
 
@@ -169,8 +168,9 @@ let ensure_worker t sess ~now =
               Persistent.respawn w;
               w
           | None ->
-              Worker.spawn ~on_child:(close_inherited t) ~opts:sess.s_opts
-                ~topology:sess.s_topology ()
+              Persistent.spawn ~on_child:(close_inherited t)
+                ~init:(Worker.init ~opts:sess.s_opts ~topology:sess.s_topology)
+                ~handle:Worker.handle ()
         in
         sess.s_worker <- Some w;
         refill_replay sess;
@@ -227,7 +227,7 @@ let pump t sess ~now =
         | Error e ->
             Metrics.incr m_crashes;
             fail_pending t p ~code:Jsonl.code_crashed
-              ~message:(Gmf_exec.error_to_string e);
+              ~message:(Persistent.error_to_string e);
             Persistent.kill w;
             Backoff.note_failure sess.s_backoff ~now)
 
@@ -291,7 +291,7 @@ let on_worker_readable t sess ~now =
                  Kill it and rebuild from the journal. *)
               Metrics.incr m_crashes;
               fail_pending t p ~code:Jsonl.code_crashed
-                ~message:(Gmf_exec.error_to_string e);
+                ~message:(Persistent.error_to_string e);
               Persistent.kill w;
               Backoff.note_failure sess.s_backoff ~now);
           pump t sess ~now)
@@ -749,7 +749,8 @@ let check_config cfg =
   if cfg.max_sessions < 1 then invalid_arg "Server.run: max_sessions < 1";
   if cfg.queue_cap < 1 then invalid_arg "Server.run: queue_cap < 1";
   (match cfg.deadline_s with
-  | Some d when d <= 0. -> invalid_arg "Server.run: deadline_s <= 0"
+  | Some d when not (Float.is_finite d && d > 0.) ->
+      invalid_arg "Server.run: deadline_s not finite and > 0"
   | _ -> ());
   if cfg.socket_path = "" then invalid_arg "Server.run: empty socket_path"
 

@@ -4,14 +4,14 @@
 
     Robustness contract:
 
-    - {e supervision}: each session runs in its own
-      {!Gmf_exec.Persistent} worker.  A crash, an exception out of the
-      event machine, or a missed per-request deadline answers the
-      affected request with an explicit [crashed]/[deadline] rejection,
-      kills the worker and rebuilds it — paced by exponential backoff —
-      by replaying the session's write-ahead journal.  The rebuilt
-      worker carries byte-identical state for every committed event
-      (same flow ids, transcripts and fingerprint).
+    - {e supervision}: each session runs in its own {!Persistent}
+      worker.  A crash, an exception out of the event machine, or a
+      missed per-request deadline answers the affected request with an
+      explicit [crashed]/[deadline] rejection, kills the worker and
+      rebuilds it — paced by exponential backoff — by replaying the
+      session's write-ahead journal.  The rebuilt worker carries
+      byte-identical state for every committed event (same flow ids,
+      transcripts and fingerprint).
     - {e durability}: an event is journaled with write+[fsync]
       {e after} the worker applied it and {e before} the decision is
       released, so any decision a client observed survives [kill -9] of
@@ -65,5 +65,6 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
     fires once the socket is listening, before the first accept — for
     readiness notification in tests and scripts.  Raises
     [Invalid_argument] on a nonsensical config ([max_sessions] or
-    [queue_cap] < 1, non-positive deadline, empty socket path); [Unix]
-    errors from binding escape. *)
+    [queue_cap] < 1, a deadline not finite and positive, empty socket
+    path) before it binds the socket; [Unix] errors from binding
+    escape. *)

@@ -1,5 +1,5 @@
 (* The daemon's session worker: the closure pair a supervised
-   [Gmf_exec.Persistent] process runs.
+   [Persistent] process runs.
 
    Each worker owns exactly one admission-control session: one
    [Scenario_io.Admtrace.Incremental] parser (the stateful name/id
@@ -148,6 +148,3 @@ let handle st = function
               text =
                 String.concat "\n" (List.map Replay.outcome_line outcomes);
             })
-
-let spawn ?on_child ~opts ~topology () =
-  Gmf_exec.Persistent.spawn ?on_child ~init:(init ~opts ~topology) ~handle ()

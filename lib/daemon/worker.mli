@@ -1,5 +1,5 @@
 (** One supervised session worker: the [init]/[handle] closure pair the
-    daemon runs inside a {!Gmf_exec.Persistent} process.
+    daemon runs inside a {!Persistent} process.
 
     The worker owns the session's stateful admtrace parser
     ({!Scenario_io.Admtrace.Incremental}) {e and} its
@@ -59,11 +59,3 @@ val init : opts:opts -> topology:string -> unit -> st
 val handle : st -> req -> resp
 (** Process one request.  Raises (killing the worker, by design) when
     state may have diverged from the journal; see the module comment. *)
-
-val spawn :
-  ?on_child:(unit -> unit) ->
-  opts:opts ->
-  topology:string ->
-  unit ->
-  (req, resp) Gmf_exec.Persistent.t
-(** A supervised worker process over {!init} and {!handle}. *)

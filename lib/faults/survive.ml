@@ -339,7 +339,7 @@ let run ?(config = Analysis.Config.default) ?(k = 1) ?domain scenario =
   let cases =
     List.map
       (fun case ->
-        match Gmf_exec.run ~f:(analyze_case dbase sw) case with
+        match Analysis.Case.run ~f:(analyze_case dbase sw) case with
         | Ok r -> r
         | Error e -> failed_case_result scenario e case)
       case_list

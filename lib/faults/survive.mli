@@ -168,7 +168,7 @@ val run :
   report
 (** [run scenario] analyzes every failure case of at most [k] (default 1)
     components with {!degrade}, in order, in process, each through
-    {!Gmf_exec.run}.  A case whose evaluation raises is reported
+    {!Analysis.Case.run}.  A case whose evaluation raises is reported
     conservatively: analysis-failed verdict with an ["exec: ..."] reason
     and every flow shed.  Raises [Invalid_argument] when [k < 0].
 

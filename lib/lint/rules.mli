@@ -92,7 +92,7 @@ val sort : Gmf_diag.t list -> Gmf_diag.t list
 (** Stable sort by code, then message. *)
 
 val flow_gate : Traffic.Scenario.t -> Traffic.Flow.t -> Gmf_diag.t list
-(** The cheap per-flow pre-pass used by [Analysis.Pipeline]: only the
+(** The cheap per-flow pre-pass [Analysis.Holistic] runs once: only the
     utilization impossibility rules ([GMF201], [GMF203]) restricted to
     the links the flow's route crosses — conditions under which the
     busy-period recurrences provably diverge, read off the scenario's

@@ -46,7 +46,7 @@ let best_exhaustive ?config ?(levels = 8) scenario =
   in
   (* Candidates are independent cases; the fold keeps the first strict
      minimum in enumeration order. *)
-  let outcomes = List.map (Gmf_exec.run ~f:analyze) candidates in
+  let outcomes = List.map (Analysis.Case.run ~f:analyze) candidates in
   List.fold_left2
     (fun best candidate outcome ->
       match outcome with

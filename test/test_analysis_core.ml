@@ -180,6 +180,28 @@ let test_config () =
   Alcotest.(check bool) "faithful preset" true
     (Config.faithful.Config.variant = Config.Faithful)
 
+(* The case evaluator keeps the caller's order and turns an exception
+   into that case's error alone; an analysis that raised reports it as
+   an "exec: exception: ..." failure. *)
+let test_case_run () =
+  let eval x =
+    ignore (Array.make 16 x);
+    if x < 0 then failwith (Printf.sprintf "negative %d" x) else (x * 7) + 1
+  in
+  let outcome_str = function
+    | Ok n -> Printf.sprintf "ok:%d" n
+    | Error msg -> "err:" ^ msg
+  in
+  Alcotest.(check (list string)) "ordered outcomes"
+    [ "ok:22"; "err:Failure(\"negative -1\")"; "ok:1" ]
+    (List.map outcome_str (List.map (Case.run ~f:eval) [ 3; -1; 0 ]));
+  match (Case.report_of_error "Failure(\"x\")").Holistic.verdict with
+  | Holistic.Analysis_failed [ f ] ->
+      Alcotest.(check string) "failure reason" "exec: exception: Failure(\"x\")"
+        f.Result_types.reason;
+      Alcotest.(check int) "no flow" (-1) f.Result_types.flow_id
+  | _ -> Alcotest.fail "expected one analysis failure"
+
 let tests =
   [
     Alcotest.test_case "fixpoint converges" `Quick test_fixpoint_converges;
@@ -194,4 +216,6 @@ let tests =
     Alcotest.test_case "ctx initial jitters" `Quick test_ctx_initial_jitters;
     Alcotest.test_case "ctx MX/NX" `Quick test_ctx_mx_nx;
     Alcotest.test_case "config" `Quick test_config;
+    Alcotest.test_case "Case.run: order and error capture" `Quick
+      test_case_run;
   ]

@@ -14,7 +14,7 @@ module Client = Gmf_daemon.Client
 module Worker = Gmf_daemon.Worker
 module Session = Gmf_admctl.Session
 module Replay = Gmf_admctl.Replay
-module Persistent = Gmf_exec.Persistent
+module Persistent = Gmf_daemon.Persistent
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
@@ -360,15 +360,17 @@ let test_persistent_worker () =
   Alcotest.(check bool) "state persists across calls" true (call w 2 = Ok 7);
   (* A handler exception comes back as Error (Exn _), worker stays up. *)
   (match call w 13 with
-  | Error (Gmf_exec.Exn msg) ->
+  | Error (Persistent.Exn msg as e) ->
       Alcotest.(check bool) "exn payload" true
-        (String.length msg > 0)
+        (String.length msg > 0);
+      Alcotest.(check string) "rendered" "exception: Failure(\"unlucky\")"
+        (Persistent.error_to_string e)
   | _ -> Alcotest.fail "expected Error (Exn _)");
   Alcotest.(check bool) "worker survives handler exception" true
     (call w 1 = Ok 8);
   (* A crash mid-request surfaces as Crashed and detaches the process. *)
   (match call w 99 with
-  | Error (Gmf_exec.Crashed _) -> ()
+  | Error (Persistent.Crashed _) -> ()
   | _ -> Alcotest.fail "expected Error (Crashed _)");
   Alcotest.(check bool) "dead after crash" false (Persistent.alive w);
   (* Respawn re-runs init from scratch. *)
@@ -376,6 +378,60 @@ let test_persistent_worker () =
   Alcotest.(check int) "respawn counted" 1 (Persistent.respawn_count w);
   Alcotest.(check bool) "fresh state after respawn" true (call w 4 = Ok 4);
   Persistent.stop w
+
+let outcome_str = function
+  | Ok n -> Printf.sprintf "ok:%d" n
+  | Error e -> "err:" ^ Persistent.error_to_string e
+
+(* A crash fails only the request that was running: the supervisor
+   respawns the worker and every other request still completes. *)
+let test_persistent_crash () =
+  let w =
+    Persistent.spawn ~init:ignore
+      ~handle:(fun () x -> if x = 2 then Unix._exit 7 else x + 100)
+      ()
+  in
+  let r =
+    List.map
+      (fun x ->
+        let o = call w x in
+        if Result.is_error o then Persistent.respawn w;
+        o)
+      [ 0; 1; 2; 3; 4 ]
+  in
+  Persistent.stop w;
+  Alcotest.(check (list string)) "the crash lands on the request that exited"
+    [ "ok:100"; "ok:101"; "err:crash: worker exited with code 7"; "ok:103";
+      "ok:104" ]
+    (List.map outcome_str r)
+
+(* exec.respawns counts replacement forks of the supervised worker. *)
+let test_respawn_counter () =
+  let reg = Gmf_obs.Metrics.default in
+  let was = Gmf_obs.Metrics.enabled reg in
+  Gmf_obs.Metrics.set_enabled reg true;
+  let respawns = Gmf_obs.Metrics.counter reg "exec.respawns" in
+  let r0 = Gmf_obs.Metrics.counter_value respawns in
+  let w =
+    Persistent.spawn
+      ~init:(fun () -> ())
+      ~handle:(fun () x ->
+        if x = 0 then Unix._exit 5;
+        x * 2)
+      ()
+  in
+  (match call w 0 with
+  | Error (Persistent.Crashed _) -> ()
+  | o -> Alcotest.fail ("expected a crash, got " ^ outcome_str o));
+  Alcotest.(check int) "crash alone is not a respawn" 0
+    (Gmf_obs.Metrics.counter_value respawns - r0);
+  Persistent.respawn w;
+  Alcotest.(check bool) "replacement works" true (call w 3 = Ok 6);
+  Persistent.stop w;
+  Gmf_obs.Metrics.set_enabled reg was;
+  Alcotest.(check int) "exec.respawns counts the replacement" 1
+    (Gmf_obs.Metrics.counter_value respawns - r0);
+  Alcotest.(check int) "respawn_count agrees" 1 (Persistent.respawn_count w)
 
 let test_backoff () =
   let b = Persistent.Backoff.create ~base_s:1. ~max_s:8. () in
@@ -401,7 +457,7 @@ let test_backoff () =
   Alcotest.(check bool) "success resets" true
     (Persistent.Backoff.ready b ~now:40.);
   Alcotest.check_raises "base_s must be positive"
-    (Invalid_argument "Gmf_exec.Persistent.Backoff.create") (fun () ->
+    (Invalid_argument "Gmf_daemon.Persistent.Backoff.create") (fun () ->
       ignore (Persistent.Backoff.create ~base_s:0. ()))
 
 (* ---------------- session workers ------------------------------------ *)
@@ -491,7 +547,7 @@ let test_daemon_transcript_parity () =
       (match
          Client.run_trace ~socket:cfg.Server.socket_path ~session:"parity" text
        with
-      | Error msg -> Alcotest.fail msg
+      | Error e -> Alcotest.fail e.Client.reason
       | Ok r ->
           Alcotest.(check (list (pair string string))) "nothing rejected" []
             r.Client.rejected;
@@ -1005,6 +1061,88 @@ let test_negative_survivable_rejected () =
       | Ok r -> Alcotest.failf "query: unexpected %s" (Jsonl.encode_response r)
       | Error msg -> Alcotest.fail msg)
 
+(* A deadline that is not a finite positive number is refused before
+   the socket is bound: a NaN deadline would never fire. *)
+let test_nan_deadline_rejected () =
+  let dir = fresh_dir () in
+  let socket_path = Filename.concat dir "nan.sock" in
+  let cfg =
+    {
+      Server.default_config with
+      socket_path;
+      journal_dir = Filename.concat dir "journal";
+      deadline_s = Some Float.nan;
+    }
+  in
+  (match Server.run cfg with
+  | () -> Alcotest.fail "Server.run accepted a NaN deadline"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no socket bound" false (Sys.file_exists socket_path)
+
+(* The gmfnetd binary of this build, beside the test binary's directory. *)
+let gmfnetd_exe () =
+  let test_dir = Filename.dirname (Unix.realpath Sys.executable_name) in
+  Filename.concat
+    (Filename.concat (Filename.dirname test_dir) "bin")
+    "gmfnetd.exe"
+
+(* A stand-in daemon that answers the open and one event, then closes
+   the connection.  It listens before the fork, so the client cannot
+   race it. *)
+let start_stand_in ~socket outcome =
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  match Unix.fork () with
+  | 0 ->
+      (try
+         let fd, _ = Unix.accept lfd in
+         let ic = Unix.in_channel_of_descr fd in
+         let oc = Unix.out_channel_of_descr fd in
+         List.iter
+           (fun resp ->
+             ignore (input_line ic);
+             output_string oc (Jsonl.encode_response resp ^ "\n");
+             flush oc)
+           [ Jsonl.Opened { session = "default"; replayed = 0 }; outcome ];
+         Unix.close fd
+       with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close lfd;
+      pid
+
+(* [gmfnetd client] prints the outcomes it received before it reports a
+   lost connection, so an operator sees which events committed. *)
+let test_client_lost_connection () =
+  let dir = fresh_dir () in
+  let path name = Filename.concat dir name in
+  let socket = path "stand-in.sock" in
+  Out_channel.with_open_text (path "t.admtrace") (fun oc ->
+      output_string oc (topology_ab ^ "query\nquery\nquery\n"));
+  let line = "[1] query: 0 flows admitted" in
+  let server =
+    start_stand_in ~socket
+      (Jsonl.Outcome { seq = 1; label = "query"; accepted = true; text = line })
+  in
+  let out = Unix.openfile (path "stdout") [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644
+  and err = Unix.openfile (path "stderr") [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let client =
+    Unix.create_process (gmfnetd_exe ())
+      [| "gmfnetd"; "client"; "--socket"; socket; path "t.admtrace" |]
+      Unix.stdin out err
+  in
+  Unix.close out;
+  Unix.close err;
+  let _, status = Unix.waitpid [] client in
+  ignore (Unix.waitpid [] server);
+  let read name = In_channel.with_open_bin (path name) In_channel.input_all in
+  Alcotest.(check string) "stdout holds the outcome received" (line ^ "\n")
+    (read "stdout");
+  Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool) "the error on stderr" true
+    (contains ~needle:"gmfnetd: " (read "stderr"))
+
 (* Recovery fails closed: a journal whose first line is not a warm
    session open is refused with [proto] naming the file, no session is
    registered and the file is left byte-for-byte as it was. *)
@@ -1092,6 +1230,10 @@ let tests =
     Alcotest.test_case "journal: new entries fsync their directory" `Quick
       test_journal_dir_fsync;
     Alcotest.test_case "persistent: lifecycle" `Quick test_persistent_worker;
+    Alcotest.test_case "persistent: crash is per-request" `Quick
+      test_persistent_crash;
+    Alcotest.test_case "persistent: respawn counter" `Quick
+      test_respawn_counter;
     Alcotest.test_case "persistent: backoff pacing" `Quick test_backoff;
     Alcotest.test_case "worker: frozen prologue keeps rejects pure" `Quick
       test_worker_frozen_prologue;
@@ -1112,6 +1254,10 @@ let tests =
       test_cold_open_rejected;
     Alcotest.test_case "daemon: negative survivable rejected" `Quick
       test_negative_survivable_rejected;
+    Alcotest.test_case "daemon: NaN deadline rejected" `Quick
+      test_nan_deadline_rejected;
+    Alcotest.test_case "client: lost connection keeps outcomes" `Quick
+      test_client_lost_connection;
     Alcotest.test_case "daemon: journal recovery fails closed" `Quick
       test_journal_recovery_fails_closed;
     Alcotest.test_case "daemon: journal with a foreign middle line" `Quick
